@@ -25,7 +25,6 @@ from .heights import (
 from .numerics import (
     DEFAULT_PRECISION,
     ModularMatrix,
-    NearCancellationError,
     Precision,
     PrecisionOverflowError,
     UpperHalfPoint,
@@ -46,7 +45,6 @@ __all__ = [
     "HeightSeriesPoint",
     "IntegralEstimate",
     "ModularMatrix",
-    "NearCancellationError",
     "OrbitPoint",
     "Precision",
     "PrecisionOverflowError",

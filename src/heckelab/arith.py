@@ -113,6 +113,13 @@ class TripleRows(Sequence):
         self._a = np.repeat(np.array(divs, dtype=np.int64), [b.size for b in betas])
         self._b = np.concatenate(betas)
         self._d = n // self._a
+        for col in (self._a, self._b, self._d):
+            col.flags.writeable = False
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The a, b and d columns, as read-only int64 arrays in row order."""
+        return self._a, self._b, self._d
 
     def __len__(self) -> int:
         return self._b.size

@@ -29,7 +29,7 @@ from .heights import (
     phi_value,
 )
 from .lattices import GramForm, _value_counts, counting_bound, represented_values
-from .numerics import Precision, UpperHalfPoint, eval_j, tau_from_j
+from .numerics import Precision, UpperHalfPoint, tau_from_j
 from .scan import CurveQ, coincidence_statistic, count_points, scan_pair, trace_power
 from .tate import badred_constant, valuation_orbit
 
@@ -371,7 +371,6 @@ def cmd_cm(args: argparse.Namespace) -> int:
     d = config.digits
     rows = []
     for p in points:
-        jval = eval_j(p.tau0, prec)
         rows.append(
             {
                 "m": p.M,
@@ -380,8 +379,8 @@ def cmd_cm(args: argparse.Namespace) -> int:
                 "fundamental_disc": p.fundamental_disc,
                 "tau_re": _fmt(p.tau0.re, d),
                 "tau_im": _fmt(p.tau0.im, d),
-                "j_re": _fmt(jval.real, d),
-                "j_im": _fmt(jval.imag, d),
+                "j_re": _fmt(p.j.real, d),
+                "j_im": _fmt(p.j.imag, d),
             }
         )
     _emit(

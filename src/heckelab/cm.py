@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple, Sequence
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .arith import split_discriminant
 from .hecke import hecke_orbit
@@ -53,6 +53,8 @@ class CmPoint:
     conductor: int
     fundamental_disc: int
     M: int
+    # j(tau0), kept by enumerate_cm_points at the precision it ran with
+    j: mpc | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         m = self.matrix
@@ -282,6 +284,7 @@ def enumerate_cm_points(
                     conductor=raw.conductor,
                     fundamental_disc=raw.fundamental_disc,
                     M=m,
+                    j=jval,
                 )
             )
     return points
@@ -293,11 +296,12 @@ def min_separation_constant(
     prec: Precision = DEFAULT_PRECISION,
 ) -> float:
     """min over distinct pairs of |j1 - j2| sqrt(M1 M2) (sqrt(M1) + sqrt(M2))
-    among points with |j| <= j_box_bound."""
+    among points with |j| <= j_box_bound.  The j kept on a point is used
+    as it is; other points are evaluated at prec."""
     with mp.workprec(prec.bits + 32):
         tagged = []
         for p in points:
-            jval = eval_j(p.tau0, prec)
+            jval = p.j if p.j is not None else eval_j(p.tau0, prec)
             if abs(jval) <= j_box_bound:
                 tagged.append((jval, p.M))
         if len(tagged) < 2:
@@ -367,7 +371,11 @@ def density_experiment(
 ) -> list[DensityPoint]:
     """For each N <= n_max, the smallest |j(alpha) - z| over the order-N
     orbit of y_tau.  N belongs to the near-miss set when that distance is
-    at most N^-d_exp; see density_fraction."""
+    at most N^-d_exp; see density_fraction.
+
+    The float64 screen of each orbit picks the points whose distance may be
+    the smallest under its error bounds; only those are evaluated exactly.
+    """
     if d_exp < 1:
         raise ValueError("need D >= 1")
     out = []
@@ -375,7 +383,9 @@ def density_experiment(
         zc = mp.mpc(z)
         for n in range(1, n_max + 1):
             orbit = hecke_orbit(y_tau, n, prec)
-            best = min(abs(p.j - zc) for p in orbit.points)
+            best = min(
+                abs(orbit.points[i].j - zc) for i in orbit.screen.nearest(zc)
+            )
             out.append(DensityPoint(n=n, best_distance=float(best)))
     return out
 

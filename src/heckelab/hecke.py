@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import NamedTuple
 
+import numpy as np
 from mpmath import mp, mpc, mpf
 
 from .arith import TripleRows, prime_divisors
@@ -15,7 +19,9 @@ from .numerics import (
     Precision,
     UpperHalfPoint,
     eval_j,
+    log_j_float64,
     reduce_to_fundamental_domain,
+    reduce_witness_float64,
 )
 
 log = logging.getLogger(__name__)
@@ -30,17 +36,174 @@ class CosetTriple(NamedTuple):
     n: int
 
 
-class OrbitPoint(NamedTuple):
-    coset: CosetTriple
-    tau: UpperHalfPoint  # reduced representative
-    j: mpc
+class OrbitPoint:
+    """A point of T_N*tau in the exact tier: its coset and its reduced
+    representative at working precision.  j is evaluated on first read and
+    kept."""
+
+    __slots__ = ("coset", "tau", "_prec", "_j")
+
+    def __init__(self, coset: CosetTriple, tau: UpperHalfPoint, prec: Precision):
+        self.coset = coset
+        self.tau = tau  # reduced representative
+        self._prec = prec
+        self._j = None
+
+    @property
+    def j(self) -> mpc:
+        if self._j is None:
+            self._j = eval_j(self.tau, self._prec)
+        return self._j
+
+    def __repr__(self) -> str:
+        return f"OrbitPoint(coset={self.coset!r}, tau={self.tau!r})"
 
 
-@dataclass(frozen=True)
+class OrbitPoints(Sequence):
+    """The exact tier of an orbit, in coset order.
+
+    Point i is built on first access, by the Moebius step
+    (alpha*tau + beta)/delta at working precision and then
+    reduce_to_fundamental_domain, and kept; len() builds nothing.  A slice
+    returns a list of points.
+    """
+
+    __slots__ = ("_base", "_cosets", "_prec", "_built")
+
+    def __init__(
+        self, base: UpperHalfPoint, cosets: Sequence[CosetTriple], prec: Precision
+    ):
+        self._base = base
+        self._cosets = cosets
+        self._prec = prec
+        self._built: list[OrbitPoint | None] = [None] * len(cosets)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("orbit point index out of range")
+        if self._built[i] is None:
+            self._build([i])
+        return self._built[i]
+
+    def __iter__(self):
+        missing = [i for i, point in enumerate(self._built) if point is None]
+        if missing:
+            self._build(missing)
+        return iter(self._built)
+
+    def _build(self, indices) -> None:
+        prec = self._prec
+        with mp.workprec(prec.bits + 32):
+            z = self._base.to_mpc()
+            for i in indices:
+                rep = self._cosets[i]
+                w = (rep.alpha * z + rep.beta) / rep.delta
+                moved = UpperHalfPoint(w.real, w.imag)
+                reduced, _ = reduce_to_fundamental_domain(moved, prec)
+                self._built[i] = OrbitPoint(rep, reduced, prec)
+
+
+# The screen's reduced points lie within _SCREEN_REL_ERR * (1 + |tau|/Im tau)
+# * (1 + Im tau_i) of the exact ones, tau the base point: about 2^8 times
+# the float64 rounding of the one-step Moebius map and of the base point.
+_SCREEN_REL_ERR = 2.0**-40
+# Below this moved Im alpha*Im(tau)/delta the float64 witness search is not
+# run; above it, the entries of the composed matrices stay below 2^50, exact
+# in float64 and int64.
+_SCREEN_MIN_MOVED_IM = 2.0**-32
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitScreen:
+    """The float64 tier of an orbit, in coset order.
+
+    tau holds the reduced points.  Where trusted, tau_err bounds both the
+    distance from tau to an SL2(Z)-image of the exact point and the
+    difference of their imaginary parts; log_j = log|j| + i arg j, and
+    exp(log_j_err) bounds the difference from the exact j.  An untrusted
+    point (moved Im below _SCREEN_MIN_MOVED_IM, or not certified inside the
+    fundamental domain) carries no usable value: every decision about it
+    goes to the exact tier.
+    """
+
+    tau: np.ndarray
+    tau_err: np.ndarray
+    log_j: np.ndarray
+    log_j_err: np.ndarray
+    trusted: np.ndarray
+
+    @classmethod
+    def of(cls, base: UpperHalfPoint, cosets: TripleRows) -> "OrbitScreen":
+        t = complex(float(base.re), float(base.im))
+        alpha, beta, delta = cosets.columns
+        moved = (alpha * t + beta) / delta
+        tau = np.full(moved.shape, np.nan, np.complex128)
+        search = moved.imag >= _SCREEN_MIN_MOVED_IM
+        alpha, beta, delta = alpha[search], beta[search], delta[search]
+        a, b, c, d = reduce_witness_float64(moved[search])
+        # gamma * (alpha beta; 0 delta) applied to the base in one step
+        tau[search] = (a * alpha * t + (a * beta + b * delta)) / (
+            c * alpha * t + (c * beta + d * delta)
+        )
+        tau_err = _SCREEN_REL_ERR * (1.0 + abs(t) / t.imag) * (1.0 + tau.imag)
+        trusted = (np.abs(tau.real) <= 0.5 + tau_err) & (
+            tau.real**2 + tau.imag**2 >= 1.0 - 4.0 * tau_err
+        )
+        log_j = np.full(tau.shape, np.nan, np.complex128)
+        log_j_err = np.full(tau.shape, np.nan)
+        log_j[trusted], log_j_err[trusted] = log_j_float64(tau[trusted], tau_err[trusted])
+        return cls(tau, tau_err, log_j, log_j_err, trusted)
+
+    def nearest(self, z) -> np.ndarray:
+        """Indices of the points whose |j - z| may be the smallest of the
+        orbit under the error bounds, untrusted points included."""
+        ok = self.trusted
+        if not ok.any():
+            return np.arange(ok.size)
+        zc = mpc(z)
+        log_z = float(mp.log(abs(zc))) if zc != 0 else -math.inf
+        arg_z = float(mp.arg(zc)) if zc != 0 else 0.0
+        log_j, log_err = self.log_j[ok], self.log_j_err[ok]
+        # distances in units of e^s, so that no |j| overflows; an infinite
+        # or NaN z makes them NaN, and a NaN bound keeps every point
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.maximum(np.maximum(log_j.real, log_err), log_z)
+            j = np.exp(log_j - s)
+            zs = np.exp(log_z - s + 1j * arg_z)
+            dist = np.abs(j - zs)
+            err = np.exp(log_err - s) + 2.0**-48 * (np.abs(j) + np.abs(zs)) + 2.0**-1000
+            low = s + np.log(np.maximum(dist - err, 0.0))
+            high = s + np.log(dist + err)
+        keep = ~ok
+        keep[ok] = ~(low > high.min())
+        return np.flatnonzero(keep)
+
+
 class HeckeOrbit:
-    n: int
-    base: UpperHalfPoint
-    points: tuple[OrbitPoint, ...]
+    """T_N*tau with e_N points, one per coset, in coset order.
+
+    Two tiers: `points`, the exact OrbitPoints built on first access, and
+    `screen`, the float64 OrbitScreen of all points, computed on first use
+    from the coset columns.
+    """
+
+    def __init__(self, n: int, base: UpperHalfPoint, prec: Precision):
+        self.n = n
+        self.base = base
+        self.cosets = coset_reps(n)
+        self.points = OrbitPoints(base, self.cosets, prec)
+
+    @cached_property
+    def screen(self) -> OrbitScreen:
+        return OrbitScreen.of(self.base, self.cosets)
 
 
 def e_n(n: int) -> int:
@@ -66,21 +229,12 @@ def coset_reps(n: int) -> Sequence[CosetTriple]:
 def hecke_orbit(
     tau: UpperHalfPoint, n: int, prec: Precision = DEFAULT_PRECISION
 ) -> HeckeOrbit:
-    """T_N * tau as a tuple of e_N reduced points with j-values.
+    """T_N * tau as e_N reduced points with j-values, evaluated lazily.
 
     Points are listed in coset order; repeated values are kept with
     multiplicity.
     """
-    reps = coset_reps(n)
-    points = []
-    with mp.workprec(prec.bits + 32):
-        z = tau.to_mpc()
-        for rep in reps:
-            w = (rep.alpha * z + rep.beta) / rep.delta
-            moved = UpperHalfPoint(w.real, w.imag)
-            reduced, _ = reduce_to_fundamental_domain(moved, prec)
-            points.append(OrbitPoint(rep, reduced, eval_j(reduced, prec)))
-    return HeckeOrbit(n, tau, tuple(points))
+    return HeckeOrbit(n, tau, prec)
 
 
 def orbit_symmetry_check(
@@ -115,11 +269,21 @@ class EquiStat(NamedTuple):
 
 def equi_fraction(orbit: HeckeOrbit, im_threshold) -> EquiStat:
     """Fraction of orbit points with Im >= threshold, next to the
-    hyperbolic-measure prediction min(1, (3/pi) / threshold)."""
+    hyperbolic-measure prediction min(1, (3/pi) / threshold).
+
+    The float64 screen decides each point whose Im lies farther than its
+    error bound from the threshold; the rest are decided in the exact tier.
+    """
     y0 = float(im_threshold)
     if not y0 > 0:
         raise ValueError("im_threshold must be positive")
-    hits = sum(1 for p in orbit.points if float(p.tau.im) >= y0)
+    screen = orbit.screen
+    im = screen.tau.imag
+    exact = ~screen.trusted | (np.abs(im - y0) <= screen.tau_err)
+    hits = int(np.count_nonzero(im[~exact] >= y0))
+    hits += sum(
+        1 for i in np.flatnonzero(exact) if float(orbit.points[i].tau.im) >= y0
+    )
     prediction = min(1.0, 3.0 / (math.pi * y0))
     return EquiStat(hits / len(orbit.points), prediction)
 

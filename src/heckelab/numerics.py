@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from mpmath import mp, mpc, mpf
 
 # Guard bits added on top of the requested precision for internal work.
@@ -23,10 +24,6 @@ _LOG_INV_Q_MIN = math.pi * math.sqrt(3.0)
 
 class PrecisionOverflowError(ArithmeticError):
     """Requested series truncation cannot meet the tail bound at these bits."""
-
-
-class NearCancellationError(ArithmeticError):
-    """|E4^3 - E6^2| lost essentially all significant bits."""
 
 
 @dataclass(frozen=True)
@@ -256,12 +253,8 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
         prod = mpf(1)
         for qn in pw:
             prod = prod * (1 - qn)
-        denom = q * prod**12 * prod**12
-        if denom == 0 or abs(denom) < mpf(2) ** (-mp.prec + 4) * abs(q):
-            raise NearCancellationError(
-                "E4^3 - E6^2 lost all significant bits; raise bits"
-            )
-        return e4c / denom
+        # |q| <= 0.0044 after reduction, so |prod|^24 >= 0.9: no cancellation
+        return e4c / (q * prod**12 * prod**12)
 
 
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
@@ -340,3 +333,98 @@ def _bisect(f, neg_end, pos_end, bits: int):
         else:
             pos_end = mid
     return (neg_end + pos_end) / 2
+
+
+# -- float64 screen -----------------------------------------------------------
+#
+# Vectorised float64 counterparts of the reduction and of j, for statistics
+# that only compare a position or a distance against a bound.  Each value
+# comes with an error bound; a decision the bound cannot settle goes back to
+# the multiprecision functions above.
+
+# 504 sigma_5(11) |q|^11 < 1e-18 on the fundamental domain
+_SCREEN_TERMS = 10
+# points with Im 2^-32 (the lowest the orbit screen reduces) take under 20
+_SCREEN_MAX_STEPS = 64
+# Absolute error of the float64 E4 and E6 sums on the fundamental domain:
+# the sums stay below 2.2 in size and their rounding is below 2^-48.
+_SCREEN_SERIES_ERR = 2.0**-46
+
+
+def reduce_witness_float64(w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """SL2(Z) witnesses (a, b, c, d), as four int64 arrays, found by reducing
+    the complex128 points w in float64.
+
+    Rounding can leave a witness that does not quite reduce its point,
+    mostly near the boundary of the fundamental domain, and a point still
+    unreduced after _SCREEN_MAX_STEPS steps keeps the witness reached so far:
+    apply the witness to exact data and check the result.
+    """
+    w = np.array(w, dtype=np.complex128)
+    a = np.ones(w.shape, np.int64)
+    b = np.zeros(w.shape, np.int64)
+    c = np.zeros(w.shape, np.int64)
+    d = np.ones(w.shape, np.int64)
+    active = np.arange(w.size)
+    for _ in range(_SCREEN_MAX_STEPS):
+        z = w[active]
+        k = np.rint(z.real)
+        z -= k
+        k = k.astype(np.int64)
+        a[active] -= k * c[active]
+        b[active] -= k * d[active]
+        # as in reduce_to_fundamental_domain, points on the arc stay put
+        flip = z.real * z.real + z.imag * z.imag < 1.0 - 2.0**-40
+        active = active[flip]
+        if not active.size:
+            break
+        w[active] = -1.0 / z[flip]
+        a[active], b[active], c[active], d[active] = (
+            -c[active], -d[active], a[active], b[active]
+        )
+    return a, b, c, d
+
+
+def log_j_float64(
+    tau: np.ndarray, tau_err: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """log j = log|j| + i arg j at points tau of the fundamental domain, in
+    complex128, and the log of a bound on |j(tau) - j(t)| over |t - tau| <=
+    tau_err, float64 rounding included.
+
+    The log form keeps Im tau in the thousands finite:
+    log j = 3 log E4 - 2 pi i tau - 24 sum log(1 - q^n).  With
+    eta = q prod (1 - q^n)^24, the bound is twice the sum of three
+    first-order terms: rounding, 2^-44 (1 + Im tau) |j|; the error of the
+    E4 sum, 3 * 2^-46 |E4|^2 / |eta|; and the position,
+    |dj/dtau| tau_err = 2 pi |E6| |E4|^2 / |eta| tau_err.  |E4| and |E6| are
+    raised by their largest change over the disc (|E4'| <= 8, |E6'| <= 20
+    on the domain), so the bound stays positive at j = 0 and j = 1728.
+    """
+    x, y = tau.real, tau.imag
+    two_pi = 2.0 * math.pi
+    q = np.exp(two_pi * (1j * x - y))
+    s3, s5 = _sigma_tables(_SCREEN_TERMS)
+    acc4 = np.zeros_like(q)
+    acc6 = np.zeros_like(q)
+    for n in range(_SCREEN_TERMS - 1, -1, -1):
+        acc4 = (acc4 + s3[n]) * q
+        acc6 = (acc6 + s5[n]) * q
+    e4 = 1.0 + 240.0 * acc4
+    e6 = 1.0 - 504.0 * acc6
+    prod = np.ones_like(q)
+    qn = np.ones_like(q)
+    for _ in range(_SCREEN_TERMS):
+        qn = qn * q
+        prod = prod * (1.0 - qn)
+    log_prod = np.log(prod)
+    with np.errstate(divide="ignore"):
+        log_j = 3.0 * np.log(e4) - 24.0 * log_prod + two_pi * (y - 1j * x)
+        log_eta = 24.0 * log_prod.real - two_pi * y
+        log_e4_sq = 2.0 * np.log(np.abs(e4) + _SCREEN_SERIES_ERR + 8.0 * tau_err)
+        e6_hi = np.abs(e6) + _SCREEN_SERIES_ERR + 20.0 * tau_err
+        rounding = log_j.real + np.log(2.0**-44 * (1.0 + y))
+        series = math.log(3.0 * _SCREEN_SERIES_ERR) + log_e4_sq - log_eta
+        position = np.log(two_pi * e6_hi * tau_err) + log_e4_sq - log_eta
+    log_err = math.log(2.0) + np.logaddexp(rounding, np.logaddexp(series, position))
+    return log_j, log_err

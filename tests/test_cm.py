@@ -197,3 +197,37 @@ def test_density_experiment_small():
         density_experiment(base, 0, 0, 3, FAST)
     with pytest.raises(ValueError):
         density_fraction([], 4)
+
+
+def _brute_density(reference_orbit, tau, z, n_max, prec):
+    with mp.workprec(prec.bits + 32):
+        zc = mp.mpc(z)
+        return [
+            float(min(abs(j - zc) for _, j in reference_orbit(tau, n, prec)))
+            for n in range(1, n_max + 1)
+        ]
+
+
+@pytest.mark.parametrize(
+    "tau, z, n_max",
+    [
+        (UpperHalfPoint(0, 2), 287496, 8),  # z is an orbit j-value
+        (UpperHalfPoint(0.3, 1.7), mp.mpc("1e12", "-3.5e11"), 12),
+        (UpperHalfPoint(0.1, 150), mp.mpc(5, -2), 4),  # |j| beyond float64
+        (UpperHalfPoint(0.3183098861837907, 1e-9), 1728, 8),  # below the screen floor
+    ],
+)
+def test_density_experiment_matches_brute_force(tau, z, n_max, reference_orbit):
+    got = density_experiment(tau, z, 4, n_max, FAST)
+    assert [p.best_distance for p in got] == _brute_density(
+        reference_orbit, tau, z, n_max, FAST
+    )
+
+
+def test_enumerated_points_keep_their_j():
+    points = enumerate_cm_points(6, PREC)
+    for p in points:
+        assert p.j == eval_j(p.tau0, PREC)
+    bare = fixed_point(ModularMatrix(0, -1, 1, 0), PREC)
+    assert bare.j is None
+    assert bare == CmPoint(bare.matrix, 0, bare.tau0, 1, -4, 1, j=mp.mpc(1728))

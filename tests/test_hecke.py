@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from mpmath import mp
+from mpmath import mp, mpc
 
+from heckelab import hecke
 from heckelab.hecke import (
     close_point_count,
     coset_reps,
@@ -131,3 +133,98 @@ def test_orbit_of_cm_point_collapses():
     orbit = hecke_orbit(tau, 2, PREC)
     for p in orbit.points:
         assert abs(p.j - 54000) < 1e-20 * 54000
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_orbit_points_equal_the_reference_path(bits, reference_orbit):
+    prec = Precision(bits)
+    tau = UpperHalfPoint(0.3, 1.7)
+    for n in (1, 2, 6, 12, 97):
+        orbit = hecke_orbit(tau, n, prec)
+        ref = reference_orbit(tau, n, prec)
+        assert len(orbit.points) == len(ref) == e_n(n)
+        # read back to front: a point does not depend on the access order
+        for i in reversed(range(len(ref))):
+            p, (t, j) = orbit.points[i], ref[i]
+            assert p.coset == coset_reps(n)[i]
+            assert p.tau.re == t.re and p.tau.im == t.im
+            assert p.j == j
+        assert [p.tau for p in orbit.points] == [t for t, _ in ref]
+        assert orbit.points[-1] is orbit.points[len(ref) - 1]
+        with pytest.raises(IndexError):
+            orbit.points[len(ref)]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    orig = getattr(hecke, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(hecke, name, counted)
+    return calls
+
+
+def test_screen_tier_evaluates_no_j(monkeypatch):
+    j_calls = _counting(monkeypatch, "eval_j")
+    reductions = _counting(monkeypatch, "reduce_to_fundamental_domain")
+    orbit = hecke_orbit(UpperHalfPoint(0.3, 1.7), 97, FAST)
+    assert len(orbit.points) == 98
+    assert not j_calls and not reductions
+    equi_fraction(orbit, 1.5)
+    equi_fraction(orbit, 1.0)
+    assert not j_calls
+    point = orbit.points[5]
+    assert len(reductions) == 1 and not j_calls
+    assert point.j == point.j
+    assert len(j_calls) == 1
+
+
+def test_equi_fraction_matches_exact_count_at_orbit_values(monkeypatch, reference_orbit):
+    tau = UpperHalfPoint(0.3, 1.7)
+    for n in (12, 97):
+        ims = [float(t.im) for t, _ in reference_orbit(tau, n, FAST, with_j=False)]
+        for y in sorted(set(ims))[::7]:
+            for threshold in (y - 1e-12, y, y + 1e-12):
+                reductions = _counting(monkeypatch, "reduce_to_fundamental_domain")
+                want = sum(1 for v in ims if v >= threshold) / len(ims)
+                assert equi_fraction(hecke_orbit(tau, n, FAST), threshold).fraction == want
+                assert reductions, "a threshold this close must use the exact tier"
+                monkeypatch.undo()
+
+
+def test_screen_stays_within_its_error_bounds():
+    bases = [
+        UpperHalfPoint(0.3, 1.7),
+        UpperHalfPoint(0, 1),  # j = 1728: E6 vanishes
+        tau_from_j(0, FAST),  # j = 0: E4 vanishes
+        UpperHalfPoint(0.1, 150),  # Im tau_i up to 1500: |j| overflows float64
+        UpperHalfPoint(3.7, 0.2),
+        UpperHalfPoint(0.25, 0.01),
+    ]
+    for base in bases:
+        for n in (2, 6, 10, 97):
+            orbit = hecke_orbit(base, n, FAST)
+            screen = orbit.screen
+            assert screen.trusted.all()
+            for i, p in enumerate(orbit.points):
+                assert abs(screen.tau.imag[i] - float(p.tau.im)) <= screen.tau_err[i]
+                with mp.workprec(128):
+                    j_screen = mp.exp(mpc(screen.log_j[i].real, screen.log_j[i].imag))
+                    assert abs(j_screen - p.j) <= mp.exp(screen.log_j_err[i])
+    big = hecke_orbit(UpperHalfPoint(0.1, 150), 10, FAST).screen
+    assert big.log_j.real.max() > 710  # beyond float64 range as |j|
+    assert np.isfinite(big.log_j_err).all()
+
+
+def test_points_below_the_moved_im_floor_use_the_exact_tier(reference_orbit):
+    tau = UpperHalfPoint(0.3183098861837907, 1e-9)  # moved Im below 2^-32 for delta >= 5
+    orbit = hecke_orbit(tau, 12, FAST)
+    trusted = orbit.screen.trusted
+    assert trusted.any() and not trusted.all()
+    ims = [float(t.im) for t, _ in reference_orbit(tau, 12, FAST, with_j=False)]
+    for threshold in (0.9, 1.5, 3.0):
+        want = sum(1 for v in ims if v >= threshold) / len(ims)
+        assert equi_fraction(orbit, threshold).fraction == want
