@@ -20,7 +20,14 @@ from mpmath import mp
 
 from .arith import primes_up_to
 from .cm import density_experiment, density_fraction, enumerate_cm_points
-from .hecke import coset_reps, e_n, equi_fraction, hecke_orbit, orbit_symmetry_check
+from .hecke import (
+    HeckeOrbit,
+    coset_reps,
+    e_n,
+    equi_fraction,
+    hecke_orbit,
+    orbit_symmetry_check,
+)
 from .heights import (
     cusp_height,
     global_identity_residual,
@@ -371,6 +378,7 @@ def cmd_cm(args: argparse.Namespace) -> int:
     d = config.digits
     rows = []
     for p in points:
+        jval = p.j_at(prec)
         rows.append(
             {
                 "m": p.M,
@@ -379,8 +387,8 @@ def cmd_cm(args: argparse.Namespace) -> int:
                 "fundamental_disc": p.fundamental_disc,
                 "tau_re": _fmt(p.tau0.re, d),
                 "tau_im": _fmt(p.tau0.im, d),
-                "j_re": _fmt(p.j.real, d),
-                "j_im": _fmt(p.j.imag, d),
+                "j_re": _fmt(jval.real, d),
+                "j_im": _fmt(jval.imag, d),
             }
         )
     _emit(
@@ -397,7 +405,7 @@ def cmd_cm(args: argparse.Namespace) -> int:
 def cmd_equi(args: argparse.Namespace) -> int:
     config = _config(args)
     if args.self_test:
-        orbit = hecke_orbit(UpperHalfPoint(0, 2), 11, Precision(96))
+        orbit = HeckeOrbit(UpperHalfPoint(0, 2), 11, Precision(96))
         stat = equi_fraction(orbit, 1.5)
         checks = [
             ("fraction lies in [0, 1]", 0.0 <= stat.fraction <= 1.0),
@@ -410,7 +418,7 @@ def cmd_equi(args: argparse.Namespace) -> int:
     tau = _parse_tau(args.tau)
     rows = []
     for n in _parse_range(args.n_spec):
-        stat = equi_fraction(hecke_orbit(tau, n, prec), args.threshold)
+        stat = equi_fraction(HeckeOrbit(tau, n, prec), args.threshold)
         rows.append(
             {"n": n, "fraction": stat.fraction, "prediction": stat.prediction}
         )

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 from mpmath import mp, mpc, mpf
 
 from .arith import split_discriminant
-from .hecke import hecke_orbit
+from .hecke import HeckeOrbit
 from .numerics import (
     DEFAULT_PRECISION,
     ModularMatrix,
@@ -53,8 +53,9 @@ class CmPoint:
     conductor: int
     fundamental_disc: int
     M: int
-    # j(tau0), kept by enumerate_cm_points at the precision it ran with
+    # j(tau0) as kept by enumerate_cm_points, and the precision it ran with
     j: mpc | None = field(default=None, compare=False, repr=False)
+    j_prec: Precision | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         m = self.matrix
@@ -68,6 +69,12 @@ class CmPoint:
             raise ValueError("need t^2 < 4M for a fixed point in H")
         if self.conductor**2 * self.fundamental_disc != self.trace**2 - 4 * self.M:
             raise ValueError("conductor/fundamental_disc do not rebuild t^2 - 4M")
+
+    def j_at(self, prec: Precision) -> mpc:
+        """j(tau0) at prec: the kept value if it was computed at prec."""
+        if self.j is not None and self.j_prec == prec:
+            return self.j
+        return eval_j(self.tau0, prec)
 
 
 class ConditionPVerdict(NamedTuple):
@@ -285,6 +292,7 @@ def enumerate_cm_points(
                     fundamental_disc=raw.fundamental_disc,
                     M=m,
                     j=jval,
+                    j_prec=prec,
                 )
             )
     return points
@@ -296,12 +304,11 @@ def min_separation_constant(
     prec: Precision = DEFAULT_PRECISION,
 ) -> float:
     """min over distinct pairs of |j1 - j2| sqrt(M1 M2) (sqrt(M1) + sqrt(M2))
-    among points with |j| <= j_box_bound.  The j kept on a point is used
-    as it is; other points are evaluated at prec."""
+    among points with |j| <= j_box_bound, with j at prec."""
     with mp.workprec(prec.bits + 32):
         tagged = []
         for p in points:
-            jval = p.j if p.j is not None else eval_j(p.tau0, prec)
+            jval = p.j_at(prec)
             if abs(jval) <= j_box_bound:
                 tagged.append((jval, p.M))
         if len(tagged) < 2:
@@ -382,7 +389,7 @@ def density_experiment(
     with mp.workprec(prec.bits + 32):
         zc = mp.mpc(z)
         for n in range(1, n_max + 1):
-            orbit = hecke_orbit(y_tau, n, prec)
+            orbit = HeckeOrbit(y_tau, n, prec)
             best = min(
                 abs(orbit.points[i].j - zc) for i in orbit.screen.nearest(zc)
             )

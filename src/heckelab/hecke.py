@@ -192,14 +192,17 @@ class HeckeOrbit:
 
     Two tiers: `points`, the exact OrbitPoints built on first access, and
     `screen`, the float64 OrbitScreen of all points, computed on first use
-    from the coset columns.
+    from the coset columns.  Constructing one evaluates nothing; see
+    hecke_orbit for an orbit with every j evaluated.
     """
 
-    def __init__(self, n: int, base: UpperHalfPoint, prec: Precision):
+    def __init__(
+        self, tau: UpperHalfPoint, n: int, prec: Precision = DEFAULT_PRECISION
+    ):
         self.n = n
-        self.base = base
+        self.base = tau
         self.cosets = coset_reps(n)
-        self.points = OrbitPoints(base, self.cosets, prec)
+        self.points = OrbitPoints(tau, self.cosets, prec)
 
     @cached_property
     def screen(self) -> OrbitScreen:
@@ -229,12 +232,16 @@ def coset_reps(n: int) -> Sequence[CosetTriple]:
 def hecke_orbit(
     tau: UpperHalfPoint, n: int, prec: Precision = DEFAULT_PRECISION
 ) -> HeckeOrbit:
-    """T_N * tau as e_N reduced points with j-values, evaluated lazily.
+    """T_N * tau as e_N reduced points, each with its j-value evaluated.
 
     Points are listed in coset order; repeated values are kept with
-    multiplicity.
+    multiplicity.  A caller that reads only some j-values, or only the
+    points, builds HeckeOrbit(tau, n, prec), which evaluates on demand.
     """
-    return HeckeOrbit(n, tau, prec)
+    orbit = HeckeOrbit(tau, n, prec)
+    for point in orbit.points:
+        point.j  # evaluated here and kept on the point
+    return orbit
 
 
 def orbit_symmetry_check(
@@ -248,10 +255,10 @@ def orbit_symmetry_check(
     tol = 2.0 ** (-(prec.bits - 20))
     j_base = eval_j(tau, prec)
     scale = max(1.0, float(abs(j_base)))
-    orbit = hecke_orbit(tau, n, prec)
+    orbit = HeckeOrbit(tau, n, prec)
     ok = True
     for point in orbit.points:
-        back = hecke_orbit(point.tau, n, prec)
+        back = HeckeOrbit(point.tau, n, prec)
         if not any(abs(p.j - j_base) <= tol * scale for p in back.points):
             log.debug(
                 "symmetry failure at coset %s: j base %s not in return orbit",

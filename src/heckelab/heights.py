@@ -66,7 +66,7 @@ def cusp_height(
             "finite places may contribute to the true height",
             stacklevel=2,
         )
-    orbit = hecke_orbit(y_tau, n, prec)
+    orbit = HeckeOrbit(y_tau, n, prec)
     with mp.workprec(prec.bits + 32):
         total = -pairwise_sum(
             [log_petersson_norm_delta(p.tau, prec) for p in orbit.points]

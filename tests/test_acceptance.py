@@ -22,7 +22,7 @@ from heckelab.cm import (
     enumerate_cm_points,
     min_separation_constant,
 )
-from heckelab.hecke import coset_reps, equi_fraction, hecke_orbit
+from heckelab.hecke import HeckeOrbit, coset_reps, equi_fraction
 from heckelab.heights import cusp_height, global_identity_residual
 from heckelab.lattices import (
     GramForm,
@@ -125,7 +125,7 @@ def test_criterion_05_equidistribution_statistic():
     tau = UpperHalfPoint(0, 2)
     target = 2 / math.pi
     for n in _primes_in(900, 1100):
-        stat = equi_fraction(hecke_orbit(tau, n, PREC64), 1.5)
+        stat = equi_fraction(HeckeOrbit(tau, n, PREC64), 1.5)
         assert abs(stat.fraction - target) <= 0.05, (n, stat.fraction)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from heckelab import cm
 from heckelab.cm import (
     Box,
     CmPoint,
@@ -228,6 +229,25 @@ def test_enumerated_points_keep_their_j():
     points = enumerate_cm_points(6, PREC)
     for p in points:
         assert p.j == eval_j(p.tau0, PREC)
+    for p in enumerate_cm_points(6, FAST):
+        assert p.j_prec == FAST and p.j_at(FAST) is p.j
+        assert p.j_at(PREC) == eval_j(p.tau0, PREC)
     bare = fixed_point(ModularMatrix(0, -1, 1, 0), PREC)
     assert bare.j is None
-    assert bare == CmPoint(bare.matrix, 0, bare.tau0, 1, -4, 1, j=mp.mpc(1728))
+    assert bare == CmPoint(bare.matrix, 0, bare.tau0, 1, -4, 1, j=mp.mpc(1728), j_prec=PREC)
+
+
+def test_min_separation_evaluates_j_at_its_own_precision(monkeypatch):
+    points = enumerate_cm_points(8, FAST)
+    calls = []
+
+    def counted(tau, prec):
+        calls.append(prec)
+        return eval_j(tau, prec)
+
+    monkeypatch.setattr(cm, "eval_j", counted)
+    kept = min_separation_constant(points, 1e7, FAST)
+    assert not calls
+    fresh = min_separation_constant(points, 1e7, PREC)
+    assert calls == [PREC] * len(points)
+    assert kept == pytest.approx(fresh, rel=1e-12)

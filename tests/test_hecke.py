@@ -7,6 +7,7 @@ from mpmath import mp, mpc
 
 from heckelab import hecke
 from heckelab.hecke import (
+    HeckeOrbit,
     close_point_count,
     coset_reps,
     e_n,
@@ -140,7 +141,7 @@ def test_orbit_points_equal_the_reference_path(bits, reference_orbit):
     prec = Precision(bits)
     tau = UpperHalfPoint(0.3, 1.7)
     for n in (1, 2, 6, 12, 97):
-        orbit = hecke_orbit(tau, n, prec)
+        orbit = HeckeOrbit(tau, n, prec)
         ref = reference_orbit(tau, n, prec)
         assert len(orbit.points) == len(ref) == e_n(n)
         # read back to front: a point does not depend on the access order
@@ -151,6 +152,7 @@ def test_orbit_points_equal_the_reference_path(bits, reference_orbit):
             assert p.j == j
         assert [p.tau for p in orbit.points] == [t for t, _ in ref]
         assert orbit.points[-1] is orbit.points[len(ref) - 1]
+        assert [(p.tau, p.j) for p in hecke_orbit(tau, n, prec).points] == ref
         with pytest.raises(IndexError):
             orbit.points[len(ref)]
 
@@ -167,10 +169,18 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def test_hecke_orbit_evaluates_every_j_once(monkeypatch):
+    j_calls = _counting(monkeypatch, "eval_j")
+    orbit = hecke_orbit(UpperHalfPoint(0.3, 1.7), 12, FAST)
+    assert len(j_calls) == 24
+    assert all(p.j is not None for p in orbit.points)
+    assert len(j_calls) == 24
+
+
 def test_screen_tier_evaluates_no_j(monkeypatch):
     j_calls = _counting(monkeypatch, "eval_j")
     reductions = _counting(monkeypatch, "reduce_to_fundamental_domain")
-    orbit = hecke_orbit(UpperHalfPoint(0.3, 1.7), 97, FAST)
+    orbit = HeckeOrbit(UpperHalfPoint(0.3, 1.7), 97, FAST)
     assert len(orbit.points) == 98
     assert not j_calls and not reductions
     equi_fraction(orbit, 1.5)
@@ -190,7 +200,7 @@ def test_equi_fraction_matches_exact_count_at_orbit_values(monkeypatch, referenc
             for threshold in (y - 1e-12, y, y + 1e-12):
                 reductions = _counting(monkeypatch, "reduce_to_fundamental_domain")
                 want = sum(1 for v in ims if v >= threshold) / len(ims)
-                assert equi_fraction(hecke_orbit(tau, n, FAST), threshold).fraction == want
+                assert equi_fraction(HeckeOrbit(tau, n, FAST), threshold).fraction == want
                 assert reductions, "a threshold this close must use the exact tier"
                 monkeypatch.undo()
 
@@ -206,7 +216,7 @@ def test_screen_stays_within_its_error_bounds():
     ]
     for base in bases:
         for n in (2, 6, 10, 97):
-            orbit = hecke_orbit(base, n, FAST)
+            orbit = HeckeOrbit(base, n, FAST)
             screen = orbit.screen
             assert screen.trusted.all()
             for i, p in enumerate(orbit.points):
@@ -214,14 +224,14 @@ def test_screen_stays_within_its_error_bounds():
                 with mp.workprec(128):
                     j_screen = mp.exp(mpc(screen.log_j[i].real, screen.log_j[i].imag))
                     assert abs(j_screen - p.j) <= mp.exp(screen.log_j_err[i])
-    big = hecke_orbit(UpperHalfPoint(0.1, 150), 10, FAST).screen
+    big = HeckeOrbit(UpperHalfPoint(0.1, 150), 10, FAST).screen
     assert big.log_j.real.max() > 710  # beyond float64 range as |j|
     assert np.isfinite(big.log_j_err).all()
 
 
 def test_points_below_the_moved_im_floor_use_the_exact_tier(reference_orbit):
     tau = UpperHalfPoint(0.3183098861837907, 1e-9)  # moved Im below 2^-32 for delta >= 5
-    orbit = hecke_orbit(tau, 12, FAST)
+    orbit = HeckeOrbit(tau, 12, FAST)
     trusted = orbit.screen.trusted
     assert trusted.any() and not trusted.all()
     ims = [float(t.im) for t, _ in reference_orbit(tau, 12, FAST, with_j=False)]
