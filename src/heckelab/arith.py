@@ -138,6 +138,24 @@ class TripleRows(Sequence):
         return iter(self[:])
 
 
+def triple_counts(n: int) -> list[tuple[int, int, int]]:
+    """(a, d, count) for each divisor a of N >= 1, a ascending, d = N/a:
+    count is the number of triples (a, b, d) that TripleRows enumerates,
+    d * prod_{p | gcd(a, d)} (1 - 1/p).  The counts sum to the degree of T_N.
+    """
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"N must be positive, got {n}")
+    out = []
+    for a in divisors(n):
+        d = n // a
+        count = d
+        for p in prime_divisors(math.gcd(a, d)):
+            count = count // p * (p - 1)
+        out.append((a, d, count))
+    return out
+
+
 def split_discriminant(disc: int) -> tuple[int, int]:
     """Write a negative discriminant as disc = f^2 * d_K with d_K fundamental.
 

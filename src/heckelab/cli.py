@@ -122,15 +122,23 @@ def _emit(
             out.close()
 
 
-def _parse_tau(text: str) -> UpperHalfPoint:
-    z = complex(text.strip().replace(" ", "").replace("i", "j"))
-    if z.imag <= 0:
-        raise ValueError(f"Im tau must be positive, got {text!r}")
-    return UpperHalfPoint.from_complex(z)
-
-
-def _parse_complex(text: str) -> complex:
-    return complex(text.strip().replace(" ", "").replace("i", "j"))
+def _parse_complex(text: str, bits: int, upper_half: bool = False):
+    """A number such as '0.3+1.7i', 'i' or '1e400', read at bits + 32 bits so
+    that decimals keep the working precision.  Returns an mpc, or with
+    upper_half an UpperHalfPoint, built in the same context because mpf
+    rounds to the context precision."""
+    # mpmath reads '1j' but not a bare 'j'
+    s = re.sub(r"(?<![\d.])j", "1j", text.strip().replace(" ", "").replace("i", "j"))
+    with mp.workprec(bits + 32):
+        try:
+            z = mp.mpc(mp.mpmathify(s))
+        except (TypeError, ValueError, AttributeError):
+            raise ValueError(f"cannot read {text!r} as a complex number") from None
+        if not upper_half:
+            return z
+        if not z.imag > 0:
+            raise ValueError(f"Im tau must be positive, got {text!r}")
+        return UpperHalfPoint(z.real, z.imag)
 
 
 def _parse_range(spec: str) -> list[int]:
@@ -202,7 +210,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         return _report_selftest("orbit", checks)
     _require(args, "tau", "n")
     prec = config.precision
-    orbit = hecke_orbit(_parse_tau(args.tau), args.n, prec)
+    tau = _parse_complex(args.tau, config.precision_bits, upper_half=True)
+    orbit = hecke_orbit(tau, args.n, prec)
     d = config.digits
     rows = [
         {
@@ -415,7 +424,7 @@ def cmd_equi(args: argparse.Namespace) -> int:
         return _report_selftest("equi", checks)
     _require(args, "tau", "n_spec", "threshold")
     prec = config.precision
-    tau = _parse_tau(args.tau)
+    tau = _parse_complex(args.tau, config.precision_bits, upper_half=True)
     rows = []
     for n in _parse_range(args.n_spec):
         stat = equi_fraction(HeckeOrbit(tau, n, prec), args.threshold)
@@ -441,8 +450,13 @@ def cmd_density(args: argparse.Namespace) -> int:
         return _report_selftest("density", checks)
     _require(args, "tau", "z", "d_exp", "n_max")
     prec = config.precision
+    bits = config.precision_bits
     pts = density_experiment(
-        _parse_tau(args.tau), _parse_complex(args.z), args.d_exp, args.n_max, prec
+        _parse_complex(args.tau, bits, upper_half=True),
+        _parse_complex(args.z, bits),
+        args.d_exp,
+        args.n_max,
+        prec,
     )
     rows = [{"n": p.n, "best_distance": p.best_distance} for p in pts]
     _emit(
@@ -469,7 +483,10 @@ def cmd_integral(args: argparse.Namespace) -> int:
         return _report_selftest("integral", checks)
     _require(args, "z", "samples")
     est = heuristic_integral(
-        _parse_complex(args.z), args.samples, config.precision, seed=config.seed
+        _parse_complex(args.z, config.precision_bits),
+        args.samples,
+        config.precision,
+        seed=config.seed,
     )
     _emit(
         config,

@@ -5,6 +5,16 @@ cusp_height accumulates -log ||Delta|| over T_N * y; local_arch_sum adds the
 log-distance factor |z - j|; phi_value is the exact integer the archimedean
 data must reconcile with, and global_identity_residual measures how far the
 normalized difference sits from its asymptotic slope.
+
+The Delta part of both sums has a closed form.  The product of Delta over
+T_N * tau is a constant times Delta(tau)^(e_N): with Im((alpha tau + beta)
+/ delta) = (alpha / delta) Im tau,
+
+    sum_i log ||Delta||(tau_i) = e_N log ||Delta||(tau)
+                                 + 6 sum_cosets log(alpha / delta),
+
+and the coset sum depends only on the divisor pair (alpha, delta), so it
+costs one term per divisor of N.
 """
 
 from __future__ import annotations
@@ -17,8 +27,8 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .arith import pairwise_product, pairwise_sum
-from .hecke import HeckeOrbit, e_n, hecke_orbit
+from .arith import pairwise_product, pairwise_sum, triple_counts
+from .hecke import e_n, hecke_orbit
 from .numerics import (
     DEFAULT_PRECISION,
     Precision,
@@ -48,6 +58,16 @@ class HeightSeriesPoint:
 _MAX_PHI_BITS = 1 << 20
 
 
+def _log_norm_orbit_sum(tau: UpperHalfPoint, n: int, prec: Precision):
+    """sum of log ||Delta||(tau_i) over T_N * tau, by the closed form in the
+    module docstring, at prec.bits + 32 bits."""
+    with mp.workprec(prec.bits + 32):
+        cosets = pairwise_sum(
+            [count * mp.log(mpf(a) / d) for a, d, count in triple_counts(n)]
+        )
+        return e_n(n) * log_petersson_norm_delta(tau, prec) + 6 * cosets
+
+
 def cusp_height(
     y_tau: UpperHalfPoint, n: int, prec: Precision = DEFAULT_PRECISION
 ) -> HeightSeriesPoint:
@@ -66,17 +86,13 @@ def cusp_height(
             "finite places may contribute to the true height",
             stacklevel=2,
         )
-    orbit = HeckeOrbit(y_tau, n, prec)
-    with mp.workprec(prec.bits + 32):
-        total = -pairwise_sum(
-            [log_petersson_norm_delta(p.tau, prec) for p in orbit.points]
-        )
-        value = float(total)
+    degree = e_n(n)
+    value = float(-_log_norm_orbit_sum(y_tau, n, prec))
     return HeightSeriesPoint(
         n=n,
-        e_n=len(orbit.points),
+        e_n=degree,
         value=value,
-        normalized=value / (6 * len(orbit.points) * math.log(n)),
+        normalized=value / (6 * degree * math.log(n)),
     )
 
 
@@ -96,8 +112,8 @@ def local_arch_sum(
                     f"orbit point at coset {p.coset} has |z - j| = "
                     f"{mp.nstr(dist, 5)}, below resolution"
                 )
-            terms.append(mp.log(dist) + log_petersson_norm_delta(p.tau, prec))
-        return float(pairwise_sum(terms))
+            terms.append(mp.log(dist))
+        return float(pairwise_sum(terms) + _log_norm_orbit_sum(y_tau, n, prec))
 
 
 def phi_value(

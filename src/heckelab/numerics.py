@@ -191,10 +191,16 @@ def _e6_from_powers(pw, s5) -> mpc:
     return 1 - 504 * acc
 
 
-def _delta_from_powers(q, pw) -> mpc:
+def _euler_product(pw) -> mpc:
+    """prod (1 - q^n) over the powers pw = [q, q^2, ...], in that order."""
     prod = mpf(1)
     for qn in pw:
         prod = prod * (1 - qn)
+    return prod
+
+
+def _delta_from_powers(q, pw) -> mpc:
+    prod = _euler_product(pw)
     return (2 * mp.pi) ** 12 * q * prod**12 * prod**12
 
 
@@ -250,9 +256,7 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
         pw = _powers(q, prec.series_terms)
         s3, _ = _sigma_tables(prec.series_terms)
         e4c = _e4_from_powers(pw, s3) ** 3
-        prod = mpf(1)
-        for qn in pw:
-            prod = prod * (1 - qn)
+        prod = _euler_product(pw)
         # |q| <= 0.0044 after reduction, so |prod|^24 >= 0.9: no cancellation
         return e4c / (q * prod**12 * prod**12)
 
@@ -271,9 +275,7 @@ def log_petersson_norm_delta(
     """log || Delta ||(tau), computed without under/overflow at large Im."""
     with mp.workprec(prec.bits + _GUARD):
         reduced, _, q = _reduced_series(tau, prec)
-        prod = mpf(1)
-        for qn in _powers(q, prec.series_terms):
-            prod = prod * (1 - qn)
+        prod = _euler_product(_powers(q, prec.series_terms))
         # log|q| = -2 pi Im(tau'), assembled in logs so 10000i stays finite
         return (
             12 * mp.log(2 * mp.pi)

@@ -101,7 +101,10 @@ def _chi_table(p: int) -> np.ndarray:
     return chi
 
 
-@lru_cache(maxsize=None)
+# A record takes 0.4-0.6 KB, so the cache stays below about 10 MB.  One scan
+# command (scan_pair, then coincidence_statistic over the same primes) reads
+# 2 pi(p_max) records, which still fit up to p_max ~ 8e4.
+@lru_cache(maxsize=1 << 14)
 def _counted(a4: Fraction, a6: Fraction, p: int) -> TraceRecord:
     a = _reduce_mod(a4, p)
     b = _reduce_mod(a6, p)

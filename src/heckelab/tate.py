@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .arith import TripleRows
+from .arith import TripleRows, triple_counts
 
 
 class SubgroupTriple(NamedTuple):
@@ -41,15 +41,13 @@ def valuation_orbit(v: Fraction, n: int) -> Counter:
     """Multiset of j-valuations (r/t) * v over the cyclic subgroups of order N.
 
     Requires v < 0 (multiplicative reduction).  The result is a Counter
-    keyed by exact Fractions.
+    keyed by exact Fractions.  The valuation depends only on the divisor r,
+    so the multiplicities come from arith.triple_counts, one per divisor.
     """
     v = Fraction(v)
     if v >= 0:
         raise ValueError(f"valuation must be negative, got {v}")
-    orbit: Counter = Counter()
-    for triple in cyclic_subgroups(n):
-        orbit[Fraction(triple.r, triple.t) * v] += 1
-    return orbit
+    return Counter({Fraction(r, t) * v: count for r, t, count in triple_counts(n)})
 
 
 def no_collision_check(v: Fraction, x: Fraction, n: int) -> bool:

@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heckelab.arith import (
+    TripleRows,
     divisors,
     factorize,
     is_fundamental_discriminant,
@@ -14,7 +16,9 @@ from heckelab.arith import (
     prime_divisors,
     primes_up_to,
     split_discriminant,
+    triple_counts,
 )
+from heckelab.hecke import coset_reps, e_n
 
 
 def _trial_division_primes(n):
@@ -109,3 +113,20 @@ def test_pairwise_reducers_are_exact_on_fractions():
     assert pairwise_sum([]) == 0
     assert pairwise_product([]) == 1
     assert pairwise_sum([Fraction(5)]) == 5
+
+
+def test_triple_counts_match_the_enumerated_rows():
+    for n in range(1, 1001):
+        a, counts = np.unique(coset_reps(n).columns[0], return_counts=True)
+        expected = [(int(x), n // int(x), int(c)) for x, c in zip(a, counts)]
+        assert triple_counts(n) == expected, n
+        assert sum(count for _, _, count in triple_counts(n)) == e_n(n)
+    for bad in (0, -4):
+        with pytest.raises(ValueError):
+            TripleRows(tuple, bad)
+        with pytest.raises(ValueError):
+            triple_counts(bad)
+    with pytest.raises(TypeError):
+        TripleRows(tuple, 2.5)
+    with pytest.raises(TypeError):
+        triple_counts(2.5)

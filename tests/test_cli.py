@@ -42,6 +42,19 @@ def test_orbit_table(capsys):
     assert jvals[-1] > 8e10  # j(4i)
 
 
+def test_decimal_input_is_read_at_working_precision(capsys):
+    assert main(["orbit", "0.3+1.7i", "1", "--precision-bits", "256"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert (rows[0]["tau_re"], rows[0]["tau_im"]) == ("0.3", "1.7")
+
+
+def test_density_reads_nonfinite_and_huge_z(capsys):
+    for z, cell in (("nan", "nan"), ("1e400", "inf")):
+        assert main(["density", "2i", z, "2", "3", "--precision-bits", "64"]) == 0
+        rows = _rows(capsys.readouterr().out)
+        assert [r["best_distance"] for r in rows] == [cell] * 3
+
+
 def test_tate_exact_values(capsys):
     assert main(["tate", "-1", "4"]) == 0
     rows = _rows(capsys.readouterr().out)

@@ -2,7 +2,9 @@ import math
 import warnings
 
 import pytest
+from mpmath import mp
 
+from heckelab.hecke import HeckeOrbit, hecke_orbit
 from heckelab.heights import (
     CoincidenceError,
     cusp_height,
@@ -11,7 +13,12 @@ from heckelab.heights import (
     local_arch_sum,
     phi_value,
 )
-from heckelab.numerics import Precision, UpperHalfPoint, tau_from_j
+from heckelab.numerics import (
+    Precision,
+    UpperHalfPoint,
+    log_petersson_norm_delta,
+    tau_from_j,
+)
 
 PREC = Precision(96)
 
@@ -65,6 +72,44 @@ def test_cusp_height_frozen():
     assert h.value == pytest.approx(-43.39686924828896, rel=1e-9)
     assert h.normalized == pytest.approx(h.value / (6 * 3 * math.log(2)), rel=1e-12)
     assert h.normalized == pytest.approx(-3.47824711414518, rel=1e-9)
+
+
+_ORACLE_NS = (4, 6, 8, 9, 12, 25, 30, 36)
+
+
+def _oracle_bases():
+    # the CM bases j = 0 and j = 1728, and a point off integral j
+    return [tau_from_j(0, PREC), tau_from_j(1728, PREC), UpperHalfPoint(0.3, 1.7)]
+
+
+def _orbit_norm_sum(tau, n):
+    """sum of log ||Delta|| over the orbit, point by point."""
+    with mp.workprec(PREC.bits + 32):
+        return mp.fsum(
+            log_petersson_norm_delta(p.tau, PREC) for p in HeckeOrbit(tau, n, PREC).points
+        )
+
+
+def test_cusp_height_matches_the_orbit_sum():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # j(0.3+1.7i) is not near an integer
+        for tau in _oracle_bases():
+            for n in _ORACLE_NS:
+                h = cusp_height(tau, n, PREC)
+                assert h.e_n == len(HeckeOrbit(tau, n, PREC).points)
+                assert h.value == pytest.approx(float(-_orbit_norm_sum(tau, n)), rel=1e-12)
+
+
+def test_local_arch_sum_matches_the_orbit_sum():
+    for tau in _oracle_bases():
+        for n in (1,) + _ORACLE_NS:
+            orbit = hecke_orbit(tau, n, PREC)
+            norm_sum = _orbit_norm_sum(tau, n)
+            for z in (2, 5 - 3j):
+                with mp.workprec(PREC.bits + 32):
+                    dist = mp.fsum(mp.log(abs(mp.mpc(z) - p.j)) for p in orbit.points)
+                    expected = float(dist + norm_sum)
+                assert local_arch_sum(tau, z, n, PREC) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cusp_height_warns_off_integral_j():

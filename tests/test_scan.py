@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from heckelab.arith import primes_up_to
+from heckelab.cli import main
 from heckelab.scan import (
+    _counted,
     BadReductionError,
     CurveQ,
     HasseBoundError,
@@ -168,3 +170,16 @@ def test_coincidence_statistic():
     assert self_stat.observed == len([p for p in primes_up_to(100) if p >= 5])
     with pytest.raises(ValueError):
         coincidence_statistic(CurveQ(-1, 0), CurveQ(0, -1), 4)
+
+
+def test_record_cache_is_bounded_and_shared_within_a_scan(capsys):
+    assert _counted.cache_info().maxsize == 1 << 14
+    _counted.cache_clear()
+    # scan_pair counts both curves at each prime of [5, 500]; then
+    # coincidence_statistic reads the same records back over p <= 500
+    assert main(["scan", "-1,0", "0,-1", "5", "500"]) == 0
+    capsys.readouterr()
+    info = _counted.cache_info()
+    records = 2 * (len(primes_up_to(500)) - 2)  # both curves are good at p >= 5
+    assert (info.misses, info.hits) == (records, records)
+    _counted.cache_clear()

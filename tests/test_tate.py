@@ -61,6 +61,17 @@ def test_orbit_valuation_sum_identity():
         assert sum(val * mult for val, mult in orbit.items()) == v * e_n(n)
 
 
+def test_orbit_valuations_match_the_subgroup_enumeration():
+    # the closed form against the orbit walked subgroup by subgroup
+    rng = random.Random(4)
+    for n in list(range(1, 301)) + [3600, 4620]:
+        v = Fraction(-rng.randrange(1, 30), rng.randrange(1, 30))
+        walked = Counter(Fraction(t.r, t.t) * v for t in cyclic_subgroups(n))
+        assert valuation_orbit(v, n) == walked, (v, n)
+    with pytest.raises(ValueError):
+        valuation_orbit(Fraction(-1), 0)
+
+
 def test_orbit_requires_negative_valuation():
     with pytest.raises(ValueError):
         valuation_orbit(Fraction(0), 2)
