@@ -127,8 +127,10 @@ def _parse_complex(text: str, bits: int, upper_half: bool = False):
     that decimals keep the working precision.  Returns an mpc, or with
     upper_half an UpperHalfPoint, built in the same context because mpf
     rounds to the context precision."""
-    # mpmath reads '1j' but not a bare 'j'
-    s = re.sub(r"(?<![\d.])j", "1j", text.strip().replace(" ", "").replace("i", "j"))
+    # the unit i is an 'i' outside a word such as 'inf'; mpmath reads '1j'
+    # but not a bare 'j'
+    s = re.sub(r"(?<![a-z])i(?![a-z])", "j", text.strip().replace(" ", ""))
+    s = re.sub(r"(?<![\d.])j", "1j", s)
     with mp.workprec(bits + 32):
         try:
             z = mp.mpc(mp.mpmathify(s))
@@ -615,11 +617,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _shield_negatives(argv: list[str]) -> list[str]:
     """argparse reads leading-minus values like '-1,0' or '-1/2' as flags.
 
-    Every real flag here is --long, so a token starting with '-' and a digit
-    or dot is always a value; a leading space keeps argparse from eating it,
-    and the value parsers strip whitespace anyway.
+    Every real flag here is --long, so a token starting with '-' and a digit,
+    a dot, 'inf', 'nan' or a lone unit 'i' is always a value; a leading space
+    keeps argparse from eating it, and the value parsers strip whitespace
+    anyway.
     """
-    return [(" " + a) if re.match(r"^-[0-9.]", a) else a for a in argv]
+    return [(" " + a) if re.match(r"^-([0-9.]|inf|nan|i\b)", a) else a for a in argv]
 
 
 def main(argv: Optional[list[str]] = None) -> int:

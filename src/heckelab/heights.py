@@ -28,7 +28,7 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from .arith import pairwise_product, pairwise_sum, triple_counts
-from .hecke import e_n, hecke_orbit
+from .hecke import HeckeOrbit, e_n, hecke_orbit
 from .numerics import (
     DEFAULT_PRECISION,
     Precision,
@@ -100,7 +100,11 @@ def local_arch_sum(
     y_tau: UpperHalfPoint, z, n: int, prec: Precision = DEFAULT_PRECISION
 ) -> float:
     """S_N = sum over the orbit of log(|z - j(tau_i)| * ||Delta(tau_i)||)."""
-    orbit = hecke_orbit(y_tau, n, prec)
+    return _arch_sum(hecke_orbit(y_tau, n, prec), z, prec)
+
+
+def _arch_sum(orbit: HeckeOrbit, z, prec: Precision) -> float:
+    """local_arch_sum over an orbit built by hecke_orbit at prec."""
     with mp.workprec(prec.bits + 32):
         zc = mp.mpc(z)
         floor = mpf(2) ** (-prec.bits) * max(1, abs(zc))
@@ -113,7 +117,9 @@ def local_arch_sum(
                     f"{mp.nstr(dist, 5)}, below resolution"
                 )
             terms.append(mp.log(dist))
-        return float(pairwise_sum(terms) + _log_norm_orbit_sum(y_tau, n, prec))
+        return float(
+            pairwise_sum(terms) + _log_norm_orbit_sum(orbit.base, orbit.n, prec)
+        )
 
 
 def phi_value(
@@ -131,20 +137,26 @@ def phi_value(
     to evaluate there anyway.
     """
     y = int(y)
-    z = int(z)
     if y in (0, 1728) and not allow_cm:
         raise ValueError(f"y = {y} is a CM j-invariant; pass allow_cm=True")
-    bits = prec.bits
+    return _phi(y, int(z), n, prec.bits)
+
+
+def _phi(y: int, z: int, n: int, bits: int, orbit: HeckeOrbit | None = None) -> int:
+    """phi_value from its first attempt at bits; orbit, when given, is that
+    attempt's orbit hecke_orbit(tau_from_j(y, P), n, P) with P =
+    Precision(bits)."""
     while bits <= _MAX_PHI_BITS:
         attempt = Precision(bits)
         with mp.workprec(bits + 32):
-            tau_y = tau_from_j(y, attempt)
-            orbit = hecke_orbit(tau_y, n, attempt)
+            if orbit is None:
+                orbit = hecke_orbit(tau_from_j(y, attempt), n, attempt)
             prod = pairwise_product([z - p.j for p in orbit.points])
             nearest = int(mp.nint(prod.real))
             residual = abs(prod - nearest) / max(1, abs(prod))
             if residual < 1e-6:
                 return nearest
+        orbit = None
         bits *= 2
     raise PrecisionInsufficientError(
         f"phi({y}, {z}, N={n}) did not round below 1e-6 by {_MAX_PHI_BITS} bits"
@@ -154,15 +166,27 @@ def phi_value(
 def global_identity_residual(
     y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION
 ) -> float:
-    """r_N = (log |phi| - S_N) / (6 e_N log N) - 1."""
+    """r_N = (log |phi| - S_N) / (6 e_N log N) - 1.
+
+    phi_value's first attempt runs at Precision(prec.bits).  When that is
+    prec and y is an integer, both factors read one tau_y and one orbit;
+    otherwise phi_value and local_arch_sum each build their own.
+    """
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")
-    phi = phi_value(y, z, n, prec, allow_cm=True)
-    if phi == 0:
-        raise CoincidenceError("phi vanished: z collides with the orbit of y")
+    shared = prec == Precision(prec.bits) and y == int(y)
     with mp.workprec(prec.bits + 32):
-        tau_y = tau_from_j(y, prec)
-        s_n = local_arch_sum(tau_y, z, n, prec)
+        if shared:
+            orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
+            phi = _phi(int(y), int(z), n, prec.bits, orbit)
+        else:
+            phi = phi_value(y, z, n, prec, allow_cm=True)
+        if phi == 0:
+            raise CoincidenceError("phi vanished: z collides with the orbit of y")
+        if shared:
+            s_n = _arch_sum(orbit, z, prec)
+        else:
+            s_n = local_arch_sum(tau_from_j(y, prec), z, n, prec)
         log_phi = mp.log(abs(mp.mpf(abs(phi))))
         degree = e_n(n)
         return float((log_phi - s_n) / (6 * degree * mp.log(n)) - 1)

@@ -290,11 +290,26 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
 
     Real j values are attained on the boundary arcs: j >= 1728 on the
     imaginary axis, 0 <= j <= 1728 on |tau| = 1, j <= 0 on Re tau = 1/2.
-    The solution is unique in the closed fundamental domain; found by
-    bisection (j is monotone along each arc).
+    The solution is unique in the closed fundamental domain, because j is
+    monotone along each arc.  It is the midpoint of the last bracket of a
+    bisection to full working precision.
+
+    The root is found before the bisection runs: float64 log j seeds a
+    bracketed secant (Illinois) iteration at working precision, which
+    stops once |j - y| is below the accuracy of eval_j, 2^-bits relative
+    (absolute below |y| = 1).  The bisection then takes the same midpoints
+    as a plain one, but evaluates j only at those within 8 accuracy / slope
+    of that root; the others lie where no evaluation could return the
+    wrong sign, and take the sign of their side.  So the result is the
+    plain bisection's, bit for bit, from about 40 evaluations of j instead
+    of bits + 40.  A root within 2^-36 of an end of its arc (y = 0,
+    y = 1728 and their neighbours, where j' may vanish) is bisected
+    plainly.
     """
     with mp.workprec(prec.bits + _GUARD):
         y = mpf(j_target)
+        err = mpf(2) ** -prec.bits * max(1, abs(y))
+        log_y = float(mp.log(abs(y))) if y else -math.inf
         if y >= 1728:
             def f(t):
                 return eval_j(UpperHalfPoint(mpf(0), t), prec).real - y
@@ -302,7 +317,8 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
             lo, hi = mpf(1), mpf(2)
             while f(hi) < 0:
                 hi *= 2
-            root = _bisect(f, lo, hi, prec.bits)
+            guess = _float_root(lambda t: 1j * t, 1.0, float(hi), log_y)
+            root = _bisect(f, lo, hi, prec.bits, guess, err)
             return UpperHalfPoint(mpf(0), root)
         if y >= 0:
             # arc tau = e^{i theta}, theta from pi/2 (j=1728) to 2pi/3 (j=0)
@@ -310,7 +326,8 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
                 z = mp.expjpi(th)
                 return eval_j(UpperHalfPoint(z.real, z.imag), prec).real - y
 
-            root = _bisect(f, mpf(2) / 3, mpf(1) / 2, prec.bits)
+            guess = _float_root(lambda th: np.exp(1j * math.pi * th), 0.5, 2 / 3, log_y)
+            root = _bisect(f, mpf(2) / 3, mpf(1) / 2, prec.bits, guess, err)
             z = mp.expjpi(root)
             return UpperHalfPoint(z.real, z.imag)
 
@@ -320,21 +337,111 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
         lo, hi = mp.sqrt(3) / 2, mpf(2)
         while f(hi) > 0:
             hi *= 2
-        root = _bisect(f, hi, lo, prec.bits)
+        guess = _float_root(lambda t: 0.5 + 1j * t, float(lo), float(hi), log_y)
+        root = _bisect(f, hi, lo, prec.bits, guess, err)
         return UpperHalfPoint(mpf(1) / 2, root)
 
 
-def _bisect(f, neg_end, pos_end, bits: int):
-    """Bisection with f(neg_end) <= 0 <= f(pos_end), to full working precision."""
+# float64 seed of tau_from_j: grid points per refinement, and the relative
+# width at which the refinement stops (log_j_float64 is good to ~2^-44)
+_SEED_GRID = 129
+_SEED_WIDTH = 2.0**-42
+# half-width of the secant's first bracket around the seed, relative
+_LOCATE_WIDTH = 2**-36
+_LOCATE_STEPS = 24
+
+
+def _float_root(tau_of, lo: float, hi: float, log_abs_j: float) -> float | None:
+    """The x in [lo, hi] where log|j(tau_of(x))| crosses log_abs_j, found in
+    float64 by refining a grid; None when the grid shows no crossing.
+
+    tau_of maps a float64 array into the fundamental domain, and |j| must
+    be monotone along it.
+    """
+    while hi - lo > _SEED_WIDTH * max(1.0, abs(hi)):
+        x = np.linspace(lo, hi, _SEED_GRID)
+        log_j = log_j_float64(tau_of(x), np.zeros(x.shape))[0].real
+        above = log_j > log_abs_j
+        cross = np.flatnonzero(above[1:] != above[:-1])
+        if not cross.size:
+            return None
+        lo, hi = x[cross[0]], x[cross[0] + 1]
+    return (lo + hi) / 2
+
+
+def _bisect(f, neg_end, pos_end, bits: int, guess: float | None, err):
+    """Bisection with f(neg_end) <= 0 <= f(pos_end), to full working precision.
+
+    From a float guess of the root and a bound err on the error of f near
+    it, _locate finds the root first, and a midpoint farther than its
+    radius from that root takes the sign of its side instead of calling f.
+    The midpoints and the result are those of the plain bisection, which
+    runs unchanged when guess is None or the root is degenerate.
+    """
+    located = None if guess is None else _locate(f, neg_end, pos_end, guess, err)
+    increasing = neg_end < pos_end
     for _ in range(bits + _GUARD + 8):
         mid = (neg_end + pos_end) / 2
         if mid == neg_end or mid == pos_end:
             break
-        if f(mid) < 0:
+        if located is None or abs(mid - located[0]) <= located[1]:
+            negative = f(mid) < 0
+        else:
+            negative = (mid < located[0]) == increasing
+        if negative:
             neg_end = mid
         else:
             pos_end = mid
     return (neg_end + pos_end) / 2
+
+
+def _locate(f, neg_end, pos_end, guess: float, err):
+    """(root, radius) for _bisect, or None when the root is degenerate.
+
+    A bracketed secant (Illinois) iteration from [guess -+ 2^-36] runs until
+    |f| <= err.  There the root is within 2 err / |slope| of the true one,
+    so a point farther than radius = 8 err / |slope| from it is more than
+    6 err / |slope| from the true root, where |f| > 2 err even if f bends
+    towards a double or triple root: its computed sign is its side's.
+    None when the first bracket leaves (neg_end, pos_end) or does not
+    bracket, the slope is not finite or has the wrong sign, or the
+    iteration does not converge.
+    """
+    increasing = neg_end < pos_end
+    width = mpf(_LOCATE_WIDTH) * max(1, abs(guess))
+    a, b = mpf(guess) - width, mpf(guess) + width
+    if not min(neg_end, pos_end) < a and b < max(neg_end, pos_end):
+        return None
+    if not increasing:
+        a, b = b, a
+    fa, fb = f(a), f(b)
+    if not fa < 0 < fb:
+        return None
+    x0, f0, x1, f1 = a, fa, b, fb
+    side = 0
+    for _ in range(_LOCATE_STEPS):
+        x = (a * fb - b * fa) / (fb - fa)
+        fx = f(x)
+        x0, f0, x1, f1 = x1, f1, x, fx
+        if abs(fx) <= err:
+            if x1 == x0:
+                return None
+            slope = (f1 - f0) / (x1 - x0)
+            if not mp.isfinite(slope) or (slope > 0) != increasing:
+                return None
+            return x, 8 * err / abs(slope)
+        # Illinois: halve the value kept at the end that stays twice
+        if fx < 0:
+            a, fa = x, fx
+            if side < 0:
+                fb /= 2
+            side = -1
+        else:
+            b, fb = x, fx
+            if side > 0:
+                fa /= 2
+            side = 1
+    return None
 
 
 # -- float64 screen -----------------------------------------------------------

@@ -3,8 +3,9 @@ import io
 import json
 
 import pytest
+from mpmath import mp
 
-from heckelab.cli import main
+from heckelab.cli import _parse_complex, main
 
 SUBCOMMANDS = [
     "orbit",
@@ -53,6 +54,37 @@ def test_density_reads_nonfinite_and_huge_z(capsys):
         assert main(["density", "2i", z, "2", "3", "--precision-bits", "64"]) == 0
         rows = _rows(capsys.readouterr().out)
         assert [r["best_distance"] for r in rows] == [cell] * 3
+
+
+def test_infinite_z_is_read_as_a_real_infinity(capsys):
+    for text, sign in (("inf", 1), ("-inf", -1)):
+        z = _parse_complex(text, 64)
+        assert (z.real, z.imag) == (sign * mp.inf, 0)
+        assert main(["density", "2i", text, "2", "2", "--precision-bits", "64"]) == 0
+        rows = _rows(capsys.readouterr().out)
+        assert [r["best_distance"] for r in rows] == ["inf"] * 2
+
+
+# Output of the parser that read every 'i' as the unit, which could not
+# read 'inf'; inputs without a word in them must still read the same.
+_PINNED_OUTPUT = {
+    ("orbit", "0.3+1.7i", "1"): "alpha,beta,delta,tau_re,tau_im,j_re,j_im\n"
+    "1,0,1,0.3,1.7,-12711.733180389221,-41403.865594803672\n",
+    ("orbit", "i", "2"): "alpha,beta,delta,tau_re,tau_im,j_re,j_im\n"
+    "1,0,2,0.0,2.0,287496.0,0.0\n"
+    "1,1,2,0.0,1.0,1728.0,0.0\n"
+    "2,0,1,0.0,2.0,287496.0,0.0\n",
+    ("density", "0.3+1.7i", "2i", "2", "2"): "n,best_distance\n"
+    "1,43313.206601501515\n2,161.95710187813253\n# fraction=0.0\n",
+    ("density", "2i", "nan", "2", "2"): "n,best_distance\n1,nan\n2,nan\n# fraction=0.0\n",
+    ("density", "2i", "1e400", "2", "2"): "n,best_distance\n1,inf\n2,inf\n# fraction=0.0\n",
+}
+
+
+@pytest.mark.parametrize("args", list(_PINNED_OUTPUT))
+def test_unit_and_number_inputs_read_as_before(args, capsys):
+    assert main(list(args) + ["--precision-bits", "64"]) == 0
+    assert capsys.readouterr().out == _PINNED_OUTPUT[args]
 
 
 def test_tate_exact_values(capsys):

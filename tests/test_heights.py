@@ -4,7 +4,8 @@ import warnings
 import pytest
 from mpmath import mp
 
-from heckelab.hecke import HeckeOrbit, hecke_orbit
+from heckelab import heights
+from heckelab.hecke import HeckeOrbit, e_n, hecke_orbit
 from heckelab.heights import (
     CoincidenceError,
     cusp_height,
@@ -14,6 +15,7 @@ from heckelab.heights import (
     phi_value,
 )
 from heckelab.numerics import (
+    DEFAULT_PRECISION,
     Precision,
     UpperHalfPoint,
     log_petersson_norm_delta,
@@ -132,6 +134,42 @@ def test_decomposition_identity():
         r = global_identity_residual(1, 2, n, PREC)
         h = cusp_height(tau, n, PREC)
         assert abs(r - (h.normalized - 1)) < 1e-8, n
+
+
+def _residual_from_parts(y, z, n, prec):
+    """The residual from separate phi_value and local_arch_sum calls."""
+    phi = phi_value(y, z, n, prec, allow_cm=True)
+    with mp.workprec(prec.bits + 32):
+        s_n = local_arch_sum(tau_from_j(y, prec), z, n, prec)
+        return float((mp.log(abs(phi)) - s_n) / (6 * e_n(n) * mp.log(n)) - 1)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    wrapped = getattr(heights, name)
+
+    def counted(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(heights, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "prec, shared",
+    [(DEFAULT_PRECISION, True), (Precision(128, series_terms=40), False)],
+)
+def test_residual_row_reads_one_tau_and_one_orbit(monkeypatch, prec, shared):
+    # the shared row equals the one built from separate parts, and only a
+    # prec that phi_value's first attempt runs at may share
+    for y, z, n in ((1, 2, 5), (-40, 7, 6)):
+        want = _residual_from_parts(y, z, n, prec)
+        inversions = _counting(monkeypatch, "tau_from_j")
+        orbits = _counting(monkeypatch, "hecke_orbit")
+        assert global_identity_residual(y, z, n, prec) == want
+        assert (len(inversions), len(orbits)) == ((1, 1) if shared else (2, 2))
+        monkeypatch.undo()
 
 
 def test_local_arch_sum_coincidence_guard():

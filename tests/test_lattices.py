@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -72,11 +72,15 @@ def _brute_values(form, n):
     bound = 1
     while lam * bound * bound < n:
         bound += 1
+    # den q(x, y) = a x^2 + b xy + c y^2 in integers
+    (qa, qb), (_, qc) = form.gram
+    den = lcm(qa.denominator, (2 * qb).denominator, qc.denominator)
+    a, b, c = int(den * qa), int(2 * den * qb), int(den * qc)
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
-            q = form.value((x, y))
-            if 0 < q <= n and q.denominator == 1:
-                out.add(int(q))
+            v = (a * x + b * y) * x + c * y * y
+            if 0 < v <= den * n and v % den == 0:
+                out.add(v // den)
     return out
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
+from heckelab import numerics
 from heckelab.numerics import (
     ModularMatrix,
     Precision,
@@ -166,6 +167,90 @@ def test_tau_from_j_round_trips():
         got = eval_j(tau, PREC)
         assert abs(got.real - t) <= 1e-10 * max(1, abs(t))
         assert abs(got.imag) <= 1e-10 * max(1, abs(t))
+
+
+def _plain_tau_from_j(y, prec):
+    """tau_from_j by plain bisection, one eval_j per midpoint: the oracle
+    that the replayed bisection must match bit for bit."""
+
+    def bisect(f, neg_end, pos_end):
+        for _ in range(prec.bits + 32 + 8):
+            mid = (neg_end + pos_end) / 2
+            if mid == neg_end or mid == pos_end:
+                break
+            if f(mid) < 0:
+                neg_end = mid
+            else:
+                pos_end = mid
+        return (neg_end + pos_end) / 2
+
+    with mp.workprec(prec.bits + 32):
+        y = mpf(y)
+        if y >= 1728:
+            def f(t):
+                return numerics.eval_j(UpperHalfPoint(mpf(0), t), prec).real - y
+
+            hi = mpf(2)
+            while f(hi) < 0:
+                hi *= 2
+            return UpperHalfPoint(mpf(0), bisect(f, mpf(1), hi))
+        if y >= 0:
+            def f(th):
+                z = mp.expjpi(th)
+                return numerics.eval_j(UpperHalfPoint(z.real, z.imag), prec).real - y
+
+            z = mp.expjpi(bisect(f, mpf(2) / 3, mpf(1) / 2))
+            return UpperHalfPoint(z.real, z.imag)
+
+        def f(t):
+            return numerics.eval_j(UpperHalfPoint(mpf(1) / 2, t), prec).real - y
+
+        lo, hi = mp.sqrt(3) / 2, mpf(2)
+        while f(hi) > 0:
+            hi *= 2
+        return UpperHalfPoint(mpf(1) / 2, bisect(f, hi, lo))
+
+
+def _inversion_targets():
+    rng = random.Random(23)
+    special = [0, 1, 2, -1, 1727, 1728, 1729, 1728.5, 12.25,
+               10**6, -(10**6), 10**30, -(10**30)]
+    axis = [1728 * 10 ** rng.uniform(0, 4) for _ in range(10)]
+    unit = [rng.uniform(0, 1728) for _ in range(10)]
+    negative = [-(10 ** rng.uniform(-3, 6)) for _ in range(10)]
+    return special + axis + unit + negative
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_tau_from_j_replays_the_plain_bisection(bits):
+    prec = Precision(bits)
+    for y in _inversion_targets():
+        got, want = tau_from_j(y, prec), _plain_tau_from_j(y, prec)
+        assert (got.re, got.im) == (want.re, want.im), y
+
+
+def test_tau_from_j_evaluates_j_about_forty_times(monkeypatch):
+    calls = []
+    eval_j_itself = numerics.eval_j
+
+    def counted(tau, prec):
+        calls.append(1)
+        return eval_j_itself(tau, prec)
+
+    monkeypatch.setattr(numerics, "eval_j", counted)
+
+    def count(invert, y):
+        calls.clear()
+        invert(y, PREC)
+        return len(calls)
+
+    targets = _inversion_targets()
+    counts = {y: count(tau_from_j, y) for y in targets}
+    assert sum(counts.values()) / len(counts) <= 50
+    # at j = 0 and j = 1728 the root is an end of its arc, where j' = 0:
+    # the plain bisection runs, with a few evaluations spent on the way
+    for y in (0, 1728):
+        assert counts[y] <= count(_plain_tau_from_j, y) + 8
 
 
 def test_precision_and_point_validation():
