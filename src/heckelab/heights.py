@@ -169,24 +169,18 @@ def global_identity_residual(
     """r_N = (log |phi| - S_N) / (6 e_N log N) - 1.
 
     phi_value's first attempt runs at Precision(prec.bits).  When that is
-    prec and y is an integer, both factors read one tau_y and one orbit;
-    otherwise phi_value and local_arch_sum each build their own.
+    prec and y is an integer, phi and S_N read one tau_y and one orbit;
+    otherwise phi is found from its own orbit, as phi_value finds it.
     """
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")
     shared = prec == Precision(prec.bits) and y == int(y)
     with mp.workprec(prec.bits + 32):
-        if shared:
-            orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
-            phi = _phi(int(y), int(z), n, prec.bits, orbit)
-        else:
-            phi = phi_value(y, z, n, prec, allow_cm=True)
+        orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
+        phi = _phi(int(y), int(z), n, prec.bits, orbit if shared else None)
         if phi == 0:
             raise CoincidenceError("phi vanished: z collides with the orbit of y")
-        if shared:
-            s_n = _arch_sum(orbit, z, prec)
-        else:
-            s_n = local_arch_sum(tau_from_j(y, prec), z, n, prec)
+        s_n = _arch_sum(orbit, z, prec)
         log_phi = mp.log(abs(mp.mpf(abs(phi))))
         degree = e_n(n)
         return float((log_phi - s_n) / (6 * degree * mp.log(n)) - 1)

@@ -410,7 +410,7 @@ def _locate(f, neg_end, pos_end, guess: float, err):
     increasing = neg_end < pos_end
     width = mpf(_LOCATE_WIDTH) * max(1, abs(guess))
     a, b = mpf(guess) - width, mpf(guess) + width
-    if not min(neg_end, pos_end) < a and b < max(neg_end, pos_end):
+    if not (min(neg_end, pos_end) < a and b < max(neg_end, pos_end)):
         return None
     if not increasing:
         a, b = b, a
