@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+import numpy as np
 from mpmath import mp
 
 from .arith import primes_up_to
@@ -86,11 +87,12 @@ def _fmt(value, digits: int):
 def _emit(
     config: RunConfig,
     fieldnames: list[str],
-    rows: Iterable[dict],
+    rows: Iterable[tuple],
     header: Optional[dict] = None,
     trailer: Optional[dict] = None,
 ) -> None:
-    """Write rows as CSV (header row first) or JSON lines.
+    """Write rows, tuples in fieldnames order, as CSV (header row first) or
+    JSON lines.
 
     `header`/`trailer` are small metadata maps: CSV renders them as
     comment lines, JSON lines as their own objects.
@@ -104,17 +106,16 @@ def _emit(
         if config.output_format == "csv":
             if header:
                 out.write("# " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n")
-            writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(fieldnames)
+            writer.writerows(rows)
             if trailer:
                 out.write("# " + " ".join(f"{k}={v}" for k, v in trailer.items()) + "\n")
         else:
             if header:
                 out.write(json.dumps({"_meta": header}) + "\n")
             for row in rows:
-                out.write(json.dumps(row) + "\n")
+                out.write(json.dumps(dict(zip(fieldnames, row))) + "\n")
             if trailer:
                 out.write(json.dumps({"_summary": trailer}) + "\n")
     finally:
@@ -216,18 +217,18 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     orbit = hecke_orbit(tau, args.n, prec)
     d = config.digits
     rows = [
-        {
-            "alpha": p.coset.alpha,
-            "beta": p.coset.beta,
-            "delta": p.coset.delta,
-            "tau_re": _fmt(p.tau.re, d),
-            "tau_im": _fmt(p.tau.im, d),
-            "j_re": _fmt(p.j.real, d),
-            "j_im": _fmt(p.j.imag, d),
-        }
+        (
+            p.coset.alpha,
+            p.coset.beta,
+            p.coset.delta,
+            _fmt(p.tau.re, d),
+            _fmt(p.tau.im, d),
+            _fmt(p.j.real, d),
+            _fmt(p.j.imag, d),
+        )
         for p in orbit.points
     ]
-    _emit(config, list(rows[0].keys()), rows)
+    _emit(config, ["alpha", "beta", "delta", "tau_re", "tau_im", "j_re", "j_im"], rows)
     return 0
 
 
@@ -259,14 +260,7 @@ def cmd_height(args: argparse.Namespace) -> int:
         tau_y = tau_from_j(j_base, prec)
         for n in ns:
             point = cusp_height(tau_y, n, prec)
-            rows.append(
-                {
-                    "n": point.n,
-                    "e_n": point.e_n,
-                    "value": point.value,
-                    "normalized": point.normalized,
-                }
-            )
+            rows.append((point.n, point.e_n, point.value, point.normalized))
     _emit(config, ["n", "e_n", "value", "normalized"], rows)
     return 0
 
@@ -292,10 +286,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     right = _parse_curve(args.right)
     hits = scan_pair(left, right, args.p_min, args.p_max)
     stat = coincidence_statistic(left, right, args.p_max)
-    rows = [
-        {"p": h.p, "k": h.k, "a_p_left": h.left.a_p, "a_p_right": h.right.a_p}
-        for h in hits
-    ]
+    rows = [(h.p, h.k, h.left.a_p, h.right.a_p) for h in hits]
     _emit(
         config,
         ["p", "k", "a_p_left", "a_p_right"],
@@ -325,10 +316,7 @@ def cmd_tate(args: argparse.Namespace) -> int:
         return _report_selftest("tate", checks)
     _require(args, "v", "n")
     orbit = valuation_orbit(Fraction(args.v), args.n)
-    rows = [
-        {"value": _fmt(val, config.digits), "multiplicity": mult}
-        for val, mult in sorted(orbit.items())
-    ]
+    rows = [(_fmt(val, config.digits), mult) for val, mult in sorted(orbit.items())]
     _emit(config, ["value", "multiplicity"], rows)
     return 0
 
@@ -353,11 +341,13 @@ def cmd_latcount(args: argparse.Namespace) -> int:
     _require(args, "gram", "n_max")
     form = _parse_gram(args.gram)
     counts = _value_counts(form, args.n_max)
-    rows = [{"n": n, "fiber_count": int(counts[n])} for n in range(1, args.n_max + 1)]
+    rows = zip(range(1, args.n_max + 1), counts[1:].tolist())
     trailer = None
     if form.rank == 2:
+        # Lagrange reduction is unimodular, so the values represented are
+        # the nonzero counts of the form itself
         trailer = {
-            "represented": len(represented_values(form, args.n_max)),
+            "represented": int(np.count_nonzero(counts[1:])),
             "bound": counting_bound(args.n_max, form.disc),
             "disc": _fmt(form.disc, config.digits),
         }
@@ -391,16 +381,16 @@ def cmd_cm(args: argparse.Namespace) -> int:
     for p in points:
         jval = p.j_at(prec)
         rows.append(
-            {
-                "m": p.M,
-                "t": p.trace,
-                "conductor": p.conductor,
-                "fundamental_disc": p.fundamental_disc,
-                "tau_re": _fmt(p.tau0.re, d),
-                "tau_im": _fmt(p.tau0.im, d),
-                "j_re": _fmt(jval.real, d),
-                "j_im": _fmt(jval.imag, d),
-            }
+            (
+                p.M,
+                p.trace,
+                p.conductor,
+                p.fundamental_disc,
+                _fmt(p.tau0.re, d),
+                _fmt(p.tau0.im, d),
+                _fmt(jval.real, d),
+                _fmt(jval.imag, d),
+            )
         )
     _emit(
         config,
@@ -430,9 +420,7 @@ def cmd_equi(args: argparse.Namespace) -> int:
     rows = []
     for n in _parse_range(args.n_spec):
         stat = equi_fraction(HeckeOrbit(tau, n, prec), args.threshold)
-        rows.append(
-            {"n": n, "fraction": stat.fraction, "prediction": stat.prediction}
-        )
+        rows.append((n, stat.fraction, stat.prediction))
     _emit(config, ["n", "fraction", "prediction"], rows)
     return 0
 
@@ -460,7 +448,7 @@ def cmd_density(args: argparse.Namespace) -> int:
         args.n_max,
         prec,
     )
-    rows = [{"n": p.n, "best_distance": p.best_distance} for p in pts]
+    rows = [(p.n, p.best_distance) for p in pts]
     _emit(
         config,
         ["n", "best_distance"],
@@ -493,15 +481,7 @@ def cmd_integral(args: argparse.Namespace) -> int:
     _emit(
         config,
         ["value", "std_error", "samples", "rejected", "seed"],
-        [
-            {
-                "value": est.value,
-                "std_error": est.std_error,
-                "samples": est.samples,
-                "rejected": est.rejected,
-                "seed": est.seed,
-            }
-        ],
+        [(est.value, est.std_error, est.samples, est.rejected, est.seed)],
         header={"seed": config.seed, "precision_bits": config.precision_bits},
     )
     return 0
@@ -521,13 +501,7 @@ def cmd_residual(args: argparse.Namespace) -> int:
     rows = []
     for n in _parse_range(args.n_spec):
         rows.append(
-            {
-                "n": n,
-                "e_n": e_n(n),
-                "residual": global_identity_residual(
-                    int(args.y), int(args.z), n, prec
-                ),
-            }
+            (n, e_n(n), global_identity_residual(int(args.y), int(args.z), n, prec))
         )
     _emit(config, ["n", "e_n", "residual"], rows)
     return 0

@@ -166,15 +166,19 @@ def _phi(y: int, z: int, n: int, bits: int, orbit: HeckeOrbit | None = None) -> 
 def global_identity_residual(
     y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION
 ) -> float:
-    """r_N = (log |phi| - S_N) / (6 e_N log N) - 1.
+    """r_N = (log |phi| - S_N) / (6 e_N log N) - 1, for integers y and z.
 
     phi_value's first attempt runs at Precision(prec.bits).  When that is
-    prec and y is an integer, phi and S_N read one tau_y and one orbit;
-    otherwise phi is found from its own orbit, as phi_value finds it.
+    prec, phi and S_N read one tau_y and one orbit; otherwise phi is found
+    from its own orbit, as phi_value finds it.  A non-integer y or z raises
+    ValueError: phi is defined at integers only, while S_N would read y and
+    z as they are.
     """
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")
-    shared = prec == Precision(prec.bits) and y == int(y)
+    if y != int(y) or z != int(z):
+        raise ValueError(f"y and z must be integers, got y={y!r}, z={z!r}")
+    shared = prec == Precision(prec.bits)
     with mp.workprec(prec.bits + 32):
         orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
         phi = _phi(int(y), int(z), n, prec.bits, orbit if shared else None)

@@ -22,6 +22,15 @@ class UnsupportedConfigurationError(ValueError):
     """The requested ideal-lattice model falls outside the covered cases."""
 
 
+class SweepOverflowError(OverflowError):
+    """The integer-scaled values of a form over its box exceed int64."""
+
+
+# Box points per block of the lattice sweep: a block of leading coordinates
+# times the last coordinate's range stays near this many int64 values.
+_BLOCK_POINTS = 1 << 16
+
+
 def _det(rows: tuple[tuple[Fraction, ...], ...]) -> Fraction:
     n = len(rows)
     if n == 1:
@@ -131,43 +140,65 @@ def _coordinate_bounds(form: GramForm, n) -> list[int]:
     return bounds
 
 
+def _check_int64(mat: list[list[int]], bounds: list[int]) -> None:
+    """Raise SweepOverflowError unless sum_ij |m_ij| b_i b_j < 2^63.
+
+    Each term m_ij x_i x_j is at most |m_ij| b_i b_j in the box, so the sum
+    bounds every partial sum of the sweep.  It also bounds every coefficient
+    2 m_ij whose b_i and b_j are both nonzero.
+    """
+    reach = sum(
+        abs(m) * bi * bj for row, bi in zip(mat, bounds) for m, bj in zip(row, bounds)
+    )
+    if reach >= 1 << 63:
+        raise SweepOverflowError(
+            f"lattice sweep values reach {reach} >= 2^63 in the integer-scaled "
+            "form; int64 cannot hold them"
+        )
+
+
 def _value_counts(form: GramForm, n: int) -> np.ndarray:
     """counts[N] = #{v : q(v) = N} for 0 <= N <= n, by exact enumeration.
 
-    The inner coordinate is vectorized; outer coordinates are plain loops
-    (the boxes in play stay small enough that this dominates nothing).
+    One vectorized pass over the rigorous box: the leading coordinates come
+    from a flat index in blocks of about _BLOCK_POINTS box points, each block
+    forms its (block x last coordinate) matrix of integer-scaled values, and
+    np.bincount counts the ones that are multiples of the scale and <= n.
+    The arithmetic is int64; _check_int64 rejects a box whose values could
+    leave that range before any of it is built.
     """
     counts = np.zeros(n + 1, dtype=np.int64)
     if n < 0:
         return counts
     scale, mat = _integer_scale(form)
     bounds = _coordinate_bounds(form, n)
+    # x_i = 0 all over the box when b_i = 0, so the terms of such an i drop out
+    mat = [
+        [m if bi and bj else 0 for m, bj in zip(row, bounds)]
+        for row, bi in zip(mat, bounds)
+    ]
+    _check_int64(mat, bounds)
     cap = scale * n
     last = form.rank - 1
     xs = np.arange(-bounds[last], bounds[last] + 1, dtype=np.int64)
     quad = mat[last][last] * xs * xs
-
-    def sweep(const: int, lin: int) -> None:
-        q = const + lin * xs + quad
-        vals = q[(q >= 0) & (q <= cap)]
+    shape = tuple(2 * b + 1 for b in bounds[:last])
+    total = math.prod(shape)
+    step = max(1, _BLOCK_POINTS // len(xs))
+    for start in range(0, total, step):
+        flat = np.arange(start, min(start + step, total), dtype=np.int64)
+        lead = [c - b for c, b in zip(np.unravel_index(flat, shape), bounds)]
+        const = np.zeros(len(flat), dtype=np.int64)
+        lin = np.zeros(len(flat), dtype=np.int64)
+        for i, xi in enumerate(lead):
+            const += mat[i][i] * xi * xi
+            for j in range(i + 1, last):
+                const += 2 * mat[i][j] * xi * lead[j]
+            lin += 2 * mat[i][last] * xi
+        q = const[:, None] + lin[:, None] * xs + quad
+        vals = q[q <= cap]
         vals = vals[vals % scale == 0] // scale
-        np.add.at(counts, vals, 1)
-
-    if form.rank == 2:
-        for x0 in range(-bounds[0], bounds[0] + 1):
-            sweep(mat[0][0] * x0 * x0, 2 * mat[0][1] * x0)
-    else:
-        for x0 in range(-bounds[0], bounds[0] + 1):
-            for x1 in range(-bounds[1], bounds[1] + 1):
-                for x2 in range(-bounds[2], bounds[2] + 1):
-                    const = (
-                        mat[0][0] * x0 * x0
-                        + mat[1][1] * x1 * x1
-                        + mat[2][2] * x2 * x2
-                        + 2 * (mat[0][1] * x0 * x1 + mat[0][2] * x0 * x2 + mat[1][2] * x1 * x2)
-                    )
-                    lin = 2 * (mat[0][3] * x0 + mat[1][3] * x1 + mat[2][3] * x2)
-                    sweep(const, lin)
+        counts += np.bincount(vals, minlength=n + 1)
     return counts
 
 

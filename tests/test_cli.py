@@ -104,6 +104,58 @@ def test_latcount_counts(capsys):
     assert counts[5] == 8
 
 
+# Output of the per-triple sweep and the dict-per-row writer that the
+# blocked sweep and the bulk writer replaced; 10,7,5 is not Lagrange-reduced,
+# so its trailer counts the values of an unreduced form.
+_PINNED_LATCOUNT = {
+    ("latcount", "1,0,1", "30"): (
+        "n,fiber_count\n1,4\n2,4\n3,0\n4,4\n5,8\n6,0\n7,0\n8,4\n9,4\n10,8\n11,0\n"
+        "12,0\n13,8\n14,0\n15,0\n16,4\n17,8\n18,4\n19,0\n20,8\n21,0\n22,0\n23,0\n"
+        "24,0\n25,12\n26,8\n27,0\n28,0\n29,8\n30,0\n"
+        "# represented=15 bound=524.8178046004133 disc=1\n"
+    ),
+    ("latcount", "2,1,2", "30", "--format", "jsonl"): (
+        '{"n": 1, "fiber_count": 0}\n{"n": 2, "fiber_count": 6}\n'
+        '{"n": 3, "fiber_count": 0}\n{"n": 4, "fiber_count": 0}\n'
+        '{"n": 5, "fiber_count": 0}\n{"n": 6, "fiber_count": 6}\n'
+        '{"n": 7, "fiber_count": 0}\n{"n": 8, "fiber_count": 6}\n'
+        '{"n": 9, "fiber_count": 0}\n{"n": 10, "fiber_count": 0}\n'
+        '{"n": 11, "fiber_count": 0}\n{"n": 12, "fiber_count": 0}\n'
+        '{"n": 13, "fiber_count": 0}\n{"n": 14, "fiber_count": 12}\n'
+        '{"n": 15, "fiber_count": 0}\n{"n": 16, "fiber_count": 0}\n'
+        '{"n": 17, "fiber_count": 0}\n{"n": 18, "fiber_count": 6}\n'
+        '{"n": 19, "fiber_count": 0}\n{"n": 20, "fiber_count": 0}\n'
+        '{"n": 21, "fiber_count": 0}\n{"n": 22, "fiber_count": 0}\n'
+        '{"n": 23, "fiber_count": 0}\n{"n": 24, "fiber_count": 6}\n'
+        '{"n": 25, "fiber_count": 0}\n{"n": 26, "fiber_count": 12}\n'
+        '{"n": 27, "fiber_count": 0}\n{"n": 28, "fiber_count": 0}\n'
+        '{"n": 29, "fiber_count": 0}\n{"n": 30, "fiber_count": 0}\n'
+        '{"_summary": {"represented": 7, "bound": 321.9459338114337, "disc": "3"}}\n'
+    ),
+    ("latcount", "1,0,0,0,1,0,0,1,1/2,1", "12"): (
+        "n,fiber_count\n1,10\n2,28\n3,30\n4,34\n5,80\n6,72\n7,36\n8,124\n9,130\n"
+        "10,56\n11,144\n12,150\n"
+    ),
+    ("latcount", "10,7,5", "20"): (
+        "n,fiber_count\n1,4\n2,4\n3,0\n4,4\n5,8\n6,0\n7,0\n8,4\n9,4\n10,8\n11,0\n"
+        "12,0\n13,8\n14,0\n15,0\n16,4\n17,8\n18,4\n19,0\n20,8\n"
+        "# represented=12 bound=356.77708763999664 disc=1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(_PINNED_LATCOUNT))
+def test_latcount_output_is_pinned(args, capsys):
+    assert main(list(args)) == 0
+    assert capsys.readouterr().out == _PINNED_LATCOUNT[args]
+
+
+def test_latcount_rejects_a_sweep_beyond_int64(capsys):
+    near_one = "1000000000000000001/1000000000000000000"
+    assert main(["latcount", f"{near_one},0,{near_one}", "20"]) == 2
+    assert ">= 2^63" in capsys.readouterr().err
+
+
 def test_jsonl_format(capsys):
     assert main(["tate", "-1", "2", "--format", "jsonl"]) == 0
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l]

@@ -172,6 +172,17 @@ def test_residual_row_reads_one_tau_and_one_orbit(monkeypatch, prec, shared):
         monkeypatch.undo()
 
 
+def test_residual_rejects_non_integer_y_and_z():
+    # phi is defined at integers only; S_N would read 2.5 or 3.5 as given
+    with pytest.raises(ValueError):
+        global_identity_residual(2.5, 2, 3, PREC)
+    with pytest.raises(ValueError):
+        global_identity_residual(1, 3.5, 3, PREC)
+    assert global_identity_residual(1.0, 3.0, 3, PREC) == global_identity_residual(
+        1, 3, 3, PREC
+    )
+
+
 def test_local_arch_sum_coincidence_guard():
     tau = UpperHalfPoint(0, 2)
     with pytest.raises(CoincidenceError):

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 
+from heckelab import lattices
 from heckelab.lattices import (
     GramForm,
+    SweepOverflowError,
     UnsupportedConfigurationError,
     ball_count,
     counting_bound,
@@ -82,6 +85,117 @@ def _brute_values(form, n):
             if 0 < v <= den * n and v % den == 0:
                 out.add(v // den)
     return out
+
+
+def _loop_value_counts(form, n):
+    """The per-triple sweep: loops over the leading coordinates in Python
+    and one NumPy pass over the last coordinate each, Python-int constants."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    if n < 0:
+        return counts
+    scale, mat = lattices._integer_scale(form)
+    bounds = lattices._coordinate_bounds(form, n)
+    cap = scale * n
+    last = form.rank - 1
+    xs = np.arange(-bounds[last], bounds[last] + 1, dtype=np.int64)
+    quad = mat[last][last] * xs * xs
+
+    def sweep(const, lin):
+        q = const + lin * xs + quad
+        vals = q[(q >= 0) & (q <= cap)]
+        vals = vals[vals % scale == 0] // scale
+        np.add.at(counts, vals, 1)
+
+    if form.rank == 2:
+        for x0 in range(-bounds[0], bounds[0] + 1):
+            sweep(mat[0][0] * x0 * x0, 2 * mat[0][1] * x0)
+    else:
+        for x0 in range(-bounds[0], bounds[0] + 1):
+            for x1 in range(-bounds[1], bounds[1] + 1):
+                for x2 in range(-bounds[2], bounds[2] + 1):
+                    const = (
+                        mat[0][0] * x0 * x0
+                        + mat[1][1] * x1 * x1
+                        + mat[2][2] * x2 * x2
+                        + 2 * (mat[0][1] * x0 * x1 + mat[0][2] * x0 * x2 + mat[1][2] * x1 * x2)
+                    )
+                    lin = 2 * (mat[0][3] * x0 + mat[1][3] * x1 + mat[2][3] * x2)
+                    sweep(const, lin)
+    return counts
+
+
+_HALF = Fraction(1, 2)
+# Z^4, Z^2 + hexagonal and hexagonal + hexagonal, with half-integral entries
+_RANK4_SHAPES = [
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, _HALF), (0, 0, _HALF, 1)),
+    ((1, _HALF, 0, 0), (_HALF, 1, 0, 0), (0, 0, 1, _HALF), (0, 0, _HALF, 1)),
+]
+
+
+def _random_ata(rng):
+    # A^T A for an integral A of nonzero determinant is positive definite
+    while True:
+        a = [[rng.randrange(-2, 3) for _ in range(4)] for _ in range(4)]
+        gram = [[sum(a[k][i] * a[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+        try:
+            return GramForm.from_rows(gram)
+        except ValueError:
+            continue
+
+
+def _sweep_test_forms():
+    rng = random.Random(61)
+    forms = []
+    for _ in range(12):
+        form = _random_reduced(rng, half_integral=True)
+        forms.append(_conjugate(form, _random_unimodular(rng)))
+    forms += [_random_ata(rng) for _ in range(3)]
+    forms += [GramForm.from_rows(rows) for rows in _RANK4_SHAPES]
+    return forms
+
+
+@pytest.mark.parametrize("block_points", [None, 5, 100])
+def test_value_counts_match_the_per_triple_loop(monkeypatch, block_points):
+    # 5 box points per block puts every leading row in a block of its own;
+    # 100 puts a few rows in each, with a shorter last block
+    if block_points is not None:
+        monkeypatch.setattr(lattices, "_BLOCK_POINTS", block_points)
+    for form in _sweep_test_forms():
+        for n in (0, 1, 13, 40 if form.rank == 4 else 150):
+            got = lattices._value_counts(form, n)
+            want = _loop_value_counts(form, n)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (form.gram, n)
+        assert lattices._value_counts(form, -1).shape == (0,)
+        with pytest.raises(ValueError):
+            lattices._value_counts(form, -2)
+        with pytest.raises(ValueError):
+            _loop_value_counts(form, -2)
+
+
+def test_value_counts_reject_values_beyond_int64():
+    near_one = Fraction(10**18 + 1, 10**18)
+    form = GramForm.from_rows(((near_one, 0), (0, near_one)))
+    with pytest.raises(SweepOverflowError):
+        lattices._value_counts(form, 20)
+    # diag(1 + 1/d) at n = 20: the box is |x_i| <= 4 and the scaled values
+    # reach 32 (d + 1), so the guard sits between d = 2^58 - 2 and 2^58 - 1
+    for d, fits in ((2**58 - 2, True), (2**58 - 1, False)):
+        entry = 1 + Fraction(1, d)
+        form = GramForm.from_rows(((entry, 0), (0, entry)))
+        if fits:
+            assert np.array_equal(lattices._value_counts(form, 20), _loop_value_counts(form, 20))
+        else:
+            with pytest.raises(SweepOverflowError):
+                lattices._value_counts(form, 20)
+    # a large coefficient inside the guard still counts exactly
+    assert lattices._value_counts(GramForm.from_rows(((10**15, 0), (0, 1))), 30)[25] == 2
+    # entries near 2^62 whose box is the origin alone: no term reaches int64
+    big, off = 2**62 + 2**40, 2**62
+    point_box = GramForm.from_rows(((big, off), (off, big)))
+    assert lattices._coordinate_bounds(point_box, 3) == [0, 0]
+    assert np.array_equal(lattices._value_counts(point_box, 3), _loop_value_counts(point_box, 3))
 
 
 def test_gram_validation():
