@@ -155,18 +155,18 @@ def _sweep_test_forms():
     return forms
 
 
-@pytest.mark.parametrize("block_points", [None, 5, 100])
-def test_value_counts_match_the_per_triple_loop(monkeypatch, block_points):
+def test_value_counts_match_the_per_triple_loop(monkeypatch):
     # 5 box points per block puts every leading row in a block of its own;
     # 100 puts a few rows in each, with a shorter last block
-    if block_points is not None:
-        monkeypatch.setattr(lattices, "_BLOCK_POINTS", block_points)
+    block_sizes = (lattices._BLOCK_POINTS, 100, 5)
     for form in _sweep_test_forms():
         for n in (0, 1, 13, 40 if form.rank == 4 else 150):
-            got = lattices._value_counts(form, n)
             want = _loop_value_counts(form, n)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want), (form.gram, n)
+            for block_points in block_sizes:
+                monkeypatch.setattr(lattices, "_BLOCK_POINTS", block_points)
+                got = lattices._value_counts(form, n)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (form.gram, n, block_points)
         assert lattices._value_counts(form, -1).shape == (0,)
         with pytest.raises(ValueError):
             lattices._value_counts(form, -2)
@@ -175,22 +175,17 @@ def test_value_counts_match_the_per_triple_loop(monkeypatch, block_points):
 
 
 def test_value_counts_reject_values_beyond_int64():
-    near_one = Fraction(10**18 + 1, 10**18)
-    form = GramForm.from_rows(((near_one, 0), (0, near_one)))
-    with pytest.raises(SweepOverflowError):
-        lattices._value_counts(form, 20)
     # diag(1 + 1/d) at n = 20: the box is |x_i| <= 4 and the scaled values
     # reach 32 (d + 1), so the guard sits between d = 2^58 - 2 and 2^58 - 1
-    for d, fits in ((2**58 - 2, True), (2**58 - 1, False)):
+    def near_identity(d):
         entry = 1 + Fraction(1, d)
-        form = GramForm.from_rows(((entry, 0), (0, entry)))
-        if fits:
-            assert np.array_equal(lattices._value_counts(form, 20), _loop_value_counts(form, 20))
-        else:
-            with pytest.raises(SweepOverflowError):
-                lattices._value_counts(form, 20)
-    # a large coefficient inside the guard still counts exactly
-    assert lattices._value_counts(GramForm.from_rows(((10**15, 0), (0, 1))), 30)[25] == 2
+        return GramForm.from_rows(((entry, 0), (0, entry)))
+
+    for d in (10**18, 2**58 - 1):
+        with pytest.raises(SweepOverflowError):
+            lattices._value_counts(near_identity(d), 20)
+    inside = near_identity(2**58 - 2)
+    assert np.array_equal(lattices._value_counts(inside, 20), _loop_value_counts(inside, 20))
     # entries near 2^62 whose box is the origin alone: no term reaches int64
     big, off = 2**62 + 2**40, 2**62
     point_box = GramForm.from_rows(((big, off), (off, big)))
