@@ -339,6 +339,8 @@ def cmd_latcount(args: argparse.Namespace) -> int:
         ]
         return _report_selftest("latcount", checks)
     _require(args, "gram", "n_max")
+    if args.n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {args.n_max}")
     form = _parse_gram(args.gram)
     counts = _value_counts(form, args.n_max)
     rows = zip(range(1, args.n_max + 1), counts[1:].tolist())

@@ -1,10 +1,12 @@
 """Point counts over prime fields and what the Frobenius traces reveal.
 
 A curve y^2 = x^3 + a4 x + a6 over Q is reduced at each good prime p >= 5
-by an exhaustive x-sweep against a quadratic-residue table.  Two reductions
-are geometrically isogenous exactly when their Frobenius eigenvalue ratio
-is a root of unity, which a trace-power match at some k <= 12 detects: the
-ratio lives in a degree <= 4 field, so its order n has phi(n) <= 4, i.e.
+and counted by a half-sweep over x = 1 .. (p - 1)/2 against tables built
+once per prime (x^3 mod p and a doubled Legendre table), which the two
+curves of a scan share.  Two reductions are geometrically isogenous exactly
+when their Frobenius eigenvalue ratio is a root of unity, which a
+trace-power match at some k <= 12 detects: the ratio lives in a degree <= 4
+field, so its order n has phi(n) <= 4, i.e.
 n in {1, 2, 3, 4, 5, 6, 8, 10, 12}.
 """
 
@@ -91,14 +93,35 @@ def _reduce_mod(x: Fraction, p: int) -> int:
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
-@lru_cache(maxsize=128)
-def _chi_table(p: int) -> np.ndarray:
-    """chi[v] = Legendre symbol (v/p), as an int64 table."""
-    xs = np.arange(p, dtype=np.int64)
+# Every value the tables and the half-sweep form fits in int32 below this
+# bound.  With h = (p - 1)/2 and x <= h, the largest is the unreduced
+# x^3 mod p + a x <= (p - 1) + (p - 1) h = (p - 1)(h + 1) = (p^2 - 1)/2; x^2
+# and (x^2 mod p) x are smaller.  (p^2 - 1)/2 < 2^31 exactly when
+# p^2 <= 2^32, i.e. p < 2^16 for odd p.  At larger p the tables are int64,
+# which holds (p^2 - 1)/2 for every p < 2^32, far past any prime a sweep can
+# reach.
+_INT32_BELOW = 1 << 16
+
+
+class _PrimeTables(NamedTuple):
+    x: np.ndarray  # 1 .. (p - 1)/2
+    cube: np.ndarray  # x^3 mod p
+    chi2: np.ndarray  # chi2[v] = Legendre symbol (v/p) for v in [0, 2p), int64
+
+
+# A scan counts both curves at p one after the other, so the tables are
+# built once per prime and only the last few primes are worth keeping.
+@lru_cache(maxsize=2)
+def _prime_tables(p: int) -> _PrimeTables:
+    x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int32 if p < _INT32_BELOW else np.int64)
+    sq = x * x
+    sq -= sq // p * p  # the nonzero squares mod p, each once
+    cube = sq * x
+    cube -= cube // p * p
     chi = np.full(p, -1, dtype=np.int64)
-    chi[xs * xs % p] = 1
+    chi[sq] = 1
     chi[0] = 0
-    return chi
+    return _PrimeTables(x, cube, np.concatenate((chi, chi)))
 
 
 # A record takes 0.4-0.6 KB, so the cache stays below about 10 MB.  One scan
@@ -110,9 +133,14 @@ def _counted(a4: Fraction, a6: Fraction, p: int) -> TraceRecord:
     b = _reduce_mod(a6, p)
     if (4 * a * a % p * a + 27 * b * b) % p == 0:
         raise BadReductionError(f"discriminant vanishes mod {p}")
-    xs = np.arange(p, dtype=np.int64)
-    f = (xs * xs % p * xs + a * xs + b) % p
-    a_p = -int(_chi_table(p)[f].sum())
+    x, cube, chi2 = _prime_tables(p)
+    g = cube + a * x
+    g -= g // p * p  # g(x) mod p; NumPy divides by a scalar faster than %
+    a_p = -(
+        int(chi2[b])
+        + int(chi2.take(b + g).sum())
+        + int(chi2.take((p + b) - g).sum())
+    )
     if a_p == 0:
         cls: Supersingular | Ordinary = Supersingular()
     else:
@@ -122,7 +150,16 @@ def _counted(a4: Fraction, a6: Fraction, p: int) -> TraceRecord:
 
 
 def count_points(curve: CurveQ, p: int) -> TraceRecord:
-    """a_p = p + 1 - |E(F_p)| by exhaustive sweep, with classification."""
+    """a_p = p + 1 - |E(F_p)|, with classification.
+
+    With f(x) = x^3 + a x + b = b + g(x) and g odd, f(-x) = b - g(x), so
+    a_p = -sum_x chi(f(x)) pairs x with -x:
+
+        a_p = -(chi(b) + sum_{x=1}^{(p-1)/2} [chi(b + g(x)) + chi(b - g(x))]).
+
+    One remainder g(x) mod p serves both terms, which are read from the
+    doubled Legendre table at b + g and p + b - g.
+    """
     if p < 5 or not is_prime(p):
         raise ValueError(f"need a prime p >= 5, got {p}")
     return _counted(curve.a4, curve.a6, p)

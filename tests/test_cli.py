@@ -155,6 +155,65 @@ def test_latcount_rejects_a_sweep_beyond_int64(capsys):
     assert main(["latcount", f"{near_one},0,{near_one}", "20"]) == 2
     assert ">= 2^63" in capsys.readouterr().err
 
+def test_latcount_rejects_a_negative_n_max(capsys):
+    for args in (["5,2,7", "-1"], ["5,2,7", "-3"], ["1,0,0,0,1,0,0,1,1/2,1", "-1"]):
+        assert main(["latcount"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n_max must be >= 0, got {args[1]}\n"
+
+
+# Output of the full x-sweep per curve and prime that the half-sweep over
+# shared per-prime tables replaced: a twist pair by 3 (every good prime is a
+# hit) and a pair with rational coefficients.
+_SCAN_3_300 = [
+    (5, 2, 1, -1), (7, 1, 0, 0), (11, 1, -2, -2), (13, 1, 1, 1), (17, 2, 4, -4),
+    (19, 2, 2, -2), (23, 1, -4, -4), (29, 2, -2, 2), (31, 2, -10, 10), (37, 1, -5, -5),
+    (41, 2, -5, 5), (43, 2, -4, 4), (47, 1, 6, 6), (59, 1, 0, 0), (61, 1, 4, 4),
+    (67, 2, 4, -4), (71, 1, -12, -12), (73, 1, 10, 10), (79, 2, 10, -10), (83, 1, -12, -12),
+    (89, 2, 16, -16), (97, 1, -1, -1), (101, 2, 11, -11), (103, 2, -18, 18), (107, 1, 6, 6),
+    (109, 1, -14, -14), (113, 2, -12, 12), (127, 2, -14, 14), (131, 1, -2, -2), (137, 2, 13, -13),
+    (139, 1, 0, 0), (149, 2, 18, -18), (151, 2, 10, -10), (157, 1, 8, 8), (163, 2, -19, 19),
+    (167, 1, -19, -19), (173, 2, -23, 23), (179, 1, -3, -3), (181, 1, -2, -2), (191, 1, 11, 11),
+    (193, 1, -6, -6), (197, 2, 8, -8), (199, 2, -27, 27), (211, 2, 13, -13), (223, 2, -29, 29),
+    (227, 1, 2, 2), (229, 1, -15, -15), (233, 2, 25, -25), (239, 1, 24, 24), (241, 1, 6, 6),
+    (251, 1, 28, 28), (257, 2, -21, 21), (263, 1, 17, 17), (269, 2, -2, 2), (271, 1, 0, 0),
+    (277, 1, 2, 2), (281, 2, -14, 14), (283, 2, -14, 14), (293, 2, -22, 22),
+]
+_SCAN_3_300_TRAILER = {"hits": 59, "coincidences": 30, "heuristic": 21.693310367168802}
+_PINNED_SCAN = {
+    ("scan", "3,-7", "27,-189", "5", "300"): (
+        "p,k,a_p_left,a_p_right\n"
+        + "".join(f"{p},{k},{l},{r}\n" for p, k, l, r in _SCAN_3_300)
+        + "# hits=59 coincidences=30 heuristic=21.693310367168802\n"
+    ),
+    ("scan", "3,-7", "27,-189", "5", "300", "--format", "jsonl"): "".join(
+        json.dumps({"p": p, "k": k, "a_p_left": l, "a_p_right": r}) + "\n"
+        for p, k, l, r in _SCAN_3_300
+    )
+    + json.dumps({"_summary": _SCAN_3_300_TRAILER})
+    + "\n",
+    ("scan", "1/3,-5/7", "2/9,7/4", "5", "3000"): (
+        "p,k,a_p_left,a_p_right\n"
+        "421,2,-30,30\n"
+        "1381,1,-25,-25\n"
+        "1423,1,-66,-66\n"
+        "1663,6,-73,-68\n"
+        "1783,1,-76,-76\n"
+        "2081,1,27,27\n"
+        "2243,1,-54,-54\n"
+        "2551,2,-52,52\n"
+        "2741,2,22,-22\n"
+        "# hits=9 coincidences=5 heuristic=2.610966773545043\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(_PINNED_SCAN))
+def test_scan_output_is_pinned(args, capsys):
+    assert main(list(args)) == 0
+    assert capsys.readouterr().out == _PINNED_SCAN[args]
+
 
 def test_jsonl_format(capsys):
     assert main(["tate", "-1", "2", "--format", "jsonl"]) == 0

@@ -2,12 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heckelab.arith import primes_up_to
 from heckelab.cli import main
 from heckelab.scan import (
+    _INT32_BELOW,
     _counted,
+    _prime_tables,
     BadReductionError,
     CurveQ,
     HasseBoundError,
@@ -47,6 +50,63 @@ def test_count_points_against_brute_force():
         rec = count_points(CurveQ(a, b), p)
         assert rec.a_p == _brute_count(a, b, p)
         assert rec.a_p * rec.a_p <= 4 * p
+    # every nonsingular curve at the smallest primes
+    for p in (5, 7, 11, 13):
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b**2) % p:
+                    rec = count_points(CurveQ(a, b), p)
+                    assert rec.a_p == _brute_count(a, b, p), (a, b, p)
+
+
+def _reduce(x, p):
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def test_half_sweep_matches_brute_force_on_both_sides_of_int32():
+    rng = random.Random(2029)
+    below = [p for p in primes_up_to(_INT32_BELOW) if p >= 17]
+    above = [p for p in primes_up_to(100_000) if p > _INT32_BELOW]
+    # spread over the range, plus the primes next to the dtype switch
+    primes = sorted(
+        set(rng.sample(below, 16) + rng.sample(above, 10) + below[-2:] + above[:2])
+    )
+    assert min(primes) < _INT32_BELOW < max(primes) and len(primes) >= 28
+    assert _prime_tables(below[-1]).x.dtype == np.int32
+    assert _prime_tables(above[0]).x.dtype == np.int64
+    for p in primes:
+        while True:
+            a4 = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 1000))
+            a6 = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 1000))
+            if a4.denominator % p == 0 or a6.denominator % p == 0:
+                continue
+            a, b = _reduce(a4, p), _reduce(a6, p)
+            if (4 * a**3 + 27 * b**2) % p:
+                break
+        assert count_points(CurveQ(a4, a6), p).a_p == _brute_count(a, b, p), (a4, a6, p)
+    # the largest unreduced x^3 + a x, at a = p - 1, just below the switch
+    p = below[-1]
+    assert count_points(CurveQ(-1, 1), p).a_p == _brute_count(p - 1, 1, p)
+
+
+def test_half_sweep_counts_the_roots_of_the_cubic():
+    # chi(0) enters through x = 0 when b = 0 and through b + g(x) = 0 or
+    # b - g(x) = 0 at a root x != 0; these cubics split over Q
+    split = [(-1, 0), (-4, 0), (-7, 6), (-43, 42)]
+    for p in primes_up_to(400):
+        if p < 5:
+            continue
+        curves = split + [(3, p), (Fraction(2, 3), 5 * p)]  # b = 0 mod p only
+        for a4, a6 in curves:
+            try:
+                rec = count_points(CurveQ(a4, a6), p)
+            except BadReductionError:
+                continue
+            a, b = _reduce(a4, p), _reduce(a6, p)
+            roots = sum((x**3 + a * x + b) % p == 0 for x in range(p))
+            assert roots == 3 or b == 0
+            assert rec.a_p == _brute_count(a, b, p), (a4, a6, p)
 
 
 def test_classification_fields():
@@ -182,4 +242,17 @@ def test_record_cache_is_bounded_and_shared_within_a_scan(capsys):
     info = _counted.cache_info()
     records = 2 * (len(primes_up_to(500)) - 2)  # both curves are good at p >= 5
     assert (info.misses, info.hits) == (records, records)
+    _counted.cache_clear()
+
+
+def test_prime_tables_are_built_once_per_prime_of_a_scan(capsys):
+    _counted.cache_clear()
+    _prime_tables.cache_clear()
+    assert main(["scan", "-1,0", "0,-1", "5", "500"]) == 0
+    capsys.readouterr()
+    # scan_pair counts both curves at each prime of [5, 500] from one set of
+    # tables; coincidence_statistic then reads only cached records
+    primes = len(primes_up_to(500)) - 2
+    info = _prime_tables.cache_info()
+    assert (info.misses, info.hits) == (primes, primes)
     _counted.cache_clear()
