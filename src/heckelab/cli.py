@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -82,6 +83,15 @@ def _fmt(value, digits: int):
     if isinstance(value, (int, float, str)):
         return value
     return mp.nstr(value, digits, strip_zeros=True)
+
+
+def _float_cell(value, digits: int):
+    """value as a float64, or through _fmt where a finite value overflows
+    float64 (a float cell would read inf, and Infinity in JSON lines)."""
+    x = float(value)
+    if math.isinf(x) and mp.isfinite(value):
+        return _fmt(value, digits)
+    return x
 
 
 def _emit(
@@ -450,7 +460,7 @@ def cmd_density(args: argparse.Namespace) -> int:
         args.n_max,
         prec,
     )
-    rows = [(p.n, p.best_distance) for p in pts]
+    rows = [(p.n, _float_cell(p.best_distance, config.digits)) for p in pts]
     _emit(
         config,
         ["n", "best_distance"],

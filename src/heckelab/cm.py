@@ -265,23 +265,29 @@ def enumerate_cm_points(
 ) -> list[CmPoint]:
     """One canonical point per CM j-value arising from a self-isogeny of
     degree at most m_max: companion matrices (0, -M; 1, t) over t^2 < 4M,
-    reduced to the fundamental domain, deduplicated by j.
+    reduced to the fundamental domain, the first (M, t) of each
+    discriminant t^2 - 4M.
+
+    (0, -M; 1, t) fixes the root of x^2 + t xy + M y^2, the principal form
+    of discriminant D = t^2 - 4M, so its j-value is j of the order of
+    discriminant D: equal D gives equal j, and distinct D distinct j.  So a
+    seen D is skipped before any floating point, exactly.
     """
     if m_max < 2:
         raise ValueError("need m_max >= 2")
-    tol = mpf(2) ** (-(prec.bits - 20))
     points: list[CmPoint] = []
-    seen: list = []
+    seen: set[int] = set()
     for m in range(1, m_max + 1):
         for t in range(isqrt(4 * m - 1) + 1):
+            disc = t * t - 4 * m
+            if disc in seen:
+                continue
+            seen.add(disc)
             companion = ModularMatrix(0, -m, 1, t)
             raw = fixed_point(companion, prec)
             assert raw is not None  # t^2 < 4m by construction
             reduced, witness = reduce_to_fundamental_domain(raw.tau0, prec)
             jval = eval_j(reduced, prec)
-            if any(abs(jval - seen_j) <= tol * max(1, abs(seen_j)) for seen_j in seen):
-                continue
-            seen.append(jval)
             conjugated = (witness @ companion) @ witness.inverse()
             points.append(
                 CmPoint(
@@ -366,7 +372,8 @@ def near_cm_finder(
 
 class DensityPoint(NamedTuple):
     n: int
-    best_distance: float
+    # an mpf at working precision: it may lie beyond the float64 range
+    best_distance: mpf
 
 
 def density_experiment(
@@ -393,13 +400,14 @@ def density_experiment(
             best = min(
                 abs(orbit.points[i].j - zc) for i in orbit.screen.nearest(zc)
             )
-            out.append(DensityPoint(n=n, best_distance=float(best)))
+            out.append(DensityPoint(n=n, best_distance=best))
     return out
 
 
 def density_fraction(points: Sequence[DensityPoint], d_exp: int) -> float:
-    """|{N <= n_max : best_distance <= N^-D}| / n_max."""
+    """|{N <= n_max : best_distance <= N^-D}| / n_max, with each distance
+    compared as a float64."""
     if not points:
         raise ValueError("empty experiment")
-    hits = sum(1 for p in points if p.best_distance <= p.n ** (-d_exp))
+    hits = sum(1 for p in points if float(p.best_distance) <= p.n ** (-d_exp))
     return hits / len(points)

@@ -1,9 +1,12 @@
 """Arbitrary-precision evaluation of Delta, E4, E6, j on the upper half-plane.
 
-All evaluation routes through reduction to the standard fundamental domain
-|Re tau| <= 1/2, |tau| >= 1, where |q| <= exp(-pi*sqrt(3)) ~ 0.00433 makes
-the q-expansions converge fast.  Values at unreduced points are recovered
-through the weight-k cocycle (c*tau + d)^(-k).
+All evaluation routes through one q-series pass, _series: reduction to the
+standard fundamental domain |Re tau| <= 1/2, |tau| >= 1, where
+|q| <= exp(-pi*sqrt(3)) ~ 0.00433 makes the q-expansions converge fast, then
+the E4 sum, the E6 sum and the Euler product, truncated at each point's own
+|q|.  Precision.series_terms caps the order; a point high in the cusp keeps
+far fewer terms.  Values at unreduced points are recovered through the
+weight-k cocycle (c*tau + d)^(-k).
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ _GUARD = 32
 # ln(1/|q|) on the fundamental domain: 2*pi*(sqrt(3)/2).
 _LOG_INV_Q_MIN = math.pi * math.sqrt(3.0)
 
+_LN2 = math.log(2.0)
+
 
 class PrecisionOverflowError(ArithmeticError):
     """Requested series truncation cannot meet the tail bound at these bits."""
@@ -28,11 +33,14 @@ class PrecisionOverflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Precision:
-    """Working precision: mantissa bits plus a q-series truncation order.
+    """Working precision: mantissa bits plus a cap on the q-series order.
 
-    series_terms defaults to the smallest order whose tail (with divisor-sum
+    series_terms defaults to an order whose tail (with divisor-sum
     coefficient growth) stays below 2^-bits everywhere on the fundamental
-    domain.
+    domain.  It is a cap: each point keeps the fewest terms, at most
+    series_terms, whose tail is below 2^-(bits + 64) relative to |q|, and a
+    point where series_terms terms miss 2^-bits raises
+    PrecisionOverflowError.
     """
 
     bits: int = 128
@@ -157,59 +165,78 @@ def _sigma_tables(n_terms: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(s3[1:]), tuple(s5[1:])
 
 
-def _check_tail(q_abs, prec: Precision) -> None:
-    # sigma_5(n) <= zeta(5) n^5, so the dropped tail of E6 (the worst series)
-    # is below 700 * (T+1)^5 * |q|^(T+1); require that under 2^-bits.
-    # Compared in log space so huge bit counts and tiny q cannot under/overflow.
-    t1 = prec.series_terms + 1
-    log_tail = math.log(700.0) + 5 * math.log(t1) + t1 * float(mp.log(q_abs))
-    if not log_tail < -prec.bits * math.log(2):
+def _log_tail(terms: int, im: float) -> float:
+    """log of a bound on the E6 tail dropped after `terms` terms, divided
+    by |q|, at a point with imaginary part im.
+
+    sigma_5(n) <= zeta(5) n^5, so the tail of E6, the worst of the three
+    series, is below 700 * (T+1)^5 * |q|^(T+1), and log|q| = -2 pi im.
+    Log space keeps huge bit counts and tiny q finite.
+    """
+    return math.log(700.0) + 5 * math.log(terms + 1) - 2 * math.pi * im * terms
+
+
+def _series_order(im: float, prec: Precision) -> int:
+    """Number of q-series terms kept at a reduced point with Im = im.
+
+    It is the fewest T <= prec.series_terms whose tail bound is below
+    2^-(bits + 2 _GUARD) relative to |q|, _GUARD bits under the last bit of
+    the working precision.  Relative to |q|, because the imaginary parts of
+    the sums start at Im q, and each keeps its own bits + _GUARD.  Raises
+    PrecisionOverflowError when the absolute bound at prec.series_terms
+    misses 2^-bits.
+    """
+    cap = prec.series_terms
+    if not _log_tail(cap, im) - 2 * math.pi * im < -prec.bits * _LN2:
         raise PrecisionOverflowError(
-            f"series_terms={prec.series_terms} cannot reach 2^-{prec.bits} "
-            f"at |q|={mp.nstr(q_abs, 5)}"
+            f"series_terms={cap} cannot reach 2^-{prec.bits} at Im tau={im:.5g}"
         )
+    limit = -(prec.bits + 2 * _GUARD) * _LN2
+    for terms in range(1, cap):
+        if _log_tail(terms, im) < limit:
+            return terms
+    return cap
 
 
-def _powers(q: mpc, n_terms: int) -> list[mpc]:
-    pw = [q]
-    for _ in range(n_terms - 1):
-        pw.append(pw[-1] * q)
-    return pw
-
-
-def _e4_from_powers(pw, s3) -> mpc:
+def _eisenstein_sum(pw, coeffs) -> mpc:
+    """sum coeffs[n-1] q^n over the powers pw = [q, q^2, ...], highest first."""
     acc = mpf(0)
-    for qn, s in zip(reversed(pw), reversed(s3[: len(pw)])):
+    for qn, s in zip(reversed(pw), reversed(coeffs[: len(pw)])):
         acc = acc + s * qn
-    return 1 + 240 * acc
+    return acc
 
 
-def _e6_from_powers(pw, s5) -> mpc:
-    acc = mpf(0)
-    for qn, s in zip(reversed(pw), reversed(s5[: len(pw)])):
-        acc = acc + s * qn
-    return 1 - 504 * acc
+def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=False):
+    """The one q-series pass behind every evaluator; call it at the working
+    precision bits + _GUARD.
 
+    Reduces tau, forms q at the reduced point and sums there, to the order
+    _series_order picks, the series asked for: E4 = 1 + 240 sum sigma_3(n)
+    q^n, E6 = 1 - 504 sum sigma_5(n) q^n and the Euler product
+    prod (1 - q^n).  Returns (reduced, witness, q, E4, E6, product), with
+    None for a series not asked for.
 
-def _euler_product(pw) -> mpc:
-    """prod (1 - q^n) over the powers pw = [q, q^2, ...], in that order."""
-    prod = mpf(1)
-    for qn in pw:
-        prod = prod * (1 - qn)
-    return prod
-
-
-def _delta_from_powers(q, pw) -> mpc:
-    prod = _euler_product(pw)
-    return (2 * mp.pi) ** 12 * q * prod**12 * prod**12
-
-
-def _reduced_series(tau: UpperHalfPoint, prec: Precision):
-    """Reduce, form q at the reduced point, and validate the tail bound."""
+    At every order the kept terms go through the same operations in the
+    same order: powers by repeated multiplication, the Eisenstein sums from
+    the highest power down, the product from (1 - q) up.  What the order
+    rule drops lies _GUARD bits below the last bit kept, so the values are
+    those of the full-order sums bit for bit, unless a rounding lands
+    within 2^-_GUARD of an ulp of a tie.
+    """
     reduced, witness = reduce_to_fundamental_domain(tau, prec)
     q = mp.expjpi(2 * mpc(reduced.re, reduced.im))
-    _check_tail(abs(q), prec)
-    return reduced, witness, q
+    pw = [q]
+    for _ in range(_series_order(float(reduced.im), prec) - 1):
+        pw.append(pw[-1] * q)
+    s3, s5 = _sigma_tables(prec.series_terms)
+    e4_val = 1 + 240 * _eisenstein_sum(pw, s3) if e4 else None
+    e6_val = 1 - 504 * _eisenstein_sum(pw, s5) if e6 else None
+    prod = None
+    if euler:
+        prod = mpf(1)
+        for qn in pw:
+            prod = prod * (1 - qn)
+    return reduced, witness, q, e4_val, e6_val, prod
 
 
 def _cocycle(tau: UpperHalfPoint, witness: ModularMatrix, weight: int) -> mpc:
@@ -221,26 +248,22 @@ def _cocycle(tau: UpperHalfPoint, witness: ModularMatrix, weight: int) -> mpc:
 def eval_e4(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E4(tau) = 1 + 240 sum sigma_3(n) q^n."""
     with mp.workprec(prec.bits + _GUARD):
-        reduced, witness, q = _reduced_series(tau, prec)
-        s3, _ = _sigma_tables(prec.series_terms)
-        val = _e4_from_powers(_powers(q, prec.series_terms), s3)
+        _, witness, _, val, _, _ = _series(tau, prec, e4=True)
         return val * _cocycle(tau, witness, 4)
 
 
 def eval_e6(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E6(tau) = 1 - 504 sum sigma_5(n) q^n."""
     with mp.workprec(prec.bits + _GUARD):
-        reduced, witness, q = _reduced_series(tau, prec)
-        _, s5 = _sigma_tables(prec.series_terms)
-        val = _e6_from_powers(_powers(q, prec.series_terms), s5)
+        _, witness, _, _, val, _ = _series(tau, prec, e6=True)
         return val * _cocycle(tau, witness, 6)
 
 
 def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular discriminant (2 pi)^12 q prod (1 - q^n)^24 at tau."""
     with mp.workprec(prec.bits + _GUARD):
-        reduced, witness, q = _reduced_series(tau, prec)
-        val = _delta_from_powers(q, _powers(q, prec.series_terms))
+        _, witness, q, _, _, prod = _series(tau, prec, euler=True)
+        val = (2 * mp.pi) ** 12 * q * prod**12 * prod**12
         return val * _cocycle(tau, witness, 12)
 
 
@@ -252,20 +275,16 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     large Im tau where the literal subtraction would cancel to noise.
     """
     with mp.workprec(prec.bits + _GUARD):
-        _, _, q = _reduced_series(tau, prec)
-        pw = _powers(q, prec.series_terms)
-        s3, _ = _sigma_tables(prec.series_terms)
-        e4c = _e4_from_powers(pw, s3) ** 3
-        prod = _euler_product(pw)
+        _, _, q, e4, _, prod = _series(tau, prec, e4=True, euler=True)
         # |q| <= 0.0044 after reduction, so |prod|^24 >= 0.9: no cancellation
-        return e4c / (q * prod**12 * prod**12)
+        return e4**3 / (q * prod**12 * prod**12)
 
 
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """SL2(Z)-invariant norm |Delta(tau)| * (Im tau)^6."""
     with mp.workprec(prec.bits + _GUARD):
-        reduced, _, q = _reduced_series(tau, prec)
-        val = _delta_from_powers(q, _powers(q, prec.series_terms))
+        reduced, _, q, _, _, prod = _series(tau, prec, euler=True)
+        val = (2 * mp.pi) ** 12 * q * prod**12 * prod**12
         return abs(val) * reduced.im**6
 
 
@@ -274,8 +293,7 @@ def log_petersson_norm_delta(
 ) -> mpf:
     """log || Delta ||(tau), computed without under/overflow at large Im."""
     with mp.workprec(prec.bits + _GUARD):
-        reduced, _, q = _reduced_series(tau, prec)
-        prod = _euler_product(_powers(q, prec.series_terms))
+        reduced, _, _, _, _, prod = _series(tau, prec, euler=True)
         # log|q| = -2 pi Im(tau'), assembled in logs so 10000i stays finite
         return (
             12 * mp.log(2 * mp.pi)

@@ -50,7 +50,9 @@ def test_decimal_input_is_read_at_working_precision(capsys):
 
 
 def test_density_reads_nonfinite_and_huge_z(capsys):
-    for z, cell in (("nan", "nan"), ("1e400", "inf")):
+    # |j(2i) - 1e400| = 1e400 is finite: beyond float64, it is printed at
+    # the run's digits rather than as inf
+    for z, cell in (("nan", "nan"), ("1e400", "1.0e+400")):
         assert main(["density", "2i", z, "2", "3", "--precision-bits", "64"]) == 0
         rows = _rows(capsys.readouterr().out)
         assert [r["best_distance"] for r in rows] == [cell] * 3
@@ -77,7 +79,8 @@ _PINNED_OUTPUT = {
     ("density", "0.3+1.7i", "2i", "2", "2"): "n,best_distance\n"
     "1,43313.206601501515\n2,161.95710187813253\n# fraction=0.0\n",
     ("density", "2i", "nan", "2", "2"): "n,best_distance\n1,nan\n2,nan\n# fraction=0.0\n",
-    ("density", "2i", "1e400", "2", "2"): "n,best_distance\n1,inf\n2,inf\n# fraction=0.0\n",
+    ("density", "2i", "1e400", "2", "2"): "n,best_distance\n1,1.0e+400\n2,1.0e+400\n"
+    "# fraction=0.0\n",
 }
 
 
@@ -85,6 +88,33 @@ _PINNED_OUTPUT = {
 def test_unit_and_number_inputs_read_as_before(args, capsys):
     assert main(list(args) + ["--precision-bits", "64"]) == 0
     assert capsys.readouterr().out == _PINNED_OUTPUT[args]
+
+
+# Rows N >= 2 as the float64 distance printed them; |j(0.1+150i) - 5 + 2i|
+# is about 2e409, which float64 read as inf
+_HIGH_DENSITY_ROWS = [
+    (2, "4.5337031034439766e+204"),
+    (3, "2.739273424757486e+136"),
+    (4, "2.1292494225533974e+102"),
+    (5, "7.287544681208025e+81"),
+    (6, "1.6550750510951115e+68"),
+    (7, "2.973529883911757e+58"),
+    (8, "1.4591947856792106e+51"),
+]
+
+
+def test_density_prints_a_distance_beyond_float64_as_finite(capsys):
+    args = ["density", "0.1+150i", "5-2i", "2", "8", "--precision-bits", "64"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (
+        "n,best_distance\n1,2.0554463830177542e+409\n"
+        + "".join(f"{n},{cell}\n" for n, cell in _HIGH_DENSITY_ROWS)
+        + "# fraction=0.0\n"
+    )
+    assert main(args + ["--format", "jsonl"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == {"n": 1, "best_distance": "2.0554463830177542e+409"}
+    assert [(r["n"], repr(r["best_distance"])) for r in rows[1:-1]] == _HIGH_DENSITY_ROWS
 
 
 def test_tate_exact_values(capsys):

@@ -127,6 +127,28 @@ def test_enumerate_cm_points():
         enumerate_cm_points(1, PREC)
 
 
+def test_enumeration_keeps_the_first_point_of_each_discriminant(monkeypatch):
+    calls = []
+
+    def counted(tau, prec):
+        calls.append(tau)
+        return eval_j(tau, prec)
+
+    monkeypatch.setattr(cm, "eval_j", counted)
+    points = enumerate_cm_points(12, FAST)
+    first = {}
+    for m in range(1, 13):
+        for t in range(math.isqrt(4 * m - 1) + 1):
+            first.setdefault(t * t - 4 * m, (m, t))
+    assert [(p.M, p.trace) for p in points] == list(first.values())
+    assert len(calls) == len(first)
+    # distinct discriminants, distinct j: the dedupe by j it replaces
+    tol = 2.0 ** -(FAST.bits - 20)
+    for i, p in enumerate(points):
+        for other in points[i + 1 :]:
+            assert abs(p.j - other.j) > tol * max(1, abs(other.j))
+
+
 def test_min_separation_frozen():
     # the tightest pair inside |j| <= 1e7 is (j=0, j=1728) at M = 1:
     # 1728 * sqrt(1) * 2 = 3456, already present at m_max = 2
@@ -204,7 +226,7 @@ def _brute_density(reference_orbit, tau, z, n_max, prec):
     with mp.workprec(prec.bits + 32):
         zc = mp.mpc(z)
         return [
-            float(min(abs(j - zc) for _, j in reference_orbit(tau, n, prec)))
+            min(abs(j - zc) for _, j in reference_orbit(tau, n, prec))
             for n in range(1, n_max + 1)
         ]
 

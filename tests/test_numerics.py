@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from heckelab import numerics
+from heckelab.hecke import HeckeOrbit
 from heckelab.numerics import (
     ModularMatrix,
     Precision,
@@ -251,6 +252,89 @@ def test_tau_from_j_evaluates_j_about_forty_times(monkeypatch):
     # the plain bisection runs, with a few evaluations spent on the way
     for y in (0, 1728):
         assert counts[y] <= count(_plain_tau_from_j, y) + 8
+
+
+def _full_order(tau: UpperHalfPoint, prec: Precision) -> dict:
+    """The six evaluators at tau from all prec.series_terms terms of every
+    series: the evaluation before the order became per point, and the
+    oracle that the truncated kernel must match bit for bit."""
+    with mp.workprec(prec.bits + 32):
+        reduced, witness = reduce_to_fundamental_domain(tau, prec)
+        q = mp.expjpi(2 * mpc(reduced.re, reduced.im))
+        pw = [q]
+        for _ in range(prec.series_terms - 1):
+            pw.append(pw[-1] * q)
+        s3, s5 = numerics._sigma_tables(prec.series_terms)
+        acc4 = acc6 = mpf(0)
+        for qn, c3, c5 in zip(reversed(pw), reversed(s3), reversed(s5)):
+            acc4 = acc4 + c3 * qn
+            acc6 = acc6 + c5 * qn
+        e4, e6 = 1 + 240 * acc4, 1 - 504 * acc6
+        prod = mpf(1)
+        for qn in pw:
+            prod = prod * (1 - qn)
+        delta = (2 * mp.pi) ** 12 * q * prod**12 * prod**12
+
+        def cocycle(weight):
+            if witness.c == 0 and witness.d in (1, -1):
+                return mpc(1)
+            return (witness.c * tau.to_mpc() + witness.d) ** (-weight)
+
+        return {
+            eval_e4: e4 * cocycle(4),
+            eval_e6: e6 * cocycle(6),
+            eval_delta: delta * cocycle(12),
+            eval_j: e4**3 / (q * prod**12 * prod**12),
+            petersson_norm_delta: abs(delta) * reduced.im**6,
+            log_petersson_norm_delta: 12 * mp.log(2 * mp.pi)
+            - 2 * mp.pi * reduced.im
+            + 24 * mp.log(abs(prod))
+            + 6 * mp.log(reduced.im),
+        }
+
+
+def _kernel_points(bits: int, seed: int) -> list[UpperHalfPoint]:
+    """Seeded Hecke orbit points, points on the three arcs where j is real
+    (up to Im 90, deep in the cusp), and unreduced points."""
+    rng = random.Random(seed)
+    prec = Precision(bits)
+    base = UpperHalfPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.0))
+    points = [p.tau for p in HeckeOrbit(base, 149, prec).points]
+    with mp.workprec(bits + 32):
+        for k in range(12):
+            t = 1 + mpf(k) ** 2 * 89 / 121
+            z = mp.expjpi(mpf(1) / 2 + mpf(k) / 72)
+            points += [
+                UpperHalfPoint(0, t),
+                UpperHalfPoint(mpf(1) / 2, t),
+                UpperHalfPoint(z.real, z.imag),
+            ]
+    return points + _random_points(seed, 12, im_lo=0.05, im_hi=40.0)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_truncated_series_match_the_full_order_bit_for_bit(bits):
+    prec = Precision(bits)
+    for tau in _kernel_points(bits, 1000 + bits):
+        for fn, want in _full_order(tau, prec).items():
+            got = fn(tau, prec)
+            assert (got.real, got.imag) == (want.real, want.imag), (fn.__name__, tau)
+
+
+def test_series_order_shrinks_up_the_cusp():
+    for bits in (64, 128, 256):
+        prec = Precision(bits)
+        corner = float(mp.sqrt(3) / 2)
+        # the bottom corner of the domain needs every term
+        assert numerics._series_order(corner, prec) == prec.series_terms
+        orders = [numerics._series_order(corner + k / 8, prec) for k in range(800)]
+        assert all(a >= b for a, b in zip(orders, orders[1:]))
+        assert numerics._series_order(30.0, prec) <= 2
+    # a custom series_terms caps the order where its tail still meets 2^-bits
+    assert numerics._series_order(5.0, Precision(128)) == 5
+    assert numerics._series_order(5.0, Precision(128, series_terms=3)) == 3
+    with pytest.raises(PrecisionOverflowError):
+        numerics._series_order(1.0, Precision(128, series_terms=3))
 
 
 def test_precision_and_point_validation():
