@@ -15,6 +15,7 @@ from mpmath import mp, mpc, mpf
 
 from .arith import TripleRows, prime_divisors
 from .numerics import (
+    _GUARD,
     DEFAULT_PRECISION,
     Precision,
     UpperHalfPoint,
@@ -101,7 +102,7 @@ class OrbitPoints(Sequence):
 
     def _build(self, indices) -> None:
         prec = self._prec
-        with mp.workprec(prec.bits + 32):
+        with mp.workprec(prec.bits + _GUARD):
             z = self._base.to_mpc()
             for i in indices:
                 rep = self._cosets[i]

@@ -7,6 +7,13 @@ the E4 sum, the E6 sum and the Euler product, truncated at each point's own
 |q|.  Precision.series_terms caps the order; a point high in the cusp keeps
 far fewer terms.  Values at unreduced points are recovered through the
 weight-k cocycle (c*tau + d)^(-k).
+
+The sums run on Python-int mantissas, each step rounded exactly as the
+mpmath operation it replaces rounds, so every value is mpmath's bit for bit
+at a fraction of the cost of its number objects.  j, Delta and the
+Petersson norm raise the Euler product to the 12th power and refuse a
+reduced Im tau above 2^20, where that power costs time and memory linear
+in Im tau.
 """
 
 from __future__ import annotations
@@ -17,6 +24,14 @@ from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (
+    from_man_exp,
+    mpc_div,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_pow_int,
+    round_nearest,
+)
 
 # Guard bits added on top of the requested precision for internal work.
 _GUARD = 32
@@ -28,7 +43,9 @@ _LN2 = math.log(2.0)
 
 
 class PrecisionOverflowError(ArithmeticError):
-    """Requested series truncation cannot meet the tail bound at these bits."""
+    """Requested series truncation cannot meet the tail bound at these bits,
+    or a power of the Euler product is asked for above the reduced
+    Im tau = 2^20 (_MAX_POWER_IM)."""
 
 
 @dataclass(frozen=True)
@@ -123,6 +140,21 @@ class ModularMatrix:
 
 _MAX_REDUCTION_STEPS = 20_000
 
+# A point whose float64 coordinates lie this far inside the fundamental
+# domain is reduced already: float64 rounding is below 2^-52 relative.
+_INSIDE_MARGIN = 2.0**-40
+
+_IDENTITY = ModularMatrix(1, 0, 0, 1)
+
+
+@lru_cache(maxsize=16)
+def _arc_threshold(wp: int) -> mpf:
+    """1 - eps at wp bits, eps = 2^-(wp - 8): points within eps of the arc
+    |tau| = 1 are not inverted; otherwise rounding can trap the reduction in
+    a two-cycle across the boundary."""
+    with mp.workprec(wp):
+        return 1 - mpf(2) ** (-(wp - 8))
+
 
 def reduce_to_fundamental_domain(
     tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION
@@ -131,11 +163,20 @@ def reduce_to_fundamental_domain(
 
     The witness gamma is in SL2(Z) and satisfies gamma * tau = reduced point
     (exactly in exact arithmetic, to working precision in floating point).
+    The reduced point is rounded at the working precision bits + _GUARD.  A
+    point with |Re| < 1/2 - 2^-40 and |tau|^2 > 1 + 2^-40 in float64 is
+    returned at once, with the identity witness, as the loop would return
+    it.
     """
-    with mp.workprec(prec.bits + _GUARD):
-        # Points within eps of the arc |tau| = 1 are not inverted; otherwise
-        # rounding can trap the loop in a two-cycle across the boundary.
-        eps = mpf(2) ** (-(mp.prec - 8))
+    wp = prec.bits + _GUARD
+    x, y = float(tau.re), float(tau.im)
+    if abs(x) < 0.5 - _INSIDE_MARGIN and x * x + y * y > 1 + _INSIDE_MARGIN:
+        if tau.re._mpf_[3] <= wp and tau.im._mpf_[3] <= wp:
+            return tau, _IDENTITY
+        with mp.workprec(wp):
+            return UpperHalfPoint(tau.re, tau.im), _IDENTITY
+    threshold = _arc_threshold(wp)
+    with mp.workprec(wp):
         z = tau.to_mpc()
         a, b, c, d = 1, 0, 0, 1
         for _ in range(_MAX_REDUCTION_STEPS):
@@ -143,7 +184,7 @@ def reduce_to_fundamental_domain(
             if n:
                 z = z - n
                 a, b = a - n * c, b - n * d
-            if z.real * z.real + z.imag * z.imag < 1 - eps:
+            if z.real * z.real + z.imag * z.imag < threshold:
                 z = -1 / z
                 a, b, c, d = -c, -d, a, b
             else:
@@ -198,12 +239,82 @@ def _series_order(im: float, prec: Precision) -> int:
     return cap
 
 
-def _eisenstein_sum(pw, coeffs) -> mpc:
-    """sum coeffs[n-1] q^n over the powers pw = [q, q^2, ...], highest first."""
-    acc = mpf(0)
-    for qn, s in zip(reversed(pw), reversed(coeffs[: len(pw)])):
-        acc = acc + s * qn
-    return acc
+# -- the q-series on integer mantissas -----------------------------------------
+#
+# A real is a pair (man, exp) of Python ints worth man * 2^exp, the sign in
+# man and man odd or zero: the canonical form of mpmath's raw mpf tuples, so
+# every exponent equals mpmath's.  A complex is the 4-tuple (re man, re exp,
+# im man, im exp).  Each step returns what the libmpf operation it replaces
+# returns at wp bits, rounded half to even; the kernel runs on these and
+# skips mpmath's wrappers, type dispatch and special-value branches.
+
+
+def _round(man: int, exp: int, wp: int) -> tuple[int, int]:
+    """man * 2^exp rounded half to even to wp bits, trailing zero bits
+    stripped: libmpf._normalize on a signed mantissa.  _round(man * n, exp,
+    wp) is libmpf.mpf_mul_int, an exact product and then this rounding.
+
+    With man = k 2^n + r, 0 <= r < 2^n (>> floors, whatever the sign),
+    adding 2^(n-1) - 1 + (k & 1) before the shift carries into k exactly
+    when r > 2^(n-1), or r = 2^(n-1) and k is odd: half to even, which is
+    symmetric in the sign, as mpmath's rounding of the magnitude is.
+    """
+    if not man:
+        return 0, 0
+    n = man.bit_length() - wp
+    if n > 0:
+        man = (man + (1 << (n - 1)) - 1 + ((man >> n) & 1)) >> n
+        exp += n
+    if not man & 1:
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+    return man, exp
+
+
+def _add(m1: int, e1: int, m2: int, e2: int, wp: int) -> tuple[int, int]:
+    """libmpf.mpf_add on finite values, sticky shortcut included: when the
+    exponents differ by more than 100 and the magnitudes by more than wp + 4
+    bits, the smaller term only moves the larger one by one unit
+    2^-(wp + 4) below its last bit, towards the smaller term's sign.  That
+    is not correct rounding of the exact sum, and mpc_mul applies it to
+    exact double-width products, so it is kept as it is."""
+    if not m1:
+        return _round(m2, e2, wp)
+    if not m2:
+        return _round(m1, e1, wp)
+    offset = e1 - e2
+    if offset > 0:
+        if offset > 100 and m1.bit_length() + offset - m2.bit_length() > wp + 4:
+            return _round((m1 << (wp + 4)) + (1 if m2 > 0 else -1), e1 - wp - 4, wp)
+        return _round((m1 << offset) + m2, e2, wp)
+    if offset < 0:
+        if offset < -100 and m2.bit_length() - offset - m1.bit_length() > wp + 4:
+            return _round((m2 << (wp + 4)) + (1 if m1 > 0 else -1), e2 - wp - 4, wp)
+        return _round(m1 + (m2 << -offset), e1, wp)
+    return _round(m1 + m2, e1, wp)
+
+
+def _mul(z: tuple, w: tuple, wp: int) -> tuple[int, int, int, int]:
+    """libmpc.mpc_mul: four exact products, then re = ac - bd and
+    im = ad + bc, each by one _add."""
+    a, ea, b, eb = z
+    c, ec, d, ed = w
+    return _add(a * c, ea + ec, -(b * d), eb + ed, wp) + _add(
+        a * d, ea + ed, b * c, eb + ec, wp
+    )
+
+
+def _eisenstein_sum(pw, coeffs, wp: int) -> tuple[int, int, int, int]:
+    """sum coeffs[n-1] q^n over the powers pw = [q, q^2, ...], highest
+    first: mpmath's acc = mpf(0); acc = acc + s * q^n."""
+    ar = er = ai = ei = 0
+    for (mr, xr, mi, xi), s in zip(reversed(pw), reversed(coeffs[: len(pw)])):
+        tr, tx = _round(mr * s, xr, wp)
+        ar, er = _add(ar, er, tr, tx, wp)
+        ti, tx = _round(mi * s, xi, wp)
+        ai, ei = _add(ai, ei, ti, tx, wp)
+    return ar, er, ai, ei
 
 
 def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=False):
@@ -213,29 +324,48 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     Reduces tau, forms q at the reduced point and sums there, to the order
     _series_order picks, the series asked for: E4 = 1 + 240 sum sigma_3(n)
     q^n, E6 = 1 - 504 sum sigma_5(n) q^n and the Euler product
-    prod (1 - q^n).  Returns (reduced, witness, q, E4, E6, product), with
-    None for a series not asked for.
+    prod (1 - q^n).  Returns (reduced, witness, q, E4, E6, product), the
+    last four as raw mpc tuples, with None for a series not asked for.
 
     At every order the kept terms go through the same operations in the
     same order: powers by repeated multiplication, the Eisenstein sums from
     the highest power down, the product from (1 - q) up.  What the order
     rule drops lies _GUARD bits below the last bit kept, so the values are
     those of the full-order sums bit for bit, unless a rounding lands
-    within 2^-_GUARD of an ulp of a tie.
+    within 2^-_GUARD of an ulp of a tie.  The sums run on integer
+    mantissas, and each step gives the value of the mpmath operation it
+    replaces, so the result is the mpmath one bit for bit.
     """
+    wp = prec.bits + _GUARD
     reduced, witness = reduce_to_fundamental_domain(tau, prec)
-    q = mp.expjpi(2 * mpc(reduced.re, reduced.im))
-    pw = [q]
+    q = mp.expjpi(2 * mpc(reduced.re, reduced.im))._mpc_
+    (rs, rm, rx, _), (is_, im, ix, _) = q
+    qt = (-rm if rs else rm, rx, -im if is_ else im, ix)
+    pw = [qt]
     for _ in range(_series_order(float(reduced.im), prec) - 1):
-        pw.append(pw[-1] * q)
+        pw.append(_mul(pw[-1], qt, wp))
     s3, s5 = _sigma_tables(prec.series_terms)
-    e4_val = 1 + 240 * _eisenstein_sum(pw, s3) if e4 else None
-    e6_val = 1 - 504 * _eisenstein_sum(pw, s5) if e6 else None
-    prod = None
+    e4_val = e6_val = prod = None
+    if e4:
+        ar, er, ai, ei = _eisenstein_sum(pw, s3, wp)
+        mr, xr = _round(ar * 240, er, wp)
+        mr, xr = _add(1, 0, mr, xr, wp)
+        mi, xi = _round(ai * 240, ei, wp)
+        e4_val = from_man_exp(mr, xr), from_man_exp(mi, xi)
+    if e6:
+        ar, er, ai, ei = _eisenstein_sum(pw, s5, wp)
+        mr, xr = _round(ar * 504, er, wp)
+        mr, xr = _add(1, 0, -mr, xr, wp)
+        mi, xi = _round(ai * 504, ei, wp)
+        e6_val = from_man_exp(mr, xr), from_man_exp(-mi, xi)
     if euler:
-        prod = mpf(1)
-        for qn in pw:
-            prod = prod * (1 - qn)
+        # mpf(1) * (1 - q) is 1 - q itself
+        mr, xr, mi, xi = qt
+        prod = _add(1, 0, -mr, xr, wp) + (-mi, xi)
+        for mr, xr, mi, xi in pw[1:]:
+            prod = _mul(prod, _add(1, 0, -mr, xr, wp) + (-mi, xi), wp)
+        mr, xr, mi, xi = prod
+        prod = from_man_exp(mr, xr), from_man_exp(mi, xi)
     return reduced, witness, q, e4_val, e6_val, prod
 
 
@@ -249,22 +379,49 @@ def eval_e4(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E4(tau) = 1 + 240 sum sigma_3(n) q^n."""
     with mp.workprec(prec.bits + _GUARD):
         _, witness, _, val, _, _ = _series(tau, prec, e4=True)
-        return val * _cocycle(tau, witness, 4)
+        return mp.make_mpc(val) * _cocycle(tau, witness, 4)
 
 
 def eval_e6(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E6(tau) = 1 - 504 sum sigma_5(n) q^n."""
     with mp.workprec(prec.bits + _GUARD):
         _, witness, _, _, val, _ = _series(tau, prec, e6=True)
-        return val * _cocycle(tau, witness, 6)
+        return mp.make_mpc(val) * _cocycle(tau, witness, 6)
+
+
+# Cap on the reduced Im tau where prod (1 - q^n) is raised to a power.  Im prod
+# lies about 9 Im tau bits below Re prod, and from Im tau ~ 75 on at 128 bits
+# (~ 350 for E4^3) libmpc.mpc_pow_int takes the power as exp(n log prod),
+# whose log works at about that many bits: time and memory grow linearly in
+# Im tau, to a MemoryError near 10^10 and an OverflowError at 10^20.
+_MAX_POWER_IM = 2**20
+
+
+def _prod12(reduced: UpperHalfPoint, prod, wp: int):
+    """prod**12 as libmpc.mpc_pow_int gives it; PrecisionOverflowError above
+    the reduced Im tau = _MAX_POWER_IM."""
+    if reduced.im > _MAX_POWER_IM:
+        raise PrecisionOverflowError(
+            f"reduced Im tau = {mp.nstr(reduced.im, 8)} is above the cap 2^20 = "
+            f"{_MAX_POWER_IM}: prod (1 - q^n)^24 would cost time and memory "
+            "linear in Im tau"
+        )
+    return mpc_pow_int(prod, 12, wp, round_nearest)
+
+
+def _delta(reduced: UpperHalfPoint, q, prod, wp: int):
+    """(2 pi)^12 q prod (1 - q^n)^24 at the reduced point, a raw mpc."""
+    p12 = _prod12(reduced, prod, wp)
+    val = mpc_mul_mpf(q, ((2 * mp.pi) ** 12)._mpf_, wp, round_nearest)
+    return mpc_mul(mpc_mul(val, p12, wp, round_nearest), p12, wp, round_nearest)
 
 
 def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular discriminant (2 pi)^12 q prod (1 - q^n)^24 at tau."""
-    with mp.workprec(prec.bits + _GUARD):
-        _, witness, q, _, _, prod = _series(tau, prec, euler=True)
-        val = (2 * mp.pi) ** 12 * q * prod**12 * prod**12
-        return val * _cocycle(tau, witness, 12)
+    wp = prec.bits + _GUARD
+    with mp.workprec(wp):
+        reduced, witness, q, _, _, prod = _series(tau, prec, euler=True)
+        return mp.make_mpc(_delta(reduced, q, prod, wp)) * _cocycle(tau, witness, 12)
 
 
 def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
@@ -274,18 +431,22 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     1728 q prod (1 - q^n)^24, which keeps full relative precision at
     large Im tau where the literal subtraction would cancel to noise.
     """
-    with mp.workprec(prec.bits + _GUARD):
-        _, _, q, e4, _, prod = _series(tau, prec, e4=True, euler=True)
+    wp = prec.bits + _GUARD
+    with mp.workprec(wp):
+        reduced, _, q, e4, _, prod = _series(tau, prec, e4=True, euler=True)
         # |q| <= 0.0044 after reduction, so |prod|^24 >= 0.9: no cancellation
-        return e4**3 / (q * prod**12 * prod**12)
+        p12 = _prod12(reduced, prod, wp)
+        den = mpc_mul(mpc_mul(q, p12, wp, round_nearest), p12, wp, round_nearest)
+        num = mpc_pow_int(e4, 3, wp, round_nearest)
+        return mp.make_mpc(mpc_div(num, den, wp, round_nearest))
 
 
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """SL2(Z)-invariant norm |Delta(tau)| * (Im tau)^6."""
-    with mp.workprec(prec.bits + _GUARD):
+    wp = prec.bits + _GUARD
+    with mp.workprec(wp):
         reduced, _, q, _, _, prod = _series(tau, prec, euler=True)
-        val = (2 * mp.pi) ** 12 * q * prod**12 * prod**12
-        return abs(val) * reduced.im**6
+        return abs(mp.make_mpc(_delta(reduced, q, prod, wp))) * reduced.im**6
 
 
 def log_petersson_norm_delta(
@@ -298,7 +459,7 @@ def log_petersson_norm_delta(
         return (
             12 * mp.log(2 * mp.pi)
             - 2 * mp.pi * reduced.im
-            + 24 * mp.log(abs(prod))
+            + 24 * mp.log(abs(mp.make_mpc(prod)))
             + 6 * mp.log(reduced.im)
         )
 

@@ -2,11 +2,14 @@
 construction from Jacobi theta nulls, plus the classical special values."""
 
 import random
+import time
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, mpc_mul, mpf_add, mpf_mul_int
 
 from heckelab import numerics
+from heckelab.cli import main
 from heckelab.hecke import HeckeOrbit
 from heckelab.numerics import (
     ModularMatrix,
@@ -309,6 +312,8 @@ def _kernel_points(bits: int, seed: int) -> list[UpperHalfPoint]:
                 UpperHalfPoint(mpf(1) / 2, t),
                 UpperHalfPoint(z.real, z.imag),
             ]
+    # off the arcs high in the cusp, where mpc_pow_int takes exp(12 log prod)
+    points += [UpperHalfPoint(rng.uniform(-0.5, 0.5), t) for t in (80, 300, 600)]
     return points + _random_points(seed, 12, im_lo=0.05, im_hi=40.0)
 
 
@@ -371,3 +376,95 @@ def test_matrix_algebra():
         ModularMatrix(2, 0, 0, 2).inverse()
     with pytest.raises(ValueError):
         ModularMatrix(1, 0, 0, -1).apply(tau)
+
+
+def _canon(man: int, exp: int) -> tuple[int, int]:
+    """(man, exp) with man odd or zero, as the integer kernel keeps it."""
+    sign, m, e, _ = from_man_exp(man, exp)
+    return (-m if sign else m, e) if m else (0, 0)
+
+
+def _mpf(x: tuple[int, int]):
+    return from_man_exp(*x)
+
+
+def _add_cases(rng: random.Random, wp: int):
+    """Pairs of reals for _add: random values and exact double-width
+    products of either sign, zeros, exact cancellation, exponent offsets
+    around 100 with magnitude gaps around wp + 4, and exact ties."""
+    def value(bits):
+        man = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+        return _canon(rng.choice((-1, 1)) * man, rng.randrange(-400, 100))
+
+    cases = []
+    for _ in range(300):
+        a, b = value(rng.randrange(1, wp + 1)), value(rng.randrange(1, wp + 1))
+        c, d = value(wp), value(wp)
+        cases += [(a, b), (_canon(a[0] * c[0], a[1] + c[1]), _canon(b[0] * d[0], b[1] + d[1]))]
+    for _ in range(60):
+        a = value(rng.choice((wp, 2 * wp)))
+        cases += [(a, (0, 0)), ((0, 0), a), (a, (-a[0], a[1]))]
+        for offset in (99, 100, 101):
+            for gap in (wp + 3, wp + 4, wp + 5):
+                # b sits `offset` exponents and `gap` bits of size below a
+                bits = a[0].bit_length() + offset - gap
+                if bits >= 1:
+                    man = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+                    b = (rng.choice((-1, 1)) * man, a[1] - offset)
+                    cases += [(a, b), (b, a)]
+        # exact ties: the sum has wp + 1 bits and ends in a single 1 bit,
+        # with the last kept bit odd (rounds away) or even (rounds back)
+        for kept in (wp, wp - 1):
+            man = rng.getrandbits(kept) | 1 | (1 << (kept - 1))
+            a = (rng.choice((-1, 1)) * man, rng.randrange(-300, 0))
+            sign = 1 if a[0] > 0 else -1
+            cases.append((a, (sign, a[1] - (wp + 1 - kept))))
+        # a double-width term one unit short of (past) a tie, and a term 101
+        # exponents down that the exact sum would carry across it: the
+        # sticky shortcut leaves it where it is
+        top = rng.getrandbits(wp) | (1 << (wp - 1))
+        for below, sign in ((-1, 1), (1, -1)):
+            a = ((top << wp) + (1 << (wp - 1)) + below, rng.randrange(-300, 0))
+            cases.append((a, (sign * ((1 << 102) + 1), a[1] - 101)))
+    return cases
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_integer_kernel_steps_are_the_libmpf_operations(bits):
+    wp = bits + numerics._GUARD
+    rng = random.Random(7000 + bits)
+    cases = _add_cases(rng, wp)
+    for x, y in cases:
+        want = mpf_add(_mpf(x), _mpf(y), wp, "n")
+        assert _mpf(numerics._add(*x, *y, wp)) == want, (x, y)
+        assert numerics._add(*x, *y, wp) == numerics._add(*y, *x, wp)
+    # the complex product, parts paired from the same cases
+    for (a, b), (c, d) in zip(cases[0::2], cases[1::2]):
+        z, w = a + b, c + d
+        want = mpc_mul((_mpf(a), _mpf(b)), (_mpf(c), _mpf(d)), wp, "n")
+        got = numerics._mul(z, w, wp)
+        assert (_mpf(got[:2]), _mpf(got[2:])) == want, (z, w)
+    # the integer product mpf_mul_int: an exact product, then _round
+    s3, s5 = numerics._sigma_tables(45)
+    for (x, _), n in zip(cases, [*s3, *s5, 240, 504, -504, 1, 0] * 40):
+        assert _mpf(numerics._round(x[0] * n, x[1], wp)) == mpf_mul_int(_mpf(x), n, wp, "n")
+
+
+def test_powers_are_refused_above_the_im_cap(capsys):
+    cap = numerics._MAX_POWER_IM
+    for im in (cap + 1, 10**10, 10**20):
+        tau = UpperHalfPoint(mpf(1) / 8, im)
+        for fn in (eval_j, eval_delta, petersson_norm_delta):
+            start = time.perf_counter()
+            with pytest.raises(PrecisionOverflowError, match=r"Im tau = .* cap 2\^20"):
+                fn(tau, PREC)
+            assert time.perf_counter() - start < 1.0
+        # the series and the log norm need no power and keep working
+        assert abs(eval_e4(tau, PREC) - 1) < 2.0**-100
+        assert abs(eval_e6(tau, PREC) - 1) < 2.0**-100
+        with mp.workprec(160):
+            want = 12 * mp.log(2 * mp.pi) - 2 * mp.pi * im + 6 * mp.log(im)
+        assert abs(log_petersson_norm_delta(tau, PREC) - want) < 2.0**-60 * abs(want)
+    assert abs(eval_j(UpperHalfPoint(mpf(1) / 8, 2**19), PREC)) > 0
+    assert main(["orbit", "0.1+1e-30i", "2"]) == 2
+    assert "cap 2^20" in capsys.readouterr().err
