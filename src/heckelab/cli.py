@@ -38,7 +38,7 @@ from .heights import (
     phi_value,
 )
 from .lattices import GramForm, _value_counts, counting_bound, represented_values
-from .numerics import Precision, UpperHalfPoint, tau_from_j
+from .numerics import _GUARD, Precision, UpperHalfPoint, tau_from_j
 from .scan import CurveQ, coincidence_statistic, count_points, scan_pair, trace_power
 from .tate import badred_constant, valuation_orbit
 
@@ -134,15 +134,15 @@ def _emit(
 
 
 def _parse_complex(text: str, bits: int, upper_half: bool = False):
-    """A number such as '0.3+1.7i', 'i' or '1e400', read at bits + 32 bits so
-    that decimals keep the working precision.  Returns an mpc, or with
-    upper_half an UpperHalfPoint, built in the same context because mpf
+    """A number such as '0.3+1.7i', 'i' or '1e400', read at bits + _GUARD
+    bits so that decimals keep the working precision.  Returns an mpc, or
+    with upper_half an UpperHalfPoint, built in the same context because mpf
     rounds to the context precision."""
     # the unit i is an 'i' outside a word such as 'inf'; mpmath reads '1j'
     # but not a bare 'j'
     s = re.sub(r"(?<![a-z])i(?![a-z])", "j", text.strip().replace(" ", ""))
     s = re.sub(r"(?<![\d.])j", "1j", s)
-    with mp.workprec(bits + 32):
+    with mp.workprec(bits + _GUARD):
         try:
             z = mp.mpc(mp.mpmathify(s))
         except (TypeError, ValueError, AttributeError):

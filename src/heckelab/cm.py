@@ -21,6 +21,7 @@ from mpmath import mp, mpc, mpf
 from .arith import split_discriminant
 from .hecke import HeckeOrbit
 from .numerics import (
+    _GUARD,
     DEFAULT_PRECISION,
     ModularMatrix,
     Precision,
@@ -246,7 +247,7 @@ def fixed_point(
         return None
     # c = 0 would force t^2 - 4m = (a - d)^2 >= 0, so c != 0 here
     f, d_k = split_discriminant(t * t - 4 * m)
-    with mp.workprec(prec.bits + 32):
+    with mp.workprec(prec.bits + _GUARD):
         re = mpf(matrix.a - matrix.d) / (2 * matrix.c)
         im = mp.sqrt(4 * m - t * t) / (2 * abs(matrix.c))
         tau0 = UpperHalfPoint(re, im)
@@ -311,7 +312,7 @@ def min_separation_constant(
 ) -> float:
     """min over distinct pairs of |j1 - j2| sqrt(M1 M2) (sqrt(M1) + sqrt(M2))
     among points with |j| <= j_box_bound, with j at prec."""
-    with mp.workprec(prec.bits + 32):
+    with mp.workprec(prec.bits + _GUARD):
         tagged = []
         for p in points:
             jval = p.j_at(prec)
@@ -351,7 +352,7 @@ def near_cm_finder(
     if point is None:
         return None
     n = matrix.det()
-    with mp.workprec(prec.bits + 32):
+    with mp.workprec(prec.bits + _GUARD):
         z = tau.to_mpc()
         displacement = abs(z - coset_image.to_mpc())
         offset = abs(z - point.tau0.to_mpc())
@@ -393,7 +394,7 @@ def density_experiment(
     if d_exp < 1:
         raise ValueError("need D >= 1")
     out = []
-    with mp.workprec(prec.bits + 32):
+    with mp.workprec(prec.bits + _GUARD):
         zc = mp.mpc(z)
         for n in range(1, n_max + 1):
             orbit = HeckeOrbit(y_tau, n, prec)

@@ -19,6 +19,7 @@ from .numerics import (
     DEFAULT_PRECISION,
     Precision,
     UpperHalfPoint,
+    _moebius_step,
     eval_j,
     log_j_float64,
     reduce_to_fundamental_domain,
@@ -65,7 +66,8 @@ class OrbitPoints(Sequence):
 
     Point i is built on first access, by the Moebius step
     (alpha*tau + beta)/delta at working precision and then
-    reduce_to_fundamental_domain, and kept; len() builds nothing.  A slice
+    reduce_to_fundamental_domain, both on integer mantissas with mpc
+    arithmetic's rounding, and kept; len() builds nothing.  A slice
     returns a list of points.
     """
 
@@ -102,14 +104,12 @@ class OrbitPoints(Sequence):
 
     def _build(self, indices) -> None:
         prec = self._prec
-        with mp.workprec(prec.bits + _GUARD):
-            z = self._base.to_mpc()
-            for i in indices:
-                rep = self._cosets[i]
-                w = (rep.alpha * z + rep.beta) / rep.delta
-                moved = UpperHalfPoint(w.real, w.imag)
-                reduced, _ = reduce_to_fundamental_domain(moved, prec)
-                self._built[i] = OrbitPoint(rep, reduced, prec)
+        wp = prec.bits + _GUARD
+        for i in indices:
+            rep = self._cosets[i]
+            moved = _moebius_step(self._base, rep.alpha, rep.beta, rep.delta, wp)
+            reduced, _ = reduce_to_fundamental_domain(moved, prec)
+            self._built[i] = OrbitPoint(rep, reduced, prec)
 
 
 # The screen's reduced points lie within _SCREEN_REL_ERR * (1 + |tau|/Im tau)

@@ -30,6 +30,7 @@ from mpmath import mp, mpf
 from .arith import pairwise_product, pairwise_sum, triple_counts
 from .hecke import HeckeOrbit, e_n, hecke_orbit
 from .numerics import (
+    _GUARD,
     DEFAULT_PRECISION,
     Precision,
     UpperHalfPoint,
@@ -60,8 +61,8 @@ _MAX_PHI_BITS = 1 << 20
 
 def _log_norm_orbit_sum(tau: UpperHalfPoint, n: int, prec: Precision):
     """sum of log ||Delta||(tau_i) over T_N * tau, by the closed form in the
-    module docstring, at prec.bits + 32 bits."""
-    with mp.workprec(prec.bits + 32):
+    module docstring, at prec.bits + _GUARD bits."""
+    with mp.workprec(prec.bits + _GUARD):
         cosets = pairwise_sum(
             [count * mp.log(mpf(a) / d) for a, d, count in triple_counts(n)]
         )
@@ -105,7 +106,7 @@ def local_arch_sum(
 
 def _arch_sum(orbit: HeckeOrbit, z, prec: Precision) -> float:
     """local_arch_sum over an orbit built by hecke_orbit at prec."""
-    with mp.workprec(prec.bits + 32):
+    with mp.workprec(prec.bits + _GUARD):
         zc = mp.mpc(z)
         floor = mpf(2) ** (-prec.bits) * max(1, abs(zc))
         terms = []
@@ -148,7 +149,7 @@ def _phi(y: int, z: int, n: int, bits: int, orbit: HeckeOrbit | None = None) -> 
     Precision(bits)."""
     while bits <= _MAX_PHI_BITS:
         attempt = Precision(bits)
-        with mp.workprec(bits + 32):
+        with mp.workprec(bits + _GUARD):
             if orbit is None:
                 orbit = hecke_orbit(tau_from_j(y, attempt), n, attempt)
             prod = pairwise_product([z - p.j for p in orbit.points])
@@ -179,7 +180,7 @@ def global_identity_residual(
     if y != int(y) or z != int(z):
         raise ValueError(f"y and z must be integers, got y={y!r}, z={z!r}")
     shared = prec == Precision(prec.bits)
-    with mp.workprec(prec.bits + 32):
+    with mp.workprec(prec.bits + _GUARD):
         orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
         phi = _phi(int(y), int(z), n, prec.bits, orbit if shared else None)
         if phi == 0:
@@ -217,7 +218,7 @@ def heuristic_integral(
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     rng = random.Random(seed)
-    with mp.workprec(prec.bits + 32):
+    with mp.workprec(prec.bits + _GUARD):
         zc = mp.mpc(z)
         floor = mpf(2) ** (-prec.bits) * max(1, abs(zc))
         values: list[float] = []

@@ -8,9 +8,11 @@ the E4 sum, the E6 sum and the Euler product, truncated at each point's own
 far fewer terms.  Values at unreduced points are recovered through the
 weight-k cocycle (c*tau + d)^(-k).
 
-The sums run on Python-int mantissas, each step rounded exactly as the
-mpmath operation it replaces rounds, so every value is mpmath's bit for bit
-at a fraction of the cost of its number objects.  j, Delta and the
+The sums, the reduction loop and the Moebius step that builds an orbit
+point run on Python-int mantissas, each step rounded exactly as the mpmath
+operation it replaces rounds (libmpf's truncating default included where
+mpc division uses it), so every value is mpmath's bit for bit at a
+fraction of the cost of its number objects.  j, Delta and the
 Petersson norm raise the Euler product to the 12th power and refuse a
 reduced Im tau above 2^20, where that power costs time and memory linear
 in Im tau.
@@ -93,6 +95,15 @@ class UpperHalfPoint:
         return mpc(self.re, self.im)
 
     @classmethod
+    def _of_raw(cls, re: tuple, im: tuple) -> "UpperHalfPoint":
+        """The point with these raw mpf parts, Im positive, kept exactly:
+        the constructor would round them to the context precision."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "re", mp.make_mpf(re))
+        object.__setattr__(point, "im", mp.make_mpf(im))
+        return point
+
+    @classmethod
     def from_complex(cls, z) -> "UpperHalfPoint":
         z = mpc(z)
         return cls(z.real, z.imag)
@@ -147,15 +158,6 @@ _INSIDE_MARGIN = 2.0**-40
 _IDENTITY = ModularMatrix(1, 0, 0, 1)
 
 
-@lru_cache(maxsize=16)
-def _arc_threshold(wp: int) -> mpf:
-    """1 - eps at wp bits, eps = 2^-(wp - 8): points within eps of the arc
-    |tau| = 1 are not inverted; otherwise rounding can trap the reduction in
-    a two-cycle across the boundary."""
-    with mp.workprec(wp):
-        return 1 - mpf(2) ** (-(wp - 8))
-
-
 def reduce_to_fundamental_domain(
     tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION
 ) -> tuple[UpperHalfPoint, ModularMatrix]:
@@ -163,10 +165,19 @@ def reduce_to_fundamental_domain(
 
     The witness gamma is in SL2(Z) and satisfies gamma * tau = reduced point
     (exactly in exact arithmetic, to working precision in floating point).
-    The reduced point is rounded at the working precision bits + _GUARD.  A
-    point with |Re| < 1/2 - 2^-40 and |tau|^2 > 1 + 2^-40 in float64 is
-    returned at once, with the identity witness, as the loop would return
-    it.
+    The reduced point is rounded at the working precision wp = bits +
+    _GUARD.  A point with |Re| < 1/2 - 2^-40 and |tau|^2 > 1 + 2^-40 in
+    float64 is returned at once, with the identity witness, as the loop
+    would return it.
+
+    The loop runs on integer mantissas, and each step gives what the mpc
+    loop at wp bits gives: n = nint(Re z), ties to even (mpf_nint); z - n
+    on the real part (mpf_sub); |z|^2 from two products and a sum at wp
+    bits, compared exactly with 1 - 2^-(wp - 8); and -1/z, as
+    libmpc.mpc_div((-1, 0), z).  A point within 2^-(wp - 8) of the arc
+    |tau| = 1 is not inverted, or rounding could trap the loop in a
+    two-cycle across it.  A point with Im tau = +inf is only translated;
+    an infinite or NaN Re tau raises ValueError.
     """
     wp = prec.bits + _GUARD
     x, y = float(tau.re), float(tau.im)
@@ -175,21 +186,51 @@ def reduce_to_fundamental_domain(
             return tau, _IDENTITY
         with mp.workprec(wp):
             return UpperHalfPoint(tau.re, tau.im), _IDENTITY
-    threshold = _arc_threshold(wp)
-    with mp.workprec(wp):
-        z = tau.to_mpc()
-        a, b, c, d = 1, 0, 0, 1
-        for _ in range(_MAX_REDUCTION_STEPS):
-            n = int(mp.nint(z.real))
-            if n:
-                z = z - n
-                a, b = a - n * c, b - n * d
-            if z.real * z.real + z.imag * z.imag < threshold:
-                z = -1 / z
-                a, b, c, d = -c, -d, a, b
-            else:
-                return UpperHalfPoint(z.real, z.imag), ModularMatrix(a, b, c, d)
-        raise ArithmeticError("fundamental-domain reduction did not terminate")
+    re, im = _parts(tau.re, wp), _parts(tau.im, wp)
+    if re is None:
+        raise ValueError(f"cannot reduce a point whose Re tau = {tau.re} is not finite")
+    xm, xe = re
+    if im is None:  # Im tau = +inf: never below the arc
+        n = _nint(xm, xe)
+        re = from_man_exp(*_add(xm, xe, *_int(-n), wp))
+        return UpperHalfPoint._of_raw(re, tau.im._mpf_), ModularMatrix(1, -n, 0, 1)
+    ym, ye = im
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(_MAX_REDUCTION_STEPS):
+        n = _nint(xm, xe)
+        if n:
+            xm, xe = _add(xm, xe, *_int(-n), wp)
+            a, b = a - n * c, b - n * d
+        x2, y2 = _round(xm * xm, 2 * xe, wp), _round(ym * ym, 2 * ye, wp)
+        if _below_arc(*_add(*x2, *y2, wp), wp):
+            xm, xe, ym, ye = _neg_inv(xm, xe, ym, ye, wp)
+            a, b, c, d = -c, -d, a, b
+        else:
+            point = UpperHalfPoint._of_raw(from_man_exp(xm, xe), from_man_exp(ym, ye))
+            return point, ModularMatrix(a, b, c, d)
+    raise ArithmeticError("fundamental-domain reduction did not terminate")
+
+
+def _moebius_step(
+    tau: UpperHalfPoint, alpha: int, beta: int, delta: int, wp: int
+) -> UpperHalfPoint:
+    """(alpha*tau + beta)/delta for positive alpha and delta, as mpc
+    arithmetic at wp bits gives it from tau.to_mpc(): each part rounded to
+    wp bits, times alpha (mpf_mul_int), beta added to the real part
+    (mpf_add) and each part divided by delta (mpf_div).  An infinite or NaN
+    part stays as it is, as in mpc arithmetic."""
+    den = _int(delta)
+    parts = []
+    for x, shift in ((tau.re, beta), (tau.im, 0)):
+        finite = _parts(x, wp)
+        if finite is None:
+            parts.append(x._mpf_)
+            continue
+        man, exp = _round(finite[0] * alpha, finite[1], wp)
+        if shift:
+            man, exp = _add(man, exp, *_int(shift), wp)
+        parts.append(from_man_exp(*_div(man, exp, *den, wp)))
+    return UpperHalfPoint._of_raw(*parts)
 
 
 @lru_cache(maxsize=64)
@@ -226,6 +267,10 @@ def _series_order(im: float, prec: Precision) -> int:
     the sums start at Im q, and each keeps its own bits + _GUARD.  Raises
     PrecisionOverflowError when the absolute bound at prec.series_terms
     misses 2^-bits.
+
+    _log_tail exceeds log 700 - 2 pi im T, so no T below
+    (log 700 - limit) / (2 pi im) passes, and the search starts at its
+    floor: 5 log(T + 1) >= 3.4 covers the float64 rounding of that bound.
     """
     cap = prec.series_terms
     if not _log_tail(cap, im) - 2 * math.pi * im < -prec.bits * _LN2:
@@ -233,7 +278,8 @@ def _series_order(im: float, prec: Precision) -> int:
             f"series_terms={cap} cannot reach 2^-{prec.bits} at Im tau={im:.5g}"
         )
     limit = -(prec.bits + 2 * _GUARD) * _LN2
-    for terms in range(1, cap):
+    start = max(1, math.floor((math.log(700.0) - limit) / (2 * math.pi * im)))
+    for terms in range(start, cap):
         if _log_tail(terms, im) < limit:
             return terms
     return cap
@@ -278,21 +324,37 @@ def _add(m1: int, e1: int, m2: int, e2: int, wp: int) -> tuple[int, int]:
     bits, the smaller term only moves the larger one by one unit
     2^-(wp + 4) below its last bit, towards the smaller term's sign.  That
     is not correct rounding of the exact sum, and mpc_mul applies it to
-    exact double-width products, so it is kept as it is."""
+    exact double-width products, so it is kept as it is.  The rounding is
+    _round's, inline: this is the kernel's hottest function."""
     if not m1:
-        return _round(m2, e2, wp)
-    if not m2:
-        return _round(m1, e1, wp)
-    offset = e1 - e2
-    if offset > 0:
-        if offset > 100 and m1.bit_length() + offset - m2.bit_length() > wp + 4:
-            return _round((m1 << (wp + 4)) + (1 if m2 > 0 else -1), e1 - wp - 4, wp)
-        return _round((m1 << offset) + m2, e2, wp)
-    if offset < 0:
-        if offset < -100 and m2.bit_length() - offset - m1.bit_length() > wp + 4:
-            return _round((m2 << (wp + 4)) + (1 if m1 > 0 else -1), e2 - wp - 4, wp)
-        return _round(m1 + (m2 << -offset), e1, wp)
-    return _round(m1 + m2, e1, wp)
+        man, exp = m2, e2
+    elif not m2:
+        man, exp = m1, e1
+    else:
+        offset = e1 - e2
+        if offset > 0:
+            if offset > 100 and m1.bit_length() + offset - m2.bit_length() > wp + 4:
+                man, exp = (m1 << (wp + 4)) + (1 if m2 > 0 else -1), e1 - wp - 4
+            else:
+                man, exp = (m1 << offset) + m2, e2
+        elif offset < 0:
+            if offset < -100 and m2.bit_length() - offset - m1.bit_length() > wp + 4:
+                man, exp = (m2 << (wp + 4)) + (1 if m1 > 0 else -1), e2 - wp - 4
+            else:
+                man, exp = m1 + (m2 << -offset), e1
+        else:
+            man, exp = m1 + m2, e1
+    n = man.bit_length() - wp
+    if n > 0:
+        man = (man + (1 << (n - 1)) - 1 + ((man >> n) & 1)) >> n
+        exp += n
+    if not man & 1:
+        if not man:
+            return 0, 0
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+    return man, exp
 
 
 def _mul(z: tuple, w: tuple, wp: int) -> tuple[int, int, int, int]:
@@ -303,6 +365,93 @@ def _mul(z: tuple, w: tuple, wp: int) -> tuple[int, int, int, int]:
     return _add(a * c, ea + ec, -(b * d), eb + ed, wp) + _add(
         a * d, ea + ed, b * c, eb + ec, wp
     )
+
+
+def _parts(x: mpf, wp: int) -> tuple[int, int] | None:
+    """(man, exp) of x rounded to wp bits, as mpf(x) rounds it; None for an
+    infinity or NaN, whose raw mantissa is 0 as a zero's is."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        return None
+    return _round(-man if sign else man, exp, wp)
+
+
+def _int(n: int) -> tuple[int, int]:
+    """(man, exp) of the integer n, exactly: libmpf.from_int."""
+    if not n:
+        return 0, 0
+    zeros = (n & -n).bit_length() - 1
+    return n >> zeros, zeros
+
+
+def _nint(man: int, exp: int) -> int:
+    """The integer nearest man * 2^exp, ties to even: libmpf.mpf_nint, whose
+    |x| < 1 case (+-1/2 -> 0, otherwise nearest) is this rounding too."""
+    if exp >= 0:
+        return man << exp
+    n = -exp
+    return (man + (1 << (n - 1)) - 1 + ((man >> n) & 1)) >> n
+
+
+def _div(m1: int, e1: int, m2: int, e2: int, wp: int) -> tuple[int, int]:
+    """libmpf.mpf_div, m2 nonzero: a divisor whose mantissa is +-1 is a
+    shift, rounded; otherwise the quotient gets max(5, wp - bits(m1) +
+    bits(m2) + 5) extra bits, then a sticky 1 bit when the division leaves
+    a remainder, and is rounded to wp bits."""
+    if not m1:
+        return 0, 0
+    s, t = abs(m1), abs(m2)
+    negative = (m1 < 0) != (m2 < 0)
+    if t == 1:
+        return _round(-s if negative else s, e1 - e2, wp)
+    extra = max(5, wp - s.bit_length() + t.bit_length() + 5)
+    quot, rem = divmod(s << extra, t)
+    if rem:
+        quot = (quot << 1) | 1
+        extra += 1
+    return _round(-quot if negative else quot, e1 - e2 - extra, wp)
+
+
+def _below_arc(man: int, exp: int, wp: int) -> bool:
+    """man * 2^exp < 1 - 2^-(wp - 8), for 0 < man < 2^wp, compared exactly."""
+    top = man.bit_length() + exp  # 2^(top - 1) <= man 2^exp < 2^top
+    if top:
+        return top < 0
+    # in [1/2, 1): compare man 2^(exp + wp - 8) with 2^(wp - 8) - 1
+    shift, bound = exp + wp - 8, (1 << (wp - 8)) - 1
+    return man << shift < bound if shift >= 0 else man < bound << -shift
+
+
+def _norm_down(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
+    """x^2 + y^2, y != 0, as libmpc.mpc_div forms it: the mpf_add of the
+    exact squares at prec bits with libmpf's default rounding round_fast,
+    which is round_down (truncation), not to nearest; _add's sticky
+    shortcut included."""
+    m1, e1, m2, e2 = xm * xm, 2 * xe, ym * ym, 2 * ye
+    if not m1:
+        man, exp = m2, e2
+    else:
+        if e1 < e2:
+            m1, e1, m2, e2 = m2, e2, m1, e1
+        offset = e1 - e2
+        if offset > 100 and m1.bit_length() + offset - m2.bit_length() > prec + 4:
+            man, exp = (m1 << (prec + 4)) + 1, e1 - prec - 4
+        else:
+            man, exp = (m1 << offset) + m2, e2
+    n = man.bit_length() - prec
+    if n > 0:
+        man >>= n
+        exp += n
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp + zeros
+
+
+def _neg_inv(xm: int, xe: int, ym: int, ye: int, wp: int) -> tuple[int, int, int, int]:
+    """-1/z, z = x + iy with y != 0, as libmpc.mpc_div((-1, 0), z, wp) gives
+    it: -x and y, each divided by the norm (_norm_down at wp + 10 bits) by
+    mpf_div at wp bits."""
+    norm = _norm_down(xm, xe, ym, ye, wp + 10)
+    return _div(-xm, xe, *norm, wp) + _div(ym, ye, *norm, wp)
 
 
 def _eisenstein_sum(pw, coeffs, wp: int) -> tuple[int, int, int, int]:

@@ -1,16 +1,31 @@
 """Cross-checks of the q-series evaluator against an independent
 construction from Jacobi theta nulls, plus the classical special values."""
 
+import math
 import random
+import re
 import time
 
 import pytest
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, mpc_mul, mpf_add, mpf_mul_int
+from mpmath.libmp import (
+    fnone,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpc_div,
+    mpc_mul,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_nint,
+    to_int,
+)
 
 from heckelab import numerics
 from heckelab.cli import main
-from heckelab.hecke import HeckeOrbit
+from heckelab.hecke import HeckeOrbit, coset_reps
 from heckelab.numerics import (
     ModularMatrix,
     Precision,
@@ -161,6 +176,76 @@ def test_reduction_lands_in_domain_with_witness():
         again, wit2 = reduce_to_fundamental_domain(red, PREC)
         assert wit2.is_identity()
         assert again == red
+
+
+def _near_boundary_points(wp: int) -> list[UpperHalfPoint]:
+    """Points where a reduction step is a close call: ties x = k + 1/2
+    (nint rounds them to even, +-1/2 to 0) below and above the arc; points
+    on |tau| = 1, within 2^-wp of it and around the threshold
+    1 - 2^-(wp - 8) where the loop stops inverting; and points whose
+    norm |z|^2 is a power of two, which mpf_div divides by with a shift."""
+    with mp.workprec(wp):
+        eps = mpf(2) ** -wp
+        points = [
+            UpperHalfPoint(k + mpf(1) / 2, y)
+            for k in range(-4, 4)
+            for y in (mpf(1) / 4, mpf("0.8"), mpf("0.9"), mpf(3))
+        ]
+        for k in range(1, 12):
+            z = mp.expjpi(mpf(k) / 12)
+            for scale in (1, 1 - eps, 1 + eps, 1 - 2**7 * eps, 1 - 2**8 * eps):
+                points.append(UpperHalfPoint(z.real * scale, z.imag * scale))
+        edge = mp.sqrt(1 - mpf(2) ** -(wp - 8))
+        for k in range(-3, 4):
+            for x in (0, eps, mpf(1) / 2 - eps):
+                points.append(UpperHalfPoint(x, mp.sqrt(edge**2 - x**2) + k * eps))
+        for k in range(1, 60, 4):
+            points += [UpperHalfPoint(0, mpf(2) ** -k), UpperHalfPoint(mpf(2) ** -k, mpf(2) ** -k)]
+    return points
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_integer_reduction_matches_the_mpc_loop(bits, mpc_oracle):
+    prec = Precision(bits)
+    wp = bits + numerics._GUARD
+    rng = random.Random(6000 + bits)
+    points = _near_boundary_points(wp)
+    # seeded orbits, their bases from Im 1e-30 up; N = 256 and 300 divide
+    # by powers of two, where mpf_div shifts
+    for n, im in ((149, 1.3), (151, 1e-30), (256, 1e-6), (293, 0.02), (300, 40.0)):
+        base = UpperHalfPoint(rng.uniform(-2, 2), im * rng.uniform(1, 2))
+        for rep in coset_reps(n):
+            got = numerics._moebius_step(base, rep.alpha, rep.beta, rep.delta, wp)
+            want = mpc_oracle.moebius(base, rep.alpha, rep.beta, rep.delta, wp)
+            assert (got.re, got.im) == (want.re, want.im), (n, rep)
+            points.append(got)
+    for tau in points:
+        (got, got_witness), (want, witness) = (
+            reduce_to_fundamental_domain(tau, prec),
+            mpc_oracle.reduce(tau, prec),
+        )
+        assert (got.re, got.im, got_witness) == (want.re, want.im, witness), tau
+
+
+def test_reduction_of_points_that_are_not_finite(mpc_oracle):
+    wp = PREC.bits + numerics._GUARD
+    for x in (mp.inf, -mp.inf, mp.nan):
+        tau = UpperHalfPoint(x, 1)
+        with pytest.raises(ValueError, match=re.escape(f"Re tau = {x} is not finite")):
+            reduce_to_fundamental_domain(tau, PREC)
+        with pytest.raises(ValueError, match=re.escape(f"Re tau = {x} is not finite")):
+            HeckeOrbit(tau, 5, PREC).points[3]
+    # Im = +inf is only translated, in the loop and in the Moebius step
+    for x, n in ((mpf("2.75"), 3), (mpf("-0.5"), 0), (mpf("0.3"), 0), (mpf(7), 7)):
+        tau = UpperHalfPoint(x, mp.inf)
+        got, witness = reduce_to_fundamental_domain(tau, PREC)
+        assert (got.re, got.im, witness) == (x - n, mp.inf, ModularMatrix(1, -n, 0, 1))
+        want, want_witness = mpc_oracle.reduce(tau, PREC)
+        assert (got.re, got.im, witness) == (want.re, want.im, want_witness)
+        for point, rep in zip(HeckeOrbit(tau, 6, PREC).points, coset_reps(6)):
+            moved = mpc_oracle.moebius(tau, rep.alpha, rep.beta, rep.delta, wp)
+            want, _ = mpc_oracle.reduce(moved, PREC)
+            assert (point.tau.re, point.tau.im) == (want.re, mp.inf)
 
 
 def test_tau_from_j_round_trips():
@@ -342,6 +427,33 @@ def test_series_order_shrinks_up_the_cusp():
         numerics._series_order(1.0, Precision(128, series_terms=3))
 
 
+def _upward_series_order(im: float, prec: Precision) -> int | None:
+    """_series_order searching T upward from 1, None where it raises: the
+    oracle of its search from the lower bound."""
+    cap = prec.series_terms
+    if not numerics._log_tail(cap, im) - 2 * math.pi * im < -prec.bits * numerics._LN2:
+        return None
+    limit = -(prec.bits + 2 * numerics._GUARD) * numerics._LN2
+    for terms in range(1, cap):
+        if numerics._log_tail(terms, im) < limit:
+            return terms
+    return cap
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_series_order_equals_the_upward_search(bits):
+    corner = math.sqrt(3) / 2
+    heights = [corner * (1000 / corner) ** (k / 1999) for k in range(2000)]
+    for prec in (Precision(bits), Precision(bits, series_terms=4)):
+        for im in heights:
+            want = _upward_series_order(im, prec)
+            if want is None:
+                with pytest.raises(PrecisionOverflowError):
+                    numerics._series_order(im, prec)
+            else:
+                assert numerics._series_order(im, prec) == want, (im, prec)
+
+
 def test_precision_and_point_validation():
     with pytest.raises(ValueError):
         Precision(52)
@@ -429,6 +541,50 @@ def _add_cases(rng: random.Random, wp: int):
     return cases
 
 
+def _nint_cases(rng: random.Random, wp: int):
+    """Reals for _nint: ties k + 1/2 either side of zero, +-1/2, +-1/4,
+    +-3/4, values just inside and outside them, integers, huge and tiny
+    values and random ones below 2^12 in size."""
+    cases = [(0, 0), (1, -1), (-1, -1), (1, -2), (-1, -2), (3, -2), (-3, -2)]
+    for k in range(-9, 10):
+        cases += [_canon(2 * k + 1, -1), _canon(k, 0), _canon(k, 5)]
+        for below in (-1, 1):
+            cases.append(_canon(((2 * k + 1) << (wp - 6)) + below, -(wp - 5)))
+    for _ in range(400):
+        bits = rng.randrange(1, wp + 1)
+        man = rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 | (1 << (bits - 1)))
+        cases.append(_canon(man, rng.randrange(-bits - 8, 12 - bits)))
+        cases.append(_canon(man, rng.randrange(-400, 100)))
+    return cases
+
+
+def _norm_cases(rng: random.Random, wp: int):
+    """(x, y) pairs, y nonzero, for _norm_down and _neg_inv: random parts
+    and x = 0, powers of two (a norm with mantissa 1 divides by a shift),
+    and squares 100 and 102 exponents apart whose sizes differ by about
+    wp + 14 bits, around the sticky shortcut at wp + 10 bits."""
+    def value(bits, exp):
+        man = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+        return _canon(rng.choice((-1, 1)) * man, exp)
+
+    cases = []
+    for _ in range(300):
+        y = value(rng.randrange(1, wp + 1), rng.randrange(-300, 50))
+        x = value(rng.randrange(1, wp + 1), rng.randrange(-300, 50))
+        cases += [(x, y), ((0, 0), y), ((1, rng.randrange(-200, 20)), y)]
+        cases.append(((0, 0), (rng.choice((-1, 1)), rng.randrange(-200, 20))))
+    prec = wp + 10
+    for half_offset in (50, 51):
+        for _ in range(40):
+            y = value(wp, rng.randrange(-300, 0))
+            for x_bits in range(1, wp + 1):
+                x = value(x_bits, y[1] + half_offset)
+                gap = (x[0] ** 2).bit_length() + 2 * half_offset - (y[0] ** 2).bit_length()
+                if abs(gap - (prec + 4)) <= 1:
+                    cases += [(x, y), (y, x)]
+    return cases
+
+
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_integer_kernel_steps_are_the_libmpf_operations(bits):
     wp = bits + numerics._GUARD
@@ -448,6 +604,29 @@ def test_integer_kernel_steps_are_the_libmpf_operations(bits):
     s3, s5 = numerics._sigma_tables(45)
     for (x, _), n in zip(cases, [*s3, *s5, 240, 504, -504, 1, 0] * 40):
         assert _mpf(numerics._round(x[0] * n, x[1], wp)) == mpf_mul_int(_mpf(x), n, wp, "n")
+    # the integer from_int, exact
+    for n in [0, 1, -1, 2, 96, -(2**70), 3 * 2**40, *range(-40, 41, 7)]:
+        assert _mpf(numerics._int(n)) == from_int(n)
+    for x in _nint_cases(rng, wp):
+        assert numerics._nint(*x) == to_int(mpf_nint(_mpf(x), wp, "n")), x
+    norms = _norm_cases(rng, wp)
+    for x, y in norms:
+        # the norm of mpc_div: libmpf's default rounding, round_fast
+        want = mpf_add(mpf_mul(_mpf(x), _mpf(x)), mpf_mul(_mpf(y), _mpf(y)), wp + 10)
+        assert _mpf(numerics._norm_down(*x, *y, wp + 10)) == want, (x, y)
+        want = mpc_div((fnone, fzero), (_mpf(x), _mpf(y)), wp, "n")
+        got = numerics._neg_inv(*x, *y, wp)
+        assert (_mpf(got[:2]), _mpf(got[2:])) == want, (x, y)
+    # mpf_div: random quotients, divisors with mantissa +-1, and the
+    # positive integers the Moebius step divides by
+    quotients = _add_cases(rng, wp) + norms
+    quotients += [(x, (rng.choice((-1, 1)), rng.randrange(-50, 50))) for x, _ in norms]
+    quotients += [(x, numerics._int(d)) for (x, _), d in zip(norms, range(1, 10**6))]
+    for x, y in quotients:
+        if y[0]:
+            want = mpf_div(_mpf(x), _mpf(y), wp, "n")
+            assert _mpf(numerics._div(*x, *y, wp)) == want, (x, y)
+
 
 
 def test_powers_are_refused_above_the_im_cap(capsys):
