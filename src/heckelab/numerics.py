@@ -29,9 +29,11 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     from_man_exp,
     mpc_div,
+    mpc_expjpi,
     mpc_mul,
     mpc_mul_mpf,
     mpc_pow_int,
+    mpf_shift,
     round_nearest,
 )
 
@@ -487,7 +489,10 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     """
     wp = prec.bits + _GUARD
     reduced, witness = reduce_to_fundamental_domain(tau, prec)
-    q = mp.expjpi(2 * mpc(reduced.re, reduced.im))._mpc_
+    # mp.expjpi(2 * mpc(reduced.re, reduced.im)): the parts carry at most wp
+    # bits, so mpc() keeps them and doubling them is a shift
+    two_tau = mpf_shift(reduced.re._mpf_, 1), mpf_shift(reduced.im._mpf_, 1)
+    q = mpc_expjpi(two_tau, wp, round_nearest)
     (rs, rm, rx, _), (is_, im, ix, _) = q
     qt = (-rm if rs else rm, rx, -im if is_ else im, ix)
     pw = [qt]
