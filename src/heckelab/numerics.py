@@ -203,8 +203,7 @@ def reduce_to_fundamental_domain(
         if n:
             xm, xe = _add(xm, xe, *_int(-n), wp)
             a, b = a - n * c, b - n * d
-        x2, y2 = _round(xm * xm, 2 * xe, wp), _round(ym * ym, 2 * ye, wp)
-        if _below_arc(*_add(*x2, *y2, wp), wp):
+        if _below_arc(xm, xe, ym, ye, wp):
             xm, xe, ym, ye = _neg_inv(xm, xe, ym, ye, wp)
             a, b, c, d = -c, -d, a, b
         else:
@@ -414,9 +413,18 @@ def _div(m1: int, e1: int, m2: int, e2: int, wp: int) -> tuple[int, int]:
     return _round(-quot if negative else quot, e1 - e2 - extra, wp)
 
 
-def _below_arc(man: int, exp: int, wp: int) -> bool:
-    """man * 2^exp < 1 - 2^-(wp - 8), for 0 < man < 2^wp, compared exactly."""
-    top = man.bit_length() + exp  # 2^(top - 1) <= man 2^exp < 2^top
+def _below_arc(xm: int, xe: int, ym: int, ye: int, wp: int) -> bool:
+    """|z|^2 < 1 - 2^-(wp - 8), z = x + iy, y > 0, with |z|^2 the sum of two
+    products at wp bits, as mpf arithmetic forms it, compared exactly.
+    y >= 1, or |x| and y below 1/2, settle it from the sizes alone: the
+    rounding is monotone, and 1/4 and 1 are representable."""
+    top = ym.bit_length() + ye  # 2^(top - 1) <= y < 2^top
+    if top > 0:
+        return False
+    if top < 0 and xm.bit_length() + xe < 0:
+        return True
+    man, exp = _add(*_round(xm * xm, 2 * xe, wp), *_round(ym * ym, 2 * ye, wp), wp)
+    top = man.bit_length() + exp
     if top:
         return top < 0
     # in [1/2, 1): compare man 2^(exp + wp - 8) with 2^(wp - 8) - 1

@@ -17,6 +17,7 @@ from mpmath.libmp import (
     mpc_mul,
     mpf_add,
     mpf_div,
+    mpf_lt,
     mpf_mul,
     mpf_mul_int,
     mpf_nint,
@@ -617,6 +618,18 @@ def test_integer_kernel_steps_are_the_libmpf_operations(bits):
         want = mpc_div((fnone, fzero), (_mpf(x), _mpf(y)), wp, "n")
         got = numerics._neg_inv(*x, *y, wp)
         assert (_mpf(got[:2]), _mpf(got[2:])) == want, (x, y)
+    # the arc test of the loop: |z|^2 by mpf_mul and mpf_add at wp bits,
+    # against 1 - 2^-(wp - 8), on the norm cases, on parts near 1/2 and 1,
+    # and on the points near the arc
+    with mp.workprec(wp):
+        threshold = (1 - mpf(2) ** -(wp - 8))._mpf_
+    near = [(numerics._parts(t.re, wp), numerics._parts(t.im, wp)) for t in _near_boundary_points(wp)]
+    for _ in range(300):
+        size = rng.randrange(-3, 2)
+        near.append(tuple(_canon(rng.getrandbits(wp) | 1, size - wp) for _ in "xy"))
+    for x, y in norms + near:
+        norm = mpf_add(mpf_mul(_mpf(x), _mpf(x), wp, "n"), mpf_mul(_mpf(y), _mpf(y), wp, "n"), wp, "n")
+        assert numerics._below_arc(*x, *y, wp) == mpf_lt(norm, threshold), (x, y)
     # mpf_div: random quotients, divisors with mantissa +-1, and the
     # positive integers the Moebius step divides by
     quotients = _add_cases(rng, wp) + norms
