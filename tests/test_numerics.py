@@ -562,8 +562,9 @@ def _nint_cases(rng: random.Random, wp: int):
 def _norm_cases(rng: random.Random, wp: int):
     """(x, y) pairs, y nonzero, for _norm_down and _neg_inv: random parts
     and x = 0, powers of two (a norm with mantissa 1 divides by a shift),
-    and squares 100 and 102 exponents apart whose sizes differ by about
-    wp + 14 bits, around the sticky shortcut at wp + 10 bits."""
+    and squares whose sizes differ by wp + 13 to wp + 15 bits, 100, 102 or
+    about wp + 14 exponents apart: around the sticky shortcut at wp + 10
+    bits."""
     def value(bits, exp):
         man = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
         return _canon(rng.choice((-1, 1)) * man, exp)
@@ -575,9 +576,9 @@ def _norm_cases(rng: random.Random, wp: int):
         cases += [(x, y), ((0, 0), y), ((1, rng.randrange(-200, 20)), y)]
         cases.append(((0, 0), (rng.choice((-1, 1)), rng.randrange(-200, 20))))
     prec = wp + 10
-    for half_offset in (50, 51):
+    for half_offset in (50, 51, (prec + 3) // 2, (prec + 5) // 2):
         for _ in range(40):
-            y = value(wp, rng.randrange(-300, 0))
+            y = value(rng.randrange(1, wp + 1), rng.randrange(-300, 0))
             for x_bits in range(1, wp + 1):
                 x = value(x_bits, y[1] + half_offset)
                 gap = (x[0] ** 2).bit_length() + 2 * half_offset - (y[0] ** 2).bit_length()
@@ -623,12 +624,16 @@ def test_integer_kernel_steps_are_the_libmpf_operations(bits):
     # and on the points near the arc
     with mp.workprec(wp):
         threshold = (1 - mpf(2) ** -(wp - 8))._mpf_
-    near = [(numerics._parts(t.re, wp), numerics._parts(t.im, wp)) for t in _near_boundary_points(wp)]
+    near = [
+        (numerics._parts(t.re, wp), numerics._parts(t.im, wp))
+        for t in _near_boundary_points(wp)
+    ]
     for _ in range(300):
         size = rng.randrange(-3, 2)
         near.append(tuple(_canon(rng.getrandbits(wp) | 1, size - wp) for _ in "xy"))
     for x, y in norms + near:
-        norm = mpf_add(mpf_mul(_mpf(x), _mpf(x), wp, "n"), mpf_mul(_mpf(y), _mpf(y), wp, "n"), wp, "n")
+        x2, y2 = mpf_mul(_mpf(x), _mpf(x), wp, "n"), mpf_mul(_mpf(y), _mpf(y), wp, "n")
+        norm = mpf_add(x2, y2, wp, "n")
         assert numerics._below_arc(*x, *y, wp) == mpf_lt(norm, threshold), (x, y)
     # mpf_div: random quotients, divisors with mantissa +-1, and the
     # positive integers the Moebius step divides by
