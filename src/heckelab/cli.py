@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -136,8 +137,7 @@ def _emit(
 def _parse_complex(text: str, bits: int, upper_half: bool = False):
     """A number such as '0.3+1.7i', 'i' or '1e400', read at bits + _GUARD
     bits so that decimals keep the working precision.  Returns an mpc, or
-    with upper_half an UpperHalfPoint, built in the same context because mpf
-    rounds to the context precision."""
+    with upper_half an UpperHalfPoint of its parts."""
     # the unit i is an 'i' outside a word such as 'inf'; mpmath reads '1j'
     # but not a bare 'j'
     s = re.sub(r"(?<![a-z])i(?![a-z])", "j", text.strip().replace(" ", ""))
@@ -519,7 +519,10 @@ def cmd_residual(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it as it
+    was, and every default in it is immutable."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--precision-bits", type=int, default=128, help="working precision (>= 53)"

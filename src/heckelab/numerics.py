@@ -82,14 +82,17 @@ DEFAULT_PRECISION = Precision()
 
 @dataclass(frozen=True)
 class UpperHalfPoint:
-    """A point re + im*i with im > 0.  Components are mpmath reals."""
+    """A point re + im*i with im > 0.  Components are mpmath reals: an mpf
+    part is kept exactly, any other number is converted at the context
+    precision."""
 
     re: mpf
     im: mpf
 
     def __post_init__(self):
-        object.__setattr__(self, "re", mpf(self.re))
-        object.__setattr__(self, "im", mpf(self.im))
+        for name in ("re", "im"):
+            if not isinstance(getattr(self, name), mpf):
+                object.__setattr__(self, name, mpf(getattr(self, name)))
         if not self.im > 0:
             raise ValueError(f"point must lie in the upper half-plane, Im = {self.im}")
 
@@ -98,8 +101,8 @@ class UpperHalfPoint:
 
     @classmethod
     def _of_raw(cls, re: tuple, im: tuple) -> "UpperHalfPoint":
-        """The point with these raw mpf parts, Im positive, kept exactly:
-        the constructor would round them to the context precision."""
+        """The point with these raw mpf parts, Im positive, without the
+        constructor's checks: the hot path of the orbit and the reduction."""
         point = object.__new__(cls)
         object.__setattr__(point, "re", mp.make_mpf(re))
         object.__setattr__(point, "im", mp.make_mpf(im))

@@ -5,7 +5,7 @@ import json
 import pytest
 from mpmath import mp
 
-from heckelab.cli import _parse_complex, main
+from heckelab.cli import _build_parser, _parse_complex, main
 
 SUBCOMMANDS = [
     "orbit",
@@ -269,6 +269,21 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert main(["integral", "12345", "30", "--precision-bits", "64",
                  "--seed", "6", "--out", str(c)]) == 0
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_parser_is_built_once_and_carries_nothing_over(capsys):
+    assert _build_parser() is _build_parser()
+    first = ["orbit", "2i", "2", "--precision-bits", "64", "--format", "jsonl"]
+    outs = []
+    for argv in (first, ["orbit", "2i", "2"], ["scan", "--self-test"], first):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[3] == outs[0]
+    # the default-precision run reads as one parsed by a parser of its own
+    args = _build_parser.__wrapped__().parse_args(["orbit", "2i", "2"])
+    assert (args.precision_bits, args.format) == (128, "csv")
+    assert args.func(args) == 0
+    assert capsys.readouterr().out == outs[1]
 
 
 def test_out_file(tmp_path):

@@ -1,6 +1,8 @@
+import logging
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -68,6 +70,70 @@ def test_lemma_fails_at_two():
     assert order_index(0, 3) == (2, -3)
     assert not condition_p_lemma_check(2, 3)
     assert not condition_p_lemma_check(2, 2000)
+
+
+def _brute_lemma_check(p, n_max):
+    """The per-(N, t) loop the sweep replaced: the verdict, and the first
+    failing (N, t, f, d_K) or None."""
+    squares = {x * x % p for x in range(p)}
+    for N in range(1, n_max + 1):
+        if (N % 4 != 3) if p == 2 else (N % p in squares):
+            continue
+        for t in range(math.isqrt(4 * N - 1) + 1):
+            f, d_k = order_index(t, N)
+            if f % p == 0:
+                return False, (N, t, f, d_k)
+    return True, None
+
+
+def _logged_failures(caplog):
+    return [
+        tuple(r.args)
+        for r in caplog.records
+        if r.name == "heckelab.cm" and r.msg.startswith("index divisible by p")
+    ]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 50, 401, 2000])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
+def test_lemma_sweep_matches_the_loop(p, n_max, caplog):
+    caplog.set_level(logging.WARNING, logger="heckelab.cm")
+    ok, witness = _brute_lemma_check(p, n_max)
+    assert condition_p_lemma_check(p, n_max) is ok
+    assert _logged_failures(caplog) == ([] if ok else [witness])
+
+
+@pytest.mark.parametrize("p, n_max", [(2, 401), (3, 401), (5, 2000), (19, 401)])
+def test_lemma_sweep_across_blocks(p, n_max, caplog, monkeypatch):
+    caplog.set_level(logging.WARNING, logger="heckelab.cm")
+    monkeypatch.setattr(cm, "_BLOCK_PAIRS", 37)
+    ok, witness = _brute_lemma_check(p, n_max)
+    assert condition_p_lemma_check(p, n_max) is ok
+    assert _logged_failures(caplog) == ([] if ok else [witness])
+
+
+@pytest.mark.parametrize("block, blocks", [(1, 12), (37, 5), (1 << 14, 1)])
+def test_trace_blocks_sweep_every_pair_in_loop_order(block, blocks, monkeypatch):
+    # odd p never fails, so the verdicts alone would not see a lost pair
+    monkeypatch.setattr(cm, "_BLOCK_PAIRS", block)
+    ns = np.array([1, 2, 3, 4, 9, 10, 24, 25, 26, 400, 401, 2000], dtype=np.int64)
+    pairs, per_block = [], []
+    for t, n, k in cm._trace_blocks(ns, ns, np.arange(len(ns))):
+        assert np.array_equal(ns[k], n)
+        pairs += zip(n.tolist(), t.tolist())
+        per_block.append(sorted(set(n.tolist())))
+    assert pairs == [(N, t) for N in ns.tolist() for t in range(math.isqrt(4 * N - 1) + 1)]
+    # whole N per block, as many blocks as the block size gives
+    assert sum(per_block, []) == ns.tolist() and len(per_block) == blocks
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 50])
+def test_condition_p_needs_a_prime(p, caplog):
+    with pytest.raises(ValueError, match="needs a prime p"):
+        condition_p(5, p)
+    with pytest.raises(ValueError, match="needs a prime p"):
+        condition_p_lemma_check(p, 50)
+    assert not caplog.records
 
 
 def test_fixed_points_classical():

@@ -470,6 +470,22 @@ def test_precision_and_point_validation():
     assert (z.re, z.im) == (1, 2)
 
 
+def test_upper_half_point_keeps_its_precision():
+    with mp.workprec(400):
+        x, y = mpf(1) / 3, mp.sqrt(2)
+        intended = UpperHalfPoint(x, y)
+    with mp.workprec(53):
+        point = UpperHalfPoint(x, y)
+        # other numbers are still read at the context precision
+        assert UpperHalfPoint("0.1", 1).re == mpf("0.1")
+        assert UpperHalfPoint(0.1, 1).re == mpf(0.1)
+    assert (point.re, point.im) == (x, y)
+    assert point.re._mpf_[3] == point.im._mpf_[3] == 400
+    assert eval_j(point, Precision(256)) == eval_j(intended, Precision(256))
+    with mp.workprec(400):
+        assert UpperHalfPoint("0.1", 1).re == mpf("0.1")
+
+
 def test_tail_guard_rejects_truncated_series():
     tight = Precision(128, series_terms=3)
     with pytest.raises(PrecisionOverflowError):
