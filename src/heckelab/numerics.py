@@ -91,8 +91,9 @@ class UpperHalfPoint:
 
     def __post_init__(self):
         for name in ("re", "im"):
-            if not isinstance(getattr(self, name), mpf):
-                object.__setattr__(self, name, mpf(getattr(self, name)))
+            value = getattr(self, name)
+            if not isinstance(value, mpf):
+                object.__setattr__(self, name, mpf(value))
         if not self.im > 0:
             raise ValueError(f"point must lie in the upper half-plane, Im = {self.im}")
 

@@ -478,7 +478,6 @@ def test_upper_half_point_keeps_its_precision():
         point = UpperHalfPoint(x, y)
         # other numbers are still read at the context precision
         assert UpperHalfPoint("0.1", 1).re == mpf("0.1")
-        assert UpperHalfPoint(0.1, 1).re == mpf(0.1)
     assert (point.re, point.im) == (x, y)
     assert point.re._mpf_[3] == point.im._mpf_[3] == 400
     assert eval_j(point, Precision(256)) == eval_j(intended, Precision(256))
