@@ -119,33 +119,6 @@ def order_index(t: int, N: int) -> tuple[int, int]:
     return split_discriminant(disc)
 
 
-# (N, t) pairs per block of the condition (P) sweep: a block's int64 arrays
-# of 128 KiB stay in cache; blocks of 2^16 pairs ran about half as fast
-_BLOCK_PAIRS = 1 << 14
-
-
-def _trace_blocks(ns: np.ndarray, *per_n: np.ndarray):
-    """Yield, block by block, the traces t of the pairs (N, t) with N in ns
-    and 0 <= t <= isqrt(4N - 1), in loop order: N as in ns, then t
-    ascending.  Each block also spreads every array of per_n, which runs
-    alongside ns, over its pairs.  A block holds whole N and about
-    _BLOCK_PAIRS pairs."""
-    # isqrt(4N - 1), the float root corrected to be exact
-    root = np.sqrt(4 * ns - 1).astype(np.int64)
-    root -= root * root > 4 * ns - 1
-    root += (root + 1) ** 2 <= 4 * ns - 1
-    counts = root + 1
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    lo = 0
-    while lo < len(ns):
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _BLOCK_PAIRS, "right")))
-        c = counts[lo:hi]
-        t = np.arange(starts[lo], ends[hi - 1]) - np.repeat(starts[lo:hi], c)
-        yield (t, *(np.repeat(a[lo:hi], c) for a in per_n))
-        lo = hi
-
-
 def condition_p_lemma_check(p: int, n_max: int) -> bool:
     """For every N <= n_max satisfying condition (P) at p and every trace t
     with t^2 < 4N, the order index is prime to p.
@@ -153,11 +126,12 @@ def condition_p_lemma_check(p: int, n_max: int) -> bool:
     With m = 4N - t^2 = f^2 |d_K|, p divides f exactly when p^2 divides m
     and m/p^2 = 0 or 3 mod 4, i.e. -m/p^2 is a discriminant: the split of a
     negative discriminant into f^2 d_K is unique.  One residue mask picks
-    the N of condition (P), and _trace_blocks sweeps their (N, t) in loop
-    order.  p^2 | m is t^2 = 4N mod p^2, read from tables of t^2 and 4N mod
-    p^2, and only those pairs are divided.  The first failing pair is split
-    by order_index and logged.  f depends on t only through t^2, so t >= 0
-    suffices.  Raises ValueError unless p is prime.
+    the N of condition (P); then one NumPy pass per trace t tests its N
+    with 4N > t^2, where p^2 | m is 4N = t^2 mod p^2, and only a t whose
+    square is such a residue is swept.  The smallest failing N, at its
+    smallest t, is the loop's first failure in (N, t) order: order_index
+    splits it and it is logged.  f depends on t only through t^2, so
+    t >= 0 suffices.  Raises ValueError unless p is prime.
     """
     _check_prime(p)
     p2 = p * p
@@ -166,23 +140,28 @@ def condition_p_lemma_check(p: int, n_max: int) -> bool:
     modulus = 4 if p == 2 else p
     mask = np.array([_avoids_squares(r, p) for r in range(modulus)])
     ns = np.arange(1, n_max + 1, dtype=np.int64)
-    ns = ns[mask[ns % modulus]]
-    traces = np.arange(isqrt(4 * n_max - 1) + 1, dtype=np.int64)
-    t2_mod = traces * traces % p2
-    four_n_mod = 4 * ns % p2
-    for t, n, four_n in _trace_blocks(ns, ns, four_n_mod):
-        hits = np.flatnonzero(t2_mod[t] == four_n)
-        n, t = n[hits], t[hits]
-        q = (4 * n - t * t) // p2
-        bad = np.flatnonzero((q % 4 == 0) | (q % 4 == 3))
+    four_n = 4 * ns[mask[ns % modulus]]
+    four_n_mod = four_n % p2
+    residues = np.zeros(p2, dtype=bool)
+    residues[four_n_mod] = True
+    squares = np.arange(isqrt(4 * n_max - 1) + 1, dtype=np.int64) ** 2
+    starts = np.searchsorted(four_n, squares, "right")  # first N with 4N > t^2
+    first = len(four_n)  # index of the smallest failing N found so far
+    for t in np.flatnonzero(residues[squares % p2]).tolist():
+        lo = int(starts[t])
+        if lo >= first:
+            break  # later t only reach larger N
+        hits = lo + np.flatnonzero(four_n_mod[lo:first] == squares[t] % p2)
+        q = (four_n[hits] - squares[t]) // p2
+        bad = hits[(q % 4 == 0) | (q % 4 == 3)]
         if len(bad):
-            N, t0 = int(n[bad[0]]), int(t[bad[0]])
-            f, d_k = order_index(t0, N)
-            logger.warning(
-                "index divisible by p: N=%d t=%d f=%d d_K=%d", N, t0, f, d_k
-            )
-            return False
-    return True
+            first, first_t = int(bad[0]), t
+    if first == len(four_n):
+        return True
+    N = int(four_n[first]) // 4
+    f, d_k = order_index(first_t, N)
+    logger.warning("index divisible by p: N=%d t=%d f=%d d_K=%d", N, first_t, f, d_k)
+    return False
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from mpmath.libmp import (
     mpc_mul,
     mpc_mul_mpf,
     mpc_pow_int,
+    mpf_pos,
     mpf_shift,
     round_nearest,
 )
@@ -190,8 +191,9 @@ def reduce_to_fundamental_domain(
     if abs(x) < 0.5 - _INSIDE_MARGIN and x * x + y * y > 1 + _INSIDE_MARGIN:
         if tau.re._mpf_[3] <= wp and tau.im._mpf_[3] <= wp:
             return tau, _IDENTITY
-        with mp.workprec(wp):
-            return UpperHalfPoint(tau.re, tau.im), _IDENTITY
+        # the parts rounded to wp bits, as mpf() at wp bits rounds them
+        re, im = (mpf_pos(part._mpf_, wp, round_nearest) for part in (tau.re, tau.im))
+        return UpperHalfPoint._of_raw(re, im), _IDENTITY
     re, im = _parts(tau.re, wp), _parts(tau.im, wp)
     if re is None:
         raise ValueError(f"cannot reduce a point whose Re tau = {tau.re} is not finite")

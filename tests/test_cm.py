@@ -2,7 +2,6 @@ import logging
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from mpmath import mp
 
@@ -72,12 +71,15 @@ def test_lemma_fails_at_two():
     assert not condition_p_lemma_check(2, 2000)
 
 
-def _brute_lemma_check(p, n_max):
-    """The per-(N, t) loop the sweep replaced: the verdict, and the first
-    failing (N, t, f, d_K) or None."""
-    squares = {x * x % p for x in range(p)}
+def _brute_lemma_check(p, n_max, keep=None):
+    """The per-(N, t) loop the sweep replaced, over the N that keep accepts
+    (condition (P) at p by default): the verdict, and the first failing
+    (N, t, f, d_K) or None."""
+    if keep is None:
+        squares = {x * x % p for x in range(p)}
+        keep = (lambda N: N % 4 == 3) if p == 2 else (lambda N: N % p not in squares)
     for N in range(1, n_max + 1):
-        if (N % 4 != 3) if p == 2 else (N % p in squares):
+        if not keep(N):
             continue
         for t in range(math.isqrt(4 * N - 1) + 1):
             f, d_k = order_index(t, N)
@@ -103,28 +105,30 @@ def test_lemma_sweep_matches_the_loop(p, n_max, caplog):
     assert _logged_failures(caplog) == ([] if ok else [witness])
 
 
-@pytest.mark.parametrize("p, n_max", [(2, 401), (3, 401), (5, 2000), (19, 401)])
-def test_lemma_sweep_across_blocks(p, n_max, caplog, monkeypatch):
+def _residue_rules():
+    # every residue class mod p (mod 4 at p = 2), and all N
+    for p in (2, 3, 5, 7):
+        modulus = 4 if p == 2 else p
+        yield p, modulus, None
+        yield from ((p, modulus, r) for r in range(modulus))
+
+
+@pytest.mark.parametrize("n_max", [50, 2000])
+@pytest.mark.parametrize("p, modulus, residue", list(_residue_rules()))
+def test_lemma_sweep_finds_the_loops_first_failure(
+    p, modulus, residue, n_max, caplog, monkeypatch
+):
+    # at odd p condition (P) never fails, so sweep other sets of N, where
+    # pairs do fail and the one logged must be the loop's first
     caplog.set_level(logging.WARNING, logger="heckelab.cm")
-    monkeypatch.setattr(cm, "_BLOCK_PAIRS", 37)
-    ok, witness = _brute_lemma_check(p, n_max)
+
+    def keep(N):
+        return residue is None or N % modulus == residue
+
+    monkeypatch.setattr(cm, "_avoids_squares", lambda N, _p: keep(N))
+    ok, witness = _brute_lemma_check(p, n_max, keep)
     assert condition_p_lemma_check(p, n_max) is ok
     assert _logged_failures(caplog) == ([] if ok else [witness])
-
-
-@pytest.mark.parametrize("block, blocks", [(1, 12), (37, 5), (1 << 14, 1)])
-def test_trace_blocks_sweep_every_pair_in_loop_order(block, blocks, monkeypatch):
-    # odd p never fails, so the verdicts alone would not see a lost pair
-    monkeypatch.setattr(cm, "_BLOCK_PAIRS", block)
-    ns = np.array([1, 2, 3, 4, 9, 10, 24, 25, 26, 400, 401, 2000], dtype=np.int64)
-    pairs, per_block = [], []
-    for t, n, k in cm._trace_blocks(ns, ns, np.arange(len(ns))):
-        assert np.array_equal(ns[k], n)
-        pairs += zip(n.tolist(), t.tolist())
-        per_block.append(sorted(set(n.tolist())))
-    assert pairs == [(N, t) for N in ns.tolist() for t in range(math.isqrt(4 * N - 1) + 1)]
-    # whole N per block, as many blocks as the block size gives
-    assert sum(per_block, []) == ns.tolist() and len(per_block) == blocks
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 50])

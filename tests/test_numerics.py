@@ -470,17 +470,33 @@ def test_precision_and_point_validation():
     assert (z.re, z.im) == (1, 2)
 
 
-def test_upper_half_point_keeps_its_precision():
+def test_upper_half_point_keeps_its_precision(mpc_oracle):
     with mp.workprec(400):
         x, y = mpf(1) / 3, mp.sqrt(2)
         intended = UpperHalfPoint(x, y)
+        shifted = UpperHalfPoint(x + 1, y)
     with mp.workprec(53):
         point = UpperHalfPoint(x, y)
         # other numbers are still read at the context precision
         assert UpperHalfPoint("0.1", 1).re == mpf("0.1")
     assert (point.re, point.im) == (x, y)
     assert point.re._mpf_[3] == point.im._mpf_[3] == 400
-    assert eval_j(point, Precision(256)) == eval_j(intended, Precision(256))
+    prec = Precision(256)
+    wp = prec.bits + numerics._GUARD
+    assert eval_j(point, prec) == eval_j(intended, prec)
+    # the reduction rounds the parts to the working precision, inside the
+    # domain (the float64 exit) as outside it, so j is that of the point
+    # rounded to wp bits
+    for tau in (point, shifted):
+        reduced, witness = reduce_to_fundamental_domain(tau, prec)
+        expected, expected_witness = mpc_oracle.reduce(tau, prec)
+        assert (reduced.re, reduced.im) == (expected.re, expected.im)
+        assert witness == expected_witness
+        assert max(reduced.re._mpf_[3], reduced.im._mpf_[3]) <= wp
+    with mp.workprec(wp):
+        rounded = UpperHalfPoint(+x, +y)
+    assert rounded != point
+    assert eval_j(point, prec) == eval_j(rounded, prec)
     with mp.workprec(400):
         assert UpperHalfPoint("0.1", 1).re == mpf("0.1")
 
