@@ -483,8 +483,9 @@ def _eisenstein_sum(pw, coeffs, wp: int) -> tuple[int, int, int, int]:
 
 
 def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=False):
-    """The one q-series pass behind every evaluator; call it at the working
-    precision bits + _GUARD.
+    """The one q-series pass behind every evaluator.  It works at wp = bits
+    + _GUARD through explicit arguments and reads no context precision;
+    callers that go on in mpmath arithmetic enter mp.workprec(wp) for it.
 
     Reduces tau, forms q at the reduced point and sums there, to the order
     _series_order picks, the series asked for: E4 = 1 + 240 sum sigma_3(n)
@@ -600,13 +601,12 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     large Im tau where the literal subtraction would cancel to noise.
     """
     wp = prec.bits + _GUARD
-    with mp.workprec(wp):
-        reduced, _, q, e4, _, prod = _series(tau, prec, e4=True, euler=True)
-        # |q| <= 0.0044 after reduction, so |prod|^24 >= 0.9: no cancellation
-        p12 = _prod12(reduced, prod, wp)
-        den = mpc_mul(mpc_mul(q, p12, wp, round_nearest), p12, wp, round_nearest)
-        num = mpc_pow_int(e4, 3, wp, round_nearest)
-        return mp.make_mpc(mpc_div(num, den, wp, round_nearest))
+    reduced, _, q, e4, _, prod = _series(tau, prec, e4=True, euler=True)
+    # |q| <= 0.0044 after reduction, so |prod|^24 >= 0.9: no cancellation
+    p12 = _prod12(reduced, prod, wp)
+    den = mpc_mul(mpc_mul(q, p12, wp, round_nearest), p12, wp, round_nearest)
+    num = mpc_pow_int(e4, 3, wp, round_nearest)
+    return mp.make_mpc(mpc_div(num, den, wp, round_nearest))
 
 
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:

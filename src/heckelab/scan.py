@@ -1,13 +1,23 @@
 """Point counts over prime fields and what the Frobenius traces reveal.
 
-A curve y^2 = x^3 + a4 x + a6 over Q is reduced at each good prime p >= 5
-and counted by a half-sweep over x = 1 .. (p - 1)/2 against tables built
-once per prime (x^3 mod p and a doubled Legendre table), which the two
-curves of a scan share.  Two reductions are geometrically isogenous exactly
-when their Frobenius eigenvalue ratio is a root of unity, which a
-trace-power match at some k <= 12 detects: the ratio lives in a degree <= 4
-field, so its order n has phi(n) <= 4, i.e.
-n in {1, 2, 3, 4, 5, 6, 8, 10, 12}.
+A curve y^2 = x^3 + a4 x + a6 over Q is reduced at each good prime p >= 5.
+A reduction with b = 0 (j = 1728) or a = 0 (j = 0) has CM by Z[i], resp.
+Z[omega], and its a_p is read in closed form off the primary prime pi over
+p there (Gauss and Jacobi via Jacobi sums: Ireland-Rosen, GTM 84, Ch. 18):
+0 at the primes inert in the CM field, otherwise 2 Re(conj(chi) pi) for
+y^2 = x^3 - D x with pi = 1 (mod 2 + 2i) and chi = (D/pi)_4, and
+-Tr(conj(chi) pi) for y^2 = x^3 + D with pi = 2 (mod 3) and
+chi = (4D/pi)_6; pi comes from Cornacchia's algorithm.  The choice rests on
+the reduced curve alone, so it serves any curve at a prime dividing a4 or
+a6.  Every other reduction is counted by a half-sweep over
+x = 1 .. (p - 1)/2 against tables built once per prime (x^3 mod p and a
+doubled Legendre table), which the two curves of a scan share; the tests
+check the closed forms against it.
+
+Two reductions are geometrically isogenous exactly when their Frobenius
+eigenvalue ratio is a root of unity, which a trace-power match at some
+k <= 12 detects: the ratio lives in a degree <= 4 field, so its order n
+has phi(n) <= 4, i.e. n in {1, 2, 3, 4, 5, 6, 8, 10, 12}.
 """
 
 from __future__ import annotations
@@ -87,12 +97,6 @@ class ScanHit(NamedTuple):
     right: TraceRecord
 
 
-def _reduce_mod(x: Fraction, p: int) -> int:
-    if x.denominator % p == 0:
-        raise BadReductionError(f"denominator of {x} vanishes mod {p}")
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
 # Every value the tables and the half-sweep form fits in int32 below this
 # bound.  With h = (p - 1)/2 and x <= h, the largest is the unreduced
 # x^3 mod p + a x <= (p - 1) + (p - 1) h = (p - 1)(h + 1) = (p^2 - 1)/2; x^2
@@ -124,45 +128,162 @@ def _prime_tables(p: int) -> _PrimeTables:
     return _PrimeTables(x, cube, np.concatenate((chi, chi)))
 
 
-# A record takes 0.4-0.6 KB, so the cache stays below about 10 MB.  One scan
-# command (scan_pair, then coincidence_statistic over the same primes) reads
-# 2 pi(p_max) records, which still fit up to p_max ~ 8e4.
-@lru_cache(maxsize=1 << 14)
-def _counted(a4: Fraction, a6: Fraction, p: int) -> TraceRecord:
-    a = _reduce_mod(a4, p)
-    b = _reduce_mod(a6, p)
-    if (4 * a * a % p * a + 27 * b * b) % p == 0:
-        raise BadReductionError(f"discriminant vanishes mod {p}")
+def _half_sweep(a: int, b: int, p: int) -> int:
+    """a_p of y^2 = x^3 + a x + b over F_p by the half-sweep (see
+    count_points), for every curve; the tests' oracle of the closed forms."""
     x, cube, chi2 = _prime_tables(p)
     g = cube + a * x
     g -= g // p * p  # g(x) mod p; NumPy divides by a scalar faster than %
-    a_p = -(
+    return -(
         int(chi2[b])
         + int(chi2.take(b + g).sum())
         + int(chi2.take((p + b) - g).sum())
     )
+
+
+def _cornacchia(d: int, p: int, root: int) -> tuple[int, int]:
+    """(x, y) with x^2 + d y^2 = p, from a root of root^2 = -d (mod p).
+
+    Cornacchia's algorithm: Euclid's remainders of p and root, from the
+    root below p/2, down to the first below sqrt(p).  d = 1 and 3 have class
+    number one, so every prime p = 1 mod 4, resp. mod 3, is reached.
+    """
+    limit = math.isqrt(p)
+    a, b = p, min(root, p - root)
+    while b > limit:
+        a, b = b, a % b
+    y = math.isqrt((p - b * b) // d)
+    if b * b + d * y * y != p:
+        raise ArithmeticError(f"Cornacchia: no x^2 + {d} y^2 = {p}")
+    return b, y
+
+
+# Both curves of a scan are counted at p one after the other, and a twist
+# pair has the same shape on both sides, so the last two primes are kept.
+@lru_cache(maxsize=2)
+def _gaussian_prime(p: int) -> tuple[int, int, int]:
+    """(alpha, beta, u) for a prime p = 1 (mod 4): pi = alpha + beta i is
+    primary, pi = 1 (mod 2 + 2i), with p = pi conj(pi), and u is -i mod pi,
+    i.e. alpha/beta mod p."""
+    c = 2
+    while (root := pow(c, (p - 1) // 4, p)) * root % p != p - 1:
+        c += 1  # c^((p-1)/4) is a square root of -1 once c is a non-residue
+    alpha, beta = _cornacchia(1, p, root)
+    if alpha % 2 == 0:
+        alpha, beta = beta, alpha
+    if (alpha - beta - 1) % 4:  # primary: beta even, alpha = 1 + beta (mod 4)
+        alpha, beta = -alpha, -beta
+    return alpha, beta, alpha * pow(beta, -1, p) % p
+
+
+@lru_cache(maxsize=2)
+def _eisenstein_prime(p: int) -> tuple[int, int, int]:
+    """(A, B, u) for a prime p = 1 (mod 3): pi = A + B omega is primary,
+    pi = 2 (mod 3), with p = pi conj(pi), and u is zeta^-1 = -omega mod pi,
+    i.e. A/B mod p, for the sixth root of unity zeta = 1 + omega."""
+    c = 2
+    while (w := pow(c, (p - 1) // 3, p)) == 1:
+        c += 1  # w is a primitive cube root of 1 once c is a non-cube
+    x, y = _cornacchia(3, p, (2 * w + 1) % p)  # (2w + 1)^2 = -3
+    big_a, big_b = x + y, 2 * y  # x + y sqrt(-3), as sqrt(-3) = 1 + 2 omega
+    while big_a % 3 != 2 or big_b % 3:
+        big_a, big_b = big_a - big_b, big_a  # times zeta: the six associates
+    return big_a, big_b, big_a * pow(big_b, -1, p) % p
+
+
+def _j1728_record(d: int, p: int) -> TraceRecord:
+    """The record of y^2 = x^3 - d x, d != 0 mod p.
+
+    a_p = 0 at p = 3 (mod 4).  Otherwise a_p = chi conj(pi) + conj(chi) pi
+    = 2 Re(conj(chi) pi) with chi = (d/pi)_4 = d^((p-1)/4) mod pi
+    (Ireland-Rosen, GTM 84, Ch. 18, Sec. 4, Thm. 5).  chi = i^k is read
+    off by dividing out i while multiplying pi by -i = conj(i).
+    """
+    if p % 4 == 3:
+        return TraceRecord(p, 0, Supersingular())
+    alpha, beta, u = _gaussian_prime(p)
+    chi = pow(d, (p - 1) // 4, p)
+    while chi != 1:
+        chi, alpha, beta = chi * u % p, beta, -alpha
+    # a_p^2 - 4p = -4 beta^2
+    return TraceRecord(p, 2 * alpha, Ordinary(cm_fundamental_disc=-4, conductor=abs(beta)))
+
+
+def _j0_record(d: int, p: int) -> TraceRecord:
+    """The record of y^2 = x^3 + d, d != 0 mod p.
+
+    a_p = 0 at p = 2 (mod 3).  Otherwise a_p = -(chi conj(pi) + conj(chi)
+    pi) = -Tr(conj(chi) pi) with chi = (4d/pi)_6 = (4d)^((p-1)/6) mod pi
+    (Ireland-Rosen, GTM 84, Ch. 18, Sec. 3, Thm. 4), and Tr(A + B omega)
+    = 2A - B.  chi = zeta^k is read off by dividing out zeta while
+    multiplying pi by zeta^-1 = -omega.
+    """
+    if p % 3 == 2:
+        return TraceRecord(p, 0, Supersingular())
+    big_a, big_b, u = _eisenstein_prime(p)
+    chi = pow(4 * d, (p - 1) // 6, p)
+    while chi != 1:
+        chi, big_a, big_b = chi * u % p, big_b, big_b - big_a
+    # a_p^2 - 4p = -3 B^2
+    return TraceRecord(
+        p, big_b - 2 * big_a, Ordinary(cm_fundamental_disc=-3, conductor=abs(big_b))
+    )
+
+
+def _reduce_mod(num: int, den: int, p: int) -> int:
+    if den % p == 0:
+        raise BadReductionError(f"denominator of {Fraction(num, den)} vanishes mod {p}")
+    return num * pow(den, -1, p) % p
+
+
+# Both curves of a scan are counted at p one after the other, so the verdict
+# on the last two primes is kept: trial division costs more than a
+# closed-form count.
+@lru_cache(maxsize=2)
+def _is_good_prime(p: int) -> bool:
+    return p >= 5 and is_prime(p)
+
+
+# A record takes 0.4-0.6 KB, so the cache stays below about 10 MB.  One scan
+# command (scan_pair, then coincidence_statistic over the same primes) reads
+# 2 pi(p_max) records, which still fit up to p_max ~ 8e4.  The key is the
+# integer numerators and denominators: hashing two Fractions cost more than
+# a closed-form count.
+@lru_cache(maxsize=1 << 14)
+def _counted(n4: int, d4: int, n6: int, d6: int, p: int) -> TraceRecord:
+    if not _is_good_prime(p):
+        raise ValueError(f"need a prime p >= 5, got {p}")
+    a = _reduce_mod(n4, d4, p)
+    b = _reduce_mod(n6, d6, p)
+    if (4 * a * a % p * a + 27 * b * b) % p == 0:
+        raise BadReductionError(f"discriminant vanishes mod {p}")
+    if b == 0:
+        return _j1728_record(p - a, p)
+    if a == 0:
+        return _j0_record(b, p)
+    a_p = _half_sweep(a, b, p)
     if a_p == 0:
-        cls: Supersingular | Ordinary = Supersingular()
-    else:
-        conductor, d_k = split_discriminant(a_p * a_p - 4 * p)
-        cls = Ordinary(cm_fundamental_disc=d_k, conductor=conductor)
-    return TraceRecord(p=p, a_p=a_p, classification=cls)
+        return TraceRecord(p, 0, Supersingular())
+    conductor, d_k = split_discriminant(a_p * a_p - 4 * p)
+    return TraceRecord(p, a_p, Ordinary(cm_fundamental_disc=d_k, conductor=conductor))
 
 
 def count_points(curve: CurveQ, p: int) -> TraceRecord:
     """a_p = p + 1 - |E(F_p)|, with classification.
 
-    With f(x) = x^3 + a x + b = b + g(x) and g odd, f(-x) = b - g(x), so
-    a_p = -sum_x chi(f(x)) pairs x with -x:
+    When the reduction has b = 0 (j = 1728) or a = 0 (j = 0), a_p is read
+    off the primary prime over p in Z[i] or Z[omega] (_j1728_record,
+    _j0_record), and is 0 at the primes inert there.  Every other curve is
+    counted by a half-sweep: with f(x) = x^3 + a x + b = b + g(x) and g
+    odd, f(-x) = b - g(x), so a_p = -sum_x chi(f(x)) pairs x with -x:
 
         a_p = -(chi(b) + sum_{x=1}^{(p-1)/2} [chi(b + g(x)) + chi(b - g(x))]).
 
     One remainder g(x) mod p serves both terms, which are read from the
     doubled Legendre table at b + g and p + b - g.
     """
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"need a prime p >= 5, got {p}")
-    return _counted(curve.a4, curve.a6, p)
+    a4, a6 = curve.a4, curve.a6
+    return _counted(a4.numerator, a4.denominator, a6.numerator, a6.denominator, p)
 
 
 def trace_power(a_p: int, p: int, k: int) -> int:

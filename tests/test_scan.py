@@ -5,11 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heckelab.arith import primes_up_to
+from heckelab.arith import primes_up_to, split_discriminant
 from heckelab.cli import main
 from heckelab.scan import (
     _INT32_BELOW,
     _counted,
+    _half_sweep,
+    _j0_record,
+    _j1728_record,
     _prime_tables,
     BadReductionError,
     CurveQ,
@@ -106,7 +109,9 @@ def test_half_sweep_counts_the_roots_of_the_cubic():
             a, b = _reduce(a4, p), _reduce(a6, p)
             roots = sum((x**3 + a * x + b) % p == 0 for x in range(p))
             assert roots == 3 or b == 0
-            assert rec.a_p == _brute_count(a, b, p), (a4, a6, p)
+            # count_points takes the closed form when b = 0; the sweep,
+            # its oracle, must count those cubics too
+            assert rec.a_p == _brute_count(a, b, p) == _half_sweep(a, b, p), (a4, a6, p)
 
 
 def test_classification_fields():
@@ -143,6 +148,10 @@ def test_curve_validation_and_reduction():
         count_points(CurveQ(Fraction(1, 5), 1), 5)
     with pytest.raises(BadReductionError):
         count_points(CurveQ(1, 1), 31)  # disc -496 = -16 * 31
+    # composite p >= 5 on the closed-form curves, too
+    for curve, p in ((CurveQ(-1, 0), 25), (CurveQ(0, 1), 49), (CurveQ(1, 1), 91)):
+        with pytest.raises(ValueError, match="need a prime p >= 5"):
+            count_points(curve, p)
 
 
 def test_trace_power_recurrence():
@@ -246,13 +255,95 @@ def test_record_cache_is_bounded_and_shared_within_a_scan(capsys):
 
 
 def test_prime_tables_are_built_once_per_prime_of_a_scan(capsys):
+    # a4 a6 is a unit at every prime, so no record takes the closed form
+    left, right = (1, 1), (-1, 1)
     _counted.cache_clear()
     _prime_tables.cache_clear()
-    assert main(["scan", "-1,0", "0,-1", "5", "500"]) == 0
+    assert main(["scan", "1,1", "-1,1", "5", "500"]) == 0
     capsys.readouterr()
-    # scan_pair counts both curves at each prime of [5, 500] from one set of
-    # tables; coincidence_statistic then reads only cached records
-    primes = len(primes_up_to(500)) - 2
+
+    def good(a4, a6, p):
+        return (4 * a4**3 + 27 * a6**2) % p != 0
+
+    # scan_pair counts the left curve at each prime of [5, 500] and, where it
+    # is good, the right curve from the same tables; a bad right curve raises
+    # before it reads them.  coincidence_statistic then reads cached records
+    # or raises again before the tables.
+    primes = [p for p in primes_up_to(500) if p >= 5]
+    left_good = [p for p in primes if good(*left, p)]
+    both_good = [p for p in left_good if good(*right, p)]
+    assert len(both_good) == len(primes) - 2  # 31 | disc(left), 23 | disc(right)
     info = _prime_tables.cache_info()
-    assert (info.misses, info.hits) == (primes, primes)
+    assert (info.misses, info.hits) == (len(left_good), len(both_good))
     _counted.cache_clear()
+
+
+def test_closed_forms_match_the_sweep_for_every_d():
+    # y^2 = x^3 - d x (j = 1728) and y^2 = x^3 + d (j = 0) for every d != 0
+    # mod p; ordinary records carry the CM field Q(i), resp. Q(sqrt -3)
+    for p in primes_up_to(600):
+        if p < 5:
+            continue
+        for d in range(1, p):
+            for rec, a, b, d_k in (
+                (_j1728_record(d, p), p - d, 0, -4),
+                (_j0_record(d, p), 0, d, -3),
+            ):
+                assert rec.p == p and rec.a_p == _half_sweep(a, b, p), (a, b, p)
+                inert = p % 4 == 3 if b == 0 else p % 3 == 2
+                assert isinstance(rec.classification, Supersingular) == inert
+                if not inert:
+                    c = rec.classification
+                    assert (c.conductor, c.cm_fundamental_disc) == split_discriminant(
+                        rec.a_p**2 - 4 * p
+                    )
+                    assert c.cm_fundamental_disc == d_k
+
+
+def test_closed_forms_match_the_sweep_on_both_sides_of_int32():
+    rng = random.Random(2031)
+    below = [p for p in primes_up_to(_INT32_BELOW) if p >= 17]
+    above = [p for p in primes_up_to(100_000) if p > _INT32_BELOW]
+    primes = sorted(
+        set(rng.sample(below, 16) + rng.sample(above, 10) + below[-2:] + above[:2])
+    )
+    assert min(primes) < _INT32_BELOW < max(primes) and len(primes) >= 28
+    # both shapes split (ordinary) and inert (supersingular) somewhere
+    assert {p % 12 for p in primes} >= {1, 5, 7, 11}
+    for p in primes:
+        for _ in range(2):
+            while True:
+                d = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 1000))
+                if d.denominator % p and d.numerator % p:
+                    break
+            k = _reduce(d, p)
+            for curve, a, b in ((CurveQ(-d, 0), p - k, 0), (CurveQ(0, d), 0, k)):
+                assert count_points(curve, p).a_p == _half_sweep(a, b, p), (curve, p)
+
+
+def test_closed_form_serves_primes_dividing_one_coefficient():
+    # 6 = 2 * 3 and 35 = 5 * 7: b = 0 at 5 and 7.  385 = 5 * 7 * 11 and
+    # 4199 = 13 * 17 * 19: a = 0 at 5, 7, 11 and b = 0 at 13, 17, 19
+    cases = [(6, 35, [5, 7]), (385, 4199, [5, 7, 11, 13, 17, 19]),
+             (Fraction(385, 23), Fraction(-4199, 29), [5, 7, 11, 13, 17, 19])]
+    for a4, a6, primes in cases:
+        curve = CurveQ(a4, a6)
+        for p in primes:
+            a, b = _reduce(a4, p), _reduce(a6, p)
+            assert (a == 0) != (b == 0), (a4, a6, p)
+            rec = count_points(curve, p)
+            assert rec.a_p == _brute_count(a, b, p), (a4, a6, p)
+            if rec.a_p:
+                assert rec.classification.cm_fundamental_disc == (-4 if b == 0 else -3)
+
+
+def test_closed_form_curves_keep_their_bad_primes():
+    # p | d makes y^2 = x^3 - d x and y^2 = x^3 + d singular mod p
+    for p in (5, 7, 11, 13):
+        for curve in (CurveQ(-p, 0), CurveQ(3 * p, 0), CurveQ(0, p), CurveQ(0, -2 * p)):
+            with pytest.raises(BadReductionError, match=f"discriminant vanishes mod {p}"):
+                count_points(curve, p)
+        for curve in (CurveQ(Fraction(1, p), 0), CurveQ(0, Fraction(2, p))):
+            with pytest.raises(BadReductionError, match=f"vanishes mod {p}"):
+                count_points(curve, p)
+    assert cm_field_hits(CurveQ(-5, 0), -4, 5, 60) == [13, 17, 29, 37, 41, 53]
