@@ -146,16 +146,14 @@ def _cornacchia(d: int, p: int, root: int) -> tuple[int, int]:
 
     Cornacchia's algorithm: Euclid's remainders of p and root, from the
     root below p/2, down to the first below sqrt(p).  d = 1 and 3 have class
-    number one, so every prime p = 1 mod 4, resp. mod 3, is reached.
+    number one, so every prime p = 1 mod 4, resp. mod 3, is reached; a
+    wrong pair would fail the Hasse and conductor checks of TraceRecord.
     """
     limit = math.isqrt(p)
     a, b = p, min(root, p - root)
     while b > limit:
         a, b = b, a % b
-    y = math.isqrt((p - b * b) // d)
-    if b * b + d * y * y != p:
-        raise ArithmeticError(f"Cornacchia: no x^2 + {d} y^2 = {p}")
-    return b, y
+    return b, math.isqrt((p - b * b) // d)
 
 
 # Both curves of a scan are counted at p one after the other, and a twist
