@@ -236,8 +236,9 @@ def _reduce_mod(num: int, den: int, p: int) -> int:
 
 # Both curves of a scan are counted at p one after the other, so the verdict
 # on the last two primes is kept: trial division costs more than a
-# closed-form count.
-@lru_cache(maxsize=2)
+# closed-form count.  Typed, as _counted is, so that p = 5.0 still fails as
+# it would uncached instead of reading the entry of p = 5.
+@lru_cache(maxsize=2, typed=True)
 def _is_good_prime(p: int) -> bool:
     return p >= 5 and is_prime(p)
 
@@ -247,7 +248,7 @@ def _is_good_prime(p: int) -> bool:
 # 2 pi(p_max) records, which still fit up to p_max ~ 8e4.  The key is the
 # integer numerators and denominators: hashing two Fractions cost more than
 # a closed-form count.
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=1 << 14, typed=True)
 def _counted(n4: int, d4: int, n6: int, d6: int, p: int) -> TraceRecord:
     if not _is_good_prime(p):
         raise ValueError(f"need a prime p >= 5, got {p}")

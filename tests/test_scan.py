@@ -148,6 +148,10 @@ def test_curve_validation_and_reduction():
         count_points(CurveQ(Fraction(1, 5), 1), 5)
     with pytest.raises(BadReductionError):
         count_points(CurveQ(1, 1), 31)  # disc -496 = -16 * 31
+    # a float p fails as it does uncached, not as the cached record of int p
+    count_points(CurveQ(1, 1), 5)
+    with pytest.raises(TypeError):
+        count_points(CurveQ(1, 1), 5.0)
     # composite p >= 5 on the closed-form curves, too
     for curve, p in ((CurveQ(-1, 0), 25), (CurveQ(0, 1), 49), (CurveQ(1, 1), 91)):
         with pytest.raises(ValueError, match="need a prime p >= 5"):
