@@ -156,9 +156,6 @@ def _cornacchia(d: int, p: int, root: int) -> tuple[int, int]:
     return b, math.isqrt((p - b * b) // d)
 
 
-# Both curves of a scan are counted at p one after the other, and a twist
-# pair has the same shape on both sides, so the last two primes are kept.
-@lru_cache(maxsize=2)
 def _gaussian_prime(p: int) -> tuple[int, int, int]:
     """(alpha, beta, u) for a prime p = 1 (mod 4): pi = alpha + beta i is
     primary, pi = 1 (mod 2 + 2i), with p = pi conj(pi), and u is -i mod pi,
@@ -174,7 +171,6 @@ def _gaussian_prime(p: int) -> tuple[int, int, int]:
     return alpha, beta, alpha * pow(beta, -1, p) % p
 
 
-@lru_cache(maxsize=2)
 def _eisenstein_prime(p: int) -> tuple[int, int, int]:
     """(A, B, u) for a prime p = 1 (mod 3): pi = A + B omega is primary,
     pi = 2 (mod 3), with p = pi conj(pi), and u is zeta^-1 = -omega mod pi,
@@ -235,8 +231,8 @@ def _reduce_mod(num: int, den: int, p: int) -> int:
 
 
 # Both curves of a scan are counted at p one after the other, so the verdict
-# on the last two primes is kept: trial division costs more than a
-# closed-form count.  Typed, as _counted is, so that p = 5.0 still fails as
+# on the last two primes is kept; the second curve's check at p hits it.
+# Typed, as _counted is, so that p = 5.0 still fails as
 # it would uncached instead of reading the entry of p = 5.
 @lru_cache(maxsize=2, typed=True)
 def _is_good_prime(p: int) -> bool:
