@@ -9,10 +9,14 @@ y^2 = x^3 - D x with pi = 1 (mod 2 + 2i) and chi = (D/pi)_4, and
 -Tr(conj(chi) pi) for y^2 = x^3 + D with pi = 2 (mod 3) and
 chi = (4D/pi)_6; pi comes from Cornacchia's algorithm.  The choice rests on
 the reduced curve alone, so it serves any curve at a prime dividing a4 or
-a6.  Every other reduction is counted by a half-sweep over
-x = 1 .. (p - 1)/2 against tables built once per prime (x^3 mod p and a
-doubled Legendre table), which the two curves of a scan share; the tests
-check the closed forms against it.
+a6.  Every other reduction, ab != 0, is the quadratic twist by b/a of
+y^2 = x^3 + t x + t with t = a^3/b^2, the curve of its j mod p, so its a_p
+is (ab/p) times that curve's (Silverman, AEC, Sec. X.5).  That a_p is
+counted by a half-sweep over x = 1 .. (p - 1)/2 against tables built once
+per prime (x^3 mod p and a doubled Legendre table), and kept for the last
+two (t, p): the two curves of a twist pair share one sweep at each prime,
+those of any other pair share the tables.  The half-sweep of the curve
+itself is the tests' oracle of the closed forms and of the twist.
 
 Two reductions are geometrically isogenous exactly when their Frobenius
 eigenvalue ratio is a root of unity, which a trace-power match at some
@@ -130,7 +134,8 @@ def _prime_tables(p: int) -> _PrimeTables:
 
 def _half_sweep(a: int, b: int, p: int) -> int:
     """a_p of y^2 = x^3 + a x + b over F_p by the half-sweep (see
-    count_points), for every curve; the tests' oracle of the closed forms."""
+    count_points), for every curve; the tests' oracle of the closed forms
+    and of the twist by b/a."""
     x, cube, chi2 = _prime_tables(p)
     g = cube + a * x
     g -= g // p * p  # g(x) mod p; NumPy divides by a scalar faster than %
@@ -139,6 +144,22 @@ def _half_sweep(a: int, b: int, p: int) -> int:
         + int(chi2.take(b + g).sum())
         + int(chi2.take((p + b) - g).sum())
     )
+
+
+# The reductions with ab != 0 and one j mod p are the quadratic twists of
+# y^2 = x^3 + t x + t, where t = 27 j/(4 (1728 - j)) = a^3/b^2.  Both curves
+# of a twist pair have the same t at every prime and are counted at p one
+# after the other, so the sweeps of the last two keys are kept, as the
+# tables are.
+@lru_cache(maxsize=2)
+def _sweep_of_j(t: int, p: int) -> tuple[int, "Supersingular | Ordinary"]:
+    """a_p of y^2 = x^3 + t x + t and its classification, which a twist
+    shares: a_p^2 does not change."""
+    a_p = _half_sweep(t, t, p)
+    if a_p == 0:
+        return 0, Supersingular()
+    conductor, d_k = split_discriminant(a_p * a_p - 4 * p)
+    return a_p, Ordinary(cm_fundamental_disc=d_k, conductor=conductor)
 
 
 def _cornacchia(d: int, p: int, root: int) -> tuple[int, int]:
@@ -256,11 +277,12 @@ def _counted(n4: int, d4: int, n6: int, d6: int, p: int) -> TraceRecord:
         return _j1728_record(p - a, p)
     if a == 0:
         return _j0_record(b, p)
-    a_p = _half_sweep(a, b, p)
-    if a_p == 0:
-        return TraceRecord(p, 0, Supersingular())
-    conductor, d_k = split_discriminant(a_p * a_p - 4 * p)
-    return TraceRecord(p, a_p, Ordinary(cm_fundamental_disc=d_k, conductor=conductor))
+    # the twist of y^2 = x^3 + t x + t by b/a, t = a^3/b^2: a_p is
+    # (b/a / p) = (ab/p) times that curve's, by Euler's criterion
+    a_p, classification = _sweep_of_j(a * a % p * a * pow(b, -2, p) % p, p)
+    if pow(a * b, (p - 1) // 2, p) != 1:
+        a_p = -a_p
+    return TraceRecord(p, a_p, classification)
 
 
 def count_points(curve: CurveQ, p: int) -> TraceRecord:
@@ -268,7 +290,8 @@ def count_points(curve: CurveQ, p: int) -> TraceRecord:
 
     When the reduction has b = 0 (j = 1728) or a = 0 (j = 0), a_p is read
     off the primary prime over p in Z[i] or Z[omega] (_j1728_record,
-    _j0_record), and is 0 at the primes inert there.  Every other curve is
+    _j0_record), and is 0 at the primes inert there.  Every other curve
+    takes (ab/p) times a_p of y^2 = x^3 + t x + t, t = a^3/b^2, which is
     counted by a half-sweep: with f(x) = x^3 + a x + b = b + g(x) and g
     odd, f(-x) = b - g(x), so a_p = -sum_x chi(f(x)) pairs x with -x:
 
@@ -298,12 +321,19 @@ def trace_power(a_p: int, p: int, k: int) -> int:
 
 
 def geom_isogenous(left: TraceRecord, right: TraceRecord) -> Optional[int]:
-    """Minimal k <= 12 with a_{p^k} equal on both sides, else None."""
+    """Minimal k <= 12 with a_{p^k} equal on both sides, else None.
+
+    Both trace_power recurrences are stepped together, one k at a time.
+    """
     if left.p != right.p:
         raise MismatchedPrimeError(f"records at p={left.p} and p={right.p}")
+    p, s, t = left.p, left.a_p, right.a_p
+    s_prev, s_k, t_prev, t_k = 2, s, 2, t
     for k in range(1, 13):
-        if trace_power(left.a_p, left.p, k) == trace_power(right.a_p, right.p, k):
+        if s_k == t_k:
             return k
+        s_prev, s_k = s_k, s * s_k - p * s_prev
+        t_prev, t_k = t_k, t * t_k - p * t_prev
     return None
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heckelab import scan
 from heckelab.arith import primes_up_to, split_discriminant
 from heckelab.cli import main
 from heckelab.scan import (
@@ -14,6 +15,7 @@ from heckelab.scan import (
     _j0_record,
     _j1728_record,
     _prime_tables,
+    _sweep_of_j,
     BadReductionError,
     CurveQ,
     HasseBoundError,
@@ -191,6 +193,70 @@ def test_geom_isogenous_small():
     assert geom_isogenous(r5a, r5b) is None
 
 
+def test_geom_isogenous_equals_the_per_k_trace_power_definition():
+    def per_k(left, right):
+        for k in range(1, 13):
+            if trace_power(left.a_p, left.p, k) == trace_power(right.a_p, right.p, k):
+                return k
+        return None
+
+    for p in primes_up_to(13):
+        records = []
+        for a in range(-math.isqrt(4 * p), math.isqrt(4 * p) + 1):
+            if a == 0:
+                records.append(TraceRecord(p, 0, Supersingular()))
+            else:
+                conductor, d_k = split_discriminant(a * a - 4 * p)
+                records.append(TraceRecord(p, a, Ordinary(d_k, conductor)))
+        for left in records:
+            for right in records:
+                assert geom_isogenous(left, right) == per_k(left, right), (p, left, right)
+
+
+def _legendre(u, p):
+    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+
+
+def test_twist_identity_against_brute_force():
+    # y^2 = x^3 + u^2 a x + u^3 b has a_p = (u/p) a_p(y^2 = x^3 + a x + b)
+    for p in (5, 7, 11, 13):
+        for a in range(1, p):
+            for b in range(1, p):
+                if (4 * a**3 + 27 * b**2) % p == 0:
+                    continue
+                a_p = _brute_count(a, b, p)
+                for u in range(1, p):
+                    rec = count_points(CurveQ(u * u * a, u**3 * b), p)
+                    assert rec.a_p == _legendre(u, p) * a_p, (a, b, u, p)
+                    assert rec.a_p == _brute_count(u * u * a % p, u**3 * b % p, p)
+
+
+def test_same_j_pairs_match_the_sweep_on_both_sides_of_int32():
+    rng = random.Random(2033)
+    below = [p for p in primes_up_to(_INT32_BELOW) if p >= 17]
+    above = [p for p in primes_up_to(100_000) if p > _INT32_BELOW]
+    primes = sorted(
+        set(rng.sample(below, 16) + rng.sample(above, 10) + below[-2:] + above[:2])
+    )
+    assert min(primes) < _INT32_BELOW < max(primes) and len(primes) >= 28
+    symbols = set()
+    for p in primes:
+        while True:
+            a4, a6, u = (
+                Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 1000))
+                for _ in range(3)
+            )
+            if any(x.denominator % p == 0 or x.numerator % p == 0 for x in (a4, a6, u)):
+                continue
+            if (4 * _reduce(a4, p) ** 3 + 27 * _reduce(a6, p) ** 2) % p:
+                break
+        symbols.add(_legendre(_reduce(u, p), p))
+        for c4, c6 in ((a4, a6), (u * u * a4, u**3 * a6)):
+            a, b = _reduce(c4, p), _reduce(c6, p)
+            assert count_points(CurveQ(c4, c6), p).a_p == _half_sweep(a, b, p), (c4, c6, p)
+    assert symbols == {1, -1}
+
+
 def test_quadratic_twist_matches_at_k_two():
     base, twist = CurveQ(0, -2), CurveQ(0, 2)
     expected = {5: 1, 7: 2, 11: 1, 13: 1, 19: 2, 23: 1}
@@ -279,6 +345,34 @@ def test_prime_tables_are_built_once_per_prime_of_a_scan(capsys):
     assert len(both_good) == len(primes) - 2  # 31 | disc(left), 23 | disc(right)
     info = _prime_tables.cache_info()
     assert (info.misses, info.hits) == (len(left_good), len(both_good))
+    _counted.cache_clear()
+
+
+def test_a_twist_pair_reads_one_sweep_per_prime_of_a_scan(capsys, monkeypatch):
+    # y^2 = x^3 + 7 x + 10 and its twist by d = -3; 4 * 7^3 + 27 * 10^2 =
+    # 8 * 509, so every prime of [5, 500] is good on both sides, and only at
+    # p = 5 (b = 0) and p = 7 (a = 0) is a record read in closed form
+    sweeps = []
+
+    def counting(a, b, p):
+        sweeps.append(p)
+        return _half_sweep(a, b, p)
+
+    monkeypatch.setattr(scan, "_half_sweep", counting)
+    _counted.cache_clear()
+    _sweep_of_j.cache_clear()
+    _prime_tables.cache_clear()
+    assert main(["scan", "7,10", "63,-270", "5", "500"]) == 0
+    capsys.readouterr()
+    # scan_pair counts the left curve at p, which sweeps y^2 = x^3 + t x + t,
+    # and the right curve, which reads that sweep; coincidence_statistic
+    # then reads cached records
+    swept = [p for p in primes_up_to(500) if p > 7]
+    info = _sweep_of_j.cache_info()
+    assert (info.misses, info.hits) == (len(swept), len(swept))
+    assert sweeps == swept
+    info = _prime_tables.cache_info()
+    assert (info.misses, info.hits) == (len(swept), 0)
     _counted.cache_clear()
 
 
