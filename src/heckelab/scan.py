@@ -327,13 +327,13 @@ def geom_isogenous(left: TraceRecord, right: TraceRecord) -> Optional[int]:
     """
     if left.p != right.p:
         raise MismatchedPrimeError(f"records at p={left.p} and p={right.p}")
-    p, s, t = left.p, left.a_p, right.a_p
-    s_prev, s_k, t_prev, t_k = 2, s, 2, t
+    p, a_l, a_r = left.p, left.a_p, right.a_p
+    l_prev, l_k, r_prev, r_k = 2, a_l, 2, a_r
     for k in range(1, 13):
-        if s_k == t_k:
+        if l_k == r_k:
             return k
-        s_prev, s_k = s_k, s * s_k - p * s_prev
-        t_prev, t_k = t_k, t * t_k - p * t_prev
+        l_prev, l_k = l_k, a_l * l_k - p * l_prev
+        r_prev, r_k = r_k, a_r * r_k - p * r_prev
     return None
 
 
