@@ -146,15 +146,13 @@ def _half_sweep(a: int, b: int, p: int) -> int:
     )
 
 
-# The reductions with ab != 0 and one j mod p are the quadratic twists of
-# y^2 = x^3 + t x + t, where t = 27 j/(4 (1728 - j)) = a^3/b^2.  Both curves
-# of a twist pair have the same t at every prime and are counted at p one
-# after the other, so the sweeps of the last two keys are kept, as the
-# tables are.
+# Both curves of a twist pair have the same j, hence the same t, at every
+# prime and are counted at p one after the other, so the sweeps of the last
+# two (t, p) are kept, as the tables are.
 @lru_cache(maxsize=2)
 def _sweep_of_j(t: int, p: int) -> tuple[int, "Supersingular | Ordinary"]:
-    """a_p of y^2 = x^3 + t x + t and its classification, which a twist
-    shares: a_p^2 does not change."""
+    """a_p of y^2 = x^3 + t x + t, the curve with t = 27 j/(4 (1728 - j)),
+    and its classification, which every twist shares (a_p^2 is the same)."""
     a_p = _half_sweep(t, t, p)
     if a_p == 0:
         return 0, Supersingular()
@@ -277,8 +275,8 @@ def _counted(n4: int, d4: int, n6: int, d6: int, p: int) -> TraceRecord:
         return _j1728_record(p - a, p)
     if a == 0:
         return _j0_record(b, p)
-    # the twist of y^2 = x^3 + t x + t by b/a, t = a^3/b^2: a_p is
-    # (b/a / p) = (ab/p) times that curve's, by Euler's criterion
+    # the twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2; its a_p carries
+    # (b/a / p) = (ab/p), read by Euler's criterion
     a_p, classification = _sweep_of_j(a * a % p * a * pow(b, -2, p) % p, p)
     if pow(a * b, (p - 1) // 2, p) != 1:
         a_p = -a_p
