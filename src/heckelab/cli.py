@@ -1,8 +1,11 @@
 """Command-line surface: every experiment, reproducible, CSV or JSON lines.
 
 Rationals are written num/den throughout to avoid float parsing ambiguity.
-Each subcommand supports --self-test, which replays a small table of known
-values from its backing module and reports pass/fail.
+Each subcommand is one row of COMMANDS: its help, its positional arguments,
+a runner from the parsed arguments to the rows it writes, a self-test that
+replays a small table of known values from its backing module (--self-test
+reports pass/fail), and the shared options it reads.  One loop builds the
+parser from the rows, and one dispatcher runs them.
 """
 
 from __future__ import annotations
@@ -14,15 +17,21 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 from mpmath import mp
 
 from .arith import primes_up_to
-from .cm import density_experiment, density_fraction, enumerate_cm_points
+from .cm import (
+    condition_p,
+    density_experiment,
+    density_fraction,
+    enumerate_cm_points,
+    fixed_point,
+    order_index,
+)
 from .hecke import (
     HeckeOrbit,
     coset_reps,
@@ -39,50 +48,17 @@ from .heights import (
     phi_value,
 )
 from .lattices import GramForm, _value_counts, counting_bound, represented_values
-from .numerics import _GUARD, Precision, UpperHalfPoint, tau_from_j
-from .scan import CurveQ, coincidence_statistic, count_points, scan_pair, trace_power
+from .numerics import _GUARD, ModularMatrix, Precision, UpperHalfPoint, tau_from_j
+from .scan import CurveQ, _coincidences, count_points, scan_pair, trace_power
 from .tate import badred_constant, valuation_orbit
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    precision_bits: int = 128
-    seed: int = 0
-    output_format: str = "csv"
-    output_path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.precision_bits < 53:
-            raise ValueError("precision_bits must be at least 53")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.output_format not in ("csv", "jsonl"):
-            raise ValueError("format must be csv or jsonl")
-
-    @property
-    def precision(self) -> Precision:
-        return Precision(self.precision_bits)
-
-    @property
-    def digits(self) -> int:
-        return max(17, self.precision_bits // 4)
+def _digits(args: argparse.Namespace) -> int:
+    return max(17, args.precision_bits // 4)
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        precision_bits=args.precision_bits,
-        seed=args.seed,
-        output_format=args.format,
-        output_path=args.out,
-    )
-
-
-def _fmt(value, digits: int):
-    """Render one cell: exact types stay exact, mpf/mpc go through nstr."""
-    if isinstance(value, Fraction):
-        return str(value)  # "3/4", integral values without the "/1"
-    if isinstance(value, (int, float, str)):
-        return value
+def _fmt(value, digits: int) -> str:
+    """One mpf cell at the run's digits."""
     return mp.nstr(value, digits, strip_zeros=True)
 
 
@@ -96,29 +72,25 @@ def _float_cell(value, digits: int):
 
 
 def _emit(
-    config: RunConfig,
-    fieldnames: list[str],
+    args: argparse.Namespace,
+    fields: list[str],
     rows: Iterable[tuple],
     header: Optional[dict] = None,
     trailer: Optional[dict] = None,
 ) -> None:
-    """Write rows, tuples in fieldnames order, as CSV (header row first) or
-    JSON lines.
+    """Write rows, tuples in fields order, as CSV (header row first) or JSON
+    lines.
 
     `header`/`trailer` are small metadata maps: CSV renders them as
     comment lines, JSON lines as their own objects.
     """
-    out = (
-        open(config.output_path, "w", encoding="utf-8", newline="")
-        if config.output_path
-        else sys.stdout
-    )
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
-        if config.output_format == "csv":
+        if args.format == "csv":
             if header:
                 out.write("# " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n")
             writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(fieldnames)
+            writer.writerow(fields)
             writer.writerows(rows)
             if trailer:
                 out.write("# " + " ".join(f"{k}={v}" for k, v in trailer.items()) + "\n")
@@ -126,11 +98,11 @@ def _emit(
             if header:
                 out.write(json.dumps({"_meta": header}) + "\n")
             for row in rows:
-                out.write(json.dumps(dict(zip(fieldnames, row))) + "\n")
+                out.write(json.dumps(dict(zip(fields, row))) + "\n")
             if trailer:
                 out.write(json.dumps({"_summary": trailer}) + "\n")
     finally:
-        if config.output_path:
+        if args.out:
             out.close()
 
 
@@ -166,8 +138,7 @@ def _parse_range(spec: str) -> list[int]:
         if primes_only:
             return [p for p in primes_up_to(max(hi, 2)) if lo <= p <= hi]
         return list(range(lo, hi + 1))
-    values = [int(part) for part in spec.split(",")]
-    return values
+    return [int(part) for part in spec.split(",")]
 
 
 def _parse_curve(text: str) -> CurveQ:
@@ -194,38 +165,13 @@ def _parse_gram(text: str) -> GramForm:
     )
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"missing required argument '{name}'")
+# -- runners and self-tests, one pair per row of COMMANDS -------------------
 
 
-def _report_selftest(name: str, checks: list[tuple[str, bool]]) -> int:
-    failed = [label for label, ok in checks if not ok]
-    for label, ok in checks:
-        print(f"{name} self-test: {'PASS' if ok else 'FAIL'} {label}")
-    return 1 if failed else 0
-
-
-# -- orbit ------------------------------------------------------------------
-
-
-def cmd_orbit(args: argparse.Namespace) -> int:
-    config = _config(args)
-    if args.self_test:
-        tau = UpperHalfPoint(0, 2)
-        checks = [
-            ("e_2 = 3 cosets", len(coset_reps(2)) == 3),
-            ("e_6 = 12 cosets", len(coset_reps(6)) == 12),
-            ("correspondence symmetry at N=2",
-             orbit_symmetry_check(tau, 2, Precision(96))),
-        ]
-        return _report_selftest("orbit", checks)
-    _require(args, "tau", "n")
-    prec = config.precision
-    tau = _parse_complex(args.tau, config.precision_bits, upper_half=True)
-    orbit = hecke_orbit(tau, args.n, prec)
-    d = config.digits
+def _orbit(args: argparse.Namespace) -> tuple:
+    tau = _parse_complex(args.tau, args.precision_bits, upper_half=True)
+    orbit = hecke_orbit(tau, args.n, Precision(args.precision_bits))
+    d = _digits(args)
     rows = [
         (
             p.coset.alpha,
@@ -238,122 +184,90 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         )
         for p in orbit.points
     ]
-    _emit(config, ["alpha", "beta", "delta", "tau_re", "tau_im", "j_re", "j_im"], rows)
-    return 0
+    return ["alpha", "beta", "delta", "tau_re", "tau_im", "j_re", "j_im"], rows
 
 
-# -- height -----------------------------------------------------------------
+def _orbit_checks() -> list[tuple[str, bool]]:
+    tau = UpperHalfPoint(0, 2)
+    return [
+        ("e_2 = 3 cosets", len(coset_reps(2)) == 3),
+        ("e_6 = 12 cosets", len(coset_reps(6)) == 12),
+        ("correspondence symmetry at N=2",
+         orbit_symmetry_check(tau, 2, Precision(96))),
+    ]
 
 
-def cmd_height(args: argparse.Namespace) -> int:
-    config = _config(args)
-    if args.self_test:
-        prec = Precision(96)
-        tau_y = tau_from_j(1, prec)
-        h = cusp_height(tau_y, 3, prec).value
-        s = local_arch_sum(tau_y, 2, 3, prec)
-        phi = phi_value(1, 2, 3, prec)
-        import math
-
-        gap = abs((math.log(abs(phi)) - s) - h)
-        checks = [
-            ("log|phi| - S_N = H_N (exact decomposition)", gap < 1e-6),
-            ("phi(1,2,N=3) is a nonzero integer", isinstance(phi, int) and phi != 0),
-        ]
-        return _report_selftest("height", checks)
-    _require(args, "j_base", "n_spec")
-    prec = config.precision
+def _height(args: argparse.Namespace) -> tuple:
+    prec = Precision(args.precision_bits)
     j_base = int(args.j_base)
     ns = _parse_range(args.n_spec)
-    rows = []
-    if ns:
-        tau_y = tau_from_j(j_base, prec)
-        for n in ns:
-            point = cusp_height(tau_y, n, prec)
-            rows.append((point.n, point.e_n, point.value, point.normalized))
-    _emit(config, ["n", "e_n", "value", "normalized"], rows)
-    return 0
+    tau_y = tau_from_j(j_base, prec) if ns else None
+    points = [cusp_height(tau_y, n, prec) for n in ns]
+    return (
+        ["n", "e_n", "value", "normalized"],
+        [(p.n, p.e_n, p.value, p.normalized) for p in points],
+    )
 
 
-# -- scan -------------------------------------------------------------------
+def _height_checks() -> list[tuple[str, bool]]:
+    prec = Precision(96)
+    tau_y = tau_from_j(1, prec)
+    h = cusp_height(tau_y, 3, prec).value
+    s = local_arch_sum(tau_y, 2, 3, prec)
+    phi = phi_value(1, 2, 3, prec)
+    gap = abs((math.log(abs(phi)) - s) - h)
+    return [
+        ("log|phi| - S_N = H_N (exact decomposition)", gap < 1e-6),
+        ("phi(1,2,N=3) is a nonzero integer", isinstance(phi, int) and phi != 0),
+    ]
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    config = _config(args)
-    if args.self_test:
-        e1 = CurveQ(Fraction(-1), Fraction(0))
-        rec = count_points(e1, 5)
-        hits = scan_pair(e1, CurveQ(Fraction(0), Fraction(-1)), 5, 100)
-        checks = [
-            ("a_5(y^2=x^3-x) = -2", rec.a_p == -2),
-            ("trace_power(-2, 5, 2) = -6", trace_power(-2, 5, 2) == -6),
-            ("pair hits in [5,100] at 11..83",
-             {h.p for h in hits} >= {11, 23, 47, 59, 71, 83}),
-        ]
-        return _report_selftest("scan", checks)
-    _require(args, "left", "right", "p_min", "p_max")
+def _scan(args: argparse.Namespace) -> tuple:
     left = _parse_curve(args.left)
     right = _parse_curve(args.right)
-    hits = scan_pair(left, right, args.p_min, args.p_max)
-    stat = coincidence_statistic(left, right, args.p_max)
-    rows = [(h.p, h.k, h.left.a_p, h.right.a_p) for h in hits]
-    _emit(
-        config,
-        ["p", "k", "a_p_left", "a_p_right"],
-        rows,
-        trailer={
-            "hits": len(hits),
-            "coincidences": stat.observed,
-            "heuristic": stat.heuristic,
-        },
-    )
-    return 0
+    if not 5 <= args.p_min <= args.p_max:
+        raise ValueError("need 5 <= p_min <= p_max")
+    # one pass from p = 5: its hits at p >= p_min are the rows, and all of
+    # them give the coincidence statistic
+    hits = scan_pair(left, right, 5, args.p_max)
+    stat = _coincidences(hits, args.p_max)
+    rows = [(h.p, h.k, h.left.a_p, h.right.a_p) for h in hits if h.p >= args.p_min]
+    trailer = {"hits": len(rows), "coincidences": stat.observed, "heuristic": stat.heuristic}
+    return ["p", "k", "a_p_left", "a_p_right"], rows, None, trailer
 
 
-# -- tate -------------------------------------------------------------------
+def _scan_checks() -> list[tuple[str, bool]]:
+    e1 = CurveQ(Fraction(-1), Fraction(0))
+    rec = count_points(e1, 5)
+    hits = scan_pair(e1, CurveQ(Fraction(0), Fraction(-1)), 5, 100)
+    return [
+        ("a_5(y^2=x^3-x) = -2", rec.a_p == -2),
+        ("trace_power(-2, 5, 2) = -6", trace_power(-2, 5, 2) == -6),
+        ("pair hits in [5,100] at 11..83",
+         {h.p for h in hits} >= {11, 23, 47, 59, 71, 83}),
+    ]
 
 
-def cmd_tate(args: argparse.Namespace) -> int:
-    config = _config(args)
-    if args.self_test:
-        orbit = valuation_orbit(Fraction(-1), 2)
-        floor = badred_constant(Fraction(-1), Fraction(-3, 2))
-        checks = [
-            ("orbit(-1, 2) = {-2, -1/2 x2}",
-             orbit == {Fraction(-2): 1, Fraction(-1, 2): 2}),
-            ("badred floor = -x", floor.floor == Fraction(3, 2)),
-        ]
-        return _report_selftest("tate", checks)
-    _require(args, "v", "n")
+def _tate(args: argparse.Namespace) -> tuple:
     orbit = valuation_orbit(Fraction(args.v), args.n)
-    rows = [(_fmt(val, config.digits), mult) for val, mult in sorted(orbit.items())]
-    _emit(config, ["value", "multiplicity"], rows)
-    return 0
+    return ["value", "multiplicity"], [(str(v), m) for v, m in sorted(orbit.items())]
 
 
-# -- latcount ---------------------------------------------------------------
+def _tate_checks() -> list[tuple[str, bool]]:
+    orbit = valuation_orbit(Fraction(-1), 2)
+    floor = badred_constant(Fraction(-1), Fraction(-3, 2))
+    return [
+        ("orbit(-1, 2) = {-2, -1/2 x2}",
+         orbit == {Fraction(-2): 1, Fraction(-1, 2): 2}),
+        ("badred floor = -x", floor.floor == Fraction(3, 2)),
+    ]
 
 
-def cmd_latcount(args: argparse.Namespace) -> int:
-    config = _config(args)
-    if args.self_test:
-        sq2 = GramForm.from_rows(((1, 0), (0, 1)))
-        sq4 = GramForm.from_rows(
-            tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-        )
-        checks = [
-            ("x^2+y^2 represents {1,2,4,5,8,9,10} up to 10",
-             represented_values(sq2, 10) == {1, 2, 4, 5, 8, 9, 10}),
-            ("rank-4 fiber at 2 has 24 vectors",
-             int(_value_counts(sq4, 2)[2]) == 24),
-        ]
-        return _report_selftest("latcount", checks)
-    _require(args, "gram", "n_max")
+def _latcount(args: argparse.Namespace) -> tuple:
     if args.n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {args.n_max}")
     form = _parse_gram(args.gram)
     counts = _value_counts(form, args.n_max)
-    rows = zip(range(1, args.n_max + 1), counts[1:].tolist())
     trailer = None
     if form.rank == 2:
         # Lagrange reduction is unimodular, so the values represented are
@@ -361,36 +275,30 @@ def cmd_latcount(args: argparse.Namespace) -> int:
         trailer = {
             "represented": int(np.count_nonzero(counts[1:])),
             "bound": counting_bound(args.n_max, form.disc),
-            "disc": _fmt(form.disc, config.digits),
+            "disc": str(form.disc),
         }
-    _emit(config, ["n", "fiber_count"], rows, trailer=trailer)
-    return 0
+    rows = zip(range(1, args.n_max + 1), counts[1:].tolist())
+    return ["n", "fiber_count"], rows, None, trailer
 
 
-# -- cm ---------------------------------------------------------------------
+def _latcount_checks() -> list[tuple[str, bool]]:
+    sq2 = GramForm.from_rows(((1, 0), (0, 1)))
+    sq4 = GramForm.from_rows(
+        tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
+    )
+    return [
+        ("x^2+y^2 represents {1,2,4,5,8,9,10} up to 10",
+         represented_values(sq2, 10) == {1, 2, 4, 5, 8, 9, 10}),
+        ("rank-4 fiber at 2 has 24 vectors",
+         int(_value_counts(sq4, 2)[2]) == 24),
+    ]
 
 
-def cmd_cm(args: argparse.Namespace) -> int:
-    config = _config(args)
-    if args.self_test:
-        from .cm import condition_p, fixed_point, order_index
-        from .numerics import ModularMatrix
-
-        fp = fixed_point(ModularMatrix(0, -1, 1, 0))
-        checks = [
-            ("condition (P): 3 at p=2 holds", condition_p(3, 2).satisfies),
-            ("condition (P): 4 at p=5 fails", not condition_p(4, 5).satisfies),
-            ("order_index(2, 5) = (2, -4)", order_index(2, 5) == (2, -4)),
-            ("fixed point of S is i",
-             fp is not None and abs(float(fp.tau0.im) - 1.0) < 1e-12),
-        ]
-        return _report_selftest("cm", checks)
-    _require(args, "m_max")
-    prec = config.precision
-    points = enumerate_cm_points(args.m_max, prec)
-    d = config.digits
+def _cm(args: argparse.Namespace) -> tuple:
+    prec = Precision(args.precision_bits)
+    d = _digits(args)
     rows = []
-    for p in points:
+    for p in enumerate_cm_points(args.m_max, prec):
         jval = p.j_at(prec)
         rows.append(
             (
@@ -404,135 +312,215 @@ def cmd_cm(args: argparse.Namespace) -> int:
                 _fmt(jval.imag, d),
             )
         )
-    _emit(
-        config,
+    return (
         ["m", "t", "conductor", "fundamental_disc", "tau_re", "tau_im", "j_re", "j_im"],
         rows,
     )
-    return 0
 
 
-# -- equi -------------------------------------------------------------------
+def _cm_checks() -> list[tuple[str, bool]]:
+    fp = fixed_point(ModularMatrix(0, -1, 1, 0))
+    return [
+        ("condition (P): 3 at p=2 holds", condition_p(3, 2).satisfies),
+        ("condition (P): 4 at p=5 fails", not condition_p(4, 5).satisfies),
+        ("order_index(2, 5) = (2, -4)", order_index(2, 5) == (2, -4)),
+        ("fixed point of S is i",
+         fp is not None and abs(float(fp.tau0.im) - 1.0) < 1e-12),
+    ]
 
 
-def cmd_equi(args: argparse.Namespace) -> int:
-    config = _config(args)
-    if args.self_test:
-        orbit = HeckeOrbit(UpperHalfPoint(0, 2), 11, Precision(96))
-        stat = equi_fraction(orbit, 1.5)
-        checks = [
-            ("fraction lies in [0, 1]", 0.0 <= stat.fraction <= 1.0),
-            ("prediction = min(1, 3/(pi Y0)) at Y0 = 1.5",
-             abs(stat.prediction - 2 / 3.141592653589793) < 1e-12),
-        ]
-        return _report_selftest("equi", checks)
-    _require(args, "tau", "n_spec", "threshold")
-    prec = config.precision
-    tau = _parse_complex(args.tau, config.precision_bits, upper_half=True)
+def _equi(args: argparse.Namespace) -> tuple:
+    prec = Precision(args.precision_bits)
+    tau = _parse_complex(args.tau, args.precision_bits, upper_half=True)
     rows = []
     for n in _parse_range(args.n_spec):
         stat = equi_fraction(HeckeOrbit(tau, n, prec), args.threshold)
         rows.append((n, stat.fraction, stat.prediction))
-    _emit(config, ["n", "fraction", "prediction"], rows)
-    return 0
+    return ["n", "fraction", "prediction"], rows
 
 
-# -- density ----------------------------------------------------------------
+def _equi_checks() -> list[tuple[str, bool]]:
+    orbit = HeckeOrbit(UpperHalfPoint(0, 2), 11, Precision(96))
+    stat = equi_fraction(orbit, 1.5)
+    return [
+        ("fraction lies in [0, 1]", 0.0 <= stat.fraction <= 1.0),
+        ("prediction = min(1, 3/(pi Y0)) at Y0 = 1.5",
+         abs(stat.prediction - 2 / 3.141592653589793) < 1e-12),
+    ]
 
 
-def cmd_density(args: argparse.Namespace) -> int:
-    config = _config(args)
-    if args.self_test:
-        pts = density_experiment(UpperHalfPoint(0.3, 1.7), 0j, 4, 10, Precision(64))
-        frac = density_fraction(pts, 12)  # huge D: no near-misses survive
-        checks = [
-            ("ten rows for N <= 10", len(pts) == 10),
-            ("huge D empties the near-miss set", frac == 0.0),
-        ]
-        return _report_selftest("density", checks)
-    _require(args, "tau", "z", "d_exp", "n_max")
-    prec = config.precision
-    bits = config.precision_bits
+def _density(args: argparse.Namespace) -> tuple:
+    bits = args.precision_bits
     pts = density_experiment(
         _parse_complex(args.tau, bits, upper_half=True),
         _parse_complex(args.z, bits),
         args.d_exp,
         args.n_max,
-        prec,
+        Precision(bits),
     )
-    rows = [(p.n, _float_cell(p.best_distance, config.digits)) for p in pts]
-    _emit(
-        config,
+    return (
         ["n", "best_distance"],
-        rows,
-        trailer={"fraction": density_fraction(pts, args.d_exp)},
+        [(p.n, _float_cell(p.best_distance, _digits(args))) for p in pts],
+        None,
+        {"fraction": density_fraction(pts, args.d_exp)},
     )
-    return 0
 
 
-# -- integral ---------------------------------------------------------------
+def _density_checks() -> list[tuple[str, bool]]:
+    pts = density_experiment(UpperHalfPoint(0.3, 1.7), 0j, 4, 10, Precision(64))
+    frac = density_fraction(pts, 12)  # huge D: no near-misses survive
+    return [
+        ("ten rows for N <= 10", len(pts) == 10),
+        ("huge D empties the near-miss set", frac == 0.0),
+    ]
 
 
-def cmd_integral(args: argparse.Namespace) -> int:
-    config = _config(args)
-    if args.self_test:
-        a = heuristic_integral(0j, 64, Precision(64), seed=7)
-        b = heuristic_integral(0j, 64, Precision(64), seed=7)
-        checks = [
-            ("same seed reproduces the estimate", a == b),
-            ("standard error is finite and positive", a.std_error > 0),
-        ]
-        return _report_selftest("integral", checks)
-    _require(args, "z", "samples")
+def _integral(args: argparse.Namespace) -> tuple:
     est = heuristic_integral(
-        _parse_complex(args.z, config.precision_bits),
+        _parse_complex(args.z, args.precision_bits),
         args.samples,
-        config.precision,
-        seed=config.seed,
+        Precision(args.precision_bits),
+        seed=args.seed,
     )
-    _emit(
-        config,
+    return (
         ["value", "std_error", "samples", "rejected", "seed"],
         [(est.value, est.std_error, est.samples, est.rejected, est.seed)],
-        header={"seed": config.seed, "precision_bits": config.precision_bits},
+        {"seed": args.seed, "precision_bits": args.precision_bits},
     )
-    return 0
 
 
-# -- residual (global identity) ---------------------------------------------
+def _integral_checks() -> list[tuple[str, bool]]:
+    a = heuristic_integral(0j, 64, Precision(64), seed=7)
+    b = heuristic_integral(0j, 64, Precision(64), seed=7)
+    return [
+        ("same seed reproduces the estimate", a == b),
+        ("standard error is finite and positive", a.std_error > 0),
+    ]
 
 
-def cmd_residual(args: argparse.Namespace) -> int:
-    config = _config(args)
+def _residual(args: argparse.Namespace) -> tuple:
+    prec = Precision(args.precision_bits)
+    rows = [
+        (n, e_n(n), global_identity_residual(int(args.y), int(args.z), n, prec))
+        for n in _parse_range(args.n_spec)
+    ]
+    return ["n", "e_n", "residual"], rows
+
+
+def _residual_checks() -> list[tuple[str, bool]]:
+    r = global_identity_residual(1, 2, 3, Precision(96))
+    return [("residual is finite", r == r and abs(r) < 100)]
+
+
+class Command(NamedTuple):
+    """One subcommand: a row of COMMANDS."""
+
+    help: str
+    args: tuple[tuple[str, type, Optional[str]], ...]  # positionals (name, type, help)
+    run: Callable[[argparse.Namespace], tuple]  # -> (fields, rows[, header[, trailer]])
+    self_test: Callable[[], list[tuple[str, bool]]]
+    options: tuple[tuple[str, type, object, str], ...]  # (flag, type, default, help)
+
+
+# The shared options a row may take; --format, --out and --self-test are on
+# every row.
+_BITS = (("--precision-bits", int, 128, "working precision (>= 53)"),)
+_SEED = (("--seed", int, 0, "Monte-Carlo seed"),)
+_TAU = ("tau", str, "base point, e.g. '2i' or '0.3+1.7i'")
+_RANGE = ("n_spec", str, "range: 'a..b', 'primes:a..b', or list")
+_Z = ("z", str, "target complex value")
+
+COMMANDS = {
+    "orbit": Command(
+        "Hecke orbit table of tau",
+        (_TAU, ("n", int, "orbit order N")),
+        _orbit, _orbit_checks, _BITS,
+    ),
+    "height": Command(
+        "cusp height series",
+        (("j_base", str, "integer base j-invariant"), _RANGE),
+        _height, _height_checks, _BITS,
+    ),
+    "scan": Command(
+        "isogenous-reduction prime scan",
+        (
+            ("left", str, "curve 'a4,a6' (rationals as num/den)"),
+            ("right", str, "curve 'a4,a6'"),
+            ("p_min", int, None),
+            ("p_max", int, None),
+        ),
+        _scan, _scan_checks, (),
+    ),
+    "tate": Command(
+        "valuation orbit of v(j)",
+        (("v", str, "negative rational valuation, e.g. '-1'"),
+         ("n", int, "isogeny degree N")),
+        _tate, _tate_checks, (),
+    ),
+    "latcount": Command(
+        "lattice fiber counts",
+        (("gram", str, "'a,b,c' (rank 2) or 10 upper-triangle entries (rank 4)"),
+         ("n_max", int, None)),
+        _latcount, _latcount_checks, (),
+    ),
+    "cm": Command(
+        "CM point enumeration table",
+        (("m_max", int, "max self-isogeny degree"),),
+        _cm, _cm_checks, _BITS,
+    ),
+    "equi": Command(
+        "high-point fraction vs prediction",
+        (_TAU, _RANGE, ("threshold", float, None)),
+        _equi, _equi_checks, _BITS,
+    ),
+    "density": Command(
+        "near-miss density experiment",
+        (_TAU, _Z, ("d_exp", int, "exponent D in N^-D"), ("n_max", int, None)),
+        _density, _density_checks, _BITS,
+    ),
+    "integral": Command(
+        "hyperbolic Monte-Carlo mean",
+        (_Z, ("samples", int, None)),
+        _integral, _integral_checks, _BITS + _SEED,
+    ),
+    "residual": Command(
+        "global identity residuals",
+        (("y", str, "integer base j-invariant"), ("z", str, "integer target"), _RANGE),
+        _residual, _residual_checks, _BITS,
+    ),
+}
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Check the shared options, then run the row's self-test, or its runner
+    once every positional argument is given, and write the table."""
+    command = COMMANDS[args.command]
+    if getattr(args, "precision_bits", 128) < 53:
+        raise ValueError("precision_bits must be at least 53")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError("seed must be nonnegative")
     if args.self_test:
-        r = global_identity_residual(1, 2, 3, Precision(96))
-        checks = [("residual is finite", r == r and abs(r) < 100)]
-        return _report_selftest("residual", checks)
-    _require(args, "y", "z", "n_spec")
-    prec = config.precision
-    rows = []
-    for n in _parse_range(args.n_spec):
-        rows.append(
-            (n, e_n(n), global_identity_residual(int(args.y), int(args.z), n, prec))
-        )
-    _emit(config, ["n", "e_n", "residual"], rows)
+        checks = command.self_test()
+        for label, ok in checks:
+            print(f"{args.command} self-test: {'PASS' if ok else 'FAIL'} {label}")
+        return 0 if all(ok for _, ok in checks) else 1
+    for name, _, _ in command.args:
+        if getattr(args, name) is None:
+            raise ValueError(f"missing required argument '{name}'")
+    _emit(args, *command.run(args))
     return 0
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process: parsing leaves it as it
-    was, and every default in it is immutable."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--precision-bits", type=int, default=128, help="working precision (>= 53)"
-    )
-    shared.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
-    shared.add_argument(
+    """The argparse tree, built once per process from COMMANDS: parsing
+    leaves it as it was, and every default in it is immutable."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
         "--format", choices=("csv", "jsonl"), default="csv", help="output format"
     )
-    shared.add_argument("--out", default=None, help="output path (default stdout)")
-    shared.add_argument(
+    common.add_argument("--out", default=None, help="output path (default stdout)")
+    common.add_argument(
         "--self-test",
         action="store_true",
         help="replay the module's example table and report pass/fail",
@@ -544,62 +532,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "and prime scans for isogenous reductions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("orbit", parents=[shared], help="Hecke orbit table of tau")
-    p.add_argument("tau", nargs="?", help="base point, e.g. '2i' or '0.3+1.7i'")
-    p.add_argument("n", nargs="?", type=int, help="orbit order N")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("height", parents=[shared], help="cusp height series")
-    p.add_argument("j_base", nargs="?", help="integer base j-invariant")
-    p.add_argument("n_spec", nargs="?", help="range: 'a..b', 'primes:a..b', or list")
-    p.set_defaults(func=cmd_height)
-
-    p = sub.add_parser("scan", parents=[shared], help="isogenous-reduction prime scan")
-    p.add_argument("left", nargs="?", help="curve 'a4,a6' (rationals as num/den)")
-    p.add_argument("right", nargs="?", help="curve 'a4,a6'")
-    p.add_argument("p_min", nargs="?", type=int)
-    p.add_argument("p_max", nargs="?", type=int)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("tate", parents=[shared], help="valuation orbit of v(j)")
-    p.add_argument("v", nargs="?", help="negative rational valuation, e.g. '-1'")
-    p.add_argument("n", nargs="?", type=int, help="isogeny degree N")
-    p.set_defaults(func=cmd_tate)
-
-    p = sub.add_parser("latcount", parents=[shared], help="lattice fiber counts")
-    p.add_argument("gram", nargs="?", help="'a,b,c' (rank 2) or 10 upper-triangle entries (rank 4)")
-    p.add_argument("n_max", nargs="?", type=int)
-    p.set_defaults(func=cmd_latcount)
-
-    p = sub.add_parser("cm", parents=[shared], help="CM point enumeration table")
-    p.add_argument("m_max", nargs="?", type=int, help="max self-isogeny degree")
-    p.set_defaults(func=cmd_cm)
-
-    p = sub.add_parser("equi", parents=[shared], help="high-point fraction vs prediction")
-    p.add_argument("tau", nargs="?")
-    p.add_argument("n_spec", nargs="?")
-    p.add_argument("threshold", nargs="?", type=float)
-    p.set_defaults(func=cmd_equi)
-
-    p = sub.add_parser("density", parents=[shared], help="near-miss density experiment")
-    p.add_argument("tau", nargs="?")
-    p.add_argument("z", nargs="?", help="target complex value")
-    p.add_argument("d_exp", nargs="?", type=int, help="exponent D in N^-D")
-    p.add_argument("n_max", nargs="?", type=int)
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("integral", parents=[shared], help="hyperbolic Monte-Carlo mean")
-    p.add_argument("z", nargs="?", help="target complex value")
-    p.add_argument("samples", nargs="?", type=int)
-    p.set_defaults(func=cmd_integral)
-
-    p = sub.add_parser("residual", parents=[shared], help="global identity residuals")
-    p.add_argument("y", nargs="?", help="integer base j-invariant")
-    p.add_argument("z", nargs="?", help="integer target")
-    p.add_argument("n_spec", nargs="?", help="range spec")
-    p.set_defaults(func=cmd_residual)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for arg, kind, text in command.args:
+            p.add_argument(arg, nargs="?", type=kind, help=text)
+        for flag, kind, default, text in command.options:
+            p.add_argument(flag, type=kind, default=default, help=text)
+        p.set_defaults(func=_run)
     return parser
 
 

@@ -21,7 +21,10 @@ itself is the tests' oracle of the closed forms and of the twist.
 Two reductions are geometrically isogenous exactly when their Frobenius
 eigenvalue ratio is a root of unity, which a trace-power match at some
 k <= 12 detects: the ratio lives in a degree <= 4 field, so its order n
-has phi(n) <= 4, i.e. n in {1, 2, 3, 4, 5, 6, 8, 10, 12}.
+has phi(n) <= 4, i.e. n in {1, 2, 3, 4, 5, 6, 8, 10, 12}.  A coincidence
+a_p(E) = a_p(E') is the k = 1 case, so the coincidence statistic is read
+off the hits of a scan: each record of a scan is counted once, and none is
+kept after it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -243,44 +246,19 @@ def _j0_record(d: int, p: int) -> TraceRecord:
     )
 
 
-def _reduce_mod(num: int, den: int, p: int) -> int:
-    if den % p == 0:
-        raise BadReductionError(f"denominator of {Fraction(num, den)} vanishes mod {p}")
-    return num * pow(den, -1, p) % p
+def _reduce_mod(x: Fraction, p: int) -> int:
+    if x.denominator % p == 0:
+        raise BadReductionError(f"denominator of {x} vanishes mod {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 # Both curves of a scan are counted at p one after the other, so the verdict
 # on the last two primes is kept; the second curve's check at p hits it.
-# Typed, as _counted is, so that p = 5.0 still fails as
-# it would uncached instead of reading the entry of p = 5.
+# Typed, so that p = 5.0 is not read as the entry of p = 5 but reaches
+# is_prime, which raises TypeError on it.
 @lru_cache(maxsize=2, typed=True)
 def _is_good_prime(p: int) -> bool:
     return p >= 5 and is_prime(p)
-
-
-# A record takes 0.4-0.6 KB, so the cache stays below about 10 MB.  One scan
-# command (scan_pair, then coincidence_statistic over the same primes) reads
-# 2 pi(p_max) records, which still fit up to p_max ~ 8e4.  The key is the
-# integer numerators and denominators: hashing two Fractions cost more than
-# a closed-form count.
-@lru_cache(maxsize=1 << 14, typed=True)
-def _counted(n4: int, d4: int, n6: int, d6: int, p: int) -> TraceRecord:
-    if not _is_good_prime(p):
-        raise ValueError(f"need a prime p >= 5, got {p}")
-    a = _reduce_mod(n4, d4, p)
-    b = _reduce_mod(n6, d6, p)
-    if (4 * a * a % p * a + 27 * b * b) % p == 0:
-        raise BadReductionError(f"discriminant vanishes mod {p}")
-    if b == 0:
-        return _j1728_record(p - a, p)
-    if a == 0:
-        return _j0_record(b, p)
-    # the twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2; its a_p carries
-    # (b/a / p) = (ab/p), read by Euler's criterion
-    a_p, classification = _sweep_of_j(a * a % p * a * pow(b, -2, p) % p, p)
-    if pow(a * b, (p - 1) // 2, p) != 1:
-        a_p = -a_p
-    return TraceRecord(p, a_p, classification)
 
 
 def count_points(curve: CurveQ, p: int) -> TraceRecord:
@@ -298,8 +276,22 @@ def count_points(curve: CurveQ, p: int) -> TraceRecord:
     One remainder g(x) mod p serves both terms, which are read from the
     doubled Legendre table at b + g and p + b - g.
     """
-    a4, a6 = curve.a4, curve.a6
-    return _counted(a4.numerator, a4.denominator, a6.numerator, a6.denominator, p)
+    if not _is_good_prime(p):
+        raise ValueError(f"need a prime p >= 5, got {p}")
+    a = _reduce_mod(curve.a4, p)
+    b = _reduce_mod(curve.a6, p)
+    if (4 * a * a % p * a + 27 * b * b) % p == 0:
+        raise BadReductionError(f"discriminant vanishes mod {p}")
+    if b == 0:
+        return _j1728_record(p - a, p)
+    if a == 0:
+        return _j0_record(b, p)
+    # the twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2; its a_p carries
+    # (b/a / p) = (ab/p), read by Euler's criterion
+    a_p, classification = _sweep_of_j(a * a % p * a * pow(b, -2, p) % p, p)
+    if pow(a * b, (p - 1) // 2, p) != 1:
+        a_p = -a_p
+    return TraceRecord(p, a_p, classification)
 
 
 def trace_power(a_p: int, p: int, k: int) -> int:
@@ -335,22 +327,30 @@ def geom_isogenous(left: TraceRecord, right: TraceRecord) -> Optional[int]:
     return None
 
 
-def scan_pair(
-    left: CurveQ, right: CurveQ, p_min: int, p_max: int
-) -> list[ScanHit]:
-    """All geometric-isogeny hits over good primes in [p_min, p_max]."""
+def _records(
+    curves: tuple[CurveQ, ...], p_min: int, p_max: int
+) -> Iterator[tuple[int, list[TraceRecord]]]:
+    """(p, the records of the curves at p) for each prime p of [p_min,
+    p_max] where every curve has good reduction."""
     if not 5 <= p_min <= p_max:
         raise ValueError("need 5 <= p_min <= p_max")
-    hits = []
     for p in primes_up_to(p_max):
         if p < p_min:
             continue
         try:
-            lrec = count_points(left, p)
-            rrec = count_points(right, p)
+            records = [count_points(curve, p) for curve in curves]
         except BadReductionError as exc:
             logger.info("skipping p=%d: %s", p, exc)
             continue
+        yield p, records
+
+
+def scan_pair(
+    left: CurveQ, right: CurveQ, p_min: int, p_max: int
+) -> list[ScanHit]:
+    """All geometric-isogeny hits over good primes in [p_min, p_max]."""
+    hits = []
+    for p, (lrec, rrec) in _records((left, right), p_min, p_max):
         k = geom_isogenous(lrec, rrec)
         if k is not None:
             hits.append(ScanHit(p=p, k=k, left=lrec, right=rrec))
@@ -364,21 +364,12 @@ def cm_field_hits(
     given fundamental discriminant."""
     if not is_fundamental_discriminant(d_k):
         raise ValueError(f"{d_k} is not a fundamental imaginary quadratic discriminant")
-    if not 5 <= p_min <= p_max:
-        raise ValueError("need 5 <= p_min <= p_max")
-    out = []
-    for p in primes_up_to(p_max):
-        if p < p_min:
-            continue
-        try:
-            rec = count_points(curve, p)
-        except BadReductionError as exc:
-            logger.info("skipping p=%d: %s", p, exc)
-            continue
-        cls = rec.classification
-        if isinstance(cls, Ordinary) and cls.cm_fundamental_disc == d_k:
-            out.append(p)
-    return out
+    return [
+        p
+        for p, (rec,) in _records((curve,), p_min, p_max)
+        if isinstance(rec.classification, Ordinary)
+        and rec.classification.cm_fundamental_disc == d_k
+    ]
 
 
 class CoincidenceStat(NamedTuple):
@@ -386,31 +377,26 @@ class CoincidenceStat(NamedTuple):
     heuristic: float
 
 
+def _coincidences(hits: list[ScanHit], p_max: int) -> CoincidenceStat:
+    """The coincidence statistic of a pair, read off its scan_pair hits over
+    [5, p_max]: a_p agrees exactly where geom_isogenous finds k = 1."""
+    half = p_max // 2
+    s_full = 0.0
+    s_half = 0.0
+    for p in primes_up_to(p_max)[2:]:  # the primes >= 5
+        s_full += 1 / math.sqrt(p)
+        if p <= half:
+            s_half += 1 / math.sqrt(p)
+    matches = [h.p for h in hits if h.k == 1]
+    obs_half = sum(p <= half for p in matches)
+    scale = obs_half / s_half if obs_half and s_half else 1.0
+    return CoincidenceStat(observed=len(matches), heuristic=scale * s_full)
+
+
 def coincidence_statistic(
     left: CurveQ, right: CurveQ, p_max: int
 ) -> CoincidenceStat:
     """observed = #{good p <= p_max : a_p agrees}; heuristic = c sum 1/sqrt(p)
-    with c calibrated on the first half of the range."""
-    if p_max < 5:
-        raise ValueError("need p_max >= 5")
-    half = p_max // 2
-    observed = 0
-    obs_half = 0
-    s_full = 0.0
-    s_half = 0.0
-    for p in primes_up_to(p_max):
-        if p < 5:
-            continue
-        s_full += 1 / math.sqrt(p)
-        if p <= half:
-            s_half += 1 / math.sqrt(p)
-        try:
-            match = count_points(left, p).a_p == count_points(right, p).a_p
-        except BadReductionError:
-            continue
-        if match:
-            observed += 1
-            if p <= half:
-                obs_half += 1
-    scale = obs_half / s_half if obs_half and s_half else 1.0
-    return CoincidenceStat(observed=observed, heuristic=scale * s_full)
+    over all primes 5 <= p <= p_max, with c calibrated on the first half of
+    the range."""
+    return _coincidences(scan_pair(left, right, 5, p_max), p_max)

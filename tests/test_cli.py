@@ -5,7 +5,7 @@ import json
 import pytest
 from mpmath import mp
 
-from heckelab.cli import _build_parser, _parse_complex, main
+from heckelab.cli import COMMANDS, _build_parser, _parse_complex, main
 
 SUBCOMMANDS = [
     "orbit",
@@ -26,11 +26,34 @@ def _rows(text):
     return list(csv.DictReader(io.StringIO("\n".join(lines))))
 
 
+def test_every_row_of_the_table_runs_its_self_test():
+    assert set(COMMANDS) == set(SUBCOMMANDS)
+
+
 @pytest.mark.parametrize("cmd", SUBCOMMANDS)
 def test_self_tests_pass(cmd, capsys):
     assert main([cmd, "--self-test"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+def test_help_of_every_row(cmd, capsys):
+    # argparse formats each help string with %, so a stray % would raise
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: heckelab {cmd}")
+
+
+def test_a_row_takes_only_the_shared_options_it_reads(capsys):
+    for argv in (["orbit", "2i", "2", "--seed", "1"],
+                 ["scan", "-1,0", "0,-1", "5", "20", "--precision-bits", "64"],
+                 ["tate", "-1", "4", "--precision-bits", "64"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_orbit_table(capsys):
@@ -298,6 +321,7 @@ def test_error_paths_return_two(capsys):
     assert main(["orbit", "notapoint", "2"]) == 2
     assert main(["tate", "1", "4"]) == 2  # positive valuation
     assert main(["scan", "0,0", "0,1", "5", "50"]) == 2  # singular curve
+    assert main(["scan", "-1,0", "0,-1", "50", "5"]) == 2  # p_min > p_max
     assert main(["orbit", "2i", "2", "--precision-bits", "10"]) == 2
     err = capsys.readouterr().err
     assert "error" in err.lower()

@@ -10,7 +10,6 @@ from heckelab.arith import primes_up_to, split_discriminant
 from heckelab.cli import main
 from heckelab.scan import (
     _INT32_BELOW,
-    _counted,
     _half_sweep,
     _j0_record,
     _j1728_record,
@@ -150,7 +149,8 @@ def test_curve_validation_and_reduction():
         count_points(CurveQ(Fraction(1, 5), 1), 5)
     with pytest.raises(BadReductionError):
         count_points(CurveQ(1, 1), 31)  # disc -496 = -16 * 31
-    # a float p fails as it does uncached, not as the cached record of int p
+    # a float p reaches is_prime, which rejects it, and is not read as the
+    # verdict on int p kept by _is_good_prime
     count_points(CurveQ(1, 1), 5)
     with pytest.raises(TypeError):
         count_points(CurveQ(1, 1), 5.0)
@@ -309,25 +309,45 @@ def test_coincidence_statistic():
     assert self_stat.observed == len([p for p in primes_up_to(100) if p >= 5])
     with pytest.raises(ValueError):
         coincidence_statistic(CurveQ(-1, 0), CurveQ(0, -1), 4)
+    # observed is read off the k = 1 hits of scan_pair; it must equal the
+    # count of good primes where a_p agrees, for twist, sextic-twist,
+    # rational and generic pairs, some with bad primes
+    pairs = [
+        (CurveQ(3, -7), CurveQ(27, -189)),
+        (CurveQ(0, 1), CurveQ(0, -2)),
+        (CurveQ(Fraction(1, 3), Fraction(-5, 7)), CurveQ(Fraction(2, 9), Fraction(7, 4))),
+        (CurveQ(1, 1), CurveQ(-1, 1)),
+    ]
+    for left, right in pairs:
+        agree = 0
+        for p in primes_up_to(800)[2:]:
+            try:
+                agree += count_points(left, p).a_p == count_points(right, p).a_p
+            except BadReductionError:
+                continue
+        assert coincidence_statistic(left, right, 800).observed == agree, (left, right)
 
 
-def test_record_cache_is_bounded_and_shared_within_a_scan(capsys):
-    assert _counted.cache_info().maxsize == 1 << 14
-    _counted.cache_clear()
-    # scan_pair counts both curves at each prime of [5, 500]; then
-    # coincidence_statistic reads the same records back over p <= 500
+def test_a_scan_counts_each_record_once(capsys, monkeypatch):
+    # the rows and the coincidence trailer come from one pass, so each curve
+    # is counted once at each good prime of [5, 500]
+    calls = []
+
+    def counting(curve, p):
+        calls.append((curve, p))
+        return count_points(curve, p)
+
+    monkeypatch.setattr(scan, "count_points", counting)
     assert main(["scan", "-1,0", "0,-1", "5", "500"]) == 0
     capsys.readouterr()
-    info = _counted.cache_info()
-    records = 2 * (len(primes_up_to(500)) - 2)  # both curves are good at p >= 5
-    assert (info.misses, info.hits) == (records, records)
-    _counted.cache_clear()
+    good = [p for p in primes_up_to(500) if p >= 5]  # both curves are good there
+    expected = [(curve, p) for p in good for curve in (CurveQ(-1, 0), CurveQ(0, -1))]
+    assert calls == expected
 
 
 def test_prime_tables_are_built_once_per_prime_of_a_scan(capsys):
     # a4 a6 is a unit at every prime, so no record takes the closed form
     left, right = (1, 1), (-1, 1)
-    _counted.cache_clear()
     _prime_tables.cache_clear()
     assert main(["scan", "1,1", "-1,1", "5", "500"]) == 0
     capsys.readouterr()
@@ -337,15 +357,14 @@ def test_prime_tables_are_built_once_per_prime_of_a_scan(capsys):
 
     # scan_pair counts the left curve at each prime of [5, 500] and, where it
     # is good, the right curve from the same tables; a bad right curve raises
-    # before it reads them.  coincidence_statistic then reads cached records
-    # or raises again before the tables.
+    # before it reads them.  The coincidence trailer is read off the same
+    # hits and counts nothing.
     primes = [p for p in primes_up_to(500) if p >= 5]
     left_good = [p for p in primes if good(*left, p)]
     both_good = [p for p in left_good if good(*right, p)]
     assert len(both_good) == len(primes) - 2  # 31 | disc(left), 23 | disc(right)
     info = _prime_tables.cache_info()
     assert (info.misses, info.hits) == (len(left_good), len(both_good))
-    _counted.cache_clear()
 
 
 def test_a_twist_pair_reads_one_sweep_per_prime_of_a_scan(capsys, monkeypatch):
@@ -359,21 +378,19 @@ def test_a_twist_pair_reads_one_sweep_per_prime_of_a_scan(capsys, monkeypatch):
         return _half_sweep(a, b, p)
 
     monkeypatch.setattr(scan, "_half_sweep", counting)
-    _counted.cache_clear()
     _sweep_of_j.cache_clear()
     _prime_tables.cache_clear()
     assert main(["scan", "7,10", "63,-270", "5", "500"]) == 0
     capsys.readouterr()
     # scan_pair counts the left curve at p, which sweeps y^2 = x^3 + t x + t,
-    # and the right curve, which reads that sweep; coincidence_statistic
-    # then reads cached records
+    # and the right curve, which reads that sweep; the coincidence trailer
+    # is read off the same hits
     swept = [p for p in primes_up_to(500) if p > 7]
     info = _sweep_of_j.cache_info()
     assert (info.misses, info.hits) == (len(swept), len(swept))
     assert sweeps == swept
     info = _prime_tables.cache_info()
     assert (info.misses, info.hits) == (len(swept), 0)
-    _counted.cache_clear()
 
 
 def test_closed_forms_match_the_sweep_for_every_d():
