@@ -638,20 +638,14 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
     Real j values are attained on the boundary arcs: j >= 1728 on the
     imaginary axis, 0 <= j <= 1728 on |tau| = 1, j <= 0 on Re tau = 1/2.
     The solution is unique in the closed fundamental domain, because j is
-    monotone along each arc.  It is the midpoint of the last bracket of a
-    bisection to full working precision.
+    monotone along each arc.
 
-    The root is found before the bisection runs: float64 log j seeds a
-    bracketed secant (Illinois) iteration at working precision, which
-    stops once |j - y| is below the accuracy of eval_j, 2^-bits relative
-    (absolute below |y| = 1).  The bisection then takes the same midpoints
-    as a plain one, but evaluates j only at those within 8 accuracy / slope
-    of that root; the others lie where no evaluation could return the
-    wrong sign, and take the sign of their side.  So the result is the
-    plain bisection's, bit for bit, from about 40 evaluations of j instead
-    of bits + 40.  A root within 2^-36 of an end of its arc (y = 0,
-    y = 1728 and their neighbours, where j' may vanish) is bisected
-    plainly.
+    float64 log j seeds a bracketed secant (Illinois) iteration at working
+    precision, which stops once |j - y| is within the accuracy of eval_j,
+    err = 2^-bits relative (absolute below |y| = 1): the root is good to
+    about 2 err / |j'|.  A root where that iteration fails, such as y = 0
+    and y = 1728 at the ends of their arcs, where j' vanishes, is bisected
+    to full working precision.
     """
     with mp.workprec(prec.bits + _GUARD):
         y = mpf(j_target)
@@ -661,12 +655,11 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
             def f(t):
                 return eval_j(UpperHalfPoint(mpf(0), t), prec).real - y
 
-            lo, hi = mpf(1), mpf(2)
+            hi = mpf(2)
             while f(hi) < 0:
                 hi *= 2
             guess = _float_root(lambda t: 1j * t, 1.0, float(hi), log_y)
-            root = _bisect(f, lo, hi, prec.bits, guess, err)
-            return UpperHalfPoint(mpf(0), root)
+            return UpperHalfPoint(mpf(0), _root(f, mpf(1), hi, prec.bits, guess, err))
         if y >= 0:
             # arc tau = e^{i theta}, theta from pi/2 (j=1728) to 2pi/3 (j=0)
             def f(th):
@@ -674,8 +667,7 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
                 return eval_j(UpperHalfPoint(z.real, z.imag), prec).real - y
 
             guess = _float_root(lambda th: np.exp(1j * math.pi * th), 0.5, 2 / 3, log_y)
-            root = _bisect(f, mpf(2) / 3, mpf(1) / 2, prec.bits, guess, err)
-            z = mp.expjpi(root)
+            z = mp.expjpi(_root(f, mpf(2) / 3, mpf(1) / 2, prec.bits, guess, err))
             return UpperHalfPoint(z.real, z.imag)
 
         def f(t):
@@ -685,8 +677,7 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
         while f(hi) > 0:
             hi *= 2
         guess = _float_root(lambda t: 0.5 + 1j * t, float(lo), float(hi), log_y)
-        root = _bisect(f, hi, lo, prec.bits, guess, err)
-        return UpperHalfPoint(mpf(1) / 2, root)
+        return UpperHalfPoint(mpf(1) / 2, _root(f, hi, lo, prec.bits, guess, err))
 
 
 # float64 seed of tau_from_j: grid points per refinement, and the relative
@@ -716,26 +707,20 @@ def _float_root(tau_of, lo: float, hi: float, log_abs_j: float) -> float | None:
     return (lo + hi) / 2
 
 
-def _bisect(f, neg_end, pos_end, bits: int, guess: float | None, err):
-    """Bisection with f(neg_end) <= 0 <= f(pos_end), to full working precision.
+def _root(f, neg_end, pos_end, bits: int, guess: float | None, err):
+    """The root of f between neg_end and pos_end: _locate's from the float
+    guess, or the plain bisection's when there is no guess or it fails."""
+    root = None if guess is None else _locate(f, neg_end, pos_end, guess, err)
+    return _bisect(f, neg_end, pos_end, bits) if root is None else root
 
-    From a float guess of the root and a bound err on the error of f near
-    it, _locate finds the root first, and a midpoint farther than its
-    radius from that root takes the sign of its side instead of calling f.
-    The midpoints and the result are those of the plain bisection, which
-    runs unchanged when guess is None or the root is degenerate.
-    """
-    located = None if guess is None else _locate(f, neg_end, pos_end, guess, err)
-    increasing = neg_end < pos_end
+
+def _bisect(f, neg_end, pos_end, bits: int):
+    """Bisection with f(neg_end) <= 0 <= f(pos_end), to full working precision."""
     for _ in range(bits + _GUARD + 8):
         mid = (neg_end + pos_end) / 2
         if mid == neg_end or mid == pos_end:
             break
-        if located is None or abs(mid - located[0]) <= located[1]:
-            negative = f(mid) < 0
-        else:
-            negative = (mid < located[0]) == increasing
-        if negative:
+        if f(mid) < 0:
             neg_end = mid
         else:
             pos_end = mid
@@ -743,16 +728,12 @@ def _bisect(f, neg_end, pos_end, bits: int, guess: float | None, err):
 
 
 def _locate(f, neg_end, pos_end, guess: float, err):
-    """(root, radius) for _bisect, or None when the root is degenerate.
+    """The x with |f(x)| <= err, or None when the root is degenerate.
 
-    A bracketed secant (Illinois) iteration from [guess -+ 2^-36] runs until
-    |f| <= err.  There the root is within 2 err / |slope| of the true one,
-    so a point farther than radius = 8 err / |slope| from it is more than
-    6 err / |slope| from the true root, where |f| > 2 err even if f bends
-    towards a double or triple root: its computed sign is its side's.
-    None when the first bracket leaves (neg_end, pos_end) or does not
-    bracket, the slope is not finite or has the wrong sign, or the
-    iteration does not converge.
+    A bracketed secant (Illinois) iteration runs from [guess -+ 2^-36].
+    None when that bracket leaves (neg_end, pos_end) or does not bracket,
+    the last secant slope is not finite or has the wrong sign (f bends
+    towards a multiple root), or the iteration does not converge.
     """
     increasing = neg_end < pos_end
     width = mpf(_LOCATE_WIDTH) * max(1, abs(guess))
@@ -776,7 +757,7 @@ def _locate(f, neg_end, pos_end, guess: float, err):
             slope = (f1 - f0) / (x1 - x0)
             if not mp.isfinite(slope) or (slope > 0) != increasing:
                 return None
-            return x, 8 * err / abs(slope)
+            return x
         # Illinois: halve the value kept at the end that stays twice
         if fx < 0:
             a, fa = x, fx

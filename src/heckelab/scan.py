@@ -314,9 +314,20 @@ def geom_isogenous(left: TraceRecord, right: TraceRecord) -> Optional[int]:
     """Minimal k <= 12 with a_{p^k} equal on both sides, else None.
 
     Both trace_power recurrences are stepped together, one k at a time.
+    Records of different kinds never match, so they return None first.
+    At p >= 5, a_{p^k} = a_p^k (mod p) is 0 for a supersingular record and
+    not for an ordinary one.  An ordinary pi^k is never rational, so it
+    generates Q(pi), and two ordinary records can match only when their
+    cm_fundamental_disc is equal.
     """
     if left.p != right.p:
         raise MismatchedPrimeError(f"records at p={left.p} and p={right.p}")
+    l_kind, r_kind = left.classification, right.classification
+    if type(l_kind) is not type(r_kind) or (
+        isinstance(l_kind, Ordinary)
+        and l_kind.cm_fundamental_disc != r_kind.cm_fundamental_disc
+    ):
+        return None
     p, a_l, a_r = left.p, left.a_p, right.a_p
     l_prev, l_k, r_prev, r_k = 2, a_l, 2, a_r
     for k in range(1, 13):

@@ -51,9 +51,12 @@ def test_phi_symmetry():
 
 def test_phi_order_two_matches_classical_polynomial():
     # prod over the orbit of (z - j) is the classical polynomial in z with
-    # the base j substituted, up to the sign fixed by the monic X-degree
-    for y, z in ((287496, 0), (287496, 1), (8000, -3)):
-        assert phi_value(y, z, 2, PREC) == _classical_phi2(z, y)
+    # the base j substituted, up to the sign fixed by the monic X-degree;
+    # the bases y lie on all three arcs of real j: the imaginary axis
+    # (y > 1728), the unit arc (0 < y < 1728) and Re tau = 1/2 (y < 0)
+    for y in (287496, 8000, 1, 1727, -40, -3375):
+        for z in (0, 1, -3, 1728):
+            assert phi_value(y, z, 2, PREC) == _classical_phi2(z, y), (y, z)
     assert phi_value(287496, 0, 2, PREC) == 12730291119207936
 
 

@@ -261,7 +261,7 @@ def test_tau_from_j_round_trips():
 
 def _plain_tau_from_j(y, prec):
     """tau_from_j by plain bisection, one eval_j per midpoint: the oracle
-    that the replayed bisection must match bit for bit."""
+    that the located root must lie next to."""
 
     def bisect(f, neg_end, pos_end):
         for _ in range(prec.bits + 32 + 8):
@@ -312,14 +312,25 @@ def _inversion_targets():
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
-def test_tau_from_j_replays_the_plain_bisection(bits):
+def test_tau_from_j_lies_next_to_the_plain_bisection(bits):
+    # Both roots have |j - y| within err = 2^-bits max(1, |y|), the accuracy
+    # of eval_j, so they lie within about 2 err / |j'| of each other, with
+    # |j'| = 2 pi |E4^2 E6| / |eta|^24 and eval_delta = (2 pi)^12 eta^24.
+    # At y = 0 and y = 1728, where j' = 0, the plain bisection is what runs.
     prec = Precision(bits)
     for y in _inversion_targets():
         got, want = tau_from_j(y, prec), _plain_tau_from_j(y, prec)
-        assert (got.re, got.im) == (want.re, want.im), y
+        if y in (0, 1728):
+            assert (got.re, got.im) == (want.re, want.im)
+            continue
+        with mp.workprec(bits + 32):
+            e4, e6, delta = eval_e4(want, prec), eval_e6(want, prec), eval_delta(want, prec)
+            slope = (2 * mp.pi) ** 13 * abs(e4**2 * e6 / delta)
+            err = mpf(2) ** -bits * max(1, abs(mpf(y)))
+            assert abs(got.to_mpc() - want.to_mpc()) <= 2 * err / slope, y
 
 
-def test_tau_from_j_evaluates_j_about_forty_times(monkeypatch):
+def test_tau_from_j_evaluates_j_about_fifteen_times(monkeypatch):
     calls = []
     eval_j_itself = numerics.eval_j
 
@@ -336,7 +347,7 @@ def test_tau_from_j_evaluates_j_about_forty_times(monkeypatch):
 
     targets = _inversion_targets()
     counts = {y: count(tau_from_j, y) for y in targets}
-    assert sum(counts.values()) / len(counts) <= 50
+    assert sum(counts.values()) / len(counts) <= 20
     # at j = 0 and j = 1728 the root is an end of its arc, where j' = 0:
     # the plain bisection runs, with a few evaluations spent on the way
     for y in (0, 1728):
