@@ -314,18 +314,23 @@ def geom_isogenous(left: TraceRecord, right: TraceRecord) -> Optional[int]:
     """Minimal k <= 12 with a_{p^k} equal on both sides, else None.
 
     Both trace_power recurrences are stepped together, one k at a time.
-    Records of different kinds never match, so they return None first.
-    At p >= 5, a_{p^k} = a_p^k (mod p) is 0 for a supersingular record and
-    not for an ordinary one.  An ordinary pi^k is never rational, so it
-    generates Q(pi), and two ordinary records can match only when their
-    cm_fundamental_disc is equal.
+    At p >= 5, records of different kinds never match, so they return None
+    first: a_{p^k} = a_p^k (mod p) is 0 for a supersingular record and not
+    for an ordinary one, and an ordinary pi^k is never rational, so it
+    generates Q(pi) and two ordinary records can match only when their
+    cm_fundamental_disc is equal.  At p = 2 and 3 a_p = 0 does not mark the
+    supersingular records (a_p = 2 against 0 at p = 2 match at k = 8), so
+    there the recurrences always run.
     """
     if left.p != right.p:
         raise MismatchedPrimeError(f"records at p={left.p} and p={right.p}")
     l_kind, r_kind = left.classification, right.classification
-    if type(l_kind) is not type(r_kind) or (
-        isinstance(l_kind, Ordinary)
-        and l_kind.cm_fundamental_disc != r_kind.cm_fundamental_disc
+    if left.p >= 5 and (
+        type(l_kind) is not type(r_kind)
+        or (
+            isinstance(l_kind, Ordinary)
+            and l_kind.cm_fundamental_disc != r_kind.cm_fundamental_disc
+        )
     ):
         return None
     p, a_l, a_r = left.p, left.a_p, right.a_p

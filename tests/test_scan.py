@@ -191,6 +191,10 @@ def test_geom_isogenous_small():
     ) is None
     assert r5b.a_p == 0
     assert geom_isogenous(r5a, r5b) is None
+    # below p = 5 a_p = 0 does not mark supersingularity: no early None
+    assert geom_isogenous(
+        TraceRecord(2, 2, Ordinary(-4, 1)), TraceRecord(2, 0, Supersingular())
+    ) == 8
 
 
 def test_geom_isogenous_equals_the_per_k_trace_power_definition():
@@ -200,7 +204,7 @@ def test_geom_isogenous_equals_the_per_k_trace_power_definition():
                 return k
         return None
 
-    for p in (p for p in primes_up_to(61) if p >= 5):
+    for p in primes_up_to(61):
         records = []
         for a in range(-math.isqrt(4 * p), math.isqrt(4 * p) + 1):
             if a == 0:
