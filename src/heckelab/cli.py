@@ -71,6 +71,59 @@ def _float_cell(value, digits: int):
     return x
 
 
+class IntColumns:
+    """Table rows whose cells are nonnegative int64s, held as columns.
+
+    Iterating yields each row as a tuple of Python ints, as a zip over the
+    columns' lists does; csv_body renders all rows in one NumPy pass.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns: np.ndarray) -> None:
+        if not columns:
+            raise ValueError("IntColumns needs at least one column")
+        for col in columns:
+            if not (isinstance(col, np.ndarray) and col.dtype == np.int64 and col.ndim == 1):
+                raise ValueError("IntColumns takes one-dimensional int64 arrays")
+            if len(col) != len(columns[0]):
+                raise ValueError("IntColumns takes columns of equal length")
+            if col.min(initial=0) < 0:
+                raise ValueError("IntColumns takes nonnegative integers only")
+        self.columns = columns
+
+    def __iter__(self):
+        return zip(*(col.tolist() for col in self.columns))
+
+    def csv_body(self) -> str:
+        """The rows as csv.writer(..., lineterminator="\\n") writes them.
+
+        One uint8 table holds a text row per row: each column right-aligned
+        in a field as wide as its largest value, then its separator.  The
+        digits are filled from the right, one place per pass over the
+        column; a leading zero is written as NUL, and one bytes.translate
+        deletes them all.
+        """
+        widths = [len(str(int(col.max(initial=0)))) for col in self.columns]
+        table = np.zeros((len(self.columns[0]), sum(widths) + len(widths)), dtype=np.uint8)
+        start = 0
+        for col, width in zip(self.columns, widths):
+            rest = col.astype(np.uint32) if width < 10 else col  # uint32 divides faster
+            last = start + width - 1
+            for place in range(last, start - 1, -1):
+                quot = rest // 10  # NumPy divides by a scalar faster than %
+                digit = (rest - quot * 10).astype(np.uint8)
+                digit += ord("0")
+                if place < last:
+                    digit *= rest > 0  # NUL once no digit is left
+                table[:, place] = digit
+                rest = quot
+            table[:, last + 1] = ord(",")
+            start = last + 2
+        table[:, -1] = ord("\n")
+        return table.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _emit(
     args: argparse.Namespace,
     fields: list[str],
@@ -79,7 +132,8 @@ def _emit(
     trailer: Optional[dict] = None,
 ) -> None:
     """Write rows, tuples in fields order, as CSV (header row first) or JSON
-    lines.
+    lines.  The CSV body of IntColumns rows is written in one piece, every
+    other body by csv.writer.
 
     `header`/`trailer` are small metadata maps: CSV renders them as
     comment lines, JSON lines as their own objects.
@@ -91,7 +145,10 @@ def _emit(
                 out.write("# " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n")
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(fields)
-            writer.writerows(rows)
+            if isinstance(rows, IntColumns):
+                out.write(rows.csv_body())
+            else:
+                writer.writerows(rows)
             if trailer:
                 out.write("# " + " ".join(f"{k}={v}" for k, v in trailer.items()) + "\n")
         else:
@@ -141,15 +198,25 @@ def _parse_range(spec: str) -> list[int]:
     return [int(part) for part in spec.split(",")]
 
 
+def _parse_rational(text: str) -> Fraction:
+    """A rational such as '-3', '1/2' or '0.25'; a zero denominator is a
+    ValueError that names the input."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_curve(text: str) -> CurveQ:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"curve must be 'a4,a6' rationals, got {text!r}")
-    return CurveQ(Fraction(parts[0]), Fraction(parts[1]))
+    return CurveQ(_parse_rational(parts[0]), _parse_rational(parts[1]))
 
 
 def _parse_gram(text: str) -> GramForm:
-    entries = [Fraction(part) for part in text.split(",")]
+    entries = [_parse_rational(part) for part in text.split(",")]
     if len(entries) == 3:
         a, b, c = entries
         return GramForm.from_rows(((a, b), (b, c)))
@@ -249,7 +316,7 @@ def _scan_checks() -> list[tuple[str, bool]]:
 
 
 def _tate(args: argparse.Namespace) -> tuple:
-    orbit = valuation_orbit(Fraction(args.v), args.n)
+    orbit = valuation_orbit(_parse_rational(args.v), args.n)
     return ["value", "multiplicity"], [(str(v), m) for v, m in sorted(orbit.items())]
 
 
@@ -277,7 +344,7 @@ def _latcount(args: argparse.Namespace) -> tuple:
             "bound": counting_bound(args.n_max, form.disc),
             "disc": str(form.disc),
         }
-    rows = zip(range(1, args.n_max + 1), counts[1:].tolist())
+    rows = IntColumns(np.arange(1, args.n_max + 1, dtype=np.int64), counts[1:])
     return ["n", "fiber_count"], rows, None, trailer
 
 

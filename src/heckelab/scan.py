@@ -13,7 +13,7 @@ a6.  Every other reduction, ab != 0, is the quadratic twist by b/a of
 y^2 = x^3 + t x + t with t = a^3/b^2, the curve of its j mod p, so its a_p
 is (ab/p) times that curve's (Silverman, AEC, Sec. X.5).  That a_p is
 counted by a half-sweep over x = 1 .. (p - 1)/2 against tables built once
-per prime (x^3 mod p and a doubled Legendre table), and kept for the last
+per prime (x^2 mod p and a doubled Legendre table), and kept for the last
 two (t, p): the two curves of a twist pair share one sweep at each prime,
 those of any other pair share the tables.  The half-sweep of the curve
 itself is the tests' oracle of the closed forms and of the twist.
@@ -106,18 +106,19 @@ class ScanHit(NamedTuple):
 
 # Every value the tables and the half-sweep form fits in int32 below this
 # bound.  With h = (p - 1)/2 and x <= h, the largest is the unreduced
-# x^3 mod p + a x <= (p - 1) + (p - 1) h = (p - 1)(h + 1) = (p^2 - 1)/2; x^2
-# and (x^2 mod p) x are smaller.  (p^2 - 1)/2 < 2^31 exactly when
-# p^2 <= 2^32, i.e. p < 2^16 for odd p.  At larger p the tables are int64,
-# which holds (p^2 - 1)/2 for every p < 2^32, far past any prime a sweep can
-# reach.
-_INT32_BELOW = 1 << 16
+# g = x (x^2 mod p + a) <= h (2p - 2) = (p - 1)^2; x^2 is smaller, and the
+# Legendre table is read at b + g and p + b - g after g is reduced, both
+# below 2p.  (p - 1)^2 < 2^31 exactly when p - 1 <= 46340 (46340^2 =
+# 2147395600), so every p below the bound is safe.  At larger p the tables
+# are int64, which holds (p - 1)^2 for every p < 2^32, far past any prime a
+# sweep can reach.
+_INT32_BELOW = 46341
 
 
 class _PrimeTables(NamedTuple):
     x: np.ndarray  # 1 .. (p - 1)/2
-    cube: np.ndarray  # x^3 mod p
-    chi2: np.ndarray  # chi2[v] = Legendre symbol (v/p) for v in [0, 2p), int64
+    sq: np.ndarray  # x^2 mod p
+    chi2: np.ndarray  # chi2[v] = Legendre symbol (v/p) for v in [0, 2p), int8
 
 
 # A scan counts both curves at p one after the other, so the tables are
@@ -127,20 +128,19 @@ def _prime_tables(p: int) -> _PrimeTables:
     x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int32 if p < _INT32_BELOW else np.int64)
     sq = x * x
     sq -= sq // p * p  # the nonzero squares mod p, each once
-    cube = sq * x
-    cube -= cube // p * p
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[sq] = 1
-    chi[0] = 0
-    return _PrimeTables(x, cube, np.concatenate((chi, chi)))
+    chi2 = np.full(2 * p, -1, dtype=np.int8)
+    chi2[sq.astype(np.intp)] = 1  # NumPy scatters at intp indices fastest
+    chi2[0] = 0
+    chi2[p:] = chi2[:p]
+    return _PrimeTables(x, sq, chi2)
 
 
 def _half_sweep(a: int, b: int, p: int) -> int:
     """a_p of y^2 = x^3 + a x + b over F_p by the half-sweep (see
     count_points), for every curve; the tests' oracle of the closed forms
     and of the twist by b/a."""
-    x, cube, chi2 = _prime_tables(p)
-    g = cube + a * x
+    x, sq, chi2 = _prime_tables(p)
+    g = (sq + a) * x
     g -= g // p * p  # g(x) mod p; NumPy divides by a scalar faster than %
     return -(
         int(chi2[b])

@@ -2,10 +2,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from mpmath import mp
 
-from heckelab.cli import COMMANDS, _build_parser, _parse_complex, main
+from heckelab.cli import COMMANDS, IntColumns, _build_parser, _parse_complex, _parse_gram, main
+from heckelab.lattices import _value_counts, counting_bound
 
 SUBCOMMANDS = [
     "orbit",
@@ -203,6 +205,80 @@ def test_latcount_output_is_pinned(args, capsys):
     assert capsys.readouterr().out == _PINNED_LATCOUNT[args]
 
 
+def _csv_text(rows):
+    """The oracle: rows as csv.writer writes them in _emit."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def test_int_columns_render_as_csv_writer_does():
+    rng = np.random.default_rng(1808)
+    tables = [
+        [np.zeros(7, dtype=np.int64), np.zeros(7, dtype=np.int64)],  # zeros
+        [np.array([0], dtype=np.int64), np.array([10**18], dtype=np.int64)],  # one row
+        [np.array([123], dtype=np.int64)],  # one row, one column
+        [np.array([np.iinfo(np.int64).max, 9, 10], dtype=np.int64)],
+    ]
+    for _ in range(40):
+        # every cell of 1 to 18 digits, zeros among them
+        digits = rng.integers(1, 19, size=(int(rng.integers(1, 60)), int(rng.integers(1, 5))))
+        cells = rng.integers(0, 10**digits, dtype=np.int64)
+        cells[rng.random(cells.shape) < 0.1] = 0
+        tables.append(list(cells.T.copy()))
+    for columns in tables:
+        rows = IntColumns(*columns)
+        expected = _csv_text(zip(*(col.tolist() for col in columns)))
+        assert rows.csv_body() == expected
+        assert list(rows) == list(zip(*(col.tolist() for col in columns)))
+
+
+def test_int_columns_take_only_nonnegative_int64_columns():
+    good = np.arange(3, dtype=np.int64)
+    for columns in (
+        (np.array([1, -1, 2], dtype=np.int64),),  # negative
+        (good, np.array([0, 0, -(2**63)], dtype=np.int64)),
+        (np.arange(3, dtype=np.int32),),  # not int64
+        (np.arange(3, dtype=np.uint64),),
+        (np.arange(3.0),),
+        ([0, 1, 2],),  # not an array
+        (good.reshape(1, 3),),  # not one-dimensional
+        (good, good[:2]),  # unequal lengths
+        (),
+    ):
+        with pytest.raises(ValueError):
+            IntColumns(*columns)
+
+
+def test_latcount_with_n_max_zero_writes_no_rows(capsys):
+    assert main(["latcount", "1,0,1", "0"]) == 0
+    assert capsys.readouterr().out == (
+        "n,fiber_count\n# represented=0 bound=1.0 disc=1\n"
+    )
+    assert main(["latcount", "1,0,1", "0", "--format", "jsonl"]) == 0
+    assert capsys.readouterr().out == (
+        '{"_summary": {"represented": 0, "bound": 1.0, "disc": "1"}}\n'
+    )
+
+
+def test_latcount_body_is_the_csv_writer_body(capsys, tmp_path):
+    form = _parse_gram("1,0,1")
+    counts = _value_counts(form, 5000)
+    expected = (
+        "n,fiber_count\n"
+        + _csv_text(zip(range(1, 5001), counts[1:].tolist()))
+        + f"# represented={np.count_nonzero(counts[1:])} "
+        f"bound={counting_bound(5000, form.disc)} disc=1\n"
+    )
+    assert main(["latcount", "1,0,1", "5000"]) == 0
+    # compared line by line: a failing assert then reports the first
+    # differing line, not a diff of the whole text
+    assert capsys.readouterr().out.split("\n") == expected.split("\n")
+    target = tmp_path / "latcount.csv"
+    assert main(["latcount", "1,0,1", "5000", "--out", str(target)]) == 0
+    assert target.read_bytes().split(b"\n") == expected.encode("ascii").split(b"\n")
+
+
 def test_latcount_rejects_a_sweep_beyond_int64(capsys):
     near_one = "1000000000000000001/1000000000000000000"
     assert main(["latcount", f"{near_one},0,{near_one}", "20"]) == 2
@@ -325,6 +401,10 @@ def test_error_paths_return_two(capsys):
     assert main(["orbit", "2i", "2", "--precision-bits", "10"]) == 2
     err = capsys.readouterr().err
     assert "error" in err.lower()
+    for argv in (["tate", "1/0", "4"], ["scan", "1/0,1", "2,3", "5", "50"],
+                 ["latcount", "1/0,0,1", "5"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
 
 def test_height_series(capsys):

@@ -77,6 +77,8 @@ def test_half_sweep_matches_brute_force_on_both_sides_of_int32():
         set(rng.sample(below, 16) + rng.sample(above, 10) + below[-2:] + above[:2])
     )
     assert min(primes) < _INT32_BELOW < max(primes) and len(primes) >= 28
+    # the sweep's largest value, (p - 1)^2, fits in int32 below the switch
+    assert (_INT32_BELOW - 2) ** 2 < 2**31 <= _INT32_BELOW**2
     assert _prime_tables(below[-1]).x.dtype == np.int32
     assert _prime_tables(above[0]).x.dtype == np.int64
     for p in primes:
@@ -89,7 +91,7 @@ def test_half_sweep_matches_brute_force_on_both_sides_of_int32():
             if (4 * a**3 + 27 * b**2) % p:
                 break
         assert count_points(CurveQ(a4, a6), p).a_p == _brute_count(a, b, p), (a4, a6, p)
-    # the largest unreduced x^3 + a x, at a = p - 1, just below the switch
+    # the largest unreduced x (x^2 mod p + a), at a = p - 1, just below the switch
     p = below[-1]
     assert count_points(CurveQ(-1, 1), p).a_p == _brute_count(p - 1, 1, p)
 
