@@ -48,7 +48,7 @@ from .heights import (
     phi_value,
 )
 from .lattices import GramForm, _value_counts, counting_bound, represented_values
-from .numerics import _GUARD, ModularMatrix, Precision, UpperHalfPoint, tau_from_j
+from .numerics import _GUARD, ModularMatrix, Precision, UpperHalfPoint, eval_j, tau_from_j
 from .scan import CurveQ, _coincidences, count_points, scan_pair, trace_power
 from .tate import badred_constant, valuation_orbit
 
@@ -366,7 +366,7 @@ def _cm(args: argparse.Namespace) -> tuple:
     d = _digits(args)
     rows = []
     for p in enumerate_cm_points(args.m_max, prec):
-        jval = p.j_at(prec)
+        jval = eval_j(p.tau0, prec)
         rows.append(
             (
                 p.M,

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .arith import is_prime, split_discriminant
 from .hecke import HeckeOrbit
@@ -55,9 +55,6 @@ class CmPoint:
     conductor: int
     fundamental_disc: int
     M: int
-    # j(tau0) as kept by enumerate_cm_points, and the precision it ran with
-    j: mpc | None = field(default=None, compare=False, repr=False)
-    j_prec: Precision | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         m = self.matrix
@@ -71,12 +68,6 @@ class CmPoint:
             raise ValueError("need t^2 < 4M for a fixed point in H")
         if self.conductor**2 * self.fundamental_disc != self.trace**2 - 4 * self.M:
             raise ValueError("conductor/fundamental_disc do not rebuild t^2 - 4M")
-
-    def j_at(self, prec: Precision) -> mpc:
-        """j(tau0) at prec: the kept value if it was computed at prec."""
-        if self.j is not None and self.j_prec == prec:
-            return self.j
-        return eval_j(self.tau0, prec)
 
 
 class ConditionPVerdict(NamedTuple):
@@ -327,7 +318,6 @@ def enumerate_cm_points(
             raw = fixed_point(companion, prec)
             assert raw is not None  # t^2 < 4m by construction
             reduced, witness = reduce_to_fundamental_domain(raw.tau0, prec)
-            jval = eval_j(reduced, prec)
             conjugated = (witness @ companion) @ witness.inverse()
             points.append(
                 CmPoint(
@@ -337,8 +327,6 @@ def enumerate_cm_points(
                     conductor=raw.conductor,
                     fundamental_disc=raw.fundamental_disc,
                     M=m,
-                    j=jval,
-                    j_prec=prec,
                 )
             )
     return points
@@ -354,7 +342,7 @@ def min_separation_constant(
     with mp.workprec(prec.bits + _GUARD):
         tagged = []
         for p in points:
-            jval = p.j_at(prec)
+            jval = eval_j(p.tau0, prec)
             if abs(jval) <= j_box_bound:
                 tagged.append((jval, p.M))
         if len(tagged) < 2:

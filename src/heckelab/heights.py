@@ -130,17 +130,24 @@ def phi_value(
     prec: Precision = DEFAULT_PRECISION,
     allow_cm: bool = False,
 ) -> int:
-    """The integer prod over T_N*(tau_y) of (z - j(tau_i)), for integer y.
+    """The integer prod over T_N*(tau_y) of (z - j(tau_i)), for integers y, z.
 
     Precision is doubled until the product rounds to a rational integer
     with relative residual below 1e-6.  The CM values y in {0, 1728} have
     orbit multiplicities that break naive expectations; pass allow_cm=True
-    to evaluate there anyway.
+    to evaluate there anyway.  A non-integer y or z raises ValueError.
     """
-    y = int(y)
+    y, z = _integers(y, z)
     if y in (0, 1728) and not allow_cm:
         raise ValueError(f"y = {y} is a CM j-invariant; pass allow_cm=True")
-    return _phi(y, int(z), n, prec.bits)
+    return _phi(y, z, n, prec.bits)
+
+
+def _integers(y, z) -> tuple[int, int]:
+    """y and z as ints; ValueError unless both are integers."""
+    if y != int(y) or z != int(z):
+        raise ValueError(f"y and z must be integers, got y={y!r}, z={z!r}")
+    return int(y), int(z)
 
 
 def _phi(y: int, z: int, n: int, bits: int, orbit: HeckeOrbit | None = None) -> int:
@@ -169,20 +176,17 @@ def global_identity_residual(
 ) -> float:
     """r_N = (log |phi| - S_N) / (6 e_N log N) - 1, for integers y and z.
 
-    phi_value's first attempt runs at Precision(prec.bits).  When that is
-    prec, phi and S_N read one tau_y and one orbit; otherwise phi is found
-    from its own orbit, as phi_value finds it.  A non-integer y or z raises
-    ValueError: phi is defined at integers only, while S_N would read y and
-    z as they are.
+    phi and S_N read one tau_y and one orbit, phi's first attempt's; an
+    attempt at doubled precision builds its own, as phi_value does.  A
+    non-integer y or z raises ValueError: phi is defined at integers only,
+    while S_N would read y and z as they are.
     """
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")
-    if y != int(y) or z != int(z):
-        raise ValueError(f"y and z must be integers, got y={y!r}, z={z!r}")
-    shared = prec == Precision(prec.bits)
+    y, z = _integers(y, z)
     with mp.workprec(prec.bits + _GUARD):
         orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
-        phi = _phi(int(y), int(z), n, prec.bits, orbit if shared else None)
+        phi = _phi(y, z, n, prec.bits, orbit)
         if phi == 0:
             raise CoincidenceError("phi vanished: z collides with the orbit of y")
         s_n = _arch_sum(orbit, z, prec)

@@ -26,6 +26,10 @@ class SweepOverflowError(OverflowError):
     """The integer-scaled values of a form over its box exceed int64."""
 
 
+class CountArrayTooLargeError(ValueError):
+    """The array of counts up to n_max cannot be allocated."""
+
+
 # Box points per block of the lattice sweep: a block of leading coordinates
 # times the last coordinate's range stays near this many int64 values.
 _BLOCK_POINTS = 1 << 16
@@ -167,9 +171,15 @@ def _value_counts(form: GramForm, n: int) -> np.ndarray:
     The arithmetic is int64; _check_int64 rejects a box whose values could
     leave that range before any of it is built.
     """
-    counts = np.zeros(n + 1, dtype=np.int64)
     if n < 0:
-        return counts
+        return np.zeros(0, dtype=np.int64)
+    try:
+        counts = np.zeros(n + 1, dtype=np.int64)
+    except MemoryError as exc:
+        raise CountArrayTooLargeError(
+            f"cannot allocate the counts for n_max = {n}: "
+            f"{n + 1} int64s, {(n + 1) * 8 / 2**30:.1f} GiB"
+        ) from exc
     scale, mat = _integer_scale(form)
     bounds = _coordinate_bounds(form, n)
     # x_i = 0 all over the box when b_i = 0, so the terms of such an i drop out

@@ -4,9 +4,9 @@ All evaluation routes through one q-series pass, _series: reduction to the
 standard fundamental domain |Re tau| <= 1/2, |tau| >= 1, where
 |q| <= exp(-pi*sqrt(3)) ~ 0.00433 makes the q-expansions converge fast, then
 the E4 sum, the E6 sum and the Euler product, truncated at each point's own
-|q|.  Precision.series_terms caps the order; a point high in the cusp keeps
-far fewer terms.  Values at unreduced points are recovered through the
-weight-k cocycle (c*tau + d)^(-k).
+|q|.  Precision.series_terms, derived from the bits, caps the order; a
+point high in the cusp keeps far fewer terms.  Values at unreduced points
+are recovered through the weight-k cocycle (c*tau + d)^(-k).
 
 The sums, the reduction loop and the Moebius step that builds an orbit
 point run on Python-int mantissas, each step rounded exactly as the mpmath
@@ -55,27 +55,22 @@ class PrecisionOverflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Precision:
-    """Working precision: mantissa bits plus a cap on the q-series order.
-
-    series_terms defaults to an order whose tail (with divisor-sum
-    coefficient growth) stays below 2^-bits everywhere on the fundamental
-    domain.  It is a cap: each point keeps the fewest terms, at most
-    series_terms, whose tail is below 2^-(bits + 64) relative to |q|, and a
-    point where series_terms terms miss 2^-bits raises
-    PrecisionOverflowError.
-    """
+    """Working precision: mantissa bits."""
 
     bits: int = 128
-    series_terms: int | None = None
 
     def __post_init__(self):
         if self.bits < 53:
             raise ValueError(f"bits must be >= 53, got {self.bits}")
-        if self.series_terms is None:
-            terms = math.ceil((self.bits * math.log(2) + 64.0) / _LOG_INV_Q_MIN)
-            object.__setattr__(self, "series_terms", terms)
-        elif self.series_terms < 1:
-            raise ValueError("series_terms must be positive")
+
+    @property
+    def series_terms(self) -> int:
+        """Cap on the q-series order: its tail (with divisor-sum coefficient
+        growth) is below 2^-bits everywhere on the fundamental domain up to
+        2,279,439 bits.  Each point keeps the fewest terms, at most this
+        many, whose tail is below 2^-(bits + 64) relative to |q|, and a
+        point where the cap misses 2^-bits raises PrecisionOverflowError."""
+        return math.ceil((self.bits * _LN2 + 64.0) / _LOG_INV_Q_MIN)
 
 
 DEFAULT_PRECISION = Precision()
@@ -645,10 +640,12 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
     err = 2^-bits relative (absolute below |y| = 1): the root is good to
     about 2 err / |j'|.  A root where that iteration fails, such as y = 0
     and y = 1728 at the ends of their arcs, where j' vanishes, is bisected
-    to full working precision.
+    to full working precision.  A NaN or infinite target raises ValueError.
     """
     with mp.workprec(prec.bits + _GUARD):
         y = mpf(j_target)
+        if not mp.isfinite(y):
+            raise ValueError(f"j must be finite, got {j_target}")
         err = mpf(2) ** -prec.bits * max(1, abs(y))
         log_y = float(mp.log(abs(y))) if y else -math.inf
         if y >= 1728:

@@ -205,6 +205,50 @@ def test_latcount_output_is_pinned(args, capsys):
     assert capsys.readouterr().out == _PINNED_LATCOUNT[args]
 
 
+# The class-number-one values among them are the rational integers
+# 1728, 0, 8000, -3375, 54000, -32768, 287496, -884736, 16581375, -12288000.
+_PINNED_CM_8 = (
+    "m,t,conductor,fundamental_disc,tau_re,tau_im,j_re,j_im\n"
+    "1,0,1,-4,0.0,1.0,1728.0,0.0\n"
+    "1,1,1,-3,-0.5,0.86602540378443864676372317075294,0.0,0.0\n"
+    "2,0,1,-8,0.0,1.4142135623730950488016887242097,8000.0,0.0\n"
+    "2,1,1,-7,-0.5,1.3228756555322952952508078768196,-3375.0,0.0\n"
+    "3,0,2,-3,0.0,1.7320508075688772935274463415059,54000.0,0.0\n"
+    "3,1,1,-11,-0.5,1.6583123951776999245574663683353,-32768.0,0.0\n"
+    "4,0,2,-4,0.0,2.0,287496.0,0.0\n"
+    "4,1,1,-15,-0.5,1.9364916731037084425896326998912,-191657.83286254720747135344482127,0.0\n"
+    "5,0,1,-20,0.0,2.2360679774997896964091736687313,1264538.9094751405093202270474107,0.0\n"
+    "5,1,1,-19,-0.5,2.1794494717703367761184909919298,-884736.0,0.0\n"
+    "6,0,1,-24,0.0,2.4494897427831780981972840747059,4831907.9033513397453973662980491,0.0\n"
+    "6,1,1,-23,-0.5,2.3979157616563597707987190320813,-3493225.6999699333682055047385473,0.0\n"
+    "7,0,2,-7,0.0,2.6457513110645905905016157536393,16581375.0,0.0\n"
+    "7,1,3,-3,-0.5,2.5980762113533159402911695122588,-12288000.0,0.0\n"
+    "8,0,2,-8,0.0,2.8284271247461900976033774484194,52249767.137718184836513595802326,0.0\n"
+    "8,1,1,-31,-0.5,2.7838821814150109610597356494593,-39492793.911556244143880327445303,0.0\n"
+)
+
+
+def test_cm_output_is_pinned(capsys):
+    assert main(["cm", "8"]) == 0
+    assert capsys.readouterr().out == _PINNED_CM_8
+
+
+def test_latcount_beyond_memory_exits_two(monkeypatch, capsys):
+    # the count array for n_max = 10^10 would take 74.5 GiB: stand in for
+    # its failed allocation rather than attempt it
+    zeros = np.zeros
+
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape) > 10**9:
+            raise MemoryError(f"cannot allocate {shape}")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refusing)
+    assert main(["latcount", "1000000,0,1000000", "10000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate the counts for n_max = 10000000000")
+
+
 def _csv_text(rows):
     """The oracle: rows as csv.writer writes them in _emit."""
     buf = io.StringIO()

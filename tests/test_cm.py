@@ -211,12 +211,13 @@ def test_enumeration_keeps_the_first_point_of_each_discriminant(monkeypatch):
         for t in range(math.isqrt(4 * m - 1) + 1):
             first.setdefault(t * t - 4 * m, (m, t))
     assert [(p.M, p.trace) for p in points] == list(first.values())
-    assert len(calls) == len(first)
+    assert not calls  # j is left to the callers
     # distinct discriminants, distinct j: the dedupe by j it replaces
+    jvals = [eval_j(p.tau0, FAST) for p in points]
     tol = 2.0 ** -(FAST.bits - 20)
-    for i, p in enumerate(points):
-        for other in points[i + 1 :]:
-            assert abs(p.j - other.j) > tol * max(1, abs(other.j))
+    for i, j1 in enumerate(jvals):
+        for j2 in jvals[i + 1 :]:
+            assert abs(j1 - j2) > tol * max(1, abs(j2))
 
 
 def test_min_separation_frozen():
@@ -317,29 +318,18 @@ def test_density_experiment_matches_brute_force(tau, z, n_max, reference_orbit):
     )
 
 
-def test_enumerated_points_keep_their_j():
-    points = enumerate_cm_points(6, PREC)
-    for p in points:
-        assert p.j == eval_j(p.tau0, PREC)
-    for p in enumerate_cm_points(6, FAST):
-        assert p.j_prec == FAST and p.j_at(FAST) is p.j
-        assert p.j_at(PREC) == eval_j(p.tau0, PREC)
-    bare = fixed_point(ModularMatrix(0, -1, 1, 0), PREC)
-    assert bare.j is None
-    assert bare == CmPoint(bare.matrix, 0, bare.tau0, 1, -4, 1, j=mp.mpc(1728), j_prec=PREC)
-
-
 def test_min_separation_evaluates_j_at_its_own_precision(monkeypatch):
     points = enumerate_cm_points(8, FAST)
     calls = []
 
     def counted(tau, prec):
-        calls.append(prec)
+        calls.append((tau, prec))
         return eval_j(tau, prec)
 
     monkeypatch.setattr(cm, "eval_j", counted)
-    kept = min_separation_constant(points, 1e7, FAST)
-    assert not calls
-    fresh = min_separation_constant(points, 1e7, PREC)
-    assert calls == [PREC] * len(points)
-    assert kept == pytest.approx(fresh, rel=1e-12)
+    values = []
+    for prec in (FAST, PREC):
+        calls.clear()
+        values.append(min_separation_constant(points, 1e7, prec))
+        assert calls == [(p.tau0, prec) for p in points]
+    assert values[0] == pytest.approx(values[1], rel=1e-12)

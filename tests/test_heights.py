@@ -159,20 +159,16 @@ def _counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize(
-    "prec, shared",
-    [(DEFAULT_PRECISION, True), (Precision(128, series_terms=40), False)],
-)
-def test_residual_row_reads_one_tau_and_one_orbit(monkeypatch, prec, shared):
-    # the shared row equals the one built from separate parts, and only a
-    # prec that phi_value's first attempt runs at may share
-    for y, z, n in ((1, 2, 5), (-40, 7, 6)):
-        want = _residual_from_parts(y, z, n, prec)
-        inversions = _counting(monkeypatch, "tau_from_j")
-        orbits = _counting(monkeypatch, "hecke_orbit")
-        assert global_identity_residual(y, z, n, prec) == want
-        assert (len(inversions), len(orbits)) == ((1, 1) if shared else (2, 2))
-        monkeypatch.undo()
+def test_residual_row_reads_one_tau_and_one_orbit(monkeypatch):
+    # the shared row equals the one built from separate parts
+    for prec in (DEFAULT_PRECISION, Precision(200)):
+        for y, z, n in ((1, 2, 5), (-40, 7, 6)):
+            want = _residual_from_parts(y, z, n, prec)
+            inversions = _counting(monkeypatch, "tau_from_j")
+            orbits = _counting(monkeypatch, "hecke_orbit")
+            assert global_identity_residual(y, z, n, prec) == want
+            assert (len(inversions), len(orbits)) == (1, 1)
+            monkeypatch.undo()
 
 
 def test_residual_rejects_non_integer_y_and_z():
@@ -184,6 +180,13 @@ def test_residual_rejects_non_integer_y_and_z():
     assert global_identity_residual(1.0, 3.0, 3, PREC) == global_identity_residual(
         1, 3, 3, PREC
     )
+
+
+def test_phi_value_rejects_non_integer_y_and_z():
+    for y, z in ((1, 2.9), (1.5, 2), (mp.mpf("1.5"), 2)):
+        with pytest.raises(ValueError, match="integers"):
+            phi_value(y, z, 3, PREC)
+    assert phi_value(1.0, 3.0, 3, PREC) == phi_value(1, 3, 3, PREC)
 
 
 def test_local_arch_sum_coincidence_guard():

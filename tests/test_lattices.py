@@ -90,9 +90,9 @@ def _brute_values(form, n):
 def _loop_value_counts(form, n):
     """The per-triple sweep: loops over the leading coordinates in Python
     and one NumPy pass over the last coordinate each, Python-int constants."""
-    counts = np.zeros(n + 1, dtype=np.int64)
     if n < 0:
-        return counts
+        return np.zeros(0, dtype=np.int64)
+    counts = np.zeros(n + 1, dtype=np.int64)
     scale, mat = lattices._integer_scale(form)
     bounds = lattices._coordinate_bounds(form, n)
     cap = scale * n
@@ -167,11 +167,9 @@ def test_value_counts_match_the_per_triple_loop(monkeypatch):
                 got = lattices._value_counts(form, n)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want), (form.gram, n, block_points)
-        assert lattices._value_counts(form, -1).shape == (0,)
-        with pytest.raises(ValueError):
-            lattices._value_counts(form, -2)
-        with pytest.raises(ValueError):
-            _loop_value_counts(form, -2)
+        for n in (-1, -2):
+            assert lattices._value_counts(form, n).shape == (0,)
+            assert _loop_value_counts(form, n).shape == (0,)
 
 
 def test_value_counts_reject_values_beyond_int64():
@@ -269,6 +267,8 @@ def test_dense_fiber_sets_frozen():
         dense_fiber_set(I2, 8, 10)
     with pytest.raises(ValueError):
         dense_fiber_set(I4, 0, 10)
+    for n in (0, -1, -2):
+        assert dense_fiber_set(I4, 8, n) == set()
 
 
 def test_dense_set_size_is_ball_limited():

@@ -44,6 +44,12 @@ from heckelab.numerics import (
 
 PREC = Precision(128)
 
+# The derived series_terms meets 2^-bits at the bottom corner of the domain
+# at every bit count up to _FIRST_MISS - 1 and misses it at every one from
+# _LAST_MEET + 1 on; in between, the rounding up of the cap decides.
+_FIRST_MISS = 2_279_440
+_LAST_MEET = 6_758_581
+
 
 def _theta_oracle(tau: UpperHalfPoint, bits: int):
     """E4, E6, Delta built from theta nulls -- shares no code with the
@@ -311,6 +317,13 @@ def _inversion_targets():
     return special + axis + unit + negative
 
 
+def test_tau_from_j_rejects_a_non_finite_target():
+    # no bracket holds such a root: NaN compares false with every value
+    for target in ("nan", "inf", "-inf", math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            tau_from_j(target, PREC)
+
+
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_tau_from_j_lies_next_to_the_plain_bisection(bits):
     # Both roots have |j - y| within err = 2^-bits max(1, |y|), the accuracy
@@ -432,19 +445,20 @@ def test_series_order_shrinks_up_the_cusp():
         orders = [numerics._series_order(corner + k / 8, prec) for k in range(800)]
         assert all(a >= b for a, b in zip(orders, orders[1:]))
         assert numerics._series_order(30.0, prec) <= 2
-    # a custom series_terms caps the order where its tail still meets 2^-bits
     assert numerics._series_order(5.0, Precision(128)) == 5
-    assert numerics._series_order(5.0, Precision(128, series_terms=3)) == 3
+    # where the cap misses 2^-bits at the corner, it caps the order a little
+    # higher up, where its tail still meets 2^-bits
+    prec = Precision(_FIRST_MISS)
     with pytest.raises(PrecisionOverflowError):
-        numerics._series_order(1.0, Precision(128, series_terms=3))
+        numerics._series_order(corner, prec)
+    assert numerics._series_order(corner * (1 + 4e-6), prec) == prec.series_terms
+    assert numerics._series_order(1.0, prec) < prec.series_terms
 
 
-def _upward_series_order(im: float, prec: Precision) -> int | None:
-    """_series_order searching T upward from 1, None where it raises: the
-    oracle of its search from the lower bound."""
+def _upward_series_order(im: float, prec: Precision) -> int:
+    """_series_order searching T upward from 1: the oracle of its search
+    from the lower bound, at bits where the cap meets 2^-bits."""
     cap = prec.series_terms
-    if not numerics._log_tail(cap, im) - 2 * math.pi * im < -prec.bits * numerics._LN2:
-        return None
     limit = -(prec.bits + 2 * numerics._GUARD) * numerics._LN2
     for terms in range(1, cap):
         if numerics._log_tail(terms, im) < limit:
@@ -456,21 +470,42 @@ def _upward_series_order(im: float, prec: Precision) -> int | None:
 def test_series_order_equals_the_upward_search(bits):
     corner = math.sqrt(3) / 2
     heights = [corner * (1000 / corner) ** (k / 1999) for k in range(2000)]
-    for prec in (Precision(bits), Precision(bits, series_terms=4)):
-        for im in heights:
-            want = _upward_series_order(im, prec)
-            if want is None:
-                with pytest.raises(PrecisionOverflowError):
-                    numerics._series_order(im, prec)
+    prec = Precision(bits)
+    for im in heights:
+        assert numerics._series_order(im, prec) == _upward_series_order(im, prec), im
+
+
+@pytest.mark.parametrize("bits", [_FIRST_MISS, _LAST_MEET + 1])
+def test_series_order_equals_the_search_where_the_cap_misses(bits):
+    # the cap is hundreds of thousands of terms here, so the first T whose
+    # tail passes is bisected: _log_tail falls with T at every Im >= the
+    # corner's, as 5 / (T + 1) < 2 pi Im
+    prec = Precision(bits)
+    cap = prec.series_terms
+    limit = -(bits + 2 * numerics._GUARD) * numerics._LN2
+    corner = math.sqrt(3) / 2
+    heights = [corner * (1 + k * 1e-6) for k in range(40)] + [1.0, 5.0, 1000.0]
+    for im in heights:
+        if not numerics._log_tail(cap, im) - 2 * math.pi * im < -bits * numerics._LN2:
+            with pytest.raises(PrecisionOverflowError):
+                numerics._series_order(im, prec)
+            continue
+        fails, passes = 0, cap
+        while passes - fails > 1:
+            mid = (fails + passes) // 2
+            if numerics._log_tail(mid, im) < limit:
+                passes = mid
             else:
-                assert numerics._series_order(im, prec) == want, (im, prec)
+                fails = mid
+        assert numerics._series_order(im, prec) == passes, im
 
 
 def test_precision_and_point_validation():
     with pytest.raises(ValueError):
         Precision(52)
-    with pytest.raises(ValueError):
-        Precision(128, series_terms=0)
+    # the cap on the series order follows from the bits alone
+    with pytest.raises(TypeError):
+        Precision(128, series_terms=3)
     assert Precision(53).series_terms >= 1
     assert Precision(128).series_terms >= Precision(53).series_terms
     with pytest.raises(ValueError):
@@ -513,11 +548,16 @@ def test_upper_half_point_keeps_its_precision(mpc_oracle):
 
 
 def test_tail_guard_rejects_truncated_series():
-    tight = Precision(128, series_terms=3)
-    with pytest.raises(PrecisionOverflowError):
-        eval_j(UpperHalfPoint(0, 1), tight)
-    # the same truncation is fine once q is tiny
-    assert abs(eval_j(UpperHalfPoint(0, 30), tight)) > 0
+    # _series_order alone: eval_j at millions of bits would take minutes
+    corner = math.sqrt(3) / 2
+    for bits in (_FIRST_MISS - 1, _LAST_MEET):
+        assert numerics._series_order(corner, Precision(bits)) == Precision(bits).series_terms
+    for bits in (_FIRST_MISS, _LAST_MEET + 1):
+        prec = Precision(bits)
+        with pytest.raises(PrecisionOverflowError):
+            numerics._series_order(corner, prec)
+        # the same truncation is fine once q is tiny
+        assert numerics._series_order(30.0, prec) < prec.series_terms
 
 
 def test_matrix_algebra():
