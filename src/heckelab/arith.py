@@ -17,16 +17,25 @@ from itertools import repeat
 import numpy as np
 
 
+class TooLargeToAllocateError(ValueError):
+    """An array whose size the input sets cannot be allocated."""
+
+
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n by a plain sieve."""
     if n < 2:
         return []
-    mark = bytearray([1]) * (n + 1)
-    mark[0] = mark[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if mark[p]:
-            mark[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if mark[i]]
+    try:
+        mark = np.ones(n + 1, dtype=bool)
+        mark[:2] = False
+        for p in range(2, math.isqrt(n) + 1):
+            if mark[p]:
+                mark[p * p :: p] = False
+        return np.flatnonzero(mark).tolist()
+    except MemoryError as exc:
+        raise TooLargeToAllocateError(
+            f"cannot sieve the primes up to {n}: {(n + 1) / 2**30:.1f} GiB of marks"
+        ) from exc
 
 
 def is_prime(n: int) -> bool:
@@ -102,17 +111,24 @@ class TripleRows(Sequence):
         if n < 1:
             raise ValueError(f"N must be positive, got {n}")
         divs = divisors(n)
-        betas = []
-        for a in divs:
-            d = n // a
-            b = np.arange(d, dtype=np.int64)
-            g = math.gcd(a, d)
-            betas.append(b[np.gcd(b, g) == 1] if g > 1 else b)
+        try:
+            betas = []
+            for a in divs:
+                d = n // a
+                b = np.arange(d, dtype=np.int64)
+                g = math.gcd(a, d)
+                betas.append(b[np.gcd(b, g) == 1] if g > 1 else b)
+            self._a = np.repeat(np.array(divs, dtype=np.int64), [b.size for b in betas])
+            self._b = np.concatenate(betas)
+            self._d = n // self._a
+        except MemoryError as exc:
+            rows = sum(count for _, _, count in triple_counts(n))
+            raise TooLargeToAllocateError(
+                f"cannot allocate the {rows} triples of N = {n}: "
+                f"{rows * 24 / 2**30:.1f} GiB"
+            ) from exc
         self._row = row
         self._n = n
-        self._a = np.repeat(np.array(divs, dtype=np.int64), [b.size for b in betas])
-        self._b = np.concatenate(betas)
-        self._d = n // self._a
         for col in (self._a, self._b, self._d):
             col.flags.writeable = False
 

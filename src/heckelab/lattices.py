@@ -17,6 +17,8 @@ from math import isqrt
 
 import numpy as np
 
+from .arith import TooLargeToAllocateError, is_fundamental_discriminant
+
 
 class UnsupportedConfigurationError(ValueError):
     """The requested ideal-lattice model falls outside the covered cases."""
@@ -26,7 +28,7 @@ class SweepOverflowError(OverflowError):
     """The integer-scaled values of a form over its box exceed int64."""
 
 
-class CountArrayTooLargeError(ValueError):
+class CountArrayTooLargeError(TooLargeToAllocateError):
     """The array of counts up to n_max cannot be allocated."""
 
 
@@ -117,13 +119,24 @@ def counting_bound(n: int, disc) -> float:
     return 1.0 + 8.0 * math.sqrt(n) + 16.0 * n / math.sqrt(disc)
 
 
-def _integer_scale(form: GramForm) -> tuple[int, list[list[int]]]:
-    scale = 1
-    for row in form.gram:
-        for v in row:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    mat = [[int(v * scale) for v in row] for row in form.gram]
-    return scale, mat
+def _integer_coefficients(form: GramForm) -> tuple[int, list[list[int]]]:
+    """(s, c): the least s >= 1 with s q integral, and the coefficients of
+    s q(x) = sum_{i <= j} c_ij x_i x_j, that is c_ii = s g_ii and
+    c_ij = 2 s g_ij above the diagonal; c_ij = 0 below it.
+
+    Every form with integer values has s = 1, the half-integral Gram
+    entries of x^2 + xy + y^2 included."""
+    rank = form.rank
+    terms = [
+        (i, j, form.gram[i][j] * 2 if i < j else form.gram[i][j])
+        for i in range(rank)
+        for j in range(i, rank)
+    ]
+    scale = math.lcm(*(c.denominator for _, _, c in terms))
+    coef = [[0] * rank for _ in range(rank)]
+    for i, j, c in terms:
+        coef[i][j] = c.numerator * (scale // c.denominator)
+    return scale, coef
 
 
 def _coordinate_bounds(form: GramForm, n) -> list[int]:
@@ -144,15 +157,16 @@ def _coordinate_bounds(form: GramForm, n) -> list[int]:
     return bounds
 
 
-def _check_int64(mat: list[list[int]], bounds: list[int]) -> None:
-    """Raise SweepOverflowError unless sum_ij |m_ij| b_i b_j < 2^63.
+def _check_int64(coef: list[list[int]], bounds: list[int]) -> None:
+    """Raise SweepOverflowError unless sum_ij |c_ij| b_i b_j < 2^63.
 
-    Each term m_ij x_i x_j is at most |m_ij| b_i b_j in the box, so the sum
-    bounds every partial sum of the sweep.  It also bounds every coefficient
-    2 m_ij whose b_i and b_j are both nonzero.
+    Each term c_ij x_i x_j is at most |c_ij| b_i b_j in the box, so the sum
+    bounds every partial sum of the sweep, and every value of a fibre at a
+    box point.  It also bounds every coefficient c_ij whose b_i and b_j are
+    both nonzero.
     """
     reach = sum(
-        abs(m) * bi * bj for row, bi in zip(mat, bounds) for m, bj in zip(row, bounds)
+        abs(c) * bi * bj for row, bi in zip(coef, bounds) for c, bj in zip(row, bounds)
     )
     if reach >= 1 << 63:
         raise SweepOverflowError(
@@ -161,14 +175,40 @@ def _check_int64(mat: list[list[int]], bounds: list[int]) -> None:
         )
 
 
+def _fibre_meets(
+    const: np.ndarray, lin: np.ndarray, a: int, bound: int, cap: int
+) -> np.ndarray:
+    """Mask of the rows whose fibre q(t) = const + lin t + a t^2, t an
+    integer of [-bound, bound], takes a value <= cap.
+
+    q is convex, so its least value on those integers is q(t) or q(t + 1)
+    for t = floor(v), the vertex v = -lin / (2 a), clipped to
+    [-bound, bound - 1].  Both are box points, whose values _check_int64
+    bounds, so the test is exact: it forms no lin^2 and keeps every row that
+    holds a value <= cap.  a = 0 only where bound = 0, and then t = 0 alone.
+    """
+    if a == 0:
+        return const <= cap
+    # floor(floor(-lin / a) / 2) = floor(v)
+    t = np.maximum(np.minimum(-lin // a // 2, bound - 1), -bound)
+    slope = lin + a * t  # q(t) = const + slope t
+    return const + np.minimum(slope * t, (slope + a) * (t + 1)) <= cap
+
+
 def _value_counts(form: GramForm, n: int) -> np.ndarray:
     """counts[N] = #{v : q(v) = N} for 0 <= N <= n, by exact enumeration.
 
-    One vectorized pass over the rigorous box: the leading coordinates come
-    from a flat index in blocks of about _BLOCK_POINTS box points, each block
-    forms its (block x last coordinate) matrix of integer-scaled values, and
-    np.bincount counts the ones that are multiples of the scale and <= n.
-    The arithmetic is int64; _check_int64 rejects a box whose values could
+    One vectorized pass over the rigorous box.  The form is scaled by the
+    least s that makes its coefficients integers (s q = sum_{i <= j} c_ij
+    x_i x_j, c_ij = 2 s g_ij off the diagonal), so s = 1 for every form with
+    integer values and its values need no division.  The leading coordinates
+    come from a flat index in blocks of about _BLOCK_POINTS box points; each
+    leading row has a fibre const + lin t + c t^2 in the last coordinate t.
+    A row whose fibre has no value <= s n on the integers of its range
+    (_fibre_meets, an exact test) misses the ellipsoid and is dropped; the
+    kept rows form their (rows x last coordinate) matrix of values, and
+    np.bincount counts the ones that are <= s n and multiples of s.  The
+    arithmetic is int64; _check_int64 rejects a box whose values could
     leave that range before any of it is built.
     """
     if n < 0:
@@ -180,18 +220,19 @@ def _value_counts(form: GramForm, n: int) -> np.ndarray:
             f"cannot allocate the counts for n_max = {n}: "
             f"{n + 1} int64s, {(n + 1) * 8 / 2**30:.1f} GiB"
         ) from exc
-    scale, mat = _integer_scale(form)
+    scale, coef = _integer_coefficients(form)
     bounds = _coordinate_bounds(form, n)
     # x_i = 0 all over the box when b_i = 0, so the terms of such an i drop out
-    mat = [
-        [m if bi and bj else 0 for m, bj in zip(row, bounds)]
-        for row, bi in zip(mat, bounds)
+    coef = [
+        [c if bi and bj else 0 for c, bj in zip(row, bounds)]
+        for row, bi in zip(coef, bounds)
     ]
-    _check_int64(mat, bounds)
+    _check_int64(coef, bounds)
     cap = scale * n
     last = form.rank - 1
+    a = coef[last][last]
     xs = np.arange(-bounds[last], bounds[last] + 1, dtype=np.int64)
-    quad = mat[last][last] * xs * xs
+    quad = a * xs * xs
     shape = tuple(2 * b + 1 for b in bounds[:last])
     total = math.prod(shape)
     step = max(1, _BLOCK_POINTS // len(xs))
@@ -201,13 +242,15 @@ def _value_counts(form: GramForm, n: int) -> np.ndarray:
         const = np.zeros(len(flat), dtype=np.int64)
         lin = np.zeros(len(flat), dtype=np.int64)
         for i, xi in enumerate(lead):
-            const += mat[i][i] * xi * xi
+            const += coef[i][i] * xi * xi
             for j in range(i + 1, last):
-                const += 2 * mat[i][j] * xi * lead[j]
-            lin += 2 * mat[i][last] * xi
-        q = const[:, None] + lin[:, None] * xs + quad
+                const += coef[i][j] * xi * lead[j]
+            lin += coef[i][last] * xi
+        meets = _fibre_meets(const, lin, a, bounds[last], cap)
+        q = const[meets, None] + lin[meets, None] * xs + quad
         vals = q[q <= cap]
-        vals = vals[vals % scale == 0] // scale
+        if scale > 1:
+            vals = vals[vals % scale == 0] // scale
         counts += np.bincount(vals, minlength=n + 1)
     return counts
 
@@ -285,8 +328,6 @@ def ideal_hom_disc_check(fundamental_disc: int, conductor: int) -> bool:
     reduced primitive form.  Returns True iff the inequality holds against
     every class.
     """
-    from .arith import is_fundamental_discriminant
-
     if conductor < 1:
         raise UnsupportedConfigurationError("conductor must be >= 1")
     if not is_fundamental_discriminant(fundamental_disc):

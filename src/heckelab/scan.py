@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -246,19 +247,39 @@ def _j0_record(d: int, p: int) -> TraceRecord:
     )
 
 
-def _reduce_mod(x: Fraction, p: int) -> int:
-    if x.denominator % p == 0:
-        raise BadReductionError(f"denominator of {x} vanishes mod {p}")
-    return x.numerator * pow(x.denominator, -1, p) % p
+def _coefficients(curve: CurveQ) -> tuple[int, int, int, int]:
+    """The numerators and denominators of a4 and a6, read once per curve."""
+    return curve.a4.numerator, curve.a4.denominator, curve.a6.numerator, curve.a6.denominator
 
 
-# Both curves of a scan are counted at p one after the other, so the verdict
-# on the last two primes is kept; the second curve's check at p hits it.
-# Typed, so that p = 5.0 is not read as the entry of p = 5 but reaches
-# is_prime, which raises TypeError on it.
-@lru_cache(maxsize=2, typed=True)
-def _is_good_prime(p: int) -> bool:
-    return p >= 5 and is_prime(p)
+def _reduce_mod(num: int, den: int, p: int) -> int:
+    if den == 1:
+        return num % p
+    if den % p == 0:
+        raise BadReductionError(f"denominator of {num}/{den} vanishes mod {p}")
+    return num * pow(den, -1, p) % p
+
+
+def _record(coefficients: tuple[int, int, int, int], p: int) -> TraceRecord:
+    """The record at a prime p >= 5 of the curve whose a4 and a6 have these
+    numerators and denominators (_coefficients): the one per-prime path of
+    count_points, which checks p first, and of a scan, whose p come from the
+    sieve."""
+    num4, den4, num6, den6 = coefficients
+    a = _reduce_mod(num4, den4, p)
+    b = _reduce_mod(num6, den6, p)
+    if (4 * a * a % p * a + 27 * b * b) % p == 0:
+        raise BadReductionError(f"discriminant vanishes mod {p}")
+    if b == 0:
+        return _j1728_record(p - a, p)
+    if a == 0:
+        return _j0_record(b, p)
+    # the twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2; its a_p carries
+    # (b/a / p) = (ab/p), read by Euler's criterion
+    a_p, classification = _sweep_of_j(a * a % p * a * pow(b, -2, p) % p, p)
+    if pow(a * b, (p - 1) // 2, p) != 1:
+        a_p = -a_p
+    return TraceRecord(p, a_p, classification)
 
 
 def count_points(curve: CurveQ, p: int) -> TraceRecord:
@@ -276,22 +297,9 @@ def count_points(curve: CurveQ, p: int) -> TraceRecord:
     One remainder g(x) mod p serves both terms, which are read from the
     doubled Legendre table at b + g and p + b - g.
     """
-    if not _is_good_prime(p):
+    if not (p >= 5 and is_prime(p)):
         raise ValueError(f"need a prime p >= 5, got {p}")
-    a = _reduce_mod(curve.a4, p)
-    b = _reduce_mod(curve.a6, p)
-    if (4 * a * a % p * a + 27 * b * b) % p == 0:
-        raise BadReductionError(f"discriminant vanishes mod {p}")
-    if b == 0:
-        return _j1728_record(p - a, p)
-    if a == 0:
-        return _j0_record(b, p)
-    # the twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2; its a_p carries
-    # (b/a / p) = (ab/p), read by Euler's criterion
-    a_p, classification = _sweep_of_j(a * a % p * a * pow(b, -2, p) % p, p)
-    if pow(a * b, (p - 1) // 2, p) != 1:
-        a_p = -a_p
-    return TraceRecord(p, a_p, classification)
+    return _record(_coefficients(curve), p)
 
 
 def trace_power(a_p: int, p: int, k: int) -> int:
@@ -343,6 +351,15 @@ def geom_isogenous(left: TraceRecord, right: TraceRecord) -> Optional[int]:
     return None
 
 
+# The rows of a scan and its coincidence statistic read the same primes, so
+# the last sieve is kept.  Typed, so that p_max = 100.0 is not served the
+# primes of p_max = 100 but reaches the sieve, which raises TypeError on it.
+@lru_cache(maxsize=1, typed=True)
+def _primes_from_five(p_max: int) -> tuple[int, ...]:
+    """The primes 5 <= p <= p_max."""
+    return tuple(primes_up_to(p_max)[2:])
+
+
 def _records(
     curves: tuple[CurveQ, ...], p_min: int, p_max: int
 ) -> Iterator[tuple[int, list[TraceRecord]]]:
@@ -350,11 +367,11 @@ def _records(
     p_max] where every curve has good reduction."""
     if not 5 <= p_min <= p_max:
         raise ValueError("need 5 <= p_min <= p_max")
-    for p in primes_up_to(p_max):
-        if p < p_min:
-            continue
+    coefficients = [_coefficients(curve) for curve in curves]
+    primes = _primes_from_five(p_max)
+    for p in primes[bisect_left(primes, p_min) :]:
         try:
-            records = [count_points(curve, p) for curve in curves]
+            records = [_record(c, p) for c in coefficients]
         except BadReductionError as exc:
             logger.info("skipping p=%d: %s", p, exc)
             continue
@@ -399,7 +416,7 @@ def _coincidences(hits: list[ScanHit], p_max: int) -> CoincidenceStat:
     half = p_max // 2
     s_full = 0.0
     s_half = 0.0
-    for p in primes_up_to(p_max)[2:]:  # the primes >= 5
+    for p in _primes_from_five(p_max):
         s_full += 1 / math.sqrt(p)
         if p <= half:
             s_half += 1 / math.sqrt(p)

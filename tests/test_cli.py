@@ -436,7 +436,7 @@ def test_out_file(tmp_path):
     assert len(rows) == 4
 
 
-def test_error_paths_return_two(capsys):
+def test_error_paths_return_two(capsys, monkeypatch):
     assert main(["height", "1"]) == 2  # missing range argument
     assert main(["orbit", "notapoint", "2"]) == 2
     assert main(["tate", "1", "4"]) == 2  # positive valuation
@@ -449,6 +449,29 @@ def test_error_paths_return_two(capsys):
                  ["latcount", "1/0,0,1", "5"]):
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
+    # sizes past memory: the sieve's marks and the triples' columns would
+    # take terabytes, so their failed allocations are stood in for
+    def refusing(make, size):
+        def call(*args, **kwargs):
+            if size(*args) > 10**9:
+                raise MemoryError(f"cannot allocate {args}")
+            return make(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np, "ones", refusing(np.ones, lambda shape, *_: np.prod(shape)))
+    monkeypatch.setattr(
+        np, "arange", refusing(np.arange, lambda *a: a[1] - a[0] if len(a) > 1 else a[0])
+    )
+    big = "100000000000000"  # 10^14; T_N has psi(N) = 1.8 * 10^14 triples
+    triples = f"error: cannot allocate the 180000000000000 triples of N = {big}:"
+    for argv, message in (
+        (["scan", "1,1", "2,3", "5", big], f"error: cannot sieve the primes up to {big}:"),
+        (["orbit", "0.1+1.2i", big], triples),
+        (["equi", "0.1+1.2i", big, "1.5"], triples),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(message), argv
 
 
 def test_height_series(capsys):

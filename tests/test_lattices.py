@@ -87,22 +87,29 @@ def _brute_values(form, n):
     return out
 
 
-def _loop_value_counts(form, n):
+def _loop_sweep(form, n):
     """The per-triple sweep: loops over the leading coordinates in Python
-    and one NumPy pass over the last coordinate each, Python-int constants."""
+    and one NumPy pass over the last coordinate each, Python-int constants.
+    Returns the counts and the number of leading rows whose pass holds a
+    value <= n."""
     if n < 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), 0
     counts = np.zeros(n + 1, dtype=np.int64)
-    scale, mat = lattices._integer_scale(form)
+    # the Gram entries' common denominator, not the coefficients' scale
+    scale = lcm(*(v.denominator for row in form.gram for v in row))
+    mat = [[int(v * scale) for v in row] for row in form.gram]
     bounds = lattices._coordinate_bounds(form, n)
     cap = scale * n
     last = form.rank - 1
     xs = np.arange(-bounds[last], bounds[last] + 1, dtype=np.int64)
     quad = mat[last][last] * xs * xs
+    rows = 0
 
     def sweep(const, lin):
+        nonlocal rows
         q = const + lin * xs + quad
         vals = q[(q >= 0) & (q <= cap)]
+        rows += len(vals) > 0
         vals = vals[vals % scale == 0] // scale
         np.add.at(counts, vals, 1)
 
@@ -121,7 +128,11 @@ def _loop_value_counts(form, n):
                     )
                     lin = 2 * (mat[0][3] * x0 + mat[1][3] * x1 + mat[2][3] * x2)
                     sweep(const, lin)
-    return counts
+    return counts, rows
+
+
+def _loop_value_counts(form, n):
+    return _loop_sweep(form, n)[0]
 
 
 _HALF = Fraction(1, 2)
@@ -170,6 +181,54 @@ def test_value_counts_match_the_per_triple_loop(monkeypatch):
         for n in (-1, -2):
             assert lattices._value_counts(form, n).shape == (0,)
             assert _loop_value_counts(form, n).shape == (0,)
+
+
+def test_value_counts_drop_the_rows_that_miss_the_ellipsoid(monkeypatch):
+    # each leading row is kept exactly when its fibre in the last coordinate
+    # holds a value <= n, as the loop finds it point by point
+    kept = []
+    meets = lattices._fibre_meets
+
+    def counting(const, lin, a, bound, cap):
+        mask = meets(const, lin, a, bound, cap)
+        kept.append(int(mask.sum()))
+        return mask
+
+    monkeypatch.setattr(lattices, "_fibre_meets", counting)
+    third = Fraction(1, 3)
+    # 1 + 1/d and 1/2 + 1/d scale by d: the fibre slopes lin reach 5 (d + 2)
+    d = 2**40 + 1
+    wide = GramForm.from_rows(((1 + Fraction(1, d), _HALF + Fraction(1, d)),
+                               (_HALF + Fraction(1, d), 1 + Fraction(1, d))))
+    rng = random.Random(67)
+    cases = [
+        # skewed rank-2 forms: thin ellipses whose chords at the outer rows
+        # are shorter than 1
+        (GramForm.from_rows(((1, 10), (10, 101))), 60),
+        (GramForm.from_rows(((1, Fraction(19, 2)), (Fraction(19, 2), 91))), 60),
+        (_conjugate(GramForm.from_rows(((3, 1), (1, 5))), [[3, 8], [1, 3]]), 40),
+        # entries in thirds: the coefficient scale stays 3
+        (GramForm.from_rows(((1, 29 * third), (29 * third, 94))), 60),
+        (GramForm.from_rows(((1, third, 0, 0), (third, 1, 0, 0),
+                             (0, 0, Fraction(4, 3), third), (0, 0, third, 1))), 30),
+        (wide, 20),
+    ] + [(_random_ata(rng), 15) for _ in range(3)]
+    scale, coef = lattices._integer_coefficients(cases[3][0])
+    assert scale == 3
+    scale, coef = lattices._integer_coefficients(wide)
+    b0 = lattices._coordinate_bounds(wide, 20)[0]
+    assert (scale, b0) == (d, 5) and (coef[0][1] * b0) ** 2 > 2**63 > 2**53
+    for form, n in cases:
+        want, rows = _loop_sweep(form, n)
+        bounds = lattices._coordinate_bounds(form, n)
+        box_rows = np.prod([2 * b + 1 for b in bounds[:-1]])
+        if form is not wide:
+            assert rows < box_rows, form.gram  # the sweep has rows to drop
+        for block_points in (lattices._BLOCK_POINTS, 100, 5):
+            monkeypatch.setattr(lattices, "_BLOCK_POINTS", block_points)
+            kept.clear()
+            assert np.array_equal(lattices._value_counts(form, n), want), (form.gram, n)
+            assert sum(kept) == rows, (form.gram, n, block_points)
 
 
 def test_value_counts_reject_values_beyond_int64():

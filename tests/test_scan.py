@@ -151,8 +151,7 @@ def test_curve_validation_and_reduction():
         count_points(CurveQ(Fraction(1, 5), 1), 5)
     with pytest.raises(BadReductionError):
         count_points(CurveQ(1, 1), 31)  # disc -496 = -16 * 31
-    # a float p reaches is_prime, which rejects it, and is not read as the
-    # verdict on int p kept by _is_good_prime
+    # a float p reaches is_prime, which rejects it
     count_points(CurveQ(1, 1), 5)
     with pytest.raises(TypeError):
         count_points(CurveQ(1, 1), 5.0)
@@ -336,19 +335,62 @@ def test_coincidence_statistic():
 
 def test_a_scan_counts_each_record_once(capsys, monkeypatch):
     # the rows and the coincidence trailer come from one pass, so each curve
-    # is counted once at each good prime of [5, 500]
+    # is counted once at each good prime of [5, 500], by the per-prime
+    # record function that count_points also calls
     calls = []
+    record = scan._record
 
-    def counting(curve, p):
-        calls.append((curve, p))
-        return count_points(curve, p)
+    def counting(coefficients, p):
+        calls.append((coefficients, p))
+        return record(coefficients, p)
 
-    monkeypatch.setattr(scan, "count_points", counting)
+    monkeypatch.setattr(scan, "_record", counting)
     assert main(["scan", "-1,0", "0,-1", "5", "500"]) == 0
     capsys.readouterr()
     good = [p for p in primes_up_to(500) if p >= 5]  # both curves are good there
-    expected = [(curve, p) for p in good for curve in (CurveQ(-1, 0), CurveQ(0, -1))]
+    expected = [(curve, p) for p in good for curve in ((-1, 1, 0, 1), (0, 1, -1, 1))]
     assert calls == expected
+    # count_points takes the same path, once per call
+    calls.clear()
+    assert count_points(CurveQ(Fraction(-1, 3), 0), 7).a_p == _brute_count(2, 0, 7)
+    assert calls == [((-1, 3, 0, 1), 7)]
+
+
+def test_a_scan_is_the_per_prime_count_points_loop():
+    # scan_pair reads each curve's coefficients once and takes its primes
+    # from the sieve; count_points checks each p.  Both give the same
+    # records at every prime of [5, 2000]
+    pairs = [
+        # denominators 3 and 7 on the left, 5, 11 and 13 on the right
+        (CurveQ(Fraction(1, 3), Fraction(-5, 7)), CurveQ(Fraction(2, 5), Fraction(7, 143))),
+        # a quadratic twist pair with the denominators 5 and 25
+        (CurveQ(Fraction(-7, 5), Fraction(3, 25)), CurveQ(Fraction(-28, 5), Fraction(24, 25))),
+        # j = 0: y^2 = x^3 + d, a rational d included
+        (CurveQ(0, 1), CurveQ(0, Fraction(-2, 17))),
+        (CurveQ(0, 7), CurveQ(0, -189)),
+        # j = 1728: y^2 = x^3 - d x
+        (CurveQ(-1, 0), CurveQ(Fraction(3, 19), 0)),
+        (CurveQ(-6, 0), CurveQ(-54, 0)),
+    ]
+    primes = [p for p in primes_up_to(2000) if p >= 5]
+    for left, right in pairs:
+        records, hits = [], []
+        for p in primes:
+            try:
+                lrec, rrec = count_points(left, p), count_points(right, p)
+            except BadReductionError:
+                continue
+            records.append((p, [lrec, rrec]))
+            k = geom_isogenous(lrec, rrec)
+            if k is not None:
+                hits.append(scan.ScanHit(p, k, lrec, rrec))
+        assert list(scan._records((left, right), 5, 2000)) == records, (left, right)
+        assert scan_pair(left, right, 5, 2000) == hits, (left, right)
+        assert scan_pair(left, right, 101, 1999) == [h for h in hits if h.p >= 101]
+        assert hits and len(records) >= 290, (left, right)
+    # the primes where a denominator vanishes are skipped
+    assert {p for p, _ in scan._records(pairs[0], 5, 2000)} & {5, 7, 11, 13, 17} == {17}
+    assert 19 not in {p for p, _ in scan._records(pairs[4], 5, 2000)}
 
 
 def test_prime_tables_are_built_once_per_prime_of_a_scan(capsys):
