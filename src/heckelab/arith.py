@@ -51,7 +51,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+# Bounded: most of the a_p^2 - 4p that scan factors are never asked for again.
+@lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, exponent), ...), p ascending."""
     if n < 1:

@@ -476,7 +476,8 @@ def _residual(args: argparse.Namespace) -> tuple:
 
 def _residual_checks() -> list[tuple[str, bool]]:
     r = global_identity_residual(1, 2, 3, Precision(96))
-    return [("residual is finite", r == r and abs(r) < 100)]
+    h = cusp_height(tau_from_j(1, Precision(96)), 3, Precision(96)).normalized
+    return [("residual = normalized height - 1", abs(r - (h - 1)) < 1e-12)]
 
 
 class Command(NamedTuple):

@@ -163,29 +163,32 @@ class OrbitScreen:
         log_j[trusted], log_j_err[trusted] = log_j_float64(tau[trusted], tau_err[trusted])
         return cls(tau, tau_err, log_j, log_j_err, trusted)
 
-    def nearest(self, z) -> np.ndarray:
-        """Indices of the points whose |j - z| may be the smallest of the
-        orbit under the error bounds, untrusted points included."""
+    def log_distance_bounds(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """low <= log|j - z| <= high at each point; NaN at the untrusted
+        points, and everywhere for an infinite or NaN z."""
         ok = self.trusted
-        if not ok.any():
-            return np.arange(ok.size)
+        low, high = np.full((2, ok.size), np.nan)
         zc = mpc(z)
         log_z = float(mp.log(abs(zc))) if zc != 0 else -math.inf
         arg_z = float(mp.arg(zc)) if zc != 0 else 0.0
         log_j, log_err = self.log_j[ok], self.log_j_err[ok]
-        # distances in units of e^s, so that no |j| overflows; an infinite
-        # or NaN z makes them NaN, and a NaN bound keeps every point
+        # distances in units of e^s, so that no |j| overflows
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.maximum(np.maximum(log_j.real, log_err), log_z)
             j = np.exp(log_j - s)
             zs = np.exp(log_z - s + 1j * arg_z)
             dist = np.abs(j - zs)
             err = np.exp(log_err - s) + 2.0**-48 * (np.abs(j) + np.abs(zs)) + 2.0**-1000
-            low = s + np.log(np.maximum(dist - err, 0.0))
-            high = s + np.log(dist + err)
-        keep = ~ok
-        keep[ok] = ~(low > high.min())
-        return np.flatnonzero(keep)
+            low[ok] = s + np.log(np.maximum(dist - err, 0.0))
+            high[ok] = s + np.log(dist + err)
+        return low, high
+
+    def nearest(self, z) -> np.ndarray:
+        """Indices of the points whose |j - z| may be the smallest of the
+        orbit under the error bounds, untrusted points included."""
+        low, high = self.log_distance_bounds(z)
+        # a NaN bound keeps its point, and a NaN minimum keeps every point
+        return np.flatnonzero(~(low > high[self.trusted].min(initial=np.inf)))
 
 
 class HeckeOrbit:

@@ -14,7 +14,8 @@ T_N * tau is a constant times Delta(tau)^(e_N): with Im((alpha tau + beta)
                                  + 6 sum_cosets log(alpha / delta),
 
 and the coset sum depends only on the divisor pair (alpha, delta), so it
-costs one term per divisor of N.
+costs one term per divisor of N.  log |phi| - S_N is minus that sum, so
+global_identity_residual reads the residual off the closed form as well.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from .arith import pairwise_product, pairwise_sum, triple_counts
-from .hecke import HeckeOrbit, e_n, hecke_orbit
+from .hecke import HeckeOrbit, OrbitPoint, e_n, hecke_orbit
 from .numerics import (
     _GUARD,
     DEFAULT_PRECISION,
@@ -101,26 +102,22 @@ def local_arch_sum(
     y_tau: UpperHalfPoint, z, n: int, prec: Precision = DEFAULT_PRECISION
 ) -> float:
     """S_N = sum over the orbit of log(|z - j(tau_i)| * ||Delta(tau_i)||)."""
-    return _arch_sum(hecke_orbit(y_tau, n, prec), z, prec)
-
-
-def _arch_sum(orbit: HeckeOrbit, z, prec: Precision) -> float:
-    """local_arch_sum over an orbit built by hecke_orbit at prec."""
+    orbit = hecke_orbit(y_tau, n, prec)
     with mp.workprec(prec.bits + _GUARD):
         zc = mp.mpc(z)
-        floor = mpf(2) ** (-prec.bits) * max(1, abs(zc))
-        terms = []
-        for p in orbit.points:
-            dist = abs(zc - p.j)
-            if dist < floor:
-                raise CoincidenceError(
-                    f"orbit point at coset {p.coset} has |z - j| = "
-                    f"{mp.nstr(dist, 5)}, below resolution"
-                )
-            terms.append(mp.log(dist))
-        return float(
-            pairwise_sum(terms) + _log_norm_orbit_sum(orbit.base, orbit.n, prec)
+        terms = [mp.log(_distance(p, zc, prec)) for p in orbit.points]
+        return float(pairwise_sum(terms) + _log_norm_orbit_sum(y_tau, n, prec))
+
+
+def _distance(point: OrbitPoint, zc, prec: Precision) -> mpf:
+    """|z - j| at an orbit point; CoincidenceError below 2^-bits * max(1, |z|)."""
+    dist = abs(zc - point.j)
+    if dist < mpf(2) ** (-prec.bits) * max(1, abs(zc)):
+        raise CoincidenceError(
+            f"orbit point at coset {point.coset} has |z - j| = "
+            f"{mp.nstr(dist, 5)}, below resolution"
         )
+    return dist
 
 
 def phi_value(
@@ -140,7 +137,20 @@ def phi_value(
     y, z = _integers(y, z)
     if y in (0, 1728) and not allow_cm:
         raise ValueError(f"y = {y} is a CM j-invariant; pass allow_cm=True")
-    return _phi(y, z, n, prec.bits)
+    bits = prec.bits
+    while bits <= _MAX_PHI_BITS:
+        attempt = Precision(bits)
+        with mp.workprec(bits + _GUARD):
+            orbit = hecke_orbit(tau_from_j(y, attempt), n, attempt)
+            prod = pairwise_product([z - p.j for p in orbit.points])
+            nearest = int(mp.nint(prod.real))
+            residual = abs(prod - nearest) / max(1, abs(prod))
+            if residual < 1e-6:
+                return nearest
+        bits *= 2
+    raise PrecisionInsufficientError(
+        f"phi({y}, {z}, N={n}) did not round below 1e-6 by {_MAX_PHI_BITS} bits"
+    )
 
 
 def _integers(y, z) -> tuple[int, int]:
@@ -150,49 +160,33 @@ def _integers(y, z) -> tuple[int, int]:
     return int(y), int(z)
 
 
-def _phi(y: int, z: int, n: int, bits: int, orbit: HeckeOrbit | None = None) -> int:
-    """phi_value from its first attempt at bits; orbit, when given, is that
-    attempt's orbit hecke_orbit(tau_from_j(y, P), n, P) with P =
-    Precision(bits)."""
-    while bits <= _MAX_PHI_BITS:
-        attempt = Precision(bits)
-        with mp.workprec(bits + _GUARD):
-            if orbit is None:
-                orbit = hecke_orbit(tau_from_j(y, attempt), n, attempt)
-            prod = pairwise_product([z - p.j for p in orbit.points])
-            nearest = int(mp.nint(prod.real))
-            residual = abs(prod - nearest) / max(1, abs(prod))
-            if residual < 1e-6:
-                return nearest
-        orbit = None
-        bits *= 2
-    raise PrecisionInsufficientError(
-        f"phi({y}, {z}, N={n}) did not round below 1e-6 by {_MAX_PHI_BITS} bits"
-    )
-
-
 def global_identity_residual(
     y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION
 ) -> float:
     """r_N = (log |phi| - S_N) / (6 e_N log N) - 1, for integers y and z.
 
-    phi and S_N read one tau_y and one orbit, phi's first attempt's; an
-    attempt at doubled precision builds its own, as phi_value does.  A
-    non-integer y or z raises ValueError: phi is defined at integers only,
-    while S_N would read y and z as they are.
+    log |phi| - S_N = -sum log ||Delta||(tau_i): r_N is the normalized height
+    minus 1 whatever z is, by the closed form at working precision, rounded
+    once.  z lies on the orbit (CoincidenceError) when some |z - j| is below
+    the resolution or a bound on the integer |phi| is below 1/2; j is read
+    only at the screen's nearest candidates it cannot clear of the
+    resolution by 2^8, a margin for the exact tier's error in j.  A
+    non-integer y or z raises ValueError: phi is defined at integers only.
     """
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")
     y, z = _integers(y, z)
+    tau = tau_from_j(y, prec)
+    orbit = HeckeOrbit(tau, n, prec)
+    low, log_dist = orbit.screen.log_distance_bounds(z)
     with mp.workprec(prec.bits + _GUARD):
-        orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
-        phi = _phi(y, z, n, prec.bits, orbit)
-        if phi == 0:
-            raise CoincidenceError("phi vanished: z collides with the orbit of y")
-        s_n = _arch_sum(orbit, z, prec)
-        log_phi = mp.log(abs(mp.mpf(abs(phi))))
-        degree = e_n(n)
-        return float((log_phi - s_n) / (6 * degree * mp.log(n)) - 1)
+        cleared = math.log(max(1, abs(z))) - (prec.bits - 8) * math.log(2)
+        for i in orbit.screen.nearest(z):
+            if not low[i] > cleared:  # NaN at an untrusted point
+                log_dist[i] = float(mp.log(_distance(orbit.points[i], mp.mpc(z), prec)))
+        if log_dist.sum() < -math.log(2):
+            raise CoincidenceError(f"|phi_{n}({y}, {z})| < 1/2: z lies on the orbit of y")
+        return float(-_log_norm_orbit_sum(tau, n, prec) / (6 * e_n(n) * mp.log(n)) - 1)
 
 
 class IntegralEstimate(NamedTuple):

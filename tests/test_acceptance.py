@@ -81,17 +81,13 @@ def test_criterion_02_height_window_and_trend():
 
 
 def test_criterion_03_global_identity_residuals():
-    # Expected to fail: the residual is exactly (normalized height) - 1,
-    # so it inherits criterion 2's range and sits in [-0.592, -0.509] over
-    # primes 100..200; |r| <= 0.25 cannot hold there.  The integer-rounding
-    # half is not established either: at 128 bits (about 38 digits) the
-    # orbit of tau_y (Im 0.8798) holds |j(N tau_y)| ~ 10^242 already at
-    # N = 101, and a relative residual < 1e-6 holds for any product once
-    # |Phi| > 10^6, so the integer phi_value returns is unverified.
+    # Expected to fail: log|phi| - S_N = -sum log ||Delta||(tau_i), so the
+    # residual is exactly (normalized height) - 1 whatever z is; it
+    # inherits criterion 2's range and sits in [-0.592, -0.509] over primes
+    # 100..200, where |r| <= 0.25 cannot hold.  The residual is read off
+    # the closed form of that sum and never forms phi.
     residuals = {}
     for n in _primes_in(100, 200):
-        # phi_value inside raises unless the product rounds to an integer
-        # with relative residual < 1e-6 at auto-escalated precision
         residuals[n] = global_identity_residual(1, 2, n, PREC128)
     too_big = {n: r for n, r in residuals.items() if abs(r) > 0.25}
     assert not too_big, f"|residual| > 0.25 at: {too_big}"

@@ -4,7 +4,7 @@ import warnings
 import pytest
 from mpmath import mp
 
-from heckelab import heights
+from heckelab import hecke, heights
 from heckelab.hecke import HeckeOrbit, e_n, hecke_orbit
 from heckelab.heights import (
     CoincidenceError,
@@ -140,35 +140,67 @@ def test_decomposition_identity():
 
 
 def _residual_from_parts(y, z, n, prec):
-    """The residual from separate phi_value and local_arch_sum calls."""
+    """The residual from separate phi_value and local_arch_sum calls: the
+    orbit-sum oracle."""
     phi = phi_value(y, z, n, prec, allow_cm=True)
     with mp.workprec(prec.bits + 32):
         s_n = local_arch_sum(tau_from_j(y, prec), z, n, prec)
         return float((mp.log(abs(phi)) - s_n) / (6 * e_n(n) * mp.log(n)) - 1)
 
 
-def _counting(monkeypatch, name):
+def _closed_form_400(y, n):
+    """-sum log ||Delta|| / (6 e_N log N) - 1 with tau_y and the sum at 400
+    bits, as an mpf."""
+    ref = Precision(400)
+    with mp.workprec(440):
+        height = -heights._log_norm_orbit_sum(tau_from_j(y, ref), n, ref)
+        return height / (6 * e_n(n) * mp.log(n)) - 1
+
+
+_RESIDUAL_ROWS = ((1, 2, 5), (-40, 7, 6), (1, 2, 8), (-350, -28, 53), (2000, -5, 5))
+
+
+def test_residual_agrees_with_phi_and_the_orbit_sum():
+    # log|phi| - S_N from the Phi product and the point-by-point log sum;
+    # S_N is rounded to float64 before the subtraction, so allow 1e-13
+    for prec in (DEFAULT_PRECISION, Precision(200)):
+        for y, z, n in _RESIDUAL_ROWS[:3]:
+            want = _residual_from_parts(y, z, n, prec)
+            assert global_identity_residual(y, z, n, prec) == pytest.approx(want, rel=1e-13)
+
+
+def test_residual_is_the_400_bit_closed_form_rounded():
+    # rounded once from working precision: within half an ulp of the value
+    # at 400 bits (the Phi-product row was up to 1.26 ulp off on these)
+    for prec in (Precision(96), DEFAULT_PRECISION):
+        for y, z, n in _RESIDUAL_ROWS:
+            r = global_identity_residual(y, z, n, prec)
+            with mp.workprec(440):
+                assert abs(mp.mpf(r) - _closed_form_400(y, n)) <= math.ulp(r) / 2, (y, z, n)
+
+
+def _counting(monkeypatch, module, name):
     calls = []
-    wrapped = getattr(heights, name)
+    wrapped = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return wrapped(*args)
 
-    monkeypatch.setattr(heights, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def test_residual_row_reads_one_tau_and_one_orbit(monkeypatch):
-    # the shared row equals the one built from separate parts
-    for prec in (DEFAULT_PRECISION, Precision(200)):
-        for y, z, n in ((1, 2, 5), (-40, 7, 6)):
-            want = _residual_from_parts(y, z, n, prec)
-            inversions = _counting(monkeypatch, "tau_from_j")
-            orbits = _counting(monkeypatch, "hecke_orbit")
-            assert global_identity_residual(y, z, n, prec) == want
-            assert (len(inversions), len(orbits)) == (1, 1)
-            monkeypatch.undo()
+def test_residual_row_reads_one_tau_and_no_orbit_j(monkeypatch):
+    # no Phi product and no local_arch_sum: one inversion, no orbit with its
+    # j-values, and no j at all where the screen clears every point
+    for y, z, n in _RESIDUAL_ROWS:
+        inversions = _counting(monkeypatch, heights, "tau_from_j")
+        orbits = _counting(monkeypatch, heights, "hecke_orbit")
+        j_values = _counting(monkeypatch, hecke, "eval_j")
+        global_identity_residual(y, z, n, DEFAULT_PRECISION)
+        assert (len(inversions), len(orbits), len(j_values)) == (1, 0, 0)
+        monkeypatch.undo()
 
 
 def test_residual_rejects_non_integer_y_and_z():
@@ -196,6 +228,39 @@ def test_local_arch_sum_coincidence_guard():
     # away from the orbit the sum is finite
     val = local_arch_sum(tau, 287496, 2, PREC)
     assert math.isfinite(val)
+
+
+def test_residual_coincidence_guard():
+    # CM bases whose T_2-orbit holds integers: -3375 (D = -7) maps to itself
+    # twice and to 16581375 (D = -28); 8000 (D = -8) maps to itself
+    for y, z in ((-3375, -3375), (-3375, 16581375), (8000, 8000)):
+        with pytest.raises(CoincidenceError, match="below resolution"):
+            global_identity_residual(y, z, 2, DEFAULT_PRECISION)
+    # T_2 * i holds 2i (j = 287496) twice; tau_y of the double root y = 1728
+    # is good to about 2^-100, so |z - j| stays above the floor and the
+    # bound on the integer |Phi_2(1728, 287496)| decides it
+    with pytest.raises(CoincidenceError, match="< 1/2"):
+        global_identity_residual(1728, 287496, 2, DEFAULT_PRECISION)
+    # one off the orbit the row is finite
+    assert global_identity_residual(-3375, -3376, 2, DEFAULT_PRECISION) == -4.376170109444552
+
+
+def test_residual_decides_an_untrusted_point_in_the_exact_tier(monkeypatch):
+    # the screen marks the coset (1, 0, 2) untrusted, which holds j = -3375
+    # in T_2 * tau_y for y = -3375: its j is evaluated, the others cleared
+    screen_of = hecke.OrbitScreen.of.__func__
+
+    def first_untrusted(cls, base, cosets):
+        screen = screen_of(cls, base, cosets)
+        screen.trusted[0] = False
+        return screen
+
+    monkeypatch.setattr(hecke.OrbitScreen, "of", classmethod(first_untrusted))
+    j_values = _counting(monkeypatch, hecke, "eval_j")
+    assert global_identity_residual(-3375, -3376, 2, DEFAULT_PRECISION) == -4.376170109444552
+    assert len(j_values) == 1
+    with pytest.raises(CoincidenceError, match="coset CosetTriple.alpha=1, beta=0, delta=2"):
+        global_identity_residual(-3375, -3375, 2, DEFAULT_PRECISION)
 
 
 def test_heuristic_integral_determinism():
