@@ -193,8 +193,6 @@ def split_discriminant(disc: int) -> tuple[int, int]:
         d_k = d0
     else:
         d_k = 4 * d0
-        if f % 2:
-            raise AssertionError("square part lost parity")  # unreachable for valid disc
         f //= 2
     assert f * f * d_k == disc
     return f, d_k

@@ -120,23 +120,15 @@ def _distance(point: OrbitPoint, zc, prec: Precision) -> mpf:
     return dist
 
 
-def phi_value(
-    y: int,
-    z: int,
-    n: int,
-    prec: Precision = DEFAULT_PRECISION,
-    allow_cm: bool = False,
-) -> int:
+def phi_value(y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION) -> int:
     """The integer prod over T_N*(tau_y) of (z - j(tau_i)), for integers y, z.
 
     Precision is doubled until the product rounds to a rational integer
-    with relative residual below 1e-6.  The CM values y in {0, 1728} have
-    orbit multiplicities that break naive expectations; pass allow_cm=True
-    to evaluate there anyway.  A non-integer y or z raises ValueError.
+    with relative residual below 1e-6.  The CM bases y = 0 and y = 1728
+    start from the exact points rho and i (tau_from_j), so their orbits
+    repeat j-values as Phi_N does.  A non-integer y or z raises ValueError.
     """
     y, z = _integers(y, z)
-    if y in (0, 1728) and not allow_cm:
-        raise ValueError(f"y = {y} is a CM j-invariant; pass allow_cm=True")
     bits = prec.bits
     while bits <= _MAX_PHI_BITS:
         attempt = Precision(bits)
@@ -168,10 +160,12 @@ def global_identity_residual(
     log |phi| - S_N = -sum log ||Delta||(tau_i): r_N is the normalized height
     minus 1 whatever z is, by the closed form at working precision, rounded
     once.  z lies on the orbit (CoincidenceError) when some |z - j| is below
-    the resolution or a bound on the integer |phi| is below 1/2; j is read
-    only at the screen's nearest candidates it cannot clear of the
-    resolution by 2^8, a margin for the exact tier's error in j.  A
-    non-integer y or z raises ValueError: phi is defined at integers only.
+    the resolution, as at the exact CM bases of y = 0 and y = 1728, or a
+    bound on the integer |phi| is below 1/2, which catches a base point
+    good to fewer bits; j is read only at the screen's nearest candidates
+    it cannot clear of the resolution by 2^8, a margin for the exact tier's
+    error in j.  A non-integer y or z raises ValueError: phi is defined at
+    integers only.
     """
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")

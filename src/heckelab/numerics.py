@@ -635,18 +635,24 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
     The solution is unique in the closed fundamental domain, because j is
     monotone along each arc.
 
-    float64 log j seeds a bracketed secant (Illinois) iteration at working
-    precision, which stops once |j - y| is within the accuracy of eval_j,
-    err = 2^-bits relative (absolute below |y| = 1): the root is good to
-    about 2 err / |j'|.  A root where that iteration fails, such as y = 0
-    and y = 1728 at the ends of their arcs, where j' vanishes, is bisected
-    to full working precision.  A NaN or infinite target raises ValueError.
+    A target within err = 2^-bits * max(1, |y|), the accuracy of eval_j,
+    of 1728 or 0 returns the CM point i or rho = (-1 + sqrt(3) i) / 2, the
+    ends of the unit arc, where j' vanishes.  Elsewhere float64 log j seeds
+    a bracketed secant (Illinois) iteration at working precision, which
+    stops once |j - y| <= err: the root is good to about 2 err / |j'|.  A
+    root where that iteration fails, such as a target just off 0 or 1728,
+    is bisected to full working precision.  A NaN or infinite target
+    raises ValueError.
     """
     with mp.workprec(prec.bits + _GUARD):
         y = mpf(j_target)
         if not mp.isfinite(y):
             raise ValueError(f"j must be finite, got {j_target}")
         err = mpf(2) ** -prec.bits * max(1, abs(y))
+        if abs(y - 1728) <= err:
+            return UpperHalfPoint(mpf(0), mpf(1))
+        if abs(y) <= err:
+            return UpperHalfPoint(mpf(-1) / 2, mp.sqrt(3) / 2)
         log_y = float(mp.log(abs(y))) if y else -math.inf
         if y >= 1728:
             def f(t):

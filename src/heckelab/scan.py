@@ -351,15 +351,6 @@ def geom_isogenous(left: TraceRecord, right: TraceRecord) -> Optional[int]:
     return None
 
 
-# The rows of a scan and its coincidence statistic read the same primes, so
-# the last sieve is kept.  Typed, so that p_max = 100.0 is not served the
-# primes of p_max = 100 but reaches the sieve, which raises TypeError on it.
-@lru_cache(maxsize=1, typed=True)
-def _primes_from_five(p_max: int) -> tuple[int, ...]:
-    """The primes 5 <= p <= p_max."""
-    return tuple(primes_up_to(p_max)[2:])
-
-
 def _records(
     curves: tuple[CurveQ, ...], p_min: int, p_max: int
 ) -> Iterator[tuple[int, list[TraceRecord]]]:
@@ -368,7 +359,7 @@ def _records(
     if not 5 <= p_min <= p_max:
         raise ValueError("need 5 <= p_min <= p_max")
     coefficients = [_coefficients(curve) for curve in curves]
-    primes = _primes_from_five(p_max)
+    primes = primes_up_to(p_max)
     for p in primes[bisect_left(primes, p_min) :]:
         try:
             records = [_record(c, p) for c in coefficients]
@@ -416,7 +407,7 @@ def _coincidences(hits: list[ScanHit], p_max: int) -> CoincidenceStat:
     half = p_max // 2
     s_full = 0.0
     s_half = 0.0
-    for p in _primes_from_five(p_max):
+    for p in primes_up_to(p_max)[2:]:
         s_full += 1 / math.sqrt(p)
         if p <= half:
             s_half += 1 / math.sqrt(p)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,7 +7,15 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from heckelab.cli import COMMANDS, IntColumns, _build_parser, _parse_complex, _parse_gram, main
+from heckelab.cli import (
+    COMMANDS,
+    IntColumns,
+    _build_parser,
+    _emit,
+    _parse_complex,
+    _parse_gram,
+    main,
+)
 from heckelab.lattices import _value_counts, counting_bound
 
 SUBCOMMANDS = [
@@ -395,6 +404,23 @@ def test_jsonl_format(capsys):
     assert {r["value"]: r["multiplicity"] for r in body} == {"-2": 1, "-1/2": 2}
 
 
+def test_emit_writes_header_and_trailer_in_both_formats(capsys):
+    # no row of COMMANDS returns a header yet; _emit writes it ahead of the
+    # rows, as a comment line or a _meta object
+    for fmt, want in (
+        ("csv", "# bits=64\nn,e_n\n2,3\n# rows=1\n"),
+        ("jsonl", '{"_meta": {"bits": 64}}\n{"n": 2, "e_n": 3}\n{"_summary": {"rows": 1}}\n'),
+    ):
+        _emit(argparse.Namespace(out=None, format=fmt), ["n", "e_n"], [(2, 3)],
+              {"bits": 64}, {"rows": 1})
+        assert capsys.readouterr().out == want, fmt
+
+
+def test_height_reads_a_range_of_primes(capsys):
+    assert main(["height", "1", "primes:10..30"]) == 0
+    assert [int(r["n"]) for r in _rows(capsys.readouterr().out)] == [11, 13, 17, 19, 23, 29]
+
+
 def test_negative_tokens_are_accepted(capsys):
     # leading-dash positionals (curve coefficients, valuations) must not be
     # read as flags
@@ -449,6 +475,19 @@ def test_error_paths_return_two(capsys, monkeypatch):
                  ["latcount", "1/0,0,1", "5"]):
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
+    gram = "error: gram must have 3 entries (rank 2: a,b,c) or 10 (rank 4 upper triangle)\n"
+    for argv, message in (
+        (["equi", "0.3-1i", "5", "1.5"], "error: Im tau must be positive, got '0.3-1i'\n"),
+        (["scan", "1,2,3", "0,1", "5", "50"],
+         "error: curve must be 'a4,a6' rationals, got '1,2,3'\n"),
+        (["latcount", "1,2", "5"], gram),
+        (["latcount", "1,2,3,4", "5"], gram),
+        (["integral", "0", "4", "--seed", "-1"], "error: seed must be nonnegative\n"),
+        (["height", "1", "1"], "error: need N >= 2 for the log N normalization\n"),
+        (["residual", "1", "2", "1"], "error: need N >= 2 for the log N normalization\n"),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == message, argv
     # sizes past memory: the sieve's marks and the triples' columns would
     # take terabytes, so their failed allocations are stood in for
     def refusing(make, size):

@@ -37,6 +37,9 @@ def _degree_oracle(n):
 def test_degree_matches_subgroup_count():
     for n in range(1, 61):
         assert e_n(n) == _degree_oracle(n)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match=f"N must be positive, got {n}"):
+            e_n(n)
 
 
 def test_degree_multiplicative():

@@ -8,6 +8,7 @@ from heckelab import hecke, heights
 from heckelab.hecke import HeckeOrbit, e_n, hecke_orbit
 from heckelab.heights import (
     CoincidenceError,
+    PrecisionInsufficientError,
     cusp_height,
     global_identity_residual,
     heuristic_integral,
@@ -61,13 +62,31 @@ def test_phi_order_two_matches_classical_polynomial():
 
 
 def test_phi_at_cm_base():
-    with pytest.raises(ValueError):
-        phi_value(0, 5, 2, PREC)
-    with pytest.raises(ValueError):
-        phi_value(1728, 5, 2, PREC)
-    # the orbit of j=0 is 54000 with multiplicity 3
-    assert phi_value(0, 5, 2, PREC, allow_cm=True) == (5 - 54000) ** 3
-    assert phi_value(0, 5, 2, PREC, allow_cm=True) == _classical_phi2(5, 0)
+    # tau_from_j returns i and rho exactly, so the orbits of 1728 and 0
+    # repeat their j-values as Phi_2 does: T_2 * i holds 2i twice and i
+    # once, and T_2 * rho holds a point of j = 54000 three times
+    for z in (5, -3, 2000, 287496):
+        assert phi_value(1728, z, 2, PREC) == _classical_phi2(z, 1728), z
+    assert phi_value(0, 5, 2, PREC) == (5 - 54000) ** 3
+    assert phi_value(0, 5, 2, PREC) == _classical_phi2(5, 0)
+
+
+def test_phi_value_escalates_to_an_integer_and_gives_up_at_its_cap(monkeypatch):
+    # Fricke's rational 2-isogeny at h = 1: j = 17^3 and j' = 257^3, so
+    # Phi_2(4913, 16974593) = 0, which 64 bits cannot round below 1e-6
+    attempts = []
+    inverted = heights.tau_from_j
+
+    def recorded(y, prec):
+        attempts.append(prec.bits)
+        return inverted(y, prec)
+
+    monkeypatch.setattr(heights, "tau_from_j", recorded)
+    assert phi_value(4913, 16974593, 2, Precision(64)) == 0
+    assert attempts == [64, 128]
+    monkeypatch.setattr(heights, "_MAX_PHI_BITS", 64)
+    with pytest.raises(PrecisionInsufficientError, match="by 64 bits"):
+        phi_value(4913, 16974593, 2, Precision(64))
 
 
 def test_cusp_height_frozen():
@@ -142,7 +161,7 @@ def test_decomposition_identity():
 def _residual_from_parts(y, z, n, prec):
     """The residual from separate phi_value and local_arch_sum calls: the
     orbit-sum oracle."""
-    phi = phi_value(y, z, n, prec, allow_cm=True)
+    phi = phi_value(y, z, n, prec)
     with mp.workprec(prec.bits + 32):
         s_n = local_arch_sum(tau_from_j(y, prec), z, n, prec)
         return float((mp.log(abs(phi)) - s_n) / (6 * e_n(n) * mp.log(n)) - 1)
@@ -230,19 +249,34 @@ def test_local_arch_sum_coincidence_guard():
     assert math.isfinite(val)
 
 
-def test_residual_coincidence_guard():
+def test_residual_coincidence_guard(monkeypatch):
     # CM bases whose T_2-orbit holds integers: -3375 (D = -7) maps to itself
     # twice and to 16581375 (D = -28); 8000 (D = -8) maps to itself
     for y, z in ((-3375, -3375), (-3375, 16581375), (8000, 8000)):
         with pytest.raises(CoincidenceError, match="below resolution"):
             global_identity_residual(y, z, 2, DEFAULT_PRECISION)
-    # T_2 * i holds 2i (j = 287496) twice; tau_y of the double root y = 1728
-    # is good to about 2^-100, so |z - j| stays above the floor and the
-    # bound on the integer |Phi_2(1728, 287496)| decides it
-    with pytest.raises(CoincidenceError, match="< 1/2"):
-        global_identity_residual(1728, 287496, 2, DEFAULT_PRECISION)
     # one off the orbit the row is finite
     assert global_identity_residual(-3375, -3376, 2, DEFAULT_PRECISION) == -4.376170109444552
+    # from a base point good to about 100 bits, |z - j| at 2i stays above
+    # the floor, and the bound on the integer |Phi_2(1728, 287496)| decides
+    with mp.workprec(DEFAULT_PRECISION.bits + 32):
+        near_i = UpperHalfPoint(0, 1 + mp.mpf(2) ** -100)
+    monkeypatch.setattr(heights, "tau_from_j", lambda y, prec: near_i)
+    with pytest.raises(CoincidenceError, match="< 1/2"):
+        global_identity_residual(1728, 287496, 2, DEFAULT_PRECISION)
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_the_orbit_of_i_meets_its_integers(bits):
+    # T_N * i holds 2i (j = 287496) at N = 2, 4 and 10, and from the exact
+    # base point i it lies within resolution
+    prec = Precision(bits)
+    for n in (2, 4, 10):
+        with pytest.raises(CoincidenceError, match="below resolution"):
+            global_identity_residual(1728, 287496, n, prec)
+    for n in (2, 10):
+        with pytest.raises(CoincidenceError, match="below resolution"):
+            local_arch_sum(tau_from_j(1728, prec), 287496, n, prec)
 
 
 def test_residual_decides_an_untrusted_point_in_the_exact_tier(monkeypatch):

@@ -339,24 +339,75 @@ def _plain_root_and_slope(y):
         return want, (2 * mp.pi) ** 13 * abs(e4**2 * e6 / delta)
 
 
+def _cm_point(y, prec):
+    """i for y = 1728 and rho = (-1 + sqrt(3) i) / 2 for y = 0, the ends of
+    the unit arc, at working precision."""
+    with mp.workprec(prec.bits + 32):
+        if y == 1728:
+            return UpperHalfPoint(mpf(0), mpf(1))
+        return UpperHalfPoint(mpf(-1) / 2, mp.sqrt(3) / 2)
+
+
+def _assert_next_to_the_oracle(got, y, bits):
+    want, slope = _plain_root_and_slope(y)
+    with mp.workprec(_ORACLE_PREC.bits + 32):
+        err = mpf(2) ** -bits * max(1, abs(mpf(y)))
+        assert abs(got.to_mpc() - want.to_mpc()) <= 2 * err / slope, y
+
+
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_tau_from_j_lies_next_to_the_plain_bisection(bits):
     # The root at bits has |j - y| within err = 2^-bits max(1, |y|), the
     # accuracy of eval_j, so it lies within about err / |j'| of the true
     # root; the 256-bit plain bisection lies within 2^(bits - 256) times
     # that.  So the two lie within 2 err / |j'| of each other.  At y = 0 and
-    # y = 1728, where j' = 0, the plain bisection is what runs, at bits.
+    # y = 1728, where j' = 0, the root is the CM point itself.
     prec = Precision(bits)
     for y in _inversion_targets():
         got = tau_from_j(y, prec)
         if y in (0, 1728):
-            want = _plain_tau_from_j(y, prec)
-            assert (got.re, got.im) == (want.re, want.im)
+            assert got == _cm_point(y, prec)
             continue
-        want, slope = _plain_root_and_slope(y)
-        with mp.workprec(_ORACLE_PREC.bits + 32):
-            err = mpf(2) ** -bits * max(1, abs(mpf(y)))
-            assert abs(got.to_mpc() - want.to_mpc()) <= 2 * err / slope, y
+        _assert_next_to_the_oracle(got, y, bits)
+
+
+def test_tau_from_j_bisects_next_to_a_cm_point(monkeypatch):
+    # Just off 1728 and 0, where j' nearly vanishes, the secant cannot
+    # settle the root at 128 bits: at 1728 + 10^-14 the float64 grid shows
+    # no crossing, at 1728 - 10^-10 the seed's bracket does not bracket,
+    # and at 10^-30 it leaves the arc.  The plain bisection runs instead.
+    with mp.workprec(160):
+        targets = {
+            mpf(1728) + mpf(10) ** -14: [],
+            mpf(1728) - mpf(10) ** -10: [None],
+            mpf(10) ** -30: [None],
+        }
+    located, bisected = [], []
+    locate, bisect = numerics._locate, numerics._bisect
+
+    def recorded_locate(*args):
+        located.append(locate(*args))
+        return located[-1]
+
+    def recorded_bisect(*args):
+        bisected.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(numerics, "_locate", recorded_locate)
+    monkeypatch.setattr(numerics, "_bisect", recorded_bisect)
+    for y, locate_results in targets.items():
+        located.clear()
+        bisected.clear()
+        got = tau_from_j(y, PREC)
+        assert (located, len(bisected)) == (locate_results, 1), y
+        _assert_next_to_the_oracle(got, y, PREC.bits)
+    # within err = 2^-128 max(1, |y|) of 1728 or 0 the root is the CM point
+    located.clear()
+    bisected.clear()
+    with mp.workprec(160):
+        for y, cm in ((1728 * (1 - mpf(2) ** -129), 1728), (-mpf(2) ** -129, 0)):
+            assert tau_from_j(y, PREC) == _cm_point(cm, PREC), y
+    assert (located, bisected) == ([], [])
 
 
 def test_tau_from_j_evaluates_j_about_fifteen_times(monkeypatch):
@@ -369,18 +420,15 @@ def test_tau_from_j_evaluates_j_about_fifteen_times(monkeypatch):
 
     monkeypatch.setattr(numerics, "eval_j", counted)
 
-    def count(invert, y):
+    def count(y):
         calls.clear()
-        invert(y, PREC)
+        tau_from_j(y, PREC)
         return len(calls)
 
-    targets = _inversion_targets()
-    counts = {y: count(tau_from_j, y) for y in targets}
+    counts = {y: count(y) for y in _inversion_targets()}
+    # at j = 0 and j = 1728 the root is the CM point itself, read off no j
+    assert (counts.pop(0), counts.pop(1728)) == (0, 0)
     assert sum(counts.values()) / len(counts) <= 20
-    # at j = 0 and j = 1728 the root is an end of its arc, where j' = 0:
-    # the plain bisection runs, with a few evaluations spent on the way
-    for y in (0, 1728):
-        assert counts[y] <= count(_plain_tau_from_j, y) + 8
 
 
 def _full_order(tau: UpperHalfPoint, prec: Precision) -> dict:

@@ -314,6 +314,11 @@ def test_coincidence_statistic():
     assert self_stat.observed == len([p for p in primes_up_to(100) if p >= 5])
     with pytest.raises(ValueError):
         coincidence_statistic(CurveQ(-1, 0), CurveQ(0, -1), 4)
+    # a float p_max reaches the sieve, which rejects it, also after a scan
+    # to the same integer p_max
+    for p_max in (100.0, 200.0):
+        with pytest.raises(TypeError):
+            coincidence_statistic(CurveQ(-1, 0), CurveQ(0, -1), p_max)
     # observed is read off the k = 1 hits of scan_pair; it must equal the
     # count of good primes where a_p agrees, for twist, sextic-twist,
     # rational and generic pairs, some with bad primes
