@@ -3,8 +3,10 @@ identity they feed.
 
 cusp_height accumulates -log ||Delta|| over T_N * y; local_arch_sum adds the
 log-distance factor |z - j|; phi_value is the exact integer the archimedean
-data must reconcile with, and global_identity_residual measures how far the
-normalized difference sits from its asymptotic slope.
+data must reconcile with, Phi_N(z, y), read from the stored classical
+modular polynomial (modpoly) for a prime N <= 31; and
+global_identity_residual measures how far the normalized difference sits
+from its asymptotic slope.
 
 The Delta part of both sums has a closed form.  The product of Delta over
 T_N * tau is a constant times Delta(tau)^(e_N): with Im((alpha tau + beta)
@@ -20,6 +22,7 @@ global_identity_residual reads the residual off the closed form as well.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import warnings
@@ -28,6 +31,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
+from . import modpoly
 from .arith import pairwise_product, pairwise_sum, triple_counts
 from .hecke import HeckeOrbit, OrbitPoint, e_n, hecke_orbit
 from .numerics import (
@@ -58,6 +62,8 @@ class HeightSeriesPoint:
 
 
 _MAX_PHI_BITS = 1 << 20
+# the largest distance from an integer at which an orbit product is accepted
+_PHI_TOL = 2.0**-16
 
 
 def _log_norm_orbit_sum(tau: UpperHalfPoint, n: int, prec: Precision):
@@ -80,11 +86,10 @@ def cusp_height(
     """
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")
-    j_base = eval_j(y_tau, prec)
-    drift = abs(j_base - mp.nint(j_base.real))
-    if drift > 1e-6 * max(1.0, float(abs(j_base))):
+    j_base = _off_integral_j(y_tau, prec)
+    if j_base is not None:
         warnings.warn(
-            f"base j = {mp.nstr(j_base, 8)} is not near an integer; "
+            f"base j = {j_base} is not near an integer; "
             "finite places may contribute to the true height",
             stacklevel=2,
         )
@@ -96,6 +101,18 @@ def cusp_height(
         value=value,
         normalized=value / (6 * degree * math.log(n)),
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _off_integral_j(y_tau: UpperHalfPoint, prec: Precision) -> str | None:
+    """j(y_tau) to 8 digits when it is not within 1e-6 * max(1, |j|) of an
+    integer, else None.  The last base point is kept: a height series reads
+    the same one for every N."""
+    j_base = eval_j(y_tau, prec)
+    drift = abs(j_base - mp.nint(j_base.real))
+    if drift > 1e-6 * max(1.0, float(abs(j_base))):
+        return mp.nstr(j_base, 8)
+    return None
 
 
 def local_arch_sum(
@@ -121,14 +138,22 @@ def _distance(point: OrbitPoint, zc, prec: Precision) -> mpf:
 
 
 def phi_value(y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION) -> int:
-    """The integer prod over T_N*(tau_y) of (z - j(tau_i)), for integers y, z.
+    """Phi_N(z, y), the integer prod over T_N*(tau_y) of (z - j(tau_i)), for
+    integers y, z.
 
-    Precision is doubled until the product rounds to a rational integer
-    with relative residual below 1e-6.  The CM bases y = 0 and y = 1728
+    For a prime N <= 31 it is the stored classical modular polynomial
+    evaluated exactly (modpoly), and prec is not read.  Any other N takes
+    the orbit product, at prec.bits + 32 bits from a base point tau_y good
+    to prec.bits.  It is accepted only once it is below 2^bits in size, its
+    real part lies within 2^-16 of an integer and its imaginary part within
+    2^-16 of 0; otherwise the bits are doubled, and past _MAX_PHI_BITS it
+    raises PrecisionInsufficientError.  The CM bases y = 0 and y = 1728
     start from the exact points rho and i (tau_from_j), so their orbits
     repeat j-values as Phi_N does.  A non-integer y or z raises ValueError.
     """
     y, z = _integers(y, z)
+    if n in modpoly.PRIMES:
+        return modpoly.evaluate(n, z, y)
     bits = prec.bits
     while bits <= _MAX_PHI_BITS:
         attempt = Precision(bits)
@@ -136,12 +161,15 @@ def phi_value(y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION) -> in
             orbit = hecke_orbit(tau_from_j(y, attempt), n, attempt)
             prod = pairwise_product([z - p.j for p in orbit.points])
             nearest = int(mp.nint(prod.real))
-            residual = abs(prod - nearest) / max(1, abs(prod))
-            if residual < 1e-6:
+            if (
+                abs(prod) < mpf(2) ** bits
+                and abs(prod.real - nearest) < _PHI_TOL
+                and abs(prod.imag) < _PHI_TOL
+            ):
                 return nearest
         bits *= 2
     raise PrecisionInsufficientError(
-        f"phi({y}, {z}, N={n}) did not round below 1e-6 by {_MAX_PHI_BITS} bits"
+        f"phi({y}, {z}, N={n}) did not resolve to an integer by {_MAX_PHI_BITS} bits"
     )
 
 
@@ -159,28 +187,38 @@ def global_identity_residual(
 
     log |phi| - S_N = -sum log ||Delta||(tau_i): r_N is the normalized height
     minus 1 whatever z is, by the closed form at working precision, rounded
-    once.  z lies on the orbit (CoincidenceError) when some |z - j| is below
-    the resolution, as at the exact CM bases of y = 0 and y = 1728, or a
-    bound on the integer |phi| is below 1/2, which catches a base point
-    good to fewer bits; j is read only at the screen's nearest candidates
-    it cannot clear of the resolution by 2^8, a margin for the exact tier's
-    error in j.  A non-integer y or z raises ValueError: phi is defined at
-    integers only.
+    once.  z lies on the orbit of y (CoincidenceError) exactly when
+    Phi_N(z, y) = 0, which a prime N <= 31 decides on the stored polynomial
+    (modpoly).  Any other N decides it on the orbit (_check_off_orbit).  A
+    non-integer y or z raises ValueError: phi is defined at integers only.
     """
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")
     y, z = _integers(y, z)
+    if n in modpoly.PRIMES and modpoly.evaluate(n, z, y) == 0:
+        raise CoincidenceError(f"phi_{n}({y}, {z}) = 0: z lies on the orbit of y")
     tau = tau_from_j(y, prec)
-    orbit = HeckeOrbit(tau, n, prec)
+    if n not in modpoly.PRIMES:
+        _check_off_orbit(HeckeOrbit(tau, n, prec), y, z, prec)
+    with mp.workprec(prec.bits + _GUARD):
+        return float(-_log_norm_orbit_sum(tau, n, prec) / (6 * e_n(n) * mp.log(n)) - 1)
+
+
+def _check_off_orbit(orbit: HeckeOrbit, y: int, z: int, prec: Precision) -> None:
+    """CoincidenceError when some |z - j| on the orbit is below the
+    resolution, as at the exact CM bases of y = 0 and y = 1728, or a bound
+    on the integer |phi| is below 1/2, which catches a base point good to
+    fewer bits.  j is read only at the screen's nearest candidates it cannot
+    clear of the resolution by 2^8, a margin for the exact tier's error in
+    j."""
     low, log_dist = orbit.screen.log_distance_bounds(z)
     with mp.workprec(prec.bits + _GUARD):
         cleared = math.log(max(1, abs(z))) - (prec.bits - 8) * math.log(2)
         for i in orbit.screen.nearest(z):
             if not low[i] > cleared:  # NaN at an untrusted point
                 log_dist[i] = float(mp.log(_distance(orbit.points[i], mp.mpc(z), prec)))
-        if log_dist.sum() < -math.log(2):
-            raise CoincidenceError(f"|phi_{n}({y}, {z})| < 1/2: z lies on the orbit of y")
-        return float(-_log_norm_orbit_sum(tau, n, prec) / (6 * e_n(n) * mp.log(n)) - 1)
+    if log_dist.sum() < -math.log(2):
+        raise CoincidenceError(f"|phi_{orbit.n}({y}, {z})| < 1/2: z lies on the orbit of y")
 
 
 class IntegralEstimate(NamedTuple):

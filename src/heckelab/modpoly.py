@@ -1,0 +1,176 @@
+"""The classical modular polynomials Phi_l(X, Y) for the primes l <= 31,
+stored as exact integer tables, and the generator that writes them.
+
+Phi_N(X, j(tau)) = prod over T_N * tau of (X - j(tau_i)): monic of degree
+e_N in X, with integer coefficients, symmetric in X and Y, and of degree
+e_N in Y.  So phi_value(y, z, l) = Phi_l(z, y), evaluated here by Horner
+in exact integers.
+
+Each table is a text file data/phi_<l>.txt, one line "a b c" for each
+nonzero coefficient c of X^a Y^b with a <= b; symmetry gives the rest.  A
+table is read on its first use and kept, so importing the package reads
+none.
+
+The generator (Enge, Math. Comp. 78, 2009: evaluation and interpolation)
+evaluates prod (X - j_i) over hecke_orbit(tau_from_j(y)) at each integer
+node y = 0, ..., e_N, rounds every X-coefficient to an integer and
+interpolates it in Y by exact integer divided differences.  Its
+precision comes from a bound: the coefficients of prod (X - j_i) are at
+most prod (1 + |j_i|), read off the orbit's float64 screen, and 128 bits
+go on top.  A coefficient farther than 2^-32 from an integer, a
+non-integral divided difference or an asymmetric result raises
+ArithmeticError.  Regenerate every table (about 50 s on a 2-vCPU Xeon,
+Python 3.11, mpmath on its Python backend) with
+
+    PYTHONPATH=src python -m heckelab.modpoly
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+from mpmath import mp
+
+from .hecke import HeckeOrbit, e_n, hecke_orbit
+from .numerics import _GUARD, Precision, tau_from_j
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+# bits above the bound on prod (1 + |j_i|), and the largest distance from
+# an integer at which a coefficient of prod (X - j_i) is accepted
+_MARGIN_BITS = 128
+_ROUND_TOL = 2.0**-32
+
+
+def _file_name(ell: int) -> str:
+    return f"phi_{ell}.txt"
+
+
+@functools.cache
+def coefficients(ell: int) -> tuple[tuple[int, ...], ...]:
+    """Phi_ell's coefficients, rows[a][b] of X^a Y^b, read from its table
+    on first use; ValueError for an ell with no table."""
+    if ell not in PRIMES:
+        raise ValueError(f"no stored modular polynomial for N = {ell}")
+    text = resources.files(__package__).joinpath("data", _file_name(ell)).read_text()
+    size = ell + 2
+    rows = [[0] * size for _ in range(size)]
+    for line in text.splitlines():
+        a, b, c = map(int, line.split())
+        rows[a][b] = rows[b][a] = c
+    return tuple(map(tuple, rows))
+
+
+def evaluate(ell: int, x: int, y: int) -> int:
+    """Phi_ell(x, y) for integers x and y, exactly, by Horner in X and Y."""
+    value = 0
+    for row in reversed(coefficients(ell)):
+        at_y = 0
+        for c in reversed(row):
+            at_y = at_y * y + c
+        value = value * x + at_y
+    return value
+
+
+def _bits_bound(n: int, nodes) -> int:
+    """max over the nodes y of log2 prod (1 + |j_i|) over T_N * tau_y, from
+    the float64 screen of each orbit, rounded up."""
+    worst = 0.0
+    for y in nodes:
+        screen = HeckeOrbit(tau_from_j(y, Precision(64)), n).screen
+        if not screen.trusted.all():
+            raise ArithmeticError(f"the float64 screen of T_{n} * tau_{y} has untrusted points")
+        # log (1 + |j| + err), err the screen's bound on its error in j
+        log_j = np.logaddexp(0.0, np.logaddexp(screen.log_j.real, screen.log_j_err))
+        worst = max(worst, float(log_j.sum()) / math.log(2))
+    return math.ceil(worst)
+
+
+def _orbit_polynomial(y: int, n: int, prec: Precision) -> list[int]:
+    """The integer coefficients, constant first, of prod (X - j_i) over
+    T_N * tau_y at prec; ArithmeticError unless each lies within 2^-32 of
+    an integer."""
+    orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
+    with mp.workprec(prec.bits + _GUARD):
+        poly = [mp.mpc(1)]
+        for point in orbit.points:
+            shifted = [mp.mpc(0)] + poly  # X * poly
+            for k, c in enumerate(poly):
+                shifted[k] -= point.j * c
+            poly = shifted
+        out = []
+        for k, c in enumerate(poly):
+            nearest = int(mp.nint(c.real))
+            if abs(c.real - nearest) > _ROUND_TOL or abs(c.imag) > _ROUND_TOL:
+                raise ArithmeticError(
+                    f"coefficient {k} of Phi_{n}(X, {y}) is {mp.nstr(c, 10)}, "
+                    f"not an integer at {prec.bits} bits"
+                )
+            out.append(nearest)
+    return out
+
+
+def _interpolate(values: list[int]) -> list[int]:
+    """The integer polynomial, constant first, taking values[y] at y = 0,
+    1, ...; ArithmeticError when a divided difference is not an integer."""
+    diffs = list(values)
+    newton = [diffs[0]]
+    for k in range(1, len(values)):
+        # the k-th divided differences at consecutive nodes y, ..., y + k
+        nxt = []
+        for lo, hi in zip(diffs, diffs[1:]):
+            q, r = divmod(hi - lo, k)
+            if r:
+                raise ArithmeticError(f"divided difference {hi - lo}/{k} is not an integer")
+            nxt.append(q)
+        diffs = nxt
+        newton.append(diffs[0])
+    # Newton form sum_k newton[k] * prod_{i<k} (Y - i), expanded from the top
+    poly = [newton[-1]]
+    for k in range(len(newton) - 2, -1, -1):
+        poly = [newton[k] - k * poly[0]] + [
+            poly[i - 1] - k * poly[i] for i in range(1, len(poly))
+        ] + [poly[-1]]
+    return poly
+
+
+def generate(n: int) -> list[list[int]]:
+    """Phi_N's coefficients rows[a][b] of X^a Y^b, for any N >= 2, by
+    evaluation at the integer nodes y = 0, ..., e_N and interpolation."""
+    degree = e_n(n)
+    nodes = range(degree + 1)
+    prec = Precision(_bits_bound(n, nodes) + _MARGIN_BITS)
+    columns = [_orbit_polynomial(y, n, prec) for y in nodes]
+    rows = [_interpolate([col[a] for col in columns]) for a in range(degree + 1)]
+    for a in range(degree + 1):
+        for b in range(a):
+            if rows[a][b] != rows[b][a]:
+                raise ArithmeticError(f"Phi_{n} is not symmetric at X^{a} Y^{b}")
+    return rows
+
+
+def table_text(rows) -> str:
+    """The table file of a coefficient matrix: "a b c" per nonzero c of
+    X^a Y^b with a <= b."""
+    return "".join(
+        f"{a} {b} {row[b]}\n"
+        for a, row in enumerate(rows)
+        for b in range(a, len(row))
+        if row[b]
+    )
+
+
+def main() -> None:
+    data = Path(__file__).parent / "data"
+    data.mkdir(exist_ok=True)
+    for ell in PRIMES:
+        (data / _file_name(ell)).write_text(table_text(generate(ell)))
+        print(f"wrote {_file_name(ell)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -4,7 +4,7 @@ import warnings
 import pytest
 from mpmath import mp
 
-from heckelab import hecke, heights
+from heckelab import cli, hecke, heights, modpoly
 from heckelab.hecke import HeckeOrbit, e_n, hecke_orbit
 from heckelab.heights import (
     CoincidenceError,
@@ -71,9 +71,29 @@ def test_phi_at_cm_base():
     assert phi_value(0, 5, 2, PREC) == _classical_phi2(5, 0)
 
 
+_PANEL = ((1, 2), (2417, -37), (287496, 100), (1729, -1))
+
+
+def test_phi_value_at_a_stored_prime_is_kronecker_congruent_and_reads_no_j(monkeypatch):
+    # Phi_l(z, y) = (y^l - z)(y - z^l) (mod l), from the stored table alone
+    inversions = _counting(monkeypatch, heights, "tau_from_j")
+    j_values = _counting(monkeypatch, hecke, "eval_j")
+    for ell in modpoly.PRIMES:
+        for y, z in _PANEL:
+            want = (y**ell - z) * (y - z**ell) % ell
+            assert phi_value(y, z, ell, PREC) % ell == want, (ell, y, z)
+    assert (len(inversions), len(j_values)) == (0, 0)
+
+
 def test_phi_value_escalates_to_an_integer_and_gives_up_at_its_cap(monkeypatch):
-    # Fricke's rational 2-isogeny at h = 1: j = 17^3 and j' = 257^3, so
-    # Phi_2(4913, 16974593) = 0, which 64 bits cannot round below 1e-6
+    # N = 4 has no stored polynomial: the orbit product at 64 bits does not
+    # resolve Phi_4(16974593, 4913), nor does 128, and 256 bits give the
+    # integer the generator's exact Phi_4 gives
+    exact = sum(
+        c * 16974593**a * 4913**b
+        for a, row in enumerate(modpoly.generate(4))
+        for b, c in enumerate(row)
+    )
     attempts = []
     inverted = heights.tau_from_j
 
@@ -82,11 +102,11 @@ def test_phi_value_escalates_to_an_integer_and_gives_up_at_its_cap(monkeypatch):
         return inverted(y, prec)
 
     monkeypatch.setattr(heights, "tau_from_j", recorded)
-    assert phi_value(4913, 16974593, 2, Precision(64)) == 0
-    assert attempts == [64, 128]
-    monkeypatch.setattr(heights, "_MAX_PHI_BITS", 64)
-    with pytest.raises(PrecisionInsufficientError, match="by 64 bits"):
-        phi_value(4913, 16974593, 2, Precision(64))
+    assert phi_value(4913, 16974593, 4, Precision(64)) == exact
+    assert attempts == [64, 128, 256]
+    monkeypatch.setattr(heights, "_MAX_PHI_BITS", 128)
+    with pytest.raises(PrecisionInsufficientError, match="by 128 bits"):
+        phi_value(4913, 16974593, 4, Precision(64))
 
 
 def test_cusp_height_frozen():
@@ -251,27 +271,48 @@ def test_local_arch_sum_coincidence_guard():
 
 def test_residual_coincidence_guard(monkeypatch):
     # CM bases whose T_2-orbit holds integers: -3375 (D = -7) maps to itself
-    # twice and to 16581375 (D = -28); 8000 (D = -8) maps to itself
+    # twice and to 16581375 (D = -28); 8000 (D = -8) maps to itself; and
+    # T_4 * tau_{-3375} holds both again
     for y, z in ((-3375, -3375), (-3375, 16581375), (8000, 8000)):
-        with pytest.raises(CoincidenceError, match="below resolution"):
+        with pytest.raises(CoincidenceError, match="= 0: z lies on the orbit"):
             global_identity_residual(y, z, 2, DEFAULT_PRECISION)
+    for z in (-3375, 16581375):
+        with pytest.raises(CoincidenceError, match="below resolution"):
+            global_identity_residual(-3375, z, 4, DEFAULT_PRECISION)
     # one off the orbit the row is finite
     assert global_identity_residual(-3375, -3376, 2, DEFAULT_PRECISION) == -4.376170109444552
-    # from a base point good to about 100 bits, |z - j| at 2i stays above
-    # the floor, and the bound on the integer |Phi_2(1728, 287496)| decides
+    # from a base point good to about 100 bits, |z - j| at 2i in T_4 * i
+    # stays above the floor, and the bound on the integer
+    # |Phi_4(1728, 287496)| decides
     with mp.workprec(DEFAULT_PRECISION.bits + 32):
         near_i = UpperHalfPoint(0, 1 + mp.mpf(2) ** -100)
     monkeypatch.setattr(heights, "tau_from_j", lambda y, prec: near_i)
     with pytest.raises(CoincidenceError, match="< 1/2"):
-        global_identity_residual(1728, 287496, 2, DEFAULT_PRECISION)
+        global_identity_residual(1728, 287496, 4, DEFAULT_PRECISION)
+
+
+@pytest.mark.parametrize(
+    "y, z, n",
+    [(1600, -2194880, 5), (576, -39091613782464, 13), (2101248, 2045023375454208, 13),
+     (1728, 287496, 2)],
+)
+def test_residual_raises_on_a_rational_isogeny_at_64_bits(y, z, n):
+    # Phi_N(z, y) = 0 exactly; at 64 bits the error of tau_y kept the orbit
+    # point of j = z above the resolution, and the row returned a value
+    assert modpoly.evaluate(n, z, y) == 0
+    with pytest.raises(CoincidenceError, match=f"phi_{n}\\({y}, {z}\\) = 0"):
+        global_identity_residual(y, z, n, Precision(64))
 
 
 @pytest.mark.parametrize("bits", [64, 128])
 def test_the_orbit_of_i_meets_its_integers(bits):
-    # T_N * i holds 2i (j = 287496) at N = 2, 4 and 10, and from the exact
-    # base point i it lies within resolution
+    # T_N * i holds 2i (j = 287496) at N = 2, 4 and 10: Phi_2(287496, 1728)
+    # is 0, and from the exact base point i the orbit points lie within
+    # resolution
     prec = Precision(bits)
-    for n in (2, 4, 10):
+    with pytest.raises(CoincidenceError, match="= 0: z lies on the orbit"):
+        global_identity_residual(1728, 287496, 2, prec)
+    for n in (4, 10):
         with pytest.raises(CoincidenceError, match="below resolution"):
             global_identity_residual(1728, 287496, n, prec)
     for n in (2, 10):
@@ -280,21 +321,30 @@ def test_the_orbit_of_i_meets_its_integers(bits):
 
 
 def test_residual_decides_an_untrusted_point_in_the_exact_tier(monkeypatch):
-    # the screen marks the coset (1, 0, 2) untrusted, which holds j = -3375
-    # in T_2 * tau_y for y = -3375: its j is evaluated, the others cleared
+    # the screen marks the coset (1, 1, 4) untrusted, which holds j = -3375
+    # in T_4 * tau_y for y = -3375: its j is evaluated, the others cleared
     screen_of = hecke.OrbitScreen.of.__func__
 
-    def first_untrusted(cls, base, cosets):
+    def second_untrusted(cls, base, cosets):
         screen = screen_of(cls, base, cosets)
-        screen.trusted[0] = False
+        screen.trusted[1] = False
         return screen
 
-    monkeypatch.setattr(hecke.OrbitScreen, "of", classmethod(first_untrusted))
+    monkeypatch.setattr(hecke.OrbitScreen, "of", classmethod(second_untrusted))
     j_values = _counting(monkeypatch, hecke, "eval_j")
-    assert global_identity_residual(-3375, -3376, 2, DEFAULT_PRECISION) == -4.376170109444552
+    assert global_identity_residual(-3375, -3376, 4, DEFAULT_PRECISION) == -2.3547517213889426
     assert len(j_values) == 1
-    with pytest.raises(CoincidenceError, match="coset CosetTriple.alpha=1, beta=0, delta=2"):
-        global_identity_residual(-3375, -3375, 2, DEFAULT_PRECISION)
+    with pytest.raises(CoincidenceError, match="coset CosetTriple.alpha=1, beta=1, delta=4"):
+        global_identity_residual(-3375, -3375, 4, DEFAULT_PRECISION)
+
+
+def test_height_command_reads_the_base_j_once(monkeypatch, capsys):
+    # the integral-j check reads j(tau_y) for the first N and keeps it
+    heights._off_integral_j.cache_clear()
+    j_values = _counting(monkeypatch, heights, "eval_j")
+    assert cli.main(["height", "1", "2..40"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 40
+    assert len(j_values) == 1
 
 
 def test_heuristic_integral_determinism():
