@@ -183,6 +183,15 @@ class OrbitScreen:
             high[ok] = s + np.log(dist + err)
         return low, high
 
+    def log2_product_bound(self, z) -> float:
+        """An upper bound on log2 of prod (|z| + |j_i|) over the orbit, from
+        each point's |j| and its error bound; NaN when a point is untrusted.
+        It bounds log2 |prod (z - j_i)| and each coefficient of
+        prod (X - j_i) (z = 1)."""
+        log_z = math.log(abs(z)) if z else -math.inf
+        log_j = np.logaddexp(self.log_j.real, self.log_j_err)
+        return float(np.logaddexp(log_z, log_j).sum()) / math.log(2)
+
     def nearest(self, z) -> np.ndarray:
         """Indices of the points whose |j - z| may be the smallest of the
         orbit under the error bounds, untrusted points included."""

@@ -62,6 +62,8 @@ class HeightSeriesPoint:
 
 
 _MAX_PHI_BITS = 1 << 20
+# bits above the screen's bound on log2 |Phi_N(z, y)| at which phi_value starts
+_PHI_MARGIN_BITS = 64
 # the largest distance from an integer at which an orbit product is accepted
 _PHI_TOL = 2.0**-16
 
@@ -143,22 +145,30 @@ def phi_value(y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION) -> in
 
     For a prime N <= 31 it is the stored classical modular polynomial
     evaluated exactly (modpoly), and prec is not read.  Any other N takes
-    the orbit product, at prec.bits + 32 bits from a base point tau_y good
-    to prec.bits.  It is accepted only once it is below 2^bits in size, its
-    real part lies within 2^-16 of an integer and its imaginary part within
-    2^-16 of 0; otherwise the bits are doubled, and past _MAX_PHI_BITS it
-    raises PrecisionInsufficientError.  The CM bases y = 0 and y = 1728
-    start from the exact points rho and i (tau_from_j), so their orbits
-    repeat j-values as Phi_N does.  A non-integer y or z raises ValueError.
+    the orbit product, at bits + 32 bits from a base point tau_y good to
+    bits.  The bits start at prec.bits, or at 64 above the float64 screen's
+    bound on log2 prod (|z| + |j_i|) at the base point for prec.bits when
+    that is higher and every screen point is trusted.  The product is
+    accepted only once it is below 2^bits in size, its real part lies
+    within 2^-16 of an integer and its imaginary part within 2^-16 of 0;
+    otherwise the bits are doubled, and past _MAX_PHI_BITS it raises
+    PrecisionInsufficientError.  The CM bases y = 0 and y = 1728 start from
+    the exact points rho and i (tau_from_j), so their orbits repeat
+    j-values as Phi_N does.  A non-integer y or z raises ValueError.
     """
     y, z = _integers(y, z)
     if n in modpoly.PRIMES:
         return modpoly.evaluate(n, z, y)
     bits = prec.bits
+    orbit = HeckeOrbit(tau_from_j(y, prec), n, prec)
+    need = orbit.screen.log2_product_bound(z) + _PHI_MARGIN_BITS
+    if need > bits:  # False for NaN, at an untrusted point
+        bits, orbit = min(math.ceil(need), _MAX_PHI_BITS), None
     while bits <= _MAX_PHI_BITS:
         attempt = Precision(bits)
         with mp.workprec(bits + _GUARD):
-            orbit = hecke_orbit(tau_from_j(y, attempt), n, attempt)
+            if orbit is None:
+                orbit = HeckeOrbit(tau_from_j(y, attempt), n, attempt)
             prod = pairwise_product([z - p.j for p in orbit.points])
             nearest = int(mp.nint(prod.real))
             if (
@@ -167,7 +177,7 @@ def phi_value(y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION) -> in
                 and abs(prod.imag) < _PHI_TOL
             ):
                 return nearest
-        bits *= 2
+        bits, orbit = 2 * bits, None
     raise PrecisionInsufficientError(
         f"phi({y}, {z}, N={n}) did not resolve to an integer by {_MAX_PHI_BITS} bits"
     )

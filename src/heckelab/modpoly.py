@@ -32,7 +32,6 @@ import math
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 from mpmath import mp
 
 from .hecke import HeckeOrbit, e_n, hecke_orbit
@@ -81,12 +80,10 @@ def _bits_bound(n: int, nodes) -> int:
     the float64 screen of each orbit, rounded up."""
     worst = 0.0
     for y in nodes:
-        screen = HeckeOrbit(tau_from_j(y, Precision(64)), n).screen
-        if not screen.trusted.all():
+        bound = HeckeOrbit(tau_from_j(y, Precision(64)), n).screen.log2_product_bound(1)
+        if math.isnan(bound):
             raise ArithmeticError(f"the float64 screen of T_{n} * tau_{y} has untrusted points")
-        # log (1 + |j| + err), err the screen's bound on its error in j
-        log_j = np.logaddexp(0.0, np.logaddexp(screen.log_j.real, screen.log_j_err))
-        worst = max(worst, float(log_j.sum()) / math.log(2))
+        worst = max(worst, bound)
     return math.ceil(worst)
 
 

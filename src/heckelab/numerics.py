@@ -3,19 +3,13 @@
 All evaluation routes through one q-series pass, _series: reduction to the
 standard fundamental domain |Re tau| <= 1/2, |tau| >= 1, where
 |q| <= exp(-pi*sqrt(3)) ~ 0.00433 makes the q-expansions converge fast, then
-the E4 sum, the E6 sum and the Euler product, truncated at each point's own
-|q|.  Precision.series_terms, derived from the bits, caps the order; a
-point high in the cusp keeps far fewer terms.  Values at unreduced points
-are recovered through the weight-k cocycle (c*tau + d)^(-k).
+the E4 sum, the E6 sum and the Euler product in fixed point, truncated at
+each point's own |q|, within an a-priori error bound.  Values at unreduced
+points are recovered through the weight-k cocycle (c*tau + d)^(-k).
 
-The sums, the reduction loop and the Moebius step that builds an orbit
-point run on Python-int mantissas, each step rounded exactly as the mpmath
-operation it replaces rounds (libmpf's truncating default included where
-mpc division uses it), so every value is mpmath's bit for bit at a
-fraction of the cost of its number objects.  j, Delta and the
-Petersson norm raise the Euler product to the 12th power and refuse a
-reduced Im tau above 2^20, where that power costs time and memory linear
-in Im tau.
+The reduction loop and the Moebius step that builds an orbit point run on
+Python-int mantissas, each step rounded exactly as the mpmath operation it
+replaces rounds, so the reduced points are mpmath's bit for bit.
 """
 
 from __future__ import annotations
@@ -23,16 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     from_man_exp,
-    mpc_div,
-    mpc_expjpi,
-    mpc_mul,
-    mpc_mul_mpf,
-    mpc_pow_int,
+    mpf_cos_sin_pi,
+    mpf_div,
+    mpf_exp,
+    mpf_mul,
+    mpf_neg,
+    mpf_pi,
     mpf_pos,
     mpf_shift,
     round_nearest,
@@ -49,8 +45,8 @@ _LN2 = math.log(2.0)
 
 class PrecisionOverflowError(ArithmeticError):
     """Requested series truncation cannot meet the tail bound at these bits,
-    or a power of the Euler product is asked for above the reduced
-    Im tau = 2^20 (_MAX_POWER_IM)."""
+    or j or Delta is asked for above the reduced Im tau = 2^20
+    (_MAX_POWER_IM)."""
 
 
 @dataclass(frozen=True)
@@ -65,11 +61,8 @@ class Precision:
 
     @property
     def series_terms(self) -> int:
-        """Cap on the q-series order: its tail (with divisor-sum coefficient
-        growth) is below 2^-bits everywhere on the fundamental domain up to
-        2,279,439 bits.  Each point keeps the fewest terms, at most this
-        many, whose tail is below 2^-(bits + 64) relative to |q|, and a
-        point where the cap misses 2^-bits raises PrecisionOverflowError."""
+        """Cap on the q-series order (_series_order): its tail is below
+        2^-bits everywhere on the fundamental domain up to 2,279,439 bits."""
         return math.ceil((self.bits * _LN2 + 64.0) / _LOG_INV_Q_MIN)
 
 
@@ -165,12 +158,10 @@ def reduce_to_fundamental_domain(
 ) -> tuple[UpperHalfPoint, ModularMatrix]:
     """Reduce tau into |Re| <= 1/2, |tau| >= 1 and return the witness.
 
-    The witness gamma is in SL2(Z) and satisfies gamma * tau = reduced point
-    (exactly in exact arithmetic, to working precision in floating point).
-    The reduced point is rounded at the working precision wp = bits +
-    _GUARD.  A point with |Re| < 1/2 - 2^-40 and |tau|^2 > 1 + 2^-40 in
-    float64 is returned at once, with the identity witness, as the loop
-    would return it.
+    The witness gamma is in SL2(Z) and satisfies gamma * tau = reduced
+    point, rounded at the working precision wp = bits + _GUARD.  A point
+    with |Re| < 1/2 - 2^-40 and |tau|^2 > 1 + 2^-40 in float64 is returned
+    at once, with the identity witness, as the loop would return it.
 
     The loop runs on integer mantissas, and each step gives what the mpc
     loop at wp bits gives: n = nint(Re z), ties to even (mpf_nint); z - n
@@ -251,24 +242,18 @@ def _sigma_tables(n_terms: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _log_tail(terms: int, im: float) -> float:
     """log of a bound on the E6 tail dropped after `terms` terms, divided
-    by |q|, at a point with imaginary part im.
-
-    sigma_5(n) <= zeta(5) n^5, so the tail of E6, the worst of the three
-    series, is below 700 * (T+1)^5 * |q|^(T+1), and log|q| = -2 pi im.
-    Log space keeps huge bit counts and tiny q finite.
-    """
+    by |q|, at Im = im: sigma_5(n) <= zeta(5) n^5, so the tail of E6, the
+    worst of the three series, is below 700 (T+1)^5 |q|^(T+1), and log|q| =
+    -2 pi im.  Log space keeps huge bit counts and tiny q finite."""
     return math.log(700.0) + 5 * math.log(terms + 1) - 2 * math.pi * im * terms
 
 
 def _series_order(im: float, prec: Precision) -> int:
-    """Number of q-series terms kept at a reduced point with Im = im.
-
-    It is the fewest T <= prec.series_terms whose tail bound is below
+    """Number of q-series terms kept at a reduced point with Im = im: the
+    fewest T <= prec.series_terms whose tail bound is below
     2^-(bits + 2 _GUARD) relative to |q|, _GUARD bits under the last bit of
-    the working precision.  Relative to |q|, because the imaginary parts of
-    the sums start at Im q, and each keeps its own bits + _GUARD.  Raises
-    PrecisionOverflowError when the absolute bound at prec.series_terms
-    misses 2^-bits.
+    the working precision.  Raises PrecisionOverflowError when the absolute
+    bound at prec.series_terms misses 2^-bits.
 
     _log_tail exceeds log 700 - 2 pi im T, so no T below
     (log 700 - limit) / (2 pi im) passes, and the search starts at its
@@ -287,14 +272,11 @@ def _series_order(im: float, prec: Precision) -> int:
     return cap
 
 
-# -- the q-series on integer mantissas -----------------------------------------
+# -- the reduction on integer mantissas --------------------------------------
 #
 # A real is a pair (man, exp) of Python ints worth man * 2^exp, the sign in
-# man and man odd or zero: the canonical form of mpmath's raw mpf tuples, so
-# every exponent equals mpmath's.  A complex is the 4-tuple (re man, re exp,
-# im man, im exp).  Each step returns what the libmpf operation it replaces
-# returns at wp bits, rounded half to even; the kernel runs on these and
-# skips mpmath's wrappers, type dispatch and special-value branches.
+# man and man odd or zero, as in mpmath's raw mpf tuples.  Each step returns
+# what the libmpf operation it replaces returns at wp bits.
 
 
 def _round(man: int, exp: int, wp: int) -> tuple[int, int]:
@@ -324,28 +306,20 @@ def _add(m1: int, e1: int, m2: int, e2: int, wp: int) -> tuple[int, int]:
     """libmpf.mpf_add on finite values, sticky shortcut included: when the
     exponents differ by more than 100 and the magnitudes by more than wp + 4
     bits, the smaller term only moves the larger one by one unit
-    2^-(wp + 4) below its last bit, towards the smaller term's sign.  That
-    is not correct rounding of the exact sum, and mpc_mul applies it to
-    exact double-width products, so it is kept as it is.  The rounding is
-    _round's, inline: this is the kernel's hottest function."""
+    2^-(wp + 4) below its last bit, towards the smaller term's sign.  The
+    rounding is _round's, inline: this is the reduction's hottest step."""
     if not m1:
         man, exp = m2, e2
     elif not m2:
         man, exp = m1, e1
     else:
+        if e1 < e2:
+            m1, e1, m2, e2 = m2, e2, m1, e1
         offset = e1 - e2
-        if offset > 0:
-            if offset > 100 and m1.bit_length() + offset - m2.bit_length() > wp + 4:
-                man, exp = (m1 << (wp + 4)) + (1 if m2 > 0 else -1), e1 - wp - 4
-            else:
-                man, exp = (m1 << offset) + m2, e2
-        elif offset < 0:
-            if offset < -100 and m2.bit_length() - offset - m1.bit_length() > wp + 4:
-                man, exp = (m2 << (wp + 4)) + (1 if m1 > 0 else -1), e2 - wp - 4
-            else:
-                man, exp = m1 + (m2 << -offset), e1
+        if offset > 100 and m1.bit_length() + offset - m2.bit_length() > wp + 4:
+            man, exp = (m1 << (wp + 4)) + (1 if m2 > 0 else -1), e1 - wp - 4
         else:
-            man, exp = m1 + m2, e1
+            man, exp = (m1 << offset) + m2, e2
     n = man.bit_length() - wp
     if n > 0:
         man = (man + (1 << (n - 1)) - 1 + ((man >> n) & 1)) >> n
@@ -357,16 +331,6 @@ def _add(m1: int, e1: int, m2: int, e2: int, wp: int) -> tuple[int, int]:
         man >>= zeros
         exp += zeros
     return man, exp
-
-
-def _mul(z: tuple, w: tuple, wp: int) -> tuple[int, int, int, int]:
-    """libmpc.mpc_mul: four exact products, then re = ac - bd and
-    im = ad + bc, each by one _add."""
-    a, ea, b, eb = z
-    c, ec, d, ed = w
-    return _add(a * c, ea + ec, -(b * d), eb + ed, wp) + _add(
-        a * d, ea + ed, b * c, eb + ec, wp
-    )
 
 
 def _parts(x: mpf, wp: int) -> tuple[int, int] | None:
@@ -465,72 +429,102 @@ def _neg_inv(xm: int, xe: int, ym: int, ye: int, wp: int) -> tuple[int, int, int
     return _div(-xm, xe, *norm, wp) + _div(ym, ye, *norm, wp)
 
 
-def _eisenstein_sum(pw, coeffs, wp: int) -> tuple[int, int, int, int]:
-    """sum coeffs[n-1] q^n over the powers pw = [q, q^2, ...], highest
-    first: mpmath's acc = mpf(0); acc = acc + s * q^n."""
-    ar = er = ai = ei = 0
-    for (mr, xr, mi, xi), s in zip(reversed(pw), reversed(coeffs[: len(pw)])):
-        tr, tx = _round(mr * s, xr, wp)
-        ar, er = _add(ar, er, tr, tx, wp)
-        ti, tx = _round(mi * s, xi, wp)
-        ai, ei = _add(ai, ei, ti, tx, wp)
-    return ar, er, ai, ei
+# -- the q-series in fixed point ---------------------------------------------
+#
+# A complex number is a pair (x, y) of Python ints worth (x + iy) 2^-W, and a
+# product of two is rounded to the nearest unit 2^-W.
+
+
+@lru_cache(maxsize=64)
+def _kernel_tables(prec: Precision) -> tuple[int, tuple, tuple, tuple]:
+    """(W, sigma_3, sigma_5, pentagonal) up to the order prec.series_terms:
+    W as _series derives it, and the (exponent, sign) pairs of Euler's
+    prod (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2))."""
+    terms = prec.series_terms
+    s3, s5 = _sigma_tables(terms)
+    weight = 2**24 * (sum(s3) + terms) + 2**9 * sum(s5)
+    pentagonal = [
+        (n, (-1) ** k)
+        for k in range(1, terms + 1)
+        for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+        if n <= terms
+    ]
+    return prec.bits + _GUARD + weight.bit_length(), s3, s5, tuple(pentagonal)
+
+
+def _fixed(part: tuple, w: int) -> int:
+    """The finite raw mpf part in units 2^-w, rounded to nearest."""
+    sign, man, exp, bc = part
+    shift = exp + w
+    if bc + shift < 0:  # below half a unit
+        return 0
+    n = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
+    return -n if sign else n
+
+
+def _fmul(a: int, b: int, c: int, d: int, w: int) -> tuple[int, int]:
+    """(a + ib)(c + id) in units 2^-w, rounded to nearest."""
+    half = 1 << (w - 1)
+    return (a * c - b * d + half) >> w, (a * d + b * c + half) >> w
+
+
+def _to_mpc(z: tuple[int, int], w: int) -> tuple:
+    """The fixed-point z as a raw mpc, exactly."""
+    return from_man_exp(z[0], -w), from_man_exp(z[1], -w)
 
 
 def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=False):
-    """The one q-series pass behind every evaluator.  It works at wp = bits
-    + _GUARD through explicit arguments and reads no context precision;
-    callers that go on in mpmath arithmetic enter mp.workprec(wp) for it.
+    """The one q-series pass behind every evaluator, in fixed point.
 
-    Reduces tau, forms q at the reduced point and sums there, to the order
-    _series_order picks, the series asked for: E4 = 1 + 240 sum sigma_3(n)
-    q^n, E6 = 1 - 504 sum sigma_5(n) q^n and the Euler product
-    prod (1 - q^n).  Returns (reduced, witness, q, E4, E6, product), the
-    last four as raw mpc tuples, with None for a series not asked for.
+    Reduces tau and forms q = r u at the reduced point tau' as
+    mpc_expjpi(2 tau') does at W bits, r = e^(-2 pi Im tau') and u =
+    e^(2 pi i Re tau'); then, to the order T of _series_order, the series
+    asked for: E4 = 1 + 240 sum sigma_3(n) q^n, E6 = 1 - 504 sum sigma_5(n)
+    q^n and prod (1 - q^n), a signed sum of the powers at the pentagonal
+    exponents.  The powers q^n come by repeated multiplication, up to the
+    first that rounds to 0.  Returns (reduced, witness, W, r, u, E4, E6,
+    prod): r a raw mpf, the rest in fixed point or None if not asked for.
 
-    At every order the kept terms go through the same operations in the
-    same order: powers by repeated multiplication, the Eisenstein sums from
-    the highest power down, the product from (1 - q) up.  What the order
-    rule drops lies _GUARD bits below the last bit kept, so the values are
-    those of the full-order sums bit for bit, unless a rounding lands
-    within 2^-_GUARD of an ulp of a tie.  The sums run on integer
-    mantissas, and each step gives the value of the mpmath operation it
-    replaces, so the result is the mpmath one bit for bit.
+    Error bound, in units 2^-W.  q and u are rounded to the grid, and each
+    power is within 1 unit (|q| <= 0.0044 damps what q^(n-1) carries).  So
+    the E4 sum is within e = 240 S3, the E6 sum within 504 S5 and the
+    product within T, S_k = sum_(n<=T) sigma_k(n); the tail adds
+    2^-(bits + 64) |q|.  As |E4| <= 2.1 and 0.89 <= |prod|^24 <= 1.12,
+    E4^3 conj(u) is within 14 e + 11, prod^24 within 27 T + 19, and their
+    quotient R within 16 e + 310 T + 224 <= 2^12 (S3 + T); j = R / r with
+    1/r <= |j| + 2100.  W is wp = bits + _GUARD plus the bits of
+    2^24 (S3 + T) + 2^9 S5 at T = prec.series_terms, so E4, E6, prod^24
+    and j are within 2^-wp, j relative to max(1, |j|).  After the mpmath
+    steps each evaluator lies within 2^-(bits + 24) max(|v|, |c tau + d|^-k)
+    of the value v of its formulas at tau', k its weight (0 for j, norms).
     """
-    wp = prec.bits + _GUARD
     reduced, witness = reduce_to_fundamental_domain(tau, prec)
-    # mp.expjpi(2 * mpc(reduced.re, reduced.im)): the parts carry at most wp
-    # bits, so mpc() keeps them and doubling them is a shift
-    two_tau = mpf_shift(reduced.re._mpf_, 1), mpf_shift(reduced.im._mpf_, 1)
-    q = mpc_expjpi(two_tau, wp, round_nearest)
-    (rs, rm, rx, _), (is_, im, ix, _) = q
-    qt = (-rm if rs else rm, rx, -im if is_ else im, ix)
-    pw = [qt]
+    w, s3, s5, pentagonal = _kernel_tables(prec)
+    # the parts of tau' carry at most wp bits, so doubling them is exact
+    two_im = mpf_shift(reduced.im._mpf_, 1)
+    wpe = w + 10 + max(0, two_im[2] + two_im[3])
+    r = mpf_exp(mpf_neg(mpf_mul(mpf_pi(wpe), two_im, wpe)), w + 10)
+    c, s = mpf_cos_sin_pi(mpf_shift(reduced.re._mpf_, 1), w + 10)
+    qx, qy = x, y = _fixed(mpf_mul(r, c), w), _fixed(mpf_mul(r, s), w)
+    half = 1 << (w - 1)
+    xs, ys = [x], [y]
     for _ in range(_series_order(float(reduced.im), prec) - 1):
-        pw.append(_mul(pw[-1], qt, wp))
-    s3, s5 = _sigma_tables(prec.series_terms)
+        x, y = (x * qx - y * qy + half) >> w, (x * qy + y * qx + half) >> w
+        if not (x or y):
+            break  # every higher power rounds to 0 as well
+        xs.append(x)
+        ys.append(y)
+    one = 1 << w
     e4_val = e6_val = prod = None
     if e4:
-        ar, er, ai, ei = _eisenstein_sum(pw, s3, wp)
-        mr, xr = _round(ar * 240, er, wp)
-        mr, xr = _add(1, 0, mr, xr, wp)
-        mi, xi = _round(ai * 240, ei, wp)
-        e4_val = from_man_exp(mr, xr), from_man_exp(mi, xi)
+        e4_val = one + 240 * sum(map(mul, s3, xs)), 240 * sum(map(mul, s3, ys))
     if e6:
-        ar, er, ai, ei = _eisenstein_sum(pw, s5, wp)
-        mr, xr = _round(ar * 504, er, wp)
-        mr, xr = _add(1, 0, -mr, xr, wp)
-        mi, xi = _round(ai * 504, ei, wp)
-        e6_val = from_man_exp(mr, xr), from_man_exp(-mi, xi)
+        e6_val = one - 504 * sum(map(mul, s5, xs)), -504 * sum(map(mul, s5, ys))
     if euler:
-        # mpf(1) * (1 - q) is 1 - q itself
-        mr, xr, mi, xi = qt
-        prod = _add(1, 0, -mr, xr, wp) + (-mi, xi)
-        for mr, xr, mi, xi in pw[1:]:
-            prod = _mul(prod, _add(1, 0, -mr, xr, wp) + (-mi, xi), wp)
-        mr, xr, mi, xi = prod
-        prod = from_man_exp(mr, xr), from_man_exp(mi, xi)
-    return reduced, witness, q, e4_val, e6_val, prod
+        kept = [(sign, n - 1) for n, sign in pentagonal if n <= len(xs)]
+        prod = one + sum(k * xs[i] for k, i in kept), sum(k * ys[i] for k, i in kept)
+    u = _fixed(c, w), _fixed(s, w)
+    return reduced, witness, w, r, u, e4_val, e6_val, prod
 
 
 def _cocycle(tau: UpperHalfPoint, witness: ModularMatrix, weight: int) -> mpc:
@@ -542,74 +536,80 @@ def _cocycle(tau: UpperHalfPoint, witness: ModularMatrix, weight: int) -> mpc:
 def eval_e4(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E4(tau) = 1 + 240 sum sigma_3(n) q^n."""
     with mp.workprec(prec.bits + _GUARD):
-        _, witness, _, val, _, _ = _series(tau, prec, e4=True)
-        return mp.make_mpc(val) * _cocycle(tau, witness, 4)
+        _, witness, w, _, _, val, _, _ = _series(tau, prec, e4=True)
+        return mp.make_mpc(_to_mpc(val, w)) * _cocycle(tau, witness, 4)
 
 
 def eval_e6(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E6(tau) = 1 - 504 sum sigma_5(n) q^n."""
     with mp.workprec(prec.bits + _GUARD):
-        _, witness, _, _, val, _ = _series(tau, prec, e6=True)
-        return mp.make_mpc(val) * _cocycle(tau, witness, 6)
+        _, witness, w, _, _, _, val, _ = _series(tau, prec, e6=True)
+        return mp.make_mpc(_to_mpc(val, w)) * _cocycle(tau, witness, 6)
 
 
-# Cap on the reduced Im tau where prod (1 - q^n) is raised to a power.  Im prod
-# lies about 9 Im tau bits below Re prod, and from Im tau ~ 75 on at 128 bits
-# (~ 350 for E4^3) libmpc.mpc_pow_int takes the power as exp(n log prod),
-# whose log works at about that many bits: time and memory grow linearly in
-# Im tau, to a MemoryError near 10^10 and an OverflowError at 10^20.
+# Cap on the reduced Im tau' for j, Delta and the Petersson norm: 2 pi times
+# the rounding of tau', Im tau' 2^-wp, enters log j and log Delta, and the cap
+# keeps it 9 bits under 2^-bits (near Im tau' = 2^29 it uses up _GUARD).
 _MAX_POWER_IM = 2**20
 
 
-def _prod12(reduced: UpperHalfPoint, prod, wp: int):
-    """prod**12 as libmpc.mpc_pow_int gives it; PrecisionOverflowError above
-    the reduced Im tau = _MAX_POWER_IM."""
+def _prod24(reduced: UpperHalfPoint, prod: tuple[int, int], w: int) -> tuple[int, int]:
+    """prod^24 in fixed point, by four squarings and one product;
+    PrecisionOverflowError above the reduced Im tau = _MAX_POWER_IM."""
     if reduced.im > _MAX_POWER_IM:
         raise PrecisionOverflowError(
             f"reduced Im tau = {mp.nstr(reduced.im, 8)} is above the cap 2^20 = "
-            f"{_MAX_POWER_IM}: prod (1 - q^n)^24 would cost time and memory "
-            "linear in Im tau"
+            f"{_MAX_POWER_IM}: its rounding, times 2 pi, would reach the last bits"
         )
-    return mpc_pow_int(prod, 12, wp, round_nearest)
+    p2 = _fmul(*prod, *prod, w)
+    p4 = _fmul(*p2, *p2, w)
+    p8 = _fmul(*p4, *p4, w)
+    return _fmul(*_fmul(*p8, *p8, w), *p8, w)
 
 
-def _delta(reduced: UpperHalfPoint, q, prod, wp: int):
-    """(2 pi)^12 q prod (1 - q^n)^24 at the reduced point, a raw mpc."""
-    p12 = _prod12(reduced, prod, wp)
-    val = mpc_mul_mpf(q, ((2 * mp.pi) ** 12)._mpf_, wp, round_nearest)
-    return mpc_mul(mpc_mul(val, p12, wp, round_nearest), p12, wp, round_nearest)
+def _delta(reduced: UpperHalfPoint, w: int, r, u, prod, wp: int):
+    """(2 pi)^12 r (u prod^24) at the reduced point, a raw mpc."""
+    x, y = _to_mpc(_fmul(*u, *_prod24(reduced, prod, w), w), w)
+    scale = mpf_mul(r, ((2 * mp.pi) ** 12)._mpf_, wp + 10)
+    return mpf_mul(x, scale, wp, round_nearest), mpf_mul(y, scale, wp, round_nearest)
 
 
 def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular discriminant (2 pi)^12 q prod (1 - q^n)^24 at tau."""
     wp = prec.bits + _GUARD
     with mp.workprec(wp):
-        reduced, witness, q, _, _, prod = _series(tau, prec, euler=True)
-        return mp.make_mpc(_delta(reduced, q, prod, wp)) * _cocycle(tau, witness, 12)
+        reduced, witness, w, r, u, _, _, prod = _series(tau, prec, euler=True)
+        delta = mp.make_mpc(_delta(reduced, w, r, u, prod, wp))
+        return delta * _cocycle(tau, witness, 12)
 
 
 def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular j-invariant 1728 E4^3 / (E4^3 - E6^2).
 
-    The denominator is evaluated through the identity E4^3 - E6^2 =
-    1728 q prod (1 - q^n)^24, which keeps full relative precision at
-    large Im tau where the literal subtraction would cancel to noise.
+    Through E4^3 - E6^2 = 1728 q prod (1 - q^n)^24: R = E4^3 conj(u) /
+    prod^24 in fixed point, divided by r = |q| in mpmath, keeps full
+    relative precision at large Im tau, where the literal subtraction would
+    cancel to noise.  At rho, where E4 vanishes to working precision, E4^3
+    rounds to 0 and so does j.
     """
     wp = prec.bits + _GUARD
-    reduced, _, q, e4, _, prod = _series(tau, prec, e4=True, euler=True)
-    # |q| <= 0.0044 after reduction, so |prod|^24 >= 0.9: no cancellation
-    p12 = _prod12(reduced, prod, wp)
-    den = mpc_mul(mpc_mul(q, p12, wp, round_nearest), p12, wp, round_nearest)
-    num = mpc_pow_int(e4, 3, wp, round_nearest)
-    return mp.make_mpc(mpc_div(num, den, wp, round_nearest))
+    reduced, _, w, r, (ux, uy), e4, _, prod = _series(tau, prec, e4=True, euler=True)
+    dx, dy = _prod24(reduced, prod, w)
+    nx, ny = _fmul(*_fmul(*_fmul(*e4, *e4, w), *e4, w), ux, -uy, w)
+    # R's parts, each rounded to the nearest unit
+    norm2 = 2 * (dx * dx + dy * dy)
+    rx = (((nx * dx + ny * dy) << (w + 1)) + norm2 // 2) // norm2
+    ry = (((ny * dx - nx * dy) << (w + 1)) + norm2 // 2) // norm2
+    re, im = (mpf_div(x, r, wp, round_nearest) for x in _to_mpc((rx, ry), w))
+    return mp.make_mpc((re, im))
 
 
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """SL2(Z)-invariant norm |Delta(tau)| * (Im tau)^6."""
     wp = prec.bits + _GUARD
     with mp.workprec(wp):
-        reduced, _, q, _, _, prod = _series(tau, prec, euler=True)
-        return abs(mp.make_mpc(_delta(reduced, q, prod, wp))) * reduced.im**6
+        reduced, _, w, r, u, _, _, prod = _series(tau, prec, euler=True)
+        return abs(mp.make_mpc(_delta(reduced, w, r, u, prod, wp))) * reduced.im**6
 
 
 def log_petersson_norm_delta(
@@ -617,12 +617,12 @@ def log_petersson_norm_delta(
 ) -> mpf:
     """log || Delta ||(tau), computed without under/overflow at large Im."""
     with mp.workprec(prec.bits + _GUARD):
-        reduced, _, _, _, _, prod = _series(tau, prec, euler=True)
+        reduced, _, w, _, _, _, _, prod = _series(tau, prec, euler=True)
         # log|q| = -2 pi Im(tau'), assembled in logs so 10000i stays finite
         return (
             12 * mp.log(2 * mp.pi)
             - 2 * mp.pi * reduced.im
-            + 24 * mp.log(abs(mp.make_mpc(prod)))
+            + 24 * mp.log(abs(mp.make_mpc(_to_mpc(prod, w))))
             + 6 * mp.log(reduced.im)
         )
 

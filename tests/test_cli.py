@@ -242,6 +242,15 @@ def test_cm_output_is_pinned(capsys):
     assert capsys.readouterr().out == _PINNED_CM_8
 
 
+@pytest.mark.parametrize("bits", [53, 64, 96, 128, 256, 1024])
+def test_cm_prints_j_at_i_and_rho_exactly(bits, capsys):
+    # E4(rho) vanishes to working precision, so E4^3 rounds to 0 in fixed
+    # point and j(rho) reads 0 at every precision, not by one rounding's luck
+    assert main(["cm", "2", "--precision-bits", str(bits)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[6:] for row in rows if row[0] == "1"] == [["1728.0", "0.0"], ["0.0", "0.0"]]
+
+
 def test_latcount_beyond_memory_exits_two(monkeypatch, capsys):
     # the count array for n_max = 10^10 would take 74.5 GiB: stand in for
     # its failed allocation rather than attempt it

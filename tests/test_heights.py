@@ -86,9 +86,11 @@ def test_phi_value_at_a_stored_prime_is_kronecker_congruent_and_reads_no_j(monke
 
 
 def test_phi_value_escalates_to_an_integer_and_gives_up_at_its_cap(monkeypatch):
-    # N = 4 has no stored polynomial: the orbit product at 64 bits does not
-    # resolve Phi_4(16974593, 4913), nor does 128, and 256 bits give the
-    # integer the generator's exact Phi_4 gives
+    # N = 4 has no stored polynomial.  The float64 screen bounds
+    # log2 |Phi_4(16974593, 4913)| by 171.6, so the orbit product starts at
+    # 236 bits.  Without a trusted screen it doubles from 64 bits: 64 and
+    # 128 bits do not resolve it, and 256 bits give the integer the
+    # generator's exact Phi_4 gives
     exact = sum(
         c * 16974593**a * 4913**b
         for a, row in enumerate(modpoly.generate(4))
@@ -103,10 +105,30 @@ def test_phi_value_escalates_to_an_integer_and_gives_up_at_its_cap(monkeypatch):
 
     monkeypatch.setattr(heights, "tau_from_j", recorded)
     assert phi_value(4913, 16974593, 4, Precision(64)) == exact
+    assert attempts == [64, 236]
+    attempts.clear()
+    monkeypatch.setattr(hecke.OrbitScreen, "log2_product_bound", lambda self, z: math.nan)
+    assert phi_value(4913, 16974593, 4, Precision(64)) == exact
     assert attempts == [64, 128, 256]
     monkeypatch.setattr(heights, "_MAX_PHI_BITS", 128)
     with pytest.raises(PrecisionInsufficientError, match="by 128 bits"):
         phi_value(4913, 16974593, 4, Precision(64))
+
+
+_PHI_12 = int(
+    "220957517147931515567640209400343548676782152741127013258387355469952593"
+    "422155672487280078226160996233019664152142427400462939995794019554636408"
+    "94054632792640025742778238863970656979548369"
+)
+
+
+def test_phi_value_jumps_to_the_bits_the_screen_bounds(monkeypatch):
+    # Phi_12(2, 1) has 190 digits: doubling from 128 bits took four
+    # inversions and four orbits, up to 1024 bits; the screen's bound of
+    # about 622 bits sends the second attempt straight to 687
+    inversions = _counting(monkeypatch, heights, "tau_from_j")
+    assert phi_value(1, 2, 12, Precision(128)) == _PHI_12
+    assert [args[1].bits for args in inversions] == [128, 687]
 
 
 def test_cusp_height_frozen():

@@ -15,7 +15,6 @@ from mpmath.libmp import (
     from_man_exp,
     fzero,
     mpc_div,
-    mpc_mul,
     mpf_add,
     mpf_div,
     mpf_lt,
@@ -431,26 +430,30 @@ def test_tau_from_j_evaluates_j_about_fifteen_times(monkeypatch):
     assert sum(counts.values()) / len(counts) <= 20
 
 
-def _full_order(tau: UpperHalfPoint, prec: Precision) -> dict:
-    """The six evaluators at tau from all prec.series_terms terms of every
-    series: the evaluation before the order became per point, and the
-    oracle that the truncated kernel must match bit for bit."""
-    with mp.workprec(prec.bits + 32):
-        reduced, witness = reduce_to_fundamental_domain(tau, prec)
+def _reference(tau: UpperHalfPoint, prec: Precision) -> dict:
+    """The formulas of the six evaluators at the point tau' that the
+    reduction at prec gives, in mpc arithmetic at 2 bits + 64, each with
+    its scale |c tau + d|^-k (1 for j and the norms): the oracle of the
+    fixed-point kernel's bound.  The series keep the terms the order rule
+    keeps at 2 bits + 64, whose tail lies 2^-(2 bits + 128) |q| below."""
+    reduced, witness = reduce_to_fundamental_domain(tau, prec)
+    high = Precision(2 * prec.bits + 64)
+    terms = numerics._series_order(float(reduced.im), high)
+    with mp.workprec(high.bits + 32):
         q = mp.expjpi(2 * mpc(reduced.re, reduced.im))
         pw = [q]
-        for _ in range(prec.series_terms - 1):
+        for _ in range(terms - 1):
             pw.append(pw[-1] * q)
-        s3, s5 = numerics._sigma_tables(prec.series_terms)
-        acc4 = acc6 = mpf(0)
-        for qn, c3, c5 in zip(reversed(pw), reversed(s3), reversed(s5)):
-            acc4 = acc4 + c3 * qn
-            acc6 = acc6 + c5 * qn
-        e4, e6 = 1 + 240 * acc4, 1 - 504 * acc6
-        prod = mpf(1)
-        for qn in pw:
-            prod = prod * (1 - qn)
-        delta = (2 * mp.pi) ** 12 * q * prod**12 * prod**12
+        s3, s5 = (column[:terms] for column in numerics._sigma_tables(high.series_terms))
+        e4, e6 = 1 + 240 * mp.fdot(s3, pw), 1 - 504 * mp.fdot(s5, pw)
+        # log prod (1 - q^n) = -sum_n sigma_1(n) q^n / n
+        s1 = [0] * (len(pw) + 1)
+        for d in range(1, len(pw) + 1):
+            for m in range(d, len(pw) + 1, d):
+                s1[m] += d
+        log_prod = -mp.fdot([mpf(s1[n]) / n for n in range(1, len(pw) + 1)], pw)
+        prod24 = mp.exp(24 * log_prod)
+        delta = (2 * mp.pi) ** 12 * q * prod24
 
         def cocycle(weight):
             if witness.c == 0 and witness.d in (1, -1):
@@ -458,15 +461,18 @@ def _full_order(tau: UpperHalfPoint, prec: Precision) -> dict:
             return (witness.c * tau.to_mpc() + witness.d) ** (-weight)
 
         return {
-            eval_e4: e4 * cocycle(4),
-            eval_e6: e6 * cocycle(6),
-            eval_delta: delta * cocycle(12),
-            eval_j: e4**3 / (q * prod**12 * prod**12),
-            petersson_norm_delta: abs(delta) * reduced.im**6,
-            log_petersson_norm_delta: 12 * mp.log(2 * mp.pi)
-            - 2 * mp.pi * reduced.im
-            + 24 * mp.log(abs(prod))
-            + 6 * mp.log(reduced.im),
+            eval_e4: (e4 * cocycle(4), abs(cocycle(4))),
+            eval_e6: (e6 * cocycle(6), abs(cocycle(6))),
+            eval_delta: (delta * cocycle(12), abs(cocycle(12))),
+            eval_j: (e4**3 / (q * prod24), 1),
+            petersson_norm_delta: (abs(delta) * reduced.im**6, 1),
+            log_petersson_norm_delta: (
+                12 * mp.log(2 * mp.pi)
+                - 2 * mp.pi * reduced.im
+                + 24 * log_prod.real
+                + 6 * mp.log(reduced.im),
+                1,
+            ),
         }
 
 
@@ -486,18 +492,37 @@ def _kernel_points(bits: int, seed: int) -> list[UpperHalfPoint]:
                 UpperHalfPoint(mpf(1) / 2, t),
                 UpperHalfPoint(z.real, z.imag),
             ]
-    # off the arcs high in the cusp, where mpc_pow_int takes exp(12 log prod)
+    # off the arcs high in the cusp, where q rounds to 0 in fixed point
     points += [UpperHalfPoint(rng.uniform(-0.5, 0.5), t) for t in (80, 300, 600)]
     return points + _random_points(seed, 12, im_lo=0.05, im_hi=40.0)
 
 
-@pytest.mark.parametrize("bits", [64, 128, 256])
-def test_truncated_series_match_the_full_order_bit_for_bit(bits):
+@pytest.mark.parametrize("bits", [64, 128, 256, 1024])
+def test_series_lie_within_the_bound_of_a_high_precision_reference(bits):
+    # the bound of numerics._series: 2^-(bits + 24) max(|v|, |c tau + d|^-k)
     prec = Precision(bits)
     for tau in _kernel_points(bits, 1000 + bits):
-        for fn, want in _full_order(tau, prec).items():
+        for fn, (want, scale) in _reference(tau, prec).items():
             got = fn(tau, prec)
-            assert (got.real, got.imag) == (want.real, want.imag), (fn.__name__, tau)
+            with mp.workprec(2 * bits + 96):
+                err = abs(got - want)
+                assert err <= mpf(2) ** -(bits + 24) * max(abs(want), scale), (
+                    fn.__name__, tau, mp.nstr(err, 5))
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128, 256, 1024])
+def test_j_is_real_where_re_tau_is_zero_or_one_half(bits):
+    # there q is real, so every fixed-point part Im is exactly 0
+    prec = Precision(bits)
+    for t in ("1.01", "1.7", "12.5", "90"):
+        with mp.workprec(bits + 32):
+            im = mpf(t)
+            points = [UpperHalfPoint(x, im) for x in (0, 0.5, -0.5, 2.5, -7)]
+            points.append(UpperHalfPoint(0, 1 / im))
+        for tau in points:
+            reduced, _ = reduce_to_fundamental_domain(tau, prec)
+            assert abs(reduced.re) in (0, 0.5), tau
+            assert eval_j(tau, prec).imag == 0, (bits, tau)
 
 
 def test_series_order_shrinks_up_the_cusp():
@@ -742,12 +767,6 @@ def test_integer_kernel_steps_are_the_libmpf_operations(bits):
         want = mpf_add(_mpf(x), _mpf(y), wp, "n")
         assert _mpf(numerics._add(*x, *y, wp)) == want, (x, y)
         assert numerics._add(*x, *y, wp) == numerics._add(*y, *x, wp)
-    # the complex product, parts paired from the same cases
-    for (a, b), (c, d) in zip(cases[0::2], cases[1::2]):
-        z, w = a + b, c + d
-        want = mpc_mul((_mpf(a), _mpf(b)), (_mpf(c), _mpf(d)), wp, "n")
-        got = numerics._mul(z, w, wp)
-        assert (_mpf(got[:2]), _mpf(got[2:])) == want, (z, w)
     # the integer product mpf_mul_int: an exact product, then _round
     s3, s5 = numerics._sigma_tables(45)
     for (x, _), n in zip(cases, [*s3, *s5, 240, 504, -504, 1, 0] * 40):
