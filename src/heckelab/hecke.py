@@ -15,11 +15,9 @@ from mpmath import mp, mpc, mpf
 
 from .arith import TripleRows, prime_divisors
 from .numerics import (
-    _GUARD,
     DEFAULT_PRECISION,
     Precision,
     UpperHalfPoint,
-    _moebius_step,
     eval_j,
     log_j_float64,
     reduce_to_fundamental_domain,
@@ -64,11 +62,11 @@ class OrbitPoint:
 class OrbitPoints(Sequence):
     """The exact tier of an orbit, in coset order.
 
-    Point i is built on first access, by the Moebius step
-    (alpha*tau + beta)/delta at working precision and then
-    reduce_to_fundamental_domain, both on integer mantissas with mpc
-    arithmetic's rounding, and kept; len() builds nothing.  A slice
-    returns a list of points.
+    Point i is built on first access, by one call of
+    reduce_to_fundamental_domain with start = (alpha, beta, 0, delta): the
+    exact reduction of (alpha*tau + beta)/delta, rounded once at working
+    precision.  It is kept; len() builds nothing.  A slice returns a list
+    of points.
     """
 
     __slots__ = ("_base", "_cosets", "_prec", "_built")
@@ -103,12 +101,11 @@ class OrbitPoints(Sequence):
         return iter(self._built)
 
     def _build(self, indices) -> None:
-        prec = self._prec
-        wp = prec.bits + _GUARD
+        base, prec = self._base, self._prec
         for i in indices:
             rep = self._cosets[i]
-            moved = _moebius_step(self._base, rep.alpha, rep.beta, rep.delta, wp)
-            reduced, _ = reduce_to_fundamental_domain(moved, prec)
+            start = (rep.alpha, rep.beta, 0, rep.delta)
+            reduced, _ = reduce_to_fundamental_domain(base, prec, start=start)
             self._built[i] = OrbitPoint(rep, reduced, prec)
 
 

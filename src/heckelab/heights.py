@@ -146,9 +146,11 @@ def phi_value(y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION) -> in
     For a prime N <= 31 it is the stored classical modular polynomial
     evaluated exactly (modpoly), and prec is not read.  Any other N takes
     the orbit product, at bits + 32 bits from a base point tau_y good to
-    bits.  The bits start at prec.bits, or at 64 above the float64 screen's
-    bound on log2 prod (|z| + |j_i|) at the base point for prec.bits when
-    that is higher and every screen point is trusted.  The product is
+    bits.  The bits start at prec.bits.  When every screen point is
+    trusted and need, 64 above the float64 screen's bound on
+    log2 prod (|z| + |j_i|) at the base point for prec.bits, is higher, the
+    bits jump to need: at once when need exceeds prec.bits + 64, otherwise
+    after the orbit at prec.bits has been tried.  The product is
     accepted only once it is below 2^bits in size, its real part lies
     within 2^-16 of an integer and its imaginary part within 2^-16 of 0;
     otherwise the bits are doubled, and past _MAX_PHI_BITS it raises
@@ -162,8 +164,10 @@ def phi_value(y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION) -> in
     bits = prec.bits
     orbit = HeckeOrbit(tau_from_j(y, prec), n, prec)
     need = orbit.screen.log2_product_bound(z) + _PHI_MARGIN_BITS
-    if need > bits:  # False for NaN, at an untrusted point
-        bits, orbit = min(math.ceil(need), _MAX_PHI_BITS), None
+    # comparisons with NaN, at an untrusted point, are False
+    jump = min(math.ceil(need), _MAX_PHI_BITS) if need > bits else None
+    if need > bits + _PHI_MARGIN_BITS:  # the bound exceeds the caller's bits
+        bits, orbit, jump = jump, None, None
     while bits <= _MAX_PHI_BITS:
         attempt = Precision(bits)
         with mp.workprec(bits + _GUARD):
@@ -177,7 +181,7 @@ def phi_value(y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION) -> in
                 and abs(prod.imag) < _PHI_TOL
             ):
                 return nearest
-        bits, orbit = 2 * bits, None
+        bits, orbit, jump = jump or 2 * bits, None, None
     raise PrecisionInsufficientError(
         f"phi({y}, {z}, N={n}) did not resolve to an integer by {_MAX_PHI_BITS} bits"
     )

@@ -7,9 +7,9 @@ the E4 sum, the E6 sum and the Euler product in fixed point, truncated at
 each point's own |q|, within an a-priori error bound.  Values at unreduced
 points are recovered through the weight-k cocycle (c*tau + d)^(-k).
 
-The reduction loop and the Moebius step that builds an orbit point run on
-Python-int mantissas, each step rounded exactly as the mpmath operation it
-replaces rounds, so the reduced points are mpmath's bit for bit.
+The reduction decides on exact integers: the Hecke orbit hands it a base
+point and a coset matrix, and it rounds only the reduced image, once, so
+each point is the correctly rounded image of the exact one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     from_man_exp,
-    mpf_cos_sin_pi,
+    fzero,
     mpf_div,
     mpf_exp,
     mpf_mul,
@@ -31,8 +31,11 @@ from mpmath.libmp import (
     mpf_pi,
     mpf_pos,
     mpf_shift,
+    pi_fixed,
     round_nearest,
+    to_float,
 )
+from mpmath.libmp.libelefun import cos_sin_fixed
 
 # Guard bits added on top of the requested precision for internal work.
 _GUARD = 32
@@ -154,76 +157,94 @@ _IDENTITY = ModularMatrix(1, 0, 0, 1)
 
 
 def reduce_to_fundamental_domain(
-    tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION
+    tau: UpperHalfPoint,
+    prec: Precision = DEFAULT_PRECISION,
+    start: tuple[int, int, int, int] = (1, 0, 0, 1),
 ) -> tuple[UpperHalfPoint, ModularMatrix]:
-    """Reduce tau into |Re| <= 1/2, |tau| >= 1 and return the witness.
+    """Reduce start * tau into |Re| <= 1/2, |tau| >= 1 and return the witness.
 
-    The witness gamma is in SL2(Z) and satisfies gamma * tau = reduced
-    point, rounded at the working precision wp = bits + _GUARD.  A point
-    with |Re| < 1/2 - 2^-40 and |tau|^2 > 1 + 2^-40 in float64 is returned
-    at once, with the identity witness, as the loop would return it.
+    start = (A, B, C, D) is an integer matrix of positive determinant, the
+    identity by default; the Hecke orbit passes its coset (alpha, beta, 0,
+    delta).  The witness gamma is in SL2(Z), and the point returned is
+    gamma * (start * tau), each part rounded once, to nearest, to the
+    working precision wp = bits + _GUARD.
 
-    The loop runs on integer mantissas, and each step gives what the mpc
-    loop at wp bits gives: n = nint(Re z), ties to even (mpf_nint); z - n
-    on the real part (mpf_sub); |z|^2 from two products and a sum at wp
-    bits, compared exactly with 1 - 2^-(wp - 8); and -1/z, as
-    libmpc.mpc_div((-1, 0), z).  A point within 2^-(wp - 8) of the arc
-    |tau| = 1 is not inverted, or rounding could trap the loop in a
-    two-cycle across it.  A point with Im tau = +inf is only translated;
-    an infinite or NaN Re tau raises ValueError.
+    Every decision is exact.  With tau = (x + iy)/s, x and y integers and
+    s a power of two, z = P/Q for the Gaussian integers P = A(x + iy) + Bs
+    and Q = C(x + iy) + Ds.  The loop translates by n = nint(Re z), ties
+    to even, and inverts z -> -1/z while |P|^2 < (1 - 2^-(wp - 8)) |Q|^2: a
+    point within 2^-(wp - 8) of the arc |tau| = 1 is not inverted.  Only
+    the result is rounded, from Re z = Re(P conj Q)/|Q|^2 and
+    Im z = det(start) s y/|Q|^2.
+
+    With the identity start, a point with |Re| < 1/2 - 2^-40 and
+    |tau|^2 > 1 + 2^-40 in float64 is returned at once, as the loop would
+    return it.  A point with Im tau = +inf is only translated (start must
+    then have C = 0); an infinite or NaN Re tau raises ValueError.
     """
     wp = prec.bits + _GUARD
-    x, y = float(tau.re), float(tau.im)
-    if abs(x) < 0.5 - _INSIDE_MARGIN and x * x + y * y > 1 + _INSIDE_MARGIN:
-        if tau.re._mpf_[3] <= wp and tau.im._mpf_[3] <= wp:
-            return tau, _IDENTITY
-        # the parts rounded to wp bits, as mpf() at wp bits rounds them
-        re, im = (mpf_pos(part._mpf_, wp, round_nearest) for part in (tau.re, tau.im))
-        return UpperHalfPoint._of_raw(re, im), _IDENTITY
-    re, im = _parts(tau.re, wp), _parts(tau.im, wp)
-    if re is None:
+    re, im = tau.re._mpf_, tau.im._mpf_
+    sign, xm, xe, _ = re
+    if not xm and xe:
         raise ValueError(f"cannot reduce a point whose Re tau = {tau.re} is not finite")
-    xm, xe = re
-    if im is None:  # Im tau = +inf: never below the arc
-        n = _nint(xm, xe)
-        re = from_man_exp(*_add(xm, xe, *_int(-n), wp))
-        return UpperHalfPoint._of_raw(re, tau.im._mpf_), ModularMatrix(1, -n, 0, 1)
-    ym, ye = im
+    A, B, C, D = start
+    infinite = not im[1] and im[2]  # Im tau = +inf: only translated
+    if infinite and C:
+        raise ValueError("a start with C != 0 sends Im tau = +inf to the real line")
+    if start == (1, 0, 0, 1):
+        fx, fy = _float(re), _float(im)
+        if abs(fx) < 0.5 - _INSIDE_MARGIN and fx * fx + fy * fy > 1 + _INSIDE_MARGIN:
+            if re[3] <= wp and im[3] <= wp:
+                return tau, _IDENTITY
+            re, im = mpf_pos(re, wp, round_nearest), mpf_pos(im, wp, round_nearest)
+            return UpperHalfPoint._of_raw(re, im), _IDENTITY
+    _, ym, ye, _ = (0, 0, 0, 0) if infinite else im
+    e = min(xe, ye, 0)  # tau = (x + iy)/s, y = 0 standing in for +inf
+    x, y, s = (-xm if sign else xm) << (xe - e), ym << (ye - e), 1 << -e
+    pr, pi, qr, qi = A * x + B * s, A * y, C * x + D * s, C * y
+    p2, q2 = pr * pr + pi * pi, qr * qr + qi * qi
     a, b, c, d = 1, 0, 0, 1
     for _ in range(_MAX_REDUCTION_STEPS):
-        n = _nint(xm, xe)
+        num = pr * qr + pi * qi  # Re z = num / q2
+        n = _nearest(num, q2)
         if n:
-            xm, xe = _add(xm, xe, *_int(-n), wp)
+            pr, pi = pr - n * qr, pi - n * qi
+            p2, num = pr * pr + pi * pi, num - n * q2
             a, b = a - n * c, b - n * d
-        if _below_arc(xm, xe, ym, ye, wp):
-            xm, xe, ym, ye = _neg_inv(xm, xe, ym, ye, wp)
-            a, b, c, d = -c, -d, a, b
-        else:
-            point = UpperHalfPoint._of_raw(from_man_exp(xm, xe), from_man_exp(ym, ye))
-            return point, ModularMatrix(a, b, c, d)
+        if infinite or (q2 - p2) << (wp - 8) <= q2:  # |z|^2 >= 1 - 2^-(wp - 8)
+            re = _quotient(num, q2, wp)
+            im = im if infinite else _quotient((A * D - B * C) * s * y, q2, wp)
+            return UpperHalfPoint._of_raw(re, im), ModularMatrix(a, b, c, d)
+        pr, pi, qr, qi, p2, q2 = -qr, -qi, pr, pi, q2, p2
+        a, b, c, d = -c, -d, a, b
     raise ArithmeticError("fundamental-domain reduction did not terminate")
 
 
-def _moebius_step(
-    tau: UpperHalfPoint, alpha: int, beta: int, delta: int, wp: int
-) -> UpperHalfPoint:
-    """(alpha*tau + beta)/delta for positive alpha and delta, as mpc
-    arithmetic at wp bits gives it from tau.to_mpc(): each part rounded to
-    wp bits, times alpha (mpf_mul_int), beta added to the real part
-    (mpf_add) and each part divided by delta (mpf_div).  An infinite or NaN
-    part stays as it is, as in mpc arithmetic."""
-    den = _int(delta)
-    parts = []
-    for x, shift in ((tau.re, beta), (tau.im, 0)):
-        finite = _parts(x, wp)
-        if finite is None:
-            parts.append(x._mpf_)
-            continue
-        man, exp = _round(finite[0] * alpha, finite[1], wp)
-        if shift:
-            man, exp = _add(man, exp, *_int(shift), wp)
-        parts.append(from_man_exp(*_div(man, exp, *den, wp)))
-    return UpperHalfPoint._of_raw(*parts)
+def _nearest(num: int, den: int) -> int:
+    """The integer nearest num/den, den > 0, ties to even."""
+    n, rem = divmod(2 * num + den, 2 * den)
+    return n - 1 if not rem and n & 1 else n
+
+
+def _quotient(num: int, den: int, wp: int, exp: int = 0) -> tuple:
+    """num 2^exp / den, den > 0, as a raw mpf rounded to nearest at wp bits:
+    mpf_div of the integers as raw tuples, skipping from_int's stripping of
+    trailing zeros.  mpf_div needs none, unless the divisor's mantissa is 1
+    (it then skips its own), so the divisor goes in as 2 den 2^-1."""
+    if not num:
+        return fzero
+    dividend = (1 if num < 0 else 0, abs(num), exp + 1, abs(num).bit_length())
+    return mpf_div(dividend, (0, den << 1, 0, den.bit_length() + 1), wp, round_nearest)
+
+
+def _float(part: tuple) -> float:
+    """The raw mpf part as a float64, rounded to nearest as float(mpf)
+    rounds it: float(int) is correctly rounded below 2^1024."""
+    sign, man, exp, bc = part
+    if not man or bc > 1000 or exp + bc > 1000:  # rare: a special value or a huge one
+        return to_float(part, rnd=round_nearest)
+    x = math.ldexp(man, exp)
+    return -x if sign else x
 
 
 @lru_cache(maxsize=64)
@@ -272,163 +293,6 @@ def _series_order(im: float, prec: Precision) -> int:
     return cap
 
 
-# -- the reduction on integer mantissas --------------------------------------
-#
-# A real is a pair (man, exp) of Python ints worth man * 2^exp, the sign in
-# man and man odd or zero, as in mpmath's raw mpf tuples.  Each step returns
-# what the libmpf operation it replaces returns at wp bits.
-
-
-def _round(man: int, exp: int, wp: int) -> tuple[int, int]:
-    """man * 2^exp rounded half to even to wp bits, trailing zero bits
-    stripped: libmpf._normalize on a signed mantissa.  _round(man * n, exp,
-    wp) is libmpf.mpf_mul_int, an exact product and then this rounding.
-
-    With man = k 2^n + r, 0 <= r < 2^n (>> floors, whatever the sign),
-    adding 2^(n-1) - 1 + (k & 1) before the shift carries into k exactly
-    when r > 2^(n-1), or r = 2^(n-1) and k is odd: half to even, which is
-    symmetric in the sign, as mpmath's rounding of the magnitude is.
-    """
-    if not man:
-        return 0, 0
-    n = man.bit_length() - wp
-    if n > 0:
-        man = (man + (1 << (n - 1)) - 1 + ((man >> n) & 1)) >> n
-        exp += n
-    if not man & 1:
-        zeros = (man & -man).bit_length() - 1
-        man >>= zeros
-        exp += zeros
-    return man, exp
-
-
-def _add(m1: int, e1: int, m2: int, e2: int, wp: int) -> tuple[int, int]:
-    """libmpf.mpf_add on finite values, sticky shortcut included: when the
-    exponents differ by more than 100 and the magnitudes by more than wp + 4
-    bits, the smaller term only moves the larger one by one unit
-    2^-(wp + 4) below its last bit, towards the smaller term's sign.  The
-    rounding is _round's, inline: this is the reduction's hottest step."""
-    if not m1:
-        man, exp = m2, e2
-    elif not m2:
-        man, exp = m1, e1
-    else:
-        if e1 < e2:
-            m1, e1, m2, e2 = m2, e2, m1, e1
-        offset = e1 - e2
-        if offset > 100 and m1.bit_length() + offset - m2.bit_length() > wp + 4:
-            man, exp = (m1 << (wp + 4)) + (1 if m2 > 0 else -1), e1 - wp - 4
-        else:
-            man, exp = (m1 << offset) + m2, e2
-    n = man.bit_length() - wp
-    if n > 0:
-        man = (man + (1 << (n - 1)) - 1 + ((man >> n) & 1)) >> n
-        exp += n
-    if not man & 1:
-        if not man:
-            return 0, 0
-        zeros = (man & -man).bit_length() - 1
-        man >>= zeros
-        exp += zeros
-    return man, exp
-
-
-def _parts(x: mpf, wp: int) -> tuple[int, int] | None:
-    """(man, exp) of x rounded to wp bits, as mpf(x) rounds it; None for an
-    infinity or NaN, whose raw mantissa is 0 as a zero's is."""
-    sign, man, exp, _ = x._mpf_
-    if not man and exp:
-        return None
-    return _round(-man if sign else man, exp, wp)
-
-
-def _int(n: int) -> tuple[int, int]:
-    """(man, exp) of the integer n, exactly: libmpf.from_int."""
-    if not n:
-        return 0, 0
-    zeros = (n & -n).bit_length() - 1
-    return n >> zeros, zeros
-
-
-def _nint(man: int, exp: int) -> int:
-    """The integer nearest man * 2^exp, ties to even: libmpf.mpf_nint, whose
-    |x| < 1 case (+-1/2 -> 0, otherwise nearest) is this rounding too."""
-    if exp >= 0:
-        return man << exp
-    n = -exp
-    return (man + (1 << (n - 1)) - 1 + ((man >> n) & 1)) >> n
-
-
-def _div(m1: int, e1: int, m2: int, e2: int, wp: int) -> tuple[int, int]:
-    """libmpf.mpf_div, m2 nonzero: a divisor whose mantissa is +-1 is a
-    shift, rounded; otherwise the quotient gets max(5, wp - bits(m1) +
-    bits(m2) + 5) extra bits, then a sticky 1 bit when the division leaves
-    a remainder, and is rounded to wp bits."""
-    if not m1:
-        return 0, 0
-    s, t = abs(m1), abs(m2)
-    negative = (m1 < 0) != (m2 < 0)
-    if t == 1:
-        return _round(-s if negative else s, e1 - e2, wp)
-    extra = max(5, wp - s.bit_length() + t.bit_length() + 5)
-    quot, rem = divmod(s << extra, t)
-    if rem:
-        quot = (quot << 1) | 1
-        extra += 1
-    return _round(-quot if negative else quot, e1 - e2 - extra, wp)
-
-
-def _below_arc(xm: int, xe: int, ym: int, ye: int, wp: int) -> bool:
-    """|z|^2 < 1 - 2^-(wp - 8), z = x + iy, y > 0, with |z|^2 the sum of two
-    products at wp bits, as mpf arithmetic forms it, compared exactly.
-    y >= 1, or |x| and y below 1/2, settle it from the sizes alone: the
-    rounding is monotone, and 1/4 and 1 are representable."""
-    top = ym.bit_length() + ye  # 2^(top - 1) <= y < 2^top
-    if top > 0:
-        return False
-    if top < 0 and xm.bit_length() + xe < 0:
-        return True
-    man, exp = _add(*_round(xm * xm, 2 * xe, wp), *_round(ym * ym, 2 * ye, wp), wp)
-    top = man.bit_length() + exp
-    if top:
-        return top < 0
-    # in [1/2, 1): compare man 2^(exp + wp - 8) with 2^(wp - 8) - 1
-    shift, bound = exp + wp - 8, (1 << (wp - 8)) - 1
-    return man << shift < bound if shift >= 0 else man < bound << -shift
-
-
-def _norm_down(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple[int, int]:
-    """x^2 + y^2, y != 0, as libmpc.mpc_div forms it: the mpf_add of the
-    exact squares at prec bits with libmpf's default rounding round_fast,
-    which is round_down (truncation), not to nearest; _add's sticky
-    shortcut included."""
-    m1, e1, m2, e2 = xm * xm, 2 * xe, ym * ym, 2 * ye
-    if not m1:
-        man, exp = m2, e2
-    else:
-        if e1 < e2:
-            m1, e1, m2, e2 = m2, e2, m1, e1
-        offset = e1 - e2
-        if offset > 100 and m1.bit_length() + offset - m2.bit_length() > prec + 4:
-            man, exp = (m1 << (prec + 4)) + 1, e1 - prec - 4
-        else:
-            man, exp = (m1 << offset) + m2, e2
-    n = man.bit_length() - prec
-    if n > 0:
-        man >>= n
-        exp += n
-    zeros = (man & -man).bit_length() - 1
-    return man >> zeros, exp + zeros
-
-
-def _neg_inv(xm: int, xe: int, ym: int, ye: int, wp: int) -> tuple[int, int, int, int]:
-    """-1/z, z = x + iy with y != 0, as libmpc.mpc_div((-1, 0), z, wp) gives
-    it: -x and y, each divided by the norm (_norm_down at wp + 10 bits) by
-    mpf_div at wp bits."""
-    norm = _norm_down(xm, xe, ym, ye, wp + 10)
-    return _div(-xm, xe, *norm, wp) + _div(ym, ye, *norm, wp)
-
-
 # -- the q-series in fixed point ---------------------------------------------
 #
 # A complex number is a pair (x, y) of Python ints worth (x + iy) 2^-W, and a
@@ -452,16 +316,6 @@ def _kernel_tables(prec: Precision) -> tuple[int, tuple, tuple, tuple]:
     return prec.bits + _GUARD + weight.bit_length(), s3, s5, tuple(pentagonal)
 
 
-def _fixed(part: tuple, w: int) -> int:
-    """The finite raw mpf part in units 2^-w, rounded to nearest."""
-    sign, man, exp, bc = part
-    shift = exp + w
-    if bc + shift < 0:  # below half a unit
-        return 0
-    n = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
-    return -n if sign else n
-
-
 def _fmul(a: int, b: int, c: int, d: int, w: int) -> tuple[int, int]:
     """(a + ib)(c + id) in units 2^-w, rounded to nearest."""
     half = 1 << (w - 1)
@@ -476,17 +330,21 @@ def _to_mpc(z: tuple[int, int], w: int) -> tuple:
 def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=False):
     """The one q-series pass behind every evaluator, in fixed point.
 
-    Reduces tau and forms q = r u at the reduced point tau' as
-    mpc_expjpi(2 tau') does at W bits, r = e^(-2 pi Im tau') and u =
-    e^(2 pi i Re tau'); then, to the order T of _series_order, the series
-    asked for: E4 = 1 + 240 sum sigma_3(n) q^n, E6 = 1 - 504 sum sigma_5(n)
-    q^n and prod (1 - q^n), a signed sum of the powers at the pentagonal
-    exponents.  The powers q^n come by repeated multiplication, up to the
-    first that rounds to 0.  Returns (reduced, witness, W, r, u, E4, E6,
-    prod): r a raw mpf, the rest in fixed point or None if not asked for.
+    Reduces tau and forms q = r u at the reduced point tau', with r =
+    e^(-2 pi Im tau') an mpf at W + 10 bits and u = e^(2 pi i Re tau')
+    from cos_sin_fixed at W + 20 bits, taken at |Re tau'| as sin is odd
+    (u = +-1 exactly at Re tau' = 0 and +-1/2); then, to the order T of
+    _series_order, the series asked for: E4 = 1 + 240 sum sigma_3(n) q^n,
+    E6 = 1 - 504 sum sigma_5(n) q^n and prod (1 - q^n), a signed sum of
+    the powers at the pentagonal exponents.  The powers q^n come by
+    repeated multiplication, up to the first that rounds to 0.  Returns
+    (reduced, witness, W, r, u, E4, E6, prod): r a raw mpf, the rest in
+    fixed point or None if not asked for.
 
-    Error bound, in units 2^-W.  q and u are rounded to the grid, and each
-    power is within 1 unit (|q| <= 0.0044 damps what q^(n-1) carries).  So
+    Error bound, in units 2^-W.  q and u lie within 1/2 + 2^-12 units (the
+    angle and cos_sin_fixed are good to 2^8 units at W + 20 bits; 15 was
+    the worst measured), and each power is within 1 unit (|q| <= 0.0044
+    damps what q^(n-1) carries).  So
     the E4 sum is within e = 240 S3, the E6 sum within 504 S5 and the
     product within T, S_k = sum_(n<=T) sigma_k(n); the tail adds
     2^-(bits + 64) |q|.  As |E4| <= 2.1 and 0.89 <= |prod|^24 <= 1.12,
@@ -504,11 +362,25 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     two_im = mpf_shift(reduced.im._mpf_, 1)
     wpe = w + 10 + max(0, two_im[2] + two_im[3])
     r = mpf_exp(mpf_neg(mpf_mul(mpf_pi(wpe), two_im, wpe)), w + 10)
-    c, s = mpf_cos_sin_pi(mpf_shift(reduced.re._mpf_, 1), w + 10)
-    qx, qy = x, y = _fixed(mpf_mul(r, c), w), _fixed(mpf_mul(r, s), w)
+    negative, man, exp, _ = reduced.re._mpf_
+    if not man or exp == -1:  # Re tau' = 0 or +-1/2 (man is odd)
+        c, s = (-1 if man else 1) << (w + 20), 0
+    else:  # 2 pi |Re tau'| in units 2^-(w + 20): |Re tau'| <= 1/2, so exp <= -2
+        c, s = cos_sin_fixed((man * pi_fixed(w + 30)) >> (9 - exp), w + 20)
+    u = (c + (1 << 19)) >> 20, (s + (1 << 19)) >> 20
+    _, rm, rexp, rbc = r  # q = r u in units 2^-w
+    if rexp + rbc + w < -1:  # r < 2^-(w + 1): q rounds to 0
+        qx = qy = 0
+    else:
+        shift = 20 - rexp
+        half = 1 << (shift - 1)
+        qx, qy = (rm * c + half) >> shift, (rm * s + half) >> shift
+    if negative:
+        qy, u = -qy, (u[0], -u[1])
+    x, y = qx, qy
     half = 1 << (w - 1)
     xs, ys = [x], [y]
-    for _ in range(_series_order(float(reduced.im), prec) - 1):
+    for _ in range(_series_order(_float(reduced.im._mpf_), prec) - 1):
         x, y = (x * qx - y * qy + half) >> w, (x * qy + y * qx + half) >> w
         if not (x or y):
             break  # every higher power rounds to 0 as well
@@ -523,7 +395,6 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     if euler:
         kept = [(sign, n - 1) for n, sign in pentagonal if n <= len(xs)]
         prod = one + sum(k * xs[i] for k, i in kept), sum(k * ys[i] for k, i in kept)
-    u = _fixed(c, w), _fixed(s, w)
     return reduced, witness, w, r, u, e4_val, e6_val, prod
 
 
@@ -556,7 +427,9 @@ _MAX_POWER_IM = 2**20
 def _prod24(reduced: UpperHalfPoint, prod: tuple[int, int], w: int) -> tuple[int, int]:
     """prod^24 in fixed point, by four squarings and one product;
     PrecisionOverflowError above the reduced Im tau = _MAX_POWER_IM."""
-    if reduced.im > _MAX_POWER_IM:
+    _, man, exp, bc = reduced.im._mpf_
+    # Im tau' in [2^(exp + bc - 1), 2^(exp + bc)) above 2^20, or +inf
+    if exp + bc > 21 or (exp + bc == 21 and man != 1) or not man:
         raise PrecisionOverflowError(
             f"reduced Im tau = {mp.nstr(reduced.im, 8)} is above the cap 2^20 = "
             f"{_MAX_POWER_IM}: its rounding, times 2 pi, would reach the last bits"
@@ -600,7 +473,8 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     norm2 = 2 * (dx * dx + dy * dy)
     rx = (((nx * dx + ny * dy) << (w + 1)) + norm2 // 2) // norm2
     ry = (((ny * dx - nx * dy) << (w + 1)) + norm2 // 2) // norm2
-    re, im = (mpf_div(x, r, wp, round_nearest) for x in _to_mpc((rx, ry), w))
+    _, rm, rexp, _ = r
+    re, im = (_quotient(x, rm, wp, -w - rexp) for x in (rx, ry))
     return mp.make_mpc((re, im))
 
 
@@ -615,16 +489,22 @@ def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISIO
 def log_petersson_norm_delta(
     tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION
 ) -> mpf:
-    """log || Delta ||(tau), computed without under/overflow at large Im."""
-    with mp.workprec(prec.bits + _GUARD):
-        reduced, _, w, _, _, _, _, prod = _series(tau, prec, euler=True)
+    """log || Delta ||(tau), computed without under/overflow at large Im.
+
+    The four log terms are summed at 16 bits over the working precision
+    and the sum rounded to it once: near a zero of log || Delta || (Im tau'
+    about 5.1) terms some 30 in size cancel."""
+    wp = prec.bits + _GUARD
+    reduced, _, w, _, _, _, _, prod = _series(tau, prec, euler=True)
+    with mp.workprec(wp + 16):
         # log|q| = -2 pi Im(tau'), assembled in logs so 10000i stays finite
-        return (
+        total = (
             12 * mp.log(2 * mp.pi)
             - 2 * mp.pi * reduced.im
             + 24 * mp.log(abs(mp.make_mpc(_to_mpc(prod, w))))
             + 6 * mp.log(reduced.im)
         )
+    return mp.make_mpf(mpf_pos(total._mpf_, wp, round_nearest))
 
 
 def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:

@@ -1,51 +1,71 @@
-from types import SimpleNamespace
+from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from heckelab import numerics
 from heckelab.hecke import coset_reps
 from heckelab.numerics import ModularMatrix, UpperHalfPoint, eval_j
 
 
-def mpc_moebius(tau, alpha, beta, delta, wp):
-    """(alpha*tau + beta)/delta in mpc arithmetic at wp bits: the oracle of
-    the integer Moebius step."""
-    with mp.workprec(wp):
-        w = (alpha * tau.to_mpc() + beta) / delta
-        return UpperHalfPoint(w.real, w.imag)
+def _fraction(x) -> Fraction:
+    """The finite mpf x as an exact rational."""
+    sign, man, exp, _ = x._mpf_
+    value = man * Fraction(2) ** exp
+    return -value if sign else value
 
 
-def mpc_reduce(tau, prec):
-    """The reduction loop in mpc arithmetic at the working precision, with
-    no float64 fast exit: the oracle of reduce_to_fundamental_domain."""
+def _rounded(value: Fraction, wp: int):
+    """value rounded to nearest, ties to even, to wp significant bits."""
+    if not value:
+        return mp.zero
+    num, den = abs(value).numerator, abs(value).denominator
+    k = num.bit_length() - den.bit_length()  # 2^k <= |value| < 2^(k + 1) after the fix
+    if Fraction(num, den) < Fraction(2) ** k:
+        k -= 1
+    man = round(value * Fraction(2) ** (wp - 1 - k))  # Fraction rounds ties to even
+    return mp.make_mpf(from_man_exp(man, k + 1 - wp))
+
+
+def exact_reduce(tau, prec, start=(1, 0, 0, 1)):
+    """The reduction of start * tau on exact rationals, with no float64
+    fast exit: translate by the nearest integer (ties to even), invert
+    while |z|^2 < 1 - 2^-(wp - 8), then round each part once to wp bits.
+    The oracle of reduce_to_fundamental_domain."""
     wp = prec.bits + numerics._GUARD
-    with mp.workprec(wp):
-        threshold = 1 - mpf(2) ** (-(wp - 8))
-        z = tau.to_mpc()
-        a, b, c, d = 1, 0, 0, 1
-        for _ in range(numerics._MAX_REDUCTION_STEPS):
-            n = int(mp.nint(z.real))
-            if n:
-                z = z - n
-                a, b = a - n * c, b - n * d
-            if z.real * z.real + z.imag * z.imag < threshold:
-                z = -1 / z
-                a, b, c, d = -c, -d, a, b
-            else:
-                return UpperHalfPoint(z.real, z.imag), ModularMatrix(a, b, c, d)
-        raise ArithmeticError("fundamental-domain reduction did not terminate")
+    A, B, C, D = start
+    x = _fraction(tau.re)
+    if mp.isinf(tau.im):  # only translated
+        re = (A * x + B) / D
+        n = round(re)
+        return UpperHalfPoint(_rounded(re - n, wp), tau.im), ModularMatrix(1, -n, 0, 1)
+    y = _fraction(tau.im)
+    # z = (A tau + B) / (C tau + D), a pair of rationals
+    pr, pi, qr, qi = A * x + B, A * y, C * x + D, C * y
+    norm = qr * qr + qi * qi
+    zr, zi = (pr * qr + pi * qi) / norm, (pi * qr - pr * qi) / norm
+    threshold = 1 - Fraction(1, 2 ** (wp - 8))
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(numerics._MAX_REDUCTION_STEPS):
+        n = round(zr)
+        zr, a, b = zr - n, a - n * c, b - n * d
+        norm = zr * zr + zi * zi
+        if not norm < threshold:
+            point = UpperHalfPoint(_rounded(zr, wp), _rounded(zi, wp))
+            return point, ModularMatrix(a, b, c, d)
+        zr, zi = -zr / norm, zi / norm
+        a, b, c, d = -c, -d, a, b
+    raise ArithmeticError("fundamental-domain reduction did not terminate")
 
 
 def _reference_orbit(tau, n, prec, with_j=True):
-    """T_N * tau point by point in mpmath: the Moebius step
-    (alpha*tau + beta)/delta at working precision, reduction, then eval_j.
-    Returns (reduced point, j or None) pairs in coset order."""
-    wp = prec.bits + numerics._GUARD
+    """T_N * tau point by point: the exact reduction of
+    (alpha*tau + beta)/delta, then eval_j.  Returns (reduced point, j or
+    None) pairs in coset order."""
     out = []
     for rep in coset_reps(n):
-        moved = mpc_moebius(tau, rep.alpha, rep.beta, rep.delta, wp)
-        reduced, _ = mpc_reduce(moved, prec)
+        reduced, _ = exact_reduce(tau, prec, (rep.alpha, rep.beta, 0, rep.delta))
         out.append((reduced, eval_j(reduced, prec) if with_j else None))
     return out
 
@@ -56,5 +76,5 @@ def reference_orbit():
 
 
 @pytest.fixture
-def mpc_oracle():
-    return SimpleNamespace(moebius=mpc_moebius, reduce=mpc_reduce)
+def exact_reduction():
+    return exact_reduce

@@ -2,6 +2,8 @@ import argparse
 import csv
 import io
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +77,28 @@ def test_orbit_table(capsys):
     jvals = sorted(float(r["j_re"]) for r in rows)
     assert any(abs(j - 1728) < 1e-6 for j in jvals)  # j(i) is 2-isogenous
     assert jvals[-1] > 8e10  # j(4i)
+
+
+def test_orbit_points_on_the_symmetry_lines_print_exact_zeros(capsys):
+    # T_12 i meets Re tau' = 0 and Re tau' = -1/2 exactly: the reduction
+    # decides on the exact cosets, so tau_re and Im j print as 0.0, not as
+    # the noise a rounded Moebius step left (1e-48 and 1e-43)
+    assert main(["orbit", "i", "12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[6:8] == [
+        "1,5,12,0.0,1.5,13151.676683048850279795938820954,0.0",
+        "1,6,12,-0.5,3.0,-153552191.39672888276204357290299,0.0",
+    ]
+
+
+def test_module_runs_the_command_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["heckelab", "orbit", "i", "2"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("heckelab", run_name="__main__")
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert main(["orbit", "i", "2"]) == 0
+    assert out == capsys.readouterr().out
 
 
 def test_decimal_input_is_read_at_working_precision(capsys):

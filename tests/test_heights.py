@@ -131,6 +131,16 @@ def test_phi_value_jumps_to_the_bits_the_screen_bounds(monkeypatch):
     assert [args[1].bits for args in inversions] == [128, 687]
 
 
+def test_phi_value_first_tries_the_orbit_it_has_built(monkeypatch):
+    # |Phi_4(5, 0)| is 2^127.71 and the screen bounds it by 2^127.73, so
+    # the jump target 192 lies within 64 bits of the caller's 128: the
+    # 128-bit orbit is tried first and resolves it, with one inversion
+    inversions = _counting(monkeypatch, heights, "tau_from_j")
+    exact = sum(row[0] * 5**a for a, row in enumerate(modpoly.generate(4)))
+    assert phi_value(0, 5, 4, Precision(128)) == exact
+    assert [args[1].bits for args in inversions] == [128]
+
+
 def test_cusp_height_frozen():
     h = cusp_height(tau_from_j(1, PREC), 2, PREC)
     assert h.n == 2

@@ -9,20 +9,6 @@ import time
 
 import pytest
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (
-    fnone,
-    from_int,
-    from_man_exp,
-    fzero,
-    mpc_div,
-    mpf_add,
-    mpf_div,
-    mpf_lt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_nint,
-    to_int,
-)
 
 from heckelab import numerics
 from heckelab.cli import main
@@ -188,9 +174,9 @@ def test_reduction_lands_in_domain_with_witness():
 def _near_boundary_points(wp: int) -> list[UpperHalfPoint]:
     """Points where a reduction step is a close call: ties x = k + 1/2
     (nint rounds them to even, +-1/2 to 0) below and above the arc; points
-    on |tau| = 1, within 2^-wp of it and around the threshold
-    1 - 2^-(wp - 8) where the loop stops inverting; and points whose
-    norm |z|^2 is a power of two, which mpf_div divides by with a shift."""
+    on |tau| = 1, within 2^-wp of it and on either side of the band
+    1 - 2^-(wp - 8) <= |tau|^2 < 1 where the loop stops inverting; and
+    points whose norm |tau|^2 is a power of two."""
     with mp.workprec(wp):
         eps = mpf(2) ** -wp
         points = [
@@ -212,46 +198,55 @@ def _near_boundary_points(wp: int) -> list[UpperHalfPoint]:
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
-def test_integer_reduction_matches_the_mpc_loop(bits, mpc_oracle):
+def test_integer_reduction_matches_the_mpc_loop(bits, exact_reduction):
+    # the integer loop against the reduction on exact rationals (the mpc
+    # loop it replaced rounded every step; both decide the same way)
     prec = Precision(bits)
-    wp = bits + numerics._GUARD
     rng = random.Random(6000 + bits)
-    points = _near_boundary_points(wp)
-    # seeded orbits, their bases from Im 1e-30 up; N = 256 and 300 divide
-    # by powers of two, where mpf_div shifts
+    cases = [(tau, (1, 0, 0, 1)) for tau in _near_boundary_points(prec.bits + numerics._GUARD)]
+    # seeded orbits, their bases from Im 1e-30 up, reduced from their cosets
     for n, im in ((149, 1.3), (151, 1e-30), (256, 1e-6), (293, 0.02), (300, 40.0)):
         base = UpperHalfPoint(rng.uniform(-2, 2), im * rng.uniform(1, 2))
-        for rep in coset_reps(n):
-            got = numerics._moebius_step(base, rep.alpha, rep.beta, rep.delta, wp)
-            want = mpc_oracle.moebius(base, rep.alpha, rep.beta, rep.delta, wp)
-            assert (got.re, got.im) == (want.re, want.im), (n, rep)
-            points.append(got)
-    for tau in points:
-        (got, got_witness), (want, witness) = (
-            reduce_to_fundamental_domain(tau, prec),
-            mpc_oracle.reduce(tau, prec),
-        )
-        assert (got.re, got.im, got_witness) == (want.re, want.im, witness), tau
+        cases += [(base, (rep.alpha, rep.beta, 0, rep.delta)) for rep in coset_reps(n)]
+    for tau, start in cases:
+        got, got_witness = reduce_to_fundamental_domain(tau, prec, start=start)
+        want, witness = exact_reduction(tau, prec, start)
+        assert (got.re, got.im, got_witness) == (want.re, want.im, witness), (tau, start)
 
 
-def test_reduction_of_points_that_are_not_finite(mpc_oracle):
-    wp = PREC.bits + numerics._GUARD
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_reducing_a_reduced_point_gives_it_back(bits):
+    # the float64 exit and the loop both return a reduced point unchanged,
+    # with the identity witness; every witness lies in SL2(Z)
+    prec = Precision(bits)
+    rng = random.Random(6100 + bits)
+    cases = [(tau, (1, 0, 0, 1)) for tau in _near_boundary_points(bits + numerics._GUARD)]
+    base = UpperHalfPoint(rng.uniform(-2, 2), rng.uniform(0.01, 2))
+    cases += [(base, (rep.alpha, rep.beta, 0, rep.delta)) for rep in coset_reps(97)]
+    for tau, start in cases:
+        reduced, witness = reduce_to_fundamental_domain(tau, prec, start=start)
+        assert witness.det() == 1, (tau, start)
+        again, identity = reduce_to_fundamental_domain(reduced, prec)
+        assert (again.re, again.im) == (reduced.re, reduced.im), (tau, start)
+        assert identity.is_identity(), (tau, start)
+
+
+def test_reduction_of_points_that_are_not_finite(exact_reduction):
     for x in (mp.inf, -mp.inf, mp.nan):
         tau = UpperHalfPoint(x, 1)
         with pytest.raises(ValueError, match=re.escape(f"Re tau = {x} is not finite")):
             reduce_to_fundamental_domain(tau, PREC)
         with pytest.raises(ValueError, match=re.escape(f"Re tau = {x} is not finite")):
             HeckeOrbit(tau, 5, PREC).points[3]
-    # Im = +inf is only translated, in the loop and in the Moebius step
+    # Im = +inf is only translated, from the identity as from a coset
     for x, n in ((mpf("2.75"), 3), (mpf("-0.5"), 0), (mpf("0.3"), 0), (mpf(7), 7)):
         tau = UpperHalfPoint(x, mp.inf)
         got, witness = reduce_to_fundamental_domain(tau, PREC)
         assert (got.re, got.im, witness) == (x - n, mp.inf, ModularMatrix(1, -n, 0, 1))
-        want, want_witness = mpc_oracle.reduce(tau, PREC)
+        want, want_witness = exact_reduction(tau, PREC)
         assert (got.re, got.im, witness) == (want.re, want.im, want_witness)
         for point, rep in zip(HeckeOrbit(tau, 6, PREC).points, coset_reps(6)):
-            moved = mpc_oracle.moebius(tau, rep.alpha, rep.beta, rep.delta, wp)
-            want, _ = mpc_oracle.reduce(moved, PREC)
+            want, _ = exact_reduction(tau, PREC, (rep.alpha, rep.beta, 0, rep.delta))
             assert (point.tau.re, point.tau.im) == (want.re, mp.inf)
 
 
@@ -499,14 +494,16 @@ def _kernel_points(bits: int, seed: int) -> list[UpperHalfPoint]:
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 1024])
 def test_series_lie_within_the_bound_of_a_high_precision_reference(bits):
-    # the bound of numerics._series: 2^-(bits + 24) max(|v|, |c tau + d|^-k)
+    # the bound of numerics._series: 2^-(bits + 24) max(|v|, |c tau + d|^-k);
+    # the log norm sums its terms with 16 extra bits and keeps 2^-(bits + 30)
     prec = Precision(bits)
     for tau in _kernel_points(bits, 1000 + bits):
         for fn, (want, scale) in _reference(tau, prec).items():
             got = fn(tau, prec)
+            slack = 30 if fn is log_petersson_norm_delta else 24
             with mp.workprec(2 * bits + 96):
                 err = abs(got - want)
-                assert err <= mpf(2) ** -(bits + 24) * max(abs(want), scale), (
+                assert err <= mpf(2) ** -(bits + slack) * max(abs(want), scale), (
                     fn.__name__, tau, mp.nstr(err, 5))
 
 
@@ -605,7 +602,7 @@ def test_precision_and_point_validation():
     assert (z.re, z.im) == (1, 2)
 
 
-def test_upper_half_point_keeps_its_precision(mpc_oracle):
+def test_upper_half_point_keeps_its_precision(exact_reduction):
     with mp.workprec(400):
         x, y = mpf(1) / 3, mp.sqrt(2)
         intended = UpperHalfPoint(x, y)
@@ -619,12 +616,13 @@ def test_upper_half_point_keeps_its_precision(mpc_oracle):
     prec = Precision(256)
     wp = prec.bits + numerics._GUARD
     assert eval_j(point, prec) == eval_j(intended, prec)
-    # the reduction rounds the parts to the working precision, inside the
-    # domain (the float64 exit) as outside it, so j is that of the point
-    # rounded to wp bits
+    # the reduction decides on the exact parts, all 400 bits of them, and
+    # rounds the result once to the working precision, inside the domain
+    # (the float64 exit) as outside it, so j is that of the point rounded
+    # to wp bits
     for tau in (point, shifted):
         reduced, witness = reduce_to_fundamental_domain(tau, prec)
-        expected, expected_witness = mpc_oracle.reduce(tau, prec)
+        expected, expected_witness = exact_reduction(tau, prec)
         assert (reduced.re, reduced.im) == (expected.re, expected.im)
         assert witness == expected_witness
         assert max(reduced.re._mpf_[3], reduced.im._mpf_[3]) <= wp
@@ -660,156 +658,6 @@ def test_matrix_algebra():
         ModularMatrix(2, 0, 0, 2).inverse()
     with pytest.raises(ValueError):
         ModularMatrix(1, 0, 0, -1).apply(tau)
-
-
-def _canon(man: int, exp: int) -> tuple[int, int]:
-    """(man, exp) with man odd or zero, as the integer kernel keeps it."""
-    sign, m, e, _ = from_man_exp(man, exp)
-    return (-m if sign else m, e) if m else (0, 0)
-
-
-def _mpf(x: tuple[int, int]):
-    return from_man_exp(*x)
-
-
-def _add_cases(rng: random.Random, wp: int):
-    """Pairs of reals for _add: random values and exact double-width
-    products of either sign, zeros, exact cancellation, exponent offsets
-    around 100 with magnitude gaps around wp + 4, and exact ties."""
-    def value(bits):
-        man = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
-        return _canon(rng.choice((-1, 1)) * man, rng.randrange(-400, 100))
-
-    cases = []
-    for _ in range(300):
-        a, b = value(rng.randrange(1, wp + 1)), value(rng.randrange(1, wp + 1))
-        c, d = value(wp), value(wp)
-        cases += [(a, b), (_canon(a[0] * c[0], a[1] + c[1]), _canon(b[0] * d[0], b[1] + d[1]))]
-    for _ in range(60):
-        a = value(rng.choice((wp, 2 * wp)))
-        cases += [(a, (0, 0)), ((0, 0), a), (a, (-a[0], a[1]))]
-        for offset in (99, 100, 101):
-            for gap in (wp + 3, wp + 4, wp + 5):
-                # b sits `offset` exponents and `gap` bits of size below a
-                bits = a[0].bit_length() + offset - gap
-                if bits >= 1:
-                    man = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
-                    b = (rng.choice((-1, 1)) * man, a[1] - offset)
-                    cases += [(a, b), (b, a)]
-        # exact ties: the sum has wp + 1 bits and ends in a single 1 bit,
-        # with the last kept bit odd (rounds away) or even (rounds back)
-        for kept in (wp, wp - 1):
-            man = rng.getrandbits(kept) | 1 | (1 << (kept - 1))
-            a = (rng.choice((-1, 1)) * man, rng.randrange(-300, 0))
-            sign = 1 if a[0] > 0 else -1
-            cases.append((a, (sign, a[1] - (wp + 1 - kept))))
-        # a double-width term one unit short of (past) a tie, and a term 101
-        # exponents down that the exact sum would carry across it: the
-        # sticky shortcut leaves it where it is
-        top = rng.getrandbits(wp) | (1 << (wp - 1))
-        for below, sign in ((-1, 1), (1, -1)):
-            a = ((top << wp) + (1 << (wp - 1)) + below, rng.randrange(-300, 0))
-            cases.append((a, (sign * ((1 << 102) + 1), a[1] - 101)))
-    return cases
-
-
-def _nint_cases(rng: random.Random, wp: int):
-    """Reals for _nint: ties k + 1/2 either side of zero, +-1/2, +-1/4,
-    +-3/4, values just inside and outside them, integers, huge and tiny
-    values and random ones below 2^12 in size."""
-    cases = [(0, 0), (1, -1), (-1, -1), (1, -2), (-1, -2), (3, -2), (-3, -2)]
-    for k in range(-9, 10):
-        cases += [_canon(2 * k + 1, -1), _canon(k, 0), _canon(k, 5)]
-        for below in (-1, 1):
-            cases.append(_canon(((2 * k + 1) << (wp - 6)) + below, -(wp - 5)))
-    for _ in range(400):
-        bits = rng.randrange(1, wp + 1)
-        man = rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 | (1 << (bits - 1)))
-        cases.append(_canon(man, rng.randrange(-bits - 8, 12 - bits)))
-        cases.append(_canon(man, rng.randrange(-400, 100)))
-    return cases
-
-
-def _norm_cases(rng: random.Random, wp: int):
-    """(x, y) pairs, y nonzero, for _norm_down and _neg_inv: random parts
-    and x = 0, powers of two (a norm with mantissa 1 divides by a shift),
-    and squares whose sizes differ by wp + 13 to wp + 15 bits, 100, 102 or
-    about wp + 14 exponents apart: around the sticky shortcut at wp + 10
-    bits."""
-    def value(bits, exp):
-        man = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
-        return _canon(rng.choice((-1, 1)) * man, exp)
-
-    cases = []
-    for _ in range(300):
-        y = value(rng.randrange(1, wp + 1), rng.randrange(-300, 50))
-        x = value(rng.randrange(1, wp + 1), rng.randrange(-300, 50))
-        cases += [(x, y), ((0, 0), y), ((1, rng.randrange(-200, 20)), y)]
-        cases.append(((0, 0), (rng.choice((-1, 1)), rng.randrange(-200, 20))))
-    prec = wp + 10
-    for half_offset in (50, 51, (prec + 3) // 2, (prec + 5) // 2):
-        for _ in range(40):
-            y = value(rng.randrange(1, wp + 1), rng.randrange(-300, 0))
-            for x_bits in range(1, wp + 1):
-                x = value(x_bits, y[1] + half_offset)
-                gap = (x[0] ** 2).bit_length() + 2 * half_offset - (y[0] ** 2).bit_length()
-                if abs(gap - (prec + 4)) <= 1:
-                    cases += [(x, y), (y, x)]
-    return cases
-
-
-@pytest.mark.parametrize("bits", [64, 128, 256])
-def test_integer_kernel_steps_are_the_libmpf_operations(bits):
-    wp = bits + numerics._GUARD
-    rng = random.Random(7000 + bits)
-    cases = _add_cases(rng, wp)
-    for x, y in cases:
-        want = mpf_add(_mpf(x), _mpf(y), wp, "n")
-        assert _mpf(numerics._add(*x, *y, wp)) == want, (x, y)
-        assert numerics._add(*x, *y, wp) == numerics._add(*y, *x, wp)
-    # the integer product mpf_mul_int: an exact product, then _round
-    s3, s5 = numerics._sigma_tables(45)
-    for (x, _), n in zip(cases, [*s3, *s5, 240, 504, -504, 1, 0] * 40):
-        assert _mpf(numerics._round(x[0] * n, x[1], wp)) == mpf_mul_int(_mpf(x), n, wp, "n")
-    # the integer from_int, exact
-    for n in [0, 1, -1, 2, 96, -(2**70), 3 * 2**40, *range(-40, 41, 7)]:
-        assert _mpf(numerics._int(n)) == from_int(n)
-    for x in _nint_cases(rng, wp):
-        assert numerics._nint(*x) == to_int(mpf_nint(_mpf(x), wp, "n")), x
-    norms = _norm_cases(rng, wp)
-    for x, y in norms:
-        # the norm of mpc_div: libmpf's default rounding, round_fast
-        want = mpf_add(mpf_mul(_mpf(x), _mpf(x)), mpf_mul(_mpf(y), _mpf(y)), wp + 10)
-        assert _mpf(numerics._norm_down(*x, *y, wp + 10)) == want, (x, y)
-        want = mpc_div((fnone, fzero), (_mpf(x), _mpf(y)), wp, "n")
-        got = numerics._neg_inv(*x, *y, wp)
-        assert (_mpf(got[:2]), _mpf(got[2:])) == want, (x, y)
-    # the arc test of the loop: |z|^2 by mpf_mul and mpf_add at wp bits,
-    # against 1 - 2^-(wp - 8), on the norm cases, on parts near 1/2 and 1,
-    # and on the points near the arc
-    with mp.workprec(wp):
-        threshold = (1 - mpf(2) ** -(wp - 8))._mpf_
-    near = [
-        (numerics._parts(t.re, wp), numerics._parts(t.im, wp))
-        for t in _near_boundary_points(wp)
-    ]
-    for _ in range(300):
-        size = rng.randrange(-3, 2)
-        near.append(tuple(_canon(rng.getrandbits(wp) | 1, size - wp) for _ in "xy"))
-    for x, y in norms + near:
-        x2, y2 = mpf_mul(_mpf(x), _mpf(x), wp, "n"), mpf_mul(_mpf(y), _mpf(y), wp, "n")
-        norm = mpf_add(x2, y2, wp, "n")
-        assert numerics._below_arc(*x, *y, wp) == mpf_lt(norm, threshold), (x, y)
-    # mpf_div: random quotients, divisors with mantissa +-1, and the
-    # positive integers the Moebius step divides by
-    quotients = _add_cases(rng, wp) + norms
-    quotients += [(x, (rng.choice((-1, 1)), rng.randrange(-50, 50))) for x, _ in norms]
-    quotients += [(x, numerics._int(d)) for (x, _), d in zip(norms, range(1, 10**6))]
-    for x, y in quotients:
-        if y[0]:
-            want = mpf_div(_mpf(x), _mpf(y), wp, "n")
-            assert _mpf(numerics._div(*x, *y, wp)) == want, (x, y)
-
 
 
 def test_powers_are_refused_above_the_im_cap(capsys):
