@@ -81,8 +81,8 @@ def test_orbit_table(capsys):
 
 def test_orbit_points_on_the_symmetry_lines_print_exact_zeros(capsys):
     # T_12 i meets Re tau' = 0 and Re tau' = -1/2 exactly: the reduction
-    # decides on the exact cosets, so tau_re and Im j print as 0.0, not as
-    # the noise a rounded Moebius step left (1e-48 and 1e-43)
+    # decides on the exact cosets and rounds once, so tau_re and Im j print
+    # as exact zeros
     assert main(["orbit", "i", "12"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[6:8] == [

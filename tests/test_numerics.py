@@ -199,8 +199,7 @@ def _near_boundary_points(wp: int) -> list[UpperHalfPoint]:
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_integer_reduction_matches_the_mpc_loop(bits, exact_reduction):
-    # the integer loop against the reduction on exact rationals (the mpc
-    # loop it replaced rounded every step; both decide the same way)
+    # the integer loop against the reduction on exact rationals
     prec = Precision(bits)
     rng = random.Random(6000 + bits)
     cases = [(tau, (1, 0, 0, 1)) for tau in _near_boundary_points(prec.bits + numerics._GUARD)]
