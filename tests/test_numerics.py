@@ -585,6 +585,20 @@ def test_series_order_equals_the_search_where_the_cap_misses(bits):
         assert numerics._series_order(im, prec) == passes, im
 
 
+def test_raw_parts_read_as_float_reads_them():
+    # the fast exit and the series order read float64 from raw mantissas
+    rng = random.Random(31)
+    values = [mp.inf, -mp.inf, mpf(0), mpf(2) ** 1100, -(mpf(2) ** 1023) * 1.9]
+    for bits in (53, 60, 160, 1100, 2000):
+        with mp.workprec(bits):
+            for _ in range(300):
+                scale = mpf(2) ** rng.randrange(-1100, 1100)
+                values += [v * scale for v in (mpf(rng.random()) / 3, -mp.sqrt(rng.random() + 1))]
+    for v in values:
+        assert numerics._float(v._mpf_) == float(v), v
+    assert math.isnan(numerics._float(mp.nan._mpf_))
+
+
 def test_precision_and_point_validation():
     with pytest.raises(ValueError):
         Precision(52)
