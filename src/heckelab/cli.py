@@ -286,6 +286,7 @@ def _height_checks() -> list[tuple[str, bool]]:
     return [
         ("log|phi| - S_N = H_N (exact decomposition)", gap < 1e-6),
         ("phi(1,2,N=3) is a nonzero integer", isinstance(phi, int) and phi != 0),
+        ("|j(tau_from_j(1)) - 1| <= 2^-96", abs(eval_j(tau_y, prec) - 1) <= 2.0**-96),
     ]
 
 

@@ -14,6 +14,7 @@ each point is the correctly rounded image of the exact one.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,6 +31,7 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_pi,
     mpf_pos,
+    mpf_pow_int,
     mpf_shift,
     pi_fixed,
     round_nearest,
@@ -441,9 +443,11 @@ def _prod24(reduced: UpperHalfPoint, prod: tuple[int, int], w: int) -> tuple[int
 
 
 def _delta(reduced: UpperHalfPoint, w: int, r, u, prod, wp: int):
-    """(2 pi)^12 r (u prod^24) at the reduced point, a raw mpc."""
+    """(2 pi)^12 r (u prod^24) at the reduced point, a raw mpc; (2 pi)^12
+    is formed at wp + 16 bits, so its roundings stay under the last bit."""
     x, y = _to_mpc(_fmul(*u, *_prod24(reduced, prod, w), w), w)
-    scale = mpf_mul(r, ((2 * mp.pi) ** 12)._mpf_, wp + 10)
+    two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(wp + 16), 1), 12, wp + 16)
+    scale = mpf_mul(r, two_pi_12, wp + 10)
     return mpf_mul(x, scale, wp, round_nearest), mpf_mul(y, scale, wp, round_nearest)
 
 
@@ -517,12 +521,14 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
 
     A target within err = 2^-bits * max(1, |y|), the accuracy of eval_j,
     of 1728 or 0 returns the CM point i or rho = (-1 + sqrt(3) i) / 2, the
-    ends of the unit arc, where j' vanishes.  Elsewhere float64 log j seeds
-    a bracketed secant (Illinois) iteration at working precision, which
-    stops once |j - y| <= err: the root is good to about 2 err / |j'|.  A
-    root where that iteration fails, such as a target just off 0 or 1728,
-    is bisected to full working precision.  A NaN or infinite target
-    raises ValueError.
+    ends of the unit arc, where j' vanishes.  Elsewhere a float64 Newton
+    iteration (_seed) gives x and the slope s = d|j|/dx, and chord steps
+    x <- x - (|j(x)| - |y|) / s run at working precision until
+    |j - y| <= err: the root is good to about 2 err / |j'|.  A slope that is
+    not positive, a step that leaves the arc or no convergence within
+    bits / 8 steps, as for a target just off 0 or 1728, bisects the arc
+    to full working precision instead.  A NaN or infinite target raises
+    ValueError.
     """
     with mp.workprec(prec.bits + _GUARD):
         y = mpf(j_target)
@@ -533,68 +539,80 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
             return UpperHalfPoint(mpf(0), mpf(1))
         if abs(y) <= err:
             return UpperHalfPoint(mpf(-1) / 2, mp.sqrt(3) / 2)
-        log_y = float(mp.log(abs(y))) if y else -math.inf
-        if y >= 1728:
-            def f(t):
-                return eval_j(UpperHalfPoint(mpf(0), t), prec).real - y
+        lo, hi, re = _arc(y)
 
-            hi = mpf(2)
-            while f(hi) < 0:
-                hi *= 2
-            guess = _float_root(lambda t: 1j * t, 1.0, float(hi), log_y)
-            return UpperHalfPoint(mpf(0), _root(f, mpf(1), hi, prec.bits, guess, err))
-        if y >= 0:
-            # arc tau = e^{i theta}, theta from pi/2 (j=1728) to 2pi/3 (j=0)
-            def f(th):
-                z = mp.expjpi(th)
-                return eval_j(UpperHalfPoint(z.real, z.imag), prec).real - y
+        def point(x):
+            if re is None:
+                return UpperHalfPoint(x, mp.sqrt(1 - x * x))
+            return UpperHalfPoint(re, x)
 
-            guess = _float_root(lambda th: np.exp(1j * math.pi * th), 0.5, 2 / 3, log_y)
-            z = mp.expjpi(_root(f, mpf(2) / 3, mpf(1) / 2, prec.bits, guess, err))
-            return UpperHalfPoint(z.real, z.imag)
+        def f(x):  # increasing: j has the sign of y on its arc
+            return abs(eval_j(point(x), prec).real) - abs(y)
 
-        def f(t):
-            return eval_j(UpperHalfPoint(mpf(1) / 2, t), prec).real - y
-
-        lo, hi = mp.sqrt(3) / 2, mpf(2)
-        while f(hi) > 0:
-            hi *= 2
-        guess = _float_root(lambda t: 0.5 + 1j * t, float(lo), float(hi), log_y)
-        return UpperHalfPoint(mpf(1) / 2, _root(f, hi, lo, prec.bits, guess, err))
+        x, slope = _seed(y, lo, hi, re)
+        if slope > 0:
+            x, inverse_slope = mpf(x), 1 / (abs(y) * slope)
+            for _ in range(prec.bits // 8):
+                fx = f(x)
+                if abs(fx) <= err:
+                    return point(x)
+                x -= fx * inverse_slope
+                if not lo < x < hi:
+                    break
+        return point(_bisect(f, lo, hi, prec.bits))
 
 
-# float64 seed of tau_from_j: grid points per refinement, and the relative
-# width at which the refinement stops (log_j_float64 is good to ~2^-44)
-_SEED_GRID = 129
-_SEED_WIDTH = 2.0**-42
-# half-width of the secant's first bracket around the seed, relative
-_LOCATE_WIDTH = 2**-36
-_LOCATE_STEPS = 24
+def _arc(y) -> tuple:
+    """(lo, hi, re): the arc x in [lo, hi] that holds the root of j = y,
+    along which |j| increases.  tau = re + x i, or x + sqrt(1 - x^2) i on
+    the unit arc, where re is None.
+
+    The ends bracket the root: j(x i) >= e^(2 pi x) + 744 and
+    |j(1/2 + x i)| >= e^(2 pi x) - 744, as the q-expansion's terms fall
+    by half or more, so hi = max(2, (log|y| + 1) / (2 pi)) gives
+    |j| >= max(e^(4 pi), e |y|) - 744 > |y|."""
+    if 0 <= y < 1728:
+        return mpf(-1) / 2, mpf(0), None
+    hi = mpf(max(2.0, (float(mp.log(abs(y))) + 1) / (2 * math.pi)))
+    return (mpf(1), hi, 0.0) if y > 0 else (mp.sqrt(3) / 2, hi, 0.5)
 
 
-def _float_root(tau_of, lo: float, hi: float, log_abs_j: float) -> float | None:
-    """The x in [lo, hi] where log|j(tau_of(x))| crosses log_abs_j, found in
-    float64 by refining a grid; None when the grid shows no crossing.
-
-    tau_of maps a float64 array into the fundamental domain, and |j| must
-    be monotone along it.
-    """
-    while hi - lo > _SEED_WIDTH * max(1.0, abs(hi)):
-        x = np.linspace(lo, hi, _SEED_GRID)
-        log_j = log_j_float64(tau_of(x), np.zeros(x.shape))[0].real
-        above = log_j > log_abs_j
-        cross = np.flatnonzero(above[1:] != above[:-1])
-        if not cross.size:
-            return None
-        lo, hi = x[cross[0]], x[cross[0] + 1]
-    return (lo + hi) / 2
+# float64 Newton steps of _seed, and the relative step at which it stops
+_SEED_STEPS = 64
+_SEED_TOL = 2.0**-46
 
 
-def _root(f, neg_end, pos_end, bits: int, guess: float | None, err):
-    """The root of f between neg_end and pos_end: _locate's from the float
-    guess, or the plain bisection's when there is no guess or it fails."""
-    root = None if guess is None else _locate(f, neg_end, pos_end, guess, err)
-    return _bisect(f, neg_end, pos_end, bits) if root is None else root
+def _seed(y, lo, hi, re) -> tuple[float, float]:
+    """(x, d log|j| / dx at x) with |j| = |y| at x on the arc (lo, hi, re)
+    of _arc, in float64: Newton steps on log|j| from the middle of the
+    arc, with d log j / dtau = -2 pi i E6 / E4.  A step that would leave
+    the bracket of the root, or a slope that is not positive, bisects the
+    bracket instead.  At rho float64 E4 is about 7e-16, not 0, so its log
+    stays finite."""
+    log_y, lo, hi = float(mp.log(abs(y))), float(lo), float(hi)
+    x, slope = (lo + hi) / 2, math.nan
+    for _ in range(_SEED_STEPS):
+        if re is None:
+            im = math.sqrt(1 - x * x)
+            tau, dtau = complex(x, im), complex(1, -x / im)
+        else:
+            tau, dtau = complex(re, x), 1j
+        e4, e6, prod = _float_series(cmath.exp(2j * math.pi * tau))
+        log_j = 3 * math.log(abs(e4)) - 24 * math.log(abs(prod)) + 2 * math.pi * tau.imag
+        slope = (-2j * math.pi * e6 / e4 * dtau).real
+        if log_j < log_y:
+            lo = x
+        else:
+            hi = x
+        if slope > 0:
+            step = (log_j - log_y) / slope
+            if abs(step) <= _SEED_TOL * max(1.0, abs(x)):
+                return x - step, slope
+            if lo < x - step < hi:
+                x -= step
+                continue
+        x = (lo + hi) / 2
+    return x, slope
 
 
 def _bisect(f, neg_end, pos_end, bits: int):
@@ -608,51 +626,6 @@ def _bisect(f, neg_end, pos_end, bits: int):
         else:
             pos_end = mid
     return (neg_end + pos_end) / 2
-
-
-def _locate(f, neg_end, pos_end, guess: float, err):
-    """The x with |f(x)| <= err, or None when the root is degenerate.
-
-    A bracketed secant (Illinois) iteration runs from [guess -+ 2^-36].
-    None when that bracket leaves (neg_end, pos_end) or does not bracket,
-    the last secant slope is not finite or has the wrong sign (f bends
-    towards a multiple root), or the iteration does not converge.
-    """
-    increasing = neg_end < pos_end
-    width = mpf(_LOCATE_WIDTH) * max(1, abs(guess))
-    a, b = mpf(guess) - width, mpf(guess) + width
-    if not (min(neg_end, pos_end) < a and b < max(neg_end, pos_end)):
-        return None
-    if not increasing:
-        a, b = b, a
-    fa, fb = f(a), f(b)
-    if not fa < 0 < fb:
-        return None
-    x0, f0, x1, f1 = a, fa, b, fb
-    side = 0
-    for _ in range(_LOCATE_STEPS):
-        x = (a * fb - b * fa) / (fb - fa)
-        fx = f(x)
-        x0, f0, x1, f1 = x1, f1, x, fx
-        if abs(fx) <= err:
-            if x1 == x0:
-                return None
-            slope = (f1 - f0) / (x1 - x0)
-            if not mp.isfinite(slope) or (slope > 0) != increasing:
-                return None
-            return x
-        # Illinois: halve the value kept at the end that stays twice
-        if fx < 0:
-            a, fa = x, fx
-            if side < 0:
-                fb /= 2
-            side = -1
-        else:
-            b, fb = x, fx
-            if side > 0:
-                fa /= 2
-            side = 1
-    return None
 
 
 # -- float64 screen -----------------------------------------------------------
@@ -705,6 +678,21 @@ def reduce_witness_float64(w: np.ndarray) -> tuple[np.ndarray, ...]:
     return a, b, c, d
 
 
+def _float_series(q):
+    """(E4, E6, prod (1 - q^n)) at q in float64, to _SCREEN_TERMS terms, by
+    arithmetic operators alone: q is a complex or a complex128 array."""
+    s3, s5 = _sigma_tables(_SCREEN_TERMS)
+    acc4 = acc6 = 0.0
+    for n in range(_SCREEN_TERMS - 1, -1, -1):
+        acc4 = (acc4 + s3[n]) * q
+        acc6 = (acc6 + s5[n]) * q
+    prod = qn = 1.0
+    for _ in range(_SCREEN_TERMS):
+        qn = qn * q
+        prod = prod * (1.0 - qn)
+    return 1.0 + 240.0 * acc4, 1.0 - 504.0 * acc6, prod
+
+
 def log_j_float64(
     tau: np.ndarray, tau_err: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -723,20 +711,7 @@ def log_j_float64(
     """
     x, y = tau.real, tau.imag
     two_pi = 2.0 * math.pi
-    q = np.exp(two_pi * (1j * x - y))
-    s3, s5 = _sigma_tables(_SCREEN_TERMS)
-    acc4 = np.zeros_like(q)
-    acc6 = np.zeros_like(q)
-    for n in range(_SCREEN_TERMS - 1, -1, -1):
-        acc4 = (acc4 + s3[n]) * q
-        acc6 = (acc6 + s5[n]) * q
-    e4 = 1.0 + 240.0 * acc4
-    e6 = 1.0 - 504.0 * acc6
-    prod = np.ones_like(q)
-    qn = np.ones_like(q)
-    for _ in range(_SCREEN_TERMS):
-        qn = qn * q
-        prod = prod * (1.0 - qn)
+    e4, e6, prod = _float_series(np.exp(two_pi * (1j * x - y)))
     log_prod = np.log(prod)
     with np.errstate(divide="ignore"):
         log_j = 3.0 * np.log(e4) - 24.0 * log_prod + two_pi * (y - 1j * x)

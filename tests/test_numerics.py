@@ -1,12 +1,14 @@
 """Cross-checks of the q-series evaluator against an independent
 construction from Jacobi theta nulls, plus the classical special values."""
 
+import cmath
 import functools
 import math
 import random
 import re
 import time
 
+import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -365,45 +367,50 @@ def test_tau_from_j_lies_next_to_the_plain_bisection(bits):
 
 
 def test_tau_from_j_bisects_next_to_a_cm_point(monkeypatch):
-    # Just off 1728 and 0, where j' nearly vanishes, the secant cannot
-    # settle the root at 128 bits: at 1728 + 10^-14 the float64 grid shows
-    # no crossing, at 1728 - 10^-10 the seed's bracket does not bracket,
-    # and at 10^-30 it leaves the arc.  The plain bisection runs instead.
+    # Just off 1728, where j' nearly vanishes, the chord steps cannot settle
+    # the root at 128 bits, and the plain bisection runs instead: at
+    # 1728 + 10^-14 the float64 seed runs out of steps at i with a slope
+    # that is not positive (no j is evaluated first), at 1728 + 10^-12 the
+    # second step leaves the arc, and 1728 - 10^-11 does not converge
+    # within bits / 8 = 16 steps.  1728 - 10^-10 settles in all 16, and
+    # 10^-30, next to 0, in two.  Each value is (chord evaluations of j,
+    # bisected).
     with mp.workprec(160):
         targets = {
-            mpf(1728) + mpf(10) ** -14: [],
-            mpf(1728) - mpf(10) ** -10: [None],
-            mpf(10) ** -30: [None],
+            mpf(1728) + mpf(10) ** -14: (0, True),
+            mpf(1728) + mpf(10) ** -12: (2, True),
+            mpf(1728) - mpf(10) ** -11: (16, True),
+            mpf(1728) - mpf(10) ** -10: (16, False),
+            mpf(10) ** -30: (2, False),
         }
-    located, bisected = [], []
-    locate, bisect = numerics._locate, numerics._bisect
+    calls = []
+    eval_j_itself, bisect = numerics.eval_j, numerics._bisect
 
-    def recorded_locate(*args):
-        located.append(locate(*args))
-        return located[-1]
+    def counted(tau, prec):
+        calls.append(1)
+        return eval_j_itself(tau, prec)
 
     def recorded_bisect(*args):
-        bisected.append(args)
+        calls.append("bisect")
         return bisect(*args)
 
-    monkeypatch.setattr(numerics, "_locate", recorded_locate)
+    monkeypatch.setattr(numerics, "eval_j", counted)
     monkeypatch.setattr(numerics, "_bisect", recorded_bisect)
-    for y, locate_results in targets.items():
-        located.clear()
-        bisected.clear()
+    for y, path in targets.items():
+        calls.clear()
         got = tau_from_j(y, PREC)
-        assert (located, len(bisected)) == (locate_results, 1), y
+        bisected = "bisect" in calls
+        assert (calls.index("bisect") if bisected else len(calls), bisected) == path, y
         _assert_next_to_the_oracle(got, y, PREC.bits)
     # within err = 2^-128 max(1, |y|) of 1728 or 0 the root is the CM point
-    located.clear()
-    bisected.clear()
+    calls.clear()
     with mp.workprec(160):
         for y, cm in ((1728 * (1 - mpf(2) ** -129), 1728), (-mpf(2) ** -129, 0)):
             assert tau_from_j(y, PREC) == _cm_point(cm, PREC), y
-    assert (located, bisected) == ([], [])
+    assert calls == []
 
 
-def test_tau_from_j_evaluates_j_about_fifteen_times(monkeypatch):
+def test_tau_from_j_evaluates_j_about_three_times(monkeypatch):
     calls = []
     eval_j_itself = numerics.eval_j
 
@@ -421,7 +428,32 @@ def test_tau_from_j_evaluates_j_about_fifteen_times(monkeypatch):
     counts = {y: count(y) for y in _inversion_targets()}
     # at j = 0 and j = 1728 the root is the CM point itself, read off no j
     assert (counts.pop(0), counts.pop(1728)) == (0, 0)
-    assert sum(counts.values()) / len(counts) <= 20
+    # the seed, good to about 2^-46, and two chord steps of some 46 bits
+    # each: 3.02 calls on average
+    assert sum(counts.values()) / len(counts) <= 4
+
+
+def test_float_series_agrees_on_a_complex_and_an_array():
+    rng = random.Random(31)
+    for _ in range(40):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.86, 4.0))
+        q = cmath.exp(2j * math.pi * tau)
+        for one, many in zip(numerics._float_series(q), numerics._float_series(np.array([q]))):
+            assert abs(one - many[0]) <= 2.0**-50 * abs(one), tau
+
+
+def test_float_seed_lies_next_to_the_root():
+    # the float64 Newton seed against the plain bisection's root at 256 bits
+    for y in _inversion_targets():
+        if y in (0, 1728):
+            continue
+        with mp.workprec(160):
+            arc = numerics._arc(mpf(y))
+            x, slope = numerics._seed(mpf(y), *arc)
+        want, _ = _plain_root_and_slope(y)
+        root = float(want.re if arc[2] is None else want.im)
+        assert slope > 0, y
+        assert abs(x - root) <= 2.0**-40 * max(1.0, abs(root)), y
 
 
 def _reference(tau: UpperHalfPoint, prec: Precision) -> dict:
@@ -494,12 +526,13 @@ def _kernel_points(bits: int, seed: int) -> list[UpperHalfPoint]:
 @pytest.mark.parametrize("bits", [64, 128, 256, 1024])
 def test_series_lie_within_the_bound_of_a_high_precision_reference(bits):
     # the bound of numerics._series: 2^-(bits + 24) max(|v|, |c tau + d|^-k);
-    # the log norm sums its terms with 16 extra bits and keeps 2^-(bits + 30)
+    # Delta, its norm and the log norm form (2 pi)^12 or sum their terms
+    # with 16 extra bits and keep 2^-(bits + 30)
     prec = Precision(bits)
     for tau in _kernel_points(bits, 1000 + bits):
         for fn, (want, scale) in _reference(tau, prec).items():
             got = fn(tau, prec)
-            slack = 30 if fn is log_petersson_norm_delta else 24
+            slack = 24 if fn in (eval_e4, eval_e6, eval_j) else 30
             with mp.workprec(2 * bits + 96):
                 err = abs(got - want)
                 assert err <= mpf(2) ** -(bits + slack) * max(abs(want), scale), (
