@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import runpy
@@ -273,6 +274,38 @@ def test_cm_prints_j_at_i_and_rho_exactly(bits, capsys):
     assert main(["cm", "2", "--precision-bits", str(bits)]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     assert [row[6:] for row in rows if row[0] == "1"] == [["1728.0", "0.0"], ["0.0", "0.0"]]
+
+
+# sha256 of the CSV that each orbit-family run prints, with its exit code:
+# the rows of j over a Hecke orbit at 64-256 bits, on and off the symmetry
+# lines, and one run refused above the Im cap (no rows)
+_PINNED_ORBIT_FAMILY = {
+    ("orbit", "0.3+1.7i", "97", "--precision-bits", "64"): (
+        0, "b4f5026b4194b7c3417a1e6ebd26e736fbd44562e9068e4ac39b5f0d9470fb09"),
+    ("orbit", "0.3+1.7i", "97"): (
+        0, "dcf3c0199956fe0d4a50e19c445e3aeceac2eb8a2ee074c72c6a92e94503e1d1"),
+    ("orbit", "0.3+1.7i", "97", "--precision-bits", "256"): (
+        0, "59a7de6a8c017df5b2c70c88956ad40f87c84f8848a7ff75c3f79134aafb0d50"),
+    ("orbit", "0.5+0.5i", "30"): (
+        0, "6c302948a764051b355fe7271db03ad3e0c2c90cb7fd74e2c6f856733ecb86f2"),
+    ("orbit", "i", "12"): (
+        0, "e00748b8b48bb0faeef3873a9fc12374fcb25a66ed28c1bf0d7df00ee5333859"),
+    ("orbit", "0.3+1e-30i", "12"): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("orbit", "0.1234567+1.3456i", "293"): (
+        0, "5524d9dc3a825ca581ee2eacb8ba2a40942e04067f1b4fb7d5753f77c5a141fb"),
+    ("equi", "2i", "primes:900..1100", "1.5"): (
+        0, "3d2c09c96683d56685bff960106c729777eef07196752b7feaa702041c48dd40"),
+    ("density", "0.3+1.7i", "0", "4", "500"): (
+        0, "4b51dae97cd94e1e965f2b751c33fcae3f4d4a9fcdcb4511f8b735e76bb57fa7"),
+}
+
+
+@pytest.mark.parametrize("args", list(_PINNED_ORBIT_FAMILY))
+def test_orbit_family_output_is_pinned(args, capsys):
+    code = main(list(args))
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == _PINNED_ORBIT_FAMILY[args]
 
 
 def test_latcount_beyond_memory_exits_two(monkeypatch, capsys):
