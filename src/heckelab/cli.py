@@ -57,9 +57,51 @@ def _digits(args: argparse.Namespace) -> int:
     return max(17, args.precision_bits // 4)
 
 
+# log2(10) as mpmath's to_digits_exp computes it, so the digit counts agree
+_LOG2_10 = math.log(10, 2)
+
+
 def _fmt(value, digits: int) -> str:
-    """One mpf cell at the run's digits."""
-    return mp.nstr(value, digits, strip_zeros=True)
+    """One mpf cell at the run's digits, as mp.nstr(value, digits,
+    strip_zeros=True) prints it, from the raw (sign, man, exp).
+
+    Like mpmath's to_str: the value is truncated to a decimal string of
+    about digits + 6 digits, rounded half up at `digits` significant
+    digits on the next digit alone, laid out in fixed point when the
+    leading digit's exponent lies strictly between min(-(digits // 3), -5)
+    and digits and in scientific notation otherwise, and stripped of
+    trailing zeros.  0, +-inf, nan and |exp + bc| > 3500 go to mp.nstr.
+    """
+    sign, man, exp, bc = value._mpf_
+    if not man or abs(exp + bc) > 3500:
+        return mp.nstr(value, digits, strip_zeros=True)
+    bits = int((digits + 3) * _LOG2_10) + 10
+    frac = max(bits - exp - bc, 0)  # man 2^exp in units 2^-frac
+    places = int(frac / _LOG2_10 + 0.5)
+    fixed = man << (exp + frac) if exp + frac >= 0 else man >> -(exp + frac)
+    text = str(fixed * 10**places >> frac)
+    point = len(text) - places - 1  # the exponent of the leading digit
+    if len(text) > digits and text[digits] in "56789":
+        text = str(int(text[:digits]) + 1)
+        if len(text) > digits:  # 9...9 carried into a new decade
+            text, point = text[:digits], point + 1
+    else:
+        text = text[:digits]
+    split = 1  # the digits before the point; text keeps at least point + 1
+    if min(-(digits // 3), -5) < point < digits:
+        if point < 0:
+            text = "0" * -point + text
+        else:
+            split = point + 1
+        point = 0
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if sign:
+        text = "-" + text
+    if point:
+        text += f"e{point:+d}"
+    return text
 
 
 def _float_cell(value, digits: int):

@@ -75,7 +75,21 @@ def _log_norm_orbit_sum(tau: UpperHalfPoint, n: int, prec: Precision):
         cosets = pairwise_sum(
             [count * mp.log(mpf(a) / d) for a, d, count in triple_counts(n)]
         )
-        return e_n(n) * log_petersson_norm_delta(tau, prec) + 6 * cosets
+        return e_n(n) * _log_norm(tau, prec) + 6 * cosets
+
+
+@functools.lru_cache(maxsize=1)
+def _log_norm(tau: UpperHalfPoint, prec: Precision) -> mpf:
+    """log ||Delta||(tau); the last base point is kept, as a height or
+    residual series reads the same one for every N."""
+    return log_petersson_norm_delta(tau, prec)
+
+
+@functools.lru_cache(maxsize=1)
+def _base_point(y: int, prec: Precision) -> UpperHalfPoint:
+    """tau_from_j(y, prec); the last one is kept, as a residual series
+    inverts the same y for every N."""
+    return tau_from_j(y, prec)
 
 
 def cusp_height(
@@ -120,11 +134,23 @@ def _off_integral_j(y_tau: UpperHalfPoint, prec: Precision) -> str | None:
 def local_arch_sum(
     y_tau: UpperHalfPoint, z, n: int, prec: Precision = DEFAULT_PRECISION
 ) -> float:
-    """S_N = sum over the orbit of log(|z - j(tau_i)| * ||Delta(tau_i)||)."""
+    """S_N = sum over the orbit of log(|z - j(tau_i)| * ||Delta(tau_i)||).
+
+    A |z - j| below 2^-bits * max(1, |z|) raises CoincidenceError.  So does
+    Phi_N(z, y) = 0 when j(y_tau) lies within 2^-bits * max(1, |j|) of an
+    integer y, z is an integer and N a stored prime, as in
+    global_identity_residual: the error of y_tau can keep the orbit point
+    of j = z above the resolution.
+    """
     orbit = hecke_orbit(y_tau, n, prec)
     with mp.workprec(prec.bits + _GUARD):
         zc = mp.mpc(z)
         terms = [mp.log(_distance(p, zc, prec)) for p in orbit.points]
+        if n in modpoly.PRIMES and zc.imag == 0 and mp.isint(zc.real):
+            j_base = eval_j(y_tau, prec)
+            y = mp.nint(j_base.real)
+            if abs(j_base - y) <= mpf(2) ** -prec.bits * max(1, abs(j_base)):
+                _check_stored_phi(int(y), int(zc.real), n)
         return float(pairwise_sum(terms) + _log_norm_orbit_sum(y_tau, n, prec))
 
 
@@ -162,7 +188,7 @@ def phi_value(y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION) -> in
     if n in modpoly.PRIMES:
         return modpoly.evaluate(n, z, y)
     bits = prec.bits
-    orbit = HeckeOrbit(tau_from_j(y, prec), n, prec)
+    orbit = HeckeOrbit(_base_point(y, prec), n, prec)
     need = orbit.screen.log2_product_bound(z) + _PHI_MARGIN_BITS
     # comparisons with NaN, at an untrusted point, are False
     jump = min(math.ceil(need), _MAX_PHI_BITS) if need > bits else None
@@ -172,7 +198,7 @@ def phi_value(y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION) -> in
         attempt = Precision(bits)
         with mp.workprec(bits + _GUARD):
             if orbit is None:
-                orbit = HeckeOrbit(tau_from_j(y, attempt), n, attempt)
+                orbit = HeckeOrbit(_base_point(y, attempt), n, attempt)
             prod = pairwise_product([z - p.j for p in orbit.points])
             nearest = int(mp.nint(prod.real))
             if (
@@ -209,13 +235,19 @@ def global_identity_residual(
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")
     y, z = _integers(y, z)
-    if n in modpoly.PRIMES and modpoly.evaluate(n, z, y) == 0:
-        raise CoincidenceError(f"phi_{n}({y}, {z}) = 0: z lies on the orbit of y")
-    tau = tau_from_j(y, prec)
+    if n in modpoly.PRIMES:
+        _check_stored_phi(y, z, n)
+    tau = _base_point(y, prec)
     if n not in modpoly.PRIMES:
         _check_off_orbit(HeckeOrbit(tau, n, prec), y, z, prec)
     with mp.workprec(prec.bits + _GUARD):
         return float(-_log_norm_orbit_sum(tau, n, prec) / (6 * e_n(n) * mp.log(n)) - 1)
+
+
+def _check_stored_phi(y: int, z: int, n: int) -> None:
+    """CoincidenceError when Phi_N(z, y) = 0 for a stored prime N."""
+    if modpoly.evaluate(n, z, y) == 0:
+        raise CoincidenceError(f"phi_{n}({y}, {z}) = 0: z lies on the orbit of y")
 
 
 def _check_off_orbit(orbit: HeckeOrbit, y: int, z: int, prec: Precision) -> None:
@@ -228,7 +260,7 @@ def _check_off_orbit(orbit: HeckeOrbit, y: int, z: int, prec: Precision) -> None
     low, log_dist = orbit.screen.log_distance_bounds(z)
     with mp.workprec(prec.bits + _GUARD):
         cleared = math.log(max(1, abs(z))) - (prec.bits - 8) * math.log(2)
-        for i in orbit.screen.nearest(z):
+        for i in orbit.screen._nearest_of(low, log_dist):
             if not low[i] > cleared:  # NaN at an untrusted point
                 log_dist[i] = float(mp.log(_distance(orbit.points[i], mp.mpc(z), prec)))
     if log_dist.sum() < -math.log(2):

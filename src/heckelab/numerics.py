@@ -7,28 +7,36 @@ the E4 sum, the E6 sum and the Euler product in fixed point, truncated at
 each point's own |q|, within an a-priori error bound.  Values at unreduced
 points are recovered through the weight-k cocycle (c*tau + d)^(-k).
 
+q = r u is formed from tables (_nome): r = e^(-2 pi Im tau'), after
+reduction by ln 2, and u = e^(2 pi i Re tau') are products of entries of
+three levels of 256-entry tables at W + 24 bits and a Taylor sum of the
+rest below 2^-24.  The order of the series is bisected from a table of the
+heights at which each order meets the tail bound (_series_order).
+
 The reduction decides on exact integers: the Hecke orbit hands it a base
 point and a coset matrix, and it rounds only the reduced image, once, so
-each point is the correctly rounded image of the exact one.
+each point is the correctly rounded image of the exact one.  Every
+quotient is an exact integer divmod rounded once (_quotient).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     from_man_exp,
     fzero,
-    mpf_div,
-    mpf_exp,
     mpf_mul,
-    mpf_neg,
     mpf_pi,
     mpf_pos,
     mpf_pow_int,
@@ -37,7 +45,7 @@ from mpmath.libmp import (
     round_nearest,
     to_float,
 )
-from mpmath.libmp.libelefun import cos_sin_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed
 
 # Guard bits added on top of the requested precision for internal work.
 _GUARD = 32
@@ -229,14 +237,27 @@ def _nearest(num: int, den: int) -> int:
 
 
 def _quotient(num: int, den: int, wp: int, exp: int = 0) -> tuple:
-    """num 2^exp / den, den > 0, as a raw mpf rounded to nearest at wp bits:
-    mpf_div of the integers as raw tuples, skipping from_int's stripping of
-    trailing zeros.  mpf_div needs none, unless the divisor's mantissa is 1
-    (it then skips its own), so the divisor goes in as 2 den 2^-1."""
+    """num 2^exp / den, den > 0, as a raw mpf rounded to nearest at wp bits,
+    ties to even, as mpf_div rounds it: one exact divmod leaves a quotient
+    of wp + 2 or wp + 3 bits, whose cut bits and the remainder, a sticky
+    bit, decide the rounding."""
     if not num:
         return fzero
-    dividend = (1 if num < 0 else 0, abs(num), exp + 1, abs(num).bit_length())
-    return mpf_div(dividend, (0, den << 1, 0, den.bit_length() + 1), wp, round_nearest)
+    sign = num < 0
+    num = -num if sign else num
+    shift = wp + 2 - num.bit_length() + den.bit_length()
+    if shift >= 0:
+        man, rem = divmod(num << shift, den)
+    else:
+        man, rem = divmod(num, den << -shift)
+    cut = man.bit_length() - wp
+    low, man = man & ((1 << cut) - 1), man >> cut
+    half = 1 << (cut - 1)
+    if low > half or (low == half and (rem or man & 1)):
+        man += 1
+    zeros = (man & -man).bit_length() - 1  # mpmath keeps mantissas odd
+    man >>= zeros
+    return int(sign), man, exp - shift + cut + zeros, man.bit_length()
 
 
 def _float(part: tuple) -> float:
@@ -271,6 +292,22 @@ def _log_tail(terms: int, im: float) -> float:
     return math.log(700.0) + 5 * math.log(terms + 1) - 2 * math.pi * im * terms
 
 
+@lru_cache(maxsize=16)
+def _order_table(prec: Precision) -> tuple[int, float, float, array]:
+    """(cap, head, limit, table) for _series_order at prec: cap =
+    prec.series_terms, head = log 700 + 5 log(cap + 1) as _log_tail forms
+    it, limit = -(bits + 2 _GUARD) log 2, and table = -h(T) for
+    T = 1 .. cap - 1, ascending.  h(T) = (log 700 + 5 log(T + 1) - limit) /
+    (2 pi T) is the Im above which _log_tail(T, Im) < limit; it falls with
+    T, as 5 T / (T + 1) < log 700 - limit."""
+    cap = prec.series_terms
+    limit = -(prec.bits + 2 * _GUARD) * _LN2
+    terms = np.arange(1, cap, dtype=np.float64)
+    heights = (math.log(700.0) - limit + 5 * np.log(terms + 1)) / (2 * math.pi * terms)
+    head = math.log(700.0) + 5 * math.log(cap + 1)
+    return cap, head, limit, array("d", (-heights).tobytes())
+
+
 def _series_order(im: float, prec: Precision) -> int:
     """Number of q-series terms kept at a reduced point with Im = im: the
     fewest T <= prec.series_terms whose tail bound is below
@@ -278,21 +315,23 @@ def _series_order(im: float, prec: Precision) -> int:
     the working precision.  Raises PrecisionOverflowError when the absolute
     bound at prec.series_terms misses 2^-bits.
 
-    _log_tail exceeds log 700 - 2 pi im T, so no T below
-    (log 700 - limit) / (2 pi im) passes, and the search starts at its
-    floor: 5 log(T + 1) >= 3.4 covers the float64 rounding of that bound.
+    On the fundamental domain _log_tail falls with T (2 pi im > 5 / (T + 1)),
+    so the terms that pass are those from some T on.  A bisection of
+    _order_table finds T to within the float64 rounding of the table, and
+    _log_tail at T and T - 1 settles it.
     """
-    cap = prec.series_terms
-    if not _log_tail(cap, im) - 2 * math.pi * im < -prec.bits * _LN2:
+    cap, head, limit, table = _order_table(prec)
+    # _log_tail(cap, im) - 2 pi im, with the same float64 steps
+    if not head - 2 * math.pi * im * cap - 2 * math.pi * im < -prec.bits * _LN2:
         raise PrecisionOverflowError(
             f"series_terms={cap} cannot reach 2^-{prec.bits} at Im tau={im:.5g}"
         )
-    limit = -(prec.bits + 2 * _GUARD) * _LN2
-    start = max(1, math.floor((math.log(700.0) - limit) / (2 * math.pi * im)))
-    for terms in range(start, cap):
-        if _log_tail(terms, im) < limit:
-            return terms
-    return cap
+    terms = bisect_right(table, -im) + 1
+    if terms < cap and not _log_tail(terms, im) < limit:
+        terms += 1
+    elif terms > 1 and _log_tail(terms - 1, im) < limit:
+        terms -= 1
+    return terms
 
 
 # -- the q-series in fixed point ---------------------------------------------
@@ -329,56 +368,183 @@ def _to_mpc(z: tuple[int, int], w: int) -> tuple:
     return from_man_exp(z[0], -w), from_man_exp(z[1], -w)
 
 
+# -- q = r u from tables ------------------------------------------------------
+#
+# r = e^(-2 pi Im tau') and u = e^(2 pi i Re tau') are formed at P = W + 24
+# fractional bits.  An argument x in [0, 1) splits into three 8-bit digits
+# and a rest below 2^-24: e^(-x) and e^(2 pi i x) are the product of one
+# entry of each of three 256-entry tables and a short Taylor sum of the rest.
+
+_TABLE_BITS = 24
+
+
+class _RootTables(NamedTuple):
+    """The tables of _nome at one precision, all in units 2^-p."""
+
+    p: int
+    two_pi: int  # 2 pi in units 2^-(p + 40)
+    ln2: int  # ln 2 in units 2^-(p + 40)
+    turn: int  # 2 pi in units 2^-p
+    exps: tuple  # per level k = 1, 2, 3: e^(-i 2^(-8k)), i = 0 .. 255
+    cos: tuple  # per level: cos(2 pi i 2^(-8k))
+    sin: tuple  # per level: sin(2 pi i 2^(-8k))
+    exp_taylor: tuple  # 1/n! from n = N down to 0, for e^(-x), x < 2^-24
+    sin_taylor: tuple  # (-1)^k / (2k + 1)! from k = K down to 0, x < 2 pi 2^-24
+
+
+def _taylor_order(log2_x: float, p: int) -> int:
+    """The fewest N with x^(N + 1) / (N + 1)! < 2^-(p + 8) for x <= 2^log2_x:
+    the Taylor sum to x^N of e^(-x) or sin x is then within 2^-(p + 8)."""
+    n, log2_term = 0, log2_x
+    while log2_term >= -(p + 8):
+        n += 1
+        log2_term += log2_x - math.log2(n + 1)
+    return n
+
+
+@lru_cache(maxsize=16)
+def _root_tables(prec: Precision) -> _RootTables:
+    """The tables of _nome at prec, about 140 KB at 128 bits.
+
+    Each level is built by 255 products at p + 16 bits from one exp_fixed
+    or cos_sin_fixed value, taken at p + 32 bits and rounded to p + 16, so
+    within 1/2 + 2^-8 units 2^-(p + 16).  Entry i then carries at most 255
+    times that and 255 product roundings of 1/2 unit per part, under
+    2^-7 units 2^-p, and is rounded to p bits: within 1/2 + 2^-7 units."""
+    p = _kernel_tables(prec)[0] + _TABLE_BITS
+    hi = p + 16
+    one, half, seed_half = 1 << hi, 1 << (hi - 1), 1 << 15
+    exps, cos, sin = [], [], []
+    for level in (8, 16, 24):
+        e = (exp_fixed(-(1 << (hi + 16 - level)), hi + 16) + seed_half) >> 16
+        c, s = cos_sin_fixed(pi_fixed(hi + 16) >> (level - 1), hi + 16)
+        c, s = (c + seed_half) >> 16, (s + seed_half) >> 16
+        es, xs, ys = [one], [one], [0]
+        for _ in range(255):
+            es.append((es[-1] * e + half) >> hi)
+            x, y = _fmul(xs[-1], ys[-1], c, s, hi)
+            xs.append(x)
+            ys.append(y)
+        exps.append(tuple((v + (1 << 15)) >> 16 for v in es))
+        cos.append(tuple((v + (1 << 15)) >> 16 for v in xs))
+        sin.append(tuple((v + (1 << 15)) >> 16 for v in ys))
+    n_exp = _taylor_order(-_TABLE_BITS, p)
+    n_turn = _taylor_order(math.log2(2 * math.pi) - _TABLE_BITS, p)
+    inverse = [(1 << p) // math.factorial(n) for n in range(max(n_exp, n_turn) + 2)]
+    return _RootTables(
+        p,
+        pi_fixed(p + 40) << 1,
+        ln2_fixed(p + 40),
+        pi_fixed(p) << 1,
+        tuple(exps),
+        tuple(cos),
+        tuple(sin),
+        tuple(reversed(inverse[: n_exp + 1])),
+        tuple((-1) ** k * inverse[2 * k + 1] for k in range(n_turn // 2, -1, -1)),
+    )
+
+
+# Above this reduced Im tau', e^(-2 pi Im tau') < 2^(-2^30) rounds to 0 at
+# any W a process can hold, and r is not formed.
+_MAX_NOME_IM_LOG2 = 28
+
+
+def _nome(reduced: UpperHalfPoint, w: int, prec: Precision):
+    """(r, u, q) at the reduced point tau': r = e^(-2 pi Im tau') as a pair
+    (m, e) worth m 2^e, or None at Im tau' >= 2^28 or +inf; u = e^(2 pi i
+    Re tau') and q = r u in units 2^-w.
+
+    r: 2 pi Im tau' = k ln 2 + f with 0 <= f < ln 2, from 2 pi and ln 2 at
+    p + 40 bits, so f is good to 2^-7 units 2^-p below Im 2^28; then
+    e^(-f) = E1 E2 E3 e^(-x) over the three digits of f and its rest
+    x < 2^-24, and r = e^(-f) 2^-k.  u is taken at |Re tau'| in turns,
+    as sin is odd: e^(2 pi i |Re tau'|) = U1 U2 U3 e^(i phi), phi = 2 pi x,
+    with sin phi a Taylor sum and cos phi = sqrt(1 - sin^2 phi), and
+    u = +-1 exactly at Re tau' = 0 and +-1/2.  Each factor lies within
+    1/2 + 2^-7 units 2^-p, each of the three products adds 1/2, and the
+    Taylor sums, truncated below 2^-(p + 8), add 1 with their roundings:
+    e^(-f) and the p-bit u lie within 6 units 2^-p = 2^-(w + 21.4).
+    """
+    t = _root_tables(prec)
+    p, half = t.p, 1 << (t.p - 1)
+    rest = (1 << (p - _TABLE_BITS)) - 1
+    _, ym, yexp, ybc = reduced.im._mpf_
+    if not ym or yexp + ybc > _MAX_NOME_IM_LOG2:
+        r = None
+    else:
+        angle = ym * t.two_pi  # 2 pi Im tau' in units 2^-(p + 40 - yexp)
+        angle = angle << yexp if yexp >= 0 else angle >> -yexp
+        k, f = divmod(angle, t.ln2)
+        f >>= 40
+        e1, e2, e3 = t.exps
+        m = (e1[f >> (p - 8)] * e2[(f >> (p - 16)) & 255] + half) >> p
+        m = (m * e3[(f >> (p - 24)) & 255] + half) >> p
+        x, acc = f & rest, 0
+        for c in t.exp_taylor:
+            acc = c - ((acc * x) >> p)
+        r = (m * acc + half) >> p, -p - k
+    negative, xm, xexp, _ = reduced.re._mpf_
+    if not xm or xexp == -1:  # Re tau' = 0 or +-1/2 (xm is odd)
+        ux, uy = (-1 if xm else 1) << p, 0
+    else:  # |Re tau'| <= 1/2 in units 2^-p of a turn
+        x = xm << (xexp + p) if xexp + p >= 0 else xm >> -(xexp + p)
+        phi = ((x & rest) * t.turn) >> p
+        phi2, sx = (phi * phi) >> p, 0
+        for c in t.sin_taylor:
+            sx = c + ((sx * phi2) >> p)
+        sx = (sx * phi) >> p
+        cx = isqrt((1 << (2 * p)) - sx * sx)  # cos phi, phi < 2^-21
+        (c1, c2, c3), (s1, s2, s3) = t.cos, t.sin
+        i1, i2, i3 = x >> (p - 8), (x >> (p - 16)) & 255, (x >> (p - 24)) & 255
+        ux, uy = _fmul(c1[i1], s1[i1], c2[i2], s2[i2], p)
+        ux, uy = _fmul(ux, uy, c3[i3], s3[i3], p)
+        ux, uy = _fmul(ux, uy, cx, sx, p)
+    if r is None or -r[1] - p > w + 2:  # r < 2^-(w + 2): q rounds to 0
+        qx = qy = 0
+    else:
+        shift = -r[1] + p - w  # q = m u 2^(e - p) in units 2^-w
+        qhalf = 1 << (shift - 1)
+        qx, qy = (r[0] * ux + qhalf) >> shift, (r[0] * uy + qhalf) >> shift
+    uhalf = 1 << (_TABLE_BITS - 1)
+    u = (ux + uhalf) >> _TABLE_BITS, (uy + uhalf) >> _TABLE_BITS
+    if negative:
+        qy, u = -qy, (u[0], -u[1])
+    return r, u, (qx, qy)
+
+
 def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=False):
     """The one q-series pass behind every evaluator, in fixed point.
 
-    Reduces tau and forms q = r u at the reduced point tau', with r =
-    e^(-2 pi Im tau') an mpf at W + 10 bits and u = e^(2 pi i Re tau')
-    from cos_sin_fixed at W + 20 bits, taken at |Re tau'| as sin is odd
-    (u = +-1 exactly at Re tau' = 0 and +-1/2); then, to the order T of
-    _series_order, the series asked for: E4 = 1 + 240 sum sigma_3(n) q^n,
-    E6 = 1 - 504 sum sigma_5(n) q^n and prod (1 - q^n), a signed sum of
-    the powers at the pentagonal exponents.  The powers q^n come by
-    repeated multiplication, up to the first that rounds to 0.  Returns
-    (reduced, witness, W, r, u, E4, E6, prod): r a raw mpf, the rest in
-    fixed point or None if not asked for.
+    Reduces tau and forms q = r u at the reduced point tau' by _nome:
+    r = e^(-2 pi Im tau') and u = e^(2 pi i Re tau') from tables at
+    W + 24 bits.  Then, to the order T of _series_order, the series asked
+    for: E4 = 1 + 240 sum sigma_3(n) q^n, E6 = 1 - 504 sum sigma_5(n) q^n
+    and prod (1 - q^n), a signed sum of the powers at the pentagonal
+    exponents.  The powers q^n come by repeated multiplication, up to the
+    first that rounds to 0.  Returns (reduced, witness, W, r, u, E4, E6,
+    prod): r as _nome gives it, the rest in fixed point or None if not
+    asked for.
 
-    Error bound, in units 2^-W.  q and u lie within 1/2 + 2^-12 units (the
-    angle and cos_sin_fixed are good to 2^8 units at W + 20 bits; 15 was
-    the worst measured), and each power is within 1 unit (|q| <= 0.0044
-    damps what q^(n-1) carries).  So
-    the E4 sum is within e = 240 S3, the E6 sum within 504 S5 and the
-    product within T, S_k = sum_(n<=T) sigma_k(n); the tail adds
-    2^-(bits + 64) |q|.  As |E4| <= 2.1 and 0.89 <= |prod|^24 <= 1.12,
-    E4^3 conj(u) is within 14 e + 11, prod^24 within 27 T + 19, and their
-    quotient R within 16 e + 310 T + 224 <= 2^12 (S3 + T); j = R / r with
-    1/r <= |j| + 2100.  W is wp = bits + _GUARD plus the bits of
-    2^24 (S3 + T) + 2^9 S5 at T = prec.series_terms, so E4, E6, prod^24
-    and j are within 2^-wp, j relative to max(1, |j|).  After the mpmath
-    steps each evaluator lies within 2^-(bits + 24) max(|v|, |c tau + d|^-k)
-    of the value v of its formulas at tau', k its weight (0 for j, norms).
+    Error bound, in units 2^-W.  r is within 2^-(W + 20) relative, and q
+    and u within 1/2 + 2^-20 units: the table entries, their products, the
+    Taylor cut below 2^-24 and the rounding of f leave 6 units 2^-(W + 24)
+    (_nome).  Each power is within 1 unit (|q| <= 0.0044 damps what
+    q^(n-1) carries).  So the E4 sum is within e = 240 S3, the E6 sum
+    within 504 S5 and the product within T, S_k = sum_(n<=T) sigma_k(n);
+    the tail adds 2^-(bits + 64) |q|.  As |E4| <= 2.1 and
+    0.89 <= |prod|^24 <= 1.12, E4^3 conj(u) is within 14 e + 11 and
+    prod^24 within 27 T + 19, so their quotient is within
+    16 e + 310 T + 224 <= 2^12 (S3 + T), and j = E4^3 conj(u) /
+    (prod^24 r) with 1/r <= |j| + 2100, rounded once at wp.  W is
+    wp = bits + _GUARD plus the bits of 2^24 (S3 + T) + 2^9 S5 at
+    T = prec.series_terms, so E4, E6, prod^24 and j are within 2^-wp, j
+    relative to max(1, |j|).  After the mpmath steps each evaluator lies
+    within 2^-(bits + 24) max(|v|, |c tau + d|^-k) of the value v of its
+    formulas at tau', k its weight (0 for j, norms).
     """
     reduced, witness = reduce_to_fundamental_domain(tau, prec)
     w, s3, s5, pentagonal = _kernel_tables(prec)
-    # the parts of tau' carry at most wp bits, so doubling them is exact
-    two_im = mpf_shift(reduced.im._mpf_, 1)
-    wpe = w + 10 + max(0, two_im[2] + two_im[3])
-    r = mpf_exp(mpf_neg(mpf_mul(mpf_pi(wpe), two_im, wpe)), w + 10)
-    negative, man, exp, _ = reduced.re._mpf_
-    if not man or exp == -1:  # Re tau' = 0 or +-1/2 (man is odd)
-        c, s = (-1 if man else 1) << (w + 20), 0
-    else:  # 2 pi |Re tau'| in units 2^-(w + 20): |Re tau'| <= 1/2, so exp <= -2
-        c, s = cos_sin_fixed((man * pi_fixed(w + 30)) >> (9 - exp), w + 20)
-    u = (c + (1 << 19)) >> 20, (s + (1 << 19)) >> 20
-    _, rm, rexp, rbc = r  # q = r u in units 2^-w
-    if rexp + rbc + w < -1:  # r < 2^-(w + 1): q rounds to 0
-        qx = qy = 0
-    else:
-        shift = 20 - rexp
-        half = 1 << (shift - 1)
-        qx, qy = (rm * c + half) >> shift, (rm * s + half) >> shift
-    if negative:
-        qy, u = -qy, (u[0], -u[1])
+    r, u, (qx, qy) = _nome(reduced, w, prec)
     x, y = qx, qy
     half = 1 << (w - 1)
     xs, ys = [x], [y]
@@ -443,11 +609,12 @@ def _prod24(reduced: UpperHalfPoint, prod: tuple[int, int], w: int) -> tuple[int
 
 
 def _delta(reduced: UpperHalfPoint, w: int, r, u, prod, wp: int):
-    """(2 pi)^12 r (u prod^24) at the reduced point, a raw mpc; (2 pi)^12
-    is formed at wp + 16 bits, so its roundings stay under the last bit."""
+    """(2 pi)^12 r (u prod^24) at the reduced point, a raw mpc, with r a
+    pair (m, e) worth m 2^e; (2 pi)^12 is formed at wp + 16 bits, so its
+    roundings stay under the last bit."""
     x, y = _to_mpc(_fmul(*u, *_prod24(reduced, prod, w), w), w)
     two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(wp + 16), 1), 12, wp + 16)
-    scale = mpf_mul(r, two_pi_12, wp + 10)
+    scale = mpf_mul(from_man_exp(*r), two_pi_12, wp + 10)
     return mpf_mul(x, scale, wp, round_nearest), mpf_mul(y, scale, wp, round_nearest)
 
 
@@ -463,22 +630,21 @@ def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
 def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular j-invariant 1728 E4^3 / (E4^3 - E6^2).
 
-    Through E4^3 - E6^2 = 1728 q prod (1 - q^n)^24: R = E4^3 conj(u) /
-    prod^24 in fixed point, divided by r = |q| in mpmath, keeps full
-    relative precision at large Im tau, where the literal subtraction would
-    cancel to noise.  At rho, where E4 vanishes to working precision, E4^3
-    rounds to 0 and so does j.
+    Through E4^3 - E6^2 = 1728 q prod (1 - q^n)^24: j = E4^3 conj(u) /
+    (prod^24 r), r = |q|, with the three in fixed point and r = m 2^e,
+    keeps full relative precision at large Im tau, where the literal
+    subtraction would cancel to noise.  Each part is one integer quotient,
+    rounded once at wp.  At rho, where E4 vanishes to working precision,
+    E4^3 rounds to 0 and so does j.
     """
     wp = prec.bits + _GUARD
     reduced, _, w, r, (ux, uy), e4, _, prod = _series(tau, prec, e4=True, euler=True)
     dx, dy = _prod24(reduced, prod, w)
     nx, ny = _fmul(*_fmul(*_fmul(*e4, *e4, w), *e4, w), ux, -uy, w)
-    # R's parts, each rounded to the nearest unit
-    norm2 = 2 * (dx * dx + dy * dy)
-    rx = (((nx * dx + ny * dy) << (w + 1)) + norm2 // 2) // norm2
-    ry = (((ny * dx - nx * dy) << (w + 1)) + norm2 // 2) // norm2
-    _, rm, rexp, _ = r
-    re, im = (_quotient(x, rm, wp, -w - rexp) for x in (rx, ry))
+    # j = n conj(d) / (|d|^2 m 2^e)
+    rm, rexp = r
+    den = (dx * dx + dy * dy) * rm
+    re, im = (_quotient(x, den, wp, -rexp) for x in (nx * dx + ny * dy, ny * dx - nx * dy))
     return mp.make_mpc((re, im))
 
 

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from heckelab import numerics
+from heckelab import heights, numerics
 from heckelab.hecke import coset_reps
 from heckelab.numerics import ModularMatrix, UpperHalfPoint, eval_j
 
@@ -78,3 +78,12 @@ def reference_orbit():
 @pytest.fixture
 def exact_reduction():
     return exact_reduce
+
+
+@pytest.fixture(autouse=True)
+def fresh_base_point_caches():
+    """heights keeps the last base point's tau, integral-j check and log
+    norm; every test starts without them, so that counts of inversions and
+    evaluations do not depend on which test ran before."""
+    for cached in (heights._base_point, heights._off_integral_j, heights._log_norm):
+        cached.cache_clear()

@@ -3,18 +3,21 @@ import csv
 import hashlib
 import io
 import json
+import random
 import runpy
 import sys
 
 import numpy as np
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from heckelab.cli import (
     COMMANDS,
     IntColumns,
     _build_parser,
     _emit,
+    _fmt,
     _parse_complex,
     _parse_gram,
     main,
@@ -287,9 +290,9 @@ _PINNED_ORBIT_FAMILY = {
     ("orbit", "0.3+1.7i", "97", "--precision-bits", "256"): (
         0, "59a7de6a8c017df5b2c70c88956ad40f87c84f8848a7ff75c3f79134aafb0d50"),
     ("orbit", "0.5+0.5i", "30"): (
-        0, "6c302948a764051b355fe7271db03ad3e0c2c90cb7fd74e2c6f856733ecb86f2"),
+        0, "558487d2366e446cef96089a3be38fb8398d53fe3ec47f900bfad904d6ccdb41"),
     ("orbit", "i", "12"): (
-        0, "e00748b8b48bb0faeef3873a9fc12374fcb25a66ed28c1bf0d7df00ee5333859"),
+        0, "a7f6e602705343e11852bbcb1bfb4d0ed86c608da3a0189c4a7326c8f775ea54"),
     ("orbit", "0.3+1e-30i", "12"): (
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("orbit", "0.1234567+1.3456i", "293"): (
@@ -306,6 +309,44 @@ def test_orbit_family_output_is_pinned(args, capsys):
     code = main(list(args))
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == _PINNED_ORBIT_FAMILY[args]
+
+
+def _nstr_panel() -> tuple[list, list]:
+    """(seeded, edges) mpf values for _fmt.  Seeded: 10^5 mantissas of 1 to
+    400 bits at decimal exponents from -120 to 90, 1 % past the 3500-bit
+    cut to mp.nstr.  Edges: the carries and the layout switches of nstr at
+    17, 32 and 64 digits."""
+    rng = random.Random(2704)
+    values = []
+    for _ in range(100_000):
+        man = rng.getrandbits(rng.choice((1, 3, 24, 53, 96, 128, 160, 256, 400))) or 1
+        exp = rng.randrange(-3800, 3700) if rng.random() < 0.01 else rng.randrange(-400, 300)
+        values.append(mp.make_mpf(from_man_exp(rng.choice((man, -man)), exp)))
+    seeded, values = values, []
+    with mp.workprec(400):
+        for d in (17, 32, 64):
+            tie = 1 - 5 * mpf(10) ** -(d + 1)  # 0.99..95: carries into a new decade
+            low = 1 - mpf("4.999") * mpf(10) ** -(d + 1)
+            for k in (-d // 3 - 1, -d // 3, -d // 3 + 1, -6, -5, -4, d - 1, d, d + 1):
+                for x in (mpf(10) ** k, tie * mpf(10) ** k, low * mpf(10) ** k,
+                          mpf("1.2345678901234567890123456789") * mpf(10) ** k):
+                    values += [+x, -x]
+        values += [mpf(2) ** 3501, mpf(2) ** -3502, -mpf(3) ** 2300, mpf(1) / 3]
+    return seeded, values
+
+
+def test_cells_print_as_nstr_prints_them():
+    # each seeded value at one of the three digit counts in turn, each edge
+    # at all three
+    seeded, edges = _nstr_panel()
+    for i, value in enumerate(seeded):
+        d = (17, 32, 64)[i % 3]
+        assert _fmt(value, d) == mp.nstr(value, d, strip_zeros=True), (value, d)
+    for value in edges:
+        for d in (17, 32, 64):
+            assert _fmt(value, d) == mp.nstr(value, d, strip_zeros=True), (value, d)
+    for value in (mp.zero, mp.inf, -mp.inf, mp.nan):
+        assert _fmt(value, 32) == mp.nstr(value, 32, strip_zeros=True)
 
 
 def test_latcount_beyond_memory_exits_two(monkeypatch, capsys):

@@ -393,3 +393,66 @@ def test_heuristic_integral_determinism():
     assert spread < 8 * (a.std_error + c.std_error)
     with pytest.raises(ValueError):
         heuristic_integral(12345, 1, PREC)
+
+
+# (y, z, N, bits): Phi_N(z, y) = 0, and at these bits the orbit point of
+# j = z from tau_from_j(y) stayed above the resolution, so the orbit sum
+# alone returned a finite S_N
+_ISOGENY_BITS = (
+    [(1600, -2194880, 5, b) for b in (92, 93, 94, 138, 139, 183, 184, 185)]
+    + [(576, -39091613782464, 13, b) for b in (96, 97, 145, 146, 194, 195)]
+    + [(2101248, 2045023375454208, 13, b) for b in (97, 98, 152, 153)]
+)
+
+
+@pytest.mark.parametrize("y, z, n, bits", _ISOGENY_BITS)
+def test_local_arch_sum_raises_on_a_rational_isogeny(y, z, n, bits):
+    assert modpoly.evaluate(n, z, y) == 0
+    prec = Precision(bits)
+    with pytest.raises(CoincidenceError, match=f"phi_{n}\\({y}, {z}\\) = 0"):
+        local_arch_sum(tau_from_j(y, prec), z, n, prec)
+
+
+def test_local_arch_sum_stays_finite_off_the_orbit():
+    # Phi_3(54000, 0) != 0: the stored polynomial clears z, and the sum is
+    # the orbit sum
+    assert modpoly.evaluate(3, 54000, 0) != 0
+    tau = tau_from_j(0, PREC)
+    assert math.isfinite(local_arch_sum(tau, 54000, 3, PREC))
+
+
+def test_series_invert_y_and_read_the_log_norm_once(monkeypatch, capsys):
+    # a residual series inverts y once and reads log ||Delta|| once; a
+    # height series reads the log norm once
+    for argv, inverted in ((["residual", "1", "2", "2..40"], 1), (["height", "1", "2..40"], 0)):
+        heights._base_point.cache_clear()
+        heights._log_norm.cache_clear()
+        inversions = _counting(monkeypatch, heights, "tau_from_j")
+        norms = _counting(monkeypatch, heights, "log_petersson_norm_delta")
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 40
+        assert (len(inversions), len(norms)) == (inverted, 1), argv
+        monkeypatch.undo()
+
+
+def test_series_print_the_same_rows_with_the_base_point_kept(capsys):
+    # the kept tau_y and log norm give each row what a fresh call gives
+    for argv in (["residual", "-40", "7", "2..12"], ["height", "2417", "2..12"]):
+        assert cli.main(argv) == 0
+        kept = capsys.readouterr().out.splitlines()
+        fresh = []
+        for n in range(2, 13):
+            heights._base_point.cache_clear()
+            heights._log_norm.cache_clear()
+            assert cli.main(argv[:-1] + [str(n)]) == 0
+            fresh.append(capsys.readouterr().out.splitlines()[1])
+        assert kept[1:] == fresh, argv
+
+
+def test_check_off_orbit_bounds_the_distances_once(monkeypatch):
+    # the screen's distance bounds serve both the candidates and the sum
+    bounds = _counting(monkeypatch, hecke.OrbitScreen, "log_distance_bounds")
+    for y, z, n in ((-40, 7, 6), (1, 2, 8), (-3375, -3376, 4)):
+        bounds.clear()
+        global_identity_residual(y, z, n, PREC)
+        assert len(bounds) == 1, (y, z, n)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
 
 from heckelab import numerics
 from heckelab.cli import main
@@ -616,6 +617,107 @@ def test_series_order_equals_the_search_where_the_cap_misses(bits):
             else:
                 fails = mid
         assert numerics._series_order(im, prec) == passes, im
+
+
+def _searched_series_order(im: float, prec: Precision) -> int:
+    """_series_order as a search upward from the floor of
+    (log 700 - limit) / (2 pi im), below which no T passes: the oracle of
+    its table."""
+    cap = prec.series_terms
+    limit = -(prec.bits + 2 * numerics._GUARD) * numerics._LN2
+    start = max(1, math.floor((math.log(700.0) - limit) / (2 * math.pi * im)))
+    for terms in range(start, cap):
+        if numerics._log_tail(terms, im) < limit:
+            return terms
+    return cap
+
+
+def test_series_order_equals_the_search_at_and_between_its_thresholds():
+    # the table's thresholds are where the order steps, so each is tried
+    # with its float64 neighbours, and seeded heights between them
+    rng = random.Random(2701)
+    for bits in (53, 64, 96, 128, 160, 256, 512, 1024):
+        prec = Precision(bits)
+        heights = [rng.uniform(math.sqrt(3) / 2, 4.0) for _ in range(4000)]
+        heights += [math.sqrt(3) / 2 * 2 ** rng.uniform(0, 12) for _ in range(1000)]
+        for threshold in numerics._order_table(prec)[3]:
+            h = -threshold
+            heights += [math.nextafter(h, 0), h, math.nextafter(h, math.inf)]
+        for im in heights:
+            if im > math.sqrt(3) / 2 - 1e-9:
+                assert numerics._series_order(im, prec) == _searched_series_order(im, prec), (
+                    bits, im)
+
+
+def test_quotient_rounds_as_mpf_div():
+    # num 2^exp / den to nearest at wp bits, ties to even, bit for bit
+    rng = random.Random(2702)
+    cases = []
+    for _ in range(20000):
+        wp = rng.randrange(53, 1100)
+        num = rng.getrandbits(rng.randrange(1, 2 * wp)) * rng.choice((1, -1))
+        den = rng.getrandbits(rng.randrange(1, 2 * wp)) or 1
+        cases.append((num, den, wp, rng.randrange(-2000, 2000)))
+    for _ in range(2000):
+        wp = rng.randrange(53, 300)
+        den = rng.choice((1, 2, 2 ** rng.randrange(1, 80), rng.getrandbits(200) | 1))
+        # a quotient of wp + 1 bits ending in 1: an exact half, odd or even
+        # below; a run of ones that rounds up to a power of two; and one
+        # unit either side of a half
+        half = rng.getrandbits(wp) | (1 << wp) | 1
+        for man in (half, (1 << (wp + 1)) - 1, 4 * half + 1, 4 * half - 1):
+            cases.append((man * den, den, wp, rng.randrange(-200, 200)))
+            cases.append((-man * den, den, wp, rng.randrange(-200, 200)))
+    for num, den, wp, exp in cases:
+        want = mpf_div(from_man_exp(num, exp), from_int(den), wp, round_nearest)
+        assert numerics._quotient(num, den, wp, exp) == want, (num, den, wp, exp)
+    assert numerics._quotient(0, 7, 64) == mpf_div(fzero, from_int(7), 64, round_nearest)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_table_entries_lie_within_half_a_unit_and_a_bit(bits):
+    # each entry within 1/2 + 2^-7 units 2^-p of its value at p + 64 bits
+    prec = Precision(bits)
+    t = numerics._root_tables(prec)
+    assert t.p == numerics._kernel_tables(prec)[0] + 24
+    bound = 0.5 + 2.0**-7
+    with mp.workprec(t.p + 64):
+        scale = mpf(2) ** t.p
+        for level, step in enumerate((8, 16, 24)):
+            for i in range(256):
+                x = mpf(i) / 2**step
+                assert abs(t.exps[level][i] - mp.exp(-x) * scale) <= bound, (level, i)
+                assert abs(t.cos[level][i] - mp.cospi(2 * x) * scale) <= bound, (level, i)
+                assert abs(t.sin[level][i] - mp.sinpi(2 * x) * scale) <= bound, (level, i)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 1024])
+def test_nome_lies_within_its_bound(bits):
+    # r within 2^-(W + 20) relative, u and q within 1/2 + 2^-20 units 2^-W
+    # per part, from Im tau' at the corner up to the cap on the powers
+    prec = Precision(bits)
+    w = numerics._kernel_tables(prec)[0]
+    rng = random.Random(2703 + bits)
+    points = [UpperHalfPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 4.0)) for _ in range(150)]
+    with mp.workprec(bits + 32):
+        points += [UpperHalfPoint(mpf(rng.uniform(-0.5, 0.5)) * 2.0 ** -k, 2 ** rng.uniform(0, 20))
+                   for k in (0, 30, 100, 200)]
+    for tau in points:
+        reduced, _ = reduce_to_fundamental_domain(tau, prec)
+        (m, e), u, q = numerics._nome(reduced, w, prec)
+        with mp.workprec(2 * w + 64):
+            r = mp.exp(-2 * mp.pi * reduced.im)
+            want_u = mp.expjpi(2 * reduced.re) * mpf(2) ** w
+            want_q = r * want_u
+            assert abs(m * mpf(2) ** e / r - 1) <= mpf(2) ** -(w + 20), tau
+            for got, want in ((u, want_u), (q, want_q)):
+                assert abs(got[0] - want.real) <= 0.5 + 2.0**-20, tau
+                assert abs(got[1] - want.imag) <= 0.5 + 2.0**-20, tau
+    # Re tau' on the symmetry lines gives u = +-1 exactly, and a reduced
+    # Im tau' of 2^28 or more gives no r and q = 0
+    for re, u in ((0, (1 << w, 0)), (mpf(1) / 2, (-1 << w, 0))):
+        assert numerics._nome(UpperHalfPoint(re, 3), w, prec)[1] == u
+    assert numerics._nome(UpperHalfPoint(0.25, 2**28), w, prec) == (None, (0, 1 << w), (0, 0))
 
 
 def test_raw_parts_read_as_float_reads_them():
