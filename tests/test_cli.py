@@ -281,7 +281,9 @@ def test_cm_prints_j_at_i_and_rho_exactly(bits, capsys):
 
 # sha256 of the CSV that each orbit-family run prints, with its exit code:
 # the rows of j over a Hecke orbit at 64-256 bits, on and off the symmetry
-# lines, and one run refused above the Im cap (no rows)
+# lines, and one run refused above the Im cap (no rows).  Forming j with
+# one rounding moved the last digits of Im j, about 2^-157 |j| at points
+# next to the unit arc, by 2^-199 |j| in two rows each of 0.5+0.5i and i
 _PINNED_ORBIT_FAMILY = {
     ("orbit", "0.3+1.7i", "97", "--precision-bits", "64"): (
         0, "b4f5026b4194b7c3417a1e6ebd26e736fbd44562e9068e4ac39b5f0d9470fb09"),
