@@ -585,11 +585,15 @@ def _upward_series_order(im: float, prec: Precision) -> int:
     return cap
 
 
-@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("bits", [53, 64, 96, 128, 160, 256, 512, 1024])
 def test_series_order_equals_the_upward_search(bits):
+    # the thresholds of _order_table, where the order steps, are tried
+    # with their float64 neighbours
     corner = math.sqrt(3) / 2
     heights = [corner * (1000 / corner) ** (k / 1999) for k in range(2000)]
     prec = Precision(bits)
+    for threshold in numerics._order_table(prec)[3]:
+        heights += [math.nextafter(-threshold, 0), -threshold, math.nextafter(-threshold, math.inf)]
     for im in heights:
         assert numerics._series_order(im, prec) == _upward_series_order(im, prec), im
 
@@ -617,36 +621,6 @@ def test_series_order_equals_the_search_where_the_cap_misses(bits):
             else:
                 fails = mid
         assert numerics._series_order(im, prec) == passes, im
-
-
-def _searched_series_order(im: float, prec: Precision) -> int:
-    """_series_order as a search upward from the floor of
-    (log 700 - limit) / (2 pi im), below which no T passes: the oracle of
-    its table."""
-    cap = prec.series_terms
-    limit = -(prec.bits + 2 * numerics._GUARD) * numerics._LN2
-    start = max(1, math.floor((math.log(700.0) - limit) / (2 * math.pi * im)))
-    for terms in range(start, cap):
-        if numerics._log_tail(terms, im) < limit:
-            return terms
-    return cap
-
-
-def test_series_order_equals_the_search_at_and_between_its_thresholds():
-    # the table's thresholds are where the order steps, so each is tried
-    # with its float64 neighbours, and seeded heights between them
-    rng = random.Random(2701)
-    for bits in (53, 64, 96, 128, 160, 256, 512, 1024):
-        prec = Precision(bits)
-        heights = [rng.uniform(math.sqrt(3) / 2, 4.0) for _ in range(4000)]
-        heights += [math.sqrt(3) / 2 * 2 ** rng.uniform(0, 12) for _ in range(1000)]
-        for threshold in numerics._order_table(prec)[3]:
-            h = -threshold
-            heights += [math.nextafter(h, 0), h, math.nextafter(h, math.inf)]
-        for im in heights:
-            if im > math.sqrt(3) / 2 - 1e-9:
-                assert numerics._series_order(im, prec) == _searched_series_order(im, prec), (
-                    bits, im)
 
 
 def test_quotient_rounds_as_mpf_div():
