@@ -506,6 +506,27 @@ def test_scan_output_is_pinned(args, capsys):
     assert capsys.readouterr().out == _PINNED_SCAN[args]
 
 
+# sha256 of the CSV of a scan to 9300, the size the benchmark scans: a twist
+# pair (1148 hits, every a_p read off one count of y^2 = x^3 + t x + t), a
+# generic pair with rational coefficients and a CM pair (j = 1728 against
+# j = 0, both in closed form)
+_PINNED_SCAN_9300 = {
+    ("scan", "7,10", "63,-270", "5", "9300"):
+        "a588044e167274dea63b4a89749c8b2250119022003a04f2c1f2e2d35c80ca41",
+    ("scan", "1/3,-5/7", "2/9,7/4", "5", "9300"):
+        "11c65cce917d374a3fab8394d87485b10458a78874dfec64b880bcc35b09a430",
+    ("scan", "-13,0", "0,17", "5", "9300"):
+        "e2e3ace0ab48b70b76065754e44853403b14719c40e6ba98cea0ef4dcc075450",
+}
+
+
+@pytest.mark.parametrize("args", list(_PINNED_SCAN_9300))
+def test_scan_output_at_benchmark_size_is_pinned(args, capsys):
+    assert main(list(args)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _PINNED_SCAN_9300[args]
+
+
 def test_jsonl_format(capsys):
     assert main(["tate", "-1", "2", "--format", "jsonl"]) == 0
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l]
