@@ -49,7 +49,7 @@ from .heights import (
 )
 from .lattices import GramForm, _value_counts, counting_bound, represented_values
 from .numerics import _GUARD, ModularMatrix, Precision, UpperHalfPoint, eval_j, tau_from_j
-from .scan import CurveQ, _coincidences, count_points, scan_pair, trace_power
+from .scan import CurveQ, _coincidences, _half_sweep, _traces, count_points, scan_pair, trace_power
 from .tate import badred_constant, valuation_orbit
 
 
@@ -350,11 +350,15 @@ def _scan_checks() -> list[tuple[str, bool]]:
     e1 = CurveQ(Fraction(-1), Fraction(0))
     rec = count_points(e1, 5)
     hits = scan_pair(e1, CurveQ(Fraction(0), Fraction(-1)), 5, 100)
+    primes = [p for p in primes_up_to(3000) if p >= 5 and p != 31]  # 31 | disc
+    batched = _traces([(1, p) for p in primes])
     return [
         ("a_5(y^2=x^3-x) = -2", rec.a_p == -2),
         ("trace_power(-2, 5, 2) = -6", trace_power(-2, 5, 2) == -6),
         ("pair hits in [5,100] at 11..83",
          {h.p for h in hits} >= {11, 23, 47, 59, 71, 83}),
+        ("batched a_p of y^2=x^3+x+1 = half-sweep at every p in [5,3000]",
+         batched == [_half_sweep(1, 1, p) for p in primes]),
     ]
 
 

@@ -341,10 +341,14 @@ def _series_order(im: float, prec: Precision) -> int:
 
 
 @lru_cache(maxsize=64)
-def _kernel_tables(prec: Precision) -> tuple[int, tuple, tuple, tuple]:
-    """(W, sigma_3, sigma_5, pentagonal) up to the order prec.series_terms:
-    W as _series derives it, and the (exponent, sign) pairs of Euler's
-    prod (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2))."""
+def _kernel_tables(prec: Precision) -> tuple[int, tuple, tuple, tuple, tuple]:
+    """(W, sigma_3, sigma_5, pentagonal, (2 pi)^12) up to the order
+    prec.series_terms: W as _series derives it, the (exponent, sign) pairs
+    of Euler's prod (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) +
+    q^(k(3k+1)/2)), and _delta's (2 pi)^12 as a raw mpf, formed at wp + 16
+    bits (wp = bits + _GUARD) so that its roundings stay under the last bit."""
+    hi = prec.bits + _GUARD + 16
+    two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(hi), 1), 12, hi)
     terms = prec.series_terms
     s3, s5 = _sigma_tables(terms)
     weight = 2**24 * (sum(s3) + terms) + 2**9 * sum(s5)
@@ -354,7 +358,7 @@ def _kernel_tables(prec: Precision) -> tuple[int, tuple, tuple, tuple]:
         for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
         if n <= terms
     ]
-    return prec.bits + _GUARD + weight.bit_length(), s3, s5, tuple(pentagonal)
+    return prec.bits + _GUARD + weight.bit_length(), s3, s5, tuple(pentagonal), two_pi_12
 
 
 def _fmul(a: int, b: int, c: int, d: int, w: int) -> tuple[int, int]:
@@ -543,7 +547,7 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     formulas at tau', k its weight (0 for j, norms).
     """
     reduced, witness = reduce_to_fundamental_domain(tau, prec)
-    w, s3, s5, pentagonal = _kernel_tables(prec)
+    w, s3, s5, pentagonal, _ = _kernel_tables(prec)
     r, u, (qx, qy) = _nome(reduced, w, prec)
     x, y = qx, qy
     half = 1 << (w - 1)
@@ -608,22 +612,23 @@ def _prod24(reduced: UpperHalfPoint, prod: tuple[int, int], w: int) -> tuple[int
     return _fmul(*_fmul(*p8, *p8, w), *p8, w)
 
 
-def _delta(reduced: UpperHalfPoint, w: int, r, u, prod, wp: int):
-    """(2 pi)^12 r (u prod^24) at the reduced point, a raw mpc, with r a
-    pair (m, e) worth m 2^e; (2 pi)^12 is formed at wp + 16 bits, so its
-    roundings stay under the last bit."""
+def _delta(reduced: UpperHalfPoint, w: int, r, u, prod, prec: Precision):
+    """(2 pi)^12 r (u prod^24) at the reduced point, a raw mpc rounded at
+    wp = bits + _GUARD, with r a pair (m, e) worth m 2^e and (2 pi)^12 from
+    _kernel_tables."""
+    wp = prec.bits + _GUARD
     x, y = _to_mpc(_fmul(*u, *_prod24(reduced, prod, w), w), w)
-    two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(wp + 16), 1), 12, wp + 16)
-    scale = mpf_mul(from_man_exp(*r), two_pi_12, wp + 10)
+    scale = mpf_mul(from_man_exp(*r), _kernel_tables(prec)[4], wp + 10)
     return mpf_mul(x, scale, wp, round_nearest), mpf_mul(y, scale, wp, round_nearest)
 
 
 def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular discriminant (2 pi)^12 q prod (1 - q^n)^24 at tau."""
-    wp = prec.bits + _GUARD
-    with mp.workprec(wp):
+    with mp.workprec(prec.bits + _GUARD):
         reduced, witness, w, r, u, _, _, prod = _series(tau, prec, euler=True)
-        delta = mp.make_mpc(_delta(reduced, w, r, u, prod, wp))
+        delta = mp.make_mpc(_delta(reduced, w, r, u, prod, prec))
+        if witness.c == 0 and witness.d in (1, -1):
+            return delta  # a translation: the cocycle is 1
         return delta * _cocycle(tau, witness, 12)
 
 
@@ -650,10 +655,9 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
 
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """SL2(Z)-invariant norm |Delta(tau)| * (Im tau)^6."""
-    wp = prec.bits + _GUARD
-    with mp.workprec(wp):
+    with mp.workprec(prec.bits + _GUARD):
         reduced, _, w, r, u, _, _, prod = _series(tau, prec, euler=True)
-        return abs(mp.make_mpc(_delta(reduced, w, r, u, prod, wp))) * reduced.im**6
+        return abs(mp.make_mpc(_delta(reduced, w, r, u, prod, prec))) * reduced.im**6
 
 
 def log_petersson_norm_delta(

@@ -10,13 +10,21 @@ y^2 = x^3 - D x with pi = 1 (mod 2 + 2i) and chi = (D/pi)_4, and
 chi = (4D/pi)_6; pi comes from Cornacchia's algorithm.  The choice rests on
 the reduced curve alone, so it serves any curve at a prime dividing a4 or
 a6.  Every other reduction, ab != 0, is the quadratic twist by b/a of
-y^2 = x^3 + t x + t with t = a^3/b^2, the curve of its j mod p, so its a_p
-is (ab/p) times that curve's (Silverman, AEC, Sec. X.5).  That a_p is
-counted by a half-sweep over x = 1 .. (p - 1)/2 against tables built once
-per prime (x^2 mod p and a doubled Legendre table), and kept for the last
-two (t, p): the two curves of a twist pair share one sweep at each prime,
-those of any other pair share the tables.  The half-sweep of the curve
-itself is the tests' oracle of the closed forms and of the twist.
+E_t: y^2 = x^3 + t x + t with t = a^3/b^2, the curve of its j mod p, so its
+a_p is (ab/p) times that of E_t (Silverman, AEC, Sec. X.5).
+
+A scan classifies every curve at every prime first, and then counts the a_p
+of all its distinct (t, p), its lanes, in one NumPy pass (_bsgs_traces):
+Shanks-Mestre baby-step giant-step on the x-line, which serves E_t and its
+twist alike, over blocks of lanes of like p.  It accepts a lane only when
+exactly one order in the Hasse interval kills its point, which is then the
+order of the curve through it, so every accepted a_p is exact.  The lanes
+it declines, and all p >= 2^31, where its int64 arithmetic could overflow,
+take the half-sweep, which also serves count_points: a sum over x = 1 ..
+(p - 1)/2 against tables built once per prime (x^2 mod p and a doubled
+Legendre table).  The two curves of a twist pair share one lane at each
+prime.  The half-sweep of the curve itself is the tests' oracle of the
+kernel, of the closed forms and of the twist.
 
 Two reductions are geometrically isogenous exactly when their Frobenius
 eigenvalue ratio is a root of unity, which a trace-power match at some
@@ -122,8 +130,9 @@ class _PrimeTables(NamedTuple):
     chi2: np.ndarray  # chi2[v] = Legendre symbol (v/p) for v in [0, 2p), int8
 
 
-# A scan counts both curves at p one after the other, so the tables are
-# built once per prime and only the last few primes are worth keeping.
+# A scan sweeps the lanes the kernel declines in order of p, and a pair's
+# count_points calls come at one p after the other, so the tables are built
+# once per prime and only the last few primes are worth keeping.
 @lru_cache(maxsize=2)
 def _prime_tables(p: int) -> _PrimeTables:
     x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int32 if p < _INT32_BELOW else np.int64)
@@ -150,18 +159,228 @@ def _half_sweep(a: int, b: int, p: int) -> int:
     )
 
 
-# Both curves of a twist pair have the same j, hence the same t, at every
-# prime and are counted at p one after the other, so the sweeps of the last
-# two (t, p) are kept, as the tables are.
-@lru_cache(maxsize=2)
-def _sweep_of_j(t: int, p: int) -> tuple[int, "Supersingular | Ordinary"]:
-    """a_p of y^2 = x^3 + t x + t, the curve with t = 27 j/(4 (1728 - j)),
-    and its classification, which every twist shares (a_p^2 is the same)."""
-    a_p = _half_sweep(t, t, p)
-    if a_p == 0:
-        return 0, Supersingular()
-    conductor, d_k = split_discriminant(a_p * a_p - 4 * p)
-    return a_p, Ordinary(cm_fundamental_disc=d_k, conductor=conductor)
+# -- the traces of many y^2 = x^3 + t x + t at once -------------------------
+#
+# Every lane (t, p) of _bsgs_traces is one curve E_t over one F_p, and every
+# array holds one int64 per lane (a row per step for the 2-D ones).  A point
+# of the Kummer line x(E) = P^1 is a pair (X, Z) of residues in [0, p), with
+# O = (1 : 0); each formula below reduces a product before it forms the next.
+
+# Every value the kernel forms fits in int64 below this bound.  The largest
+# is X_P Z_Q + X_Q Z_P < 2 (p - 1)^2 in _x_add; every other sum or difference
+# of two products is below (p - 1)^2 in size, and the keys of the match,
+# (lane (p_max + 1) + x)(m + 1) + j, are below 2^16 (p_max + 1), as a block
+# has fewer than 2^16 / (m + 1) lanes.  2 (p - 1)^2 < 2^63 for every p below
+# 2^31, and 2 (2^31 - 1)^2 is the largest value at the largest such prime.
+_INT64_BELOW = 2**31
+
+# No 2-D array of the kernel holds more int64 than this (1 MiB): a block of
+# lanes has at most _BLOCK_ELEMENTS // (2 m + 4) lanes for its m (_baby_steps).
+_BLOCK_ELEMENTS = 2**17
+
+
+def _pow_mod(base: np.ndarray, exponent: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """base^exponent mod p, lane by lane, by square and multiply."""
+    result = np.ones_like(base)
+    for bit in range(int(exponent.max()).bit_length() - 1, -1, -1):
+        result = result * result % p
+        result = np.where((exponent >> bit) & 1 == 1, result * base % p, result)
+    return result
+
+
+def _x_add(left, right, diff, t, p):
+    """x(P + Q) from x(P), x(Q) and x(P - Q) on y^2 = x^3 + t x + t:
+    x(P + Q) x(P - Q) = ((x_P x_Q - t)^2 - 4 t (x_P + x_Q)) / (x_P - x_Q)^2,
+    in (X : Z).  Exact when x(P - Q) is neither O nor 0; O is a valid P or
+    Q, and P = -Q gives O."""
+    (xp, zp), (xq, zq), (xd, zd) = left, right, diff
+    xz = xp * zq
+    zx = xq * zp
+    tz = t * (zp * zq % p) % p
+    u = (xp * xq - tz) % p
+    w = 4 * tz % p * ((xz + zx) % p)
+    d = (xz - zx) % p
+    return (u * u - w) % p * zd % p, d * d % p * xd % p
+
+
+def _x_double(point, t, p):
+    """x(2P) = ((x^2 - t)^2 - 8 t x) / (4 (x^3 + t x + t)) in (X : Z); O and
+    the points of order 2 give O."""
+    x, z = point
+    xx = x * x % p
+    tz = t * (z * z % p) % p
+    u = (xx - tz) % p
+    big_x = (u * u - 8 * tz % p * (x * z % p)) % p
+    cubic = (x * ((xx + tz) % p) + tz * z) % p  # X^3 + t X Z^2 + t Z^3
+    return big_x, 4 * (z * cubic % p) % p
+
+
+def _baby_steps(radius: int) -> int:
+    """m, the baby steps for Hasse intervals of half-width up to radius: a
+    giant step covers 2 m + 1 orders, and about sqrt(2 radius) balances
+    the m baby steps against the two sequences of giant steps."""
+    return max(2, math.isqrt(2 * radius))
+
+
+def _bsgs_traces(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a_p, accepted) of y^2 = x^3 + t x + t at each lane (t, p), p < 2^31,
+    by Shanks-Mestre baby-step giant-step (Cohen, GTM 138, Sec. 7.4.3) on
+    x-coordinates.  a_p is exact where accepted is True.
+
+    P = (x0 : 1) for the least x0 >= 1 with f(x0) = x0^3 + t x0 + t != 0 lies
+    on E_t when sigma = (f(x0)/p) = 1 and on its quadratic twist when it is
+    -1; the Kummer line serves both.  Every order in the Hasse interval
+    [p + 1 - r, p + 1 + r], r = isqrt(4p), is c + delta with c a multiple
+    of s = 2m + 1 and |delta| <= m, and (c + delta) P = O exactly when
+    cP = -delta P.  So the baby steps jP, j = 0 .. m + 1, are matched by
+    x against the giant steps G = cP over the interval, and H = G + P,
+    carried beside G, tells the sign: cP = jP gives x(H) = x((j + 1) P), so
+    c - j annihilates P, and cP = -jP gives x(H) = x((j - 1) P), so c + j
+    does (both when 2jP = O).  With x(jP) distinct for j = 0 .. m, that
+    enumerates every N in the interval with NP = O.  The order of the curve
+    through P is one of them, so where there is exactly one, it is that
+    order N, and a_p = sigma (p + 1 - N).
+
+    A lane is declined (accepted False) when the N are not one, when two of
+    x(0 P) .. x(mP) agree, or when an addition's difference is O or has
+    x = 0, where the formula fails; a giant step whose difference is O is a
+    doubling instead.  The giant steps come from a ladder over the multiple
+    of s that starts the interval, which keeps kS, (k + 1) S, kS + P and
+    (k + 1) S + P, with differences S, P and S - P.
+    """
+    n = p.size
+    r = np.sqrt(4 * p).astype(np.int64)
+    r -= r * r > 4 * p
+    r += (r + 1) * (r + 1) <= 4 * p
+    low, high = p + 1 - r, p + 1 + r
+    m = _baby_steps(int(r.max()))
+    s = 2 * m + 1
+    k0 = (low + m) // s  # the first giant step c = k0 s, within m of low
+    steps = max(2, int(((high + m) // s - k0).max()) + 1)
+    one, zero = np.ones_like(p), np.zeros_like(p)
+    # the base point: f(x0) != 0 for some x0 <= 4, as f has at most 3 roots
+    x0, f = one, (1 + 2 * t) % p
+    for x in (2, 3, 4):
+        root = f == 0
+        x0 = np.where(root, x, x0)
+        f = np.where(root, (x * x * x + x * t + t) % p, f)
+    sigma = np.where(_pow_mod(f, (p - 1) // 2, p) == 1, 1, -1)
+    declined = np.zeros(n, dtype=bool)
+
+    def add(left, right, diff):
+        nonlocal declined
+        declined |= (diff[0] == 0) | (diff[1] == 0)
+        return _x_add(left, right, diff, t, p)
+
+    # baby steps: row j holds jP
+    bx = np.empty((m + 2, n), dtype=np.int64)
+    bz = np.empty_like(bx)
+    bx[0], bz[0] = one, zero
+    bx[1], bz[1] = x0, one
+    bx[2], bz[2] = _x_double((x0, one), t, p)
+    base = (x0, one)
+    for j in range(2, m + 1):
+        bx[j + 1], bz[j + 1] = add((bx[j], bz[j]), base, (bx[j - 1], bz[j - 1]))
+    giant = add((bx[m], bz[m]), (bx[m + 1], bz[m + 1]), base)  # S = sP
+    giant_less = _x_double((bx[m], bz[m]), t, p)  # x(S - P) = x(2m P)
+    for diff in (giant, giant_less):  # the ladder's differences
+        declined |= (diff[0] == 0) | (diff[1] == 0)
+    # the ladder: (R0, R1, R2, R3) = (kS, (k + 1) S, kS + P, (k + 1) S + P)
+    # from k = 0 up to k0, one bit of k0 at a time
+    regs = ((one, zero), giant, base, _x_double((bx[m + 1], bz[m + 1]), t, p))
+    for bit in range(int(k0.max()).bit_length() - 1, -1, -1):
+        odd = (k0 >> bit) & 1 == 1
+
+        def pick(if_odd, if_even):
+            return np.where(odd, if_odd[0], if_even[0]), np.where(odd, if_odd[1], if_even[1])
+
+        r0, r1, r2, r3 = regs
+        both = _x_add(r0, r1, giant, t, p)  # (2k + 1) S
+        shifted = _x_add(r2, r1, giant_less, t, p)  # (2k + 1) S + P
+        other = _x_add(pick(r3, r2), pick(r1, r0), base, t, p)  # 2kS + P or (2k + 2) S + P
+        doubled = _x_double(pick(r1, r0), t, p)  # 2kS or (2k + 2) S
+        regs = pick(both, doubled), pick(doubled, both), pick(shifted, other), pick(other, shifted)
+    # giant steps: row k holds G = (k0 + k) sP, and H = G + P
+    gx = np.empty((steps, n), dtype=np.int64)
+    gz, hx, hz = np.empty_like(gx), np.empty_like(gx), np.empty_like(gx)
+    (gx[0], gz[0]), (gx[1], gz[1]), (hx[0], hz[0]), (hx[1], hz[1]) = regs
+    for k in range(2, steps):
+        for xs, zs in ((gx, gz), (hx, hz)):
+            declined |= xs[k - 2] == 0
+            xs[k], zs[k] = _x_add((xs[k - 1], zs[k - 1]), giant, (xs[k - 2], zs[k - 2]), t, p)
+            at_o = np.flatnonzero(zs[k - 2] == 0)  # the last step was from O: double
+            if at_o.size:
+                xs[k, at_o], zs[k, at_o] = _x_double(
+                    (xs[k - 1, at_o], zs[k - 1, at_o]), t[at_o], p[at_o]
+                )
+    # the x of baby steps 1 .. m and of every G, by one inversion per lane
+    xs = np.concatenate((bx[1 : m + 1], gx))
+    zs = np.concatenate((bz[1 : m + 1], gz))
+    at_o = zs == 0
+    zs[at_o] = 1
+    before = np.empty_like(zs)
+    acc = one
+    for row in range(zs.shape[0]):
+        before[row] = acc
+        acc = acc * zs[row] % p
+    inverse = _pow_mod(acc, p - 2, p)
+    for row in range(zs.shape[0] - 1, -1, -1):
+        xs[row] = xs[row] * (inverse * before[row] % p) % p
+        inverse = inverse * zs[row] % p
+    xs[at_o] = np.broadcast_to(p, xs.shape)[at_o]  # x(O) is read as p
+    # match on keys lane (p_max + 1) + x, so that lanes never meet; a baby
+    # step's key carries j below it, as key (m + 1) + j, and sorts per lane
+    width = int(p.max()) + 1
+    offset = np.arange(n, dtype=np.int64) * width
+    baby = np.concatenate(((offset + p)[None], xs[:m] + offset)) * (m + 1)
+    baby += np.arange(m + 1)[:, None]
+    baby = np.sort(baby.T).ravel()
+    baby_keys = baby // (m + 1)
+    repeats = baby_keys[1:] == baby_keys[:-1]
+    declined[baby_keys[1:][repeats] // width] = True  # x(jP) repeats
+    keys = (xs[m:] + offset).ravel()
+    at = np.minimum(np.searchsorted(baby_keys, keys), baby.size - 1)
+    hit = np.flatnonzero(baby_keys[at] == keys)
+    k, lane = np.divmod(hit, n)
+    j = baby[at[hit]] % (m + 1)
+    c = (k0[lane] + k) * s
+    hxk, hzk, pl = hx[k, lane], hz[k, lane], p[lane]
+    up, down = j + 1, np.maximum(j - 1, 0)
+    plus = (hxk * bz[up, lane] - bx[up, lane] * hzk) % pl == 0  # cP = jP
+    minus = (hxk * bz[down, lane] - bx[down, lane] * hzk) % pl == 0  # cP = -jP
+    first, second = (j == 0) | plus, (j > 0) & minus
+    lanes = np.concatenate((lane[first], lane[second]))
+    orders = np.concatenate((c[first] - j[first], c[second] + j[second]))
+    inside = (orders >= low[lanes]) & (orders <= high[lanes])
+    lanes, orders = lanes[inside], orders[inside]
+    found = np.zeros_like(p)
+    found[lanes] = orders
+    accepted = (np.bincount(lanes, minlength=n) == 1) & ~declined
+    return sigma * (p + 1 - found), accepted
+
+
+def _traces(lanes: list[tuple[int, int]]) -> list[int]:
+    """a_p of y^2 = x^3 + t x + t at each lane (t, p): _bsgs_traces over the
+    lanes below _INT64_BELOW in blocks of like p, and _half_sweep for the
+    lanes it declines and those above."""
+    traces: list[Optional[int]] = [None] * len(lanes)
+    kernel = sorted(
+        (i for i, (_, p) in enumerate(lanes) if p < _INT64_BELOW), key=lambda i: lanes[i][1]
+    )
+    if kernel:
+        t = np.array([lanes[i][0] for i in kernel], dtype=np.int64)
+        p = np.array([lanes[i][1] for i in kernel], dtype=np.int64)
+        m = _baby_steps(math.isqrt(4 * int(p[-1])))
+        size = max(1, _BLOCK_ELEMENTS // (2 * m + 4))
+        for start in range(0, len(kernel), size):
+            block = slice(start, start + size)
+            a_p, accepted = _bsgs_traces(t[block], p[block])
+            for i, a, ok in zip(kernel[block], a_p.tolist(), accepted.tolist()):
+                if ok:
+                    traces[i] = a
+    return [
+        _half_sweep(t, t, p) if a is None else a for a, (t, p) in zip(traces, lanes)
+    ]
 
 
 def _cornacchia(d: int, p: int, root: int) -> tuple[int, int]:
@@ -260,11 +479,14 @@ def _reduce_mod(num: int, den: int, p: int) -> int:
     return num * pow(den, -1, p) % p
 
 
-def _record(coefficients: tuple[int, int, int, int], p: int) -> TraceRecord:
-    """The record at a prime p >= 5 of the curve whose a4 and a6 have these
-    numerators and denominators (_coefficients): the one per-prime path of
-    count_points, which checks p first, and of a scan, whose p come from the
-    sieve."""
+def _classify(
+    coefficients: tuple[int, int, int, int], p: int
+) -> "TraceRecord | tuple[int, int]":
+    """The first half of the record at a prime p >= 5 of the curve whose a4
+    and a6 have these numerators and denominators (_coefficients): the
+    record itself where the reduction has j = 1728 or j = 0, otherwise
+    (t, ab mod p) for the twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2,
+    whose record _finish reads."""
     num4, den4, num6, den6 = coefficients
     a = _reduce_mod(num4, den4, p)
     b = _reduce_mod(num6, den6, p)
@@ -274,12 +496,36 @@ def _record(coefficients: tuple[int, int, int, int], p: int) -> TraceRecord:
         return _j1728_record(p - a, p)
     if a == 0:
         return _j0_record(b, p)
-    # the twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2; its a_p carries
-    # (b/a / p) = (ab/p), read by Euler's criterion
-    a_p, classification = _sweep_of_j(a * a % p * a * pow(b, -2, p) % p, p)
-    if pow(a * b, (p - 1) // 2, p) != 1:
-        a_p = -a_p
-    return TraceRecord(p, a_p, classification)
+    return a * a % p * a * pow(b, -2, p) % p, a * b % p
+
+
+def _record_of_t(p: int, trace: int) -> TraceRecord:
+    """The record of y^2 = x^3 + t x + t with a_p = trace; its classification,
+    that of a_p^2 - 4p, is every twist's."""
+    if trace == 0:
+        return TraceRecord(p, 0, Supersingular())
+    conductor, d_k = split_discriminant(trace * trace - 4 * p)
+    return TraceRecord(p, trace, Ordinary(cm_fundamental_disc=d_k, conductor=conductor))
+
+
+def _finish(record: TraceRecord, ab: int) -> TraceRecord:
+    """The record of the twist by b/a of the curve of record (_record_of_t):
+    its a_p carries (b/a / p) = (ab/p), read by Euler's criterion."""
+    p = record.p
+    if record.a_p == 0 or pow(ab, (p - 1) // 2, p) == 1:
+        return record
+    return TraceRecord(p, -record.a_p, record.classification)
+
+
+def _record(coefficients: tuple[int, int, int, int], p: int) -> TraceRecord:
+    """The record at p of one curve, the per-prime path of count_points,
+    which checks p first: _classify, and _finish on the half-sweep of
+    y^2 = x^3 + t x + t."""
+    kind = _classify(coefficients, p)
+    if isinstance(kind, TraceRecord):
+        return kind
+    t, ab = kind
+    return _finish(_record_of_t(p, _half_sweep(t, t, p)), ab)
 
 
 def count_points(curve: CurveQ, p: int) -> TraceRecord:
@@ -360,13 +606,23 @@ def _records(
         raise ValueError("need 5 <= p_min <= p_max")
     coefficients = [_coefficients(curve) for curve in curves]
     primes = primes_up_to(p_max)
+    rows = []
+    lanes: dict[tuple[int, int], int] = {}  # (t, p) -> its index
+    holes = []  # (the records at p, the place of one, its lane, ab mod p)
     for p in primes[bisect_left(primes, p_min) :]:
         try:
-            records = [_record(c, p) for c in coefficients]
+            records = [_classify(c, p) for c in coefficients]
         except BadReductionError as exc:
             logger.info("skipping p=%d: %s", p, exc)
             continue
-        yield p, records
+        for i, kind in enumerate(records):
+            if not isinstance(kind, TraceRecord):
+                holes.append((records, i, lanes.setdefault((kind[0], p), len(lanes)), kind[1]))
+        rows.append((p, records))
+    of_t = [_record_of_t(p, a_p) for (_, p), a_p in zip(lanes, _traces(list(lanes)))]
+    for records, i, lane, ab in holes:
+        records[i] = _finish(of_t[lane], ab)
+    yield from rows
 
 
 def scan_pair(

@@ -800,3 +800,37 @@ def test_powers_are_refused_above_the_im_cap(capsys):
     assert abs(eval_j(UpperHalfPoint(mpf(1) / 8, 2**19), PREC)) > 0
     assert main(["orbit", "0.1+1e-30i", "2"]) == 2
     assert "cap 2^20" in capsys.readouterr().err
+
+
+def test_delta_keeps_its_constant_per_precision_bit_for_bit():
+    # _delta reads (2 pi)^12 from _kernel_tables, and eval_delta multiplies
+    # by no cocycle when the witness is a translation; the former code formed
+    # the constant on every call and always multiplied.  Same bits.
+    from mpmath.libmp import mpf_mul, mpf_pi, mpf_pow_int, mpf_shift
+
+    rng = random.Random(2061)
+    corners = ((1, 6), (3, 9), (-20, 6), (2, 40))
+    points = [UpperHalfPoint(mpf(x) / 7, mpf(y) / 5) for x, y in corners]
+    points += [
+        UpperHalfPoint(mpf(rng.uniform(-3, 3)), mpf(rng.uniform(0.05, 2))) for _ in range(12)
+    ]
+    translations = 0
+    for bits in (64, 128, 256, 512, 1024):
+        prec = Precision(bits)
+        wp = bits + numerics._GUARD
+        for tau in points:
+            with mp.workprec(wp):
+                reduced, witness, w, r, u, _, _, prod = numerics._series(tau, prec, euler=True)
+                z = numerics._fmul(*u, *numerics._prod24(reduced, prod, w), w)
+                x, y = numerics._to_mpc(z, w)
+                two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(wp + 16), 1), 12, wp + 16)
+                scale = mpf_mul(from_man_exp(*r), two_pi_12, wp + 10)
+                former = mp.make_mpc(
+                    (mpf_mul(x, scale, wp, round_nearest), mpf_mul(y, scale, wp, round_nearest))
+                )
+                want = former * numerics._cocycle(tau, witness, 12)
+                norm = abs(former) * reduced.im**6
+            translations += witness.c == 0
+            assert eval_delta(tau, prec)._mpc_ == want._mpc_, (bits, tau)
+            assert petersson_norm_delta(tau, prec)._mpf_ == norm._mpf_, (bits, tau)
+    assert 0 < translations < 5 * len(points)

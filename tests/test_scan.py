@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from heckelab import scan
-from heckelab.arith import primes_up_to, split_discriminant
+from heckelab.arith import factorize, is_prime, primes_up_to, split_discriminant
 from heckelab.cli import main
 from heckelab.scan import (
     _INT32_BELOW,
+    _INT64_BELOW,
     _half_sweep,
     _j0_record,
     _j1728_record,
     _prime_tables,
-    _sweep_of_j,
     BadReductionError,
     CurveQ,
     HasseBoundError,
@@ -340,21 +340,37 @@ def test_coincidence_statistic():
 
 def test_a_scan_counts_each_record_once(capsys, monkeypatch):
     # the rows and the coincidence trailer come from one pass, so each curve
-    # is counted once at each good prime of [5, 500], by the per-prime
-    # record function that count_points also calls
-    calls = []
-    record = scan._record
+    # is classified once at each good prime of [5, 500], by the per-prime
+    # function that count_points also calls, and each record that is a
+    # twist of y^2 = x^3 + t x + t is finished once
+    calls, finished = [], []
+    classify, finish = scan._classify, scan._finish
 
     def counting(coefficients, p):
         calls.append((coefficients, p))
-        return record(coefficients, p)
+        return classify(coefficients, p)
 
-    monkeypatch.setattr(scan, "_record", counting)
+    def finishing(record, ab):
+        finished.append(record.p)
+        return finish(record, ab)
+
+    monkeypatch.setattr(scan, "_classify", counting)
+    monkeypatch.setattr(scan, "_finish", finishing)
     assert main(["scan", "-1,0", "0,-1", "5", "500"]) == 0
     capsys.readouterr()
     good = [p for p in primes_up_to(500) if p >= 5]  # both curves are good there
     expected = [(curve, p) for p in good for curve in ((-1, 1, 0, 1), (0, 1, -1, 1))]
     assert calls == expected
+    assert finished == []  # j = 1728 and j = 0: every record in closed form
+    # a generic pair: y^2 = x^3 + x + 1 is bad at 31, y^2 = x^3 - x + 1 at 23
+    calls.clear()
+    assert main(["scan", "1,1", "-1,1", "5", "500"]) == 0
+    capsys.readouterr()
+    # a bad left curve raises before the right one is classified
+    assert calls == [
+        (curve, p) for p in good for curve in ((1, 1, 1, 1), (-1, 1, 1, 1))[: 1 + (p != 31)]
+    ]
+    assert finished == [p for p in good if p not in (23, 31) for _ in range(2)]
     # count_points takes the same path, once per call
     calls.clear()
     assert count_points(CurveQ(Fraction(-1, 3), 0), 7).a_p == _brute_count(2, 0, 7)
@@ -398,52 +414,64 @@ def test_a_scan_is_the_per_prime_count_points_loop():
     assert 19 not in {p for p, _ in scan._records(pairs[4], 5, 2000)}
 
 
-def test_prime_tables_are_built_once_per_prime_of_a_scan(capsys):
-    # a4 a6 is a unit at every prime, so no record takes the closed form
-    left, right = (1, 1), (-1, 1)
+def _watch_lanes(monkeypatch):
+    """The lanes (t, p) of each _bsgs_traces call, one list per block, the
+    lanes it declines, and the (t, p) of each _half_sweep(t, t, p)."""
+    blocks, declined, sweeps = [], [], []
+    kernel = scan._bsgs_traces
+
+    def recording(t, p):
+        a_p, accepted = kernel(t, p)
+        blocks.append(list(zip(t.tolist(), p.tolist())))
+        declined.extend(lane for lane, ok in zip(blocks[-1], accepted.tolist()) if not ok)
+        return a_p, accepted
+
+    def counting(a, b, p):
+        sweeps.append((a, p))
+        return _half_sweep(a, b, p)
+
+    monkeypatch.setattr(scan, "_bsgs_traces", recording)
+    monkeypatch.setattr(scan, "_half_sweep", counting)
+    return blocks, declined, sweeps
+
+
+def test_prime_tables_are_built_once_per_prime_of_a_scan(capsys, monkeypatch):
+    # a4 a6 is a unit at every prime, so no record takes the closed form:
+    # each prime where both curves are good gives the kernel one lane of
+    # y^2 = x^3 + x + 1 (t = 1) and one of y^2 = x^3 - x + 1 (t = -1), in one
+    # block.  The tables are built only at the primes of the lanes the kernel
+    # declines, once each, and the coincidence trailer counts nothing.
+    blocks, declined, sweeps = _watch_lanes(monkeypatch)
     _prime_tables.cache_clear()
     assert main(["scan", "1,1", "-1,1", "5", "500"]) == 0
     capsys.readouterr()
-
-    def good(a4, a6, p):
-        return (4 * a4**3 + 27 * a6**2) % p != 0
-
-    # scan_pair counts the left curve at each prime of [5, 500] and, where it
-    # is good, the right curve from the same tables; a bad right curve raises
-    # before it reads them.  The coincidence trailer is read off the same
-    # hits and counts nothing.
-    primes = [p for p in primes_up_to(500) if p >= 5]
-    left_good = [p for p in primes if good(*left, p)]
-    both_good = [p for p in left_good if good(*right, p)]
-    assert len(both_good) == len(primes) - 2  # 31 | disc(left), 23 | disc(right)
+    # 31 | disc(left), 23 | disc(right)
+    both_good = [p for p in primes_up_to(500) if p >= 5 and p not in (23, 31)]
+    assert blocks == [[(t % p, p) for p in both_good for t in (1, -1)]]
+    assert sweeps == declined
+    assert 0 < len(declined) < len(blocks[0]) / 2  # most at p < 100
+    swept = {p for _, p in declined}
     info = _prime_tables.cache_info()
-    assert (info.misses, info.hits) == (len(left_good), len(both_good))
+    assert (info.misses, info.hits) == (len(swept), len(declined) - len(swept))
 
 
-def test_a_twist_pair_reads_one_sweep_per_prime_of_a_scan(capsys, monkeypatch):
+def test_a_twist_pair_gives_one_lane_per_prime_of_a_scan(capsys, monkeypatch):
     # y^2 = x^3 + 7 x + 10 and its twist by d = -3; 4 * 7^3 + 27 * 10^2 =
     # 8 * 509, so every prime of [5, 500] is good on both sides, and only at
     # p = 5 (b = 0) and p = 7 (a = 0) is a record read in closed form
-    sweeps = []
-
-    def counting(a, b, p):
-        sweeps.append(p)
-        return _half_sweep(a, b, p)
-
-    monkeypatch.setattr(scan, "_half_sweep", counting)
-    _sweep_of_j.cache_clear()
+    blocks, declined, sweeps = _watch_lanes(monkeypatch)
     _prime_tables.cache_clear()
     assert main(["scan", "7,10", "63,-270", "5", "500"]) == 0
     capsys.readouterr()
-    # scan_pair counts the left curve at p, which sweeps y^2 = x^3 + t x + t,
-    # and the right curve, which reads that sweep; the coincidence trailer
-    # is read off the same hits
-    swept = [p for p in primes_up_to(500) if p > 7]
-    info = _sweep_of_j.cache_info()
-    assert (info.misses, info.hits) == (len(swept), len(swept))
-    assert sweeps == swept
+    # both curves are twists of y^2 = x^3 + t x + t, t = 7^3/10^2, at every
+    # p > 7: the kernel counts it once per prime, in one block, and the
+    # half-sweep runs only on the lanes it declines
+    generic = [p for p in primes_up_to(500) if p > 7]
+    assert blocks == [[(343 * pow(100, -1, p) % p, p) for p in generic]]
+    assert sweeps == declined
+    assert 0 < len(declined) < len(generic) / 2
     info = _prime_tables.cache_info()
-    assert (info.misses, info.hits) == (len(swept), 0)
+    assert (info.misses, info.hits) == (len(declined), 0)
 
 
 def test_closed_forms_match_the_sweep_for_every_d():
@@ -515,3 +543,221 @@ def test_closed_form_curves_keep_their_bad_primes():
             with pytest.raises(BadReductionError, match=f"vanishes mod {p}"):
                 count_points(curve, p)
     assert cm_field_hits(CurveQ(-5, 0), -4, 5, 60) == [13, 17, 29, 37, 41, 53]
+
+
+# -- the batched kernel against the half-sweep -------------------------------
+
+
+def _nonsingular_t(p):
+    # y^2 = x^3 + t x + t has discriminant -16 t^2 (4 t + 27)
+    return [t for t in range(1, p) if (4 * t + 27) % p]
+
+
+def _check_kernel(lanes, min_share):
+    """Run _bsgs_traces on lanes as one block; every accepted a_p must equal
+    the half-sweep's, and at least min_share of the lanes be accepted.
+    Returns the accepted flags and the sweeps."""
+    t = np.array([t for t, _ in lanes], dtype=np.int64)
+    p = np.array([p for _, p in lanes], dtype=np.int64)
+    a_p, accepted = scan._bsgs_traces(t, p)
+    swept = [_half_sweep(t, t, p) for t, p in lanes]
+    wrong = [lane for lane, a, ok, s in zip(lanes, a_p.tolist(), accepted, swept) if ok and a != s]
+    assert wrong == []
+    assert accepted.mean() >= min_share, accepted.mean()
+    return accepted, swept
+
+
+def test_kernel_matches_the_sweep_on_every_curve_at_small_primes():
+    # one block per prime, then all primes in one block (m from p = 61).
+    # Half the lanes are accepted: where 4 sqrt(p) is near p, orders that
+    # share the Hasse interval are common
+    lanes = [(t, p) for p in primes_up_to(61)[2:] for t in _nonsingular_t(p)]
+    accepted = np.concatenate(
+        [_check_kernel([(t, p) for t in _nonsingular_t(p)], 0)[0] for p in primes_up_to(61)[2:]]
+    )
+    assert accepted.mean() >= 0.5
+    _, swept = _check_kernel(lanes, 0.5)
+    assert scan._traces(lanes) == swept
+
+
+def test_kernel_matches_the_sweep_at_every_prime_to_20000():
+    rng = random.Random(2041)
+    lanes = []
+    for p in primes_up_to(20_000)[2:]:
+        lanes.append((rng.choice(_nonsingular_t(p)) if p < 100 else rng.randrange(1, p), p))
+    lanes = [(t, p) for t, p in lanes if (4 * t + 27) % p]
+    assert len(lanes) >= 2200
+    _, swept = _check_kernel(lanes, 0.9)
+    # _traces runs the kernel in blocks and the half-sweep where it declines
+    assert scan._traces(lanes) == swept
+
+
+def test_kernel_matches_the_sweep_near_two_to_sixteen_and_ten_to_five():
+    rng = random.Random(2043)
+    primes = [p for p in range(65_500, 65_600) if is_prime(p)][:4]
+    primes += [p for p in range(99_950, 100_050) if is_prime(p)][:4]
+    lanes = [(rng.randrange(1, p), p) for p in primes for _ in range(3)]
+    accepted, _ = _check_kernel(lanes, 0.75)
+    # one lane at a time, too: each block sizes its own steps
+    for lane, ok in zip(lanes, accepted):
+        assert _check_kernel([lane], 1.0 if ok else 0.0)[0][0] == ok
+
+
+def _affine_add(u, v, a, p):
+    """u + v on y^2 = x^3 + a x + b over F_p, None for O."""
+    if u is None or v is None:
+        return v if u is None else u
+    if u[0] == v[0] and (u[1] + v[1]) % p == 0:
+        return None
+    if u == v:
+        slope = (3 * u[0] * u[0] + a) * pow(2 * u[1], -1, p) % p
+    else:
+        slope = (v[1] - u[1]) * pow(v[0] - u[0], -1, p) % p
+    x = (slope * slope - u[0] - v[0]) % p
+    return x, (slope * (u[0] - x) - u[1]) % p
+
+
+def _affine_mul(k, point, a, p):
+    """k point, by double and add."""
+    result = None
+    for bit in bin(k)[2:]:
+        result = _affine_add(result, result, a, p)
+        if bit == "1":
+            result = _affine_add(result, point, a, p)
+    return result
+
+
+def test_kernel_is_exact_at_the_int64_bound():
+    # every product of two residues and the sum of two fits in int64 below
+    # the bound, and 2 (p - 1)^2 just does at its largest prime
+    assert 2 * (_INT64_BELOW - 2) ** 2 < 2**63 <= 2 * _INT64_BELOW**2
+    primes = []
+    p = _INT64_BELOW - 1
+    while len(primes) < 3:
+        if p % 4 == 3 and is_prime(p):
+            primes.append(p)
+        p -= 2
+    assert primes[0] == 2**31 - 1
+    rng = random.Random(2047)
+    for p in primes:
+        t = rng.randrange(1, p)
+        a_p, accepted = scan._bsgs_traces(np.array([t]), np.array([p]))
+        assert accepted[0]
+        a_p = int(a_p[0])
+        # p = 3 mod 4, so -1 is a non-square and y^2 = x^3 + t x - t is the
+        # twist, of order p + 1 + a_p; a square root is a (p + 1)/4-th power
+        for b, order in ((t, p + 1 - a_p), (p - t, p + 1 + a_p)):
+            found = 0
+            while found < 4:
+                x = rng.randrange(p)
+                f = (x * x * x + t * x + b) % p
+                y = pow(f, (p + 1) // 4, p)
+                if y * y % p == f and y:
+                    found += 1
+                    assert _affine_mul(order, (x, y), t, p) is None, (t, p, b)
+    # above the bound a lane goes to the half-sweep, never to the kernel
+    assert is_prime(2**31 + 11)
+    sweeps = []
+
+    def stub(a, b, p):
+        sweeps.append((a, b, p))
+        return 0
+
+    def refuse(t, p):
+        raise AssertionError("kernel called above its bound")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scan, "_half_sweep", stub)
+        patch.setattr(scan, "_bsgs_traces", refuse)
+        assert scan._traces([(5, 2**31 + 11)]) == [0]
+    assert sweeps == [(5, 5, 2**31 + 11)]
+
+
+def _base_point(t, p, a_p):
+    """The kernel's base point x0 as an affine point, the curve's a4 and the
+    order of that curve: on y^2 = x^3 + t x + t, or on its twist by f(x0) as
+    (f x0, f^2) on y^2 = x^3 + f^2 t x + f^3 t."""
+    x0 = next(x for x in range(1, 5) if (x**3 + t * x + t) % p)
+    f = (x0**3 + t * x0 + t) % p
+    if pow(f, (p - 1) // 2, p) == 1:
+        y = pow(f, (p + 1) // 4, p)  # p = 3 mod 4
+        assert y * y % p == f
+        return (x0, y), t, p + 1 - a_p
+    return (f * x0 % p, f * f % p), f * f * t % p, p + 1 + a_p
+
+
+def _order(point, a4, n, p):
+    order = n
+    for q, _ in factorize(n):
+        while order % q == 0 and _affine_mul(order // q, point, a4, p) is None:
+            order //= q
+    return order
+
+
+def test_kernel_declines_exactly_the_lanes_its_rule_names():
+    # every curve at two primes p = 3 mod 4, one block per prime.  A lane is
+    # declined exactly when the order of its base point P has two multiples
+    # in the Hasse interval (a small group exponent), when two of the baby
+    # steps 0 .. m share x (the order is at most 2m - 1), when S = sP or
+    # S - P = 2mP is O, or when a difference of the baby steps (jP, j < m),
+    # of the ladder (S, S - P) or of the giant steps (cP and cP + P for the
+    # first steps - 2 multiples c of s from k0 s) has x = 0
+    reasons = set()
+    for p in (1019, 1423):
+        lanes = [(t, p) for t in _nonsingular_t(p)]
+        accepted, swept = _check_kernel(lanes, 0.85)
+        r = math.isqrt(4 * p)
+        m = scan._baby_steps(r)
+        s = 2 * m + 1
+        k0 = (p + 1 - r + m) // s
+        steps = max(2, (p + 1 + r + m) // s - k0 + 1)
+        for (t, _), ok, a_p in zip(lanes, accepted, swept):
+            point, a4, n = _base_point(t, p, a_p)
+            order = _order(point, a4, n, p)
+            diffs = [point]  # jP, j = 1 .. m - 1
+            for _ in range(m - 2):
+                diffs.append(_affine_add(diffs[-1], point, a4, p))
+            giant = _affine_mul(s, point, a4, p)
+            diffs += [giant, _affine_mul(2 * m, point, a4, p)]
+            g = _affine_mul(k0 * s, point, a4, p)
+            for _ in range(steps - 2):
+                diffs += [g, _affine_add(g, point, a4, p)]
+                g = _affine_add(g, giant, a4, p)
+            why = {
+                "small exponent": (p + 1 + r) // order - (p - r) // order > 1,
+                "repeated baby x": order <= 2 * m - 1,
+                "S or S - P at O": s % order == 0 or 2 * m % order == 0,
+                "difference at x = 0": any(d is not None and d[0] == 0 for d in diffs),
+            }
+            assert ok != any(why.values()), (t, p, order, why)
+            reasons |= {name for name, hit in why.items() if hit}
+        declined = [lane for lane, ok in zip(lanes, accepted) if not ok]
+        assert scan._traces(declined) == [s for s, ok in zip(swept, accepted) if not ok]
+    assert reasons == {
+        "small exponent", "repeated baby x", "S or S - P at O", "difference at x = 0"
+    }
+
+
+def test_kernel_accepts_the_ends_of_the_hasse_interval():
+    # a curve through x0 of order p + 1 - r or p + 1 + r lies at an end of the
+    # interval, in the first or the last giant step, on the curve or its
+    # twist; each is accepted where no other order of the interval kills x0
+    rng = random.Random(2053)
+    ends = set()
+    for p in [p for p in primes_up_to(3000) if p > 1000 and p % 4 == 3][::4]:
+        r = math.isqrt(4 * p)
+        for t in rng.sample(range(1, p), 200):
+            if (4 * t + 27) % p == 0:
+                continue
+            a_p = _half_sweep(t, t, p)
+            if abs(a_p) != r:
+                continue
+            point, a4, n = _base_point(t, p, a_p)
+            order = _order(point, a4, n, p)
+            if (p + 1 + r) // order - (p - r) // order == 1:
+                a, ok = scan._bsgs_traces(np.array([t]), np.array([p]))
+                assert ok[0] and a[0] == a_p, (t, p)
+                x0 = next(x for x in range(1, 5) if (x**3 + t * x + t) % p)
+                sigma = 1 if pow(x0**3 + t * x0 + t, (p - 1) // 2, p) == 1 else -1
+                ends.add(sigma * a_p == r)  # order p + 1 - r, else p + 1 + r
+    assert ends == {True, False}
