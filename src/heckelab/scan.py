@@ -316,8 +316,8 @@ def _bsgs_traces(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the x of baby steps 1 .. m and of every G, by one inversion per lane
     xs = np.concatenate((bx[1 : m + 1], gx))
     zs = np.concatenate((bz[1 : m + 1], gz))
-    at_o = zs == 0
-    zs[at_o] = 1
+    infinite = zs == 0
+    zs[infinite] = 1
     before = np.empty_like(zs)
     acc = one
     for row in range(zs.shape[0]):
@@ -327,7 +327,7 @@ def _bsgs_traces(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for row in range(zs.shape[0] - 1, -1, -1):
         xs[row] = xs[row] * (inverse * before[row] % p) % p
         inverse = inverse * zs[row] % p
-    xs[at_o] = np.broadcast_to(p, xs.shape)[at_o]  # x(O) is read as p
+    xs[infinite] = np.broadcast_to(p, xs.shape)[infinite]  # x(O) is read as p
     # match on keys lane (p_max + 1) + x, so that lanes never meet; a baby
     # step's key carries j below it, as key (m + 1) + j, and sorts per lane
     width = int(p.max()) + 1
@@ -601,7 +601,12 @@ def _records(
     curves: tuple[CurveQ, ...], p_min: int, p_max: int
 ) -> Iterator[tuple[int, list[TraceRecord]]]:
     """(p, the records of the curves at p) for each prime p of [p_min,
-    p_max] where every curve has good reduction."""
+    p_max] where every curve has good reduction.
+
+    Every curve is classified at every prime first; the twists of
+    y^2 = x^3 + t x + t leave a hole in their row, and the distinct (t, p)
+    of the holes are counted together by _traces before the rows from the
+    first hole on are given out."""
     if not 5 <= p_min <= p_max:
         raise ValueError("need 5 <= p_min <= p_max")
     coefficients = [_coefficients(curve) for curve in curves]
@@ -618,7 +623,10 @@ def _records(
         for i, kind in enumerate(records):
             if not isinstance(kind, TraceRecord):
                 holes.append((records, i, lanes.setdefault((kind[0], p), len(lanes)), kind[1]))
-        rows.append((p, records))
+        if holes:
+            rows.append((p, records))
+        else:  # no record waits for a trace yet, so none need be kept
+            yield p, records
     of_t = [_record_of_t(p, a_p) for (_, p), a_p in zip(lanes, _traces(list(lanes)))]
     for records, i, lane, ab in holes:
         records[i] = _finish(of_t[lane], ab)

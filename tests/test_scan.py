@@ -584,9 +584,10 @@ def test_kernel_matches_the_sweep_at_every_prime_to_20000():
     rng = random.Random(2041)
     lanes = []
     for p in primes_up_to(20_000)[2:]:
-        lanes.append((rng.choice(_nonsingular_t(p)) if p < 100 else rng.randrange(1, p), p))
-    lanes = [(t, p) for t, p in lanes if (4 * t + 27) % p]
-    assert len(lanes) >= 2200
+        t = rng.randrange(1, p)
+        while (4 * t + 27) % p == 0:
+            t = rng.randrange(1, p)
+        lanes.append((t, p))
     _, swept = _check_kernel(lanes, 0.9)
     # _traces runs the kernel in blocks and the half-sweep where it declines
     assert scan._traces(lanes) == swept
@@ -742,6 +743,7 @@ def test_kernel_accepts_the_ends_of_the_hasse_interval():
     # a curve through x0 of order p + 1 - r or p + 1 + r lies at an end of the
     # interval, in the first or the last giant step, on the curve or its
     # twist; each is accepted where no other order of the interval kills x0
+    # (and no difference has x = 0, which none of these meets)
     rng = random.Random(2053)
     ends = set()
     for p in [p for p in primes_up_to(3000) if p > 1000 and p % 4 == 3][::4]:
@@ -757,7 +759,5 @@ def test_kernel_accepts_the_ends_of_the_hasse_interval():
             if (p + 1 + r) // order - (p - r) // order == 1:
                 a, ok = scan._bsgs_traces(np.array([t]), np.array([p]))
                 assert ok[0] and a[0] == a_p, (t, p)
-                x0 = next(x for x in range(1, 5) if (x**3 + t * x + t) % p)
-                sigma = 1 if pow(x0**3 + t * x0 + t, (p - 1) // 2, p) == 1 else -1
-                ends.add(sigma * a_p == r)  # order p + 1 - r, else p + 1 + r
+                ends.add(n > p + 1)
     assert ends == {True, False}
