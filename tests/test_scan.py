@@ -449,7 +449,7 @@ def test_prime_tables_are_built_once_per_prime_of_a_scan(capsys, monkeypatch):
     both_good = [p for p in primes_up_to(500) if p >= 5 and p not in (23, 31)]
     assert blocks == [[(t % p, p) for p in both_good for t in (1, -1)]]
     assert sweeps == declined
-    assert 0 < len(declined) < len(blocks[0]) / 2  # most at p < 100
+    assert 0 < len(declined) < len(blocks[0]) / 2  # half of them at p < 100
     swept = {p for _, p in declined}
     info = _prime_tables.cache_info()
     assert (info.misses, info.hits) == (len(swept), len(declined) - len(swept))
