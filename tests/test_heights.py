@@ -71,6 +71,68 @@ def test_phi_at_cm_base():
     assert phi_value(0, 5, 2, PREC) == _classical_phi2(5, 0)
 
 
+def _determinant(matrix):
+    """The determinant of an integer matrix by fraction-free Bareiss
+    elimination: every division is exact."""
+    m = [list(row) for row in matrix]
+    size, sign, pivot = len(m), 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // pivot
+        pivot = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _resultant(f, g):
+    """Res(f, g) for integer polynomials, highest coefficient first, as the
+    determinant of their Sylvester matrix."""
+    df, dg = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f + [0] * (dg - 1 - i) for i in range(dg)]
+    rows += [[0] * i + g + [0] * (df - 1 - i) for i in range(df)]
+    return _determinant(rows)
+
+
+def _resultant_phi(m, n, x, y):
+    """Res_Z(Phi_n(Z, y), Phi_m(x, Z)) from the stored tables.  Phi_n(Z, y)
+    is monic in Z with roots the j of T_n * tau_y, so this is the product
+    of Phi_m(x, beta) over them: Phi_mn(x, y) for coprime m and n, and
+    Phi_l^2(x, y) * (x - y)^(l + 1) for m = n = l."""
+    rows_n, rows_m = modpoly.coefficients(n), modpoly.coefficients(m)
+    f = [sum(c * y**b for b, c in enumerate(row)) for row in reversed(rows_n)]
+    g = [sum(row[b] * x**a for a, row in enumerate(rows_m)) for b in reversed(range(m + 2))]
+    return _resultant(f, g)
+
+
+_RESULTANT_ROWS = ((1, 2), (-40, 7), (2417, -37), (1728, 287496))
+
+
+@pytest.mark.parametrize("n, m, k", [(4, 2, 2), (6, 2, 3), (9, 3, 3), (10, 2, 5), (15, 3, 5)])
+def test_phi_value_equals_resultants_of_the_stored_tables(n, m, k):
+    # an oracle that shares no code with phi_value at an N with no table
+    rows = _RESULTANT_ROWS + (((4913, 16974593),) if n == 4 else ())
+    for y, z in rows:
+        want = _resultant_phi(m, k, z, y)
+        if m == k:
+            want, rest = divmod(want, (z - y) ** (m + 1))
+            assert rest == 0, (n, y, z)
+        assert phi_value(y, z, n) == want, (n, y, z)
+
+
+def test_phi_value_vanishes_at_the_isogenies_of_i_and_is_z_minus_y_at_n_1():
+    # the curve of 2i is 2-isogenous to the curve of i; composed with the
+    # endomorphisms 1 + i and 2 + i of the latter, that isogeny gives cyclic
+    # ones of degree 4 and 10
+    assert phi_value(1728, 287496, 4) == phi_value(1728, 287496, 10) == 0
+    for y, z in _RESULTANT_ROWS:
+        assert phi_value(y, z, 1) == z - y
+
+
 _PANEL = ((1, 2), (2417, -37), (287496, 100), (1729, -1))
 
 
