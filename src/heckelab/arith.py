@@ -223,16 +223,3 @@ def pairwise_sum(values):
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
-
-
-def pairwise_product(values):
-    """Product in a fixed pairwise tree (mirrors pairwise_sum)."""
-    vals = list(values)
-    if not vals:
-        return 1
-    while len(vals) > 1:
-        nxt = [vals[i] * vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]

@@ -323,7 +323,7 @@ def _height_checks() -> list[tuple[str, bool]]:
     tau_y = tau_from_j(1, prec)
     h = cusp_height(tau_y, 3, prec).value
     s = local_arch_sum(tau_y, 2, 3, prec)
-    phi = phi_value(1, 2, 3, prec)
+    phi = phi_value(1, 2, 3)
     gap = abs((math.log(abs(phi)) - s) - h)
     return [
         ("log|phi| - S_N = H_N (exact decomposition)", gap < 1e-6),

@@ -3,8 +3,9 @@ identity they feed.
 
 cusp_height accumulates -log ||Delta|| over T_N * y; local_arch_sum adds the
 log-distance factor |z - j|; phi_value is the exact integer the archimedean
-data must reconcile with, Phi_N(z, y), read from the stored classical
-modular polynomial (modpoly) for a prime N <= 31; and
+data must reconcile with, Phi_N(z, y), which modpoly evaluates for every N:
+from the stored table for a prime N <= 31, else from the bounded orbit
+polynomial Phi_N(X, y); and
 global_identity_residual measures how far the normalized difference sits
 from its asymptotic slope.
 
@@ -32,7 +33,7 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from . import modpoly
-from .arith import pairwise_product, pairwise_sum, triple_counts
+from .arith import pairwise_sum, triple_counts
 from .hecke import HeckeOrbit, OrbitPoint, e_n, hecke_orbit
 from .numerics import (
     _GUARD,
@@ -49,23 +50,12 @@ class CoincidenceError(ArithmeticError):
     """An orbit j-value collided with z below the working resolution."""
 
 
-class PrecisionInsufficientError(ArithmeticError):
-    """phi_value could not round to an integer within the escalation cap."""
-
-
 @dataclass(frozen=True)
 class HeightSeriesPoint:
     n: int
     e_n: int
     value: float
     normalized: float  # value / (6 e_N log N)
-
-
-_MAX_PHI_BITS = 1 << 20
-# bits above the screen's bound on log2 |Phi_N(z, y)| at which phi_value starts
-_PHI_MARGIN_BITS = 64
-# the largest distance from an integer at which an orbit product is accepted
-_PHI_TOL = 2.0**-16
 
 
 def _log_norm_orbit_sum(tau: UpperHalfPoint, n: int, prec: Precision):
@@ -165,59 +155,25 @@ def _distance(point: OrbitPoint, zc, prec: Precision) -> mpf:
     return dist
 
 
-def phi_value(y: int, z: int, n: int, prec: Precision = DEFAULT_PRECISION) -> int:
+def phi_value(y: int, z: int, n: int) -> int:
     """Phi_N(z, y), the integer prod over T_N*(tau_y) of (z - j(tau_i)), for
-    integers y, z.
-
-    For a prime N <= 31 it is the stored classical modular polynomial
-    evaluated exactly (modpoly), and prec is not read.  Any other N takes
-    the orbit product, at bits + 32 bits from a base point tau_y good to
-    bits.  The bits start at prec.bits.  When every screen point is
-    trusted and need, 64 above the float64 screen's bound on
-    log2 prod (|z| + |j_i|) at the base point for prec.bits, is higher, the
-    bits jump to need: at once when need exceeds prec.bits + 64, otherwise
-    after the orbit at prec.bits has been tried.  The product is
-    accepted only once it is below 2^bits in size, its real part lies
-    within 2^-16 of an integer and its imaginary part within 2^-16 of 0;
-    otherwise the bits are doubled, and past _MAX_PHI_BITS it raises
-    PrecisionInsufficientError.  The CM bases y = 0 and y = 1728 start from
-    the exact points rho and i (tau_from_j), so their orbits repeat
-    j-values as Phi_N does.  A non-integer y or z raises ValueError.
+    integers y, z and any N >= 1: modpoly.evaluate, from the stored table
+    for a prime N <= 31, else from the bounded orbit polynomial Phi_N(X, y),
+    which raises ArithmeticError when its bound or its rounding fails.  The
+    bound does not depend on z.  A non-integer y or z raises ValueError.
     """
     y, z = _integers(y, z)
-    if n in modpoly.PRIMES:
-        return modpoly.evaluate(n, z, y)
-    bits = prec.bits
-    orbit = HeckeOrbit(_base_point(y, prec), n, prec)
-    need = orbit.screen.log2_product_bound(z) + _PHI_MARGIN_BITS
-    # comparisons with NaN, at an untrusted point, are False
-    jump = min(math.ceil(need), _MAX_PHI_BITS) if need > bits else None
-    if need > bits + _PHI_MARGIN_BITS:  # the bound exceeds the caller's bits
-        bits, orbit, jump = jump, None, None
-    while bits <= _MAX_PHI_BITS:
-        attempt = Precision(bits)
-        with mp.workprec(bits + _GUARD):
-            if orbit is None:
-                orbit = HeckeOrbit(_base_point(y, attempt), n, attempt)
-            prod = pairwise_product([z - p.j for p in orbit.points])
-            nearest = int(mp.nint(prod.real))
-            if (
-                abs(prod) < mpf(2) ** bits
-                and abs(prod.real - nearest) < _PHI_TOL
-                and abs(prod.imag) < _PHI_TOL
-            ):
-                return nearest
-        bits, orbit, jump = jump or 2 * bits, None, None
-    raise PrecisionInsufficientError(
-        f"phi({y}, {z}, N={n}) did not resolve to an integer by {_MAX_PHI_BITS} bits"
-    )
+    return modpoly.evaluate(n, z, y)
 
 
 def _integers(y, z) -> tuple[int, int]:
     """y and z as ints; ValueError unless both are integers."""
-    if y != int(y) or z != int(z):
-        raise ValueError(f"y and z must be integers, got y={y!r}, z={z!r}")
-    return int(y), int(z)
+    try:
+        if y == int(y) and z == int(z):
+            return int(y), int(z)
+    except (OverflowError, ValueError):  # int() of an infinity or a NaN
+        pass
+    raise ValueError(f"y and z must be integers, got y={y!r}, z={z!r}")
 
 
 def global_identity_residual(

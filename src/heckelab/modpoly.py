@@ -1,23 +1,27 @@
-"""The classical modular polynomials Phi_l(X, Y) for the primes l <= 31,
-stored as exact integer tables, and the generator that writes them.
+"""The classical modular polynomials Phi_N(X, Y): exact integer tables
+for the primes l <= 31, a bounded orbit polynomial for any other N, and
+the generator that writes the tables.
 
 Phi_N(X, j(tau)) = prod over T_N * tau of (X - j(tau_i)): monic of degree
 e_N in X, with integer coefficients, symmetric in X and Y, and of degree
-e_N in Y.  So phi_value(y, z, l) = Phi_l(z, y), evaluated here by Horner
-in exact integers.
+e_N in Y.  evaluate(N, x, y) = Phi_N(x, y) exactly, for every N >= 1: by
+Horner in X and Y over the stored table of a prime N <= 31, else by Horner
+in X over Phi_N(X, y) from the orbit of y.
 
 Each table is a text file data/phi_<l>.txt, one line "a b c" for each
 nonzero coefficient c of X^a Y^b with a <= b; symmetry gives the rest.  A
 table is read on its first use and kept, so importing the package reads
 none.
 
+Phi_N(X, y) at an integer y is prod (X - j_i) over hecke_orbit(tau_from_j(y))
+with every coefficient rounded to an integer.  Its precision comes from a
+bound: the coefficients are at most prod (1 + |j_i|), read off the orbit's
+float64 screen, and 128 bits go on top.  An untrusted screen or a
+coefficient farther than 2^-32 from an integer raises ArithmeticError.
+
 The generator (Enge, Math. Comp. 78, 2009: evaluation and interpolation)
-evaluates prod (X - j_i) over hecke_orbit(tau_from_j(y)) at each integer
-node y = 0, ..., e_N, rounds every X-coefficient to an integer and
-interpolates it in Y by exact integer divided differences.  Its
-precision comes from a bound: the coefficients of prod (X - j_i) are at
-most prod (1 + |j_i|), read off the orbit's float64 screen, and 128 bits
-go on top.  A coefficient farther than 2^-32 from an integer, a
+takes Phi_N(X, y) at each integer node y = 0, ..., e_N and interpolates
+every X-coefficient in Y by exact integer divided differences.  A
 non-integral divided difference or an asymmetric result raises
 ArithmeticError.  Regenerate every table (about 50 s on a 2-vCPU Xeon,
 Python 3.11, mpmath on its Python backend) with
@@ -64,33 +68,34 @@ def coefficients(ell: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def evaluate(ell: int, x: int, y: int) -> int:
-    """Phi_ell(x, y) for integers x and y, exactly, by Horner in X and Y."""
+def evaluate(n: int, x: int, y: int) -> int:
+    """Phi_N(x, y) for integers x and y and any N >= 1, exactly, by Horner:
+    in X and Y over the stored table for N in PRIMES, else in X over
+    _orbit_polynomial(y, N)."""
+    if n in PRIMES:
+        value = 0
+        for row in reversed(coefficients(n)):
+            at_y = 0
+            for c in reversed(row):
+                at_y = at_y * y + c
+            value = value * x + at_y
+        return value
     value = 0
-    for row in reversed(coefficients(ell)):
-        at_y = 0
-        for c in reversed(row):
-            at_y = at_y * y + c
-        value = value * x + at_y
+    for c in reversed(_orbit_polynomial(y, n)):
+        value = value * x + c
     return value
 
 
-def _bits_bound(n: int, nodes) -> int:
-    """max over the nodes y of log2 prod (1 + |j_i|) over T_N * tau_y, from
-    the float64 screen of each orbit, rounded up."""
-    worst = 0.0
-    for y in nodes:
-        bound = HeckeOrbit(tau_from_j(y, Precision(64)), n).screen.log2_product_bound(1)
-        if math.isnan(bound):
-            raise ArithmeticError(f"the float64 screen of T_{n} * tau_{y} has untrusted points")
-        worst = max(worst, bound)
-    return math.ceil(worst)
-
-
-def _orbit_polynomial(y: int, n: int, prec: Precision) -> list[int]:
-    """The integer coefficients, constant first, of prod (X - j_i) over
-    T_N * tau_y at prec; ArithmeticError unless each lies within 2^-32 of
-    an integer."""
+def _orbit_polynomial(y: int, n: int) -> list[int]:
+    """The integer coefficients, constant first, of Phi_N(X, y) = prod
+    (X - j_i) over T_N * tau_y, at _MARGIN_BITS above log2 prod (1 + |j_i|)
+    as the orbit's float64 screen bounds it.  ArithmeticError when the
+    screen has untrusted points or a coefficient lies farther than
+    _ROUND_TOL from an integer."""
+    bound = HeckeOrbit(tau_from_j(y, Precision(64)), n).screen.log2_product_bound(1)
+    if math.isnan(bound):
+        raise ArithmeticError(f"the float64 screen of Phi_{n}(X, {y}) has untrusted points")
+    prec = Precision(math.ceil(bound) + _MARGIN_BITS)
     orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
     with mp.workprec(prec.bits + _GUARD):
         poly = [mp.mpc(1)]
@@ -139,9 +144,7 @@ def generate(n: int) -> list[list[int]]:
     """Phi_N's coefficients rows[a][b] of X^a Y^b, for any N >= 2, by
     evaluation at the integer nodes y = 0, ..., e_N and interpolation."""
     degree = e_n(n)
-    nodes = range(degree + 1)
-    prec = Precision(_bits_bound(n, nodes) + _MARGIN_BITS)
-    columns = [_orbit_polynomial(y, n, prec) for y in nodes]
+    columns = [_orbit_polynomial(y, n) for y in range(degree + 1)]
     rows = [_interpolate([col[a] for col in columns]) for a in range(degree + 1)]
     for a in range(degree + 1):
         for b in range(a):

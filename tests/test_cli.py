@@ -535,8 +535,9 @@ def test_jsonl_format(capsys):
 
 
 def test_emit_writes_header_and_trailer_in_both_formats(capsys):
-    # no row of COMMANDS returns a header yet; _emit writes it ahead of the
-    # rows, as a comment line or a _meta object
+    # _emit writes a header ahead of the rows, as a comment line or a _meta
+    # object (integral returns one, see test_repeat_runs_are_byte_identical),
+    # and a trailer after them
     for fmt, want in (
         ("csv", "# bits=64\nn,e_n\n2,3\n# rows=1\n"),
         ("jsonl", '{"_meta": {"bits": 64}}\n{"n": 2, "e_n": 3}\n{"_summary": {"rows": 1}}\n'),
@@ -559,12 +560,17 @@ def test_negative_tokens_are_accepted(capsys):
     assert [int(r["p"]) for r in rows] == [11]
 
 
-def test_repeat_runs_are_byte_identical(tmp_path):
+def test_repeat_runs_are_byte_identical(tmp_path, capsys):
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
     args = ["integral", "12345", "30", "--precision-bits", "64", "--seed", "5"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # integral heads its rows with its seed and bits, in both formats
+    assert a.read_text().splitlines()[0] == "# seed=5 precision_bits=64"
+    assert main(args + ["--format", "jsonl"]) == 0
+    meta = capsys.readouterr().out.splitlines()[0]
+    assert meta == '{"_meta": {"seed": 5, "precision_bits": 64}}'
     assert main(["integral", "12345", "30", "--precision-bits", "64",
                  "--seed", "6", "--out", str(c)]) == 0
     assert a.read_bytes() != c.read_bytes()

@@ -8,7 +8,6 @@ from heckelab import cli, hecke, heights, modpoly
 from heckelab.hecke import HeckeOrbit, e_n, hecke_orbit
 from heckelab.heights import (
     CoincidenceError,
-    PrecisionInsufficientError,
     cusp_height,
     global_identity_residual,
     heuristic_integral,
@@ -41,13 +40,13 @@ def _classical_phi2(x, y):
 
 
 def test_phi_frozen_values():
-    assert phi_value(1, 2, 2, PREC) == -157437675254317
-    assert phi_value(1, 2, 3, PREC) == 5564738242019498631577
+    assert phi_value(1, 2, 2) == -157437675254317
+    assert phi_value(1, 2, 3) == 5564738242019498631577
 
 
 def test_phi_symmetry():
-    assert phi_value(2, 1, 2, PREC) == phi_value(1, 2, 2, PREC)
-    assert phi_value(-7, 11, 2, PREC) == phi_value(11, -7, 2, PREC)
+    assert phi_value(2, 1, 2) == phi_value(1, 2, 2)
+    assert phi_value(-7, 11, 2) == phi_value(11, -7, 2)
 
 
 def test_phi_order_two_matches_classical_polynomial():
@@ -57,8 +56,8 @@ def test_phi_order_two_matches_classical_polynomial():
     # (y > 1728), the unit arc (0 < y < 1728) and Re tau = 1/2 (y < 0)
     for y in (287496, 8000, 1, 1727, -40, -3375):
         for z in (0, 1, -3, 1728):
-            assert phi_value(y, z, 2, PREC) == _classical_phi2(z, y), (y, z)
-    assert phi_value(287496, 0, 2, PREC) == 12730291119207936
+            assert phi_value(y, z, 2) == _classical_phi2(z, y), (y, z)
+    assert phi_value(287496, 0, 2) == 12730291119207936
 
 
 def test_phi_at_cm_base():
@@ -66,9 +65,9 @@ def test_phi_at_cm_base():
     # repeat their j-values as Phi_2 does: T_2 * i holds 2i twice and i
     # once, and T_2 * rho holds a point of j = 54000 three times
     for z in (5, -3, 2000, 287496):
-        assert phi_value(1728, z, 2, PREC) == _classical_phi2(z, 1728), z
-    assert phi_value(0, 5, 2, PREC) == (5 - 54000) ** 3
-    assert phi_value(0, 5, 2, PREC) == _classical_phi2(5, 0)
+        assert phi_value(1728, z, 2) == _classical_phi2(z, 1728), z
+    assert phi_value(0, 5, 2) == (5 - 54000) ** 3
+    assert phi_value(0, 5, 2) == _classical_phi2(5, 0)
 
 
 def _determinant(matrix):
@@ -138,43 +137,13 @@ _PANEL = ((1, 2), (2417, -37), (287496, 100), (1729, -1))
 
 def test_phi_value_at_a_stored_prime_is_kronecker_congruent_and_reads_no_j(monkeypatch):
     # Phi_l(z, y) = (y^l - z)(y - z^l) (mod l), from the stored table alone
-    inversions = _counting(monkeypatch, heights, "tau_from_j")
+    inversions = _counting(monkeypatch, modpoly, "tau_from_j")
     j_values = _counting(monkeypatch, hecke, "eval_j")
     for ell in modpoly.PRIMES:
         for y, z in _PANEL:
             want = (y**ell - z) * (y - z**ell) % ell
-            assert phi_value(y, z, ell, PREC) % ell == want, (ell, y, z)
+            assert phi_value(y, z, ell) % ell == want, (ell, y, z)
     assert (len(inversions), len(j_values)) == (0, 0)
-
-
-def test_phi_value_escalates_to_an_integer_and_gives_up_at_its_cap(monkeypatch):
-    # N = 4 has no stored polynomial.  The float64 screen bounds
-    # log2 |Phi_4(16974593, 4913)| by 171.6, so the orbit product starts at
-    # 236 bits.  Without a trusted screen it doubles from 64 bits: 64 and
-    # 128 bits do not resolve it, and 256 bits give the integer the
-    # generator's exact Phi_4 gives
-    exact = sum(
-        c * 16974593**a * 4913**b
-        for a, row in enumerate(modpoly.generate(4))
-        for b, c in enumerate(row)
-    )
-    attempts = []
-    inverted = heights.tau_from_j
-
-    def recorded(y, prec):
-        attempts.append(prec.bits)
-        return inverted(y, prec)
-
-    monkeypatch.setattr(heights, "tau_from_j", recorded)
-    assert phi_value(4913, 16974593, 4, Precision(64)) == exact
-    assert attempts == [64, 236]
-    attempts.clear()
-    monkeypatch.setattr(hecke.OrbitScreen, "log2_product_bound", lambda self, z: math.nan)
-    assert phi_value(4913, 16974593, 4, Precision(64)) == exact
-    assert attempts == [64, 128, 256]
-    monkeypatch.setattr(heights, "_MAX_PHI_BITS", 128)
-    with pytest.raises(PrecisionInsufficientError, match="by 128 bits"):
-        phi_value(4913, 16974593, 4, Precision(64))
 
 
 _PHI_12 = int(
@@ -184,23 +153,47 @@ _PHI_12 = int(
 )
 
 
-def test_phi_value_jumps_to_the_bits_the_screen_bounds(monkeypatch):
-    # Phi_12(2, 1) has 190 digits: doubling from 128 bits took four
-    # inversions and four orbits, up to 1024 bits; the screen's bound of
-    # about 622 bits sends the second attempt straight to 687
-    inversions = _counting(monkeypatch, heights, "tau_from_j")
-    assert phi_value(1, 2, 12, Precision(128)) == _PHI_12
-    assert [args[1].bits for args in inversions] == [128, 687]
+def test_phi_value_inverts_at_64_bits_then_at_the_bound_plus_128(monkeypatch):
+    # N = 4 and 12 have no stored polynomial.  The float64 screen at 64 bits
+    # bounds log2 prod (1 + |j_i|) over T_4 * tau_4913 by 128.something and
+    # over T_12 * tau_1 by 622.something, so the orbit polynomial is built
+    # once, at 129 + 128 and 623 + 128 bits, whatever z is
+    exact = sum(
+        c * 16974593**a * 4913**b
+        for a, row in enumerate(modpoly.generate(4))
+        for b, c in enumerate(row)
+    )
+    inversions = _counting(monkeypatch, modpoly, "tau_from_j")
+    assert phi_value(4913, 16974593, 4) == exact
+    assert [args[1].bits for args in inversions] == [64, 257]
+    inversions.clear()
+    assert phi_value(1, 2, 12) == _PHI_12
+    assert [args[1].bits for args in inversions] == [64, 751]
 
 
-def test_phi_value_first_tries_the_orbit_it_has_built(monkeypatch):
-    # |Phi_4(5, 0)| is 2^127.71 and the screen bounds it by 2^127.73, so
-    # the jump target 192 lies within 64 bits of the caller's 128: the
-    # 128-bit orbit is tried first and resolves it, with one inversion
-    inversions = _counting(monkeypatch, heights, "tau_from_j")
+def test_phi_value_raises_on_an_untrusted_screen(monkeypatch):
+    # an untrusted screen point bounds nothing: no orbit polynomial is built
+    monkeypatch.setattr(hecke.OrbitScreen, "log2_product_bound", lambda self, z: math.nan)
+    orbits = _counting(monkeypatch, modpoly, "hecke_orbit")
+    with pytest.raises(ArithmeticError, match=r"Phi_4\(X, 4913\) has untrusted"):
+        phi_value(4913, 16974593, 4)
+    assert orbits == []
+
+
+def test_phi_value_raises_on_a_coefficient_off_an_integer(monkeypatch):
+    # |Phi_4(5, 0)| = 2^127.71 from the exact Phi_4; with the base point of
+    # the bounded orbit moved to j = 2^-20, the constant coefficient of
+    # prod (X - j_i) is no integer
     exact = sum(row[0] * 5**a for a, row in enumerate(modpoly.generate(4)))
-    assert phi_value(0, 5, 4, Precision(128)) == exact
-    assert [args[1].bits for args in inversions] == [128]
+    assert phi_value(0, 5, 4) == exact
+    inverted = modpoly.tau_from_j
+
+    def moved(y, prec):
+        return inverted(y + mp.mpf(2) ** -20 if prec.bits > 64 else y, prec)
+
+    monkeypatch.setattr(modpoly, "tau_from_j", moved)
+    with pytest.raises(ArithmeticError, match=r"coefficient 0 of Phi_4\(X, 0\) is .*not an integer"):
+        phi_value(0, 5, 4)
 
 
 def test_cusp_height_frozen():
@@ -275,7 +268,7 @@ def test_decomposition_identity():
 def _residual_from_parts(y, z, n, prec):
     """The residual from separate phi_value and local_arch_sum calls: the
     orbit-sum oracle."""
-    phi = phi_value(y, z, n, prec)
+    phi = phi_value(y, z, n)
     with mp.workprec(prec.bits + 32):
         s_n = local_arch_sum(tau_from_j(y, prec), z, n, prec)
         return float((mp.log(abs(phi)) - s_n) / (6 * e_n(n) * mp.log(n)) - 1)
@@ -336,22 +329,31 @@ def test_residual_row_reads_one_tau_and_no_orbit_j(monkeypatch):
         monkeypatch.undo()
 
 
+_NOT_INTEGERS = (
+    (math.inf, 2), (1, -math.inf), (math.nan, 2), (1, math.nan), (mp.inf, 2), (1, mp.nan)
+)
+
+
 def test_residual_rejects_non_integer_y_and_z():
     # phi is defined at integers only; S_N would read 2.5 or 3.5 as given
     with pytest.raises(ValueError):
         global_identity_residual(2.5, 2, 3, PREC)
     with pytest.raises(ValueError):
         global_identity_residual(1, 3.5, 3, PREC)
+    # an infinity or a NaN is named too, not an OverflowError of int()
+    for y, z in _NOT_INTEGERS:
+        with pytest.raises(ValueError, match="integers"):
+            global_identity_residual(y, z, 3, PREC)
     assert global_identity_residual(1.0, 3.0, 3, PREC) == global_identity_residual(
         1, 3, 3, PREC
     )
 
 
 def test_phi_value_rejects_non_integer_y_and_z():
-    for y, z in ((1, 2.9), (1.5, 2), (mp.mpf("1.5"), 2)):
+    for y, z in ((1, 2.9), (1.5, 2), (mp.mpf("1.5"), 2)) + _NOT_INTEGERS:
         with pytest.raises(ValueError, match="integers"):
-            phi_value(y, z, 3, PREC)
-    assert phi_value(1.0, 3.0, 3, PREC) == phi_value(1, 3, 3, PREC)
+            phi_value(y, z, 3)
+    assert phi_value(1.0, 3.0, 3) == phi_value(1, 3, 3)
 
 
 def test_local_arch_sum_coincidence_guard():
