@@ -23,7 +23,7 @@ The generator (Enge, Math. Comp. 78, 2009: evaluation and interpolation)
 takes Phi_N(X, y) at each integer node y = 0, ..., e_N and interpolates
 every X-coefficient in Y by exact integer divided differences.  A
 non-integral divided difference or an asymmetric result raises
-ArithmeticError.  Regenerate every table (about 50 s on a 2-vCPU Xeon,
+ArithmeticError.  Regenerate every table (about 15 s on a 2-vCPU Xeon,
 Python 3.11, mpmath on its Python backend) with
 
     PYTHONPATH=src python -m heckelab.modpoly

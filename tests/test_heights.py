@@ -155,14 +155,10 @@ _PHI_12 = int(
 
 def test_phi_value_inverts_at_64_bits_then_at_the_bound_plus_128(monkeypatch):
     # N = 4 and 12 have no stored polynomial.  The float64 screen at 64 bits
-    # bounds log2 prod (1 + |j_i|) over T_4 * tau_4913 by 128.something and
-    # over T_12 * tau_1 by 622.something, so the orbit polynomial is built
-    # once, at 129 + 128 and 623 + 128 bits, whatever z is
-    exact = sum(
-        c * 16974593**a * 4913**b
-        for a, row in enumerate(modpoly.generate(4))
-        for b, c in enumerate(row)
-    )
+    # bounds log2 prod (1 + |j_i|) over T_4 * tau_4913 by 128.26 and over
+    # T_12 * tau_1 by 622.36, so the orbit polynomial is built once, at
+    # 129 + 128 and 623 + 128 bits, whatever z is
+    exact = _resultant_phi(2, 2, 16974593, 4913) // (16974593 - 4913) ** 3
     inversions = _counting(monkeypatch, modpoly, "tau_from_j")
     assert phi_value(4913, 16974593, 4) == exact
     assert [args[1].bits for args in inversions] == [64, 257]
@@ -181,18 +177,17 @@ def test_phi_value_raises_on_an_untrusted_screen(monkeypatch):
 
 
 def test_phi_value_raises_on_a_coefficient_off_an_integer(monkeypatch):
-    # |Phi_4(5, 0)| = 2^127.71 from the exact Phi_4; with the base point of
-    # the bounded orbit moved to j = 2^-20, the constant coefficient of
-    # prod (X - j_i) is no integer
-    exact = sum(row[0] * 5**a for a, row in enumerate(modpoly.generate(4)))
-    assert phi_value(0, 5, 4) == exact
+    # Phi_4(5, 0) is exact; with the base point of the bounded orbit moved
+    # from j = 0 to j = 2^-20, the constant coefficient of prod (X - j_i) is
+    # no integer
+    assert phi_value(0, 5, 4) == _resultant_phi(2, 2, 5, 0) // 5**3
     inverted = modpoly.tau_from_j
 
     def moved(y, prec):
         return inverted(y + mp.mpf(2) ** -20 if prec.bits > 64 else y, prec)
 
     monkeypatch.setattr(modpoly, "tau_from_j", moved)
-    with pytest.raises(ArithmeticError, match=r"coefficient 0 of Phi_4\(X, 0\) is .*not an integer"):
+    with pytest.raises(ArithmeticError, match=r"coefficient 0 of Phi_4\(X, 0\) .* not an integer"):
         phi_value(0, 5, 4)
 
 
