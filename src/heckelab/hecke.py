@@ -180,14 +180,12 @@ class OrbitScreen:
             high[ok] = s + np.log(dist + err)
         return low, high
 
-    def log2_product_bound(self, z) -> float:
-        """An upper bound on log2 of prod (|z| + |j_i|) over the orbit, from
+    def log2_product_bound(self) -> float:
+        """An upper bound on log2 of prod (1 + |j_i|) over the orbit, from
         each point's |j| and its error bound; NaN when a point is untrusted.
-        It bounds log2 |prod (z - j_i)| and each coefficient of
-        prod (X - j_i) (z = 1)."""
-        log_z = math.log(abs(z)) if z else -math.inf
+        It bounds each coefficient of prod (X - j_i)."""
         log_j = np.logaddexp(self.log_j.real, self.log_j_err)
-        return float(np.logaddexp(log_z, log_j).sum()) / math.log(2)
+        return float(np.logaddexp(0.0, log_j).sum()) / math.log(2)
 
     def nearest(self, z) -> np.ndarray:
         """Indices of the points whose |j - z| may be the smallest of the

@@ -126,21 +126,21 @@ def local_arch_sum(
 ) -> float:
     """S_N = sum over the orbit of log(|z - j(tau_i)| * ||Delta(tau_i)||).
 
-    A |z - j| below 2^-bits * max(1, |z|) raises CoincidenceError.  So does
-    Phi_N(z, y) = 0 when j(y_tau) lies within 2^-bits * max(1, |j|) of an
-    integer y, z is an integer and N a stored prime, as in
-    global_identity_residual: the error of y_tau can keep the orbit point
+    A |z - j| below 2^-bits * max(1, |z|) raises CoincidenceError.  When z
+    is an integer and j(y_tau) lies within 2^-bits * max(1, |j|) of an
+    integer y, the test of global_identity_residual (_check_coincidence)
+    runs as well, for every N: the error of y_tau can keep the orbit point
     of j = z above the resolution.
     """
     orbit = hecke_orbit(y_tau, n, prec)
     with mp.workprec(prec.bits + _GUARD):
         zc = mp.mpc(z)
         terms = [mp.log(_distance(p, zc, prec)) for p in orbit.points]
-        if n in modpoly.PRIMES and zc.imag == 0 and mp.isint(zc.real):
+        if zc.imag == 0 and mp.isint(zc.real):
             j_base = eval_j(y_tau, prec)
             y = mp.nint(j_base.real)
             if abs(j_base - y) <= mpf(2) ** -prec.bits * max(1, abs(j_base)):
-                _check_stored_phi(int(y), int(zc.real), n)
+                _check_coincidence(int(y), int(zc.real), n, y_tau, prec, orbit)
         return float(pairwise_sum(terms) + _log_norm_orbit_sum(y_tau, n, prec))
 
 
@@ -183,36 +183,39 @@ def global_identity_residual(
 
     log |phi| - S_N = -sum log ||Delta||(tau_i): r_N is the normalized height
     minus 1 whatever z is, by the closed form at working precision, rounded
-    once.  z lies on the orbit of y (CoincidenceError) exactly when
-    Phi_N(z, y) = 0, which a prime N <= 31 decides on the stored polynomial
-    (modpoly).  Any other N decides it on the orbit (_check_off_orbit).  A
-    non-integer y or z raises ValueError: phi is defined at integers only.
+    once.  z lying on the orbit of y raises CoincidenceError
+    (_check_coincidence).  A non-integer y or z raises ValueError: phi is
+    defined at integers only.
     """
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")
     y, z = _integers(y, z)
-    if n in modpoly.PRIMES:
-        _check_stored_phi(y, z, n)
     tau = _base_point(y, prec)
-    if n not in modpoly.PRIMES:
-        _check_off_orbit(HeckeOrbit(tau, n, prec), y, z, prec)
+    _check_coincidence(y, z, n, tau, prec)
     with mp.workprec(prec.bits + _GUARD):
         return float(-_log_norm_orbit_sum(tau, n, prec) / (6 * e_n(n) * mp.log(n)) - 1)
 
 
-def _check_stored_phi(y: int, z: int, n: int) -> None:
-    """CoincidenceError when Phi_N(z, y) = 0 for a stored prime N."""
-    if modpoly.evaluate(n, z, y) == 0:
-        raise CoincidenceError(f"phi_{n}({y}, {z}) = 0: z lies on the orbit of y")
+def _check_coincidence(
+    y: int, z: int, n: int, tau: UpperHalfPoint, prec: Precision, orbit=None
+) -> None:
+    """CoincidenceError when z lies on T_N * tau, tau a base point whose j
+    lies within 2^-bits max(1, |j|) of the integer y.
 
-
-def _check_off_orbit(orbit: HeckeOrbit, y: int, z: int, prec: Precision) -> None:
-    """CoincidenceError when some |z - j| on the orbit is below the
-    resolution, as at the exact CM bases of y = 0 and y = 1728, or a bound
-    on the integer |phi| is below 1/2, which catches a base point good to
-    fewer bits.  j is read only at the screen's nearest candidates it cannot
-    clear of the resolution by 2^8, a margin for the exact tier's error in
-    j."""
+    For a prime N <= 31 that is exact: Phi_N(z, y) = 0 on the stored
+    polynomial (modpoly), and no orbit is read.  Any other N decides it on
+    the orbit, `orbit` if the caller has built it, else a lazy
+    HeckeOrbit(tau, n, prec): some |z - j| below the resolution, as at the
+    exact CM bases of y = 0 and y = 1728, or a bound on the integer |phi|
+    below 1/2, which catches a base point good to fewer bits.  j is read
+    only at the screen's nearest candidates it cannot clear of the
+    resolution by 2^8, a margin for the exact tier's error in j."""
+    if n in modpoly.PRIMES:
+        if modpoly.evaluate(n, z, y) == 0:
+            raise CoincidenceError(f"phi_{n}({y}, {z}) = 0: z lies on the orbit of y")
+        return
+    if orbit is None:
+        orbit = HeckeOrbit(tau, n, prec)
     low, log_dist = orbit.screen.log_distance_bounds(z)
     with mp.workprec(prec.bits + _GUARD):
         cleared = math.log(max(1, abs(z))) - (prec.bits - 8) * math.log(2)

@@ -92,7 +92,7 @@ def _orbit_polynomial(y: int, n: int) -> list[int]:
     as the orbit's float64 screen bounds it.  ArithmeticError when the
     screen has untrusted points or a coefficient lies farther than
     _ROUND_TOL from an integer."""
-    bound = HeckeOrbit(tau_from_j(y, Precision(64)), n).screen.log2_product_bound(1)
+    bound = HeckeOrbit(tau_from_j(y, Precision(64)), n).screen.log2_product_bound()
     if math.isnan(bound):
         raise ArithmeticError(f"the float64 screen of Phi_{n}(X, {y}) has untrusted points")
     prec = Precision(math.ceil(bound) + _MARGIN_BITS)

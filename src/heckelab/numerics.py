@@ -4,14 +4,15 @@ All evaluation routes through one q-series pass, _series: reduction to the
 standard fundamental domain |Re tau| <= 1/2, |tau| >= 1, where
 |q| <= exp(-pi*sqrt(3)) ~ 0.00433 makes the q-expansions converge fast, then
 the E4 sum, the E6 sum and the Euler product in fixed point, truncated at
-each point's own |q|, within an a-priori error bound.  Values at unreduced
-points are recovered through the weight-k cocycle (c*tau + d)^(-k).
+the first power of q that rounds to 0, within an a-priori error bound.
+Values at unreduced points are recovered through the weight-k cocycle
+(c*tau + d)^(-k).
 
 q = r u is formed from tables (_nome): r = e^(-2 pi Im tau'), after
 reduction by ln 2, and u = e^(2 pi i Re tau') are products of entries of
 three levels of 256-entry tables at W + 24 bits and a Taylor sum of the
-rest below 2^-24.  The order of the series is bisected from a table of the
-heights at which each order meets the tail bound (_series_order).
+rest below 2^-24.  One cached table per precision (_kernel_tables) holds
+these and the series' coefficients.
 
 The reduction decides on exact integers: the Hecke orbit hands it a base
 point and a coset matrix, and it rounds only the reduced image, once, so
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -57,9 +56,9 @@ _LN2 = math.log(2.0)
 
 
 class PrecisionOverflowError(ArithmeticError):
-    """Requested series truncation cannot meet the tail bound at these bits,
-    or j or Delta is asked for above the reduced Im tau = 2^20
-    (_MAX_POWER_IM)."""
+    """No power of q up to Precision.series_terms rounds to 0 and the tail
+    after them misses 2^-bits (_check_tail), or j or Delta is asked for
+    above the reduced Im tau = 2^20 (_MAX_POWER_IM)."""
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,9 @@ class Precision:
 
     @property
     def series_terms(self) -> int:
-        """Cap on the q-series order (_series_order): its tail is below
-        2^-bits everywhere on the fundamental domain up to 2,279,439 bits."""
+        """Cap on the number of powers of q that _series keeps: |q|^T <=
+        2^-bits e^-64 on the fundamental domain, and the tail after it is
+        below 2^-bits there up to 2,279,439 bits (_check_tail)."""
         return math.ceil((self.bits * _LN2 + 64.0) / _LOG_INV_Q_MIN)
 
 
@@ -292,73 +292,21 @@ def _log_tail(terms: int, im: float) -> float:
     return math.log(700.0) + 5 * math.log(terms + 1) - 2 * math.pi * im * terms
 
 
-@lru_cache(maxsize=16)
-def _order_table(prec: Precision) -> tuple[int, float, float, array]:
-    """(cap, head, limit, table) for _series_order at prec: cap =
-    prec.series_terms, head = log 700 + 5 log(cap + 1) as _log_tail forms
-    it, limit = -(bits + 2 _GUARD) log 2, and table = -h(T) for
-    T = 1 .. cap - 1, ascending.  h(T) = (log 700 + 5 log(T + 1) - limit) /
-    (2 pi T) is the Im above which _log_tail(T, Im) < limit; it falls with
-    T, as 5 T / (T + 1) < log 700 - limit."""
-    cap = prec.series_terms
-    limit = -(prec.bits + 2 * _GUARD) * _LN2
-    terms = np.arange(1, cap, dtype=np.float64)
-    heights = (math.log(700.0) - limit + 5 * np.log(terms + 1)) / (2 * math.pi * terms)
-    head = math.log(700.0) + 5 * math.log(cap + 1)
-    return cap, head, limit, array("d", (-heights).tobytes())
-
-
-def _series_order(im: float, prec: Precision) -> int:
-    """Number of q-series terms kept at a reduced point with Im = im: the
-    fewest T <= prec.series_terms whose tail bound is below
-    2^-(bits + 2 _GUARD) relative to |q|, _GUARD bits under the last bit of
-    the working precision.  Raises PrecisionOverflowError when the absolute
-    bound at prec.series_terms misses 2^-bits.
-
-    On the fundamental domain _log_tail falls with T (2 pi im > 5 / (T + 1)),
-    so the terms that pass are those from some T on.  A bisection of
-    _order_table finds T to within the float64 rounding of the table, and
-    _log_tail at T and T - 1 settles it.
-    """
-    cap, head, limit, table = _order_table(prec)
-    # _log_tail(cap, im) - 2 pi im, with the same float64 steps
-    if not head - 2 * math.pi * im * cap - 2 * math.pi * im < -prec.bits * _LN2:
+def _check_tail(terms: int, im: float, bits: int) -> None:
+    """PrecisionOverflowError unless the tail after `terms` terms at Im = im
+    is below 2^-bits in absolute terms: _log_tail(terms, im) + log|q| <
+    -bits log 2, in float64.  _series runs it only when it keeps `terms`
+    powers of q and none of them rounds to 0."""
+    if not _log_tail(terms, im) - 2 * math.pi * im < -bits * _LN2:
         raise PrecisionOverflowError(
-            f"series_terms={cap} cannot reach 2^-{prec.bits} at Im tau={im:.5g}"
+            f"series_terms={terms} cannot reach 2^-{bits} at Im tau={im:.5g}"
         )
-    terms = bisect_right(table, -im) + 1
-    if terms < cap and not _log_tail(terms, im) < limit:
-        terms += 1
-    elif terms > 1 and _log_tail(terms - 1, im) < limit:
-        terms -= 1
-    return terms
 
 
 # -- the q-series in fixed point ---------------------------------------------
 #
 # A complex number is a pair (x, y) of Python ints worth (x + iy) 2^-W, and a
 # product of two is rounded to the nearest unit 2^-W.
-
-
-@lru_cache(maxsize=64)
-def _kernel_tables(prec: Precision) -> tuple[int, tuple, tuple, tuple, tuple]:
-    """(W, sigma_3, sigma_5, pentagonal, (2 pi)^12) up to the order
-    prec.series_terms: W as _series derives it, the (exponent, sign) pairs
-    of Euler's prod (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) +
-    q^(k(3k+1)/2)), and _delta's (2 pi)^12 as a raw mpf, formed at wp + 16
-    bits (wp = bits + _GUARD) so that its roundings stay under the last bit."""
-    hi = prec.bits + _GUARD + 16
-    two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(hi), 1), 12, hi)
-    terms = prec.series_terms
-    s3, s5 = _sigma_tables(terms)
-    weight = 2**24 * (sum(s3) + terms) + 2**9 * sum(s5)
-    pentagonal = [
-        (n, (-1) ** k)
-        for k in range(1, terms + 1)
-        for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
-        if n <= terms
-    ]
-    return prec.bits + _GUARD + weight.bit_length(), s3, s5, tuple(pentagonal), two_pi_12
 
 
 def _fmul(a: int, b: int, c: int, d: int, w: int) -> tuple[int, int]:
@@ -382,10 +330,17 @@ def _to_mpc(z: tuple[int, int], w: int) -> tuple:
 _TABLE_BITS = 24
 
 
-class _RootTables(NamedTuple):
-    """The tables of _nome at one precision, all in units 2^-p."""
+class _KernelTables(NamedTuple):
+    """Everything _series reads at one precision (_kernel_tables)."""
 
-    p: int
+    w: int  # W, the fractional bits of the fixed point
+    terms: int  # prec.series_terms, the cap on the powers of q kept
+    s3: tuple  # sigma_3(n), n = 1 .. terms
+    s5: tuple  # sigma_5(n), n = 1 .. terms
+    pentagonal: tuple  # (n, (-1)^k) for the exponents n <= terms of prod (1 - q^n)
+    two_pi_12: tuple  # (2 pi)^12 as a raw mpf at wp + 16 bits
+    # _nome's tables, in units 2^-p
+    p: int  # W + 24
     two_pi: int  # 2 pi in units 2^-(p + 40)
     ln2: int  # ln 2 in units 2^-(p + 40)
     turn: int  # 2 pi in units 2^-p
@@ -394,6 +349,29 @@ class _RootTables(NamedTuple):
     sin: tuple  # per level: sin(2 pi i 2^(-8k))
     exp_taylor: tuple  # 1/n! from n = N down to 0, for e^(-x), x < 2^-24
     sin_taylor: tuple  # (-1)^k / (2k + 1)! from k = K down to 0, x < 2 pi 2^-24
+
+
+@lru_cache(maxsize=16)
+def _kernel_tables(prec: Precision) -> _KernelTables:
+    """The tables of _series at prec, about 140 KB at 128 bits, read once
+    per pass: W as _series derives it, the divisor sums and the (exponent,
+    sign) pairs of Euler's prod (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2)
+    + q^(k(3k+1)/2)) up to the order prec.series_terms, _delta's
+    (2 pi)^12, formed at wp + 16 bits (wp = bits + _GUARD) so that its
+    roundings stay under the last bit, and _nome's tables at p = W + 24."""
+    wp = prec.bits + _GUARD
+    two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(wp + 16), 1), 12, wp + 16)
+    terms = prec.series_terms
+    s3, s5 = _sigma_tables(terms)
+    weight = 2**24 * (sum(s3) + terms) + 2**9 * sum(s5)
+    pentagonal = tuple(
+        (n, (-1) ** k)
+        for k in range(1, terms + 1)
+        for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+        if n <= terms
+    )
+    w = wp + weight.bit_length()
+    return _KernelTables(w, terms, s3, s5, pentagonal, two_pi_12, *_nome_tables(w + _TABLE_BITS))
 
 
 def _taylor_order(log2_x: float, p: int) -> int:
@@ -406,16 +384,14 @@ def _taylor_order(log2_x: float, p: int) -> int:
     return n
 
 
-@lru_cache(maxsize=16)
-def _root_tables(prec: Precision) -> _RootTables:
-    """The tables of _nome at prec, about 140 KB at 128 bits.
+def _nome_tables(p: int) -> tuple:
+    """_nome's fields of _KernelTables, p to sin_taylor.
 
     Each level is built by 255 products at p + 16 bits from one exp_fixed
     or cos_sin_fixed value, taken at p + 32 bits and rounded to p + 16, so
     within 1/2 + 2^-8 units 2^-(p + 16).  Entry i then carries at most 255
     times that and 255 product roundings of 1/2 unit per part, under
     2^-7 units 2^-p, and is rounded to p bits: within 1/2 + 2^-7 units."""
-    p = _kernel_tables(prec)[0] + _TABLE_BITS
     hi = p + 16
     one, half, seed_half = 1 << hi, 1 << (hi - 1), 1 << 15
     exps, cos, sin = [], [], []
@@ -435,7 +411,7 @@ def _root_tables(prec: Precision) -> _RootTables:
     n_exp = _taylor_order(-_TABLE_BITS, p)
     n_turn = _taylor_order(math.log2(2 * math.pi) - _TABLE_BITS, p)
     inverse = [(1 << p) // math.factorial(n) for n in range(max(n_exp, n_turn) + 2)]
-    return _RootTables(
+    return (
         p,
         pi_fixed(p + 40) << 1,
         ln2_fixed(p + 40),
@@ -453,10 +429,11 @@ def _root_tables(prec: Precision) -> _RootTables:
 _MAX_NOME_IM_LOG2 = 28
 
 
-def _nome(reduced: UpperHalfPoint, w: int, prec: Precision):
-    """(r, u, q) at the reduced point tau': r = e^(-2 pi Im tau') as a pair
-    (m, e) worth m 2^e, or None at Im tau' >= 2^28 or +inf; u = e^(2 pi i
-    Re tau') and q = r u in units 2^-w.
+def _nome(reduced: UpperHalfPoint, t: _KernelTables):
+    """(r, u, q) at the reduced point tau' from the tables t: r =
+    e^(-2 pi Im tau') as a pair (m, e) worth m 2^e, or None at
+    Im tau' >= 2^28 or +inf; u = e^(2 pi i Re tau') and q = r u in units
+    2^-W, W = t.w.
 
     r: 2 pi Im tau' = k ln 2 + f with 0 <= f < ln 2, from 2 pi and ln 2 at
     p + 40 bits, so f is good to 2^-7 units 2^-p below Im 2^28; then
@@ -469,8 +446,7 @@ def _nome(reduced: UpperHalfPoint, w: int, prec: Precision):
     Taylor sums, truncated below 2^-(p + 8), add 1 with their roundings:
     e^(-f) and the p-bit u lie within 6 units 2^-p = 2^-(w + 21.4).
     """
-    t = _root_tables(prec)
-    p, half = t.p, 1 << (t.p - 1)
+    w, p, half = t.w, t.p, 1 << (t.p - 1)
     rest = (1 << (p - _TABLE_BITS)) - 1
     _, ym, yexp, ybc = reduced.im._mpf_
     if not ym or yexp + ybc > _MAX_NOME_IM_LOG2:
@@ -521,43 +497,62 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
 
     Reduces tau and forms q = r u at the reduced point tau' by _nome:
     r = e^(-2 pi Im tau') and u = e^(2 pi i Re tau') from tables at
-    W + 24 bits.  Then, to the order T of _series_order, the series asked
-    for: E4 = 1 + 240 sum sigma_3(n) q^n, E6 = 1 - 504 sum sigma_5(n) q^n
-    and prod (1 - q^n), a signed sum of the powers at the pentagonal
-    exponents.  The powers q^n come by repeated multiplication, up to the
-    first that rounds to 0.  Returns (reduced, witness, W, r, u, E4, E6,
-    prod): r as _nome gives it, the rest in fixed point or None if not
-    asked for.
+    W + 24 bits.  Then the series asked for: E4 = 1 + 240 sum sigma_3(n) q^n,
+    E6 = 1 - 504 sum sigma_5(n) q^n and prod (1 - q^n), a signed sum of the
+    powers at the pentagonal exponents.  The powers q^n come by repeated
+    multiplication, and the sums keep those before the first that rounds
+    to 0, at most T = prec.series_terms of them.  Only when all T are kept
+    does _check_tail bound the rest: PrecisionOverflowError unless it is
+    below 2^-bits.  Returns (reduced, witness, tables, r, u, E4, E6, prod):
+    the _kernel_tables of prec, r as _nome gives it, the rest in fixed
+    point or None if not asked for.
 
     Error bound, in units 2^-W.  r is within 2^-(W + 20) relative, and q
     and u within 1/2 + 2^-20 units: the table entries, their products, the
     Taylor cut below 2^-24 and the rounding of f leave 6 units 2^-(W + 24)
     (_nome).  Each power is within 1 unit (|q| <= 0.0044 damps what
-    q^(n-1) carries).  So the E4 sum is within e = 240 S3, the E6 sum
-    within 504 S5 and the product within T, S_k = sum_(n<=T) sigma_k(n);
-    the tail adds 2^-(bits + 64) |q|.  As |E4| <= 2.1 and
-    0.89 <= |prod|^24 <= 1.12, E4^3 conj(u) is within 14 e + 11 and
-    prod^24 within 27 T + 19, so their quotient is within
-    16 e + 310 T + 224 <= 2^12 (S3 + T), and j = E4^3 conj(u) /
-    (prod^24 r) with 1/r <= |j| + 2100, rounded once at wp.  W is
-    wp = bits + _GUARD plus the bits of 2^24 (S3 + T) + 2^9 S5 at
-    T = prec.series_terms, so E4, E6, prod^24 and j are within 2^-wp, j
-    relative to max(1, |j|).  After the mpmath steps each evaluator lies
-    within 2^-(bits + 24) max(|v|, |c tau + d|^-k) of the value v of its
-    formulas at tau', k its weight (0 for j, norms).
+    q^(n-1) carries).  So the kept terms leave the E4 sum within 240 S3,
+    the E6 sum within 504 S5 and the product within T, with
+    S_k = sum_(n<=T) sigma_k(n) >= T^(k+1) / (k + 1).
+
+    The dropped terms.  When q^z rounds to 0 (2 <= z <= T), both parts of
+    the product of the kept q^(z-1), within 1 unit, and q, within 0.71,
+    lie in [-1/2, 1/2): |q|^z < 0.72 units.  With sigma_k(n) <= zeta(k) n^k and
+    |q|^n <= 0.72 |q|^(n-z), the terms from z on add at most 215 T^3 to the
+    E4 sum, 390 T^5 to the E6 sum and 0.73 to the product.  Only above
+    about 2,800 bits can all T powers stay above 0, near the bottom of the
+    domain; the tail is then below 700 (T+1)^5 |q|^(T+1) (_log_tail),
+    2^-(bits + 83 - 5 log2(T + 1)) |q| as |q|^T <= 2^-bits e^-64
+    (series_terms).
+
+    So E4 is within e = 240 S3 + 215 T^3 and the E6 sum within
+    504 S5 + 390 T^5.  As |E4| <= 2.1 and 0.89 <= |prod|^24 <= 1.12,
+    E4^3 conj(u) is within 14 e + 11 and prod^24 within 27 T + 39, so their
+    quotient is within 16 e + 320 T + 470 <= 4600 (S3 + T), as T >= 19 gives
+    215 T^3 <= 46 S3.  j = E4^3 conj(u) / (prod^24 r), rounded once at wp,
+    with 1/r <= |j| + 2100 <= 2101 max(1, |j|) and 2101 * 4600 < 2^24.
+    W is wp = bits + _GUARD plus the bits of 2^24 (S3 + T) + 2^9 S5, and
+    390 T^5 is below 2^24 T^4 / 4 for T <= 10,000 and below 8 S5 from
+    T = 293 on.  So up to 2,800 bits E4, E6, prod^24 and j are within
+    2^-wp, j relative to max(1, |j|).  After the mpmath steps each
+    evaluator lies within 2^-(bits + 24) max(|v|, |c tau + d|^-k) of the
+    value v of its formulas at tau', k its weight (0 for j, norms).
     """
     reduced, witness = reduce_to_fundamental_domain(tau, prec)
-    w, s3, s5, pentagonal, _ = _kernel_tables(prec)
-    r, u, (qx, qy) = _nome(reduced, w, prec)
+    t = _kernel_tables(prec)
+    w, s3, s5 = t.w, t.s3, t.s5
+    r, u, (qx, qy) = _nome(reduced, t)
     x, y = qx, qy
     half = 1 << (w - 1)
     xs, ys = [x], [y]
-    for _ in range(_series_order(_float(reduced.im._mpf_), prec) - 1):
+    for _ in range(t.terms - 1):
         x, y = (x * qx - y * qy + half) >> w, (x * qy + y * qx + half) >> w
         if not (x or y):
             break  # every higher power rounds to 0 as well
         xs.append(x)
         ys.append(y)
+    else:
+        _check_tail(t.terms, _float(reduced.im._mpf_), prec.bits)
     one = 1 << w
     e4_val = e6_val = prod = None
     if e4:
@@ -565,9 +560,9 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     if e6:
         e6_val = one - 504 * sum(map(mul, s5, xs)), -504 * sum(map(mul, s5, ys))
     if euler:
-        kept = [(sign, n - 1) for n, sign in pentagonal if n <= len(xs)]
+        kept = [(sign, n - 1) for n, sign in t.pentagonal if n <= len(xs)]
         prod = one + sum(k * xs[i] for k, i in kept), sum(k * ys[i] for k, i in kept)
-    return reduced, witness, w, r, u, e4_val, e6_val, prod
+    return reduced, witness, t, r, u, e4_val, e6_val, prod
 
 
 def _cocycle(tau: UpperHalfPoint, witness: ModularMatrix, weight: int) -> mpc:
@@ -579,15 +574,15 @@ def _cocycle(tau: UpperHalfPoint, witness: ModularMatrix, weight: int) -> mpc:
 def eval_e4(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E4(tau) = 1 + 240 sum sigma_3(n) q^n."""
     with mp.workprec(prec.bits + _GUARD):
-        _, witness, w, _, _, val, _, _ = _series(tau, prec, e4=True)
-        return mp.make_mpc(_to_mpc(val, w)) * _cocycle(tau, witness, 4)
+        _, witness, t, _, _, val, _, _ = _series(tau, prec, e4=True)
+        return mp.make_mpc(_to_mpc(val, t.w)) * _cocycle(tau, witness, 4)
 
 
 def eval_e6(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E6(tau) = 1 - 504 sum sigma_5(n) q^n."""
     with mp.workprec(prec.bits + _GUARD):
-        _, witness, w, _, _, _, val, _ = _series(tau, prec, e6=True)
-        return mp.make_mpc(_to_mpc(val, w)) * _cocycle(tau, witness, 6)
+        _, witness, t, _, _, _, val, _ = _series(tau, prec, e6=True)
+        return mp.make_mpc(_to_mpc(val, t.w)) * _cocycle(tau, witness, 6)
 
 
 # Cap on the reduced Im tau' for j, Delta and the Petersson norm: 2 pi times
@@ -612,21 +607,21 @@ def _prod24(reduced: UpperHalfPoint, prod: tuple[int, int], w: int) -> tuple[int
     return _fmul(*_fmul(*p8, *p8, w), *p8, w)
 
 
-def _delta(reduced: UpperHalfPoint, w: int, r, u, prod, prec: Precision):
+def _delta(reduced: UpperHalfPoint, t: _KernelTables, r, u, prod, prec: Precision):
     """(2 pi)^12 r (u prod^24) at the reduced point, a raw mpc rounded at
     wp = bits + _GUARD, with r a pair (m, e) worth m 2^e and (2 pi)^12 from
-    _kernel_tables."""
-    wp = prec.bits + _GUARD
+    the tables t."""
+    wp, w = prec.bits + _GUARD, t.w
     x, y = _to_mpc(_fmul(*u, *_prod24(reduced, prod, w), w), w)
-    scale = mpf_mul(from_man_exp(*r), _kernel_tables(prec)[4], wp + 10)
+    scale = mpf_mul(from_man_exp(*r), t.two_pi_12, wp + 10)
     return mpf_mul(x, scale, wp, round_nearest), mpf_mul(y, scale, wp, round_nearest)
 
 
 def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular discriminant (2 pi)^12 q prod (1 - q^n)^24 at tau."""
     with mp.workprec(prec.bits + _GUARD):
-        reduced, witness, w, r, u, _, _, prod = _series(tau, prec, euler=True)
-        delta = mp.make_mpc(_delta(reduced, w, r, u, prod, prec))
+        reduced, witness, t, r, u, _, _, prod = _series(tau, prec, euler=True)
+        delta = mp.make_mpc(_delta(reduced, t, r, u, prod, prec))
         if witness.c == 0 and witness.d in (1, -1):
             return delta  # a translation: the cocycle is 1
         return delta * _cocycle(tau, witness, 12)
@@ -643,7 +638,8 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     E4^3 rounds to 0 and so does j.
     """
     wp = prec.bits + _GUARD
-    reduced, _, w, r, (ux, uy), e4, _, prod = _series(tau, prec, e4=True, euler=True)
+    reduced, _, t, r, (ux, uy), e4, _, prod = _series(tau, prec, e4=True, euler=True)
+    w = t.w
     dx, dy = _prod24(reduced, prod, w)
     nx, ny = _fmul(*_fmul(*_fmul(*e4, *e4, w), *e4, w), ux, -uy, w)
     # j = n conj(d) / (|d|^2 m 2^e)
@@ -656,8 +652,8 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """SL2(Z)-invariant norm |Delta(tau)| * (Im tau)^6."""
     with mp.workprec(prec.bits + _GUARD):
-        reduced, _, w, r, u, _, _, prod = _series(tau, prec, euler=True)
-        return abs(mp.make_mpc(_delta(reduced, w, r, u, prod, prec))) * reduced.im**6
+        reduced, _, t, r, u, _, _, prod = _series(tau, prec, euler=True)
+        return abs(mp.make_mpc(_delta(reduced, t, r, u, prod, prec))) * reduced.im**6
 
 
 def log_petersson_norm_delta(
@@ -669,13 +665,13 @@ def log_petersson_norm_delta(
     and the sum rounded to it once: near a zero of log || Delta || (Im tau'
     about 5.1) terms some 30 in size cancel."""
     wp = prec.bits + _GUARD
-    reduced, _, w, _, _, _, _, prod = _series(tau, prec, euler=True)
+    reduced, _, t, _, _, _, _, prod = _series(tau, prec, euler=True)
     with mp.workprec(wp + 16):
         # log|q| = -2 pi Im(tau'), assembled in logs so 10000i stays finite
         total = (
             12 * mp.log(2 * mp.pi)
             - 2 * mp.pi * reduced.im
-            + 24 * mp.log(abs(mp.make_mpc(_to_mpc(prod, w))))
+            + 24 * mp.log(abs(mp.make_mpc(_to_mpc(prod, t.w))))
             + 6 * mp.log(reduced.im)
         )
     return mp.make_mpf(mpf_pos(total._mpf_, wp, round_nearest))

@@ -169,7 +169,7 @@ def test_phi_value_inverts_at_64_bits_then_at_the_bound_plus_128(monkeypatch):
 
 def test_phi_value_raises_on_an_untrusted_screen(monkeypatch):
     # an untrusted screen point bounds nothing: no orbit polynomial is built
-    monkeypatch.setattr(hecke.OrbitScreen, "log2_product_bound", lambda self, z: math.nan)
+    monkeypatch.setattr(hecke.OrbitScreen, "log2_product_bound", lambda self: math.nan)
     orbits = _counting(monkeypatch, modpoly, "hecke_orbit")
     with pytest.raises(ArithmeticError, match=r"Phi_4\(X, 4913\) has untrusted"):
         phi_value(4913, 16974593, 4)
@@ -480,6 +480,20 @@ def test_local_arch_sum_stays_finite_off_the_orbit():
     assert math.isfinite(local_arch_sum(tau, 54000, 3, PREC))
 
 
+def test_local_arch_sum_runs_the_orbit_test_at_composite_n():
+    # at 128 bits, from a base point good to about 100 bits, |z - j| at 2i
+    # in T_4 * i stays above the floor, and the bound on the integer
+    # |Phi_4(287496, 1728)| decides, as in global_identity_residual;
+    # Phi_6(287496, 1728) != 0, and the rows at N = 6 are finite
+    with mp.workprec(DEFAULT_PRECISION.bits + 32):
+        near_i = UpperHalfPoint(0, 1 + mp.mpf(2) ** -100)
+    with pytest.raises(CoincidenceError, match=r"\|phi_4\(1728, 287496\)\| < 1/2"):
+        local_arch_sum(near_i, 287496, 4, DEFAULT_PRECISION)
+    assert modpoly.evaluate(6, 287496, 1728) != 0
+    assert math.isfinite(local_arch_sum(near_i, 287496, 6, DEFAULT_PRECISION))
+    assert global_identity_residual(1728, 287496, 6, DEFAULT_PRECISION) == -2.0273201726654473
+
+
 def test_series_invert_y_and_read_the_log_norm_once(monkeypatch, capsys):
     # a residual series inverts y once and reads log ||Delta|| once; a
     # height series reads the log norm once
@@ -509,7 +523,8 @@ def test_series_print_the_same_rows_with_the_base_point_kept(capsys):
 
 
 def test_check_off_orbit_bounds_the_distances_once(monkeypatch):
-    # the screen's distance bounds serve both the candidates and the sum
+    # in the orbit test of _check_coincidence, the screen's distance bounds
+    # serve both the candidates and the sum
     bounds = _counting(monkeypatch, hecke.OrbitScreen, "log_distance_bounds")
     for y, z, n in ((-40, 7, 6), (1, 2, 8), (-3375, -3376, 4)):
         bounds.clear()

@@ -3,6 +3,7 @@ construction from Jacobi theta nulls, plus the classical special values."""
 
 import cmath
 import functools
+import itertools
 import math
 import random
 import re
@@ -461,11 +462,12 @@ def _reference(tau: UpperHalfPoint, prec: Precision) -> dict:
     """The formulas of the six evaluators at the point tau' that the
     reduction at prec gives, in mpc arithmetic at 2 bits + 64, each with
     its scale |c tau + d|^-k (1 for j and the norms): the oracle of the
-    fixed-point kernel's bound.  The series keep the terms the order rule
-    keeps at 2 bits + 64, whose tail lies 2^-(2 bits + 128) |q| below."""
+    fixed-point kernel's bound.  The series keep the terms that the tail
+    bound asks for at 2 bits + 64, whose tail lies 2^-(2 bits + 128) |q|
+    below."""
     reduced, witness = reduce_to_fundamental_domain(tau, prec)
     high = Precision(2 * prec.bits + 64)
-    terms = numerics._series_order(float(reduced.im), high)
+    terms = _upward_series_order(float(reduced.im), high)
     with mp.workprec(high.bits + 32):
         q = mp.expjpi(2 * mpc(reduced.re, reduced.im))
         pw = [q]
@@ -555,28 +557,11 @@ def test_j_is_real_where_re_tau_is_zero_or_one_half(bits):
             assert eval_j(tau, prec).imag == 0, (bits, tau)
 
 
-def test_series_order_shrinks_up_the_cusp():
-    for bits in (64, 128, 256):
-        prec = Precision(bits)
-        corner = float(mp.sqrt(3) / 2)
-        # the bottom corner of the domain needs every term
-        assert numerics._series_order(corner, prec) == prec.series_terms
-        orders = [numerics._series_order(corner + k / 8, prec) for k in range(800)]
-        assert all(a >= b for a, b in zip(orders, orders[1:]))
-        assert numerics._series_order(30.0, prec) <= 2
-    assert numerics._series_order(5.0, Precision(128)) == 5
-    # where the cap misses 2^-bits at the corner, it caps the order a little
-    # higher up, where its tail still meets 2^-bits
-    prec = Precision(_FIRST_MISS)
-    with pytest.raises(PrecisionOverflowError):
-        numerics._series_order(corner, prec)
-    assert numerics._series_order(corner * (1 + 4e-6), prec) == prec.series_terms
-    assert numerics._series_order(1.0, prec) < prec.series_terms
-
-
 def _upward_series_order(im: float, prec: Precision) -> int:
-    """_series_order searching T upward from 1: the oracle of its search
-    from the lower bound, at bits where the cap meets 2^-bits."""
+    """The fewest T < prec.series_terms whose E6 tail bound, _log_tail, is
+    below 2^-(bits + 2 _GUARD) relative to |q| at Im = im, searched upward
+    from 1, else the cap: the order rule that truncated the series before
+    the first power of q that rounds to 0 did."""
     cap = prec.series_terms
     limit = -(prec.bits + 2 * numerics._GUARD) * numerics._LN2
     for terms in range(1, cap):
@@ -585,42 +570,38 @@ def _upward_series_order(im: float, prec: Precision) -> int:
     return cap
 
 
+def _powers_before_zero(tau: UpperHalfPoint, t) -> int:
+    """The number of powers of q at tau, each rounded to the nearest unit
+    2^-W, before the first that rounds to 0, with no cap."""
+    _, _, (qx, qy) = numerics._nome(tau, t)
+    x, y, half = qx, qy, 1 << (t.w - 1)
+    for kept in itertools.count(1):
+        x, y = (x * qx - y * qy + half) >> t.w, (x * qy + y * qx + half) >> t.w
+        if not (x or y):
+            return kept
+
+
 @pytest.mark.parametrize("bits", [53, 64, 96, 128, 160, 256, 512, 1024])
-def test_series_order_equals_the_upward_search(bits):
-    # the thresholds of _order_table, where the order steps, are tried
-    # with their float64 neighbours
-    corner = math.sqrt(3) / 2
-    heights = [corner * (1000 / corner) ** (k / 1999) for k in range(2000)]
+def test_powers_stop_within_the_tail_bound_order(bits):
+    # _series keeps the powers of q before the first that rounds to 0, and
+    # the order rule T = _upward_series_order kept the first T of them:
+    # both keep the same powers when no more than T come before the zero.
+    # Tried where T steps, at each height h(T) above which T passes (as the
+    # table of that rule computed it) and its float64 neighbours, at the
+    # bottom corner and at log-spaced heights, on Re tau' = 0, 1/2, 0.123
     prec = Precision(bits)
-    for threshold in numerics._order_table(prec)[3]:
-        heights += [math.nextafter(-threshold, 0), -threshold, math.nextafter(-threshold, math.inf)]
-    for im in heights:
-        assert numerics._series_order(im, prec) == _upward_series_order(im, prec), im
-
-
-@pytest.mark.parametrize("bits", [_FIRST_MISS, _LAST_MEET + 1])
-def test_series_order_equals_the_search_where_the_cap_misses(bits):
-    # the cap is hundreds of thousands of terms here, so the first T whose
-    # tail passes is bisected: _log_tail falls with T at every Im >= the
-    # corner's, as 5 / (T + 1) < 2 pi Im
-    prec = Precision(bits)
-    cap = prec.series_terms
+    t = numerics._kernel_tables(prec)
     limit = -(bits + 2 * numerics._GUARD) * numerics._LN2
+    terms = np.arange(1, prec.series_terms, dtype=np.float64)
+    steps = (math.log(700.0) - limit + 5 * np.log(terms + 1)) / (2 * math.pi * terms)
     corner = math.sqrt(3) / 2
-    heights = [corner * (1 + k * 1e-6) for k in range(40)] + [1.0, 5.0, 1000.0]
+    heights = [corner * (1000 / corner) ** (k / 199) for k in range(200)]
+    for h in steps.tolist():
+        heights += [math.nextafter(h, 0), h, math.nextafter(h, math.inf)]
     for im in heights:
-        if not numerics._log_tail(cap, im) - 2 * math.pi * im < -bits * numerics._LN2:
-            with pytest.raises(PrecisionOverflowError):
-                numerics._series_order(im, prec)
-            continue
-        fails, passes = 0, cap
-        while passes - fails > 1:
-            mid = (fails + passes) // 2
-            if numerics._log_tail(mid, im) < limit:
-                passes = mid
-            else:
-                fails = mid
-        assert numerics._series_order(im, prec) == passes, im
+        order = _upward_series_order(im, prec)
+        for re in (0, 0.5, 0.123):
+            assert _powers_before_zero(UpperHalfPoint(re, im), t) <= order, (re, im)
 
 
 def test_quotient_rounds_as_mpf_div():
@@ -652,8 +633,8 @@ def test_quotient_rounds_as_mpf_div():
 def test_table_entries_lie_within_half_a_unit_and_a_bit(bits):
     # each entry within 1/2 + 2^-7 units 2^-p of its value at p + 64 bits
     prec = Precision(bits)
-    t = numerics._root_tables(prec)
-    assert t.p == numerics._kernel_tables(prec)[0] + 24
+    t = numerics._kernel_tables(prec)
+    assert t.p == t.w + 24
     bound = 0.5 + 2.0**-7
     with mp.workprec(t.p + 64):
         scale = mpf(2) ** t.p
@@ -670,7 +651,8 @@ def test_nome_lies_within_its_bound(bits):
     # r within 2^-(W + 20) relative, u and q within 1/2 + 2^-20 units 2^-W
     # per part, from Im tau' at the corner up to the cap on the powers
     prec = Precision(bits)
-    w = numerics._kernel_tables(prec)[0]
+    t = numerics._kernel_tables(prec)
+    w = t.w
     rng = random.Random(2703 + bits)
     points = [UpperHalfPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.87, 4.0)) for _ in range(150)]
     with mp.workprec(bits + 32):
@@ -678,7 +660,7 @@ def test_nome_lies_within_its_bound(bits):
                    for k in (0, 30, 100, 200)]
     for tau in points:
         reduced, _ = reduce_to_fundamental_domain(tau, prec)
-        (m, e), u, q = numerics._nome(reduced, w, prec)
+        (m, e), u, q = numerics._nome(reduced, t)
         with mp.workprec(2 * w + 64):
             r = mp.exp(-2 * mp.pi * reduced.im)
             want_u = mp.expjpi(2 * reduced.re) * mpf(2) ** w
@@ -690,12 +672,12 @@ def test_nome_lies_within_its_bound(bits):
     # Re tau' on the symmetry lines gives u = +-1 exactly, and a reduced
     # Im tau' of 2^28 or more gives no r and q = 0
     for re, u in ((0, (1 << w, 0)), (mpf(1) / 2, (-1 << w, 0))):
-        assert numerics._nome(UpperHalfPoint(re, 3), w, prec)[1] == u
-    assert numerics._nome(UpperHalfPoint(0.25, 2**28), w, prec) == (None, (0, 1 << w), (0, 0))
+        assert numerics._nome(UpperHalfPoint(re, 3), t)[1] == u
+    assert numerics._nome(UpperHalfPoint(0.25, 2**28), t) == (None, (0, 1 << w), (0, 0))
 
 
 def test_raw_parts_read_as_float_reads_them():
-    # the fast exit and the series order read float64 from raw mantissas
+    # the fast exit and the tail guard read float64 from raw mantissas
     rng = random.Random(31)
     values = [mp.inf, -mp.inf, mpf(0), mpf(2) ** 1100, -(mpf(2) ** 1023) * 1.9]
     for bits in (53, 60, 160, 1100, 2000):
@@ -757,16 +739,31 @@ def test_upper_half_point_keeps_its_precision(exact_reduction):
 
 
 def test_tail_guard_rejects_truncated_series():
-    # _series_order alone: eval_j at millions of bits would take minutes
+    # the guard alone: eval_j at millions of bits would take minutes
     corner = math.sqrt(3) / 2
     for bits in (_FIRST_MISS - 1, _LAST_MEET):
-        assert numerics._series_order(corner, Precision(bits)) == Precision(bits).series_terms
+        numerics._check_tail(Precision(bits).series_terms, corner, bits)
     for bits in (_FIRST_MISS, _LAST_MEET + 1):
-        prec = Precision(bits)
-        with pytest.raises(PrecisionOverflowError):
-            numerics._series_order(corner, prec)
-        # the same truncation is fine once q is tiny
-        assert numerics._series_order(30.0, prec) < prec.series_terms
+        cap = Precision(bits).series_terms
+        with pytest.raises(PrecisionOverflowError, match=f"series_terms={cap} cannot reach"):
+            numerics._check_tail(cap, corner, bits)
+        # the same truncation is fine a little higher up, and once q is tiny
+        numerics._check_tail(cap, corner * (1 + 4e-6), bits)
+        numerics._check_tail(cap, 30.0, bits)
+
+
+def test_eval_j_reaches_the_tail_guard(monkeypatch):
+    # with a cap of 3 powers, none of which rounds to 0 at Im tau' = 1,
+    # eval_j bounds the tail after them and refuses it; at Im tau' = 30,
+    # q^2 rounds to 0 first, so the cap changes nothing
+    high = UpperHalfPoint(mpf(1) / 8, 30)
+    want = eval_j(high, PREC)
+    tables = numerics._kernel_tables
+    monkeypatch.setattr(numerics, "_kernel_tables", lambda prec: tables(prec)._replace(terms=3))
+    refused = r"series_terms=3 cannot reach 2\^-128 at Im tau=1\b"
+    with pytest.raises(PrecisionOverflowError, match=refused):
+        eval_j(UpperHalfPoint(mpf(1) / 4, 1), PREC)
+    assert eval_j(high, PREC) == want
 
 
 def test_matrix_algebra():
@@ -820,7 +817,8 @@ def test_delta_keeps_its_constant_per_precision_bit_for_bit():
         wp = bits + numerics._GUARD
         for tau in points:
             with mp.workprec(wp):
-                reduced, witness, w, r, u, _, _, prod = numerics._series(tau, prec, euler=True)
+                reduced, witness, t, r, u, _, _, prod = numerics._series(tau, prec, euler=True)
+                w = t.w
                 z = numerics._fmul(*u, *numerics._prod24(reduced, prod, w), w)
                 x, y = numerics._to_mpc(z, w)
                 two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(wp + 16), 1), 12, wp + 16)
