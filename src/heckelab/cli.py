@@ -41,6 +41,7 @@ from .hecke import (
     orbit_symmetry_check,
 )
 from .heights import (
+    CoincidenceError,
     cusp_height,
     global_identity_residual,
     heuristic_integral,
@@ -49,7 +50,16 @@ from .heights import (
 )
 from .lattices import GramForm, _value_counts, counting_bound, represented_values
 from .numerics import _GUARD, ModularMatrix, Precision, UpperHalfPoint, eval_j, tau_from_j
-from .scan import CurveQ, _coincidences, _half_sweep, _traces, count_points, scan_pair, trace_power
+from .scan import (
+    CurveQ,
+    _coincidences,
+    _half_sweep,
+    _traces,
+    count_points,
+    phi_certificate,
+    scan_pair,
+    trace_power,
+)
 from .tate import badred_constant, valuation_orbit
 
 
@@ -524,7 +534,16 @@ def _residual(args: argparse.Namespace) -> tuple:
 def _residual_checks() -> list[tuple[str, bool]]:
     r = global_identity_residual(1, 2, 3, Precision(96))
     h = cusp_height(tau_from_j(1, Precision(96)), 3, Precision(96)).normalized
-    return [("residual = normalized height - 1", abs(r - (h - 1)) < 1e-12)]
+    try:  # the 2-isogenous curves of i and 2i meet on T_10
+        global_identity_residual(1728, 287496, 10, Precision(96))
+        isogeny_raises = False
+    except CoincidenceError:
+        isogeny_raises = True
+    return [
+        ("residual = normalized height - 1", abs(r - (h - 1)) < 1e-12),
+        ("phi_3(2, 1) != 0 is certified", phi_certificate(1, 2, 3) is not None),
+        ("(1728, 287496, 10) raises CoincidenceError", isogeny_raises),
+    ]
 
 
 class Command(NamedTuple):

@@ -190,10 +190,7 @@ class OrbitScreen:
     def nearest(self, z) -> np.ndarray:
         """Indices of the points whose |j - z| may be the smallest of the
         orbit under the error bounds, untrusted points included."""
-        return self._nearest_of(*self.log_distance_bounds(z))
-
-    def _nearest_of(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """nearest, from the bounds that log_distance_bounds gave."""
+        low, high = self.log_distance_bounds(z)
         # a NaN bound keeps its point, and a NaN minimum keeps every point
         return np.flatnonzero(~(low > high[self.trusted].min(initial=np.inf)))
 

@@ -7,7 +7,11 @@ data must reconcile with, Phi_N(z, y), which modpoly evaluates for every N:
 from the stored table for a prime N <= 31, else from the bounded orbit
 polynomial Phi_N(X, y); and
 global_identity_residual measures how far the normalized difference sits
-from its asymptotic slope.
+from its asymptotic slope.  local_arch_sum and global_identity_residual
+raise CoincidenceError where z lies on the orbit of an integer y, which
+_check_coincidence decides on integers alone: Phi_N(z, y) != 0 by the
+diagonal rule or by a Frobenius certificate (scan.phi_certificate), else
+by the exact value of Phi_N(z, y).
 
 The Delta part of both sums has a closed form.  The product of Delta over
 T_N * tau is a constant times Delta(tau)^(e_N): with Im((alpha tau + beta)
@@ -32,9 +36,9 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from . import modpoly
+from . import modpoly, scan
 from .arith import pairwise_sum, triple_counts
-from .hecke import HeckeOrbit, OrbitPoint, e_n, hecke_orbit
+from .hecke import OrbitPoint, e_n, hecke_orbit
 from .numerics import (
     _GUARD,
     DEFAULT_PRECISION,
@@ -47,7 +51,8 @@ from .numerics import (
 
 
 class CoincidenceError(ArithmeticError):
-    """An orbit j-value collided with z below the working resolution."""
+    """z lies on the orbit: an orbit j-value within the working resolution
+    of z, or Phi_N(z, y) = 0 at integers y and z."""
 
 
 @dataclass(frozen=True)
@@ -128,9 +133,9 @@ def local_arch_sum(
 
     A |z - j| below 2^-bits * max(1, |z|) raises CoincidenceError.  When z
     is an integer and j(y_tau) lies within 2^-bits * max(1, |j|) of an
-    integer y, the test of global_identity_residual (_check_coincidence)
-    runs as well, for every N: the error of y_tau can keep the orbit point
-    of j = z above the resolution.
+    integer y, the exact test of global_identity_residual
+    (_check_coincidence) runs as well, for every N: the error of y_tau can
+    keep the orbit point of j = z above the resolution.
     """
     orbit = hecke_orbit(y_tau, n, prec)
     with mp.workprec(prec.bits + _GUARD):
@@ -140,7 +145,7 @@ def local_arch_sum(
             j_base = eval_j(y_tau, prec)
             y = mp.nint(j_base.real)
             if abs(j_base - y) <= mpf(2) ** -prec.bits * max(1, abs(j_base)):
-                _check_coincidence(int(y), int(zc.real), n, y_tau, prec, orbit)
+                _check_coincidence(int(y), int(zc.real), n)
         return float(pairwise_sum(terms) + _log_norm_orbit_sum(y_tau, n, prec))
 
 
@@ -183,47 +188,47 @@ def global_identity_residual(
 
     log |phi| - S_N = -sum log ||Delta||(tau_i): r_N is the normalized height
     minus 1 whatever z is, by the closed form at working precision, rounded
-    once.  z lying on the orbit of y raises CoincidenceError
-    (_check_coincidence).  A non-integer y or z raises ValueError: phi is
+    once.  Phi_N(z, y) = 0 raises CoincidenceError (_check_coincidence,
+    which reads no orbit).  A non-integer y or z raises ValueError: phi is
     defined at integers only.
     """
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")
     y, z = _integers(y, z)
     tau = _base_point(y, prec)
-    _check_coincidence(y, z, n, tau, prec)
+    _check_coincidence(y, z, n)
     with mp.workprec(prec.bits + _GUARD):
         return float(-_log_norm_orbit_sum(tau, n, prec) / (6 * e_n(n) * mp.log(n)) - 1)
 
 
-def _check_coincidence(
-    y: int, z: int, n: int, tau: UpperHalfPoint, prec: Precision, orbit=None
-) -> None:
-    """CoincidenceError when z lies on T_N * tau, tau a base point whose j
-    lies within 2^-bits max(1, |j|) of the integer y.
+# The 13 integral j-invariants with complex multiplication, one for each
+# imaginary quadratic order of class number one (discriminants -3, -4, -7,
+# -8, -11, -12, -16, -19, -27, -28, -43, -67 and -163).  Every other integer
+# j is the j-invariant of a curve over Q whose endomorphism ring is Z.
+CM_J_INVARIANTS = frozenset(
+    {
+        0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000,
+        16581375, -884736000, -147197952000, -262537412640768000,
+    }
+)
 
-    For a prime N <= 31 that is exact: Phi_N(z, y) = 0 on the stored
-    polynomial (modpoly), and no orbit is read.  Any other N decides it on
-    the orbit, `orbit` if the caller has built it, else a lazy
-    HeckeOrbit(tau, n, prec): some |z - j| below the resolution, as at the
-    exact CM bases of y = 0 and y = 1728, or a bound on the integer |phi|
-    below 1/2, which catches a base point good to fewer bits.  j is read
-    only at the screen's nearest candidates it cannot clear of the
-    resolution by 2^8, a margin for the exact tier's error in j."""
-    if n in modpoly.PRIMES:
-        if modpoly.evaluate(n, z, y) == 0:
-            raise CoincidenceError(f"phi_{n}({y}, {z}) = 0: z lies on the orbit of y")
+
+def _check_coincidence(y: int, z: int, n: int) -> None:
+    """CoincidenceError exactly when Phi_N(z, y) = 0, that is when z lies on
+    T_N * tau_y, decided on integers alone, by the first rule that applies:
+
+    1. z = y, N >= 2 and y not in CM_J_INVARIANTS: Phi_N(y, y) != 0, as a
+       curve with End = Z has no cyclic endomorphism of degree N;
+    2. a prime of scan.phi_certificate: Phi_N(z, y) != 0;
+    3. otherwise the exact value modpoly.evaluate(N, z, y), the stored
+       table or the orbit polynomial, raises when it is 0.
+    """
+    if z == y and n >= 2 and y not in CM_J_INVARIANTS:
         return
-    if orbit is None:
-        orbit = HeckeOrbit(tau, n, prec)
-    low, log_dist = orbit.screen.log_distance_bounds(z)
-    with mp.workprec(prec.bits + _GUARD):
-        cleared = math.log(max(1, abs(z))) - (prec.bits - 8) * math.log(2)
-        for i in orbit.screen._nearest_of(low, log_dist):
-            if not low[i] > cleared:  # NaN at an untrusted point
-                log_dist[i] = float(mp.log(_distance(orbit.points[i], mp.mpc(z), prec)))
-    if log_dist.sum() < -math.log(2):
-        raise CoincidenceError(f"|phi_{orbit.n}({y}, {z})| < 1/2: z lies on the orbit of y")
+    if scan.phi_certificate(y, z, n) is not None:
+        return
+    if modpoly.evaluate(n, z, y) == 0:
+        raise CoincidenceError(f"phi_{n}({y}, {z}) = 0: z lies on the orbit of y")
 
 
 class IntegralEstimate(NamedTuple):

@@ -18,6 +18,7 @@ with every coefficient rounded to an integer.  Its precision comes from a
 bound: the coefficients are at most prod (1 + |j_i|), read off the orbit's
 float64 screen, and 128 bits go on top.  An untrusted screen or a
 coefficient farther than 2^-32 from an integer raises ArithmeticError.
+The last polynomial is kept, so a sweep over z at one (y, N) builds one.
 
 The generator (Enge, Math. Comp. 78, 2009: evaluation and interpolation)
 takes Phi_N(X, y) at each integer node y = 0, ..., e_N and interpolates
@@ -86,12 +87,14 @@ def evaluate(n: int, x: int, y: int) -> int:
     return value
 
 
-def _orbit_polynomial(y: int, n: int) -> list[int]:
+@functools.lru_cache(maxsize=1)
+def _orbit_polynomial(y: int, n: int) -> tuple[int, ...]:
     """The integer coefficients, constant first, of Phi_N(X, y) = prod
     (X - j_i) over T_N * tau_y, at _MARGIN_BITS above log2 prod (1 + |j_i|)
     as the orbit's float64 screen bounds it.  ArithmeticError when the
     screen has untrusted points or a coefficient lies farther than
-    _ROUND_TOL from an integer."""
+    _ROUND_TOL from an integer.  The last polynomial is kept, as a sweep
+    over z at one (y, N) reads the same one for every z."""
     bound = HeckeOrbit(tau_from_j(y, Precision(64)), n).screen.log2_product_bound()
     if math.isnan(bound):
         raise ArithmeticError(f"the float64 screen of Phi_{n}(X, {y}) has untrusted points")
@@ -113,7 +116,7 @@ def _orbit_polynomial(y: int, n: int) -> list[int]:
                     f"not an integer at {prec.bits} bits"
                 )
             out.append(nearest)
-    return out
+    return tuple(out)
 
 
 def _interpolate(values: list[int]) -> list[int]:

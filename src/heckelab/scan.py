@@ -33,6 +33,12 @@ has phi(n) <= 4, i.e. n in {1, 2, 3, 4, 5, 6, 8, 10, 12}.  A coincidence
 a_p(E) = a_p(E') is the k = 1 case, so the coincidence statistic is read
 off the hits of a scan: each record of a scan is counted once, and none is
 kept after it.
+
+The same test certifies Phi_N(z, y) != 0 for integers y and z
+(phi_certificate): at a prime p >= 5 not dividing N, Phi_N(z, y) = 0 mod p
+would make the reductions of curves with j = y and j = z geometrically
+isogenous, so one good prime where their records do not match suffices.
+The curves are the j-models of j_model.
 """
 
 from __future__ import annotations
@@ -546,6 +552,49 @@ def count_points(curve: CurveQ, p: int) -> TraceRecord:
     if not (p >= 5 and is_prime(p)):
         raise ValueError(f"need a prime p >= 5, got {p}")
     return _record(_coefficients(curve), p)
+
+
+def j_model(j: int) -> CurveQ:
+    """A curve over Q with j-invariant j: y^2 = x^3 + 1 at j = 0,
+    y^2 = x^3 + x at j = 1728, and E_t: y^2 = x^3 + t x + t with
+    t = 27 j / (4 (1728 - j)) at every other j.  E_t has bad reduction at
+    the primes dividing j (1728 - j) and good reduction at every other
+    p >= 5."""
+    if j == 0:
+        return CurveQ(0, 1)
+    if j == 1728:
+        return CurveQ(1, 0)
+    t = Fraction(27 * j, 4 * (1728 - j))
+    return CurveQ(t, t)
+
+
+# phi_certificate walks the primes below this bound; a pair with no
+# certifying prime there is left to the exact value of Phi_N.
+_CERTIFICATE_BELOW = 1000
+
+
+def phi_certificate(y: int, z: int, n: int) -> Optional[int]:
+    """The least prime 5 <= p < _CERTIFICATE_BELOW, p not dividing N, at
+    which the j-models of y and z have good reduction and their reductions
+    are not geometrically isogenous (geom_isogenous is None), else None.
+
+    Such a p proves Phi_N(z, y) != 0: for p not dividing N, Phi_N mod p is
+    the modular polynomial of F_p, so Phi_N(z, y) = 0 mod p would link
+    curves with j = y and j = z mod p by a cyclic N-isogeny over the
+    algebraic closure of F_p.  A prime where either model has bad reduction
+    is skipped.
+    """
+    left, right = j_model(y), j_model(z)
+    for p in primes_up_to(_CERTIFICATE_BELOW - 1)[2:]:
+        if n % p == 0:
+            continue
+        try:
+            records = count_points(left, p), count_points(right, p)
+        except BadReductionError:
+            continue
+        if geom_isogenous(*records) is None:
+            return p
+    return None
 
 
 def trace_power(a_p: int, p: int, k: int) -> int:

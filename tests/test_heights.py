@@ -4,7 +4,7 @@ import warnings
 import pytest
 from mpmath import mp
 
-from heckelab import cli, hecke, heights, modpoly
+from heckelab import cli, hecke, heights, lattices, modpoly, scan
 from heckelab.hecke import HeckeOrbit, e_n, hecke_orbit
 from heckelab.heights import (
     CoincidenceError,
@@ -18,6 +18,7 @@ from heckelab.numerics import (
     DEFAULT_PRECISION,
     Precision,
     UpperHalfPoint,
+    eval_j,
     log_petersson_norm_delta,
     tau_from_j,
 )
@@ -187,6 +188,7 @@ def test_phi_value_raises_on_a_coefficient_off_an_integer(monkeypatch):
         return inverted(y + mp.mpf(2) ** -20 if prec.bits > 64 else y, prec)
 
     monkeypatch.setattr(modpoly, "tau_from_j", moved)
+    modpoly._orbit_polynomial.cache_clear()  # the exact polynomial is kept
     with pytest.raises(ArithmeticError, match=r"coefficient 0 of Phi_4\(X, 0\) .* not an integer"):
         phi_value(0, 5, 4)
 
@@ -313,14 +315,16 @@ def _counting(monkeypatch, module, name):
 
 
 def test_residual_row_reads_one_tau_and_no_orbit_j(monkeypatch):
-    # no Phi product and no local_arch_sum: one inversion, no orbit with its
-    # j-values, and no j at all where the screen clears every point
+    # no Phi product and no local_arch_sum: one inversion, and neither an
+    # orbit nor a j-value, as a Frobenius certificate clears every row
     for y, z, n in _RESIDUAL_ROWS:
         inversions = _counting(monkeypatch, heights, "tau_from_j")
         orbits = _counting(monkeypatch, heights, "hecke_orbit")
         j_values = _counting(monkeypatch, hecke, "eval_j")
+        built = _counting(monkeypatch, hecke.HeckeOrbit, "__init__")
+        assert scan.phi_certificate(y, z, n) is not None
         global_identity_residual(y, z, n, DEFAULT_PRECISION)
-        assert (len(inversions), len(orbits), len(j_values)) == (1, 0, 0)
+        assert (len(inversions), len(orbits), len(j_values), len(built)) == (1, 0, 0, 0)
         monkeypatch.undo()
 
 
@@ -368,18 +372,18 @@ def test_residual_coincidence_guard(monkeypatch):
         with pytest.raises(CoincidenceError, match="= 0: z lies on the orbit"):
             global_identity_residual(y, z, 2, DEFAULT_PRECISION)
     for z in (-3375, 16581375):
-        with pytest.raises(CoincidenceError, match="below resolution"):
+        with pytest.raises(CoincidenceError, match="= 0: z lies on the orbit"):
             global_identity_residual(-3375, z, 4, DEFAULT_PRECISION)
     # one off the orbit the row is finite
     assert global_identity_residual(-3375, -3376, 2, DEFAULT_PRECISION) == -4.376170109444552
-    # from a base point good to about 100 bits, |z - j| at 2i in T_4 * i
-    # stays above the floor, and the bound on the integer
-    # |Phi_4(1728, 287496)| decides
+    # the test reads integers only, so a base point good to about 100 bits
+    # raises as the exact i does
     with mp.workprec(DEFAULT_PRECISION.bits + 32):
         near_i = UpperHalfPoint(0, 1 + mp.mpf(2) ** -100)
     monkeypatch.setattr(heights, "tau_from_j", lambda y, prec: near_i)
-    with pytest.raises(CoincidenceError, match="< 1/2"):
-        global_identity_residual(1728, 287496, 4, DEFAULT_PRECISION)
+    for n in (2, 4, 10):
+        with pytest.raises(CoincidenceError, match=f"phi_{n}\\(1728, 287496\\) = 0"):
+            global_identity_residual(1728, 287496, n, DEFAULT_PRECISION)
 
 
 @pytest.mark.parametrize(
@@ -397,36 +401,15 @@ def test_residual_raises_on_a_rational_isogeny_at_64_bits(y, z, n):
 
 @pytest.mark.parametrize("bits", [64, 128])
 def test_the_orbit_of_i_meets_its_integers(bits):
-    # T_N * i holds 2i (j = 287496) at N = 2, 4 and 10: Phi_2(287496, 1728)
+    # T_N * i holds 2i (j = 287496) at N = 2, 4 and 10: Phi_N(287496, 1728)
     # is 0, and from the exact base point i the orbit points lie within
     # resolution
     prec = Precision(bits)
-    with pytest.raises(CoincidenceError, match="= 0: z lies on the orbit"):
-        global_identity_residual(1728, 287496, 2, prec)
-    for n in (4, 10):
-        with pytest.raises(CoincidenceError, match="below resolution"):
+    for n in (2, 4, 10):
+        with pytest.raises(CoincidenceError, match="= 0: z lies on the orbit"):
             global_identity_residual(1728, 287496, n, prec)
-    for n in (2, 10):
         with pytest.raises(CoincidenceError, match="below resolution"):
             local_arch_sum(tau_from_j(1728, prec), 287496, n, prec)
-
-
-def test_residual_decides_an_untrusted_point_in_the_exact_tier(monkeypatch):
-    # the screen marks the coset (1, 1, 4) untrusted, which holds j = -3375
-    # in T_4 * tau_y for y = -3375: its j is evaluated, the others cleared
-    screen_of = hecke.OrbitScreen.of.__func__
-
-    def second_untrusted(cls, base, cosets):
-        screen = screen_of(cls, base, cosets)
-        screen.trusted[1] = False
-        return screen
-
-    monkeypatch.setattr(hecke.OrbitScreen, "of", classmethod(second_untrusted))
-    j_values = _counting(monkeypatch, hecke, "eval_j")
-    assert global_identity_residual(-3375, -3376, 4, DEFAULT_PRECISION) == -2.3547517213889426
-    assert len(j_values) == 1
-    with pytest.raises(CoincidenceError, match="coset CosetTriple.alpha=1, beta=1, delta=4"):
-        global_identity_residual(-3375, -3375, 4, DEFAULT_PRECISION)
 
 
 def test_height_command_reads_the_base_j_once(monkeypatch, capsys):
@@ -482,13 +465,14 @@ def test_local_arch_sum_stays_finite_off_the_orbit():
 
 def test_local_arch_sum_runs_the_orbit_test_at_composite_n():
     # at 128 bits, from a base point good to about 100 bits, |z - j| at 2i
-    # in T_4 * i stays above the floor, and the bound on the integer
-    # |Phi_4(287496, 1728)| decides, as in global_identity_residual;
+    # in T_N * i stays above the floor at N = 2, 4 and 10, and the exact
+    # test of global_identity_residual decides: Phi_N(287496, 1728) = 0.
     # Phi_6(287496, 1728) != 0, and the rows at N = 6 are finite
     with mp.workprec(DEFAULT_PRECISION.bits + 32):
         near_i = UpperHalfPoint(0, 1 + mp.mpf(2) ** -100)
-    with pytest.raises(CoincidenceError, match=r"\|phi_4\(1728, 287496\)\| < 1/2"):
-        local_arch_sum(near_i, 287496, 4, DEFAULT_PRECISION)
+    for n in (2, 4, 10):
+        with pytest.raises(CoincidenceError, match=f"phi_{n}\\(1728, 287496\\) = 0"):
+            local_arch_sum(near_i, 287496, n, DEFAULT_PRECISION)
     assert modpoly.evaluate(6, 287496, 1728) != 0
     assert math.isfinite(local_arch_sum(near_i, 287496, 6, DEFAULT_PRECISION))
     assert global_identity_residual(1728, 287496, 6, DEFAULT_PRECISION) == -2.0273201726654473
@@ -522,11 +506,43 @@ def test_series_print_the_same_rows_with_the_base_point_kept(capsys):
         assert kept[1:] == fresh, argv
 
 
-def test_check_off_orbit_bounds_the_distances_once(monkeypatch):
-    # in the orbit test of _check_coincidence, the screen's distance bounds
-    # serve both the candidates and the sum
-    bounds = _counting(monkeypatch, hecke.OrbitScreen, "log_distance_bounds")
-    for y, z, n in ((-40, 7, 6), (1, 2, 8), (-3375, -3376, 4)):
-        bounds.clear()
-        global_identity_residual(y, z, n, PREC)
-        assert len(bounds) == 1, (y, z, n)
+def test_cm_j_invariants_are_the_j_of_the_class_number_one_orders():
+    # an integer j has CM exactly when it is j(tau_D) for an order of class
+    # number one: D with one reduced form, tau_D = (-b + sqrt(D)) / 2a
+    found = set()
+    for d in range(-3, -1000, -1):
+        forms = lattices.reduced_primitive_forms(d) if d % 4 in (0, 1) else []
+        if len(forms) != 1:
+            continue
+        ((a, b, _),) = forms
+        with mp.workprec(DEFAULT_PRECISION.bits + 32):
+            tau = UpperHalfPoint(mp.mpf(-b) / (2 * a), mp.sqrt(-d) / (2 * a))
+            j = eval_j(tau, DEFAULT_PRECISION)
+            nearest = int(mp.nint(j.real))
+            assert abs(j - nearest) < 1e-20, d
+        found.add(nearest)
+    assert found == heights.CM_J_INVARIANTS
+
+
+def test_the_diagonal_rule_agrees_with_the_stored_tables(monkeypatch):
+    # Phi_l(y, y) != 0 at non-CM y, which _check_coincidence decides with
+    # no certificate and no value; a CM y can meet itself
+    for ell in modpoly.PRIMES:
+        for y in (1, 2, -40, 2417, 1729, -1):
+            assert modpoly.evaluate(ell, y, y) != 0, (ell, y)
+    assert modpoly.evaluate(2, 8000, 8000) == 0
+    certificates = _counting(monkeypatch, scan, "phi_certificate")
+    values = _counting(monkeypatch, modpoly, "evaluate")
+    for n in (2, 6, 31, 53):
+        heights._check_coincidence(-40, -40, n)
+    assert (certificates, values) == ([], [])
+    with pytest.raises(CoincidenceError, match=r"phi_2\(8000, 8000\) = 0"):
+        heights._check_coincidence(8000, 8000, 2)
+
+
+def test_a_z_sweep_builds_one_orbit_polynomial(monkeypatch):
+    # the last Phi_6(X, y) is kept, so 41 values of z build one orbit
+    orbits = _counting(monkeypatch, modpoly, "hecke_orbit")
+    for z in range(-20, 21):
+        assert phi_value(-40, z, 6) == _resultant_phi(2, 3, z, -40), z
+    assert len(orbits) == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heckelab import scan
+from heckelab import modpoly, scan
 from heckelab.arith import factorize, is_prime, primes_up_to, split_discriminant
 from heckelab.cli import main
 from heckelab.scan import (
@@ -761,3 +761,44 @@ def test_kernel_accepts_the_ends_of_the_hasse_interval():
                 assert ok[0] and a[0] == a_p, (t, p)
                 ends.add(n > p + 1)
     assert ends == {True, False}
+
+
+def test_j_models_have_their_j():
+    # j = 1728 * 4 a^3 / (4 a^3 + 27 b^2)
+    for j in (0, 1728, 1, -1, 2, 1727, 1729, -3375, 287496, -(10**20)):
+        curve = scan.j_model(j)
+        cube = 4 * curve.a4**3
+        assert 1728 * cube / (cube + 27 * curve.a6**2) == j, j
+
+
+# (y, z): generic pairs, CM pairs in different fields, and the rational
+# isogenies of i to 2i and of the orders of discriminant -7 and -28
+_CERTIFIED_PAIRS = ((1, 2), (-40, 7), (2417, -37), (1, 1000001), (8000, 54000), (0, 1))
+_ISOGENOUS_PAIRS = ((1728, 287496), (-3375, 16581375))
+
+
+def test_phi_certificate_is_sound_against_the_exact_phi():
+    # a certifying prime p does not divide N, and Phi_N(z, y) != 0 mod p;
+    # where Phi_N(z, y) = 0 no prime certifies
+    vanish = set()
+    for y, z in _CERTIFIED_PAIRS + _ISOGENOUS_PAIRS:
+        for n in sorted(set(range(2, 13)) | set(modpoly.PRIMES)):
+            value = modpoly.evaluate(n, z, y)
+            p = scan.phi_certificate(y, z, n)
+            if p is not None:
+                assert n % p and value % p, (y, z, n, p)
+            if value == 0:
+                assert p is None, (y, z, n)
+                vanish.add((y, z))
+        if (y, z) in _CERTIFIED_PAIRS:
+            assert p is not None, (y, z)
+    assert vanish == set(_ISOGENOUS_PAIRS)
+
+
+def test_phi_certificate_skips_the_primes_dividing_n_and_bad_reduction():
+    # (1, 2) first certifies at 5: at N = 5 the walk goes on to 7; j = 5
+    # has bad reduction at 5, where its model's t = 135/6892 has 5 | t
+    assert scan.phi_certificate(1, 2, 3) == 5
+    assert scan.phi_certificate(1, 2, 5) == 7
+    assert scan.phi_certificate(1, 5, 3) > 5
+    assert scan.phi_certificate(7, 7, 2) is None  # the same curve
