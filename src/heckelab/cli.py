@@ -339,7 +339,15 @@ def _height_checks() -> list[tuple[str, bool]]:
         ("log|phi| - S_N = H_N (exact decomposition)", gap < 1e-6),
         ("phi(1,2,N=3) is a nonzero integer", isinstance(phi, int) and phi != 0),
         ("|j(tau_from_j(1)) - 1| <= 2^-96", abs(eval_j(tau_y, prec) - 1) <= 2.0**-96),
+        ("|j - y| <= 2^-128 y at y = 1728 + 10^-20, 128 bits", _inverts_next_to_i()),
     ]
+
+
+def _inverts_next_to_i(prec: Precision = Precision(128)) -> bool:
+    """tau_from_j just off 1728, where j' nearly vanishes, is within 2^-bits y."""
+    with mp.workprec(prec.bits + _GUARD):
+        y = 1728 + mp.mpf(10) ** -20
+        return abs(eval_j(tau_from_j(y, prec), prec) - y) <= mp.mpf(2) ** -prec.bits * y
 
 
 def _scan(args: argparse.Namespace) -> tuple:

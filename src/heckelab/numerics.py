@@ -627,26 +627,28 @@ def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
         return delta * _cocycle(tau, witness, 12)
 
 
+def _j(reduced: UpperHalfPoint, t: _KernelTables, r, u, e4, prod, wp: int) -> tuple:
+    """j = E4^3 conj(u) / (prod^24 r) as a raw mpc from the parts of _series,
+    r = m 2^e: each part is one integer quotient, rounded once at wp."""
+    w = t.w
+    dx, dy = _prod24(reduced, prod, w)
+    nx, ny = _fmul(*_fmul(*_fmul(*e4, *e4, w), *e4, w), u[0], -u[1], w)
+    # j = n conj(d) / (|d|^2 m 2^e)
+    rm, rexp = r
+    den = (dx * dx + dy * dy) * rm
+    return tuple(_quotient(x, den, wp, -rexp) for x in (nx * dx + ny * dy, ny * dx - nx * dy))
+
+
 def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular j-invariant 1728 E4^3 / (E4^3 - E6^2).
 
     Through E4^3 - E6^2 = 1728 q prod (1 - q^n)^24: j = E4^3 conj(u) /
-    (prod^24 r), r = |q|, with the three in fixed point and r = m 2^e,
-    keeps full relative precision at large Im tau, where the literal
-    subtraction would cancel to noise.  Each part is one integer quotient,
-    rounded once at wp.  At rho, where E4 vanishes to working precision,
-    E4^3 rounds to 0 and so does j.
+    (prod^24 r), r = |q| (_j), keeps full relative precision at large
+    Im tau, where the literal subtraction would cancel to noise.  At rho,
+    where E4 vanishes to working precision, E4^3 rounds to 0 and so does j.
     """
-    wp = prec.bits + _GUARD
-    reduced, _, t, r, (ux, uy), e4, _, prod = _series(tau, prec, e4=True, euler=True)
-    w = t.w
-    dx, dy = _prod24(reduced, prod, w)
-    nx, ny = _fmul(*_fmul(*_fmul(*e4, *e4, w), *e4, w), ux, -uy, w)
-    # j = n conj(d) / (|d|^2 m 2^e)
-    rm, rexp = r
-    den = (dx * dx + dy * dy) * rm
-    re, im = (_quotient(x, den, wp, -rexp) for x in (nx * dx + ny * dy, ny * dx - nx * dy))
-    return mp.make_mpc((re, im))
+    reduced, _, t, r, u, e4, _, prod = _series(tau, prec, e4=True, euler=True)
+    return mp.make_mpc(_j(reduced, t, r, u, e4, prod, prec.bits + _GUARD))
 
 
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
@@ -687,16 +689,15 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
 
     A target within err = 2^-bits * max(1, |y|), the accuracy of eval_j,
     of 1728 or 0 returns the CM point i or rho = (-1 + sqrt(3) i) / 2, the
-    ends of the unit arc, where j' vanishes.  Elsewhere a float64 Newton
-    iteration (_seed) gives x and the slope s = d|j|/dx, and chord steps
-    x <- x - (|j(x)| - |y|) / s run at working precision until
-    |j - y| <= err: the root is good to about 2 err / |j'|.  A slope that is
-    not positive, a step that leaves the arc or no convergence within
-    bits / 8 steps, as for a target just off 0 or 1728, bisects the arc
-    to full working precision instead.  A NaN or infinite target raises
-    ValueError.
+    ends of the unit arc, where j' vanishes.  Elsewhere the safeguarded
+    Newton loop _newton runs on log|j| in float64 (_seed), then on |j| - |y|
+    until |j - y| <= err: each step reads j and a float64 slope,
+    d log j / dtau = -2 pi i E6 / E4, off one kernel pass and gains some 50
+    bits, and the root is good to about 2 err / |j'|.  Just off 0 and 1728
+    it bisects until its steps take hold.  NaN or inf raises ValueError.
     """
-    with mp.workprec(prec.bits + _GUARD):
+    wp = prec.bits + _GUARD
+    with mp.workprec(wp):
         y = mpf(j_target)
         if not mp.isfinite(y):
             raise ValueError(f"j must be finite, got {j_target}")
@@ -712,20 +713,20 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
                 return UpperHalfPoint(x, mp.sqrt(1 - x * x))
             return UpperHalfPoint(re, x)
 
-        def f(x):  # increasing: j has the sign of y on its arc
-            return abs(eval_j(point(x), prec).real) - abs(y)
+        def f(x):  # |j| - |y|, increasing: j has the sign of y on its arc
+            tau = point(x)  # inside the domain: its reduction is the identity
+            reduced, _, t, r, u, e4, e6, prod = _series(tau, prec, e4=True, e6=True, euler=True)
+            j = abs(mp.make_mpf(_j(reduced, t, r, u, e4, prod, wp)[0]))
+            # d|j| / dx = |j| Re(d log j / dtau dtau / dx), in float64
+            (ax, ay), (bx, by), norm = e6, e4, e4[0] ** 2 + e4[1] ** 2
+            e6_e4 = complex((ax * bx + ay * by) / norm, (ay * bx - ax * by) / norm)
+            dtau = 1j if re is not None else complex(1, -_float(x._mpf_) / _float(tau.im._mpf_))
+            return j - abs(y), j * (-2j * math.pi * e6_e4 * dtau).real
 
-        x, slope = _seed(y, lo, hi, re)
-        if slope > 0:
-            x, inverse_slope = mpf(x), 1 / (abs(y) * slope)
-            for _ in range(prec.bits // 8):
-                fx = f(x)
-                if abs(fx) <= err:
-                    return point(x)
-                x -= fx * inverse_slope
-                if not lo < x < hi:
-                    break
-        return point(_bisect(f, lo, hi, prec.bits))
+        # twice the bisections that exhaust the bracket at wp
+        x = _newton(f, mpf(_seed(y, lo, hi, re)), lo, hi, 2 * (wp + 8),
+                    lambda x, value, slope: abs(value) <= err)
+        return point(x)
 
 
 def _arc(y) -> tuple:
@@ -740,7 +741,31 @@ def _arc(y) -> tuple:
     if 0 <= y < 1728:
         return mpf(-1) / 2, mpf(0), None
     hi = mpf(max(2.0, (float(mp.log(abs(y))) + 1) / (2 * math.pi)))
-    return (mpf(1), hi, 0.0) if y > 0 else (mp.sqrt(3) / 2, hi, 0.5)
+    return (mpf(1), hi, mpf(0)) if y > 0 else (mp.sqrt(3) / 2, hi, mpf(1) / 2)
+
+
+def _newton(f, x, lo, hi, steps: int, close):
+    """Safeguarded Newton steps x <- x - f(x) / f'(x) on f, increasing on
+    the bracket (lo, hi) of its root, from x, or from the middle if x is not
+    inside; f(x) returns (f(x), f'(x)), and each value narrows the bracket.
+    A slope that is not positive, or a step that would leave the bracket,
+    bisects it instead.  Returns the first x where close(x, f(x), f'(x))
+    holds, else the last x evaluated once the bracket stops shrinking or
+    after `steps` values.  Floats and mpf alike."""
+    if not lo < x < hi:
+        x = (lo + hi) / 2
+    for _ in range(steps):
+        value, slope = f(x)
+        if close(x, value, slope):
+            break
+        lo, hi = (x, hi) if value < 0 else (lo, x)
+        step = x - value / slope if slope > 0 else hi  # hi is not inside: bisect
+        if not lo < step < hi:
+            step = (lo + hi) / 2
+            if step in (lo, hi):  # the bracket stops shrinking
+                break
+        x = step
+    return x
 
 
 # float64 Newton steps of _seed, and the relative step at which it stops
@@ -748,16 +773,18 @@ _SEED_STEPS = 64
 _SEED_TOL = 2.0**-46
 
 
-def _seed(y, lo, hi, re) -> tuple[float, float]:
-    """(x, d log|j| / dx at x) with |j| = |y| at x on the arc (lo, hi, re)
-    of _arc, in float64: Newton steps on log|j| from the middle of the
-    arc, with d log j / dtau = -2 pi i E6 / E4.  A step that would leave
-    the bracket of the root, or a slope that is not positive, bisects the
-    bracket instead.  At rho float64 E4 is about 7e-16, not 0, so its log
-    stays finite."""
+def _seed(y, lo, hi, re) -> float:
+    """x with |j| = |y| on the arc (lo, hi, re) of _arc, in float64: _newton
+    on log|j| - log|y|, d log j / dtau = -2 pi i E6 / E4, until a step is
+    below _SEED_TOL max(1, |x|), from the middle of the unit arc or off it
+    from the root of |1/q + 744| = |y|.  At rho float64 E4 is about 7e-16,
+    not 0, so its log stays finite."""
     log_y, lo, hi = float(mp.log(abs(y))), float(lo), float(hi)
-    x, slope = (lo + hi) / 2, math.nan
-    for _ in range(_SEED_STEPS):
+    x = (lo + hi) / 2
+    if re is not None:
+        re, x = float(re), math.log(abs(float(y) - 744)) / (2 * math.pi)
+
+    def f(x):
         if re is None:
             im = math.sqrt(1 - x * x)
             tau, dtau = complex(x, im), complex(1, -x / im)
@@ -765,33 +792,10 @@ def _seed(y, lo, hi, re) -> tuple[float, float]:
             tau, dtau = complex(re, x), 1j
         e4, e6, prod = _float_series(cmath.exp(2j * math.pi * tau))
         log_j = 3 * math.log(abs(e4)) - 24 * math.log(abs(prod)) + 2 * math.pi * tau.imag
-        slope = (-2j * math.pi * e6 / e4 * dtau).real
-        if log_j < log_y:
-            lo = x
-        else:
-            hi = x
-        if slope > 0:
-            step = (log_j - log_y) / slope
-            if abs(step) <= _SEED_TOL * max(1.0, abs(x)):
-                return x - step, slope
-            if lo < x - step < hi:
-                x -= step
-                continue
-        x = (lo + hi) / 2
-    return x, slope
+        return log_j - log_y, (-2j * math.pi * e6 / e4 * dtau).real
 
-
-def _bisect(f, neg_end, pos_end, bits: int):
-    """Bisection with f(neg_end) <= 0 <= f(pos_end), to full working precision."""
-    for _ in range(bits + _GUARD + 8):
-        mid = (neg_end + pos_end) / 2
-        if mid == neg_end or mid == pos_end:
-            break
-        if f(mid) < 0:
-            neg_end = mid
-        else:
-            pos_end = mid
-    return (neg_end + pos_end) / 2
+    return _newton(f, x, lo, hi, _SEED_STEPS,
+                   lambda x, v, s: s > 0 and abs(v) <= _SEED_TOL * max(1.0, abs(x)) * s)
 
 
 # -- float64 screen -----------------------------------------------------------

@@ -36,9 +36,9 @@ kept after it.
 
 The same test certifies Phi_N(z, y) != 0 for integers y and z
 (phi_certificate): at a prime p >= 5 not dividing N, Phi_N(z, y) = 0 mod p
-would make the reductions of curves with j = y and j = z geometrically
-isogenous, so one good prime where their records do not match suffices.
-The curves are the j-models of j_model.
+would make curves over F_p with j = y and j = z mod p geometrically
+isogenous, so one prime where their records do not match suffices.  The
+records are kept per (j mod p, p) (_j_record).
 """
 
 from __future__ import annotations
@@ -523,17 +523,6 @@ def _finish(record: TraceRecord, ab: int) -> TraceRecord:
     return TraceRecord(p, -record.a_p, record.classification)
 
 
-def _record(coefficients: tuple[int, int, int, int], p: int) -> TraceRecord:
-    """The record at p of one curve, the per-prime path of count_points,
-    which checks p first: _classify, and _finish on the half-sweep of
-    y^2 = x^3 + t x + t."""
-    kind = _classify(coefficients, p)
-    if isinstance(kind, TraceRecord):
-        return kind
-    t, ab = kind
-    return _finish(_record_of_t(p, _half_sweep(t, t, p)), ab)
-
-
 def count_points(curve: CurveQ, p: int) -> TraceRecord:
     """a_p = p + 1 - |E(F_p)|, with classification.
 
@@ -551,21 +540,25 @@ def count_points(curve: CurveQ, p: int) -> TraceRecord:
     """
     if not (p >= 5 and is_prime(p)):
         raise ValueError(f"need a prime p >= 5, got {p}")
-    return _record(_coefficients(curve), p)
+    kind = _classify(_coefficients(curve), p)
+    if isinstance(kind, TraceRecord):
+        return kind
+    t, ab = kind
+    return _finish(_record_of_t(p, _half_sweep(t, t, p)), ab)
 
 
-def j_model(j: int) -> CurveQ:
-    """A curve over Q with j-invariant j: y^2 = x^3 + 1 at j = 0,
-    y^2 = x^3 + x at j = 1728, and E_t: y^2 = x^3 + t x + t with
-    t = 27 j / (4 (1728 - j)) at every other j.  E_t has bad reduction at
-    the primes dividing j (1728 - j) and good reduction at every other
-    p >= 5."""
+@lru_cache(maxsize=4096)
+def _j_record(j: int, p: int) -> TraceRecord:
+    """The record of a curve with j-invariant j over F_p, 0 <= j < p, p >= 5:
+    y^2 = x^3 + 1 at j = 0, y^2 = x^3 + x at j = 1728 mod p, else E_t,
+    y^2 = x^3 + t x + t with t = 27 j / (4 (1728 - j)), which is never
+    singular: t != 0 and 4 t + 27 = 27 * 1728 / (1728 - j) != 0."""
     if j == 0:
-        return CurveQ(0, 1)
-    if j == 1728:
-        return CurveQ(1, 0)
-    t = Fraction(27 * j, 4 * (1728 - j))
-    return CurveQ(t, t)
+        return _j0_record(1, p)
+    if j == 1728 % p:
+        return _j1728_record(p - 1, p)
+    t = 27 * j * pow(4 * (1728 - j), -1, p) % p
+    return _record_of_t(p, _half_sweep(t, t, p))
 
 
 # phi_certificate walks the primes below this bound; a pair with no
@@ -575,24 +568,18 @@ _CERTIFICATE_BELOW = 1000
 
 def phi_certificate(y: int, z: int, n: int) -> Optional[int]:
     """The least prime 5 <= p < _CERTIFICATE_BELOW, p not dividing N, at
-    which the j-models of y and z have good reduction and their reductions
-    are not geometrically isogenous (geom_isogenous is None), else None.
+    which curves with j = y and j = z mod p (_j_record) are not
+    geometrically isogenous (geom_isogenous is None), else None.
 
     Such a p proves Phi_N(z, y) != 0: for p not dividing N, Phi_N mod p is
     the modular polynomial of F_p, so Phi_N(z, y) = 0 mod p would link
     curves with j = y and j = z mod p by a cyclic N-isogeny over the
-    algebraic closure of F_p.  A prime where either model has bad reduction
-    is skipped.
+    algebraic closure of F_p.  Every j mod p is the j-invariant of a curve
+    over F_p, so no prime is skipped, and geometric isogeny does not see
+    which twist the record is of.
     """
-    left, right = j_model(y), j_model(z)
     for p in primes_up_to(_CERTIFICATE_BELOW - 1)[2:]:
-        if n % p == 0:
-            continue
-        try:
-            records = count_points(left, p), count_points(right, p)
-        except BadReductionError:
-            continue
-        if geom_isogenous(*records) is None:
+        if n % p and geom_isogenous(_j_record(y % p, p), _j_record(z % p, p)) is None:
             return p
     return None
 

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from heckelab import heights, modpoly, numerics
+from heckelab import heights, modpoly, numerics, scan
 from heckelab.hecke import coset_reps
 from heckelab.numerics import ModularMatrix, UpperHalfPoint, eval_j
 
@@ -83,11 +83,11 @@ def exact_reduction():
 @pytest.fixture(autouse=True)
 def fresh_base_point_caches():
     """heights keeps the last base point's tau, integral-j check and log
-    norm, and modpoly the last orbit polynomial; every test starts without
-    them, so that counts of inversions and evaluations do not depend on
-    which test ran before."""
+    norm, modpoly the last orbit polynomial and scan the j-records of the
+    certificate; every test starts without them, so that counts of
+    inversions and evaluations do not depend on which test ran before."""
     for cached in (
         heights._base_point, heights._off_integral_j, heights._log_norm,
-        modpoly._orbit_polynomial,
+        modpoly._orbit_polynomial, scan._j_record,
     ):
         cached.cache_clear()

@@ -2,7 +2,7 @@ import math
 import warnings
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from heckelab import cli, hecke, heights, lattices, modpoly, scan
 from heckelab.hecke import HeckeOrbit, e_n, hecke_orbit
@@ -437,9 +437,11 @@ def test_heuristic_integral_determinism():
         heuristic_integral(12345, 1, PREC)
 
 
-# (y, z, N, bits): Phi_N(z, y) = 0, and at these bits the orbit point of
-# j = z from tau_from_j(y) stayed above the resolution, so the orbit sum
-# alone returned a finite S_N
+# (y, z, N, bits): Phi_N(z, y) = 0, and the orbit point of j = z moves
+# faster than j(tau_y) itself, so a base point whose j is within the
+# resolution of y can keep that orbit point above the resolution, and the
+# orbit sum alone would return a finite S_N; the chord steps that inverted
+# j before Newton's left such a base point at these bits
 _ISOGENY_BITS = (
     [(1600, -2194880, 5, b) for b in (92, 93, 94, 138, 139, 183, 184, 185)]
     + [(576, -39091613782464, 13, b) for b in (96, 97, 145, 146, 194, 195)]
@@ -449,10 +451,15 @@ _ISOGENY_BITS = (
 
 @pytest.mark.parametrize("y, z, n, bits", _ISOGENY_BITS)
 def test_local_arch_sum_raises_on_a_rational_isogeny(y, z, n, bits):
+    # the base point has j = y + (1 - 2^-8) 2^-bits |y|, at the edge of the
+    # integral-j test, inverted 32 bits finer; the exact test's message
+    # shows that every orbit point stayed above the resolution
     assert modpoly.evaluate(n, z, y) == 0
     prec = Precision(bits)
+    with mp.workprec(bits + 64):
+        edge = y + (1 - mpf(2) ** -8) * mpf(2) ** -bits * abs(y)
     with pytest.raises(CoincidenceError, match=f"phi_{n}\\({y}, {z}\\) = 0"):
-        local_arch_sum(tau_from_j(y, prec), z, n, prec)
+        local_arch_sum(tau_from_j(edge, Precision(bits + 32)), z, n, prec)
 
 
 def test_local_arch_sum_stays_finite_off_the_orbit():

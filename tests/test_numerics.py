@@ -368,43 +368,40 @@ def test_tau_from_j_lies_next_to_the_plain_bisection(bits):
         _assert_next_to_the_oracle(got, y, bits)
 
 
-def test_tau_from_j_bisects_next_to_a_cm_point(monkeypatch):
-    # Just off 1728, where j' nearly vanishes, the chord steps cannot settle
-    # the root at 128 bits, and the plain bisection runs instead: at
-    # 1728 + 10^-14 the float64 seed runs out of steps at i with a slope
-    # that is not positive (no j is evaluated first), at 1728 + 10^-12 the
-    # second step leaves the arc, and 1728 - 10^-11 does not converge
-    # within bits / 8 = 16 steps.  1728 - 10^-10 settles in all 16, and
-    # 10^-30, next to 0, in two.  Each value is (chord evaluations of j,
-    # bisected).
-    with mp.workprec(160):
-        targets = {
-            mpf(1728) + mpf(10) ** -14: (0, True),
-            mpf(1728) + mpf(10) ** -12: (2, True),
-            mpf(1728) - mpf(10) ** -11: (16, True),
-            mpf(1728) - mpf(10) ** -10: (16, False),
-            mpf(10) ** -30: (2, False),
-        }
+def _counting_passes(monkeypatch) -> list:
+    """Record every kernel pass (_series) from now on."""
     calls = []
-    eval_j_itself, bisect = numerics.eval_j, numerics._bisect
+    series = numerics._series
 
-    def counted(tau, prec):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return eval_j_itself(tau, prec)
+        return series(*args, **kwargs)
 
-    def recorded_bisect(*args):
-        calls.append("bisect")
-        return bisect(*args)
+    monkeypatch.setattr(numerics, "_series", counted)
+    return calls
 
-    monkeypatch.setattr(numerics, "eval_j", counted)
-    monkeypatch.setattr(numerics, "_bisect", recorded_bisect)
-    for y, path in targets.items():
+
+def _next_to_cm_points():
+    """Targets just off 1728 and 0 at 128 bits, where j' nearly vanishes
+    and the float64 seed cannot see the root."""
+    with mp.workprec(160):
+        near_i = [mpf(1728) + s * mpf(10) ** -k for k in range(10, 39) for s in (1, -1)]
+        near_rho = [s * mpf(10) ** -k for k in range(28, 39) for s in (1, -1)]
+        return near_i + near_rho
+
+
+def test_tau_from_j_settles_next_to_a_cm_point(monkeypatch):
+    # Just off 1728 and 0 the safeguarded Newton loop bisects the arc until
+    # its steps take hold, and the root lies next to the 256-bit plain
+    # bisection within 90 kernel passes (the loop takes at most 41 here)
+    calls = _counting_passes(monkeypatch)
+    for y in _next_to_cm_points():
         calls.clear()
         got = tau_from_j(y, PREC)
-        bisected = "bisect" in calls
-        assert (calls.index("bisect") if bisected else len(calls), bisected) == path, y
+        assert len(calls) <= 90, y
         _assert_next_to_the_oracle(got, y, PREC.bits)
-    # within err = 2^-128 max(1, |y|) of 1728 or 0 the root is the CM point
+    # within err = 2^-128 max(1, |y|) of 1728 or 0 the root is the CM point,
+    # read off no kernel pass
     calls.clear()
     with mp.workprec(160):
         for y, cm in ((1728 * (1 - mpf(2) ** -129), 1728), (-mpf(2) ** -129, 0)):
@@ -413,26 +410,22 @@ def test_tau_from_j_bisects_next_to_a_cm_point(monkeypatch):
 
 
 def test_tau_from_j_evaluates_j_about_three_times(monkeypatch):
-    calls = []
-    eval_j_itself = numerics.eval_j
+    calls = _counting_passes(monkeypatch)
 
-    def counted(tau, prec):
-        calls.append(1)
-        return eval_j_itself(tau, prec)
-
-    monkeypatch.setattr(numerics, "eval_j", counted)
-
-    def count(y):
+    def count(y, prec):
         calls.clear()
-        tau_from_j(y, PREC)
+        tau_from_j(y, prec)
         return len(calls)
 
-    counts = {y: count(y) for y in _inversion_targets()}
-    # at j = 0 and j = 1728 the root is the CM point itself, read off no j
-    assert (counts.pop(0), counts.pop(1728)) == (0, 0)
-    # the seed, good to about 2^-46, and two chord steps of some 46 bits
-    # each: 3.02 calls on average
-    assert sum(counts.values()) / len(counts) <= 4
+    # the seed, good to about 2^-46, and Newton steps of some 50 bits, one
+    # kernel pass each: 2, 3 and 5.3 passes at 64, 128 and 256 bits; the
+    # bounds are what chord steps with the seed's fixed slope took
+    for bits, most in ((64, 2.0), (128, 3.02), (256, 5.68)):
+        prec = Precision(bits)
+        counts = {y: count(y, prec) for y in _inversion_targets()}
+        # at j = 0 and j = 1728 the root is the CM point itself, read off no j
+        assert (counts.pop(0), counts.pop(1728)) == (0, 0)
+        assert sum(counts.values()) / len(counts) <= most, bits
 
 
 def test_float_series_agrees_on_a_complex_and_an_array():
@@ -451,10 +444,9 @@ def test_float_seed_lies_next_to_the_root():
             continue
         with mp.workprec(160):
             arc = numerics._arc(mpf(y))
-            x, slope = numerics._seed(mpf(y), *arc)
+            x = numerics._seed(mpf(y), *arc)
         want, _ = _plain_root_and_slope(y)
         root = float(want.re if arc[2] is None else want.im)
-        assert slope > 0, y
         assert abs(x - root) <= 2.0**-40 * max(1.0, abs(root)), y
 
 
@@ -533,13 +525,42 @@ def test_series_lie_within_the_bound_of_a_high_precision_reference(bits):
     # with 16 extra bits and keep 2^-(bits + 30)
     prec = Precision(bits)
     for tau in _kernel_points(bits, 1000 + bits):
-        for fn, (want, scale) in _reference(tau, prec).items():
-            got = fn(tau, prec)
-            slack = 24 if fn in (eval_e4, eval_e6, eval_j) else 30
-            with mp.workprec(2 * bits + 96):
-                err = abs(got - want)
-                assert err <= mpf(2) ** -(bits + slack) * max(abs(want), scale), (
-                    fn.__name__, tau, mp.nstr(err, 5))
+        _assert_within_the_bound(tau, prec)
+
+
+def _assert_within_the_bound(tau: UpperHalfPoint, prec: Precision) -> None:
+    bits = prec.bits
+    for fn, (want, scale) in _reference(tau, prec).items():
+        got = fn(tau, prec)
+        slack = 24 if fn in (eval_e4, eval_e6, eval_j) else 30
+        with mp.workprec(2 * bits + 96):
+            err = abs(got - want)
+            assert err <= mpf(2) ** -(bits + slack) * max(abs(want), scale), (
+                fn.__name__, tau, mp.nstr(err, 5))
+
+
+@pytest.mark.parametrize("bits, kept", [(4096, False), (4106, True)])
+def test_series_lie_within_the_bound_at_4096_bits(monkeypatch, bits, kept):
+    # at rho and 2^-20 above it, the bottom corner, where |q| is largest:
+    # at 4096 bits q^T, T = series_terms, rounds to 0 there, some 0.2 units
+    # 2^-W, and at 4106 bits all T powers are kept and _check_tail bounds
+    # the tail after them
+    tails = []
+    check_tail = numerics._check_tail
+
+    def recorded(*args):
+        tails.append(args)
+        return check_tail(*args)
+
+    monkeypatch.setattr(numerics, "_check_tail", recorded)
+    prec = Precision(bits)
+    with mp.workprec(bits + 32):
+        rho = mp.expjpi(mpf(2) / 3)
+        corner = [UpperHalfPoint(rho.real, rho.imag + d) for d in (0, mpf(2) ** -20)]
+    for tau in corner:
+        tails.clear()
+        _assert_within_the_bound(tau, prec)
+        assert bool(tails) == kept, tau
 
 
 @pytest.mark.parametrize("bits", [53, 64, 128, 256, 1024])

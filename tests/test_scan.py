@@ -764,11 +764,21 @@ def test_kernel_accepts_the_ends_of_the_hasse_interval():
 
 
 def test_j_models_have_their_j():
-    # j = 1728 * 4 a^3 / (4 a^3 + 27 b^2)
-    for j in (0, 1728, 1, -1, 2, 1727, 1729, -3375, 287496, -(10**20)):
-        curve = scan.j_model(j)
-        cube = 4 * curve.a4**3
-        assert 1728 * cube / (cube + 27 * curve.a6**2) == j, j
+    # every j mod p is the j-invariant 1728 * 4 a^3 / (4 a^3 + 27 b^2) of
+    # some curve y^2 = x^3 + a x + b over F_p, and the j-record of j is the
+    # record of one of them: at each p the half-sweeps of all curves,
+    # grouped by j, hold its a_p
+    for p in primes_up_to(37)[2:]:
+        traces = {}
+        for a in range(p):
+            for b in range(p):
+                disc = (4 * a**3 + 27 * b * b) % p
+                if disc:
+                    j = 1728 * 4 * a**3 * pow(disc, -1, p) % p
+                    traces.setdefault(j, set()).add(_half_sweep(a, b, p))
+        assert sorted(traces) == list(range(p)), p
+        for j, a_ps in traces.items():
+            assert scan._j_record(j, p).a_p in a_ps, (j, p)
 
 
 # (y, z): generic pairs, CM pairs in different fields, and the rational
@@ -796,9 +806,10 @@ def test_phi_certificate_is_sound_against_the_exact_phi():
 
 
 def test_phi_certificate_skips_the_primes_dividing_n_and_bad_reduction():
-    # (1, 2) first certifies at 5: at N = 5 the walk goes on to 7; j = 5
-    # has bad reduction at 5, where its model's t = 135/6892 has 5 | t
+    # (1, 2) first certifies at 5: at N = 5 the walk goes on to 7.  No
+    # prime is skipped for bad reduction: j = 5 is 0 mod 5, the j of
+    # y^2 = x^3 + 1, supersingular at 5, and j = 1 is ordinary there
     assert scan.phi_certificate(1, 2, 3) == 5
     assert scan.phi_certificate(1, 2, 5) == 7
-    assert scan.phi_certificate(1, 5, 3) > 5
+    assert scan.phi_certificate(1, 5, 3) == 5
     assert scan.phi_certificate(7, 7, 2) is None  # the same curve
