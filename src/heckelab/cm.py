@@ -197,9 +197,7 @@ def _matrices_into_box(box: Box, n: int, x: Fraction, y: Fraction):
     cap = Fraction(n) * y / box.im_min  # |c tau + d|^2 <= cap
     c_hi = isqrt(math.floor(cap / (y * y)))
     for c in range(-c_hi, c_hi + 1):
-        rem = cap - c * c * y * y  # bound on (cx + d)^2
-        if rem < 0:
-            continue
+        rem = cap - c * c * y * y  # bound on (cx + d)^2, >= 0 as c <= c_hi
         # pad: cx + d is not integral, so the truncated root can cut off
         # a valid d; the exact modsq test below discards the overshoot
         root = isqrt(math.floor(rem)) + 1

@@ -65,8 +65,7 @@ class OrbitPoints(Sequence):
     Point i is built on first access, by one call of
     reduce_to_fundamental_domain with start = (alpha, beta, 0, delta): the
     exact reduction of (alpha*tau + beta)/delta, rounded once at working
-    precision.  It is kept; len() builds nothing.  A slice returns a list
-    of points.
+    precision.  It is kept; len() builds nothing.
     """
 
     __slots__ = ("_base", "_cosets", "_prec", "_built")
@@ -83,8 +82,6 @@ class OrbitPoints(Sequence):
         return len(self._built)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
         i = operator.index(index)
         if i < 0:
             i += len(self)
@@ -160,11 +157,20 @@ class OrbitScreen:
         log_j[trusted], log_j_err[trusted] = log_j_float64(tau[trusted], tau_err[trusted])
         return cls(tau, tau_err, log_j, log_j_err, trusted)
 
-    def log_distance_bounds(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """low <= log|j - z| <= high at each point; NaN at the untrusted
-        points, and everywhere for an infinite or NaN z."""
+    def log2_product_bound(self) -> float:
+        """An upper bound on log2 of prod (1 + |j_i|) over the orbit, from
+        each point's |j| and its error bound; NaN when a point is untrusted.
+        It bounds each coefficient of prod (X - j_i)."""
+        log_j = np.logaddexp(self.log_j.real, self.log_j_err)
+        return float(np.logaddexp(0.0, log_j).sum()) / math.log(2)
+
+    def nearest(self, z) -> np.ndarray:
+        """Indices of the points whose |j - z| may be the smallest of the
+        orbit under the error bounds, untrusted points included: at each
+        trusted point low <= log|j - z| <= high, and a point goes only when
+        its low is above the least high.  An infinite or NaN z keeps every
+        point."""
         ok = self.trusted
-        low, high = np.full((2, ok.size), np.nan)
         zc = mpc(z)
         log_z = float(mp.log(abs(zc))) if zc != 0 else -math.inf
         arg_z = float(mp.arg(zc)) if zc != 0 else 0.0
@@ -176,23 +182,13 @@ class OrbitScreen:
             zs = np.exp(log_z - s + 1j * arg_z)
             dist = np.abs(j - zs)
             err = np.exp(log_err - s) + 2.0**-48 * (np.abs(j) + np.abs(zs)) + 2.0**-1000
-            low[ok] = s + np.log(np.maximum(dist - err, 0.0))
-            high[ok] = s + np.log(dist + err)
-        return low, high
-
-    def log2_product_bound(self) -> float:
-        """An upper bound on log2 of prod (1 + |j_i|) over the orbit, from
-        each point's |j| and its error bound; NaN when a point is untrusted.
-        It bounds each coefficient of prod (X - j_i)."""
-        log_j = np.logaddexp(self.log_j.real, self.log_j_err)
-        return float(np.logaddexp(0.0, log_j).sum()) / math.log(2)
-
-    def nearest(self, z) -> np.ndarray:
-        """Indices of the points whose |j - z| may be the smallest of the
-        orbit under the error bounds, untrusted points included."""
-        low, high = self.log_distance_bounds(z)
-        # a NaN bound keeps its point, and a NaN minimum keeps every point
-        return np.flatnonzero(~(low > high[self.trusted].min(initial=np.inf)))
+            low = s + np.log(np.maximum(dist - err, 0.0))
+            high = s + np.log(dist + err)
+        # an untrusted point or a NaN bound keeps its point, and a NaN
+        # minimum keeps every point
+        keep = np.ones(ok.size, bool)
+        keep[ok] = ~(low > high.min(initial=np.inf))
+        return np.flatnonzero(keep)
 
 
 class HeckeOrbit:

@@ -54,11 +54,15 @@ _LOG_INV_Q_MIN = math.pi * math.sqrt(3.0)
 
 _LN2 = math.log(2.0)
 
+# ln of the bound on |q|^(T-1) 2^W at the bottom corner under which q^T
+# rounds to 0 (_series)
+_LOG_LAST_POWER = math.log(114.0)
+
 
 class PrecisionOverflowError(ArithmeticError):
-    """No power of q up to Precision.series_terms rounds to 0 and the tail
-    after them misses 2^-bits (_check_tail), or j or Delta is asked for
-    above the reduced Im tau = 2^20 (_MAX_POWER_IM)."""
+    """j or Delta is asked for above the reduced Im tau = 2^20
+    (_MAX_POWER_IM), or no power of q within the cap T of _kernel_tables
+    rounds to 0, which the proof in _series rules out."""
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,6 @@ class Precision:
     def __post_init__(self):
         if self.bits < 53:
             raise ValueError(f"bits must be >= 53, got {self.bits}")
-
-    @property
-    def series_terms(self) -> int:
-        """Cap on the number of powers of q that _series keeps: |q|^T <=
-        2^-bits e^-64 on the fundamental domain, and the tail after it is
-        below 2^-bits there up to 2,279,439 bits (_check_tail)."""
-        return math.ceil((self.bits * _LN2 + 64.0) / _LOG_INV_Q_MIN)
 
 
 DEFAULT_PRECISION = Precision()
@@ -284,25 +281,6 @@ def _sigma_tables(n_terms: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(s3[1:]), tuple(s5[1:])
 
 
-def _log_tail(terms: int, im: float) -> float:
-    """log of a bound on the E6 tail dropped after `terms` terms, divided
-    by |q|, at Im = im: sigma_5(n) <= zeta(5) n^5, so the tail of E6, the
-    worst of the three series, is below 700 (T+1)^5 |q|^(T+1), and log|q| =
-    -2 pi im.  Log space keeps huge bit counts and tiny q finite."""
-    return math.log(700.0) + 5 * math.log(terms + 1) - 2 * math.pi * im * terms
-
-
-def _check_tail(terms: int, im: float, bits: int) -> None:
-    """PrecisionOverflowError unless the tail after `terms` terms at Im = im
-    is below 2^-bits in absolute terms: _log_tail(terms, im) + log|q| <
-    -bits log 2, in float64.  _series runs it only when it keeps `terms`
-    powers of q and none of them rounds to 0."""
-    if not _log_tail(terms, im) - 2 * math.pi * im < -bits * _LN2:
-        raise PrecisionOverflowError(
-            f"series_terms={terms} cannot reach 2^-{bits} at Im tau={im:.5g}"
-        )
-
-
 # -- the q-series in fixed point ---------------------------------------------
 #
 # A complex number is a pair (x, y) of Python ints worth (x + iy) 2^-W, and a
@@ -334,7 +312,7 @@ class _KernelTables(NamedTuple):
     """Everything _series reads at one precision (_kernel_tables)."""
 
     w: int  # W, the fractional bits of the fixed point
-    terms: int  # prec.series_terms, the cap on the powers of q kept
+    terms: int  # T, the cap on the powers of q kept
     s3: tuple  # sigma_3(n), n = 1 .. terms
     s5: tuple  # sigma_5(n), n = 1 .. terms
     pentagonal: tuple  # (n, (-1)^k) for the exponents n <= terms of prod (1 - q^n)
@@ -354,23 +332,33 @@ class _KernelTables(NamedTuple):
 @lru_cache(maxsize=16)
 def _kernel_tables(prec: Precision) -> _KernelTables:
     """The tables of _series at prec, about 140 KB at 128 bits, read once
-    per pass: W as _series derives it, the divisor sums and the (exponent,
-    sign) pairs of Euler's prod (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2)
-    + q^(k(3k+1)/2)) up to the order prec.series_terms, _delta's
-    (2 pi)^12, formed at wp + 16 bits (wp = bits + _GUARD) so that its
-    roundings stay under the last bit, and _nome's tables at p = W + 24."""
+    per pass: W and the cap T, the divisor sums and the (exponent, sign)
+    pairs of Euler's prod (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) +
+    q^(k(3k+1)/2)) up to T, _delta's (2 pi)^12, formed at wp + 16 bits
+    (wp = bits + _GUARD) so that its roundings stay under the last bit, and
+    _nome's tables at p = W + 24.
+
+    W is wp plus the bits of 2^24 (S3 + T) + 2^9 S5, S_k the sum of
+    sigma_k(n) up to T, as _series derives it.  T is the least T from
+    ceil((bits ln 2 + 64) / (pi sqrt 3)), which the error bound needs (it
+    is 19 or more), with |q|^(T-1) 2^W <= 114 at Im tau' = sqrt(3)/2, where
+    |q| = e^(-pi sqrt 3) is largest: then q^T rounds to 0 on the whole
+    domain (_series).  Up to 3,164 bits the first T already meets it."""
     wp = prec.bits + _GUARD
     two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(wp + 16), 1), 12, wp + 16)
-    terms = prec.series_terms
-    s3, s5 = _sigma_tables(terms)
-    weight = 2**24 * (sum(s3) + terms) + 2**9 * sum(s5)
+    terms = math.ceil((prec.bits * _LN2 + 64.0) / _LOG_INV_Q_MIN)
+    while True:
+        s3, s5 = _sigma_tables(terms)
+        w = wp + (2**24 * (sum(s3) + terms) + 2**9 * sum(s5)).bit_length()
+        if w * _LN2 - (terms - 1) * _LOG_INV_Q_MIN <= _LOG_LAST_POWER:
+            break
+        terms += 1
     pentagonal = tuple(
         (n, (-1) ** k)
         for k in range(1, terms + 1)
         for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
         if n <= terms
     )
-    w = wp + weight.bit_length()
     return _KernelTables(w, terms, s3, s5, pentagonal, two_pi_12, *_nome_tables(w + _TABLE_BITS))
 
 
@@ -501,11 +489,9 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     E6 = 1 - 504 sum sigma_5(n) q^n and prod (1 - q^n), a signed sum of the
     powers at the pentagonal exponents.  The powers q^n come by repeated
     multiplication, and the sums keep those before the first that rounds
-    to 0, at most T = prec.series_terms of them.  Only when all T are kept
-    does _check_tail bound the rest: PrecisionOverflowError unless it is
-    below 2^-bits.  Returns (reduced, witness, tables, r, u, E4, E6, prod):
-    the _kernel_tables of prec, r as _nome gives it, the rest in fixed
-    point or None if not asked for.
+    to 0, which comes within the cap T of _kernel_tables.  Returns (reduced,
+    witness, tables, r, u, E4, E6, prod): the _kernel_tables of prec, r as
+    _nome gives it, the rest in fixed point or None if not asked for.
 
     Error bound, in units 2^-W.  r is within 2^-(W + 20) relative, and q
     and u within 1/2 + 2^-20 units: the table entries, their products, the
@@ -519,11 +505,15 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     the product of the kept q^(z-1), within 1 unit, and q, within 0.71,
     lie in [-1/2, 1/2): |q|^z < 0.72 units.  With sigma_k(n) <= zeta(k) n^k and
     |q|^n <= 0.72 |q|^(n-z), the terms from z on add at most 215 T^3 to the
-    E4 sum, 390 T^5 to the E6 sum and 0.73 to the product.  Only above
-    about 2,800 bits can all T powers stay above 0, near the bottom of the
-    domain; the tail is then below 700 (T+1)^5 |q|^(T+1) (_log_tail),
-    2^-(bits + 83 - 5 log2(T + 1)) |q| as |q|^T <= 2^-bits e^-64
-    (series_terms).
+    E4 sum, 390 T^5 to the E6 sum and 0.73 to the product.  Such a z comes
+    at every precision.  Were q^2 .. q^(T-1) all kept, the product of
+    q^(T-1) and q would be at most (|q|^(T-1) 2^W + 1)(|q| 2^W + 0.71)
+    2^-W units, and _kernel_tables makes |q|^(T-1) 2^W <= 114 at the
+    corner, |q| = e^(-pi sqrt 3) < 0.0043335.  A reduced Im tau' lies at
+    most 2^-(wp - 8) below sqrt(3)/2, and the rule is decided in float64:
+    both raise the 114 by under 2^-20 relative, and (114 (1 + 2^-20) + 1)
+    (0.0043335 + 2^-80) < 0.4984, so both parts of q^T round to 0.  A loop
+    that keeps T powers all the same raises PrecisionOverflowError.
 
     So E4 is within e = 240 S3 + 215 T^3 and the E6 sum within
     504 S5 + 390 T^5.  As |E4| <= 2.1 and 0.89 <= |prod|^24 <= 1.12,
@@ -533,8 +523,8 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     with 1/r <= |j| + 2100 <= 2101 max(1, |j|) and 2101 * 4600 < 2^24.
     W is wp = bits + _GUARD plus the bits of 2^24 (S3 + T) + 2^9 S5, and
     390 T^5 is below 2^24 T^4 / 4 for T <= 10,000 and below 8 S5 from
-    T = 293 on.  So up to 2,800 bits E4, E6, prod^24 and j are within
-    2^-wp, j relative to max(1, |j|).  After the mpmath steps each
+    T = 293 on.  So E4, E6, prod^24 and j are within 2^-wp, j relative to
+    max(1, |j|).  After the mpmath steps each
     evaluator lies within 2^-(bits + 24) max(|v|, |c tau + d|^-k) of the
     value v of its formulas at tau', k its weight (0 for j, norms).
     """
@@ -552,7 +542,7 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
         xs.append(x)
         ys.append(y)
     else:
-        _check_tail(t.terms, _float(reduced.im._mpf_), prec.bits)
+        raise PrecisionOverflowError(f"no power of q up to q^{t.terms} rounds to 0")
     one = 1 << w
     e4_val = e6_val = prod = None
     if e4:

@@ -77,6 +77,9 @@ def test_split_discriminant_examples():
     assert split_discriminant(-75) == (5, -3)
     assert split_discriminant(-7) == (1, -7)
     assert split_discriminant(-8) == (1, -8)
+    for disc in (0, 1, 4, 5):
+        with pytest.raises(ValueError, match="must be negative"):
+            split_discriminant(disc)
 
 
 def test_split_discriminant_random_roundtrip():

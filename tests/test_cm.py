@@ -174,6 +174,9 @@ def test_cm_point_validation():
         CmPoint(ModularMatrix(0, -1, 1, 0), 1, tau, 1, -4, 1)  # trace
     with pytest.raises(ValueError):
         CmPoint(ModularMatrix(0, -1, 1, 0), 0, tau, 2, -4, 1)  # f^2 d_K
+    for matrix in (ModularMatrix(1, 1, 0, 1), ModularMatrix(2, 0, 0, 1)):  # t^2 >= 4M
+        with pytest.raises(ValueError, match="t\\^2 < 4M"):
+            CmPoint(matrix, matrix.a + matrix.d, tau, 1, -4, matrix.det())
 
 
 def test_enumerate_cm_points():
@@ -230,6 +233,9 @@ def test_min_separation_frozen():
     points = enumerate_cm_points(2, PREC)
     with pytest.raises(DegenerateSetError):
         min_separation_constant(points, 1.0, PREC)  # only j=0 in the box
+    twice = [p for p in points if abs(eval_j(p.tau0, PREC)) < 1] * 2
+    with pytest.raises(DegenerateSetError, match="all points share one j-value"):
+        min_separation_constant(twice, 1.0, PREC)
 
 
 def test_near_cm_finder():

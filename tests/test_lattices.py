@@ -262,6 +262,8 @@ def test_gram_validation():
         GramForm.from_rows(((1, 2), (2, 1)))  # indefinite
     with pytest.raises(ValueError):
         GramForm.from_rows(((0, 0), (0, 1)))
+    with pytest.raises(ValueError, match="not square"):
+        GramForm.from_rows(((1, 0, 0), (0, 1, 0)))
     half = GramForm.from_rows(((1, Fraction(1, 2)), (Fraction(1, 2), 1)))
     assert half.disc == Fraction(3, 4)
     assert half.value((1, 1)) == 3

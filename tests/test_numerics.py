@@ -34,12 +34,6 @@ from heckelab.numerics import (
 
 PREC = Precision(128)
 
-# The derived series_terms meets 2^-bits at the bottom corner of the domain
-# at every bit count up to _FIRST_MISS - 1 and misses it at every one from
-# _LAST_MEET + 1 on; in between, the rounding up of the cap decides.
-_FIRST_MISS = 2_279_440
-_LAST_MEET = 6_758_581
-
 
 def _theta_oracle(tau: UpperHalfPoint, bits: int):
     """E4, E6, Delta built from theta nulls -- shares no code with the
@@ -437,6 +431,24 @@ def test_float_series_agrees_on_a_complex_and_an_array():
             assert abs(one - many[0]) <= 2.0**-50 * abs(one), tau
 
 
+def test_newton_keeps_to_its_bracket():
+    # a start outside the bracket takes its middle, and with no slope to
+    # step on the bisections end once the bracket stops shrinking: the last
+    # x evaluated comes back, long before the step count runs out
+    seen = []
+
+    def f(x, slope):
+        seen.append(x)
+        return x - 0.3, slope
+
+    x = numerics._newton(lambda x: f(x, 1.0), 5.0, 0.0, 1.0, 100, lambda x, v, s: v == 0)
+    assert (seen[0], x) == (0.5, 0.3)
+    seen.clear()
+    x = numerics._newton(lambda x: f(x, 0.0), 0.5, 0.0, 1.0, 1000, lambda x, v, s: False)
+    assert x == seen[-1] and len(seen) < 100
+    assert abs(x - 0.3) <= 2 * math.ulp(0.3)
+
+
 def test_float_seed_lies_next_to_the_root():
     # the float64 Newton seed against the plain bisection's root at 256 bits
     for y in _inversion_targets():
@@ -454,9 +466,9 @@ def _reference(tau: UpperHalfPoint, prec: Precision) -> dict:
     """The formulas of the six evaluators at the point tau' that the
     reduction at prec gives, in mpc arithmetic at 2 bits + 64, each with
     its scale |c tau + d|^-k (1 for j and the norms): the oracle of the
-    fixed-point kernel's bound.  The series keep the terms that the tail
-    bound asks for at 2 bits + 64, whose tail lies 2^-(2 bits + 128) |q|
-    below."""
+    fixed-point kernel's bound.  The series keep the terms that the E6
+    tail bound asks for at 2 bits + 64, whose tail lies 2^-(2 bits + 128)
+    |q| below, or the cap of _upward_series_order."""
     reduced, witness = reduce_to_fundamental_domain(tau, prec)
     high = Precision(2 * prec.bits + 64)
     terms = _upward_series_order(float(reduced.im), high)
@@ -465,7 +477,7 @@ def _reference(tau: UpperHalfPoint, prec: Precision) -> dict:
         pw = [q]
         for _ in range(terms - 1):
             pw.append(pw[-1] * q)
-        s3, s5 = (column[:terms] for column in numerics._sigma_tables(high.series_terms))
+        s3, s5 = numerics._sigma_tables(terms)
         e4, e6 = 1 + 240 * mp.fdot(s3, pw), 1 - 504 * mp.fdot(s5, pw)
         # log prod (1 - q^n) = -sum_n sigma_1(n) q^n / n
         s1 = [0] * (len(pw) + 1)
@@ -539,28 +551,26 @@ def _assert_within_the_bound(tau: UpperHalfPoint, prec: Precision) -> None:
                 fn.__name__, tau, mp.nstr(err, 5))
 
 
-@pytest.mark.parametrize("bits, kept", [(4096, False), (4106, True)])
-def test_series_lie_within_the_bound_at_4096_bits(monkeypatch, bits, kept):
-    # at rho and 2^-20 above it, the bottom corner, where |q| is largest:
-    # at 4096 bits q^T, T = series_terms, rounds to 0 there, some 0.2 units
-    # 2^-W, and at 4106 bits all T powers are kept and _check_tail bounds
-    # the tail after them
-    tails = []
-    check_tail = numerics._check_tail
-
-    def recorded(*args):
-        tails.append(args)
-        return check_tail(*args)
-
-    monkeypatch.setattr(numerics, "_check_tail", recorded)
-    prec = Precision(bits)
+def _corner(bits: int) -> list[UpperHalfPoint]:
+    """rho and 2^-20 above it: the bottom corner, where |q| is largest."""
     with mp.workprec(bits + 32):
         rho = mp.expjpi(mpf(2) / 3)
-        corner = [UpperHalfPoint(rho.real, rho.imag + d) for d in (0, mpf(2) ** -20)]
-    for tau in corner:
-        tails.clear()
+        return [UpperHalfPoint(rho.real, rho.imag + d) for d in (0, mpf(2) ** -20)]
+
+
+@pytest.mark.parametrize("bits, kept", [(4096, False), (4106, True)])
+def test_series_lie_within_the_bound_at_4096_bits(bits, kept):
+    # at the bottom corner: at 4096 bits q^T, T the former cap, rounds to
+    # 0, some 0.2 units 2^-W, and at 4106 bits all T powers stay above 0,
+    # so the first zero power lies past that cap and within the raised one
+    prec = Precision(bits)
+    t = numerics._kernel_tables(prec)
+    for tau in _corner(bits):
+        reduced, _ = reduce_to_fundamental_domain(tau, prec)
+        powers = _powers_before_zero(reduced, t)
+        assert powers < t.terms, tau
+        assert (powers >= _former_cap(bits)) == kept, tau
         _assert_within_the_bound(tau, prec)
-        assert bool(tails) == kept, tau
 
 
 @pytest.mark.parametrize("bits", [53, 64, 128, 256, 1024])
@@ -578,15 +588,29 @@ def test_j_is_real_where_re_tau_is_zero_or_one_half(bits):
             assert eval_j(tau, prec).imag == 0, (bits, tau)
 
 
+def _former_cap(bits: int) -> int:
+    """The cap on the powers of q before _kernel_tables raised it: |q|^T <=
+    2^-bits e^-64 on the fundamental domain."""
+    return math.ceil((bits * math.log(2) + 64.0) / (math.pi * math.sqrt(3)))
+
+
+def _log_tail(terms: int, im: float) -> float:
+    """log of a bound on the E6 tail dropped after `terms` terms, divided
+    by |q|, at Im = im: sigma_5(n) <= zeta(5) n^5, so the tail of E6, the
+    worst of the three series, is below 700 (T+1)^5 |q|^(T+1), and log|q| =
+    -2 pi im."""
+    return math.log(700.0) + 5 * math.log(terms + 1) - 2 * math.pi * im * terms
+
+
 def _upward_series_order(im: float, prec: Precision) -> int:
-    """The fewest T < prec.series_terms whose E6 tail bound, _log_tail, is
+    """The fewest T below the former cap whose E6 tail bound, _log_tail, is
     below 2^-(bits + 2 _GUARD) relative to |q| at Im = im, searched upward
-    from 1, else the cap: the order rule that truncated the series before
+    from 1, else that cap: the order rule that truncated the series before
     the first power of q that rounds to 0 did."""
-    cap = prec.series_terms
-    limit = -(prec.bits + 2 * numerics._GUARD) * numerics._LN2
+    cap = _former_cap(prec.bits)
+    limit = -(prec.bits + 2 * numerics._GUARD) * math.log(2)
     for terms in range(1, cap):
-        if numerics._log_tail(terms, im) < limit:
+        if _log_tail(terms, im) < limit:
             return terms
     return cap
 
@@ -612,8 +636,8 @@ def test_powers_stop_within_the_tail_bound_order(bits):
     # bottom corner and at log-spaced heights, on Re tau' = 0, 1/2, 0.123
     prec = Precision(bits)
     t = numerics._kernel_tables(prec)
-    limit = -(bits + 2 * numerics._GUARD) * numerics._LN2
-    terms = np.arange(1, prec.series_terms, dtype=np.float64)
+    limit = -(bits + 2 * numerics._GUARD) * math.log(2)
+    terms = np.arange(1, _former_cap(bits), dtype=np.float64)
     steps = (math.log(700.0) - limit + 5 * np.log(terms + 1)) / (2 * math.pi * terms)
     corner = math.sqrt(3) / 2
     heights = [corner * (1000 / corner) ** (k / 199) for k in range(200)]
@@ -623,6 +647,43 @@ def test_powers_stop_within_the_tail_bound_order(bits):
         order = _upward_series_order(im, prec)
         for re in (0, 0.5, 0.123):
             assert _powers_before_zero(UpperHalfPoint(re, im), t) <= order, (re, im)
+
+
+def test_the_cap_reaches_the_first_zero_power_at_every_precision():
+    # the rule of _kernel_tables by arithmetic alone, from 53 to 10^5 bits:
+    # T is the least T from the former cap with |q|^(T-1) 2^W <= 114 at the
+    # corner, W read off T, so the product of a kept q^(T-1), within 1
+    # unit, and q, within 0.71 units, has both parts below 1/2 unit
+    # (_series); the 2^-20 covers float64 and a corner rounded low
+    bits = np.arange(53, 100_001)
+    former = np.array([_former_cap(b) for b in bits.tolist()])
+    s3, s5 = numerics._sigma_tables(int(former[-1]) + 16)
+    sums = zip(itertools.accumulate(s3), itertools.accumulate(s5))
+    weight_bits = np.array(
+        [0] + [(2**24 * (a + n) + 2**9 * b).bit_length() for n, (a, b) in enumerate(sums, 1)]
+    )
+    log2_inv_q = math.pi * math.sqrt(3) / math.log(2)
+    terms = former
+    while True:
+        w = bits + numerics._GUARD + weight_bits[terms]
+        short = (w - (terms - 1) * log2_inv_q) * math.log(2) > math.log(114.0)
+        if not short.any():
+            break
+        terms = terms + short
+    log2_x = w - (terms - 1) * log2_inv_q  # |q|^(T-1) 2^W at the corner
+    assert ((2.0 ** (log2_x + 2.0**-20) + 1) * (0.0043335 + 2.0**-80) < 0.5).all()
+    assert (terms >= 19).all() and (terms - former <= 4).all()
+    assert (terms[bits < 3165] == former[bits < 3165]).all()
+    assert terms[bits == 3165] == former[bits == 3165] + 1
+    # the kernel's T and W are the rule's, and at rho and 2^-20 above it
+    # the first zero power comes within T
+    for b in (53, 1024, 3165, 4096, 4106, 5390):
+        prec = Precision(b)
+        t = numerics._kernel_tables(prec)
+        assert (t.terms, t.w) == (terms[b - 53], w[b - 53]), b
+        for tau in _corner(b):
+            reduced, _ = reduce_to_fundamental_domain(tau, prec)
+            assert _powers_before_zero(reduced, t) < t.terms, (b, tau)
 
 
 def test_quotient_rounds_as_mpf_div():
@@ -698,7 +759,8 @@ def test_nome_lies_within_its_bound(bits):
 
 
 def test_raw_parts_read_as_float_reads_them():
-    # the fast exit and the tail guard read float64 from raw mantissas
+    # the reduction's fast exit and tau_from_j's slope read float64 from
+    # raw mantissas
     rng = random.Random(31)
     values = [mp.inf, -mp.inf, mpf(0), mpf(2) ** 1100, -(mpf(2) ** 1023) * 1.9]
     for bits in (53, 60, 160, 1100, 2000):
@@ -714,11 +776,11 @@ def test_raw_parts_read_as_float_reads_them():
 def test_precision_and_point_validation():
     with pytest.raises(ValueError):
         Precision(52)
-    # the cap on the series order follows from the bits alone
+    # the cap on the powers of q follows from the bits alone
     with pytest.raises(TypeError):
         Precision(128, series_terms=3)
-    assert Precision(53).series_terms >= 1
-    assert Precision(128).series_terms >= Precision(53).series_terms
+    assert numerics._kernel_tables(Precision(53)).terms >= 19  # as the error bound needs
+    assert numerics._kernel_tables(Precision(128)).terms >= numerics._kernel_tables(Precision(53)).terms
     with pytest.raises(ValueError):
         UpperHalfPoint(0, -1)
     with pytest.raises(ValueError):
@@ -759,30 +821,15 @@ def test_upper_half_point_keeps_its_precision(exact_reduction):
         assert UpperHalfPoint("0.1", 1).re == mpf("0.1")
 
 
-def test_tail_guard_rejects_truncated_series():
-    # the guard alone: eval_j at millions of bits would take minutes
-    corner = math.sqrt(3) / 2
-    for bits in (_FIRST_MISS - 1, _LAST_MEET):
-        numerics._check_tail(Precision(bits).series_terms, corner, bits)
-    for bits in (_FIRST_MISS, _LAST_MEET + 1):
-        cap = Precision(bits).series_terms
-        with pytest.raises(PrecisionOverflowError, match=f"series_terms={cap} cannot reach"):
-            numerics._check_tail(cap, corner, bits)
-        # the same truncation is fine a little higher up, and once q is tiny
-        numerics._check_tail(cap, corner * (1 + 4e-6), bits)
-        numerics._check_tail(cap, 30.0, bits)
-
-
-def test_eval_j_reaches_the_tail_guard(monkeypatch):
+def test_eval_j_raises_when_no_power_within_the_cap_rounds_to_0(monkeypatch):
     # with a cap of 3 powers, none of which rounds to 0 at Im tau' = 1,
-    # eval_j bounds the tail after them and refuses it; at Im tau' = 30,
-    # q^2 rounds to 0 first, so the cap changes nothing
+    # eval_j raises rather than drop the rest; at Im tau' = 30, q^2 rounds
+    # to 0 first, so the cap changes nothing
     high = UpperHalfPoint(mpf(1) / 8, 30)
     want = eval_j(high, PREC)
     tables = numerics._kernel_tables
     monkeypatch.setattr(numerics, "_kernel_tables", lambda prec: tables(prec)._replace(terms=3))
-    refused = r"series_terms=3 cannot reach 2\^-128 at Im tau=1\b"
-    with pytest.raises(PrecisionOverflowError, match=refused):
+    with pytest.raises(PrecisionOverflowError, match=r"no power of q up to q\^3 rounds to 0"):
         eval_j(UpperHalfPoint(mpf(1) / 4, 1), PREC)
     assert eval_j(high, PREC) == want
 
