@@ -51,9 +51,12 @@ from .heights import (
 from .lattices import GramForm, _value_counts, counting_bound, represented_values
 from .numerics import _GUARD, ModularMatrix, Precision, UpperHalfPoint, eval_j, tau_from_j
 from .scan import (
+    BadReductionError,
     CurveQ,
     _coincidences,
     _half_sweep,
+    _hit_table,
+    _trace_table,
     _traces,
     count_points,
     phi_certificate,
@@ -357,9 +360,10 @@ def _scan(args: argparse.Namespace) -> tuple:
         raise ValueError("need 5 <= p_min <= p_max")
     # one pass from p = 5: its hits at p >= p_min are the rows, and all of
     # them give the coincidence statistic
-    hits = scan_pair(left, right, 5, args.p_max)
-    stat = _coincidences(hits, args.p_max)
-    rows = [(h.p, h.k, h.left.a_p, h.right.a_p) for h in hits if h.p >= args.p_min]
+    p, k, a_left, a_right = _hit_table(left, right, 5, args.p_max)
+    stat = _coincidences(p[k == 1].tolist(), args.p_max)
+    shown = p >= args.p_min
+    rows = list(zip(*(column[shown].tolist() for column in (p, k, a_left, a_right))))
     trailer = {"hits": len(rows), "coincidences": stat.observed, "heuristic": stat.heuristic}
     return ["p", "k", "a_p_left", "a_p_right"], rows, None, trailer
 
@@ -370,6 +374,8 @@ def _scan_checks() -> list[tuple[str, bool]]:
     hits = scan_pair(e1, CurveQ(Fraction(0), Fraction(-1)), 5, 100)
     primes = [p for p in primes_up_to(3000) if p >= 5 and p != 31]  # 31 | disc
     batched = _traces([(1, p) for p in primes])
+    pair = (CurveQ(Fraction(1, 3), Fraction(-5, 7)), CurveQ(Fraction(2, 9), Fraction(7, 4)))
+    p, a_p = _trace_table(pair, 5, 500)
     return [
         ("a_5(y^2=x^3-x) = -2", rec.a_p == -2),
         ("trace_power(-2, 5, 2) = -6", trace_power(-2, 5, 2) == -6),
@@ -377,7 +383,21 @@ def _scan_checks() -> list[tuple[str, bool]]:
          {h.p for h in hits} >= {11, 23, 47, 59, 71, 83}),
         ("batched a_p of y^2=x^3+x+1 = half-sweep at every p in [5,3000]",
          batched == [_half_sweep(1, 1, p) for p in primes]),
+        ("array pass = count_points at every good p <= 500 for 1/3,-5/7 vs 2/9,7/4",
+         list(zip(p.tolist(), *a_p.tolist())) == _counted(pair, 500)),
     ]
+
+
+def _counted(curves: tuple[CurveQ, ...], p_max: int) -> list[tuple[int, ...]]:
+    """(p, a_p of each curve) by count_points at every prime 5 <= p <= p_max
+    where all the curves have good reduction."""
+    rows = []
+    for p in primes_up_to(p_max)[2:]:
+        try:
+            rows.append((p, *(count_points(curve, p).a_p for curve in curves)))
+        except BadReductionError:
+            continue
+    return rows
 
 
 def _tate(args: argparse.Namespace) -> tuple:

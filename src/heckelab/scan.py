@@ -13,8 +13,11 @@ a6.  Every other reduction, ab != 0, is the quadratic twist by b/a of
 E_t: y^2 = x^3 + t x + t with t = a^3/b^2, the curve of its j mod p, so its
 a_p is (ab/p) times that of E_t (Silverman, AEC, Sec. X.5).
 
-A scan classifies every curve at every prime first, and then counts the a_p
-of all its distinct (t, p), its lanes, in one NumPy pass (_bsgs_traces):
+A scan of the primes of a range is one array pass (_trace_table): it
+reduces each curve's a4 and a6 mod every prime at once, drops the primes of
+bad reduction, reads the j = 1728 and j = 0 entries off the closed forms
+and forms t and (ab/p) for all the others.  The a_p of all its distinct
+(t, p), its lanes, are counted in one NumPy pass (_bsgs_traces):
 Shanks-Mestre baby-step giant-step on the x-line, which serves E_t and its
 twist alike, over blocks of lanes of like p.  It accepts a lane only when
 exactly one order in the Hasse interval kills its point, which is then the
@@ -23,16 +26,17 @@ it declines, and all p >= 2^31, where its int64 arithmetic could overflow,
 take the half-sweep, which also serves count_points: a sum over x = 1 ..
 (p - 1)/2 against tables built once per prime (x^2 mod p and a doubled
 Legendre table).  The two curves of a twist pair share one lane at each
-prime.  The half-sweep of the curve itself is the tests' oracle of the
-kernel, of the closed forms and of the twist.
+prime.  count_points, one prime at a time, is the tests' oracle of the
+pass, and the half-sweep of the curve itself that of the kernel, of the
+closed forms and of the twist.
 
 Two reductions are geometrically isogenous exactly when their Frobenius
 eigenvalue ratio is a root of unity, which a trace-power match at some
 k <= 12 detects: the ratio lives in a degree <= 4 field, so its order n
-has phi(n) <= 4, i.e. n in {1, 2, 3, 4, 5, 6, 8, 10, 12}.  A coincidence
-a_p(E) = a_p(E') is the k = 1 case, so the coincidence statistic is read
-off the hits of a scan: each record of a scan is counted once, and none is
-kept after it.
+has phi(n) <= 4, i.e. n in {1, 2, 3, 4, 5, 6, 8, 10, 12}.  A scan decides
+k on the arrays of a_p (_hit_table), and runs the recurrence only where
+a_l != +-a_r share a CM field.  A coincidence a_p(E) = a_p(E') is the
+k = 1 case, so the coincidence statistic is read off the hits of a scan.
 
 The same test certifies Phi_N(z, y) != 0 for integers y and z
 (phi_certificate): at a prime p >= 5 not dividing N, Phi_N(z, y) = 0 mod p
@@ -49,7 +53,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -188,7 +192,7 @@ _BLOCK_ELEMENTS = 2**17
 def _pow_mod(base: np.ndarray, exponent: np.ndarray, p: np.ndarray) -> np.ndarray:
     """base^exponent mod p, lane by lane, by square and multiply."""
     result = np.ones_like(base)
-    for bit in range(int(exponent.max()).bit_length() - 1, -1, -1):
+    for bit in range(int(exponent.max(initial=0)).bit_length() - 1, -1, -1):
         result = result * result % p
         result = np.where((exponent >> bit) & 1 == 1, result * base % p, result)
     return result
@@ -404,6 +408,9 @@ def _cornacchia(d: int, p: int, root: int) -> tuple[int, int]:
     return b, math.isqrt((p - b * b) // d)
 
 
+# The decompositions depend on p alone; a scan asks for one at each prime of
+# its range, and the scans of one process cover the same primes.
+@lru_cache(maxsize=4096)
 def _gaussian_prime(p: int) -> tuple[int, int, int]:
     """(alpha, beta, u) for a prime p = 1 (mod 4): pi = alpha + beta i is
     primary, pi = 1 (mod 2 + 2i), with p = pi conj(pi), and u is -i mod pi,
@@ -419,6 +426,7 @@ def _gaussian_prime(p: int) -> tuple[int, int, int]:
     return alpha, beta, alpha * pow(beta, -1, p) % p
 
 
+@lru_cache(maxsize=4096)
 def _eisenstein_prime(p: int) -> tuple[int, int, int]:
     """(A, B, u) for a prime p = 1 (mod 3): pi = A + B omega is primary,
     pi = 2 (mod 3), with p = pi conj(pi), and u is zeta^-1 = -omega mod pi,
@@ -472,66 +480,26 @@ def _j0_record(d: int, p: int) -> TraceRecord:
     )
 
 
-def _coefficients(curve: CurveQ) -> tuple[int, int, int, int]:
-    """The numerators and denominators of a4 and a6, read once per curve."""
-    return curve.a4.numerator, curve.a4.denominator, curve.a6.numerator, curve.a6.denominator
-
-
-def _reduce_mod(num: int, den: int, p: int) -> int:
-    if den == 1:
-        return num % p
-    if den % p == 0:
-        raise BadReductionError(f"denominator of {num}/{den} vanishes mod {p}")
-    return num * pow(den, -1, p) % p
-
-
-def _classify(
-    coefficients: tuple[int, int, int, int], p: int
-) -> "TraceRecord | tuple[int, int]":
-    """The first half of the record at a prime p >= 5 of the curve whose a4
-    and a6 have these numerators and denominators (_coefficients): the
-    record itself where the reduction has j = 1728 or j = 0, otherwise
-    (t, ab mod p) for the twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2,
-    whose record _finish reads."""
-    num4, den4, num6, den6 = coefficients
-    a = _reduce_mod(num4, den4, p)
-    b = _reduce_mod(num6, den6, p)
-    if (4 * a * a % p * a + 27 * b * b) % p == 0:
-        raise BadReductionError(f"discriminant vanishes mod {p}")
-    if b == 0:
-        return _j1728_record(p - a, p)
-    if a == 0:
-        return _j0_record(b, p)
-    return a * a % p * a * pow(b, -2, p) % p, a * b % p
-
-
-def _record_of_t(p: int, trace: int) -> TraceRecord:
-    """The record of y^2 = x^3 + t x + t with a_p = trace; its classification,
-    that of a_p^2 - 4p, is every twist's."""
-    if trace == 0:
+def _record(p: int, a_p: int) -> TraceRecord:
+    """The record of a curve over F_p with this a_p; its classification is
+    that of a_p^2 - 4p, which every twist of the curve shares."""
+    if a_p == 0:
         return TraceRecord(p, 0, Supersingular())
-    conductor, d_k = split_discriminant(trace * trace - 4 * p)
-    return TraceRecord(p, trace, Ordinary(cm_fundamental_disc=d_k, conductor=conductor))
-
-
-def _finish(record: TraceRecord, ab: int) -> TraceRecord:
-    """The record of the twist by b/a of the curve of record (_record_of_t):
-    its a_p carries (b/a / p) = (ab/p), read by Euler's criterion."""
-    p = record.p
-    if record.a_p == 0 or pow(ab, (p - 1) // 2, p) == 1:
-        return record
-    return TraceRecord(p, -record.a_p, record.classification)
+    conductor, d_k = split_discriminant(a_p * a_p - 4 * p)
+    return TraceRecord(p, a_p, Ordinary(cm_fundamental_disc=d_k, conductor=conductor))
 
 
 def count_points(curve: CurveQ, p: int) -> TraceRecord:
-    """a_p = p + 1 - |E(F_p)|, with classification.
+    """a_p = p + 1 - |E(F_p)|, with classification, at one prime; the tests'
+    oracle of the array pass of a scan (_trace_table).
 
     When the reduction has b = 0 (j = 1728) or a = 0 (j = 0), a_p is read
     off the primary prime over p in Z[i] or Z[omega] (_j1728_record,
-    _j0_record), and is 0 at the primes inert there.  Every other curve
-    takes (ab/p) times a_p of y^2 = x^3 + t x + t, t = a^3/b^2, which is
-    counted by a half-sweep: with f(x) = x^3 + a x + b = b + g(x) and g
-    odd, f(-x) = b - g(x), so a_p = -sum_x chi(f(x)) pairs x with -x:
+    _j0_record), and is 0 at the primes inert there.  Every other curve is
+    the twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2, so its a_p is
+    (b/a / p) = (ab/p) times theirs, which is counted by a half-sweep: with
+    f(x) = x^3 + a x + b = b + g(x) and g odd, f(-x) = b - g(x), so
+    a_p = -sum_x chi(f(x)) pairs x with -x:
 
         a_p = -(chi(b) + sum_{x=1}^{(p-1)/2} [chi(b + g(x)) + chi(b - g(x))]).
 
@@ -540,11 +508,21 @@ def count_points(curve: CurveQ, p: int) -> TraceRecord:
     """
     if not (p >= 5 and is_prime(p)):
         raise ValueError(f"need a prime p >= 5, got {p}")
-    kind = _classify(_coefficients(curve), p)
-    if isinstance(kind, TraceRecord):
-        return kind
-    t, ab = kind
-    return _finish(_record_of_t(p, _half_sweep(t, t, p)), ab)
+    residues = []
+    for c in (curve.a4, curve.a6):
+        if c.denominator % p == 0:
+            raise BadReductionError(f"denominator of {c} vanishes mod {p}")
+        residues.append(c.numerator * pow(c.denominator, -1, p) % p)
+    a, b = residues
+    if (4 * a * a % p * a + 27 * b * b) % p == 0:
+        raise BadReductionError(f"discriminant vanishes mod {p}")
+    if b == 0:
+        return _j1728_record(p - a, p)
+    if a == 0:
+        return _j0_record(b, p)
+    t = a * a % p * a * pow(b, -2, p) % p
+    a_p = _half_sweep(t, t, p)
+    return _record(p, a_p if pow(a * b, (p - 1) // 2, p) == 1 else -a_p)
 
 
 @lru_cache(maxsize=4096)
@@ -558,7 +536,7 @@ def _j_record(j: int, p: int) -> TraceRecord:
     if j == 1728 % p:
         return _j1728_record(p - 1, p)
     t = 27 * j * pow(4 * (1728 - j), -1, p) % p
-    return _record_of_t(p, _half_sweep(t, t, p))
+    return _record(p, _half_sweep(t, t, p))
 
 
 # phi_certificate walks the primes below this bound; a pair with no
@@ -600,17 +578,29 @@ def trace_power(a_p: int, p: int, k: int) -> int:
     return cur
 
 
+def _first_match(a_l: int, a_r: int, p: int) -> Optional[int]:
+    """Minimal k <= 12 with a_{p^k} equal for the traces a_l and a_r at p,
+    else None: both trace_power recurrences stepped together, one k at a
+    time."""
+    l_prev, l_k, r_prev, r_k = 2, a_l, 2, a_r
+    for k in range(1, 13):
+        if l_k == r_k:
+            return k
+        l_prev, l_k = l_k, a_l * l_k - p * l_prev
+        r_prev, r_k = r_k, a_r * r_k - p * r_prev
+    return None
+
+
 def geom_isogenous(left: TraceRecord, right: TraceRecord) -> Optional[int]:
     """Minimal k <= 12 with a_{p^k} equal on both sides, else None.
 
-    Both trace_power recurrences are stepped together, one k at a time.
     At p >= 5, records of different kinds never match, so they return None
     first: a_{p^k} = a_p^k (mod p) is 0 for a supersingular record and not
     for an ordinary one, and an ordinary pi^k is never rational, so it
     generates Q(pi) and two ordinary records can match only when their
     cm_fundamental_disc is equal.  At p = 2 and 3 a_p = 0 does not mark the
     supersingular records (a_p = 2 against 0 at p = 2 match at k = 8), so
-    there the recurrences always run.
+    there the recurrences always run (_first_match).
     """
     if left.p != right.p:
         raise MismatchedPrimeError(f"records at p={left.p} and p={right.p}")
@@ -623,77 +613,159 @@ def geom_isogenous(left: TraceRecord, right: TraceRecord) -> Optional[int]:
         )
     ):
         return None
-    p, a_l, a_r = left.p, left.a_p, right.a_p
-    l_prev, l_k, r_prev, r_k = 2, a_l, 2, a_r
-    for k in range(1, 13):
-        if l_k == r_k:
-            return k
-        l_prev, l_k = l_k, a_l * l_k - p * l_prev
-        r_prev, r_k = r_k, a_r * r_k - p * r_prev
-    return None
+    return _first_match(left.a_p, right.a_p, left.p)
 
 
-def _records(
+# -- a scan: every prime of a range in one array pass ------------------------
+#
+# Every array of a scan holds one int64 per prime.  A scan reaches no prime
+# from _INT64_BELOW = 2^31 on, so a product of two residues, below 2^62, and
+# every sum of a few of them fit, as in the kernel.
+
+
+def _residues(n: int, p: np.ndarray) -> np.ndarray:
+    """n mod p at each p < 2^31, exact for an n of any size: Horner's rule
+    over the 31-bit digits of |n|, whose steps r 2^31 + digit stay below
+    2^62 + 2^31."""
+    m, digits = abs(n), []
+    while m:
+        digits.append(m & (2**31 - 1))
+        m >>= 31
+    r = np.zeros_like(p)
+    for digit in reversed(digits):
+        r = ((r << 31) + digit) % p
+    return (p - r) % p if n < 0 else r
+
+
+def _reduce(curve: CurveQ, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, good): a4 and a6 mod each p, and where the curve has good
+    reduction, neither a denominator nor the discriminant vanishing."""
+    good = np.ones(p.shape, dtype=bool)
+    residues = []
+    for c in (curve.a4, curve.a6):
+        r = _residues(c.numerator, p)
+        if c.denominator != 1:
+            d = _residues(c.denominator, p)
+            good &= d != 0
+            r = r * _pow_mod(d, p - 2, p) % p  # 1/d by Fermat, garbage at d = 0
+        residues.append(r)
+    a, b = residues
+    good &= (4 * (a * a % p * a % p) + 27 * (b * b % p)) % p != 0
+    return a, b, good
+
+
+def _trace_table(
     curves: tuple[CurveQ, ...], p_min: int, p_max: int
-) -> Iterator[tuple[int, list[TraceRecord]]]:
-    """(p, the records of the curves at p) for each prime p of [p_min,
-    p_max] where every curve has good reduction.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p, a_p): the primes of [p_min, p_max] where every curve has good
+    reduction, and a_p[i] of curves[i] at each, in one array pass.
 
-    Every curve is classified at every prime first; the twists of
-    y^2 = x^3 + t x + t leave a hole in their row, and the distinct (t, p)
-    of the holes are counted together by _traces before the rows from the
-    first hole on are given out."""
+    Each curve is reduced once (_reduce).  Its j = 1728 and j = 0 entries
+    take the closed forms, one prime at a time; every other entry is the
+    twist by b/a of E_t, t = a^3/b^2, whose a_p carries (ab/p).  The
+    distinct (t, p) of all curves, the lanes, are counted once each by
+    _traces.  An a_p past the Hasse bound raises HasseBoundError."""
     if not 5 <= p_min <= p_max:
         raise ValueError("need 5 <= p_min <= p_max")
-    coefficients = [_coefficients(curve) for curve in curves]
     primes = primes_up_to(p_max)
-    rows = []
-    lanes: dict[tuple[int, int], int] = {}  # (t, p) -> its index
-    holes = []  # (the records at p, the place of one, its lane, ab mod p)
-    for p in primes[bisect_left(primes, p_min) :]:
-        try:
-            records = [_classify(c, p) for c in coefficients]
-        except BadReductionError as exc:
-            logger.info("skipping p=%d: %s", p, exc)
-            continue
-        for i, kind in enumerate(records):
-            if not isinstance(kind, TraceRecord):
-                holes.append((records, i, lanes.setdefault((kind[0], p), len(lanes)), kind[1]))
-        if holes:
-            rows.append((p, records))
-        else:  # no record waits for a trace yet, so none need be kept
-            yield p, records
-    of_t = [_record_of_t(p, a_p) for (_, p), a_p in zip(lanes, _traces(list(lanes)))]
-    for records, i, lane, ab in holes:
-        records[i] = _finish(of_t[lane], ab)
-    yield from rows
+    if primes[-1] >= _INT64_BELOW:
+        raise ValueError(f"a scan needs the primes below 2^31, got p_max = {p_max}")
+    p = np.array(primes[bisect_left(primes, p_min) :], dtype=np.int64)
+    reduced = [_reduce(curve, p) for curve in curves]
+    good = np.logical_and.reduce([g for _, _, g in reduced])
+    for q in p[~good].tolist():
+        logger.info("skipping p=%d: bad reduction", q)
+    p = p[good]
+    a_p = np.empty((len(curves), p.size), dtype=np.int64)
+    width = p_max + 1  # a lane's key p width + t, below 2^62
+    twists = []  # (a_p row, the entries, their (ab/p), their lane keys)
+    for row, (a, b, _) in zip(a_p, reduced):
+        a, b = a[good], b[good]
+        at = np.flatnonzero(b == 0)
+        row[at] = [_j1728_record(d, q).a_p for d, q in zip((p - a)[at].tolist(), p[at].tolist())]
+        at = np.flatnonzero(a == 0)
+        row[at] = [_j0_record(d, q).a_p for d, q in zip(b[at].tolist(), p[at].tolist())]
+        at = np.flatnonzero((a != 0) & (b != 0))
+        q, a, b = p[at], a[at], b[at]
+        t = a * a % q * a % q * _pow_mod(b * b % q, q - 2, q) % q
+        sign = np.where(_pow_mod(a * b % q, (q - 1) // 2, q) == 1, 1, -1)
+        twists.append((row, at, sign, q * width + t))
+    keys, lane = np.unique(np.concatenate([key for *_, key in twists]), return_inverse=True)
+    traces = np.array(
+        _traces(list(zip((keys % width).tolist(), (keys // width).tolist()))), dtype=np.int64
+    )
+    start = 0
+    for row, at, sign, _ in twists:
+        row[at] = sign * traces[lane[start : start + at.size]]
+        start += at.size
+    curve, entry = np.nonzero(a_p * a_p > 4 * p)
+    if entry.size:
+        raise HasseBoundError(f"|{a_p[curve[0], entry[0]]}| > 2 sqrt({p[entry[0]]})")
+    return p, a_p
+
+
+def _is_square(n: np.ndarray) -> np.ndarray:
+    """Where n >= 0 is a perfect square; exact for n < 2^52, where the
+    correctly rounded sqrt of a square is its root."""
+    root = np.rint(np.sqrt(n)).astype(np.int64)
+    return root * root == n
+
+
+def _hit_rule(p: np.ndarray, a_l: np.ndarray, a_r: np.ndarray) -> np.ndarray:
+    """The k of geom_isogenous for the traces a_l and a_r at each p >= 5,
+    0 where it is None.
+
+    k = 1 where a_l = a_r, and 2 where a_l = -a_r != 0 (a_{p^2} = a_p^2 -
+    2p).  Any other match needs two ordinary records of one CM field, and
+    only there does the recurrence run (_first_match), which decides k.
+    They share d_K exactly when (4p - a_l^2)(4p - a_r^2) is a square, as
+    each is f^2 |d_K| for a fundamental d_K.  The product reaches 16 p^2,
+    past int64 above p = 2^29.5; with g the gcd of u = 4p - a_l^2 and
+    v = 4p - a_r^2, both in (0, 4p] and so below 2^33, uv is a square
+    exactly when the coprime u/g and v/g both are."""
+    k = np.where(a_l == a_r, 1, np.where((a_l == -a_r) & (a_l != 0), 2, 0))
+    rest = np.flatnonzero((k == 0) & (a_l != 0) & (a_r != 0))
+    u, v = 4 * p[rest] - a_l[rest] ** 2, 4 * p[rest] - a_r[rest] ** 2
+    g = np.gcd(u, v)
+    for i in rest[_is_square(u // g) & _is_square(v // g)].tolist():
+        k[i] = _first_match(int(a_l[i]), int(a_r[i]), int(p[i])) or 0
+    return k
+
+
+def _hit_table(
+    left: CurveQ, right: CurveQ, p_min: int, p_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(p, k, a_left, a_right) at the good primes of [p_min, p_max] where
+    the reductions are geometrically isogenous, k as geom_isogenous's."""
+    p, (a_l, a_r) = _trace_table((left, right), p_min, p_max)
+    k = _hit_rule(p, a_l, a_r)
+    hit = k > 0
+    return p[hit], k[hit], a_l[hit], a_r[hit]
 
 
 def scan_pair(
     left: CurveQ, right: CurveQ, p_min: int, p_max: int
 ) -> list[ScanHit]:
-    """All geometric-isogeny hits over good primes in [p_min, p_max]."""
-    hits = []
-    for p, (lrec, rrec) in _records((left, right), p_min, p_max):
-        k = geom_isogenous(lrec, rrec)
-        if k is not None:
-            hits.append(ScanHit(p=p, k=k, left=lrec, right=rrec))
-    return hits
+    """All geometric-isogeny hits over good primes in [p_min, p_max], with
+    the records of both sides at each."""
+    columns = (column.tolist() for column in _hit_table(left, right, p_min, p_max))
+    return [
+        ScanHit(p, k, _record(p, a_l), _record(p, a_r)) for p, k, a_l, a_r in zip(*columns)
+    ]
 
 
 def cm_field_hits(
     curve: CurveQ, d_k: int, p_min: int, p_max: int
 ) -> list[int]:
     """Good primes where the reduction is ordinary with CM field of the
-    given fundamental discriminant."""
+    given fundamental discriminant: a_p != 0 and a_p^2 - 4p = f^2 d_k."""
     if not is_fundamental_discriminant(d_k):
         raise ValueError(f"{d_k} is not a fundamental imaginary quadratic discriminant")
-    return [
-        p
-        for p, (rec,) in _records((curve,), p_min, p_max)
-        if isinstance(rec.classification, Ordinary)
-        and rec.classification.cm_fundamental_disc == d_k
-    ]
+    p, (a,) = _trace_table((curve,), p_min, p_max)
+    disc = a * a - 4 * p
+    field = (a != 0) & (disc % d_k == 0)
+    field[field] = _is_square(disc[field] // d_k)
+    return p[field].tolist()
 
 
 class CoincidenceStat(NamedTuple):
@@ -701,9 +773,9 @@ class CoincidenceStat(NamedTuple):
     heuristic: float
 
 
-def _coincidences(hits: list[ScanHit], p_max: int) -> CoincidenceStat:
-    """The coincidence statistic of a pair, read off its scan_pair hits over
-    [5, p_max]: a_p agrees exactly where geom_isogenous finds k = 1."""
+def _coincidences(matches: list[int], p_max: int) -> CoincidenceStat:
+    """The coincidence statistic of a pair from the primes of [5, p_max]
+    where its a_p agree, the k = 1 hits of its scan."""
     half = p_max // 2
     s_full = 0.0
     s_half = 0.0
@@ -711,7 +783,6 @@ def _coincidences(hits: list[ScanHit], p_max: int) -> CoincidenceStat:
         s_full += 1 / math.sqrt(p)
         if p <= half:
             s_half += 1 / math.sqrt(p)
-    matches = [h.p for h in hits if h.k == 1]
     obs_half = sum(p <= half for p in matches)
     scale = obs_half / s_half if obs_half and s_half else 1.0
     return CoincidenceStat(observed=len(matches), heuristic=scale * s_full)
@@ -723,4 +794,5 @@ def coincidence_statistic(
     """observed = #{good p <= p_max : a_p agrees}; heuristic = c sum 1/sqrt(p)
     over all primes 5 <= p <= p_max, with c calibrated on the first half of
     the range."""
-    return _coincidences(scan_pair(left, right, 5, p_max), p_max)
+    p, k, _, _ = _hit_table(left, right, 5, p_max)
+    return _coincidences(p[k == 1].tolist(), p_max)

@@ -288,6 +288,10 @@ def test_cm_field_hits_frozen_window():
         rec = count_points(CurveQ(1, 1), p)
         assert isinstance(rec.classification, Ordinary)
         assert rec.classification.cm_fundamental_disc == -4
+    # y^2 = x^3 + x is supersingular at 7 and 11, where a_p^2 - 4p = -4p is
+    # 2^2 times -7 and -11; only its ordinary records have a CM field
+    for d_k in (-7, -11):
+        assert cm_field_hits(CurveQ(1, 0), d_k, 5, 100) == []
     with pytest.raises(ValueError):
         cm_field_hits(CurveQ(1, 1), -12, 5, 100)  # not fundamental
     with pytest.raises(ValueError):
@@ -339,48 +343,51 @@ def test_coincidence_statistic():
 
 
 def test_a_scan_counts_each_record_once(capsys, monkeypatch):
-    # the rows and the coincidence trailer come from one pass, so each curve
-    # is classified once at each good prime of [5, 500], by the per-prime
-    # function that count_points also calls, and each record that is a
-    # twist of y^2 = x^3 + t x + t is finished once
-    calls, finished = [], []
-    classify, finish = scan._classify, scan._finish
+    # the rows and the coincidence trailer come from one array pass over the
+    # primes of [5, 500]: each curve's a4 and a6 are reduced once, mod all of
+    # them at once, and each distinct lane (t, p) is counted once
+    reduced, counted = [], []
+    reduce, traces = scan._reduce, scan._traces
 
-    def counting(coefficients, p):
-        calls.append((coefficients, p))
-        return classify(coefficients, p)
+    def reducing(curve, p):
+        reduced.append((curve, p.tolist()))
+        return reduce(curve, p)
 
-    def finishing(record, ab):
-        finished.append(record.p)
-        return finish(record, ab)
+    def counting(lanes):
+        counted.append(lanes)
+        return traces(lanes)
 
-    monkeypatch.setattr(scan, "_classify", counting)
-    monkeypatch.setattr(scan, "_finish", finishing)
+    monkeypatch.setattr(scan, "_reduce", reducing)
+    monkeypatch.setattr(scan, "_traces", counting)
+    primes = [p for p in primes_up_to(500) if p >= 5]
     assert main(["scan", "-1,0", "0,-1", "5", "500"]) == 0
     capsys.readouterr()
-    good = [p for p in primes_up_to(500) if p >= 5]  # both curves are good there
-    expected = [(curve, p) for p in good for curve in ((-1, 1, 0, 1), (0, 1, -1, 1))]
-    assert calls == expected
-    assert finished == []  # j = 1728 and j = 0: every record in closed form
-    # a generic pair: y^2 = x^3 + x + 1 is bad at 31, y^2 = x^3 - x + 1 at 23
-    calls.clear()
-    assert main(["scan", "1,1", "-1,1", "5", "500"]) == 0
+    assert reduced == [(CurveQ(-1, 0), primes), (CurveQ(0, -1), primes)]
+    assert counted == [[]]  # j = 1728 and j = 0: every a_p in closed form
+    # a generic pair, from p = 5 whatever p_min: y^2 = x^3 + x + 1 is bad at
+    # 31, y^2 = x^3 - x + 1 at 23, and each prime where both are good gives
+    # the lanes t = 1 and t = -1
+    reduced.clear()
+    counted.clear()
+    assert main(["scan", "1,1", "-1,1", "100", "500"]) == 0
     capsys.readouterr()
-    # a bad left curve raises before the right one is classified
-    assert calls == [
-        (curve, p) for p in good for curve in ((1, 1, 1, 1), (-1, 1, 1, 1))[: 1 + (p != 31)]
-    ]
-    assert finished == [p for p in good if p not in (23, 31) for _ in range(2)]
-    # count_points takes the same path, once per call
-    calls.clear()
-    assert count_points(CurveQ(Fraction(-1, 3), 0), 7).a_p == _brute_count(2, 0, 7)
-    assert calls == [((-1, 3, 0, 1), 7)]
+    assert reduced == [(CurveQ(1, 1), primes), (CurveQ(-1, 1), primes)]
+    good = [p for p in primes if p not in (23, 31)]
+    assert counted == [[(t % p, p) for p in good for t in (1, -1)]]
+    # a twist pair shares them: one lane per prime, where ab != 0
+    reduced.clear()
+    counted.clear()
+    assert main(["scan", "7,10", "63,-270", "5", "500"]) == 0
+    capsys.readouterr()
+    assert len(reduced) == 2
+    assert counted == [[(343 * pow(100, -1, p) % p, p) for p in primes if p > 7]]
 
 
 def test_a_scan_is_the_per_prime_count_points_loop():
-    # scan_pair reads each curve's coefficients once and takes its primes
-    # from the sieve; count_points checks each p.  Both give the same
-    # records at every prime of [5, 2000]
+    # the array pass reads each curve's coefficients once and takes its
+    # primes from the sieve; count_points checks each p and reduces one at a
+    # time.  Both give the same a_p at every prime of [5, 2000], and
+    # scan_pair the same hits and records
     pairs = [
         # denominators 3 and 7 on the left, 5, 11 and 13 on the right
         (CurveQ(Fraction(1, 3), Fraction(-5, 7)), CurveQ(Fraction(2, 5), Fraction(7, 143))),
@@ -392,26 +399,88 @@ def test_a_scan_is_the_per_prime_count_points_loop():
         # j = 1728: y^2 = x^3 - d x
         (CurveQ(-1, 0), CurveQ(Fraction(3, 19), 0)),
         (CurveQ(-6, 0), CurveQ(-54, 0)),
+        # numerators above 2^63, of both signs, whose residues need more than
+        # one 31-bit digit
+        (CurveQ(2**64 + 7, -(3**41)), CurveQ(Fraction(-(5**30), 11), 2**70 + 1)),
+        # denominators that scanned primes divide: 1013 and 1999, and 1009
+        # in a denominator above 2^63
+        (CurveQ(Fraction(5, 1013 * 1999), 3), CurveQ(-2, Fraction(7, 1009 * 2**64))),
     ]
     primes = [p for p in primes_up_to(2000) if p >= 5]
     for left, right in pairs:
-        records, hits = [], []
+        rows, hits = [], []
         for p in primes:
             try:
                 lrec, rrec = count_points(left, p), count_points(right, p)
             except BadReductionError:
                 continue
-            records.append((p, [lrec, rrec]))
+            rows.append((p, lrec.a_p, rrec.a_p))
             k = geom_isogenous(lrec, rrec)
             if k is not None:
                 hits.append(scan.ScanHit(p, k, lrec, rrec))
-        assert list(scan._records((left, right), 5, 2000)) == records, (left, right)
+        p, a_p = scan._trace_table((left, right), 5, 2000)
+        assert list(zip(p.tolist(), *a_p.tolist())) == rows, (left, right)
         assert scan_pair(left, right, 5, 2000) == hits, (left, right)
         assert scan_pair(left, right, 101, 1999) == [h for h in hits if h.p >= 101]
-        assert hits and len(records) >= 290, (left, right)
+        assert hits and len(rows) >= 290, (left, right)
+
+    def good(pair):
+        return set(scan._trace_table(pair, 5, 2000)[0].tolist())
+
     # the primes where a denominator vanishes are skipped
-    assert {p for p, _ in scan._records(pairs[0], 5, 2000)} & {5, 7, 11, 13, 17} == {17}
-    assert 19 not in {p for p, _ in scan._records(pairs[4], 5, 2000)}
+    assert good(pairs[0]) & {5, 7, 11, 13, 17} == {17}
+    assert 19 not in good(pairs[4])
+    assert good(pairs[7]) & {1009, 1013, 1999} == set()
+
+
+def test_the_array_hit_rule_is_geom_isogenous():
+    # every pair of traces in the Hasse interval at each prime 5 <= p <= 37,
+    # as records of curves: k = 1 and 2 on the arrays, the recurrence for
+    # the other pairs of one CM field, 0 for None
+    recurrence = set()
+    for p in primes_up_to(37)[2:]:
+        r = math.isqrt(4 * p)
+        pairs = [(a_l, a_r) for a_l in range(-r, r + 1) for a_r in range(-r, r + 1)]
+        a_l, a_r = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+        k = scan._hit_rule(np.full(a_l.size, p, dtype=np.int64), a_l, a_r)
+        want = [
+            geom_isogenous(scan._record(p, left), scan._record(p, right)) or 0
+            for left, right in pairs
+        ]
+        assert k.tolist() == want, p
+        recurrence |= {n for n in want if n > 2}
+    assert recurrence == {3, 4, 6}
+
+
+def test_a_scan_past_the_hasse_bound_raises_and_writes_no_row(capsys, monkeypatch, tmp_path):
+    # a lane's a_p of p cannot come from a curve: the pass raises before any
+    # hit is formed, and the command writes nothing
+    monkeypatch.setattr(scan, "_traces", lambda lanes: [p for _, p in lanes])
+    with pytest.raises(HasseBoundError, match=r"^\|5\| > 2 sqrt\(5\)$"):
+        scan._hit_table(CurveQ(1, 1), CurveQ(-1, 1), 5, 500)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "1,1", "-1,1", "5", "500"]) == 2
+    assert capsys.readouterr() == ("", "error: |5| > 2 sqrt(5)\n")
+    assert main(["scan", "1,1", "-1,1", "5", "500", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_a_scan_of_a_cm_pair_reads_every_a_p_with_its_sign():
+    # y^2 = x^3 - a x against y^2 = x^3 + b, as the benchmark draws them:
+    # its hits are the supersingular primes, so only the a_p of the scan
+    # itself show a sign error of a closed form.  Each must be the
+    # half-sweep of its own curve, at every good prime below 2000
+    rng = random.Random(2059)
+    pairs = [(1, 1), (1, -1)] + [
+        (rng.randrange(1, 60), rng.choice([-1, 1]) * rng.randrange(1, 60)) for _ in range(6)
+    ]
+    for a, b in pairs:
+        p, (a_l, a_r) = scan._trace_table((CurveQ(-a, 0), CurveQ(0, b)), 5, 1999)
+        assert p.size >= 290
+        for q, left, right in zip(p.tolist(), a_l.tolist(), a_r.tolist()):
+            assert left == _half_sweep(-a % q, 0, q), (a, q)
+            assert right == _half_sweep(0, b % q, q), (b, q)
+        assert np.count_nonzero(a_l) >= 140 and np.count_nonzero(a_r) >= 140
 
 
 def _watch_lanes(monkeypatch):
