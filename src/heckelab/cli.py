@@ -373,7 +373,7 @@ def _scan_checks() -> list[tuple[str, bool]]:
     rec = count_points(e1, 5)
     hits = scan_pair(e1, CurveQ(Fraction(0), Fraction(-1)), 5, 100)
     primes = [p for p in primes_up_to(3000) if p >= 5 and p != 31]  # 31 | disc
-    batched = _traces([(1, p) for p in primes])
+    batched = _traces(np.ones(len(primes), dtype=np.int64), np.array(primes, dtype=np.int64))
     pair = (CurveQ(Fraction(1, 3), Fraction(-5, 7)), CurveQ(Fraction(2, 9), Fraction(7, 4)))
     p, a_p = _trace_table(pair, 5, 500)
     return [
@@ -382,7 +382,7 @@ def _scan_checks() -> list[tuple[str, bool]]:
         ("pair hits in [5,100] at 11..83",
          {h.p for h in hits} >= {11, 23, 47, 59, 71, 83}),
         ("batched a_p of y^2=x^3+x+1 = half-sweep at every p in [5,3000]",
-         batched == [_half_sweep(1, 1, p) for p in primes]),
+         batched.tolist() == [_half_sweep(1, 1, p) for p in primes]),
         ("array pass = count_points at every good p <= 500 for 1/3,-5/7 vs 2/9,7/4",
          list(zip(p.tolist(), *a_p.tolist())) == _counted(pair, 500)),
     ]

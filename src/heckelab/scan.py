@@ -13,22 +13,27 @@ a6.  Every other reduction, ab != 0, is the quadratic twist by b/a of
 E_t: y^2 = x^3 + t x + t with t = a^3/b^2, the curve of its j mod p, so its
 a_p is (ab/p) times that of E_t (Silverman, AEC, Sec. X.5).
 
+A trace is one integer: every path computes a_p alone, _trace at one
+reduced curve (for count_points and _j_record) and _trace_table over a
+range, and a TraceRecord(p, a_p), built only at the public edge, derives
+its classification from a_p^2 - 4p.
+
 A scan of the primes of a range is one array pass (_trace_table): it
 reduces each curve's a4 and a6 mod every prime at once, drops the primes of
 bad reduction, reads the j = 1728 and j = 0 entries off the closed forms
 and forms t and (ab/p) for all the others.  The a_p of all its distinct
-(t, p), its lanes, are counted in one NumPy pass (_bsgs_traces):
+(t, p), its lanes, are counted in one NumPy pass (_traces, _bsgs_traces):
 Shanks-Mestre baby-step giant-step on the x-line, which serves E_t and its
 twist alike, over blocks of lanes of like p.  It accepts a lane only when
 exactly one order in the Hasse interval kills its point, which is then the
 order of the curve through it, so every accepted a_p is exact.  The lanes
-it declines, and all p >= 2^31, where its int64 arithmetic could overflow,
-take the half-sweep, which also serves count_points: a sum over x = 1 ..
-(p - 1)/2 against tables built once per prime (x^2 mod p and a doubled
-Legendre table).  The two curves of a twist pair share one lane at each
-prime.  count_points, one prime at a time, is the tests' oracle of the
-pass, and the half-sweep of the curve itself that of the kernel, of the
-closed forms and of the twist.
+it declines take the half-sweep, which also serves _trace: a sum over
+x = 1 .. (p - 1)/2 against tables built once per prime (x^2 mod p and a
+doubled Legendre table).  A scan refuses p_max >= 2^31, where the kernel's
+int64 arithmetic could overflow, before it sieves.  The two curves of a
+twist pair share one lane at each prime.  count_points, one prime at a
+time, is the tests' oracle of the pass, and the half-sweep of the curve
+itself that of the kernel, of the closed forms and of the twist.
 
 Two reductions are geometrically isogenous exactly when their Frobenius
 eigenvalue ratio is a root of unity, which a trace-power match at some
@@ -49,8 +54,8 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -101,19 +106,23 @@ class Ordinary:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """a_p at p, and the classification it implies: supersingular at
+    a_p = 0, else ordinary with a_p^2 - 4p = conductor^2 d_K, which every
+    twist of the curve shares.  Records compare by (p, a_p)."""
+
     p: int
     a_p: int
-    classification: "Supersingular | Ordinary"
+    classification: "Supersingular | Ordinary" = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a_p * self.a_p > 4 * self.p:
             raise HasseBoundError(f"|{self.a_p}| > 2 sqrt({self.p})")
-        if isinstance(self.classification, Supersingular) != (self.a_p == 0):
-            raise ValueError("supersingular iff a_p = 0 (p >= 5)")
-        if isinstance(self.classification, Ordinary):
-            c = self.classification
-            if c.conductor**2 * c.cm_fundamental_disc != self.a_p**2 - 4 * self.p:
-                raise ValueError("conductor^2 d_K != a_p^2 - 4p")
+        if self.a_p == 0:
+            kind = Supersingular()
+        else:
+            conductor, d_k = split_discriminant(self.a_p * self.a_p - 4 * self.p)
+            kind = Ordinary(cm_fundamental_disc=d_k, conductor=conductor)
+        object.__setattr__(self, "classification", kind)
 
 
 class ScanHit(NamedTuple):
@@ -140,9 +149,9 @@ class _PrimeTables(NamedTuple):
     chi2: np.ndarray  # chi2[v] = Legendre symbol (v/p) for v in [0, 2p), int8
 
 
-# A scan sweeps the lanes the kernel declines in order of p, and a pair's
-# count_points calls come at one p after the other, so the tables are built
-# once per prime and only the last few primes are worth keeping.
+# A scan sweeps the lanes the kernel declines in order of p, and the tests'
+# per-prime count_points loops move from one p to the next, so the tables
+# are built once per prime and only the last few primes are worth keeping.
 @lru_cache(maxsize=2)
 def _prime_tables(p: int) -> _PrimeTables:
     x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int32 if p < _INT32_BELOW else np.int64)
@@ -369,28 +378,20 @@ def _bsgs_traces(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sigma * (p + 1 - found), accepted
 
 
-def _traces(lanes: list[tuple[int, int]]) -> list[int]:
-    """a_p of y^2 = x^3 + t x + t at each lane (t, p): _bsgs_traces over the
-    lanes below _INT64_BELOW in blocks of like p, and _half_sweep for the
-    lanes it declines and those above."""
-    traces: list[Optional[int]] = [None] * len(lanes)
-    kernel = sorted(
-        (i for i, (_, p) in enumerate(lanes) if p < _INT64_BELOW), key=lambda i: lanes[i][1]
-    )
-    if kernel:
-        t = np.array([lanes[i][0] for i in kernel], dtype=np.int64)
-        p = np.array([lanes[i][1] for i in kernel], dtype=np.int64)
-        m = _baby_steps(math.isqrt(4 * int(p[-1])))
-        size = max(1, _BLOCK_ELEMENTS // (2 * m + 4))
-        for start in range(0, len(kernel), size):
-            block = slice(start, start + size)
-            a_p, accepted = _bsgs_traces(t[block], p[block])
-            for i, a, ok in zip(kernel[block], a_p.tolist(), accepted.tolist()):
-                if ok:
-                    traces[i] = a
-    return [
-        _half_sweep(t, t, p) if a is None else a for a, (t, p) in zip(traces, lanes)
-    ]
+def _traces(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a_p of y^2 = x^3 + t x + t at each lane (t, p), p ascending and below
+    _INT64_BELOW: _bsgs_traces over blocks of like p, and _half_sweep for
+    the lanes it declines, in order of p."""
+    a_p = np.empty_like(p)
+    m = _baby_steps(math.isqrt(4 * int(p.max(initial=0))))
+    size = max(1, _BLOCK_ELEMENTS // (2 * m + 4))
+    for start in range(0, p.size, size):
+        block = slice(start, start + size)
+        a_p[block], accepted = _bsgs_traces(t[block], p[block])
+        declined = np.flatnonzero(~accepted) + start
+        for i, u, q in zip(declined.tolist(), t[declined].tolist(), p[declined].tolist()):
+            a_p[i] = _half_sweep(u, u, q)
+    return a_p
 
 
 def _cornacchia(d: int, p: int, root: int) -> tuple[int, int]:
@@ -398,8 +399,8 @@ def _cornacchia(d: int, p: int, root: int) -> tuple[int, int]:
 
     Cornacchia's algorithm: Euclid's remainders of p and root, from the
     root below p/2, down to the first below sqrt(p).  d = 1 and 3 have class
-    number one, so every prime p = 1 mod 4, resp. mod 3, is reached; a
-    wrong pair would fail the Hasse and conductor checks of TraceRecord.
+    number one, so every prime p = 1 mod 4, resp. mod 3, is reached; its
+    callers check x^2 + d y^2 = p.
     """
     limit = math.isqrt(p)
     a, b = p, min(root, p - root)
@@ -419,6 +420,8 @@ def _gaussian_prime(p: int) -> tuple[int, int, int]:
     while (root := pow(c, (p - 1) // 4, p)) * root % p != p - 1:
         c += 1  # c^((p-1)/4) is a square root of -1 once c is a non-residue
     alpha, beta = _cornacchia(1, p, root)
+    if alpha * alpha + beta * beta != p:
+        raise ArithmeticError(f"Cornacchia gave {alpha}^2 + {beta}^2 != {p}")
     if alpha % 2 == 0:
         alpha, beta = beta, alpha
     if (alpha - beta - 1) % 4:  # primary: beta even, alpha = 1 + beta (mod 4)
@@ -435,14 +438,16 @@ def _eisenstein_prime(p: int) -> tuple[int, int, int]:
     while (w := pow(c, (p - 1) // 3, p)) == 1:
         c += 1  # w is a primitive cube root of 1 once c is a non-cube
     x, y = _cornacchia(3, p, (2 * w + 1) % p)  # (2w + 1)^2 = -3
+    if x * x + 3 * y * y != p:
+        raise ArithmeticError(f"Cornacchia gave {x}^2 + 3 {y}^2 != {p}")
     big_a, big_b = x + y, 2 * y  # x + y sqrt(-3), as sqrt(-3) = 1 + 2 omega
     while big_a % 3 != 2 or big_b % 3:
         big_a, big_b = big_a - big_b, big_a  # times zeta: the six associates
     return big_a, big_b, big_a * pow(big_b, -1, p) % p
 
 
-def _j1728_record(d: int, p: int) -> TraceRecord:
-    """The record of y^2 = x^3 - d x, d != 0 mod p.
+def _j1728_trace(d: int, p: int) -> int:
+    """a_p of y^2 = x^3 - d x, d != 0 mod p.
 
     a_p = 0 at p = 3 (mod 4).  Otherwise a_p = chi conj(pi) + conj(chi) pi
     = 2 Re(conj(chi) pi) with chi = (d/pi)_4 = d^((p-1)/4) mod pi
@@ -450,17 +455,16 @@ def _j1728_record(d: int, p: int) -> TraceRecord:
     off by dividing out i while multiplying pi by -i = conj(i).
     """
     if p % 4 == 3:
-        return TraceRecord(p, 0, Supersingular())
+        return 0
     alpha, beta, u = _gaussian_prime(p)
     chi = pow(d, (p - 1) // 4, p)
     while chi != 1:
         chi, alpha, beta = chi * u % p, beta, -alpha
-    # a_p^2 - 4p = -4 beta^2
-    return TraceRecord(p, 2 * alpha, Ordinary(cm_fundamental_disc=-4, conductor=abs(beta)))
+    return 2 * alpha
 
 
-def _j0_record(d: int, p: int) -> TraceRecord:
-    """The record of y^2 = x^3 + d, d != 0 mod p.
+def _j0_trace(d: int, p: int) -> int:
+    """a_p of y^2 = x^3 + d, d != 0 mod p.
 
     a_p = 0 at p = 2 (mod 3).  Otherwise a_p = -(chi conj(pi) + conj(chi)
     pi) = -Tr(conj(chi) pi) with chi = (4d/pi)_6 = (4d)^((p-1)/6) mod pi
@@ -469,34 +473,20 @@ def _j0_record(d: int, p: int) -> TraceRecord:
     multiplying pi by zeta^-1 = -omega.
     """
     if p % 3 == 2:
-        return TraceRecord(p, 0, Supersingular())
+        return 0
     big_a, big_b, u = _eisenstein_prime(p)
     chi = pow(4 * d, (p - 1) // 6, p)
     while chi != 1:
         chi, big_a, big_b = chi * u % p, big_b, big_b - big_a
-    # a_p^2 - 4p = -3 B^2
-    return TraceRecord(
-        p, big_b - 2 * big_a, Ordinary(cm_fundamental_disc=-3, conductor=abs(big_b))
-    )
+    return big_b - 2 * big_a
 
 
-def _record(p: int, a_p: int) -> TraceRecord:
-    """The record of a curve over F_p with this a_p; its classification is
-    that of a_p^2 - 4p, which every twist of the curve shares."""
-    if a_p == 0:
-        return TraceRecord(p, 0, Supersingular())
-    conductor, d_k = split_discriminant(a_p * a_p - 4 * p)
-    return TraceRecord(p, a_p, Ordinary(cm_fundamental_disc=d_k, conductor=conductor))
+def _trace(a: int, b: int, p: int) -> int:
+    """a_p of y^2 = x^3 + a x + b over F_p, 0 <= a, b < p, nonsingular.
 
-
-def count_points(curve: CurveQ, p: int) -> TraceRecord:
-    """a_p = p + 1 - |E(F_p)|, with classification, at one prime; the tests'
-    oracle of the array pass of a scan (_trace_table).
-
-    When the reduction has b = 0 (j = 1728) or a = 0 (j = 0), a_p is read
-    off the primary prime over p in Z[i] or Z[omega] (_j1728_record,
-    _j0_record), and is 0 at the primes inert there.  Every other curve is
-    the twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2, so its a_p is
+    b = 0 (j = 1728) and a = 0 (j = 0) take the closed forms, and are 0 at
+    the primes inert in Z[i], resp. Z[omega].  Every other curve is the
+    twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2, so its a_p is
     (b/a / p) = (ab/p) times theirs, which is counted by a half-sweep: with
     f(x) = x^3 + a x + b = b + g(x) and g odd, f(-x) = b - g(x), so
     a_p = -sum_x chi(f(x)) pairs x with -x:
@@ -506,6 +496,18 @@ def count_points(curve: CurveQ, p: int) -> TraceRecord:
     One remainder g(x) mod p serves both terms, which are read from the
     doubled Legendre table at b + g and p + b - g.
     """
+    if b == 0:
+        return _j1728_trace(p - a, p)
+    if a == 0:
+        return _j0_trace(b, p)
+    t = a * a % p * a * pow(b, -2, p) % p
+    a_p = _half_sweep(t, t, p)
+    return a_p if pow(a * b, (p - 1) // 2, p) == 1 else -a_p
+
+
+def count_points(curve: CurveQ, p: int) -> TraceRecord:
+    """The record of a_p = p + 1 - |E(F_p)| at one prime (_trace); the
+    tests' oracle of the array pass of a scan (_trace_table)."""
     if not (p >= 5 and is_prime(p)):
         raise ValueError(f"need a prime p >= 5, got {p}")
     residues = []
@@ -516,13 +518,7 @@ def count_points(curve: CurveQ, p: int) -> TraceRecord:
     a, b = residues
     if (4 * a * a % p * a + 27 * b * b) % p == 0:
         raise BadReductionError(f"discriminant vanishes mod {p}")
-    if b == 0:
-        return _j1728_record(p - a, p)
-    if a == 0:
-        return _j0_record(b, p)
-    t = a * a % p * a * pow(b, -2, p) % p
-    a_p = _half_sweep(t, t, p)
-    return _record(p, a_p if pow(a * b, (p - 1) // 2, p) == 1 else -a_p)
+    return TraceRecord(p, _trace(a, b, p))
 
 
 @lru_cache(maxsize=4096)
@@ -532,11 +528,12 @@ def _j_record(j: int, p: int) -> TraceRecord:
     y^2 = x^3 + t x + t with t = 27 j / (4 (1728 - j)), which is never
     singular: t != 0 and 4 t + 27 = 27 * 1728 / (1728 - j) != 0."""
     if j == 0:
-        return _j0_record(1, p)
-    if j == 1728 % p:
-        return _j1728_record(p - 1, p)
-    t = 27 * j * pow(4 * (1728 - j), -1, p) % p
-    return _record(p, _half_sweep(t, t, p))
+        a, b = 0, 1
+    elif j == 1728 % p:
+        a, b = 1, 0
+    else:
+        a = b = 27 * j * pow(4 * (1728 - j), -1, p) % p
+    return TraceRecord(p, _trace(a, b, p))
 
 
 # phi_certificate walks the primes below this bound; a pair with no
@@ -664,12 +661,14 @@ def _trace_table(
     take the closed forms, one prime at a time; every other entry is the
     twist by b/a of E_t, t = a^3/b^2, whose a_p carries (ab/p).  The
     distinct (t, p) of all curves, the lanes, are counted once each by
-    _traces.  An a_p past the Hasse bound raises HasseBoundError."""
+    _traces.  An a_p past the Hasse bound raises HasseBoundError.
+    p_max >= 2^31 raises ValueError before the sieve, which would need
+    2 GiB of marks there."""
     if not 5 <= p_min <= p_max:
         raise ValueError("need 5 <= p_min <= p_max")
-    primes = primes_up_to(p_max)
-    if primes[-1] >= _INT64_BELOW:
+    if p_max >= _INT64_BELOW:
         raise ValueError(f"a scan needs the primes below 2^31, got p_max = {p_max}")
+    primes = primes_up_to(p_max)
     p = np.array(primes[bisect_left(primes, p_min) :], dtype=np.int64)
     reduced = [_reduce(curve, p) for curve in curves]
     good = np.logical_and.reduce([g for _, _, g in reduced])
@@ -682,18 +681,17 @@ def _trace_table(
     for row, (a, b, _) in zip(a_p, reduced):
         a, b = a[good], b[good]
         at = np.flatnonzero(b == 0)
-        row[at] = [_j1728_record(d, q).a_p for d, q in zip((p - a)[at].tolist(), p[at].tolist())]
+        row[at] = [_j1728_trace(d, q) for d, q in zip((p - a)[at].tolist(), p[at].tolist())]
         at = np.flatnonzero(a == 0)
-        row[at] = [_j0_record(d, q).a_p for d, q in zip(b[at].tolist(), p[at].tolist())]
+        row[at] = [_j0_trace(d, q) for d, q in zip(b[at].tolist(), p[at].tolist())]
         at = np.flatnonzero((a != 0) & (b != 0))
         q, a, b = p[at], a[at], b[at]
         t = a * a % q * a % q * _pow_mod(b * b % q, q - 2, q) % q
         sign = np.where(_pow_mod(a * b % q, (q - 1) // 2, q) == 1, 1, -1)
         twists.append((row, at, sign, q * width + t))
+    # np.unique sorts the keys, so the lanes come in ascending p
     keys, lane = np.unique(np.concatenate([key for *_, key in twists]), return_inverse=True)
-    traces = np.array(
-        _traces(list(zip((keys % width).tolist(), (keys // width).tolist()))), dtype=np.int64
-    )
+    traces = _traces(keys % width, keys // width)
     start = 0
     for row, at, sign, _ in twists:
         row[at] = sign * traces[lane[start : start + at.size]]
@@ -750,7 +748,8 @@ def scan_pair(
     the records of both sides at each."""
     columns = (column.tolist() for column in _hit_table(left, right, p_min, p_max))
     return [
-        ScanHit(p, k, _record(p, a_l), _record(p, a_r)) for p, k, a_l, a_r in zip(*columns)
+        ScanHit(p, k, TraceRecord(p, a_l), TraceRecord(p, a_r))
+        for p, k, a_l, a_r in zip(*columns)
     ]
 
 
@@ -776,13 +775,13 @@ class CoincidenceStat(NamedTuple):
 def _coincidences(matches: list[int], p_max: int) -> CoincidenceStat:
     """The coincidence statistic of a pair from the primes of [5, p_max]
     where its a_p agree, the k = 1 hits of its scan."""
+    primes = primes_up_to(p_max)[2:]
+    # cumsum adds in order and rounds each step, as a loop would
+    sums = np.cumsum(1 / np.sqrt(np.array(primes, dtype=np.float64)))
     half = p_max // 2
-    s_full = 0.0
-    s_half = 0.0
-    for p in primes_up_to(p_max)[2:]:
-        s_full += 1 / math.sqrt(p)
-        if p <= half:
-            s_half += 1 / math.sqrt(p)
+    below = bisect_right(primes, half)
+    s_full = float(sums[-1]) if primes else 0.0
+    s_half = float(sums[below - 1]) if below else 0.0
     obs_half = sum(p <= half for p in matches)
     scale = obs_half / s_half if obs_half and s_half else 1.0
     return CoincidenceStat(observed=len(matches), heuristic=scale * s_full)

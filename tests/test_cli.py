@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
+from heckelab.arith import TooLargeToAllocateError, primes_up_to
 from heckelab.cli import (
     COMMANDS,
     IntColumns,
@@ -641,12 +642,16 @@ def test_error_paths_return_two(capsys, monkeypatch):
     big = "100000000000000"  # 10^14; T_N has psi(N) = 1.8 * 10^14 triples
     triples = f"error: cannot allocate the 180000000000000 triples of N = {big}:"
     for argv, message in (
-        (["scan", "1,1", "2,3", "5", big], f"error: cannot sieve the primes up to {big}:"),
+        # a scan refuses p_max >= 2^31 before it sieves
+        (["scan", "1,1", "2,3", "5", big],
+         f"error: a scan needs the primes below 2^31, got p_max = {big}\n"),
         (["orbit", "0.1+1.2i", big], triples),
         (["equi", "0.1+1.2i", big, "1.5"], triples),
     ):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(message), argv
+    with pytest.raises(TooLargeToAllocateError, match=f"^cannot sieve the primes up to {big}:"):
+        primes_up_to(int(big))
 
 
 def test_height_series(capsys):

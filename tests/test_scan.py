@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,8 @@ from heckelab.scan import (
     _INT32_BELOW,
     _INT64_BELOW,
     _half_sweep,
-    _j0_record,
-    _j1728_record,
+    _j0_trace,
+    _j1728_trace,
     _prime_tables,
     BadReductionError,
     CurveQ,
@@ -128,14 +129,25 @@ def test_classification_fields():
 
 def test_trace_record_validation():
     with pytest.raises(HasseBoundError):
-        TraceRecord(5, 5, Supersingular())
-    with pytest.raises(ValueError):
-        TraceRecord(7, 0, Ordinary(-28, 1))
-    with pytest.raises(ValueError):
-        TraceRecord(7, 1, Supersingular())
-    with pytest.raises(ValueError):
-        TraceRecord(7, 2, Ordinary(-4, 1))  # 4 - 28 = -24, not -4
-    TraceRecord(7, 2, Ordinary(-24, 1))
+        TraceRecord(5, 5)
+    with pytest.raises(HasseBoundError):
+        TraceRecord(7, -6)
+    # a record derives its classification from a_p alone, at every a_p of
+    # the Hasse interval, p = 2 and 3 included
+    for p in primes_up_to(61):
+        r = math.isqrt(4 * p)
+        for a in range(-r, r + 1):
+            rec = TraceRecord(p, a)
+            if a == 0:
+                assert rec.classification == Supersingular(), p
+            else:
+                conductor, d_k = split_discriminant(a * a - 4 * p)
+                assert rec.classification == Ordinary(d_k, conductor), (p, a)
+    # records compare equal exactly when (p, a_p) do
+    records = [TraceRecord(p, a) for p in (2, 3, 5, 7) for a in (-2, 0, 1, 2)]
+    for left in records:
+        for right in records:
+            assert (left == right) == ((left.p, left.a_p) == (right.p, right.a_p))
 
 
 def test_curve_validation_and_reduction():
@@ -187,15 +199,11 @@ def test_geom_isogenous_small():
     with pytest.raises(MismatchedPrimeError):
         geom_isogenous(r5a, count_points(CurveQ(-1, 0), 7))
     # frozen: a = 1 vs a = 2 at p = 7 never match through k = 12
-    assert geom_isogenous(
-        TraceRecord(7, 1, Ordinary(-27, 1)), TraceRecord(7, 2, Ordinary(-24, 1))
-    ) is None
+    assert geom_isogenous(TraceRecord(7, 1), TraceRecord(7, 2)) is None
     assert r5b.a_p == 0
     assert geom_isogenous(r5a, r5b) is None
     # below p = 5 a_p = 0 does not mark supersingularity: no early None
-    assert geom_isogenous(
-        TraceRecord(2, 2, Ordinary(-4, 1)), TraceRecord(2, 0, Supersingular())
-    ) == 8
+    assert geom_isogenous(TraceRecord(2, 2), TraceRecord(2, 0)) == 8
 
 
 def test_geom_isogenous_equals_the_per_k_trace_power_definition():
@@ -206,13 +214,8 @@ def test_geom_isogenous_equals_the_per_k_trace_power_definition():
         return None
 
     for p in primes_up_to(61):
-        records = []
-        for a in range(-math.isqrt(4 * p), math.isqrt(4 * p) + 1):
-            if a == 0:
-                records.append(TraceRecord(p, 0, Supersingular()))
-            else:
-                conductor, d_k = split_discriminant(a * a - 4 * p)
-                records.append(TraceRecord(p, a, Ordinary(d_k, conductor)))
+        r = math.isqrt(4 * p)
+        records = [TraceRecord(p, a) for a in range(-r, r + 1)]
         for left in records:
             for right in records:
                 assert geom_isogenous(left, right) == per_k(left, right), (p, left, right)
@@ -342,6 +345,32 @@ def test_coincidence_statistic():
         assert coincidence_statistic(left, right, 800).observed == agree, (left, right)
 
 
+def _loop_statistic(matches, p_max):
+    """The coincidence statistic with its sums of 1/sqrt(p) taken one prime
+    at a time, in a Python loop."""
+    half = p_max // 2
+    s_full = s_half = 0.0
+    for p in primes_up_to(p_max)[2:]:
+        s_full += 1 / math.sqrt(p)
+        if p <= half:
+            s_half += 1 / math.sqrt(p)
+    obs_half = sum(p <= half for p in matches)
+    scale = obs_half / s_half if obs_half and s_half else 1.0
+    return len(matches), scale * s_full
+
+
+def test_coincidence_prefix_sums_equal_the_loop_bit_for_bit():
+    # the trailer's heuristic is printed with every digit, so the prefix
+    # sums must round as the loop does, at every p_max, on both sides of
+    # each prime and of each half
+    p_maxes = list(range(4, 400)) + list(range(9000, 9401, 7)) + [10**5, 10**6]
+    for p_max in p_maxes:
+        matches = primes_up_to(p_max)[2::3]
+        stat = scan._coincidences(matches, p_max)
+        assert type(stat.heuristic) is float
+        assert tuple(stat) == _loop_statistic(matches, p_max), p_max
+
+
 def test_a_scan_counts_each_record_once(capsys, monkeypatch):
     # the rows and the coincidence trailer come from one array pass over the
     # primes of [5, 500]: each curve's a4 and a6 are reduced once, mod all of
@@ -353,9 +382,9 @@ def test_a_scan_counts_each_record_once(capsys, monkeypatch):
         reduced.append((curve, p.tolist()))
         return reduce(curve, p)
 
-    def counting(lanes):
-        counted.append(lanes)
-        return traces(lanes)
+    def counting(t, p):
+        counted.append(list(zip(t.tolist(), p.tolist())))
+        return traces(t, p)
 
     monkeypatch.setattr(scan, "_reduce", reducing)
     monkeypatch.setattr(scan, "_traces", counting)
@@ -444,7 +473,7 @@ def test_the_array_hit_rule_is_geom_isogenous():
         a_l, a_r = (np.array(side, dtype=np.int64) for side in zip(*pairs))
         k = scan._hit_rule(np.full(a_l.size, p, dtype=np.int64), a_l, a_r)
         want = [
-            geom_isogenous(scan._record(p, left), scan._record(p, right)) or 0
+            geom_isogenous(TraceRecord(p, left), TraceRecord(p, right)) or 0
             for left, right in pairs
         ]
         assert k.tolist() == want, p
@@ -455,7 +484,7 @@ def test_the_array_hit_rule_is_geom_isogenous():
 def test_a_scan_past_the_hasse_bound_raises_and_writes_no_row(capsys, monkeypatch, tmp_path):
     # a lane's a_p of p cannot come from a curve: the pass raises before any
     # hit is formed, and the command writes nothing
-    monkeypatch.setattr(scan, "_traces", lambda lanes: [p for _, p in lanes])
+    monkeypatch.setattr(scan, "_traces", lambda t, p: p.copy())
     with pytest.raises(HasseBoundError, match=r"^\|5\| > 2 sqrt\(5\)$"):
         scan._hit_table(CurveQ(1, 1), CurveQ(-1, 1), 5, 500)
     out = tmp_path / "scan.csv"
@@ -463,6 +492,19 @@ def test_a_scan_past_the_hasse_bound_raises_and_writes_no_row(capsys, monkeypatc
     assert capsys.readouterr() == ("", "error: |5| > 2 sqrt(5)\n")
     assert main(["scan", "1,1", "-1,1", "5", "500", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_a_scan_past_two_to_thirty_one_raises_before_the_sieve(capsys, monkeypatch):
+    # the sieve to 2^31 would need 2 GiB of marks: p_max is refused first
+    def refuse(n):
+        raise AssertionError(f"sieve to {n}")
+
+    monkeypatch.setattr(scan, "primes_up_to", refuse)
+    message = "a scan needs the primes below 2^31, got p_max = 2147483648"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scan._hit_table(CurveQ(1, 1), CurveQ(-1, 1), 5, 2**31)
+    assert main(["scan", "1,1", "-1,1", "5", "2147483648"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_a_scan_of_a_cm_pair_reads_every_a_p_with_its_sign():
@@ -545,24 +587,48 @@ def test_a_twist_pair_gives_one_lane_per_prime_of_a_scan(capsys, monkeypatch):
 
 def test_closed_forms_match_the_sweep_for_every_d():
     # y^2 = x^3 - d x (j = 1728) and y^2 = x^3 + d (j = 0) for every d != 0
-    # mod p; ordinary records carry the CM field Q(i), resp. Q(sqrt -3)
+    # mod p; a_p = 0 exactly at the inert primes, and elsewhere 4p - a_p^2
+    # is 4, resp. 3, times a square: the CM field is Q(i), resp. Q(sqrt -3)
     for p in primes_up_to(600):
         if p < 5:
             continue
         for d in range(1, p):
-            for rec, a, b, d_k in (
-                (_j1728_record(d, p), p - d, 0, -4),
-                (_j0_record(d, p), 0, d, -3),
+            for a_p, a, b, d_k in (
+                (_j1728_trace(d, p), p - d, 0, -4),
+                (_j0_trace(d, p), 0, d, -3),
             ):
-                assert rec.p == p and rec.a_p == _half_sweep(a, b, p), (a, b, p)
+                assert a_p == _half_sweep(a, b, p), (a, b, p)
                 inert = p % 4 == 3 if b == 0 else p % 3 == 2
-                assert isinstance(rec.classification, Supersingular) == inert
+                assert (a_p == 0) == inert, (a, b, p)
                 if not inert:
-                    c = rec.classification
-                    assert (c.conductor, c.cm_fundamental_disc) == split_discriminant(
-                        rec.a_p**2 - 4 * p
-                    )
-                    assert c.cm_fundamental_disc == d_k
+                    f2, rest = divmod(4 * p - a_p * a_p, -d_k)
+                    assert rest == 0 and math.isqrt(f2) ** 2 == f2, (a, b, p)
+
+
+def test_a_wrong_cornacchia_pair_raises(capsys, monkeypatch):
+    # x^2 + d y^2 = p is checked once per prime, before pi is cached: a
+    # wrong pair raises from count_points, from a scan and from the command
+    cornacchia = scan._cornacchia
+
+    def off_by_one(d, p, root):
+        x, y = cornacchia(d, p, root)
+        return x + 1, y
+
+    monkeypatch.setattr(scan, "_cornacchia", off_by_one)
+    for cache in (scan._gaussian_prime, scan._eisenstein_prime):
+        cache.cache_clear()
+    with pytest.raises(ArithmeticError, match=r"^Cornacchia gave 3\^2 \+ 1\^2 != 5$"):
+        count_points(CurveQ(-1, 0), 5)
+    with pytest.raises(ArithmeticError, match=r"^Cornacchia gave 3\^2 \+ 3 1\^2 != 7$"):
+        count_points(CurveQ(0, 1), 7)
+    with pytest.raises(ArithmeticError, match="Cornacchia gave"):
+        scan_pair(CurveQ(-1, 0), CurveQ(1, 1), 5, 100)
+    with pytest.raises(ArithmeticError, match="Cornacchia gave"):
+        scan._hit_table(CurveQ(1, 1), CurveQ(0, 1), 5, 100)
+    assert main(["scan", "-1,0", "0,1", "5", "100"]) == 2
+    assert capsys.readouterr().err == "error: Cornacchia gave 3^2 + 1^2 != 5\n"
+    # the supersingular primes need no pi: a_p = 0 there
+    assert count_points(CurveQ(-1, 0), 7).a_p == count_points(CurveQ(0, 1), 5).a_p == 0
 
 
 def test_closed_forms_match_the_sweep_on_both_sides_of_int32():
@@ -622,6 +688,12 @@ def _nonsingular_t(p):
     return [t for t in range(1, p) if (4 * t + 27) % p]
 
 
+def _traces_of(lanes):
+    """scan._traces on lanes (t, p) in ascending p, as a list."""
+    t, p = (np.array(column, dtype=np.int64) for column in zip(*lanes))
+    return scan._traces(t, p).tolist()
+
+
 def _check_kernel(lanes, min_share):
     """Run _bsgs_traces on lanes as one block; every accepted a_p must equal
     the half-sweep's, and at least min_share of the lanes be accepted.
@@ -646,7 +718,7 @@ def test_kernel_matches_the_sweep_on_every_curve_at_small_primes():
     )
     assert accepted.mean() >= 0.5
     _, swept = _check_kernel(lanes, 0.5)
-    assert scan._traces(lanes) == swept
+    assert _traces_of(lanes) == swept
 
 
 def test_kernel_matches_the_sweep_at_every_prime_to_20000():
@@ -659,7 +731,7 @@ def test_kernel_matches_the_sweep_at_every_prime_to_20000():
         lanes.append((t, p))
     _, swept = _check_kernel(lanes, 0.9)
     # _traces runs the kernel in blocks and the half-sweep where it declines
-    assert scan._traces(lanes) == swept
+    assert _traces_of(lanes) == swept
 
 
 def test_kernel_matches_the_sweep_near_two_to_sixteen_and_ten_to_five():
@@ -725,22 +797,6 @@ def test_kernel_is_exact_at_the_int64_bound():
                 if y * y % p == f and y:
                     found += 1
                     assert _affine_mul(order, (x, y), t, p) is None, (t, p, b)
-    # above the bound a lane goes to the half-sweep, never to the kernel
-    assert is_prime(2**31 + 11)
-    sweeps = []
-
-    def stub(a, b, p):
-        sweeps.append((a, b, p))
-        return 0
-
-    def refuse(t, p):
-        raise AssertionError("kernel called above its bound")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scan, "_half_sweep", stub)
-        patch.setattr(scan, "_bsgs_traces", refuse)
-        assert scan._traces([(5, 2**31 + 11)]) == [0]
-    assert sweeps == [(5, 5, 2**31 + 11)]
 
 
 def _base_point(t, p, a_p):
@@ -802,7 +858,7 @@ def test_kernel_declines_exactly_the_lanes_its_rule_names():
             assert ok != any(why.values()), (t, p, order, why)
             reasons |= {name for name, hit in why.items() if hit}
         declined = [lane for lane, ok in zip(lanes, accepted) if not ok]
-        assert scan._traces(declined) == [s for s, ok in zip(swept, accepted) if not ok]
+        assert _traces_of(declined) == [s for s, ok in zip(swept, accepted) if not ok]
     assert reasons == {
         "small exponent", "repeated baby x", "S or S - P at O", "difference at x = 0"
     }
