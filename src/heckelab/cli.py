@@ -369,13 +369,13 @@ def _scan(args: argparse.Namespace) -> tuple:
 
 
 def _scan_checks() -> list[tuple[str, bool]]:
-    e1 = CurveQ(Fraction(-1), Fraction(0))
+    # j = 1728 against j = 0: every a_p of the array pass in closed form
+    e1, e2 = CurveQ(Fraction(-1), Fraction(0)), CurveQ(Fraction(0), Fraction(-1))
     rec = count_points(e1, 5)
-    hits = scan_pair(e1, CurveQ(Fraction(0), Fraction(-1)), 5, 100)
+    hits = scan_pair(e1, e2, 5, 100)
     primes = [p for p in primes_up_to(3000) if p >= 5 and p != 31]  # 31 | disc
     batched = _traces(np.ones(len(primes), dtype=np.int64), np.array(primes, dtype=np.int64))
     pair = (CurveQ(Fraction(1, 3), Fraction(-5, 7)), CurveQ(Fraction(2, 9), Fraction(7, 4)))
-    p, a_p = _trace_table(pair, 5, 500)
     return [
         ("a_5(y^2=x^3-x) = -2", rec.a_p == -2),
         ("trace_power(-2, 5, 2) = -6", trace_power(-2, 5, 2) == -6),
@@ -383,9 +383,16 @@ def _scan_checks() -> list[tuple[str, bool]]:
          {h.p for h in hits} >= {11, 23, 47, 59, 71, 83}),
         ("batched a_p of y^2=x^3+x+1 = half-sweep at every p in [5,3000]",
          batched.tolist() == [_half_sweep(1, 1, p) for p in primes]),
-        ("array pass = count_points at every good p <= 500 for 1/3,-5/7 vs 2/9,7/4",
-         list(zip(p.tolist(), *a_p.tolist())) == _counted(pair, 500)),
+        ("array pass = count_points at every good p <= 500 for 1/3,-5/7 vs 2/9,7/4"
+         " and -1,0 vs 0,-1",
+         all(_passed(curves, 500) == _counted(curves, 500) for curves in (pair, (e1, e2)))),
     ]
+
+
+def _passed(curves: tuple[CurveQ, ...], p_max: int) -> list[tuple[int, ...]]:
+    """(p, a_p of each curve) by the array pass of a scan over [5, p_max]."""
+    p, a_p = _trace_table(curves, 5, p_max)
+    return list(zip(p.tolist(), *a_p.tolist()))
 
 
 def _counted(curves: tuple[CurveQ, ...], p_max: int) -> list[tuple[int, ...]]:

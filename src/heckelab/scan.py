@@ -13,10 +13,12 @@ a6.  Every other reduction, ab != 0, is the quadratic twist by b/a of
 E_t: y^2 = x^3 + t x + t with t = a^3/b^2, the curve of its j mod p, so its
 a_p is (ab/p) times that of E_t (Silverman, AEC, Sec. X.5).
 
-A trace is one integer: every path computes a_p alone, _trace at one
-reduced curve (for count_points and _j_record) and _trace_table over a
-range, and a TraceRecord(p, a_p), built only at the public edge, derives
-its classification from a_p^2 - 4p.
+A trace is one integer: every path computes a_p alone, and a
+TraceRecord(p, a_p), built only at the public edge, derives its
+classification from a_p^2 - 4p.  Only _trace_table, the array pass of a
+scan, reads the closed forms and the twist; one prime at a time,
+count_points and the certificate's _j_trace take the half-sweep of the
+curve itself, so count_points is an oracle that shares none of their code.
 
 A scan of the primes of a range is one array pass (_trace_table): it
 reduces each curve's a4 and a6 mod every prime at once, drops the primes of
@@ -27,13 +29,13 @@ Shanks-Mestre baby-step giant-step on the x-line, which serves E_t and its
 twist alike, over blocks of lanes of like p.  It accepts a lane only when
 exactly one order in the Hasse interval kills its point, which is then the
 order of the curve through it, so every accepted a_p is exact.  The lanes
-it declines take the half-sweep, which also serves _trace: a sum over
+it declines take the half-sweep (_half_sweep): a sum over
 x = 1 .. (p - 1)/2 against tables built once per prime (x^2 mod p and a
 doubled Legendre table).  A scan refuses p_max >= 2^31, where the kernel's
 int64 arithmetic could overflow, before it sieves.  The two curves of a
-twist pair share one lane at each prime.  count_points, one prime at a
-time, is the tests' oracle of the pass, and the half-sweep of the curve
-itself that of the kernel, of the closed forms and of the twist.
+twist pair share one lane at each prime.  count_points, the half-sweep of
+one curve at one prime, is the tests' oracle of the pass: of the kernel,
+of the closed forms and of the twist alike.
 
 Two reductions are geometrically isogenous exactly when their Frobenius
 eigenvalue ratio is a root of unity, which a trace-power match at some
@@ -46,14 +48,15 @@ k = 1 case, so the coincidence statistic is read off the hits of a scan.
 The same test certifies Phi_N(z, y) != 0 for integers y and z
 (phi_certificate): at a prime p >= 5 not dividing N, Phi_N(z, y) = 0 mod p
 would make curves over F_p with j = y and j = z mod p geometrically
-isogenous, so one prime where their records do not match suffices.  The
-records are kept per (j mod p, p) (_j_record).
+isogenous, so one prime where their traces do not match (_first_match)
+suffices.  The traces are kept per (j mod p, p) (_j_trace).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -165,9 +168,16 @@ def _prime_tables(p: int) -> _PrimeTables:
 
 
 def _half_sweep(a: int, b: int, p: int) -> int:
-    """a_p of y^2 = x^3 + a x + b over F_p by the half-sweep (see
-    count_points), for every curve; the tests' oracle of the closed forms
-    and of the twist by b/a."""
+    """a_p of y^2 = x^3 + a x + b over F_p, 0 <= a, b < p, nonsingular, for
+    every such curve, j = 0 and 1728 included.
+
+    With f(x) = x^3 + a x + b = b + g(x) and g odd, f(-x) = b - g(x), so
+    a_p = -sum_x chi(f(x)) pairs x with -x:
+
+        a_p = -(chi(b) + sum_{x=1}^{(p-1)/2} [chi(b + g(x)) + chi(b - g(x))]).
+
+    One remainder g(x) mod p serves both terms, which are read from the
+    doubled Legendre table at b + g and p + b - g."""
     x, sq, chi2 = _prime_tables(p)
     g = (sq + a) * x
     g -= g // p * p  # g(x) mod p; NumPy divides by a scalar faster than %
@@ -481,33 +491,13 @@ def _j0_trace(d: int, p: int) -> int:
     return big_b - 2 * big_a
 
 
-def _trace(a: int, b: int, p: int) -> int:
-    """a_p of y^2 = x^3 + a x + b over F_p, 0 <= a, b < p, nonsingular.
-
-    b = 0 (j = 1728) and a = 0 (j = 0) take the closed forms, and are 0 at
-    the primes inert in Z[i], resp. Z[omega].  Every other curve is the
-    twist by b/a of y^2 = x^3 + t x + t, t = a^3/b^2, so its a_p is
-    (b/a / p) = (ab/p) times theirs, which is counted by a half-sweep: with
-    f(x) = x^3 + a x + b = b + g(x) and g odd, f(-x) = b - g(x), so
-    a_p = -sum_x chi(f(x)) pairs x with -x:
-
-        a_p = -(chi(b) + sum_{x=1}^{(p-1)/2} [chi(b + g(x)) + chi(b - g(x))]).
-
-    One remainder g(x) mod p serves both terms, which are read from the
-    doubled Legendre table at b + g and p + b - g.
-    """
-    if b == 0:
-        return _j1728_trace(p - a, p)
-    if a == 0:
-        return _j0_trace(b, p)
-    t = a * a % p * a * pow(b, -2, p) % p
-    a_p = _half_sweep(t, t, p)
-    return a_p if pow(a * b, (p - 1) // 2, p) == 1 else -a_p
-
-
 def count_points(curve: CurveQ, p: int) -> TraceRecord:
-    """The record of a_p = p + 1 - |E(F_p)| at one prime (_trace); the
-    tests' oracle of the array pass of a scan (_trace_table)."""
+    """The record of a_p = p + 1 - |E(F_p)| at one prime, by the half-sweep
+    of the reduced curve itself: the tests' oracle of the array pass of a
+    scan (_trace_table), whose closed forms and twist it never calls.  p
+    may be any integer type (a NumPy prime included); a float raises
+    TypeError."""
+    p = operator.index(p)
     if not (p >= 5 and is_prime(p)):
         raise ValueError(f"need a prime p >= 5, got {p}")
     residues = []
@@ -518,22 +508,23 @@ def count_points(curve: CurveQ, p: int) -> TraceRecord:
     a, b = residues
     if (4 * a * a % p * a + 27 * b * b) % p == 0:
         raise BadReductionError(f"discriminant vanishes mod {p}")
-    return TraceRecord(p, _trace(a, b, p))
+    return TraceRecord(p, _half_sweep(a, b, p))
 
 
 @lru_cache(maxsize=4096)
-def _j_record(j: int, p: int) -> TraceRecord:
-    """The record of a curve with j-invariant j over F_p, 0 <= j < p, p >= 5:
-    y^2 = x^3 + 1 at j = 0, y^2 = x^3 + x at j = 1728 mod p, else E_t,
-    y^2 = x^3 + t x + t with t = 27 j / (4 (1728 - j)), which is never
-    singular: t != 0 and 4 t + 27 = 27 * 1728 / (1728 - j) != 0."""
+def _j_trace(j: int, p: int) -> int:
+    """a_p of a curve with j-invariant j over F_p, 0 <= j < p, p >= 5, by
+    the half-sweep of y^2 = x^3 + 1 at j = 0, y^2 = x^3 + x at j = 1728
+    mod p, else E_t, y^2 = x^3 + t x + t with t = 27 j / (4 (1728 - j)),
+    which is never singular: t != 0 and 4 t + 27 = 27 * 1728 / (1728 - j)
+    != 0."""
     if j == 0:
         a, b = 0, 1
     elif j == 1728 % p:
         a, b = 1, 0
     else:
         a = b = 27 * j * pow(4 * (1728 - j), -1, p) % p
-    return TraceRecord(p, _trace(a, b, p))
+    return _half_sweep(a, b, p)
 
 
 # phi_certificate walks the primes below this bound; a pair with no
@@ -543,18 +534,21 @@ _CERTIFICATE_BELOW = 1000
 
 def phi_certificate(y: int, z: int, n: int) -> Optional[int]:
     """The least prime 5 <= p < _CERTIFICATE_BELOW, p not dividing N, at
-    which curves with j = y and j = z mod p (_j_record) are not
-    geometrically isogenous (geom_isogenous is None), else None.
+    which curves with j = y and j = z mod p (_j_trace) are not
+    geometrically isogenous (_first_match is None), else None.  N < 1
+    raises ValueError.
 
     Such a p proves Phi_N(z, y) != 0: for p not dividing N, Phi_N mod p is
     the modular polynomial of F_p, so Phi_N(z, y) = 0 mod p would link
     curves with j = y and j = z mod p by a cyclic N-isogeny over the
     algebraic closure of F_p.  Every j mod p is the j-invariant of a curve
     over F_p, so no prime is skipped, and geometric isogeny does not see
-    which twist the record is of.
+    which twist the trace is of.
     """
+    if n < 1:
+        raise ValueError(f"N must be positive, got {n}")
     for p in primes_up_to(_CERTIFICATE_BELOW - 1)[2:]:
-        if n % p and geom_isogenous(_j_record(y % p, p), _j_record(z % p, p)) is None:
+        if n % p and _first_match(_j_trace(y % p, p), _j_trace(z % p, p), p) is None:
             return p
     return None
 
@@ -589,27 +583,20 @@ def _first_match(a_l: int, a_r: int, p: int) -> Optional[int]:
 
 
 def geom_isogenous(left: TraceRecord, right: TraceRecord) -> Optional[int]:
-    """Minimal k <= 12 with a_{p^k} equal on both sides, else None.
+    """Minimal k <= 12 with a_{p^k} equal on both sides, else None, by the
+    recurrences of _first_match.
 
-    At p >= 5, records of different kinds never match, so they return None
-    first: a_{p^k} = a_p^k (mod p) is 0 for a supersingular record and not
-    for an ordinary one, and an ordinary pi^k is never rational, so it
-    generates Q(pi) and two ordinary records can match only when their
-    cm_fundamental_disc is equal.  At p = 2 and 3 a_p = 0 does not mark the
-    supersingular records (a_p = 2 against 0 at p = 2 match at k = 8), so
-    there the recurrences always run (_first_match).
+    The records' kinds need no test of their own.  At p >= 5 records of
+    different kinds never match, so the recurrence returns None for them:
+    a_{p^k} = a_p^k (mod p) is 0 for a supersingular record and not for an
+    ordinary one, and an ordinary pi^k is never rational, so it generates
+    Q(pi) and two ordinary records can match only when their
+    cm_fundamental_disc is equal.  At p = 2 and 3 a_p = 0 does not even
+    mark the supersingular records (a_p = 2 against 0 at p = 2 match at
+    k = 8).
     """
     if left.p != right.p:
         raise MismatchedPrimeError(f"records at p={left.p} and p={right.p}")
-    l_kind, r_kind = left.classification, right.classification
-    if left.p >= 5 and (
-        type(l_kind) is not type(r_kind)
-        or (
-            isinstance(l_kind, Ordinary)
-            and l_kind.cm_fundamental_disc != r_kind.cm_fundamental_disc
-        )
-    ):
-        return None
     return _first_match(left.a_p, right.a_p, left.p)
 
 

@@ -45,7 +45,18 @@ def _brute_count(a, b, p):
     return p + 1 - pts
 
 
-def test_count_points_against_brute_force():
+def test_count_points_against_brute_force(monkeypatch):
+    # the oracle of the array pass must not reach its closed forms, its
+    # twist lanes or Cornacchia: each of them raises here
+    def broken(*args):
+        raise AssertionError("the oracle reached the array pass")
+
+    for name in ("_j1728_trace", "_j0_trace", "_traces", "_cornacchia"):
+        monkeypatch.setattr(scan, name, broken)
+    for cache in (scan._gaussian_prime, scan._eisenstein_prime):
+        cache.cache_clear()
+    with pytest.raises(AssertionError, match="reached the array pass"):
+        scan._trace_table((CurveQ(-1, 0),), 5, 5)
     rng = random.Random(19)
     for _ in range(30):
         p = rng.choice([5, 7, 11, 13, 17, 19, 23])
@@ -55,7 +66,8 @@ def test_count_points_against_brute_force():
         rec = count_points(CurveQ(a, b), p)
         assert rec.a_p == _brute_count(a, b, p)
         assert rec.a_p * rec.a_p <= 4 * p
-    # every nonsingular curve at the smallest primes
+    # every nonsingular curve at the smallest primes, j = 0, j = 1728 and
+    # the twists of one j included
     for p in (5, 7, 11, 13):
         for a in range(p):
             for b in range(p):
@@ -67,6 +79,14 @@ def test_count_points_against_brute_force():
 def _reduce(x, p):
     x = Fraction(x)
     return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _passed(curves, p):
+    """a_p of each curve at the one prime p by the array pass of a scan,
+    the only path that reads the closed forms and the twist."""
+    primes, a_p = scan._trace_table(tuple(curves), p, p)
+    assert primes.tolist() == [p]
+    return a_p[:, 0].tolist()
 
 
 def test_half_sweep_matches_brute_force_on_both_sides_of_int32():
@@ -113,8 +133,7 @@ def test_half_sweep_counts_the_roots_of_the_cubic():
             a, b = _reduce(a4, p), _reduce(a6, p)
             roots = sum((x**3 + a * x + b) % p == 0 for x in range(p))
             assert roots == 3 or b == 0
-            # count_points takes the closed form when b = 0; the sweep,
-            # its oracle, must count those cubics too
+            # count_points is the half-sweep, which must count these cubics
             assert rec.a_p == _brute_count(a, b, p) == _half_sweep(a, b, p), (a4, a6, p)
 
 
@@ -163,8 +182,10 @@ def test_curve_validation_and_reduction():
         count_points(CurveQ(Fraction(1, 5), 1), 5)
     with pytest.raises(BadReductionError):
         count_points(CurveQ(1, 1), 31)  # disc -496 = -16 * 31
-    # a float p reaches is_prime, which rejects it
-    count_points(CurveQ(1, 1), 5)
+    # any integer type is a prime, NumPy's too (a scan's primes are int64);
+    # a float is not
+    rec = count_points(CurveQ(1, 1), np.int64(7))
+    assert rec == count_points(CurveQ(1, 1), 7) and type(rec.p) is int
     with pytest.raises(TypeError):
         count_points(CurveQ(1, 1), 5.0)
     # composite p >= 5 on the closed-form curves, too
@@ -202,7 +223,7 @@ def test_geom_isogenous_small():
     assert geom_isogenous(TraceRecord(7, 1), TraceRecord(7, 2)) is None
     assert r5b.a_p == 0
     assert geom_isogenous(r5a, r5b) is None
-    # below p = 5 a_p = 0 does not mark supersingularity: no early None
+    # below p = 5 a_p = 0 does not mark supersingularity
     assert geom_isogenous(TraceRecord(2, 2), TraceRecord(2, 0)) == 8
 
 
@@ -226,17 +247,18 @@ def _legendre(u, p):
 
 
 def test_twist_identity_against_brute_force():
-    # y^2 = x^3 + u^2 a x + u^3 b has a_p = (u/p) a_p(y^2 = x^3 + a x + b)
+    # y^2 = x^3 + u^2 a x + u^3 b has a_p = (u/p) a_p(y^2 = x^3 + a x + b);
+    # the array pass reads each twist off the lane of its j
     for p in (5, 7, 11, 13):
         for a in range(1, p):
             for b in range(1, p):
                 if (4 * a**3 + 27 * b**2) % p == 0:
                     continue
                 a_p = _brute_count(a, b, p)
-                for u in range(1, p):
-                    rec = count_points(CurveQ(u * u * a, u**3 * b), p)
-                    assert rec.a_p == _legendre(u, p) * a_p, (a, b, u, p)
-                    assert rec.a_p == _brute_count(u * u * a % p, u**3 * b % p, p)
+                twists = [CurveQ(u * u * a, u**3 * b) for u in range(1, p)]
+                for u, got in zip(range(1, p), _passed(twists, p)):
+                    assert got == _legendre(u, p) * a_p, (a, b, u, p)
+                    assert got == _brute_count(u * u * a % p, u**3 * b % p, p)
 
 
 def test_same_j_pairs_match_the_sweep_on_both_sides_of_int32():
@@ -261,7 +283,7 @@ def test_same_j_pairs_match_the_sweep_on_both_sides_of_int32():
         symbols.add(_legendre(_reduce(u, p), p))
         for c4, c6 in ((a4, a6), (u * u * a4, u**3 * a6)):
             a, b = _reduce(c4, p), _reduce(c6, p)
-            assert count_points(CurveQ(c4, c6), p).a_p == _half_sweep(a, b, p), (c4, c6, p)
+            assert _passed([CurveQ(c4, c6)], p) == [_half_sweep(a, b, p)], (c4, c6, p)
     assert symbols == {1, -1}
 
 
@@ -607,7 +629,8 @@ def test_closed_forms_match_the_sweep_for_every_d():
 
 def test_a_wrong_cornacchia_pair_raises(capsys, monkeypatch):
     # x^2 + d y^2 = p is checked once per prime, before pi is cached: a
-    # wrong pair raises from count_points, from a scan and from the command
+    # wrong pair raises from the array pass, from a scan and from the
+    # command; count_points, the oracle, never reaches Cornacchia
     cornacchia = scan._cornacchia
 
     def off_by_one(d, p, root):
@@ -618,9 +641,10 @@ def test_a_wrong_cornacchia_pair_raises(capsys, monkeypatch):
     for cache in (scan._gaussian_prime, scan._eisenstein_prime):
         cache.cache_clear()
     with pytest.raises(ArithmeticError, match=r"^Cornacchia gave 3\^2 \+ 1\^2 != 5$"):
-        count_points(CurveQ(-1, 0), 5)
+        _passed([CurveQ(-1, 0)], 5)
     with pytest.raises(ArithmeticError, match=r"^Cornacchia gave 3\^2 \+ 3 1\^2 != 7$"):
-        count_points(CurveQ(0, 1), 7)
+        _passed([CurveQ(0, 1)], 7)
+    assert count_points(CurveQ(-1, 0), 5).a_p == -2
     with pytest.raises(ArithmeticError, match="Cornacchia gave"):
         scan_pair(CurveQ(-1, 0), CurveQ(1, 1), 5, 100)
     with pytest.raises(ArithmeticError, match="Cornacchia gave"):
@@ -628,7 +652,7 @@ def test_a_wrong_cornacchia_pair_raises(capsys, monkeypatch):
     assert main(["scan", "-1,0", "0,1", "5", "100"]) == 2
     assert capsys.readouterr().err == "error: Cornacchia gave 3^2 + 1^2 != 5\n"
     # the supersingular primes need no pi: a_p = 0 there
-    assert count_points(CurveQ(-1, 0), 7).a_p == count_points(CurveQ(0, 1), 5).a_p == 0
+    assert _passed([CurveQ(-1, 0)], 7) == _passed([CurveQ(0, 1)], 5) == [0]
 
 
 def test_closed_forms_match_the_sweep_on_both_sides_of_int32():
@@ -648,8 +672,8 @@ def test_closed_forms_match_the_sweep_on_both_sides_of_int32():
                 if d.denominator % p and d.numerator % p:
                     break
             k = _reduce(d, p)
-            for curve, a, b in ((CurveQ(-d, 0), p - k, 0), (CurveQ(0, d), 0, k)):
-                assert count_points(curve, p).a_p == _half_sweep(a, b, p), (curve, p)
+            got = _passed([CurveQ(-d, 0), CurveQ(0, d)], p)
+            assert got == [_half_sweep(p - k, 0, p), _half_sweep(0, k, p)], (d, p)
 
 
 def test_closed_form_serves_primes_dividing_one_coefficient():
@@ -662,7 +686,7 @@ def test_closed_form_serves_primes_dividing_one_coefficient():
         for p in primes:
             a, b = _reduce(a4, p), _reduce(a6, p)
             assert (a == 0) != (b == 0), (a4, a6, p)
-            rec = count_points(curve, p)
+            rec = TraceRecord(p, *_passed([curve], p))
             assert rec.a_p == _brute_count(a, b, p), (a4, a6, p)
             if rec.a_p:
                 assert rec.classification.cm_fundamental_disc == (-4 if b == 0 else -3)
@@ -890,8 +914,8 @@ def test_kernel_accepts_the_ends_of_the_hasse_interval():
 
 def test_j_models_have_their_j():
     # every j mod p is the j-invariant 1728 * 4 a^3 / (4 a^3 + 27 b^2) of
-    # some curve y^2 = x^3 + a x + b over F_p, and the j-record of j is the
-    # record of one of them: at each p the half-sweeps of all curves,
+    # some curve y^2 = x^3 + a x + b over F_p, and the j-trace of j is the
+    # a_p of one of them: at each p the half-sweeps of all curves,
     # grouped by j, hold its a_p
     for p in primes_up_to(37)[2:]:
         traces = {}
@@ -903,7 +927,7 @@ def test_j_models_have_their_j():
                     traces.setdefault(j, set()).add(_half_sweep(a, b, p))
         assert sorted(traces) == list(range(p)), p
         for j, a_ps in traces.items():
-            assert scan._j_record(j, p).a_p in a_ps, (j, p)
+            assert scan._j_trace(j, p) in a_ps, (j, p)
 
 
 # (y, z): generic pairs, CM pairs in different fields, and the rational
@@ -938,3 +962,12 @@ def test_phi_certificate_skips_the_primes_dividing_n_and_bad_reduction():
     assert scan.phi_certificate(1, 2, 5) == 7
     assert scan.phi_certificate(1, 5, 3) == 5
     assert scan.phi_certificate(7, 7, 2) is None  # the same curve
+
+
+def test_phi_certificate_rejects_a_degree_below_one():
+    # there is no Phi_N for N < 1: nothing is certified, and N = 0 would
+    # skip every prime
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^N must be positive, got {n}$"):
+            scan.phi_certificate(1, 2, n)
+    assert scan.phi_certificate(1, 2, 1) == 5
