@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Sequence
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .arith import is_prime, split_discriminant
@@ -28,7 +27,6 @@ from .numerics import (
     Precision,
     UpperHalfPoint,
     eval_j,
-    reduce_to_fundamental_domain,
 )
 
 logger = logging.getLogger(__name__)
@@ -81,14 +79,6 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"condition (P) needs a prime p, got {p}")
 
 
-def _avoids_squares(N: int, p: int) -> bool:
-    """Condition (P) for a prime p and any integer N >= 0."""
-    if p == 2:
-        return N % 4 == 3
-    # Euler's criterion: N^((p-1)/2) = -1 mod p exactly for the non-squares
-    return pow(N, (p - 1) // 2, p) == p - 1
-
-
 def condition_p(N: int, p: int) -> ConditionPVerdict:
     """Whether N avoids the squares modulo p (p odd), or N = 3 mod 4 (p = 2).
 
@@ -98,7 +88,12 @@ def condition_p(N: int, p: int) -> ConditionPVerdict:
     if N < 1:
         raise ValueError("N must be positive")
     _check_prime(p)
-    return ConditionPVerdict(N=N, p=p, satisfies=_avoids_squares(N, p))
+    if p == 2:
+        satisfies = N % 4 == 3
+    else:
+        # Euler's criterion: N^((p-1)/2) = -1 mod p exactly for the non-squares
+        satisfies = pow(N, (p - 1) // 2, p) == p - 1
+    return ConditionPVerdict(N=N, p=p, satisfies=satisfies)
 
 
 def order_index(t: int, N: int) -> tuple[int, int]:
@@ -112,46 +107,22 @@ def order_index(t: int, N: int) -> tuple[int, int]:
 
 def condition_p_lemma_check(p: int, n_max: int) -> bool:
     """For every N <= n_max satisfying condition (P) at p and every trace t
-    with t^2 < 4N, the order index is prime to p.
+    with t^2 < 4N, the order index f of t^2 - 4N = f^2 d_K is prime to p.
 
-    With m = 4N - t^2 = f^2 |d_K|, p divides f exactly when p^2 divides m
-    and m/p^2 = 0 or 3 mod 4, i.e. -m/p^2 is a discriminant: the split of a
-    negative discriminant into f^2 d_K is unique.  One residue mask picks
-    the N of condition (P); then one NumPy pass per trace t tests its N
-    with 4N > t^2, where p^2 | m is 4N = t^2 mod p^2, and only a t whose
-    square is such a residue is swept.  The smallest failing N, at its
-    smallest t, is the loop's first failure in (N, t) order: order_index
-    splits it and it is logged.  f depends on t only through t^2, so
-    t >= 0 suffices.  Raises ValueError unless p is prime.
+    The answer is a closed form.  At an odd p, p | f needs p^2 | 4N - t^2,
+    so t^2 = 4N mod p and N is a square mod p, which condition (P)
+    excludes: the lemma holds.  At p = 2 condition (P) is N = 3 mod 4, and
+    its least N, 3, fails at t = 0: 0 - 12 = 2^2 (-3), f = 2.  So the
+    answer is False exactly when p = 2 and n_max >= 3, and that first
+    failure of the (N, t) loop is split by order_index and logged.  Raises
+    ValueError unless p is prime.
     """
     _check_prime(p)
-    p2 = p * p
-    if p2 > 4 * n_max:
-        return True  # p^2 | m <= 4 n_max is impossible
-    modulus = 4 if p == 2 else p
-    mask = np.array([_avoids_squares(r, p) for r in range(modulus)])
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    four_n = 4 * ns[mask[ns % modulus]]
-    four_n_mod = four_n % p2
-    residues = np.zeros(p2, dtype=bool)
-    residues[four_n_mod] = True
-    squares = np.arange(isqrt(4 * n_max - 1) + 1, dtype=np.int64) ** 2
-    starts = np.searchsorted(four_n, squares, "right")  # first N with 4N > t^2
-    first = len(four_n)  # index of the smallest failing N found so far
-    for t in np.flatnonzero(residues[squares % p2]).tolist():
-        lo = int(starts[t])
-        if lo >= first:
-            break  # later t only reach larger N
-        hits = lo + np.flatnonzero(four_n_mod[lo:first] == squares[t] % p2)
-        q = (four_n[hits] - squares[t]) // p2
-        bad = hits[(q % 4 == 0) | (q % 4 == 3)]
-        if len(bad):
-            first, first_t = int(bad[0]), t
-    if first == len(four_n):
+    if p != 2 or n_max < 3:
         return True
-    N = int(four_n[first]) // 4
-    f, d_k = order_index(first_t, N)
-    logger.warning("index divisible by p: N=%d t=%d f=%d d_K=%d", N, first_t, f, d_k)
+    N, t = 3, 0
+    f, d_k = order_index(t, N)
+    logger.warning("index divisible by p: N=%d t=%d f=%d d_K=%d", N, t, f, d_k)
     return False
 
 
@@ -236,8 +207,9 @@ def coefficient_bound_check(box: Box, n: int, divisions: int = 2) -> float:
     """Observed K0 = max(|a|,|b|,|c|,|d|)/sqrt(n) over all integral
     determinant-n matrices carrying a sample of the box back into the box.
 
-    Each enumerated matrix is checked against Im f(tau) = n Im(tau) /
-    |c tau + d|^2 in exact rational arithmetic.  Refining the sample grid
+    _matrices_into_box builds each matrix with det n (a = n/d, or
+    b = (ad - n)/c exactly), and Im f(tau) |c tau + d|^2 = n Im tau is an
+    identity, so no matrix is checked again.  Refining the sample grid
     (larger divisions) can only add matrices, so K0 is monotone in it and
     stabilizes once the grid is fine enough.
     """
@@ -245,15 +217,7 @@ def coefficient_bound_check(box: Box, n: int, divisions: int = 2) -> float:
         raise ValueError("n must be positive")
     found: set[tuple[int, int, int, int]] = set()
     for x, y in box.samples(divisions):
-        for a, b, c, d in _matrices_into_box(box, n, x, y):
-            modsq = (c * x + d) ** 2 + (c * y) ** 2
-            num_im = (a * y) * (c * x + d) - (a * x + b) * (c * y)
-            if num_im != n * y or a * d - b * c != n:
-                raise ArithmeticError(
-                    f"transformation identity failed at {(a, b, c, d)}"
-                )
-            assert modsq > 0
-            found.add((a, b, c, d))
+        found.update(_matrices_into_box(box, n, x, y))
     if not found:
         return 0.0
     return max(
@@ -293,41 +257,24 @@ def enumerate_cm_points(
     m_max: int, prec: Precision = DEFAULT_PRECISION
 ) -> list[CmPoint]:
     """One canonical point per CM j-value arising from a self-isogeny of
-    degree at most m_max: companion matrices (0, -M; 1, t) over t^2 < 4M,
-    reduced to the fundamental domain, the first (M, t) of each
-    discriminant t^2 - 4M.
+    degree at most m_max: the fixed points of the companion matrices
+    (0, -M; 1, t), t = 0 and 1, for M = 1..m_max, in that order.
 
     (0, -M; 1, t) fixes the root of x^2 + t xy + M y^2, the principal form
     of discriminant D = t^2 - 4M, so its j-value is j of the order of
-    discriminant D: equal D gives equal j, and distinct D distinct j.  So a
-    seen D is skipped before any floating point, exactly.
+    discriminant D: equal D gives equal j, and distinct D distinct j.  Each
+    D with t^2 < 4M first appears at t = 0 or 1: a larger t repeats the D
+    of (M - t + 1, t - 2).  The fixed point (-t + i sqrt(4M - t^2))/2
+    already lies in the fundamental domain, with |Re| <= 1/2 and
+    |tau|^2 = M, so no point needs a reduction.
     """
     if m_max < 2:
         raise ValueError("need m_max >= 2")
-    points: list[CmPoint] = []
-    seen: set[int] = set()
-    for m in range(1, m_max + 1):
-        for t in range(isqrt(4 * m - 1) + 1):
-            disc = t * t - 4 * m
-            if disc in seen:
-                continue
-            seen.add(disc)
-            companion = ModularMatrix(0, -m, 1, t)
-            raw = fixed_point(companion, prec)
-            assert raw is not None  # t^2 < 4m by construction
-            reduced, witness = reduce_to_fundamental_domain(raw.tau0, prec)
-            conjugated = (witness @ companion) @ witness.inverse()
-            points.append(
-                CmPoint(
-                    matrix=conjugated,
-                    trace=t,
-                    tau0=reduced,
-                    conductor=raw.conductor,
-                    fundamental_disc=raw.fundamental_disc,
-                    M=m,
-                )
-            )
-    return points
+    return [
+        fixed_point(ModularMatrix(0, -m, 1, t), prec)
+        for m in range(1, m_max + 1)
+        for t in (0, 1)
+    ]
 
 
 def min_separation_constant(

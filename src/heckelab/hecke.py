@@ -15,6 +15,7 @@ from mpmath import mp, mpc, mpf
 
 from .arith import TripleRows, prime_divisors
 from .numerics import (
+    _GUARD,
     DEFAULT_PRECISION,
     Precision,
     UpperHalfPoint,
@@ -205,6 +206,7 @@ class HeckeOrbit:
     ):
         self.n = n
         self.base = tau
+        self.prec = prec
         self.cosets = coset_reps(n)
         self.points = OrbitPoints(tau, self.cosets, prec)
 
@@ -283,7 +285,8 @@ def equi_fraction(orbit: HeckeOrbit, im_threshold) -> EquiStat:
     hyperbolic-measure prediction min(1, (3/pi) / threshold).
 
     The float64 screen decides each point whose Im lies farther than its
-    error bound from the threshold; the rest are decided in the exact tier.
+    error bound from the threshold; the rest are decided in the exact tier,
+    where the mpf Im is compared with the float threshold exactly.
     """
     y0 = float(im_threshold)
     if not y0 > 0:
@@ -293,15 +296,17 @@ def equi_fraction(orbit: HeckeOrbit, im_threshold) -> EquiStat:
     exact = ~screen.trusted | (np.abs(im - y0) <= screen.tau_err)
     hits = int(np.count_nonzero(im[~exact] >= y0))
     hits += sum(
-        1 for i in np.flatnonzero(exact) if float(orbit.points[i].tau.im) >= y0
+        1 for i in np.flatnonzero(exact) if orbit.points[i].tau.im >= y0
     )
     prediction = min(1.0, 3.0 / (math.pi * y0))
     return EquiStat(hits / len(orbit.points), prediction)
 
 
 def close_point_count(orbit: HeckeOrbit, z, eta) -> int:
-    """Number of orbit j-values within eta of z (multiplicity counted)."""
-    if not float(eta) > 0:
-        raise ValueError("eta must be positive")
-    zc = mpc(z)
-    return sum(1 for p in orbit.points if abs(p.j - zc) <= mpf(eta))
+    """Number of orbit j-values within eta of z (multiplicity counted),
+    with z, eta and the distances at the orbit's bits + 32."""
+    with mp.workprec(orbit.prec.bits + _GUARD):
+        zc, eta = mpc(z), mpf(eta)
+        if not eta > 0:
+            raise ValueError("eta must be positive")
+        return sum(1 for p in orbit.points if abs(p.j - zc) <= eta)

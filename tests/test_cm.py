@@ -23,7 +23,13 @@ from heckelab.cm import (
     near_cm_finder,
     order_index,
 )
-from heckelab.numerics import ModularMatrix, Precision, UpperHalfPoint, eval_j
+from heckelab.numerics import (
+    ModularMatrix,
+    Precision,
+    UpperHalfPoint,
+    eval_j,
+    reduce_to_fundamental_domain,
+)
 
 PREC = Precision(96)
 FAST = Precision(64)
@@ -71,15 +77,12 @@ def test_lemma_fails_at_two():
     assert not condition_p_lemma_check(2, 2000)
 
 
-def _brute_lemma_check(p, n_max, keep=None):
-    """The per-(N, t) loop the sweep replaced, over the N that keep accepts
-    (condition (P) at p by default): the verdict, and the first failing
-    (N, t, f, d_K) or None."""
-    if keep is None:
-        squares = {x * x % p for x in range(p)}
-        keep = (lambda N: N % 4 == 3) if p == 2 else (lambda N: N % p not in squares)
+def _brute_lemma_check(p, n_max):
+    """The per-(N, t) loop over the N of condition (P) at p: the verdict,
+    and the first failing (N, t, f, d_K) or None."""
+    squares = {x * x % p for x in range(p)}
     for N in range(1, n_max + 1):
-        if not keep(N):
+        if (N % 4 != 3) if p == 2 else (N % p in squares):
             continue
         for t in range(math.isqrt(4 * N - 1) + 1):
             f, d_k = order_index(t, N)
@@ -99,36 +102,21 @@ def _logged_failures(caplog):
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 50, 401, 2000])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19])
 def test_lemma_sweep_matches_the_loop(p, n_max, caplog):
+    # the (N, t) loop is the oracle of the closed form, logged witness included
     caplog.set_level(logging.WARNING, logger="heckelab.cm")
     ok, witness = _brute_lemma_check(p, n_max)
     assert condition_p_lemma_check(p, n_max) is ok
     assert _logged_failures(caplog) == ([] if ok else [witness])
 
 
-def _residue_rules():
-    # every residue class mod p (mod 4 at p = 2), and all N
-    for p in (2, 3, 5, 7):
-        modulus = 4 if p == 2 else p
-        yield p, modulus, None
-        yield from ((p, modulus, r) for r in range(modulus))
-
-
-@pytest.mark.parametrize("n_max", [50, 2000])
-@pytest.mark.parametrize("p, modulus, residue", list(_residue_rules()))
-def test_lemma_sweep_finds_the_loops_first_failure(
-    p, modulus, residue, n_max, caplog, monkeypatch
-):
-    # at odd p condition (P) never fails, so sweep other sets of N, where
-    # pairs do fail and the one logged must be the loop's first
+def test_lemma_check_matches_the_loop_at_every_prime_below_sixty(caplog):
     caplog.set_level(logging.WARNING, logger="heckelab.cm")
-
-    def keep(N):
-        return residue is None or N % modulus == residue
-
-    monkeypatch.setattr(cm, "_avoids_squares", lambda N, _p: keep(N))
-    ok, witness = _brute_lemma_check(p, n_max, keep)
-    assert condition_p_lemma_check(p, n_max) is ok
-    assert _logged_failures(caplog) == ([] if ok else [witness])
+    for p in (q for q in range(2, 60) if all(q % r for r in range(2, q))):
+        for n_max in range(-2, 60):
+            caplog.clear()
+            ok, witness = _brute_lemma_check(p, n_max)
+            assert condition_p_lemma_check(p, n_max) is ok, (p, n_max)
+            assert _logged_failures(caplog) == ([] if ok else [witness])
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 50])
@@ -189,7 +177,7 @@ def test_enumerate_cm_points():
     tol = mp.mpf(2) ** -(PREC.bits - 16)
     with mp.workprec(PREC.bits + 32):
         for p in points:
-            # conjugated matrix still fixes the reduced representative
+            # the matrix fixes its point, which lies in the fundamental domain
             z = p.tau0.to_mpc()
             residual = p.matrix.c * z * z + (p.matrix.d - p.matrix.a) * z - p.matrix.b
             scale = max(1, abs(p.matrix.c), abs(p.matrix.b)) * max(1, abs(z)) ** 2
@@ -221,6 +209,46 @@ def test_enumeration_keeps_the_first_point_of_each_discriminant(monkeypatch):
     for i, j1 in enumerate(jvals):
         for j2 in jvals[i + 1 :]:
             assert abs(j1 - j2) > tol * max(1, abs(j2))
+
+
+def _swept_cm_points(m_max, prec):
+    """The enumeration the closed form replaced: every (M, t) with
+    t^2 < 4M, the first of each discriminant, its fixed point reduced to
+    the fundamental domain and its matrix conjugated by the witness."""
+    points, seen = [], set()
+    for m in range(1, m_max + 1):
+        for t in range(math.isqrt(4 * m - 1) + 1):
+            if t * t - 4 * m in seen:
+                continue
+            seen.add(t * t - 4 * m)
+            companion = ModularMatrix(0, -m, 1, t)
+            raw = fixed_point(companion, prec)
+            reduced, witness = reduce_to_fundamental_domain(raw.tau0, prec)
+            points.append(
+                CmPoint(
+                    matrix=(witness @ companion) @ witness.inverse(),
+                    trace=t,
+                    tau0=reduced,
+                    conductor=raw.conductor,
+                    fundamental_disc=raw.fundamental_disc,
+                    M=m,
+                )
+            )
+    return points
+
+
+def _raw(point):
+    return (
+        point.matrix, point.trace, point.conductor, point.fundamental_disc,
+        point.M, point.tau0.re._mpf_, point.tau0.im._mpf_,
+    )
+
+
+@pytest.mark.parametrize("bits", [53, 64, 96, 128, 256, 1024])
+def test_enumeration_equals_the_reduced_sweep(bits):
+    prec = Precision(bits)
+    got = enumerate_cm_points(150, prec)
+    assert [_raw(p) for p in got] == [_raw(p) for p in _swept_cm_points(150, prec)]
 
 
 def test_min_separation_frozen():
@@ -285,6 +313,52 @@ def test_coefficient_bound_frozen():
     assert coefficient_bound_check(Box(0, 0, 100, 101), 2) == 0.0
     with pytest.raises(ValueError):
         coefficient_bound_check(box, 0)
+
+
+def _brute_matrices_into_box(box, n, x, y):
+    """Every integral (a, b; c, d) of det n whose image of x + iy lies in
+    the box, over entry ranges that the box bounds: Im f = n y/|c tau + d|^2
+    >= im_min bounds c and d; the inverse matrix gives
+    |a - c f|^2 = n Im f / y, which bounds a; and b = d Re f - a x when
+    c = 0."""
+    cap = n * y / box.im_min
+    r_max = max(abs(box.re_min), abs(box.re_max))
+    c_hi = math.isqrt(math.floor(cap / (y * y))) + 1
+    d_hi = math.isqrt(math.floor(cap)) + 2 + c_hi * math.ceil(abs(x))
+    a_hi = math.isqrt(math.floor(n * box.im_max / y)) + 2 + c_hi * math.ceil(r_max)
+    b_hi = d_hi * math.ceil(r_max) + a_hi * math.ceil(abs(x)) + 1
+    out = set()
+    for a in range(-a_hi, a_hi + 1):
+        for c in range(-c_hi, c_hi + 1):
+            for d in range(-d_hi, d_hi + 1):
+                if c:
+                    bs = [(a * d - n) // c] if (a * d - n) % c == 0 else []
+                else:
+                    bs = range(-b_hi, b_hi + 1) if a * d == n else []
+                for b in bs:
+                    assert a * d - b * c == n
+                    modsq = (c * x + d) ** 2 + (c * y) ** 2
+                    re_f = ((a * x + b) * (c * x + d) + a * c * y * y) / modsq
+                    im_f = n * y / modsq
+                    if box.re_min <= re_f <= box.re_max and box.im_min <= im_f <= box.im_max:
+                        out.add((a, b, c, d))
+    return out
+
+
+def test_matrices_into_box_equals_the_brute_force():
+    boxes = [
+        Box(Fraction(-1, 2), Fraction(1, 2), 1, 2),
+        Box(Fraction(-1, 3), Fraction(7, 10), Fraction(1, 2), Fraction(5, 4)),
+    ]
+    found = 0
+    for box in boxes:
+        for n in range(1, 7):
+            for x, y in box.samples(2):
+                got = list(cm._matrices_into_box(box, n, x, y))
+                assert len(got) == len(set(got))
+                assert set(got) == _brute_matrices_into_box(box, n, x, y), (box, n, x, y)
+                found += len(got)
+    assert found > 100
 
 
 def test_density_experiment_small():

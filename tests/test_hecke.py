@@ -130,6 +130,28 @@ def test_close_point_count():
         close_point_count(orbit, 0, 0)
 
 
+def test_close_point_count_works_at_the_orbits_precision():
+    # j(i) = 1728 lies on T_2 i; at 53 bits z would round to 1728 itself
+    orbit = hecke_orbit(UpperHalfPoint(0, 1), 2, PREC)
+    with mp.workprec(PREC.bits):
+        z = mp.mpf(1728) + mp.mpf(10) ** -20
+        eta = mp.mpf(10) ** -25
+    assert close_point_count(orbit, z, eta) == 0
+    assert close_point_count(orbit, z, 2 * 10.0**-20) == 1
+    # an eta below the float64 range is positive all the same
+    assert close_point_count(orbit, -5e8, mp.mpf("1e-400")) == 0
+
+
+def test_equi_fraction_compares_the_exact_im():
+    # Im = 1.5 - 2^-70 is 1.5 as a float64, and lies inside the screen's bound
+    with mp.workprec(PREC.bits):
+        below = mp.mpf(1.5) - mp.mpf(2) ** -70
+        above = mp.mpf(1.5) + mp.mpf(2) ** -70
+    for im, want in ((below, 0.0), (mp.mpf(1.5), 1.0), (above, 1.0)):
+        orbit = HeckeOrbit(UpperHalfPoint(mp.mpf("0.25"), im), 1, PREC)
+        assert equi_fraction(orbit, 1.5).fraction == want
+
+
 def test_orbit_of_cm_point_collapses():
     # tau at j=0 has a 3-fold stabilizer; all three order-2 cosets land on
     # j = 54000 (the full T_2-image of the CM point is one value)
@@ -198,8 +220,9 @@ def test_screen_tier_evaluates_no_j(monkeypatch):
 def test_equi_fraction_matches_exact_count_at_orbit_values(monkeypatch, reference_orbit):
     tau = UpperHalfPoint(0.3, 1.7)
     for n in (12, 97):
-        ims = [float(t.im) for t, _ in reference_orbit(tau, n, FAST, with_j=False)]
-        for y in sorted(set(ims))[::7]:
+        # the oracle compares the exact Im with the float threshold
+        ims = [t.im for t, _ in reference_orbit(tau, n, FAST, with_j=False)]
+        for y in sorted({float(v) for v in ims})[::7]:
             for threshold in (y - 1e-12, y, y + 1e-12):
                 reductions = _counting(monkeypatch, "reduce_to_fundamental_domain")
                 want = sum(1 for v in ims if v >= threshold) / len(ims)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heckelab import lattices
+from heckelab.arith import is_fundamental_discriminant
 from heckelab.lattices import (
     GramForm,
     SweepOverflowError,
@@ -389,3 +390,30 @@ def test_ideal_endomorphism_disc_comparison():
         ideal_hom_disc_check(-12, 1)  # not fundamental
     with pytest.raises(UnsupportedConfigurationError):
         ideal_hom_disc_check(-4, 0)
+
+
+def _per_class_disc_check(d_k, f):
+    """The comparison the closed form replaced: the Gram determinant of the
+    order's norm form against that of every reduced primitive form of
+    discriminant f^2 d_K."""
+    disc = f * f * d_k
+    parity = disc & 1
+    end_form = GramForm.from_rows(
+        ((1, Fraction(parity, 2)), (Fraction(parity, 2), Fraction(parity - disc, 4)))
+    )
+    return all(
+        end_form.disc >= GramForm.from_rows(((a, Fraction(b, 2)), (Fraction(b, 2), c))).disc
+        for a, b, c in reduced_primitive_forms(disc)
+    )
+
+
+def test_ideal_hom_disc_check_matches_the_per_class_determinants():
+    pairs = [
+        (d_k, f)
+        for d_k in range(-999, 0)
+        if is_fundamental_discriminant(d_k)
+        for f in range(1, 6)
+    ]
+    assert len(pairs) > 1500
+    for d_k, f in pairs:
+        assert ideal_hom_disc_check(d_k, f) is _per_class_disc_check(d_k, f) is True
