@@ -77,18 +77,25 @@ def test_lemma_fails_at_two():
     assert not condition_p_lemma_check(2, 2000)
 
 
-def _brute_lemma_check(p, n_max):
-    """The per-(N, t) loop over the N of condition (P) at p: the verdict,
-    and the first failing (N, t, f, d_K) or None."""
-    squares = {x * x % p for x in range(p)}
+def _failing_pairs(p, n_max, keep):
+    """Every (N, t, f, d_K) with 1 <= N <= n_max accepted by keep, t^2 < 4N
+    and p | f, in the order of the per-(N, t) loop."""
     for N in range(1, n_max + 1):
-        if (N % 4 != 3) if p == 2 else (N % p in squares):
+        if not keep(N):
             continue
         for t in range(math.isqrt(4 * N - 1) + 1):
             f, d_k = order_index(t, N)
             if f % p == 0:
-                return False, (N, t, f, d_k)
-    return True, None
+                yield N, t, f, d_k
+
+
+def _brute_lemma_check(p, n_max):
+    """The per-(N, t) loop over the N of condition (P) at p: the verdict,
+    and the first failing (N, t, f, d_K) or None."""
+    squares = {x * x % p for x in range(p)}
+    keep = (lambda N: N % 4 == 3) if p == 2 else (lambda N: N % p not in squares)
+    witness = next(_failing_pairs(p, n_max, keep), None)
+    return witness is None, witness
 
 
 def _logged_failures(caplog):
@@ -117,6 +124,37 @@ def test_lemma_check_matches_the_loop_at_every_prime_below_sixty(caplog):
             ok, witness = _brute_lemma_check(p, n_max)
             assert condition_p_lemma_check(p, n_max) is ok, (p, n_max)
             assert _logged_failures(caplog) == ([] if ok else [witness])
+
+
+def _residue_rules():
+    # every residue class mod p (mod 4 at p = 2), and all N
+    for p in (2, 3, 5, 7):
+        modulus = 4 if p == 2 else p
+        yield p, modulus, None
+        yield from ((p, modulus, r) for r in range(modulus))
+
+
+@pytest.mark.parametrize("n_max", [50, 2000])
+@pytest.mark.parametrize("p, modulus, residue", list(_residue_rules()))
+def test_lemma_sweep_finds_the_loops_first_failure(p, modulus, residue, n_max, caplog):
+    # The closed form's argument on every residue class of N.  At an odd p,
+    # failing pairs (p | f) exist exactly in the classes of squares, so none
+    # has N in condition (P).  At p = 2, 2 | f needs t = 2s with N - s^2 = 0
+    # or 3 mod 4, which every class but N = 2 mod 4 meets.  On a class that
+    # covers condition (P), the closed form reports and logs the loop's first
+    # failure among the N of condition (P).
+    caplog.set_level(logging.WARNING, logger="heckelab.cm")
+    failures = list(
+        _failing_pairs(p, n_max, lambda N: residue is None or N % modulus == residue)
+    )
+    in_p = [w for w in failures if condition_p(w[0], p).satisfies]
+    inside = residue is not None and condition_p(residue + modulus, p).satisfies
+    assert bool(failures) is (residue != 2 if p == 2 else not inside)
+    if p != 2:
+        assert in_p == []
+    if inside or residue is None:
+        assert condition_p_lemma_check(p, n_max) is not in_p
+        assert _logged_failures(caplog) == in_p[:1]
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 50])
