@@ -49,7 +49,7 @@ from .heights import (
     phi_value,
 )
 from .lattices import GramForm, _value_counts, counting_bound, represented_values
-from .numerics import _GUARD, ModularMatrix, Precision, UpperHalfPoint, eval_j, tau_from_j
+from .numerics import ModularMatrix, Precision, UpperHalfPoint, eval_j, tau_from_j
 from .scan import (
     BadReductionError,
     CurveQ,
@@ -218,15 +218,15 @@ def _emit(
             out.close()
 
 
-def _parse_complex(text: str, bits: int, upper_half: bool = False):
-    """A number such as '0.3+1.7i', 'i' or '1e400', read at bits + _GUARD
-    bits so that decimals keep the working precision.  Returns an mpc, or
-    with upper_half an UpperHalfPoint of its parts."""
+def _parse_complex(text: str, prec: Precision, upper_half: bool = False):
+    """A number such as '0.3+1.7i', 'i' or '1e400', read at prec.wp bits so
+    that decimals keep the working precision.  Returns an mpc, or with
+    upper_half an UpperHalfPoint of its parts."""
     # the unit i is an 'i' outside a word such as 'inf'; mpmath reads '1j'
     # but not a bare 'j'
     s = re.sub(r"(?<![a-z])i(?![a-z])", "j", text.strip().replace(" ", ""))
     s = re.sub(r"(?<![\d.])j", "1j", s)
-    with mp.workprec(bits + _GUARD):
+    with mp.workprec(prec.wp):
         try:
             z = mp.mpc(mp.mpmathify(s))
         except (TypeError, ValueError, AttributeError):
@@ -291,8 +291,8 @@ def _parse_gram(text: str) -> GramForm:
 
 
 def _orbit(args: argparse.Namespace) -> tuple:
-    tau = _parse_complex(args.tau, args.precision_bits, upper_half=True)
-    orbit = hecke_orbit(tau, args.n, Precision(args.precision_bits))
+    tau = _parse_complex(args.tau, args.prec, upper_half=True)
+    orbit = hecke_orbit(tau, args.n, args.prec)
     d = _digits(args)
     rows = [
         (
@@ -320,11 +320,10 @@ def _orbit_checks() -> list[tuple[str, bool]]:
 
 
 def _height(args: argparse.Namespace) -> tuple:
-    prec = Precision(args.precision_bits)
     j_base = int(args.j_base)
     ns = _parse_range(args.n_spec)
-    tau_y = tau_from_j(j_base, prec) if ns else None
-    points = [cusp_height(tau_y, n, prec) for n in ns]
+    tau_y = tau_from_j(j_base, args.prec) if ns else None
+    points = [cusp_height(tau_y, n, args.prec) for n in ns]
     return (
         ["n", "e_n", "value", "normalized"],
         [(p.n, p.e_n, p.value, p.normalized) for p in points],
@@ -348,9 +347,9 @@ def _height_checks() -> list[tuple[str, bool]]:
 
 def _inverts_next_to_i(prec: Precision = Precision(128)) -> bool:
     """tau_from_j just off 1728, where j' nearly vanishes, is within 2^-bits y."""
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         y = 1728 + mp.mpf(10) ** -20
-        return abs(eval_j(tau_from_j(y, prec), prec) - y) <= mp.mpf(2) ** -prec.bits * y
+        return abs(eval_j(tau_from_j(y, prec), prec) - y) <= prec.resolution(y)
 
 
 def _scan(args: argparse.Namespace) -> tuple:
@@ -454,11 +453,10 @@ def _latcount_checks() -> list[tuple[str, bool]]:
 
 
 def _cm(args: argparse.Namespace) -> tuple:
-    prec = Precision(args.precision_bits)
     d = _digits(args)
     rows = []
-    for p in enumerate_cm_points(args.m_max, prec):
-        jval = eval_j(p.tau0, prec)
+    for p in enumerate_cm_points(args.m_max, args.prec):
+        jval = eval_j(p.tau0, args.prec)
         rows.append(
             (
                 p.M,
@@ -489,11 +487,13 @@ def _cm_checks() -> list[tuple[str, bool]]:
 
 
 def _equi(args: argparse.Namespace) -> tuple:
-    prec = Precision(args.precision_bits)
-    tau = _parse_complex(args.tau, args.precision_bits, upper_half=True)
+    tau = _parse_complex(args.tau, args.prec, upper_half=True)
+    threshold = _parse_complex(args.threshold, args.prec)
+    if threshold.imag:
+        raise ValueError(f"threshold must be real, got {args.threshold!r}")
     rows = []
     for n in _parse_range(args.n_spec):
-        stat = equi_fraction(HeckeOrbit(tau, n, prec), args.threshold)
+        stat = equi_fraction(HeckeOrbit(tau, n, args.prec), threshold.real)
         rows.append((n, stat.fraction, stat.prediction))
     return ["n", "fraction", "prediction"], rows
 
@@ -509,13 +509,9 @@ def _equi_checks() -> list[tuple[str, bool]]:
 
 
 def _density(args: argparse.Namespace) -> tuple:
-    bits = args.precision_bits
     pts = density_experiment(
-        _parse_complex(args.tau, bits, upper_half=True),
-        _parse_complex(args.z, bits),
-        args.d_exp,
-        args.n_max,
-        Precision(bits),
+        _parse_complex(args.tau, args.prec, upper_half=True),
+        _parse_complex(args.z, args.prec), args.d_exp, args.n_max, args.prec
     )
     return (
         ["n", "best_distance"],
@@ -536,10 +532,7 @@ def _density_checks() -> list[tuple[str, bool]]:
 
 def _integral(args: argparse.Namespace) -> tuple:
     est = heuristic_integral(
-        _parse_complex(args.z, args.precision_bits),
-        args.samples,
-        Precision(args.precision_bits),
-        seed=args.seed,
+        _parse_complex(args.z, args.prec), args.samples, args.prec, seed=args.seed
     )
     return (
         ["value", "std_error", "samples", "rejected", "seed"],
@@ -558,9 +551,8 @@ def _integral_checks() -> list[tuple[str, bool]]:
 
 
 def _residual(args: argparse.Namespace) -> tuple:
-    prec = Precision(args.precision_bits)
     rows = [
-        (n, e_n(n), global_identity_residual(int(args.y), int(args.z), n, prec))
+        (n, e_n(n), global_identity_residual(int(args.y), int(args.z), n, args.prec))
         for n in _parse_range(args.n_spec)
     ]
     return ["n", "e_n", "residual"], rows
@@ -639,7 +631,7 @@ COMMANDS = {
     ),
     "equi": Command(
         "high-point fraction vs prediction",
-        (_TAU, _RANGE, ("threshold", float, None)),
+        (_TAU, _RANGE, ("threshold", str, None)),
         _equi, _equi_checks, _BITS,
     ),
     "density": Command(
@@ -661,11 +653,10 @@ COMMANDS = {
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Check the shared options, then run the row's self-test, or its runner
-    once every positional argument is given, and write the table."""
+    """Build args.prec and check --seed; then run the row's self-test, or its
+    runner once every positional argument is given, and write the table."""
     command = COMMANDS[args.command]
-    if getattr(args, "precision_bits", 128) < 53:
-        raise ValueError("precision_bits must be at least 53")
+    args.prec = Precision(getattr(args, "precision_bits", 128))
     if getattr(args, "seed", 0) < 0:
         raise ValueError("seed must be nonnegative")
     if args.self_test:

@@ -21,7 +21,6 @@ from mpmath import mp, mpf
 from .arith import is_prime, split_discriminant
 from .hecke import HeckeOrbit
 from .numerics import (
-    _GUARD,
     DEFAULT_PRECISION,
     ModularMatrix,
     Precision,
@@ -239,7 +238,7 @@ def fixed_point(
         return None
     # c = 0 would force t^2 - 4m = (a - d)^2 >= 0, so c != 0 here
     f, d_k = split_discriminant(t * t - 4 * m)
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         re = mpf(matrix.a - matrix.d) / (2 * matrix.c)
         im = mp.sqrt(4 * m - t * t) / (2 * abs(matrix.c))
         tau0 = UpperHalfPoint(re, im)
@@ -284,7 +283,7 @@ def min_separation_constant(
 ) -> float:
     """min over distinct pairs of |j1 - j2| sqrt(M1 M2) (sqrt(M1) + sqrt(M2))
     among points with |j| <= j_box_bound, with j at prec."""
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         tagged = []
         for p in points:
             jval = eval_j(p.tau0, prec)
@@ -292,12 +291,11 @@ def min_separation_constant(
                 tagged.append((jval, p.M))
         if len(tagged) < 2:
             raise DegenerateSetError("need at least two points inside the box")
-        tol = mpf(2) ** (-(prec.bits - 20))
         best = None
         for i, (j1, m1) in enumerate(tagged):
             for j2, m2 in tagged[i + 1 :]:
                 gap = abs(j1 - j2)
-                if gap <= tol * max(1, abs(j1)):
+                if gap <= 2**20 * prec.resolution(j1):
                     continue
                 val = gap * mp.sqrt(m1 * m2) * (mp.sqrt(m1) + mp.sqrt(m2))
                 if best is None or val < best:
@@ -324,7 +322,7 @@ def near_cm_finder(
     if point is None:
         return None
     n = matrix.det()
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         z = tau.to_mpc()
         displacement = abs(z - coset_image.to_mpc())
         offset = abs(z - point.tau0.to_mpc())
@@ -366,7 +364,7 @@ def density_experiment(
     if d_exp < 1:
         raise ValueError("need D >= 1")
     out = []
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         zc = mp.mpc(z)
         for n in range(1, n_max + 1):
             orbit = HeckeOrbit(y_tau, n, prec)

@@ -15,7 +15,6 @@ from mpmath import mp, mpc, mpf
 
 from .arith import TripleRows, prime_divisors
 from .numerics import (
-    _GUARD,
     DEFAULT_PRECISION,
     Precision,
     UpperHalfPoint,
@@ -255,22 +254,17 @@ def orbit_symmetry_check(
 ) -> bool:
     """Correspondence symmetry: tau lies in T_N of each point of T_N * tau.
 
-    Checked on j-values within relative tolerance 2^-(bits-20); offending
-    cosets are logged at DEBUG level.
+    Checked on j-values within 2^20 resolutions (Precision.resolution) of
+    j(tau); offending cosets are logged at DEBUG level.
     """
-    tol = 2.0 ** (-(prec.bits - 20))
     j_base = eval_j(tau, prec)
-    scale = max(1.0, float(abs(j_base)))
-    orbit = HeckeOrbit(tau, n, prec)
+    tol = 2**20 * prec.resolution(j_base)
     ok = True
-    for point in orbit.points:
+    for point in HeckeOrbit(tau, n, prec).points:
         back = HeckeOrbit(point.tau, n, prec)
-        if not any(abs(p.j - j_base) <= tol * scale for p in back.points):
-            log.debug(
-                "symmetry failure at coset %s: j base %s not in return orbit",
-                point.coset,
-                j_base,
-            )
+        if not any(abs(p.j - j_base) <= tol for p in back.points):
+            log.debug("symmetry failure at coset %s: j base %s not in return orbit",
+                      point.coset, j_base)
             ok = False
     return ok
 
@@ -282,30 +276,34 @@ class EquiStat(NamedTuple):
 
 def equi_fraction(orbit: HeckeOrbit, im_threshold) -> EquiStat:
     """Fraction of orbit points with Im >= threshold, next to the
-    hyperbolic-measure prediction min(1, (3/pi) / threshold).
+    hyperbolic-measure prediction min(1, (3/pi) / y0), y0 = float(threshold).
 
-    The float64 screen decides each point whose Im lies farther than its
-    error bound from the threshold; the rest are decided in the exact tier,
-    where the mpf Im is compared with the float threshold exactly.
+    The threshold is an mpf at the orbit's working precision.  The float64
+    screen decides each point whose Im lies farther from y0 than its error
+    bound plus the rounding of y0; the rest are decided in the exact tier,
+    where the mpf Im is compared with the threshold exactly.
     """
-    y0 = float(im_threshold)
-    if not y0 > 0:
-        raise ValueError("im_threshold must be positive")
+    with mp.workprec(orbit.prec.wp):
+        threshold = mpf(im_threshold)
+        if not threshold > 0:
+            raise ValueError("im_threshold must be positive")
+        y0 = float(threshold)
+        rounding = float(abs(threshold - y0))
     screen = orbit.screen
     im = screen.tau.imag
-    exact = ~screen.trusted | (np.abs(im - y0) <= screen.tau_err)
+    exact = ~screen.trusted | (np.abs(im - y0) <= screen.tau_err + rounding)
     hits = int(np.count_nonzero(im[~exact] >= y0))
     hits += sum(
-        1 for i in np.flatnonzero(exact) if orbit.points[i].tau.im >= y0
+        1 for i in np.flatnonzero(exact) if orbit.points[i].tau.im >= threshold
     )
-    prediction = min(1.0, 3.0 / (math.pi * y0))
+    prediction = min(1.0, 3.0 / (math.pi * y0)) if y0 else 1.0
     return EquiStat(hits / len(orbit.points), prediction)
 
 
 def close_point_count(orbit: HeckeOrbit, z, eta) -> int:
     """Number of orbit j-values within eta of z (multiplicity counted),
-    with z, eta and the distances at the orbit's bits + 32."""
-    with mp.workprec(orbit.prec.bits + _GUARD):
+    with z, eta and the distances at the orbit's working precision."""
+    with mp.workprec(orbit.prec.wp):
         zc, eta = mpc(z), mpf(eta)
         if not eta > 0:
             raise ValueError("eta must be positive")

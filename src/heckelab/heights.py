@@ -40,7 +40,6 @@ from . import modpoly, scan
 from .arith import pairwise_sum, triple_counts
 from .hecke import OrbitPoint, e_n, hecke_orbit
 from .numerics import (
-    _GUARD,
     DEFAULT_PRECISION,
     Precision,
     UpperHalfPoint,
@@ -65,8 +64,8 @@ class HeightSeriesPoint:
 
 def _log_norm_orbit_sum(tau: UpperHalfPoint, n: int, prec: Precision):
     """sum of log ||Delta||(tau_i) over T_N * tau, by the closed form in the
-    module docstring, at prec.bits + _GUARD bits."""
-    with mp.workprec(prec.bits + _GUARD):
+    module docstring, at prec.wp bits."""
+    with mp.workprec(prec.wp):
         cosets = pairwise_sum(
             [count * mp.log(mpf(a) / d) for a, d, count in triple_counts(n)]
         )
@@ -131,28 +130,29 @@ def local_arch_sum(
 ) -> float:
     """S_N = sum over the orbit of log(|z - j(tau_i)| * ||Delta(tau_i)||).
 
-    A |z - j| below 2^-bits * max(1, |z|) raises CoincidenceError.  When z
-    is an integer and j(y_tau) lies within 2^-bits * max(1, |j|) of an
-    integer y, the exact test of global_identity_residual
-    (_check_coincidence) runs as well, for every N: the error of y_tau can
-    keep the orbit point of j = z above the resolution.
+    A |z - j| below the resolution of z (Precision.resolution) raises
+    CoincidenceError.  When z is an integer and j(y_tau) lies within its
+    own resolution of an integer y, the exact test of
+    global_identity_residual (_check_coincidence) runs as well, for every
+    N: the error of y_tau can keep the orbit point of j = z above the
+    resolution.
     """
     orbit = hecke_orbit(y_tau, n, prec)
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         zc = mp.mpc(z)
         terms = [mp.log(_distance(p, zc, prec)) for p in orbit.points]
         if zc.imag == 0 and mp.isint(zc.real):
             j_base = eval_j(y_tau, prec)
             y = mp.nint(j_base.real)
-            if abs(j_base - y) <= mpf(2) ** -prec.bits * max(1, abs(j_base)):
+            if abs(j_base - y) <= prec.resolution(j_base):
                 _check_coincidence(int(y), int(zc.real), n)
         return float(pairwise_sum(terms) + _log_norm_orbit_sum(y_tau, n, prec))
 
 
 def _distance(point: OrbitPoint, zc, prec: Precision) -> mpf:
-    """|z - j| at an orbit point; CoincidenceError below 2^-bits * max(1, |z|)."""
+    """|z - j| at an orbit point; CoincidenceError below the resolution of z."""
     dist = abs(zc - point.j)
-    if dist < mpf(2) ** (-prec.bits) * max(1, abs(zc)):
+    if dist < prec.resolution(zc):
         raise CoincidenceError(
             f"orbit point at coset {point.coset} has |z - j| = "
             f"{mp.nstr(dist, 5)}, below resolution"
@@ -197,7 +197,7 @@ def global_identity_residual(
     y, z = _integers(y, z)
     tau = _base_point(y, prec)
     _check_coincidence(y, z, n)
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         return float(-_log_norm_orbit_sum(tau, n, prec) / (6 * e_n(n) * mp.log(n)) - 1)
 
 
@@ -252,15 +252,15 @@ def heuristic_integral(
     hyperbolic measure on the fundamental domain.
 
     Sampling: x uniform on (-1/2, 1/2); y = (sqrt(3)/2)/u with u uniform,
-    i.e. density 1/y^2; accept when x^2 + y^2 >= 1.  Samples landing within
-    2^-bits of a j-preimage of z are rejected and counted.
+    i.e. density 1/y^2; accept when x^2 + y^2 >= 1.  Samples whose |z - j|
+    lies below the resolution of z are rejected and counted.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     rng = random.Random(seed)
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         zc = mp.mpc(z)
-        floor = mpf(2) ** (-prec.bits) * max(1, abs(zc))
+        floor = prec.resolution(zc)
         values: list[float] = []
         rejected = 0
         budget = 1000 * samples

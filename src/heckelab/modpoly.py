@@ -40,7 +40,7 @@ from pathlib import Path
 from mpmath import mp
 
 from .hecke import HeckeOrbit, e_n, hecke_orbit
-from .numerics import _GUARD, Precision, tau_from_j
+from .numerics import Precision, tau_from_j
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -100,7 +100,7 @@ def _orbit_polynomial(y: int, n: int) -> tuple[int, ...]:
         raise ArithmeticError(f"the float64 screen of Phi_{n}(X, {y}) has untrusted points")
     prec = Precision(math.ceil(bound) + _MARGIN_BITS)
     orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         poly = [mp.mpc(1)]
         for point in orbit.points:
             shifted = [mp.mpc(0)] + poly  # X * poly

@@ -67,13 +67,23 @@ class PrecisionOverflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Precision:
-    """Working precision: mantissa bits."""
+    """Mantissa bits, at least 53, and the rules read off them: the working
+    precision wp and the resolution."""
 
     bits: int = 128
 
     def __post_init__(self):
         if self.bits < 53:
             raise ValueError(f"bits must be >= 53, got {self.bits}")
+
+    @property
+    def wp(self) -> int:
+        """bits plus _GUARD guard bits."""
+        return self.bits + _GUARD
+
+    def resolution(self, x) -> mpf:
+        """2^-bits max(1, |x|) as an mpf at the context precision."""
+        return mpf(2) ** -self.bits * max(1, abs(x))
 
 
 DEFAULT_PRECISION = Precision()
@@ -135,7 +145,7 @@ class ModularMatrix:
         """Moebius action; requires positive determinant to stay in H."""
         if self.det() <= 0:
             raise ValueError("matrix must have positive determinant")
-        with mp.workprec((prec.bits + _GUARD) if prec else mp.prec):
+        with mp.workprec(prec.wp if prec else mp.prec):
             z = tau.to_mpc()
             w = (self.a * z + self.b) / (self.c * z + self.d)
             return UpperHalfPoint(w.real, w.imag)
@@ -189,7 +199,7 @@ def reduce_to_fundamental_domain(
     return it.  A point with Im tau = +inf is only translated (start must
     then have C = 0); an infinite or NaN Re tau raises ValueError.
     """
-    wp = prec.bits + _GUARD
+    wp = prec.wp
     re, im = tau.re._mpf_, tau.im._mpf_
     sign, xm, xe, _ = re
     if not xm and xe:
@@ -344,7 +354,7 @@ def _kernel_tables(prec: Precision) -> _KernelTables:
     is 19 or more), with |q|^(T-1) 2^W <= 114 at Im tau' = sqrt(3)/2, where
     |q| = e^(-pi sqrt 3) is largest: then q^T rounds to 0 on the whole
     domain (_series).  Up to 3,164 bits the first T already meets it."""
-    wp = prec.bits + _GUARD
+    wp = prec.wp
     two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(wp + 16), 1), 12, wp + 16)
     terms = math.ceil((prec.bits * _LN2 + 64.0) / _LOG_INV_Q_MIN)
     while True:
@@ -563,14 +573,14 @@ def _cocycle(tau: UpperHalfPoint, witness: ModularMatrix, weight: int) -> mpc:
 
 def eval_e4(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E4(tau) = 1 + 240 sum sigma_3(n) q^n."""
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         _, witness, t, _, _, val, _, _ = _series(tau, prec, e4=True)
         return mp.make_mpc(_to_mpc(val, t.w)) * _cocycle(tau, witness, 4)
 
 
 def eval_e6(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E6(tau) = 1 - 504 sum sigma_5(n) q^n."""
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         _, witness, t, _, _, _, val, _ = _series(tau, prec, e6=True)
         return mp.make_mpc(_to_mpc(val, t.w)) * _cocycle(tau, witness, 6)
 
@@ -601,7 +611,7 @@ def _delta(reduced: UpperHalfPoint, t: _KernelTables, r, u, prod, prec: Precisio
     """(2 pi)^12 r (u prod^24) at the reduced point, a raw mpc rounded at
     wp = bits + _GUARD, with r a pair (m, e) worth m 2^e and (2 pi)^12 from
     the tables t."""
-    wp, w = prec.bits + _GUARD, t.w
+    wp, w = prec.wp, t.w
     x, y = _to_mpc(_fmul(*u, *_prod24(reduced, prod, w), w), w)
     scale = mpf_mul(from_man_exp(*r), t.two_pi_12, wp + 10)
     return mpf_mul(x, scale, wp, round_nearest), mpf_mul(y, scale, wp, round_nearest)
@@ -609,7 +619,7 @@ def _delta(reduced: UpperHalfPoint, t: _KernelTables, r, u, prod, prec: Precisio
 
 def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular discriminant (2 pi)^12 q prod (1 - q^n)^24 at tau."""
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         reduced, witness, t, r, u, _, _, prod = _series(tau, prec, euler=True)
         delta = mp.make_mpc(_delta(reduced, t, r, u, prod, prec))
         if witness.c == 0 and witness.d in (1, -1):
@@ -638,12 +648,12 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     where E4 vanishes to working precision, E4^3 rounds to 0 and so does j.
     """
     reduced, _, t, r, u, e4, _, prod = _series(tau, prec, e4=True, euler=True)
-    return mp.make_mpc(_j(reduced, t, r, u, e4, prod, prec.bits + _GUARD))
+    return mp.make_mpc(_j(reduced, t, r, u, e4, prod, prec.wp))
 
 
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """SL2(Z)-invariant norm |Delta(tau)| * (Im tau)^6."""
-    with mp.workprec(prec.bits + _GUARD):
+    with mp.workprec(prec.wp):
         reduced, _, t, r, u, _, _, prod = _series(tau, prec, euler=True)
         return abs(mp.make_mpc(_delta(reduced, t, r, u, prod, prec))) * reduced.im**6
 
@@ -656,7 +666,7 @@ def log_petersson_norm_delta(
     The four log terms are summed at 16 bits over the working precision
     and the sum rounded to it once: near a zero of log || Delta || (Im tau'
     about 5.1) terms some 30 in size cancel."""
-    wp = prec.bits + _GUARD
+    wp = prec.wp
     reduced, _, t, _, _, _, _, prod = _series(tau, prec, euler=True)
     with mp.workprec(wp + 16):
         # log|q| = -2 pi Im(tau'), assembled in logs so 10000i stays finite
@@ -677,7 +687,7 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
     The solution is unique in the closed fundamental domain, because j is
     monotone along each arc.
 
-    A target within err = 2^-bits * max(1, |y|), the accuracy of eval_j,
+    A target within err = prec.resolution(y), the accuracy of eval_j,
     of 1728 or 0 returns the CM point i or rho = (-1 + sqrt(3) i) / 2, the
     ends of the unit arc, where j' vanishes.  Elsewhere the safeguarded
     Newton loop _newton runs on log|j| in float64 (_seed), then on |j| - |y|
@@ -686,12 +696,12 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
     bits, and the root is good to about 2 err / |j'|.  Just off 0 and 1728
     it bisects until its steps take hold.  NaN or inf raises ValueError.
     """
-    wp = prec.bits + _GUARD
+    wp = prec.wp
     with mp.workprec(wp):
         y = mpf(j_target)
         if not mp.isfinite(y):
             raise ValueError(f"j must be finite, got {j_target}")
-        err = mpf(2) ** -prec.bits * max(1, abs(y))
+        err = prec.resolution(y)
         if abs(y - 1728) <= err:
             return UpperHalfPoint(mpf(0), mpf(1))
         if abs(y) <= err:

@@ -527,9 +527,10 @@ def _j_trace(j: int, p: int) -> int:
     return _half_sweep(a, b, p)
 
 
-# phi_certificate walks the primes below this bound; a pair with no
-# certifying prime there is left to the exact value of Phi_N.
+# phi_certificate walks the primes 5 <= p below this bound, sieved once;
+# a pair with no certifying prime there is left to the exact value of Phi_N.
 _CERTIFICATE_BELOW = 1000
+_CERTIFICATE_PRIMES = tuple(primes_up_to(_CERTIFICATE_BELOW - 1)[2:])
 
 
 def phi_certificate(y: int, z: int, n: int) -> Optional[int]:
@@ -547,7 +548,7 @@ def phi_certificate(y: int, z: int, n: int) -> Optional[int]:
     """
     if n < 1:
         raise ValueError(f"N must be positive, got {n}")
-    for p in primes_up_to(_CERTIFICATE_BELOW - 1)[2:]:
+    for p in _CERTIFICATE_PRIMES:
         if n % p and _first_match(_j_trace(y % p, p), _j_trace(z % p, p), p) is None:
             return p
     return None

@@ -24,6 +24,7 @@ from heckelab.cli import (
     main,
 )
 from heckelab.lattices import _value_counts, counting_bound
+from heckelab.numerics import Precision
 
 SUBCOMMANDS = [
     "orbit",
@@ -123,11 +124,20 @@ def test_density_reads_nonfinite_and_huge_z(capsys):
 
 def test_infinite_z_is_read_as_a_real_infinity(capsys):
     for text, sign in (("inf", 1), ("-inf", -1)):
-        z = _parse_complex(text, 64)
+        z = _parse_complex(text, Precision(64))
         assert (z.real, z.imag) == (sign * mp.inf, 0)
         assert main(["density", "2i", text, "2", "2", "--precision-bits", "64"]) == 0
         rows = _rows(capsys.readouterr().out)
         assert [r["best_distance"] for r in rows] == ["inf"] * 2
+
+
+def test_equi_reads_its_threshold_at_working_precision(capsys):
+    # both are 1.5 as float64s; the point's Im lies above the threshold
+    argv = ["equi", "0.1+1.4999999999999999999999999i", "1",
+            "1.49999999999999999999999", "--precision-bits", "128"]
+    assert main(argv) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [(r["n"], r["fraction"]) for r in rows] == [("1", "1.0")]
 
 
 # Output of the parser that read every 'i' as the unit, which could not
@@ -622,6 +632,13 @@ def test_error_paths_return_two(capsys, monkeypatch):
         (["integral", "0", "4", "--seed", "-1"], "error: seed must be nonnegative\n"),
         (["height", "1", "1"], "error: need N >= 2 for the log N normalization\n"),
         (["residual", "1", "2", "1"], "error: need N >= 2 for the log N normalization\n"),
+        # the floor is Precision's own check, before a self-test too
+        (["orbit", "2i", "2", "--precision-bits", "10"], "error: bits must be >= 53, got 10\n"),
+        (["orbit", "--self-test", "--precision-bits", "10"],
+         "error: bits must be >= 53, got 10\n"),
+        (["equi", "2i", "5", "1.5+1i"], "error: threshold must be real, got '1.5+1i'\n"),
+        (["equi", "2i", "5", "-1.5"], "error: im_threshold must be positive\n"),
+        (["equi", "2i", "5", "x"], "error: cannot read 'x' as a complex number\n"),
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == message, argv

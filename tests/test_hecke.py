@@ -109,6 +109,13 @@ def test_orbit_symmetry():
     assert orbit_symmetry_check(UpperHalfPoint(-0.31, 0.95), 3, FAST)
 
 
+@pytest.mark.parametrize("bits", [1100, 2048])
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_symmetry_holds_beyond_the_float64_range(bits, n):
+    # the tolerance 2^20 resolutions lies below 2^-1074 from 1095 bits
+    assert orbit_symmetry_check(UpperHalfPoint(0.1, 1.3), n, Precision(bits))
+
+
 def test_equi_fraction_edges():
     orbit = hecke_orbit(UpperHalfPoint(0.3, 1.7), 5, FAST)
     low = equi_fraction(orbit, 0.5)  # every reduced point has Im >= sqrt(3)/2
@@ -150,6 +157,16 @@ def test_equi_fraction_compares_the_exact_im():
     for im, want in ((below, 0.0), (mp.mpf(1.5), 1.0), (above, 1.0)):
         orbit = HeckeOrbit(UpperHalfPoint(mp.mpf("0.25"), im), 1, PREC)
         assert equi_fraction(orbit, 1.5).fraction == want
+
+
+def test_equi_fraction_reads_the_threshold_at_working_precision():
+    # both are 1.5 as float64s; the point's Im lies above the threshold
+    with mp.workprec(PREC.bits):
+        im = mp.mpf(1.5) - mp.mpf(2) ** -80
+        threshold = mp.mpf(1.5) - mp.mpf(2) ** -70
+    orbit = HeckeOrbit(UpperHalfPoint(mp.mpf("0.25"), im), 1, PREC)
+    stat = equi_fraction(orbit, threshold)
+    assert stat == (1.0, 3 / (math.pi * 1.5))
 
 
 def test_orbit_of_cm_point_collapses():

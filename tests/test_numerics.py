@@ -3,8 +3,10 @@ construction from Jacobi theta nulls, plus the classical special values."""
 
 import cmath
 import functools
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 import re
 import time
@@ -787,6 +789,35 @@ def test_precision_and_point_validation():
         UpperHalfPoint(0, 0)
     z = UpperHalfPoint.from_complex(mpc(1, 2))
     assert (z.re, z.im) == (1, 2)
+
+
+def test_precision_owns_the_working_precision_and_the_resolution():
+    for bits in (53, 128, 1100):
+        assert Precision(bits).wp == bits + 32
+    prec = Precision(64)
+    with mp.workprec(200):
+        assert prec.resolution(0.5) == mpf(2) ** -64
+        assert prec.resolution(-1728) == 1728 * mpf(2) ** -64
+        assert prec.resolution(mpc(3, 4)) == 5 * mpf(2) ** -64
+    # an mpf at the context precision, below the float64 range as well
+    tiny = Precision(1100).resolution(1)
+    assert isinstance(tiny, mpf) and tiny == mp.ldexp(1, -1100) > 0
+    # bits stays the only field: caches keyed on a Precision still match
+    assert Precision(128) == Precision(128) != Precision(129)
+    assert hash(Precision(128)) == hash(Precision(128))
+    assert {Precision(128): 1}[Precision(128)] == 1
+    assert repr(Precision(128)) == "Precision(bits=128)"
+
+
+def test_only_numerics_binds_the_guard_bits():
+    import heckelab
+
+    names = [m.name for m in pkgutil.iter_modules(heckelab.__path__) if m.name != "__main__"]
+    assert "numerics" in names and "cli" in names
+    for name in names:
+        module = importlib.import_module(f"heckelab.{name}")
+        assert ("_GUARD" in vars(module)) == (name == "numerics"), name
+    assert "_GUARD" not in vars(heckelab)
 
 
 def test_upper_half_point_keeps_its_precision(exact_reduction):

@@ -971,3 +971,16 @@ def test_phi_certificate_rejects_a_degree_below_one():
         with pytest.raises(ValueError, match=f"^N must be positive, got {n}$"):
             scan.phi_certificate(1, 2, n)
     assert scan.phi_certificate(1, 2, 1) == 5
+
+
+def test_phi_certificate_sieves_no_primes_per_call(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(scan, "primes_up_to", counted)
+    assert scan.phi_certificate(1, 2, 5) == 7
+    assert scan.phi_certificate(7, 7, 2) is None  # walks every prime
+    assert calls == []
