@@ -16,6 +16,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
 
+import heckelab
 from heckelab import numerics
 from heckelab.cli import main
 from heckelab.hecke import HeckeOrbit, coset_reps
@@ -810,8 +811,6 @@ def test_precision_owns_the_working_precision_and_the_resolution():
 
 
 def test_only_numerics_binds_the_guard_bits():
-    import heckelab
-
     names = [m.name for m in pkgutil.iter_modules(heckelab.__path__) if m.name != "__main__"]
     assert "numerics" in names and "cli" in names
     for name in names:
