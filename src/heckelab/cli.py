@@ -23,6 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 from mpmath import mp
 
+from . import modpoly
 from .arith import primes_up_to
 from .cm import (
     condition_p,
@@ -59,7 +60,6 @@ from .scan import (
     _trace_table,
     _traces,
     count_points,
-    phi_certificate,
     scan_pair,
     trace_power,
 )
@@ -568,7 +568,7 @@ def _residual_checks() -> list[tuple[str, bool]]:
         isogeny_raises = True
     return [
         ("residual = normalized height - 1", abs(r - (h - 1)) < 1e-12),
-        ("phi_3(2, 1) != 0 is certified", phi_certificate(1, 2, 3) is not None),
+        ("phi_3(2, 1) != 0 is certified", modpoly.phi_certificate(1, 2, 3) is not None),
         ("(1728, 287496, 10) raises CoincidenceError", isogeny_raises),
     ]
 

@@ -376,9 +376,16 @@ def density_experiment(
 
 
 def density_fraction(points: Sequence[DensityPoint], d_exp: int) -> float:
-    """|{N <= n_max : best_distance <= N^-D}| / n_max, with each distance
-    compared as a float64."""
+    """|{N <= n_max : best_distance <= N^-D}| / n_max.  Each distance is
+    compared exactly, its mantissa and exponent against N^-D in integers,
+    so neither side can underflow; a nan or infinite distance is no hit."""
     if not points:
         raise ValueError("empty experiment")
-    hits = sum(1 for p in points if float(p.best_distance) <= p.n ** (-d_exp))
+    hits = 0
+    for p in points:
+        d = p.best_distance if isinstance(p.best_distance, mpf) else mpf(p.best_distance)
+        if mp.isfinite(d):
+            sign, man, exp, _ = d._mpf_  # d = (-1)^sign man 2^exp
+            left, right = man * p.n ** max(d_exp, 0), p.n ** max(-d_exp, 0)
+            hits += bool(sign) or (left << exp <= right if exp >= 0 else left <= right << -exp)
     return hits / len(points)

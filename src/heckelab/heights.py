@@ -3,15 +3,11 @@ identity they feed.
 
 cusp_height accumulates -log ||Delta|| over T_N * y; local_arch_sum adds the
 log-distance factor |z - j|; phi_value is the exact integer the archimedean
-data must reconcile with, Phi_N(z, y), which modpoly evaluates for every N:
-from the stored table for a prime N <= 31, else from the bounded orbit
-polynomial Phi_N(X, y); and
-global_identity_residual measures how far the normalized difference sits
-from its asymptotic slope.  local_arch_sum and global_identity_residual
-raise CoincidenceError where z lies on the orbit of an integer y, which
-_check_coincidence decides on integers alone: Phi_N(z, y) != 0 by the
-diagonal rule or by a Frobenius certificate (scan.phi_certificate), else
-by the exact value of Phi_N(z, y).
+data must reconcile with, Phi_N(z, y), which modpoly evaluates for every N;
+and global_identity_residual measures how far the normalized difference
+sits from its asymptotic slope.  local_arch_sum and global_identity_residual
+raise CoincidenceError where z lies on the orbit of an integer y, that is
+where Phi_N(z, y) = 0, which modpoly.vanishes decides on integers alone.
 
 The Delta part of both sums has a closed form.  The product of Delta over
 T_N * tau is a constant times Delta(tau)^(e_N): with Im((alpha tau + beta)
@@ -36,7 +32,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from . import modpoly, scan
+from . import modpoly
 from .arith import pairwise_sum, triple_counts
 from .hecke import OrbitPoint, e_n, hecke_orbit
 from .numerics import (
@@ -201,33 +197,9 @@ def global_identity_residual(
         return float(-_log_norm_orbit_sum(tau, n, prec) / (6 * e_n(n) * mp.log(n)) - 1)
 
 
-# The 13 integral j-invariants with complex multiplication, one for each
-# imaginary quadratic order of class number one (discriminants -3, -4, -7,
-# -8, -11, -12, -16, -19, -27, -28, -43, -67 and -163).  Every other integer
-# j is the j-invariant of a curve over Q whose endomorphism ring is Z.
-CM_J_INVARIANTS = frozenset(
-    {
-        0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000,
-        16581375, -884736000, -147197952000, -262537412640768000,
-    }
-)
-
-
 def _check_coincidence(y: int, z: int, n: int) -> None:
-    """CoincidenceError exactly when Phi_N(z, y) = 0, that is when z lies on
-    T_N * tau_y, decided on integers alone, by the first rule that applies:
-
-    1. z = y, N >= 2 and y not in CM_J_INVARIANTS: Phi_N(y, y) != 0, as a
-       curve with End = Z has no cyclic endomorphism of degree N;
-    2. a prime of scan.phi_certificate: Phi_N(z, y) != 0;
-    3. otherwise the exact value modpoly.evaluate(N, z, y), the stored
-       table or the orbit polynomial, raises when it is 0.
-    """
-    if z == y and n >= 2 and y not in CM_J_INVARIANTS:
-        return
-    if scan.phi_certificate(y, z, n) is not None:
-        return
-    if modpoly.evaluate(n, z, y) == 0:
+    """CoincidenceError when z lies on T_N * tau_y: modpoly.vanishes(N, z, y)."""
+    if modpoly.vanishes(n, z, y):
         raise CoincidenceError(f"phi_{n}({y}, {z}) = 0: z lies on the orbit of y")
 
 

@@ -1,6 +1,7 @@
 """The classical modular polynomials Phi_N(X, Y): exact integer tables
-for the primes l <= 31, a bounded orbit polynomial for any other N, and
-the generator that writes the tables.
+for the primes l <= 31, a bounded orbit polynomial for any other N, the
+generator that writes the tables, and vanishes, which decides Phi_N(x, y)
+= 0 at integers with a Frobenius certificate on the j-line mod p.
 
 Phi_N(X, j(tau)) = prod over T_N * tau of (X - j(tau_i)): monic of degree
 e_N in X, with integer coefficients, symmetric in X and Y, and of degree
@@ -39,8 +40,10 @@ from pathlib import Path
 
 from mpmath import mp
 
+from .arith import primes_up_to
 from .hecke import HeckeOrbit, e_n, hecke_orbit
 from .numerics import Precision, tau_from_j
+from .scan import CurveQ, TraceRecord, count_points, geom_isogenous
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -72,7 +75,9 @@ def coefficients(ell: int) -> tuple[tuple[int, ...], ...]:
 def evaluate(n: int, x: int, y: int) -> int:
     """Phi_N(x, y) for integers x and y and any N >= 1, exactly, by Horner:
     in X and Y over the stored table for N in PRIMES, else in X over
-    _orbit_polynomial(y, N)."""
+    _orbit_polynomial(y, N).  N < 1 raises ValueError."""
+    if n < 1:
+        raise ValueError(f"N must be positive, got {n}")
     if n in PRIMES:
         value = 0
         for row in reversed(coefficients(n)):
@@ -117,6 +122,71 @@ def _orbit_polynomial(y: int, n: int) -> tuple[int, ...]:
                 )
             out.append(nearest)
     return tuple(out)
+
+
+# The 13 integral j-invariants with complex multiplication, one for each
+# imaginary quadratic order of class number one (discriminants -3, -4, -7,
+# -8, -11, -12, -16, -19, -27, -28, -43, -67 and -163).  Every other integer
+# j is the j-invariant of a curve over Q whose endomorphism ring is Z.
+CM_J_INVARIANTS = frozenset(
+    {
+        0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000,
+        16581375, -884736000, -147197952000, -262537412640768000,
+    }
+)
+
+
+def vanishes(n: int, x: int, y: int) -> bool:
+    """Phi_N(x, y) = 0, for integers x and y and N >= 1, decided on
+    integers alone by the first rule that applies:
+
+    1. x = y, N >= 2 and y not in CM_J_INVARIANTS: Phi_N(y, y) != 0, as a
+       curve with End = Z has no cyclic endomorphism of degree N;
+    2. a prime of phi_certificate(y, x, N): Phi_N(x, y) != 0;
+    3. otherwise the exact value evaluate(N, x, y), the stored table or
+       the orbit polynomial, decides.
+    """
+    if x == y and n >= 2 and y not in CM_J_INVARIANTS:
+        return False
+    if phi_certificate(y, x, n) is not None:
+        return False
+    return evaluate(n, x, y) == 0
+
+
+@functools.lru_cache(maxsize=4096)
+def _j_record(j: int, p: int) -> TraceRecord:
+    """The record of a curve over F_p with j-invariant j, 0 <= j < p, p >= 5,
+    kept per (j, p): count_points of y^2 = x^3 + 1 at j = 0, y^2 = x^3 + x
+    at j = 1728 mod p, else y^2 = x^3 + t x + t with t = 27 j / (4 (1728 - j)),
+    never singular: t != 0 and 4 t + 27 = 27 * 1728 / (1728 - j) != 0."""
+    if j == 0:
+        a, b = 0, 1
+    elif j == 1728 % p:
+        a, b = 1, 0
+    else:
+        a = b = 27 * j * pow(4 * (1728 - j), -1, p) % p
+    return count_points(CurveQ(a, b), p)
+
+
+# the primes 5 <= p < 1000 that phi_certificate walks, sieved once; a pair
+# with no certifying prime there is left to the exact value of Phi_N
+_CERTIFICATE_PRIMES = tuple(primes_up_to(999)[2:])
+
+
+def phi_certificate(y: int, z: int, n: int) -> int | None:
+    """The least of _CERTIFICATE_PRIMES not dividing N at which curves with
+    j = y and j = z mod p (_j_record) are not geometrically isogenous, else
+    None; N < 1 raises ValueError.  Such a p proves Phi_N(z, y) != 0: Phi_N
+    mod p is the modular polynomial of F_p, so Phi_N(z, y) = 0 mod p would
+    link the two curves by a cyclic N-isogeny over the algebraic closure of
+    F_p.  Every j mod p is the j of a curve over F_p, so no prime is
+    skipped, and geometric isogeny does not see which twist a trace is of."""
+    if n < 1:
+        raise ValueError(f"N must be positive, got {n}")
+    for p in _CERTIFICATE_PRIMES:
+        if n % p and geom_isogenous(_j_record(y % p, p), _j_record(z % p, p)) is None:
+            return p
+    return None
 
 
 def _interpolate(values: list[int]) -> list[int]:

@@ -16,9 +16,9 @@ a_p is (ab/p) times that of E_t (Silverman, AEC, Sec. X.5).
 A trace is one integer: every path computes a_p alone, and a
 TraceRecord(p, a_p), built only at the public edge, derives its
 classification from a_p^2 - 4p.  Only _trace_table, the array pass of a
-scan, reads the closed forms and the twist; one prime at a time,
-count_points and the certificate's _j_trace take the half-sweep of the
-curve itself, so count_points is an oracle that shares none of their code.
+scan, reads the closed forms and the twist.  count_points, the one entry
+for one prime, takes the half-sweep of the curve itself: an oracle that
+shares none of their code, and the count that modpoly.vanishes reads.
 
 A scan of the primes of a range is one array pass (_trace_table): it
 reduces each curve's a4 and a6 mod every prime at once, drops the primes of
@@ -44,12 +44,6 @@ has phi(n) <= 4, i.e. n in {1, 2, 3, 4, 5, 6, 8, 10, 12}.  A scan decides
 k on the arrays of a_p (_hit_table), and runs the recurrence only where
 a_l != +-a_r share a CM field.  A coincidence a_p(E) = a_p(E') is the
 k = 1 case, so the coincidence statistic is read off the hits of a scan.
-
-The same test certifies Phi_N(z, y) != 0 for integers y and z
-(phi_certificate): at a prime p >= 5 not dividing N, Phi_N(z, y) = 0 mod p
-would make curves over F_p with j = y and j = z mod p geometrically
-isogenous, so one prime where their traces do not match (_first_match)
-suffices.  The traces are kept per (j mod p, p) (_j_trace).
 """
 
 from __future__ import annotations
@@ -509,49 +503,6 @@ def count_points(curve: CurveQ, p: int) -> TraceRecord:
     if (4 * a * a % p * a + 27 * b * b) % p == 0:
         raise BadReductionError(f"discriminant vanishes mod {p}")
     return TraceRecord(p, _half_sweep(a, b, p))
-
-
-@lru_cache(maxsize=4096)
-def _j_trace(j: int, p: int) -> int:
-    """a_p of a curve with j-invariant j over F_p, 0 <= j < p, p >= 5, by
-    the half-sweep of y^2 = x^3 + 1 at j = 0, y^2 = x^3 + x at j = 1728
-    mod p, else E_t, y^2 = x^3 + t x + t with t = 27 j / (4 (1728 - j)),
-    which is never singular: t != 0 and 4 t + 27 = 27 * 1728 / (1728 - j)
-    != 0."""
-    if j == 0:
-        a, b = 0, 1
-    elif j == 1728 % p:
-        a, b = 1, 0
-    else:
-        a = b = 27 * j * pow(4 * (1728 - j), -1, p) % p
-    return _half_sweep(a, b, p)
-
-
-# phi_certificate walks the primes 5 <= p below this bound, sieved once;
-# a pair with no certifying prime there is left to the exact value of Phi_N.
-_CERTIFICATE_BELOW = 1000
-_CERTIFICATE_PRIMES = tuple(primes_up_to(_CERTIFICATE_BELOW - 1)[2:])
-
-
-def phi_certificate(y: int, z: int, n: int) -> Optional[int]:
-    """The least prime 5 <= p < _CERTIFICATE_BELOW, p not dividing N, at
-    which curves with j = y and j = z mod p (_j_trace) are not
-    geometrically isogenous (_first_match is None), else None.  N < 1
-    raises ValueError.
-
-    Such a p proves Phi_N(z, y) != 0: for p not dividing N, Phi_N mod p is
-    the modular polynomial of F_p, so Phi_N(z, y) = 0 mod p would link
-    curves with j = y and j = z mod p by a cyclic N-isogeny over the
-    algebraic closure of F_p.  Every j mod p is the j-invariant of a curve
-    over F_p, so no prime is skipped, and geometric isogeny does not see
-    which twist the trace is of.
-    """
-    if n < 1:
-        raise ValueError(f"N must be positive, got {n}")
-    for p in _CERTIFICATE_PRIMES:
-        if n % p and _first_match(_j_trace(y % p, p), _j_trace(z % p, p), p) is None:
-            return p
-    return None
 
 
 def trace_power(a_p: int, p: int, k: int) -> int:

@@ -83,13 +83,13 @@ def exact_reduction():
 @pytest.fixture(autouse=True)
 def fresh_base_point_caches():
     """heights keeps the last base point's tau, integral-j check and log
-    norm, modpoly the last orbit polynomial and scan the j-traces of the
-    certificate and the primes over p in Z[i] and Z[omega]; every test
+    norm, modpoly the last orbit polynomial and the j-records of the
+    certificate, and scan the primes over p in Z[i] and Z[omega]; every test
     starts without them, so that counts of inversions and evaluations do
     not depend on which test ran before."""
     for cached in (
         heights._base_point, heights._off_integral_j, heights._log_norm,
-        modpoly._orbit_polynomial, scan._j_trace, scan._gaussian_prime,
+        modpoly._orbit_polynomial, modpoly._j_record, scan._gaussian_prime,
         scan._eisenstein_prime,
     ):
         cached.cache_clear()

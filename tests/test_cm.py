@@ -10,6 +10,7 @@ from heckelab.cm import (
     Box,
     CmPoint,
     DegenerateSetError,
+    DensityPoint,
     DisplacementBoundError,
     ScalarMatrixError,
     coefficient_bound_check,
@@ -409,6 +410,17 @@ def test_density_experiment_small():
         density_experiment(base, 0, 0, 3, FAST)
     with pytest.raises(ValueError):
         density_fraction([], 4)
+
+
+def test_density_fraction_compares_below_the_float64_range():
+    # 1e-330 > 10^-350, though both round to 0.0 in float64; at N = 2,
+    # 2^-1100 is a hit at D = 1100 (equality) and none at D = 1101
+    assert density_fraction([DensityPoint(10, mp.mpf("1e-330"))], 350) == 0.0
+    assert density_fraction([DensityPoint(10, mp.mpf("1e-360"))], 350) == 1.0
+    tiny = [DensityPoint(2, mp.mpf(2) ** -1100)]
+    assert (density_fraction(tiny, 1100), density_fraction(tiny, 1101)) == (1.0, 0.0)
+    nonfinite = [DensityPoint(1, mp.mpf("nan")), DensityPoint(1, mp.mpf("inf"))]
+    assert density_fraction(nonfinite + [DensityPoint(3, 0.0)], 2) == 1 / 3
 
 
 def _brute_density(reference_orbit, tau, z, n_max, prec):

@@ -4,7 +4,7 @@ import warnings
 import pytest
 from mpmath import mp, mpf
 
-from heckelab import cli, hecke, heights, lattices, modpoly, scan
+from heckelab import cli, hecke, heights, lattices, modpoly
 from heckelab.hecke import HeckeOrbit, e_n, hecke_orbit
 from heckelab.heights import (
     CoincidenceError,
@@ -322,7 +322,7 @@ def test_residual_row_reads_one_tau_and_no_orbit_j(monkeypatch):
         orbits = _counting(monkeypatch, heights, "hecke_orbit")
         j_values = _counting(monkeypatch, hecke, "eval_j")
         built = _counting(monkeypatch, hecke.HeckeOrbit, "__init__")
-        assert scan.phi_certificate(y, z, n) is not None
+        assert modpoly.phi_certificate(y, z, n) is not None
         global_identity_residual(y, z, n, DEFAULT_PRECISION)
         assert (len(inversions), len(orbits), len(j_values), len(built)) == (1, 0, 0, 0)
         monkeypatch.undo()
@@ -528,7 +528,7 @@ def test_cm_j_invariants_are_the_j_of_the_class_number_one_orders():
             nearest = int(mp.nint(j.real))
             assert abs(j - nearest) < 1e-20, d
         found.add(nearest)
-    assert found == heights.CM_J_INVARIANTS
+    assert found == modpoly.CM_J_INVARIANTS
 
 
 def test_the_diagonal_rule_agrees_with_the_stored_tables(monkeypatch):
@@ -538,7 +538,7 @@ def test_the_diagonal_rule_agrees_with_the_stored_tables(monkeypatch):
         for y in (1, 2, -40, 2417, 1729, -1):
             assert modpoly.evaluate(ell, y, y) != 0, (ell, y)
     assert modpoly.evaluate(2, 8000, 8000) == 0
-    certificates = _counting(monkeypatch, scan, "phi_certificate")
+    certificates = _counting(monkeypatch, modpoly, "phi_certificate")
     values = _counting(monkeypatch, modpoly, "evaluate")
     for n in (2, 6, 31, 53):
         heights._check_coincidence(-40, -40, n)

@@ -1,10 +1,18 @@
+import ast
+import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
 
+import heckelab
 from heckelab import modpoly
+from heckelab.arith import primes_up_to
+from heckelab.numerics import tau_from_j
+from heckelab.scan import _half_sweep
 
 
 def _mul(a, b, m):
@@ -116,3 +124,129 @@ def test_tables_ship_as_package_data_and_load_on_first_use():
         env={"PYTHONPATH": str(resources.files("heckelab").parent)},
     ).stdout.split("\n")
     assert out[:2] == ["0", "phi_5.txt"]
+
+
+def test_j_models_have_their_j():
+    # every j mod p is the j-invariant 1728 * 4 a^3 / (4 a^3 + 27 b^2) of
+    # some curve y^2 = x^3 + a x + b over F_p, and the j-record of j is
+    # that of one of them: at each p the half-sweeps of all curves,
+    # grouped by j, hold its a_p
+    for p in primes_up_to(37)[2:]:
+        traces = {}
+        for a in range(p):
+            for b in range(p):
+                disc = (4 * a**3 + 27 * b * b) % p
+                if disc:
+                    j = 1728 * 4 * a**3 * pow(disc, -1, p) % p
+                    traces.setdefault(j, set()).add(_half_sweep(a, b, p))
+        assert sorted(traces) == list(range(p)), p
+        for j, a_ps in traces.items():
+            assert modpoly._j_record(j, p).a_p in a_ps, (j, p)
+
+
+# (y, z): generic pairs, CM pairs in different fields, and the rational
+# isogenies of i to 2i and of the orders of discriminant -7 and -28
+_CERTIFIED_PAIRS = ((1, 2), (-40, 7), (2417, -37), (1, 1000001), (8000, 54000), (0, 1))
+_ISOGENOUS_PAIRS = ((1728, 287496), (-3375, 16581375))
+# (y, y): a non-CM j never meets itself; 1728 and 8000 do, on T_2, by the
+# endomorphisms 1 + i and sqrt(-2)
+_DIAGONAL_PAIRS = ((-40, -40), (2417, 2417), (8000, 8000), (1728, 1728))
+
+
+def test_phi_certificate_is_sound_against_the_exact_phi():
+    # a certifying prime p does not divide N, and Phi_N(z, y) != 0 mod p;
+    # where Phi_N(z, y) = 0 no prime certifies; and vanishes, by its rules,
+    # decides every row as the exact value does
+    vanish = set()
+    for y, z in _CERTIFIED_PAIRS + _ISOGENOUS_PAIRS + _DIAGONAL_PAIRS:
+        for n in sorted(set(range(2, 13)) | set(modpoly.PRIMES)):
+            value = modpoly.evaluate(n, z, y)
+            p = modpoly.phi_certificate(y, z, n)
+            if p is not None:
+                assert n % p and value % p, (y, z, n, p)
+            if value == 0:
+                assert p is None, (y, z, n)
+                vanish.add((y, z))
+            assert modpoly.vanishes(n, z, y) == (value == 0), (y, z, n)
+        if (y, z) in _CERTIFIED_PAIRS:
+            assert p is not None, (y, z)
+    assert vanish == set(_ISOGENOUS_PAIRS) | {(8000, 8000), (1728, 1728)}
+
+
+def test_phi_certificate_skips_the_primes_dividing_n_and_bad_reduction():
+    # (1, 2) first certifies at 5: at N = 5 the walk goes on to 7.  No
+    # prime is skipped for bad reduction: j = 5 is 0 mod 5, the j of
+    # y^2 = x^3 + 1, supersingular at 5, and j = 1 is ordinary there
+    assert modpoly.phi_certificate(1, 2, 3) == 5
+    assert modpoly.phi_certificate(1, 2, 5) == 7
+    assert modpoly.phi_certificate(1, 5, 3) == 5
+    assert modpoly.phi_certificate(7, 7, 2) is None  # the same curve
+
+
+def test_phi_certificate_rejects_a_degree_below_one():
+    # there is no Phi_N for N < 1: nothing is certified, and N = 0 would
+    # skip every prime
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^N must be positive, got {n}$"):
+            modpoly.phi_certificate(1, 2, n)
+    assert modpoly.phi_certificate(1, 2, 1) == 5
+
+
+def test_phi_certificate_sieves_no_primes_per_call(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(modpoly, "primes_up_to", counted)
+    assert modpoly.phi_certificate(1, 2, 5) == 7
+    assert modpoly.phi_certificate(7, 7, 2) is None  # walks every prime
+    assert calls == []
+
+
+def test_evaluate_rejects_a_degree_below_one_before_any_inversion(monkeypatch):
+    # N is checked before Phi_N(X, y) is built, so no y is inverted
+    inversions = []
+
+    def counted(*args):
+        inversions.append(args)
+        return tau_from_j(*args)
+
+    monkeypatch.setattr(modpoly, "tau_from_j", counted)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^N must be positive, got {n}$"):
+            modpoly.evaluate(n, 5, 2)
+    assert inversions == []
+
+
+def test_only_modpoly_decides_whether_phi_vanishes():
+    # the rules, the CM set and the certificate are bound in modpoly alone;
+    # heights reaches them through modpoly, not scan, and modpoly reads
+    # only scan's public names
+    names = [m.name for m in pkgutil.iter_modules(heckelab.__path__) if m.name != "__main__"]
+    assert "modpoly" in names and "heights" in names
+    owned = ("vanishes", "CM_J_INVARIANTS", "phi_certificate", "_CERTIFICATE_PRIMES")
+    for name in names:
+        module = importlib.import_module(f"heckelab.{name}")
+        for bound in owned:
+            assert (bound in vars(module)) == (name == "modpoly"), (name, bound)
+    assert not set(owned) & set(vars(heckelab))
+    heights = vars(importlib.import_module("heckelab.heights"))
+    assert "scan" not in heights
+    assert [k for k, v in heights.items() if getattr(v, "__module__", "") == "heckelab.scan"] == []
+    tree = ast.parse(inspect.getsource(modpoly))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "scan"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ] + [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", None) == "scan"
+        and node.attr.startswith("_")
+    ]
+    assert private == []

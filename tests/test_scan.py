@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heckelab import modpoly, scan
+from heckelab import scan
 from heckelab.arith import factorize, is_prime, primes_up_to, split_discriminant
 from heckelab.cli import main
 from heckelab.scan import (
@@ -910,77 +910,3 @@ def test_kernel_accepts_the_ends_of_the_hasse_interval():
                 assert ok[0] and a[0] == a_p, (t, p)
                 ends.add(n > p + 1)
     assert ends == {True, False}
-
-
-def test_j_models_have_their_j():
-    # every j mod p is the j-invariant 1728 * 4 a^3 / (4 a^3 + 27 b^2) of
-    # some curve y^2 = x^3 + a x + b over F_p, and the j-trace of j is the
-    # a_p of one of them: at each p the half-sweeps of all curves,
-    # grouped by j, hold its a_p
-    for p in primes_up_to(37)[2:]:
-        traces = {}
-        for a in range(p):
-            for b in range(p):
-                disc = (4 * a**3 + 27 * b * b) % p
-                if disc:
-                    j = 1728 * 4 * a**3 * pow(disc, -1, p) % p
-                    traces.setdefault(j, set()).add(_half_sweep(a, b, p))
-        assert sorted(traces) == list(range(p)), p
-        for j, a_ps in traces.items():
-            assert scan._j_trace(j, p) in a_ps, (j, p)
-
-
-# (y, z): generic pairs, CM pairs in different fields, and the rational
-# isogenies of i to 2i and of the orders of discriminant -7 and -28
-_CERTIFIED_PAIRS = ((1, 2), (-40, 7), (2417, -37), (1, 1000001), (8000, 54000), (0, 1))
-_ISOGENOUS_PAIRS = ((1728, 287496), (-3375, 16581375))
-
-
-def test_phi_certificate_is_sound_against_the_exact_phi():
-    # a certifying prime p does not divide N, and Phi_N(z, y) != 0 mod p;
-    # where Phi_N(z, y) = 0 no prime certifies
-    vanish = set()
-    for y, z in _CERTIFIED_PAIRS + _ISOGENOUS_PAIRS:
-        for n in sorted(set(range(2, 13)) | set(modpoly.PRIMES)):
-            value = modpoly.evaluate(n, z, y)
-            p = scan.phi_certificate(y, z, n)
-            if p is not None:
-                assert n % p and value % p, (y, z, n, p)
-            if value == 0:
-                assert p is None, (y, z, n)
-                vanish.add((y, z))
-        if (y, z) in _CERTIFIED_PAIRS:
-            assert p is not None, (y, z)
-    assert vanish == set(_ISOGENOUS_PAIRS)
-
-
-def test_phi_certificate_skips_the_primes_dividing_n_and_bad_reduction():
-    # (1, 2) first certifies at 5: at N = 5 the walk goes on to 7.  No
-    # prime is skipped for bad reduction: j = 5 is 0 mod 5, the j of
-    # y^2 = x^3 + 1, supersingular at 5, and j = 1 is ordinary there
-    assert scan.phi_certificate(1, 2, 3) == 5
-    assert scan.phi_certificate(1, 2, 5) == 7
-    assert scan.phi_certificate(1, 5, 3) == 5
-    assert scan.phi_certificate(7, 7, 2) is None  # the same curve
-
-
-def test_phi_certificate_rejects_a_degree_below_one():
-    # there is no Phi_N for N < 1: nothing is certified, and N = 0 would
-    # skip every prime
-    for n in (0, -3):
-        with pytest.raises(ValueError, match=f"^N must be positive, got {n}$"):
-            scan.phi_certificate(1, 2, n)
-    assert scan.phi_certificate(1, 2, 1) == 5
-
-
-def test_phi_certificate_sieves_no_primes_per_call(monkeypatch):
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return primes_up_to(n)
-
-    monkeypatch.setattr(scan, "primes_up_to", counted)
-    assert scan.phi_certificate(1, 2, 5) == 7
-    assert scan.phi_certificate(7, 7, 2) is None  # walks every prime
-    assert calls == []
