@@ -16,9 +16,11 @@ T_N * tau is a constant times Delta(tau)^(e_N): with Im((alpha tau + beta)
     sum_i log ||Delta||(tau_i) = e_N log ||Delta||(tau)
                                  + 6 sum_cosets log(alpha / delta),
 
-and the coset sum depends only on the divisor pair (alpha, delta), so it
-costs one term per divisor of N.  log |phi| - S_N is minus that sum, so
-global_identity_residual reads the residual off the closed form as well.
+and the coset sum depends only on the divisor pair (alpha, delta).  As
+alpha delta = N, it is sum_(p | N) c_p log p with integer weights c_p
+(_coset_weights), so it costs one term per prime of N.  log |phi| - S_N
+is minus that sum, so global_identity_residual reads the residual off the
+closed form as well.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from . import modpoly
-from .arith import pairwise_sum, triple_counts
+from .arith import factorize, pairwise_sum, triple_counts
 from .hecke import OrbitPoint, e_n, hecke_orbit
 from .numerics import (
     DEFAULT_PRECISION,
@@ -62,10 +64,25 @@ def _log_norm_orbit_sum(tau: UpperHalfPoint, n: int, prec: Precision):
     """sum of log ||Delta||(tau_i) over T_N * tau, by the closed form in the
     module docstring, at prec.wp bits."""
     with mp.workprec(prec.wp):
-        cosets = pairwise_sum(
-            [count * mp.log(mpf(a) / d) for a, d, count in triple_counts(n)]
-        )
+        cosets = pairwise_sum([c * mp.log(p) for p, c in _coset_weights(n)])
         return e_n(n) * _log_norm(tau, prec) + 6 * cosets
+
+
+def _coset_weights(n: int) -> list[tuple[int, int]]:
+    """(p, c_p) for each prime p of N, with sum_cosets log(alpha / delta) =
+    sum_p c_p log p: c_p = sum count (v_p(a) - v_p(d)) over triple_counts."""
+    triples, weights = triple_counts(n), []
+    for p, _ in factorize(n):
+        c = 0
+        for a, d, count in triples:
+            while a % p == 0:
+                a //= p
+                c += count
+            while d % p == 0:
+                d //= p
+                c -= count
+        weights.append((p, c))
+    return weights
 
 
 @functools.lru_cache(maxsize=1)
@@ -112,11 +129,12 @@ def cusp_height(
 @functools.lru_cache(maxsize=1)
 def _off_integral_j(y_tau: UpperHalfPoint, prec: Precision) -> str | None:
     """j(y_tau) to 8 digits when it is not within 1e-6 * max(1, |j|) of an
-    integer, else None.  The last base point is kept: a height series reads
-    the same one for every N."""
+    integer, else None, compared in mpf, as |j| can pass the float64 range.
+    The last base point is kept: a height series reads the same one for
+    every N."""
     j_base = eval_j(y_tau, prec)
     drift = abs(j_base - mp.nint(j_base.real))
-    if drift > 1e-6 * max(1.0, float(abs(j_base))):
+    if drift > 1e-6 * max(1, abs(j_base)):
         return mp.nstr(j_base, 8)
     return None
 

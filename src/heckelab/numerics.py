@@ -14,6 +14,11 @@ three levels of 256-entry tables at W + 24 bits and a Taylor sum of the
 rest below 2^-24.  One cached table per precision (_kernel_tables) holds
 these and the series' coefficients.
 
+The point tau_from_j returns carries the pass its Newton loop accepted
+there, and _series hands that pass back at the same precision: j, E4, E6,
+Delta and log ||Delta|| at tau_y make no pass of their own, and each is
+bit for bit what a pass would give.
+
 The reduction decides on exact integers: the Hecke orbit hands it a base
 point and a coset matrix, and it rounds only the reduced image, once, so
 each point is the correctly rounded image of the exact one.  Every
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 from operator import mul
@@ -93,10 +98,16 @@ DEFAULT_PRECISION = Precision()
 class UpperHalfPoint:
     """A point re + im*i with im > 0.  Components are mpmath reals: an mpf
     part is kept exactly, any other number is converted at the context
-    precision."""
+    precision.
+
+    A point that tau_from_j returns carries the kernel pass its loop
+    accepted there, as (prec, the tuple of _series), and _series hands it
+    back at that precision; points compare, hash and print by re and im
+    alone."""
 
     re: mpf
     im: mpf
+    _pass: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("re", "im"):
@@ -327,6 +338,7 @@ class _KernelTables(NamedTuple):
     s5: tuple  # sigma_5(n), n = 1 .. terms
     pentagonal: tuple  # (n, (-1)^k) for the exponents n <= terms of prod (1 - q^n)
     two_pi_12: tuple  # (2 pi)^12 as a raw mpf at wp + 16 bits
+    twelve_log_two_pi: tuple  # 12 log 2 pi as a raw mpf at wp + 16 bits
     # _nome's tables, in units 2^-p
     p: int  # W + 24
     two_pi: int  # 2 pi in units 2^-(p + 40)
@@ -345,8 +357,9 @@ def _kernel_tables(prec: Precision) -> _KernelTables:
     per pass: W and the cap T, the divisor sums and the (exponent, sign)
     pairs of Euler's prod (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) +
     q^(k(3k+1)/2)) up to T, _delta's (2 pi)^12, formed at wp + 16 bits
-    (wp = bits + _GUARD) so that its roundings stay under the last bit, and
-    _nome's tables at p = W + 24.
+    (wp = bits + _GUARD) so that its roundings stay under the last bit,
+    log_petersson_norm_delta's 12 log 2 pi at wp + 16 bits, and _nome's
+    tables at p = W + 24.
 
     W is wp plus the bits of 2^24 (S3 + T) + 2^9 S5, S_k the sum of
     sigma_k(n) up to T, as _series derives it.  T is the least T from
@@ -356,6 +369,8 @@ def _kernel_tables(prec: Precision) -> _KernelTables:
     domain (_series).  Up to 3,164 bits the first T already meets it."""
     wp = prec.wp
     two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(wp + 16), 1), 12, wp + 16)
+    with mp.workprec(wp + 16):
+        twelve_log_two_pi = (12 * mp.log(2 * mp.pi))._mpf_
     terms = math.ceil((prec.bits * _LN2 + 64.0) / _LOG_INV_Q_MIN)
     while True:
         s3, s5 = _sigma_tables(terms)
@@ -369,7 +384,10 @@ def _kernel_tables(prec: Precision) -> _KernelTables:
         for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
         if n <= terms
     )
-    return _KernelTables(w, terms, s3, s5, pentagonal, two_pi_12, *_nome_tables(w + _TABLE_BITS))
+    return _KernelTables(
+        w, terms, s3, s5, pentagonal, two_pi_12, twelve_log_two_pi,
+        *_nome_tables(w + _TABLE_BITS),
+    )
 
 
 def _taylor_order(log2_x: float, p: int) -> int:
@@ -501,7 +519,10 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     multiplication, and the sums keep those before the first that rounds
     to 0, which comes within the cap T of _kernel_tables.  Returns (reduced,
     witness, tables, r, u, E4, E6, prod): the _kernel_tables of prec, r as
-    _nome gives it, the rest in fixed point or None if not asked for.
+    _nome gives it, the rest in fixed point or None if not asked for.  At a
+    point of tau_from_j, asked at the precision it was found at, this is
+    the pass its loop accepted there, which holds all three series, and no
+    pass is made.
 
     Error bound, in units 2^-W.  r is within 2^-(W + 20) relative, and q
     and u within 1/2 + 2^-20 units: the table entries, their products, the
@@ -538,6 +559,8 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     evaluator lies within 2^-(bits + 24) max(|v|, |c tau + d|^-k) of the
     value v of its formulas at tau', k its weight (0 for j, norms).
     """
+    if tau._pass is not None and tau._pass[0] == prec:
+        return tau._pass[1]
     reduced, witness = reduce_to_fundamental_domain(tau, prec)
     t = _kernel_tables(prec)
     w, s3, s5 = t.w, t.s3, t.s5
@@ -627,16 +650,16 @@ def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
         return delta * _cocycle(tau, witness, 12)
 
 
-def _j(reduced: UpperHalfPoint, t: _KernelTables, r, u, e4, prod, wp: int) -> tuple:
-    """j = E4^3 conj(u) / (prod^24 r) as a raw mpc from the parts of _series,
-    r = m 2^e: each part is one integer quotient, rounded once at wp."""
+def _j(reduced: UpperHalfPoint, t: _KernelTables, r, u, e4, prod) -> tuple:
+    """(a, b, den, exp) with j = E4^3 conj(u) / (prod^24 r) = (a + b i)
+    2^exp / den exactly, from the parts of _series, r = m 2^e: each part of
+    j is one integer quotient (_quotient), rounded once."""
     w = t.w
     dx, dy = _prod24(reduced, prod, w)
     nx, ny = _fmul(*_fmul(*_fmul(*e4, *e4, w), *e4, w), u[0], -u[1], w)
     # j = n conj(d) / (|d|^2 m 2^e)
     rm, rexp = r
-    den = (dx * dx + dy * dy) * rm
-    return tuple(_quotient(x, den, wp, -rexp) for x in (nx * dx + ny * dy, ny * dx - nx * dy))
+    return nx * dx + ny * dy, ny * dx - nx * dy, (dx * dx + dy * dy) * rm, -rexp
 
 
 def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
@@ -648,7 +671,8 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     where E4 vanishes to working precision, E4^3 rounds to 0 and so does j.
     """
     reduced, _, t, r, u, e4, _, prod = _series(tau, prec, e4=True, euler=True)
-    return mp.make_mpc(_j(reduced, t, r, u, e4, prod, prec.wp))
+    a, b, den, exp = _j(reduced, t, r, u, e4, prod)
+    return mp.make_mpc((_quotient(a, den, prec.wp, exp), _quotient(b, den, prec.wp, exp)))
 
 
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
@@ -671,7 +695,7 @@ def log_petersson_norm_delta(
     with mp.workprec(wp + 16):
         # log|q| = -2 pi Im(tau'), assembled in logs so 10000i stays finite
         total = (
-            12 * mp.log(2 * mp.pi)
+            mp.make_mpf(t.twelve_log_two_pi)
             - 2 * mp.pi * reduced.im
             + 24 * mp.log(abs(mp.make_mpc(_to_mpc(prod, t.w))))
             + 6 * mp.log(reduced.im)
@@ -694,7 +718,10 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
     until |j - y| <= err: each step reads j and a float64 slope,
     d log j / dtau = -2 pi i E6 / E4, off one kernel pass and gains some 50
     bits, and the root is good to about 2 err / |j'|.  Just off 0 and 1728
-    it bisects until its steps take hold.  NaN or inf raises ValueError.
+    it bisects until its steps take hold.  The point returned carries the
+    pass the loop accepted there, so that j, E4, E6, Delta and log ||Delta||
+    at it make no pass of their own (_series).  NaN or inf raises
+    ValueError.
     """
     wp = prec.wp
     with mp.workprec(wp):
@@ -713,10 +740,16 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
                 return UpperHalfPoint(x, mp.sqrt(1 - x * x))
             return UpperHalfPoint(re, x)
 
+        last = None  # (x, tau, pass) of the last value
+
         def f(x):  # |j| - |y|, increasing: j has the sign of y on its arc
+            nonlocal last
             tau = point(x)  # inside the domain: its reduction is the identity
-            reduced, _, t, r, u, e4, e6, prod = _series(tau, prec, e4=True, e6=True, euler=True)
-            j = abs(mp.make_mpf(_j(reduced, t, r, u, e4, prod, wp)[0]))
+            series = _series(tau, prec, e4=True, e6=True, euler=True)
+            last = x, tau, series
+            reduced, _, t, r, u, e4, e6, prod = series
+            a, _, den, exp = _j(reduced, t, r, u, e4, prod)  # j is real on the arc
+            j = abs(mp.make_mpf(_quotient(a, den, wp, exp)))
             # d|j| / dx = |j| Re(d log j / dtau dtau / dx), in float64
             (ax, ay), (bx, by), norm = e6, e4, e4[0] ** 2 + e4[1] ** 2
             e6_e4 = complex((ax * bx + ay * by) / norm, (ay * bx - ax * by) / norm)
@@ -726,7 +759,11 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
         # twice the bisections that exhaust the bracket at wp
         x = _newton(f, mpf(_seed(y, lo, hi, re)), lo, hi, 2 * (wp + 8),
                     lambda x, value, slope: abs(value) <= err)
-        return point(x)
+        last_x, tau, series = last
+        if last_x != x:  # the steps ran out on a step not yet evaluated
+            return point(x)
+        object.__setattr__(tau, "_pass", (prec, series))
+        return tau
 
 
 def _arc(y) -> tuple:

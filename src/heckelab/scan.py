@@ -15,8 +15,8 @@ a_p is (ab/p) times that of E_t (Silverman, AEC, Sec. X.5).
 
 A trace is one integer: every path computes a_p alone, and a
 TraceRecord(p, a_p), built only at the public edge, derives its
-classification from a_p^2 - 4p.  Only _trace_table, the array pass of a
-scan, reads the closed forms and the twist.  count_points, the one entry
+classification from a_p^2 - 4p when it is first read.  Only _trace_table,
+the array pass of a scan, reads the closed forms and the twist.  count_points, the one entry
 for one prime, takes the half-sweep of the curve itself: an oracle that
 shares none of their code, and the count that modpoly.vanishes reads.
 
@@ -52,9 +52,9 @@ import logging
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -105,21 +105,22 @@ class Ordinary:
 class TraceRecord:
     """a_p at p, and the classification it implies: supersingular at
     a_p = 0, else ordinary with a_p^2 - 4p = conductor^2 d_K, which every
-    twist of the curve shares.  Records compare by (p, a_p)."""
+    twist of the curve shares.  Records compare and hash by (p, a_p)."""
 
     p: int
     a_p: int
-    classification: "Supersingular | Ordinary" = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a_p * self.a_p > 4 * self.p:
             raise HasseBoundError(f"|{self.a_p}| > 2 sqrt({self.p})")
+
+    @cached_property
+    def classification(self) -> "Supersingular | Ordinary":
+        """Derived on first read, as it factors a_p^2 - 4p, and kept."""
         if self.a_p == 0:
-            kind = Supersingular()
-        else:
-            conductor, d_k = split_discriminant(self.a_p * self.a_p - 4 * self.p)
-            kind = Ordinary(cm_fundamental_disc=d_k, conductor=conductor)
-        object.__setattr__(self, "classification", kind)
+            return Supersingular()
+        conductor, d_k = split_discriminant(self.a_p * self.a_p - 4 * self.p)
+        return Ordinary(cm_fundamental_disc=d_k, conductor=conductor)
 
 
 class ScanHit(NamedTuple):
@@ -535,21 +536,33 @@ def _first_match(a_l: int, a_r: int, p: int) -> Optional[int]:
 
 
 def geom_isogenous(left: TraceRecord, right: TraceRecord) -> Optional[int]:
-    """Minimal k <= 12 with a_{p^k} equal on both sides, else None, by the
-    recurrences of _first_match.
+    """Minimal k <= 12 with a_{p^k} equal on both sides, else None.
 
-    The records' kinds need no test of their own.  At p >= 5 records of
-    different kinds never match, so the recurrence returns None for them:
-    a_{p^k} = a_p^k (mod p) is 0 for a supersingular record and not for an
-    ordinary one, and an ordinary pi^k is never rational, so it generates
-    Q(pi) and two ordinary records can match only when their
-    cm_fundamental_disc is equal.  At p = 2 and 3 a_p = 0 does not even
-    mark the supersingular records (a_p = 2 against 0 at p = 2 match at
-    k = 8).
+    At p >= 5 this is the scalar form of _hit_rule: k = 1 when a_l = a_r,
+    2 when a_l = -a_r != 0, None when exactly one trace is 0, and
+    otherwise the recurrences of _first_match, only when
+    (4p - a_l^2)(4p - a_r^2) is a square.  Records of different kinds
+    never match: a_{p^k} = a_p^k (mod p) is 0 for a supersingular record
+    and not for an ordinary one, and an ordinary pi^k is never rational,
+    so it generates Q(pi) and two ordinary records can match only when
+    their cm_fundamental_disc is equal.  At p = 2 and 3 a_p = 0 does not
+    even mark the supersingular records (a_p = 2 against 0 at p = 2 match
+    at k = 8), so there the recurrence alone decides.
     """
     if left.p != right.p:
         raise MismatchedPrimeError(f"records at p={left.p} and p={right.p}")
-    return _first_match(left.a_p, right.a_p, left.p)
+    p, a_l, a_r = left.p, left.a_p, right.a_p
+    if p >= 5:
+        if a_l == a_r:
+            return 1
+        if a_l == -a_r:  # != 0, as a_l != a_r
+            return 2
+        if not (a_l and a_r):
+            return None
+        product = (4 * p - a_l * a_l) * (4 * p - a_r * a_r)
+        if math.isqrt(product) ** 2 != product:  # two CM fields
+            return None
+    return _first_match(a_l, a_r, p)
 
 
 # -- a scan: every prime of a range in one array pass ------------------------

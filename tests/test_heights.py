@@ -1,10 +1,12 @@
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from heckelab import cli, hecke, heights, lattices, modpoly
+from heckelab import cli, hecke, heights, lattices, modpoly, numerics
+from heckelab.arith import prime_divisors, triple_counts
 from heckelab.hecke import HeckeOrbit, e_n, hecke_orbit
 from heckelab.heights import (
     CoincidenceError,
@@ -241,8 +243,10 @@ def test_local_arch_sum_matches_the_orbit_sum():
 
 
 def test_cusp_height_warns_off_integral_j():
-    with pytest.warns(UserWarning, match="not near an integer"):
-        cusp_height(UpperHalfPoint(0.3, 1.7), 2, PREC)
+    # at 0.3 + 120i, |j| is about 2.8e327, past the float64 range
+    for im in (1.7, 100, 120):
+        with pytest.warns(UserWarning, match="not near an integer"):
+            cusp_height(UpperHalfPoint(0.3, im), 2, PREC)
 
 
 def test_cusp_height_quiet_at_integral_j():
@@ -250,6 +254,7 @@ def test_cusp_height_quiet_at_integral_j():
         warnings.simplefilter("error")
         cusp_height(tau_from_j(1, PREC), 2, PREC)
         cusp_height(UpperHalfPoint(0, 2), 2, PREC)  # j = 287496
+        cusp_height(UpperHalfPoint(0, 120), 2, PREC)  # a real j past float64
 
 
 def test_decomposition_identity():
@@ -497,6 +502,26 @@ def test_series_invert_y_and_read_the_log_norm_once(monkeypatch, capsys):
         assert len(capsys.readouterr().out.splitlines()) == 40
         assert (len(inversions), len(norms)) == (inverted, 1), argv
         monkeypatch.undo()
+
+
+def test_a_height_and_a_residual_op_each_make_three_kernel_passes(monkeypatch, capsys):
+    # the three passes of tau_from_j: j and log ||Delta|| at tau_y read the
+    # pass its loop accepted there, and the certificate clears the residual
+    passes = _counting(monkeypatch, numerics, "_nome")  # one per kernel pass
+    for argv, lines in ((["height", "5", "47,34"], 3), (["residual", "-40", "7", "24"], 2)):
+        passes.clear()
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == lines
+        assert len(passes) == 3, argv
+
+
+def test_the_coset_sum_takes_one_weight_per_prime_of_n():
+    # prod over the cosets of (alpha / delta) = prod p^(c_p), exactly
+    for n in range(1, 2001):
+        weights = heights._coset_weights(n)
+        assert [p for p, _ in weights] == prime_divisors(n), n
+        cosets = math.prod(Fraction(a, d) ** count for a, d, count in triple_counts(n))
+        assert cosets == math.prod(Fraction(p) ** c for p, c in weights), n
 
 
 def test_series_print_the_same_rows_with_the_base_point_kept(capsys):

@@ -9,7 +9,7 @@ from importlib import resources
 import pytest
 
 import heckelab
-from heckelab import modpoly
+from heckelab import arith, modpoly
 from heckelab.arith import primes_up_to
 from heckelab.numerics import tau_from_j
 from heckelab.scan import _half_sweep
@@ -250,3 +250,20 @@ def test_only_modpoly_decides_whether_phi_vanishes():
         and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def test_a_cold_certificate_factors_nothing(monkeypatch):
+    # the certificate reads a_p alone, and a record factors a_p^2 - 4p only
+    # when its classification is read
+    factored = []
+    factorize = arith.factorize
+
+    def counted(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(arith, "factorize", counted)
+    modpoly._j_record.cache_clear()
+    assert modpoly.phi_certificate(1, 2, 3) is not None
+    assert modpoly.phi_certificate(-40, 7, 24) is not None
+    assert factored == []

@@ -366,15 +366,16 @@ def test_tau_from_j_lies_next_to_the_plain_bisection(bits):
 
 
 def _counting_passes(monkeypatch) -> list:
-    """Record every kernel pass (_series) from now on."""
+    """Record every kernel pass from now on: each forms q once (_nome), and
+    a _series call that a point of tau_from_j answers forms none."""
     calls = []
-    series = numerics._series
+    nome = numerics._nome
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return series(*args, **kwargs)
+        return nome(*args)
 
-    monkeypatch.setattr(numerics, "_series", counted)
+    monkeypatch.setattr(numerics, "_nome", counted)
     return calls
 
 
@@ -423,6 +424,37 @@ def test_tau_from_j_evaluates_j_about_three_times(monkeypatch):
         # at j = 0 and j = 1728 the root is the CM point itself, read off no j
         assert (counts.pop(0), counts.pop(1728)) == (0, 0)
         assert sum(counts.values()) / len(counts) <= most, bits
+
+
+def _raw(value) -> tuple:
+    return value._mpc_ if isinstance(value, mpc) else value._mpf_
+
+
+def test_evaluators_at_an_inverted_point_read_its_pass_bit_for_bit(monkeypatch):
+    # the point of tau_from_j carries the pass its loop accepted: at its
+    # precision every evaluator reads it and makes no pass, at another one
+    # it makes its own, and each value is, bit for bit, the one at a fresh
+    # point with the same parts.  0 and 1728 give the CM points, with no pass
+    evaluators = (eval_e4, eval_e6, eval_delta, eval_j, petersson_norm_delta,
+                  log_petersson_norm_delta)
+    rng = random.Random(40)
+    targets = [0, 1728] + [
+        rng.randrange(lo, hi) for lo, hi in ((1, 1728), (1729, 10**6), (-(10**6), 0))
+        for _ in range(3)
+    ]
+    precs = [Precision(bits) for bits in (64, 128, 256)]
+    calls = _counting_passes(monkeypatch)
+    for prec in precs:
+        for y in targets:
+            tau = tau_from_j(y, prec)
+            fresh = UpperHalfPoint(tau.re, tau.im)
+            assert tau == fresh and hash(tau) == hash(fresh) and repr(tau) == repr(fresh)
+            for other in precs:
+                for evaluate in evaluators:
+                    calls.clear()
+                    got = evaluate(tau, other)
+                    assert len(calls) == (0 if other == prec and y not in (0, 1728) else 1)
+                    assert _raw(got) == _raw(evaluate(fresh, other)), (y, prec, other, evaluate)
 
 
 def test_float_series_agrees_on_a_complex_and_an_array():

@@ -146,6 +146,18 @@ def test_classification_fields():
     assert ss.classification == Supersingular()
 
 
+def test_a_record_classifies_itself_on_first_read():
+    # nothing is factored until classification is read, and once read it is
+    # kept; records still compare and hash by (p, a_p)
+    rec = TraceRecord(101, 12)
+    assert "classification" not in vars(rec)
+    conductor, d_k = split_discriminant(12 * 12 - 4 * 101)
+    assert rec.classification == Ordinary(d_k, conductor)
+    assert rec.classification is rec.classification
+    fresh = TraceRecord(101, 12)
+    assert rec == fresh and hash(rec) == hash(fresh) and repr(rec) == repr(fresh)
+
+
 def test_trace_record_validation():
     with pytest.raises(HasseBoundError):
         TraceRecord(5, 5)
@@ -240,6 +252,19 @@ def test_geom_isogenous_equals_the_per_k_trace_power_definition():
         for left in records:
             for right in records:
                 assert geom_isogenous(left, right) == per_k(left, right), (p, left, right)
+
+
+def test_geom_isogenous_equals_the_recurrence_at_larger_primes():
+    # from p = 5 on, the scalar rule decides k = 1 and 2 and the pairs of
+    # different CM fields without the recurrence; every pair of traces in
+    # the Hasse interval gives the recurrence's k
+    for p in (5, 7, 67, 101, 389, 1009):
+        r = math.isqrt(4 * p)
+        records = [TraceRecord(p, a) for a in range(-r, r + 1)]
+        for left in records:
+            for right in records:
+                want = scan._first_match(left.a_p, right.a_p, p)
+                assert geom_isogenous(left, right) == want, (p, left.a_p, right.a_p)
 
 
 def _legendre(u, p):
