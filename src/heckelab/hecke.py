@@ -126,7 +126,8 @@ class OrbitScreen:
     exp(log_j_err) bounds the difference from the exact j.  An untrusted
     point (moved Im below _SCREEN_MIN_MOVED_IM, or not certified inside the
     fundamental domain) carries no usable value: every decision about it
-    goes to the exact tier.
+    goes to the exact tier.  The screen serves the statistics alone,
+    equi_fraction and the density's nearest points; no integer reads it.
     """
 
     tau: np.ndarray
@@ -156,13 +157,6 @@ class OrbitScreen:
         log_j_err = np.full(tau.shape, np.nan)
         log_j[trusted], log_j_err[trusted] = log_j_float64(tau[trusted], tau_err[trusted])
         return cls(tau, tau_err, log_j, log_j_err, trusted)
-
-    def log2_product_bound(self) -> float:
-        """An upper bound on log2 of prod (1 + |j_i|) over the orbit, from
-        each point's |j| and its error bound; NaN when a point is untrusted.
-        It bounds each coefficient of prod (X - j_i)."""
-        log_j = np.logaddexp(self.log_j.real, self.log_j_err)
-        return float(np.logaddexp(0.0, log_j).sum()) / math.log(2)
 
     def nearest(self, z) -> np.ndarray:
         """Indices of the points whose |j - z| may be the smallest of the

@@ -177,8 +177,9 @@ def _distance(point: OrbitPoint, zc, prec: Precision) -> mpf:
 def phi_value(y: int, z: int, n: int) -> int:
     """Phi_N(z, y), the integer prod over T_N*(tau_y) of (z - j(tau_i)), for
     integers y, z and any N >= 1: modpoly.evaluate, from the stored table
-    for a prime N <= 31, else from the bounded orbit polynomial Phi_N(X, y),
-    which raises ArithmeticError when its bound or its rounding fails.  The
+    for a prime N <= 31, else from the orbit polynomial Phi_N(X, y), at a
+    precision bounded from the exactly reduced orbit, which raises
+    ArithmeticError when a coefficient does not round to an integer.  The
     bound does not depend on z.  A non-integer y or z raises ValueError.
     """
     y, z = _integers(y, z)

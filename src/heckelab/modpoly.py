@@ -16,8 +16,8 @@ none.
 
 Phi_N(X, y) at an integer y is prod (X - j_i) over hecke_orbit(tau_from_j(y))
 with every coefficient rounded to an integer.  Its precision comes from a
-bound: the coefficients are at most prod (1 + |j_i|), read off the orbit's
-float64 screen, and 128 bits go on top.  An untrusted screen or a
+bound: the coefficients are at most prod (1 + |j_i|), which the exactly
+reduced Im of the orbit's points bounds, and 128 bits go on top.  A
 coefficient farther than 2^-32 from an integer raises ArithmeticError.
 The last polynomial is kept, so a sweep over z at one (y, N) builds one.
 
@@ -25,7 +25,7 @@ The generator (Enge, Math. Comp. 78, 2009: evaluation and interpolation)
 takes Phi_N(X, y) at each integer node y = 0, ..., e_N and interpolates
 every X-coefficient in Y by exact integer divided differences.  A
 non-integral divided difference or an asymmetric result raises
-ArithmeticError.  Regenerate every table (about 15 s on a 2-vCPU Xeon,
+ArithmeticError.  Regenerate every table (about 9 s on a 2-vCPU Xeon,
 Python 3.11, mpmath on its Python backend) with
 
     PYTHONPATH=src python -m heckelab.modpoly
@@ -51,6 +51,10 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 # an integer at which a coefficient of prod (X - j_i) is accepted
 _MARGIN_BITS = 128
 _ROUND_TOL = 2.0**-32
+# |j(tau)| <= e^(2 pi Im tau) + _J_TAIL on the closed fundamental domain,
+# where |q| <= e^(-pi sqrt 3) and 744 + sum c(n) e^(-pi sqrt 3 n) = 2078.81;
+# a reduced point up to 2^-(wp - 8) below the arc moves that sum by far less.
+_J_TAIL = 2079
 
 
 def _file_name(ell: int) -> str:
@@ -92,19 +96,31 @@ def evaluate(n: int, x: int, y: int) -> int:
     return value
 
 
+def _log2_product_bound(orbit: HeckeOrbit) -> float:
+    """An upper bound on log2 prod (1 + |j_i|) over the orbit, from the
+    reduced Im of each point alone: 1 + |j| <= e^(2 pi Im tau) + 1 +
+    _J_TAIL.  It bounds each coefficient of prod (X - j_i) and reads no j."""
+    total = 0.0
+    for point in orbit.points:
+        x = 2 * math.pi * float(point.tau.im)  # above 5.4, so e^-x cannot overflow
+        total += x + math.log1p((1 + _J_TAIL) * math.exp(-x))
+    return total / math.log(2)
+
+
 @functools.lru_cache(maxsize=1)
 def _orbit_polynomial(y: int, n: int) -> tuple[int, ...]:
     """The integer coefficients, constant first, of Phi_N(X, y) = prod
-    (X - j_i) over T_N * tau_y, at _MARGIN_BITS above log2 prod (1 + |j_i|)
-    as the orbit's float64 screen bounds it.  ArithmeticError when the
-    screen has untrusted points or a coefficient lies farther than
-    _ROUND_TOL from an integer.  The last polynomial is kept, as a sweep
-    over z at one (y, N) reads the same one for every z."""
-    bound = HeckeOrbit(tau_from_j(y, Precision(64)), n).screen.log2_product_bound()
-    if math.isnan(bound):
-        raise ArithmeticError(f"the float64 screen of Phi_{n}(X, {y}) has untrusted points")
-    prec = Precision(math.ceil(bound) + _MARGIN_BITS)
-    orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
+    (X - j_i) over T_N * tau_y, at _MARGIN_BITS above _log2_product_bound.
+    The orbit is reduced at 64 bits, which evaluates no j, then evaluated at
+    its bound; it is rebuilt until its own bound fits its bits.
+    ArithmeticError when a coefficient lies farther than _ROUND_TOL from an
+    integer.  The last polynomial is kept, as a sweep over z at one (y, N)
+    reads the same one for every z."""
+    prec = Precision(64)
+    orbit = HeckeOrbit(tau_from_j(y, prec), n, prec)
+    while (bits := math.ceil(_log2_product_bound(orbit)) + _MARGIN_BITS) > prec.bits:
+        prec = Precision(bits)
+        orbit = hecke_orbit(tau_from_j(y, prec), n, prec)
     with mp.workprec(prec.wp):
         poly = [mp.mpc(1)]
         for point in orbit.points:

@@ -157,26 +157,32 @@ _PHI_12 = int(
 
 
 def test_phi_value_inverts_at_64_bits_then_at_the_bound_plus_128(monkeypatch):
-    # N = 4 and 12 have no stored polynomial.  The float64 screen at 64 bits
-    # bounds log2 prod (1 + |j_i|) over T_4 * tau_4913 by 128.26 and over
-    # T_12 * tau_1 by 622.36, so the orbit polynomial is built once, at
-    # 129 + 128 and 623 + 128 bits, whatever z is
+    # N = 4 and 12 have no stored polynomial.  The orbit reduced at 64 bits
+    # bounds log2 prod (1 + |j_i|) over T_4 * tau_4913 by 134.14 and over
+    # T_12 * tau_1 by 635.69, from the Im of its points, so the orbit
+    # polynomial is built once, at 135 + 128 and 636 + 128 bits, whatever z is
     exact = _resultant_phi(2, 2, 16974593, 4913) // (16974593 - 4913) ** 3
     inversions = _counting(monkeypatch, modpoly, "tau_from_j")
     assert phi_value(4913, 16974593, 4) == exact
-    assert [args[1].bits for args in inversions] == [64, 257]
+    assert [args[1].bits for args in inversions] == [64, 263]
     inversions.clear()
     assert phi_value(1, 2, 12) == _PHI_12
-    assert [args[1].bits for args in inversions] == [64, 751]
+    assert [args[1].bits for args in inversions] == [64, 764]
 
 
-def test_phi_value_raises_on_an_untrusted_screen(monkeypatch):
-    # an untrusted screen point bounds nothing: no orbit polynomial is built
-    monkeypatch.setattr(hecke.OrbitScreen, "log2_product_bound", lambda self: math.nan)
-    orbits = _counting(monkeypatch, modpoly, "hecke_orbit")
-    with pytest.raises(ArithmeticError, match=r"Phi_4\(X, 4913\) has untrusted"):
-        phi_value(4913, 16974593, 4)
-    assert orbits == []
+def test_phi_n_builds_no_float64_screen(monkeypatch):
+    # the orbit polynomial reads the exactly reduced orbit alone: with the
+    # float64 screen refused, Phi_N(X, y) and the generator still give
+    # their integers
+    def refused(*args):
+        raise AssertionError("the float64 screen was built")
+
+    monkeypatch.setattr(hecke.OrbitScreen, "of", refused)
+    modpoly._orbit_polynomial.cache_clear()
+    exact = _resultant_phi(2, 2, 16974593, 4913) // (16974593 - 4913) ** 3
+    assert phi_value(4913, 16974593, 4) == exact
+    assert phi_value(1, 2, 12) == _PHI_12
+    assert modpoly.generate(2) == [list(row) for row in modpoly.coefficients(2)]
 
 
 def test_phi_value_raises_on_a_coefficient_off_an_integer(monkeypatch):

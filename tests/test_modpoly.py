@@ -1,17 +1,28 @@
 import ast
+import hashlib
 import importlib
 import inspect
 import pkgutil
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
+from mpmath import mp, mpf
 
 import heckelab
 from heckelab import arith, modpoly
 from heckelab.arith import primes_up_to
-from heckelab.numerics import tau_from_j
+from heckelab.hecke import hecke_orbit
+from heckelab.numerics import (
+    Precision,
+    UpperHalfPoint,
+    eval_j,
+    reduce_to_fundamental_domain,
+    tau_from_j,
+)
 from heckelab.scan import _half_sweep
 
 
@@ -90,6 +101,87 @@ def test_stored_phi_is_kroneckers_polynomial_mod_ell():
         for a, row in enumerate(rows):
             for b, c in enumerate(row):
                 assert (c - want.get((a, b), 0)) % ell == 0, (ell, a, b)
+
+
+# e^(-pi sqrt 3) = 0.00433342050998..., rounded up at 10^-12
+_Q_MAX = Fraction(4333420510, 10**12)
+
+
+def test_j_exceeds_1_over_q_by_under_2079_on_the_fundamental_domain():
+    # j = 1/q + 744 + sum c(n) q^n with every c(n) >= 0, and |q| <= e^(-pi
+    # sqrt 3) on the closed fundamental domain, so |j| <= 1/|q| + 744 +
+    # sum c(n) e^(-pi sqrt 3 n).  To n = 60 the sum is exact in rationals at
+    # _Q_MAX.  Past 60, c(n) <= e^(4 pi sqrt n) (Brisebarre and Philibert,
+    # 2005: c(n) is e^(4 pi sqrt n) / (sqrt 2 n^(3/4)) times 1 + O(1/sqrt n))
+    # and 4 pi sqrt n <= 4 pi n / sqrt 61, so the tail is at most
+    # sum_(n > 60) e^(-k n) with k = pi sqrt 3 - 4 pi / sqrt 61 = 3.83
+    with mp.workprec(200):
+        assert mp.exp(-mp.pi * mp.sqrt(3)) < mpf(_Q_MAX.numerator) / _Q_MAX.denominator
+        k = mp.pi * mp.sqrt(3) - 4 * mp.pi / mp.sqrt(61)
+        assert mp.exp(-61 * k) / (1 - mp.exp(-k)) < mpf(10) ** -100
+    c = _q_times_j(62)[1:]  # c[n] is the coefficient of q^n, c[0] = 744
+    assert c[:3] == [744, 196884, 21493760]
+    assert all(0 < c[n] <= mp.exp(4 * mp.pi * mp.sqrt(n)) for n in range(1, 61))
+    head = sum(c[n] * _Q_MAX**n for n in range(61))
+    assert 2078.81 < head < 2078.82
+    assert head + Fraction(1, 10**100) < modpoly._J_TAIL
+
+
+def test_j_lies_under_its_bound_on_a_grid_of_the_closed_domain():
+    # i, rho, the corner rho + 1, the three boundary arcs and the interior,
+    # and both corners with |tau|^2 = 1 - 2^-(wp - 7), below the arc but
+    # within the 2^-(wp - 8) at which the reduction inverts no point
+    prec = Precision(64)
+    with mp.workprec(prec.wp):
+        rho = mp.expjpi(mpf(2) / 3)
+        below = 1 - mpf(2) ** -(prec.wp - 6)
+        for corner in (rho, rho + 1):
+            tau = UpperHalfPoint.from_complex(below * corner)
+            assert reduce_to_fundamental_domain(tau, prec)[1].is_identity()
+        points = [1j, rho, rho + 1, below * rho, below * (rho + 1)]
+        rng = random.Random(41)
+        for _ in range(12):
+            theta = mp.pi * rng.uniform(1 / 3, 2 / 3)
+            im = mp.sqrt(3) / 2 + rng.expovariate(0.5)
+            points += [mp.expj(theta), mp.mpc(-0.5, im), mp.mpc(0.5, im)]
+            points.append(mp.mpc(rng.uniform(-0.5, 0.5), max(im, 1)))
+        for z in points:
+            tau = UpperHalfPoint.from_complex(z)
+            bound = mp.exp(2 * mp.pi * tau.im) + modpoly._J_TAIL
+            assert abs(eval_j(tau, prec)) <= bound, z
+
+
+# (y, N): the CM points 0, 1728, -3375 and 287496, N up to 35
+_BOUND_PANEL = (
+    (4913, 4), (1, 12), (2417, 6), (-37, 10), (1728, 9),
+    (0, 8), (287496, 35), (-3375, 14), (10**6, 15), (1, 25),
+)
+# SHA-256 of repr((y, N, coefficients)) over the panel, as the float64
+# screen's bound gave them before the exact bound replaced it
+_BOUND_PANEL_SHA256 = "7ebe7706824c3aae6e5854cb9c29acd196f2fce4d7446e71c6ab298a950209d4"
+
+
+def test_orbit_polynomial_is_accepted_at_its_own_bound(monkeypatch):
+    # one evaluated orbit per polynomial, whose bits hold its own bound plus
+    # the margin, and the bound covers every coefficient
+    orbits = []
+
+    def recorded(*args):
+        orbits.append(hecke_orbit(*args))
+        return orbits[-1]
+
+    monkeypatch.setattr(modpoly, "hecke_orbit", recorded)
+    digest = hashlib.sha256()
+    for y, n in _BOUND_PANEL:
+        modpoly._orbit_polynomial.cache_clear()
+        orbits.clear()
+        poly = modpoly._orbit_polynomial(y, n)
+        assert len(orbits) == 1, (y, n)
+        bound = modpoly._log2_product_bound(orbits[0])
+        assert orbits[0].prec.bits >= bound + modpoly._MARGIN_BITS, (y, n)
+        assert max(abs(c).bit_length() for c in poly) <= bound, (y, n)
+        digest.update(repr((y, n, poly)).encode())
+    assert digest.hexdigest() == _BOUND_PANEL_SHA256
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
