@@ -41,6 +41,7 @@ from .numerics import (
     DEFAULT_PRECISION,
     Precision,
     UpperHalfPoint,
+    _attach_pass,
     eval_j,
     log_petersson_norm_delta,
     tau_from_j,
@@ -104,15 +105,15 @@ def cusp_height(
 ) -> HeightSeriesPoint:
     """H_N = sum of -log ||Delta(tau_i)|| over the order-N orbit of y_tau.
 
-    Emits a warning when j(y_tau) is not close to a rational integer (the
-    finite places only drop out of the height for integral j).
+    Emits a warning when j(y_tau) is not integral (_integral_j): the finite
+    places only drop out of the height for integral j.
     """
     if n < 2:
         raise ValueError("need N >= 2 for the log N normalization")
-    j_base = _off_integral_j(y_tau, prec)
-    if j_base is not None:
+    j_base, y = _integral_j(y_tau, prec)
+    if y is None:
         warnings.warn(
-            f"base j = {j_base} is not near an integer; "
+            f"base j = {mp.nstr(j_base, 8)} is not near an integer; "
             "finite places may contribute to the true height",
             stacklevel=2,
         )
@@ -127,16 +128,16 @@ def cusp_height(
 
 
 @functools.lru_cache(maxsize=1)
-def _off_integral_j(y_tau: UpperHalfPoint, prec: Precision) -> str | None:
-    """j(y_tau) to 8 digits when it is not within 1e-6 * max(1, |j|) of an
-    integer, else None, compared in mpf, as |j| can pass the float64 range.
-    The last base point is kept: a height series reads the same one for
+def _integral_j(y_tau: UpperHalfPoint, prec: Precision) -> tuple:
+    """(j, y): j = j(y_tau) and the integer y when |j - y| lies within the
+    resolution 2^-bits max(1, |j|) of j (Precision.resolution), else None,
+    the one integral-j rule of cusp_height and local_arch_sum.  The last
+    base point is kept: a height or local sum series reads the same one for
     every N."""
-    j_base = eval_j(y_tau, prec)
-    drift = abs(j_base - mp.nint(j_base.real))
-    if drift > 1e-6 * max(1, abs(j_base)):
-        return mp.nstr(j_base, 8)
-    return None
+    with mp.workprec(prec.wp):
+        j = eval_j(y_tau, prec)
+        y = mp.nint(j.real)
+        return j, (int(y) if abs(j - y) <= prec.resolution(j) else None)
 
 
 def local_arch_sum(
@@ -145,8 +146,8 @@ def local_arch_sum(
     """S_N = sum over the orbit of log(|z - j(tau_i)| * ||Delta(tau_i)||).
 
     A |z - j| below the resolution of z (Precision.resolution) raises
-    CoincidenceError.  When z is an integer and j(y_tau) lies within its
-    own resolution of an integer y, the exact test of
+    CoincidenceError.  When z is an integer and j(y_tau) is an integer y
+    (_integral_j), the exact test of
     global_identity_residual (_check_coincidence) runs as well, for every
     N: the error of y_tau can keep the orbit point of j = z above the
     resolution.
@@ -156,10 +157,9 @@ def local_arch_sum(
         zc = mp.mpc(z)
         terms = [mp.log(_distance(p, zc, prec)) for p in orbit.points]
         if zc.imag == 0 and mp.isint(zc.real):
-            j_base = eval_j(y_tau, prec)
-            y = mp.nint(j_base.real)
-            if abs(j_base - y) <= prec.resolution(j_base):
-                _check_coincidence(int(y), int(zc.real), n)
+            y = _integral_j(y_tau, prec)[1]
+            if y is not None:
+                _check_coincidence(y, int(zc.real), n)
         return float(pairwise_sum(terms) + _log_norm_orbit_sum(y_tau, n, prec))
 
 
@@ -243,7 +243,8 @@ def heuristic_integral(
     hyperbolic measure on the fundamental domain.
 
     Sampling: x uniform on (-1/2, 1/2); y = (sqrt(3)/2)/u with u uniform,
-    i.e. density 1/y^2; accept when x^2 + y^2 >= 1.  Samples whose |z - j|
+    i.e. density 1/y^2; accept when x^2 + y^2 >= 1.  j and log ||Delta||
+    read one kernel pass per point (_attach_pass).  Samples whose |z - j|
     lies below the resolution of z are rejected and counted.
     """
     if samples < 2:
@@ -264,6 +265,7 @@ def heuristic_integral(
             if x * x + im * im < 1.0:
                 continue
             tau = UpperHalfPoint(x, im)
+            _attach_pass(tau, prec)
             dist = abs(zc - eval_j(tau, prec))
             if dist < floor:
                 rejected += 1

@@ -14,10 +14,10 @@ three levels of 256-entry tables at W + 24 bits and a Taylor sum of the
 rest below 2^-24.  One cached table per precision (_kernel_tables) holds
 these and the series' coefficients.
 
-The point tau_from_j returns carries the pass its Newton loop accepted
-there, and _series hands that pass back at the same precision: j, E4, E6,
-Delta and log ||Delta|| at tau_y make no pass of their own, and each is
-bit for bit what a pass would give.
+A point can carry one full pass (_attach_pass), as tau_from_j's root and
+heuristic_integral's samples do, and _series hands it back at the same
+precision: j, E4, E6, Delta and log ||Delta|| there make no pass of their
+own, and each is bit for bit what a pass would give.
 
 The reduction decides on exact integers: the Hecke orbit hands it a base
 point and a coset matrix, and it rounds only the reduced image, once, so
@@ -64,6 +64,10 @@ _LN2 = math.log(2.0)
 _LOG_LAST_POWER = math.log(114.0)
 
 
+class InversionError(ArithmeticError):
+    """tau_from_j's Newton loop ended on no point with |j - y| <= err."""
+
+
 class PrecisionOverflowError(ArithmeticError):
     """j or Delta is asked for above the reduced Im tau = 2^20
     (_MAX_POWER_IM), or no power of q within the cap T of _kernel_tables
@@ -100,10 +104,9 @@ class UpperHalfPoint:
     part is kept exactly, any other number is converted at the context
     precision.
 
-    A point that tau_from_j returns carries the kernel pass its loop
-    accepted there, as (prec, the tuple of _series), and _series hands it
-    back at that precision; points compare, hash and print by re and im
-    alone."""
+    A point can carry one kernel pass, as (prec, the tuple of _series),
+    written by _attach_pass alone, and _series hands it back at that
+    precision; points compare, hash and print by re and im alone."""
 
     re: mpf
     im: mpf
@@ -520,9 +523,8 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     to 0, which comes within the cap T of _kernel_tables.  Returns (reduced,
     witness, tables, r, u, E4, E6, prod): the _kernel_tables of prec, r as
     _nome gives it, the rest in fixed point or None if not asked for.  At a
-    point of tau_from_j, asked at the precision it was found at, this is
-    the pass its loop accepted there, which holds all three series, and no
-    pass is made.
+    point that carries a pass at prec (_attach_pass), this is that pass,
+    which holds all three series, and no pass is made.
 
     Error bound, in units 2^-W.  r is within 2^-(W + 20) relative, and q
     and u within 1/2 + 2^-20 units: the table entries, their products, the
@@ -644,10 +646,7 @@ def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular discriminant (2 pi)^12 q prod (1 - q^n)^24 at tau."""
     with mp.workprec(prec.wp):
         reduced, witness, t, r, u, _, _, prod = _series(tau, prec, euler=True)
-        delta = mp.make_mpc(_delta(reduced, t, r, u, prod, prec))
-        if witness.c == 0 and witness.d in (1, -1):
-            return delta  # a translation: the cocycle is 1
-        return delta * _cocycle(tau, witness, 12)
+        return mp.make_mpc(_delta(reduced, t, r, u, prod, prec)) * _cocycle(tau, witness, 12)
 
 
 def _j(reduced: UpperHalfPoint, t: _KernelTables, r, u, e4, prod) -> tuple:
@@ -718,9 +717,10 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
     until |j - y| <= err: each step reads j and a float64 slope,
     d log j / dtau = -2 pi i E6 / E4, off one kernel pass and gains some 50
     bits, and the root is good to about 2 err / |j'|.  Just off 0 and 1728
-    it bisects until its steps take hold.  The point returned carries the
-    pass the loop accepted there, so that j, E4, E6, Delta and log ||Delta||
-    at it make no pass of their own (_series).  NaN or inf raises
+    it bisects until its steps take hold.  The point returned is the one
+    the loop accepted and carries its pass, so that j, E4, E6, Delta and
+    log ||Delta|| at it make no pass of their own (_series); a loop that
+    ends with no such point raises InversionError.  NaN or inf raises
     ValueError.
     """
     wp = prec.wp
@@ -735,35 +735,32 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
             return UpperHalfPoint(mpf(-1) / 2, mp.sqrt(3) / 2)
         lo, hi, re = _arc(y)
 
-        def point(x):
-            if re is None:
-                return UpperHalfPoint(x, mp.sqrt(1 - x * x))
-            return UpperHalfPoint(re, x)
-
-        last = None  # (x, tau, pass) of the last value
-
         def f(x):  # |j| - |y|, increasing: j has the sign of y on its arc
-            nonlocal last
-            tau = point(x)  # inside the domain: its reduction is the identity
-            series = _series(tau, prec, e4=True, e6=True, euler=True)
-            last = x, tau, series
-            reduced, _, t, r, u, e4, e6, prod = series
+            # inside the domain: its reduction is the identity
+            tau = UpperHalfPoint(x, mp.sqrt(1 - x * x)) if re is None else UpperHalfPoint(re, x)
+            reduced, _, t, r, u, e4, e6, prod = _attach_pass(tau, prec)
             a, _, den, exp = _j(reduced, t, r, u, e4, prod)  # j is real on the arc
             j = abs(mp.make_mpf(_quotient(a, den, wp, exp)))
             # d|j| / dx = |j| Re(d log j / dtau dtau / dx), in float64
             (ax, ay), (bx, by), norm = e6, e4, e4[0] ** 2 + e4[1] ** 2
             e6_e4 = complex((ax * bx + ay * by) / norm, (ay * bx - ax * by) / norm)
             dtau = 1j if re is not None else complex(1, -_float(x._mpf_) / _float(tau.im._mpf_))
-            return j - abs(y), j * (-2j * math.pi * e6_e4 * dtau).real
+            return j - abs(y), j * (-2j * math.pi * e6_e4 * dtau).real, tau
 
         # twice the bisections that exhaust the bracket at wp
-        x = _newton(f, mpf(_seed(y, lo, hi, re)), lo, hi, 2 * (wp + 8),
-                    lambda x, value, slope: abs(value) <= err)
-        last_x, tau, series = last
-        if last_x != x:  # the steps ran out on a step not yet evaluated
-            return point(x)
-        object.__setattr__(tau, "_pass", (prec, series))
-        return tau
+        _, accepted = _newton(f, mpf(_seed(y, lo, hi, re)), lo, hi, 2 * (wp + 8),
+                              lambda x, value, slope: abs(value) <= err)
+        if accepted is None:
+            raise InversionError(f"no point with |j - y| <= {mp.nstr(err, 5)} at y = {y}")
+        return accepted[2]
+
+
+def _attach_pass(tau: UpperHalfPoint, prec: Precision) -> tuple:
+    """One full kernel pass at tau, E4, E6 and the product, kept on tau so
+    that _series hands it back at prec; returns the pass."""
+    series = _series(tau, prec, e4=True, e6=True, euler=True)
+    object.__setattr__(tau, "_pass", (prec, series))
+    return series
 
 
 def _arc(y) -> tuple:
@@ -784,17 +781,18 @@ def _arc(y) -> tuple:
 def _newton(f, x, lo, hi, steps: int, close):
     """Safeguarded Newton steps x <- x - f(x) / f'(x) on f, increasing on
     the bracket (lo, hi) of its root, from x, or from the middle if x is not
-    inside; f(x) returns (f(x), f'(x)), and each value narrows the bracket.
-    A slope that is not positive, or a step that would leave the bracket,
-    bisects it instead.  Returns the first x where close(x, f(x), f'(x))
-    holds, else the last x evaluated once the bracket stops shrinking or
-    after `steps` values.  Floats and mpf alike."""
+    inside; f(x) returns (f(x), f'(x), ...), and each value narrows the
+    bracket.  A slope that is not positive, or a step that would leave the
+    bracket, bisects it instead.  Returns (x, f(x)) at the first x where
+    close(x, f(x), f'(x)) holds, else (x, None) once the bracket stops
+    shrinking or after `steps` values.  Floats and mpf alike."""
     if not lo < x < hi:
         x = (lo + hi) / 2
     for _ in range(steps):
-        value, slope = f(x)
+        fx = f(x)
+        value, slope = fx[:2]
         if close(x, value, slope):
-            break
+            return x, fx
         lo, hi = (x, hi) if value < 0 else (lo, x)
         step = x - value / slope if slope > 0 else hi  # hi is not inside: bisect
         if not lo < step < hi:
@@ -802,7 +800,7 @@ def _newton(f, x, lo, hi, steps: int, close):
             if step in (lo, hi):  # the bracket stops shrinking
                 break
         x = step
-    return x
+    return x, None
 
 
 # float64 Newton steps of _seed, and the relative step at which it stops
@@ -832,7 +830,7 @@ def _seed(y, lo, hi, re) -> float:
         return log_j - log_y, (-2j * math.pi * e6 / e4 * dtau).real
 
     return _newton(f, x, lo, hi, _SEED_STEPS,
-                   lambda x, v, s: s > 0 and abs(v) <= _SEED_TOL * max(1.0, abs(x)) * s)
+                   lambda x, v, s: s > 0 and abs(v) <= _SEED_TOL * max(1.0, abs(x)) * s)[0]
 
 
 # -- float64 screen -----------------------------------------------------------

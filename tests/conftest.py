@@ -88,7 +88,7 @@ def fresh_base_point_caches():
     starts without them, so that counts of inversions and evaluations do
     not depend on which test ran before."""
     for cached in (
-        heights._base_point, heights._off_integral_j, heights._log_norm,
+        heights._base_point, heights._integral_j, heights._log_norm,
         modpoly._orbit_polynomial, modpoly._j_record, scan._gaussian_prime,
         scan._eisenstein_prime,
     ):

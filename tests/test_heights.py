@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from heckelab import cli, hecke, heights, lattices, modpoly, numerics
-from heckelab.arith import prime_divisors, triple_counts
+from heckelab.arith import pairwise_sum, prime_divisors, triple_counts
 from heckelab.hecke import HeckeOrbit, e_n, hecke_orbit
 from heckelab.heights import (
     CoincidenceError,
@@ -253,6 +254,19 @@ def test_cusp_height_warns_off_integral_j():
     for im in (1.7, 100, 120):
         with pytest.warns(UserWarning, match="not near an integer"):
             cusp_height(UpperHalfPoint(0.3, im), 2, PREC)
+    # j = 5 + 10^-9 is within 10^-6 of 5 but not within the resolution
+    prec = Precision(128)
+    with pytest.warns(UserWarning, match="not near an integer"):
+        cusp_height(tau_from_j(5 + 1e-9, prec), 2, prec)
+
+
+def test_a_local_sum_series_reads_the_base_j_once(monkeypatch):
+    # the integral-j rule reads j(tau_y) for the first N and keeps it
+    tau = tau_from_j(1, PREC)
+    j_values = _counting(monkeypatch, heights, "eval_j")
+    for n in range(2, 9):
+        assert math.isfinite(local_arch_sum(tau, 2, n, PREC))
+    assert len(j_values) == 1
 
 
 def test_cusp_height_quiet_at_integral_j():
@@ -425,7 +439,7 @@ def test_the_orbit_of_i_meets_its_integers(bits):
 
 def test_height_command_reads_the_base_j_once(monkeypatch, capsys):
     # the integral-j check reads j(tau_y) for the first N and keeps it
-    heights._off_integral_j.cache_clear()
+    heights._integral_j.cache_clear()
     j_values = _counting(monkeypatch, heights, "eval_j")
     assert cli.main(["height", "1", "2..40"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 40
@@ -446,6 +460,41 @@ def test_heuristic_integral_determinism():
     assert spread < 8 * (a.std_error + c.std_error)
     with pytest.raises(ValueError):
         heuristic_integral(12345, 1, PREC)
+
+
+def _two_pass_integral(z, samples: int, prec: Precision, seed: int):
+    """heuristic_integral with a kernel pass for j and another for
+    log ||Delta|| at each sample, over the same seeded draws: the oracle of
+    its one pass per sample."""
+    rng = random.Random(seed)
+    with mp.workprec(prec.wp):
+        zc = mp.mpc(z)
+        values, rejected = [], 0
+        while len(values) < samples:
+            x = rng.uniform(-0.5, 0.5)
+            im = heights._MIN_IM / (1.0 - rng.random())
+            if x * x + im * im < 1.0:
+                continue
+            tau = UpperHalfPoint(x, im)
+            dist = abs(zc - eval_j(tau, prec))
+            if dist < prec.resolution(zc):
+                rejected += 1
+                continue
+            values.append(float(mp.log(dist) + log_petersson_norm_delta(tau, prec)))
+    mean = pairwise_sum(values) / samples
+    var = pairwise_sum([(v - mean) ** 2 for v in values]) / (samples - 1)
+    return heights.IntegralEstimate(mean, math.sqrt(var / samples), samples, rejected, seed)
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_heuristic_integral_makes_one_kernel_pass_per_sample(monkeypatch, bits):
+    prec = Precision(bits)
+    for z, seed in ((12345, 7), (0, 3), (1728 - 5j, 11)):
+        passes = _counting(monkeypatch, numerics, "_nome")
+        got = heuristic_integral(z, 40, prec, seed=seed)
+        assert len(passes) == got.samples + got.rejected
+        monkeypatch.undo()
+        assert got == _two_pass_integral(z, 40, prec, seed), (z, seed)
 
 
 # (y, z, N, bits): Phi_N(z, y) = 0, and the orbit point of j = z moves
@@ -501,6 +550,7 @@ def test_series_invert_y_and_read_the_log_norm_once(monkeypatch, capsys):
     # height series reads the log norm once
     for argv, inverted in ((["residual", "1", "2", "2..40"], 1), (["height", "1", "2..40"], 0)):
         heights._base_point.cache_clear()
+        heights._integral_j.cache_clear()
         heights._log_norm.cache_clear()
         inversions = _counting(monkeypatch, heights, "tau_from_j")
         norms = _counting(monkeypatch, heights, "log_petersson_norm_delta")
@@ -538,6 +588,7 @@ def test_series_print_the_same_rows_with_the_base_point_kept(capsys):
         fresh = []
         for n in range(2, 13):
             heights._base_point.cache_clear()
+            heights._integral_j.cache_clear()
             heights._log_norm.cache_clear()
             assert cli.main(argv[:-1] + [str(n)]) == 0
             fresh.append(capsys.readouterr().out.splitlines()[1])

@@ -467,21 +467,32 @@ def test_float_series_agrees_on_a_complex_and_an_array():
 
 
 def test_newton_keeps_to_its_bracket():
-    # a start outside the bracket takes its middle, and with no slope to
-    # step on the bisections end once the bracket stops shrinking: the last
-    # x evaluated comes back, long before the step count runs out
+    # a start outside the bracket takes its middle, and the accepted value
+    # comes back with its x; with no slope to step on the bisections end
+    # once the bracket stops shrinking: the last x evaluated comes back,
+    # with no value, long before the step count runs out
     seen = []
 
     def f(x, slope):
         seen.append(x)
         return x - 0.3, slope
 
-    x = numerics._newton(lambda x: f(x, 1.0), 5.0, 0.0, 1.0, 100, lambda x, v, s: v == 0)
-    assert (seen[0], x) == (0.5, 0.3)
+    x, fx = numerics._newton(lambda x: f(x, 1.0), 5.0, 0.0, 1.0, 100, lambda x, v, s: v == 0)
+    assert (seen[0], x, fx) == (0.5, 0.3, (0.0, 1.0))
     seen.clear()
-    x = numerics._newton(lambda x: f(x, 0.0), 0.5, 0.0, 1.0, 1000, lambda x, v, s: False)
-    assert x == seen[-1] and len(seen) < 100
+    x, fx = numerics._newton(lambda x: f(x, 0.0), 0.5, 0.0, 1.0, 1000, lambda x, v, s: False)
+    assert x == seen[-1] and fx is None and len(seen) < 100
     assert abs(x - 0.3) <= 2 * math.ulp(0.3)
+
+
+def test_tau_from_j_raises_where_its_loop_accepts_no_point(monkeypatch):
+    # a negative resolution accepts no |j - y|: the loop ends on a point it
+    # never accepted, and the inversion raises rather than return it
+    monkeypatch.setattr(Precision, "resolution", lambda self, x: mpf(-1))
+    for bits in (64, 128):
+        for y in (5, 2417, -40):
+            with pytest.raises(numerics.InversionError, match=f"at y = {y}.0"):
+                tau_from_j(y, Precision(bits))
 
 
 def test_float_seed_lies_next_to_the_root():
