@@ -238,19 +238,30 @@ def _parse_complex(text: str, prec: Precision, upper_half: bool = False):
         return UpperHalfPoint(z.real, z.imag)
 
 
+def _parse_int(text: str, name: str) -> int:
+    """An integer argument; anything else is a ValueError that names it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text.strip()!r}") from None
+
+
 def _parse_range(spec: str) -> list[int]:
     """'a..b' inclusive; 'primes:a..b' primes only; 'a,b,c' explicit list."""
-    spec = spec.strip()
-    primes_only = spec.startswith("primes:")
+    text = spec.strip()
+    spec = text.removeprefix("primes:")
+    primes_only = spec != text
+    try:
+        if ".." not in spec:
+            return [int(part) for part in spec.split(",")]
+        lo, hi = (int(part) for part in spec.split("..", 1))
+    except ValueError:
+        raise ValueError(
+            f"range must be 'a..b', 'primes:a..b' or 'a,b,c' in integers, got {text!r}"
+        ) from None
     if primes_only:
-        spec = spec[len("primes:") :]
-    if ".." in spec:
-        lo_text, hi_text = spec.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if primes_only:
-            return [p for p in primes_up_to(max(hi, 2)) if lo <= p <= hi]
-        return list(range(lo, hi + 1))
-    return [int(part) for part in spec.split(",")]
+        return [p for p in primes_up_to(max(hi, 2)) if lo <= p <= hi]
+    return list(range(lo, hi + 1))
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -294,19 +305,13 @@ def _orbit(args: argparse.Namespace) -> tuple:
     tau = _parse_complex(args.tau, args.prec, upper_half=True)
     orbit = hecke_orbit(tau, args.n, args.prec)
     d = _digits(args)
-    rows = [
-        (
-            p.coset.alpha,
-            p.coset.beta,
-            p.coset.delta,
-            _fmt(p.tau.re, d),
-            _fmt(p.tau.im, d),
-            _fmt(p.j.real, d),
-            _fmt(p.j.imag, d),
-        )
-        for p in orbit.points
-    ]
+    rows = [(*p.coset[:3], *_point_cells(p.tau, p.j, d)) for p in orbit.points]
     return ["alpha", "beta", "delta", "tau_re", "tau_im", "j_re", "j_im"], rows
+
+
+def _point_cells(tau: UpperHalfPoint, j, digits: int) -> tuple:
+    """The tau_re, tau_im, j_re and j_im cells of a point's row."""
+    return tuple(_fmt(x, digits) for x in (tau.re, tau.im, j.real, j.imag))
 
 
 def _orbit_checks() -> list[tuple[str, bool]]:
@@ -320,7 +325,7 @@ def _orbit_checks() -> list[tuple[str, bool]]:
 
 
 def _height(args: argparse.Namespace) -> tuple:
-    j_base = int(args.j_base)
+    j_base = _parse_int(args.j_base, "j_base")
     ns = _parse_range(args.n_spec)
     tau_y = tau_from_j(j_base, args.prec) if ns else None
     points = [cusp_height(tau_y, n, args.prec) for n in ns]
@@ -454,21 +459,11 @@ def _latcount_checks() -> list[tuple[str, bool]]:
 
 def _cm(args: argparse.Namespace) -> tuple:
     d = _digits(args)
-    rows = []
-    for p in enumerate_cm_points(args.m_max, args.prec):
-        jval = eval_j(p.tau0, args.prec)
-        rows.append(
-            (
-                p.M,
-                p.trace,
-                p.conductor,
-                p.fundamental_disc,
-                _fmt(p.tau0.re, d),
-                _fmt(p.tau0.im, d),
-                _fmt(jval.real, d),
-                _fmt(jval.imag, d),
-            )
-        )
+    rows = [
+        (p.M, p.trace, p.conductor, p.fundamental_disc,
+         *_point_cells(p.tau0, eval_j(p.tau0, args.prec), d))
+        for p in enumerate_cm_points(args.m_max, args.prec)
+    ]
     return (
         ["m", "t", "conductor", "fundamental_disc", "tau_re", "tau_im", "j_re", "j_im"],
         rows,
@@ -551,10 +546,9 @@ def _integral_checks() -> list[tuple[str, bool]]:
 
 
 def _residual(args: argparse.Namespace) -> tuple:
-    rows = [
-        (n, e_n(n), global_identity_residual(int(args.y), int(args.z), n, args.prec))
-        for n in _parse_range(args.n_spec)
-    ]
+    ns = _parse_range(args.n_spec)
+    y, z = _parse_int(args.y, "y"), _parse_int(args.z, "z")
+    rows = [(n, e_n(n), global_identity_residual(y, z, n, args.prec)) for n in ns]
     return ["n", "e_n", "residual"], rows
 
 

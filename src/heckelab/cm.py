@@ -358,8 +358,8 @@ def density_experiment(
     orbit of y_tau.  N belongs to the near-miss set when that distance is
     at most N^-d_exp; see density_fraction.
 
-    The float64 screen of each orbit picks the points whose distance may be
-    the smallest under its error bounds; only those are evaluated exactly.
+    OrbitScreen.nearest picks the points whose distance may be the smallest
+    under the j bounds it forms; only those are evaluated exactly.
     """
     if d_exp < 1:
         raise ValueError("need D >= 1")

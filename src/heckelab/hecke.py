@@ -120,20 +120,18 @@ _SCREEN_MIN_MOVED_IM = 2.0**-32
 class OrbitScreen:
     """The float64 tier of an orbit, in coset order.
 
-    tau holds the reduced points.  Where trusted, tau_err bounds both the
-    distance from tau to an SL2(Z)-image of the exact point and the
-    difference of their imaginary parts; log_j = log|j| + i arg j, and
-    exp(log_j_err) bounds the difference from the exact j.  An untrusted
-    point (moved Im below _SCREEN_MIN_MOVED_IM, or not certified inside the
-    fundamental domain) carries no usable value: every decision about it
-    goes to the exact tier.  The screen serves the statistics alone,
-    equi_fraction and the density's nearest points; no integer reads it.
+    The screen is geometry alone: tau holds the reduced points and, where
+    trusted, tau_err bounds both the distance from tau to an SL2(Z)-image
+    of the exact point and the difference of their imaginary parts.  An
+    untrusted point (moved Im below _SCREEN_MIN_MOVED_IM, or not certified
+    inside the fundamental domain) carries no usable value: every decision
+    about it goes to the exact tier.  The screen serves the statistics
+    alone, equi_fraction and the density's nearest points; no integer
+    reads it, and only nearest forms j values and their bounds.
     """
 
     tau: np.ndarray
     tau_err: np.ndarray
-    log_j: np.ndarray
-    log_j_err: np.ndarray
     trusted: np.ndarray
 
     @classmethod
@@ -153,22 +151,19 @@ class OrbitScreen:
         trusted = (np.abs(tau.real) <= 0.5 + tau_err) & (
             tau.real**2 + tau.imag**2 >= 1.0 - 4.0 * tau_err
         )
-        log_j = np.full(tau.shape, np.nan, np.complex128)
-        log_j_err = np.full(tau.shape, np.nan)
-        log_j[trusted], log_j_err[trusted] = log_j_float64(tau[trusted], tau_err[trusted])
-        return cls(tau, tau_err, log_j, log_j_err, trusted)
+        return cls(tau, tau_err, trusted)
 
     def nearest(self, z) -> np.ndarray:
         """Indices of the points whose |j - z| may be the smallest of the
-        orbit under the error bounds, untrusted points included: at each
-        trusted point low <= log|j - z| <= high, and a point goes only when
-        its low is above the least high.  An infinite or NaN z keeps every
-        point."""
+        orbit under the error bounds, untrusted points included.  At each
+        trusted point log_j_float64 gives log j and a bound on its error,
+        so that low <= log|j - z| <= high; a point goes only when its low
+        is above the least high.  An infinite or NaN z keeps every point."""
         ok = self.trusted
         zc = mpc(z)
         log_z = float(mp.log(abs(zc))) if zc != 0 else -math.inf
         arg_z = float(mp.arg(zc)) if zc != 0 else 0.0
-        log_j, log_err = self.log_j[ok], self.log_j_err[ok]
+        log_j, log_err = log_j_float64(self.tau[ok], self.tau_err[ok])
         # distances in units of e^s, so that no |j| overflows
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.maximum(np.maximum(log_j.real, log_err), log_z)

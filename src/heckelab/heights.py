@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import prec_to_dps
 
 from . import modpoly
 from .arith import factorize, pairwise_sum, triple_counts
@@ -112,8 +113,13 @@ def cusp_height(
         raise ValueError("need N >= 2 for the log N normalization")
     j_base, y = _integral_j(y_tau, prec)
     if y is None:
+        with mp.workprec(prec.wp):
+            near, digits = mp.nint(j_base.real), prec_to_dps(prec.bits)
         warnings.warn(
-            f"base j = {mp.nstr(j_base, 8)} is not near an integer; "
+            f"base j, of Re {mp.nstr(j_base.real, digits)}, lies |j - y| = "
+            f"{mp.nstr(abs(j_base - near), 8)} from y = "
+            f"{mp.nstr(near, digits).removesuffix('.0')}, above the resolution "
+            f"{mp.nstr(prec.resolution(j_base), 8)}: not near an integer; "
             "finite places may contribute to the true height",
             stacklevel=2,
         )

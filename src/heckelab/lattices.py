@@ -113,6 +113,8 @@ def lagrange_reduce(form: GramForm) -> GramForm:
 
 def counting_bound(n: int, disc) -> float:
     """1 + 8 sqrt(n) + 16 n / sqrt(disc)."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     disc = Fraction(disc)
     if disc <= 0:
         raise ValueError("disc must be positive")

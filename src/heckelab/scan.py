@@ -512,6 +512,8 @@ def trace_power(a_p: int, p: int, k: int) -> int:
     p may be a prime power here (the recurrence only sees the Weil number),
     which is what the power-consistency identity exercises.
     """
+    if p < 1:
+        raise ValueError(f"p must be positive, got {p}")
     if a_p * a_p > 4 * p:
         raise HasseBoundError(f"|{a_p}| > 2 sqrt({p})")
     if k < 1:

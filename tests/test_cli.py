@@ -623,6 +623,7 @@ def test_error_paths_return_two(capsys, monkeypatch):
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
     gram = "error: gram must have 3 entries (rank 2: a,b,c) or 10 (rank 4 upper triangle)\n"
+    ints = "range must be 'a..b', 'primes:a..b' or 'a,b,c' in integers"
     for argv, message in (
         (["equi", "0.3-1i", "5", "1.5"], "error: Im tau must be positive, got '0.3-1i'\n"),
         (["scan", "1,2,3", "0,1", "5", "50"],
@@ -639,6 +640,13 @@ def test_error_paths_return_two(capsys, monkeypatch):
         (["equi", "2i", "5", "1.5+1i"], "error: threshold must be real, got '1.5+1i'\n"),
         (["equi", "2i", "5", "-1.5"], "error: im_threshold must be positive\n"),
         (["equi", "2i", "5", "x"], "error: cannot read 'x' as a complex number\n"),
+        (["height", "1.5", "2"], "error: j_base must be an integer, got '1.5'\n"),
+        (["height", "-1e3", "2"], "error: j_base must be an integer, got '-1e3'\n"),
+        (["residual", "1", "2.5", "2"], "error: z must be an integer, got '2.5'\n"),
+        (["residual", "1/2", "2", "2"], "error: y must be an integer, got '1/2'\n"),
+        (["height", "1", "2..x"], f"error: {ints}, got '2..x'\n"),
+        (["residual", "1", "2", "primes:-3..x"], f"error: {ints}, got 'primes:-3..x'\n"),
+        (["equi", "2i", "2,,3", "1.5"], f"error: {ints}, got '2,,3'\n"),
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == message, argv

@@ -1,7 +1,9 @@
 import logging
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -24,11 +26,13 @@ from heckelab.cm import (
     near_cm_finder,
     order_index,
 )
+from heckelab.hecke import HeckeOrbit, e_n
 from heckelab.numerics import (
     ModularMatrix,
     Precision,
     UpperHalfPoint,
     eval_j,
+    log_j_float64,
     reduce_to_fundamental_domain,
 )
 
@@ -400,6 +404,30 @@ def test_matrices_into_box_equals_the_brute_force():
     assert found > 100
 
 
+def _eager_nearest(screen, z):
+    # the nearest-point rule on log j and its bound formed at every trusted
+    # point up front, as NaN-filled arrays over the whole orbit
+    ok = screen.trusted
+    all_log_j = np.full(ok.shape, np.nan, np.complex128)
+    all_log_err = np.full(ok.shape, np.nan)
+    all_log_j[ok], all_log_err[ok] = log_j_float64(screen.tau[ok], screen.tau_err[ok])
+    zc = mp.mpc(z)
+    log_z = float(mp.log(abs(zc))) if zc != 0 else -math.inf
+    arg_z = float(mp.arg(zc)) if zc != 0 else 0.0
+    log_j, log_err = all_log_j[ok], all_log_err[ok]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.maximum(np.maximum(log_j.real, log_err), log_z)
+        j = np.exp(log_j - s)
+        zs = np.exp(log_z - s + 1j * arg_z)
+        dist = np.abs(j - zs)
+        err = np.exp(log_err - s) + 2.0**-48 * (np.abs(j) + np.abs(zs)) + 2.0**-1000
+        low = s + np.log(np.maximum(dist - err, 0.0))
+        high = s + np.log(dist + err)
+    keep = np.ones(ok.size, bool)
+    keep[ok] = ~(low > high.min(initial=np.inf))
+    return np.flatnonzero(keep)
+
+
 def test_density_experiment_small():
     base = UpperHalfPoint(0, 2)
     points = density_experiment(base, 287496, 4, 3, FAST)
@@ -410,6 +438,19 @@ def test_density_experiment_small():
         density_experiment(base, 0, 0, 3, FAST)
     with pytest.raises(ValueError):
         density_fraction([], 4)
+    # the screen's nearest points equal those of bounds formed up front
+    rng = random.Random(43)
+    bases = [UpperHalfPoint(rng.uniform(-3, 3), rng.uniform(0.05, 4)) for _ in range(3)]
+    bases.append(UpperHalfPoint(0.3183098861837907, 1e-9))  # below the screen floor
+    kept = 0
+    for tau in bases:
+        for n in range(1, 61):
+            screen = HeckeOrbit(tau, n, FAST).screen
+            for z in (0, 1728, mp.mpc(2, 3), mp.inf):
+                got = screen.nearest(z)
+                assert np.array_equal(got, _eager_nearest(screen, z)), (tau, n, z)
+                kept += got.size
+    assert 0 < kept < 4 * sum(e_n(n) for n in range(1, 61)) * len(bases)
 
 
 def test_density_fraction_compares_below_the_float64_range():

@@ -15,7 +15,13 @@ from heckelab.hecke import (
     hecke_orbit,
     orbit_symmetry_check,
 )
-from heckelab.numerics import Precision, UpperHalfPoint, eval_j, tau_from_j
+from heckelab.numerics import (
+    Precision,
+    UpperHalfPoint,
+    eval_j,
+    log_j_float64,
+    tau_from_j,
+)
 
 PREC = Precision(128)
 FAST = Precision(96)
@@ -234,6 +240,23 @@ def test_screen_tier_evaluates_no_j(monkeypatch):
     assert len(j_calls) == 1
 
 
+@pytest.mark.parametrize(
+    "n, hits",
+    [(12, (24, 23, 14, 6)), (97, (98, 94, 64, 32)), (503, (504, 481, 324, 160))],
+)
+def test_equi_fraction_forms_no_j_value_or_bound(monkeypatch, n, hits):
+    # the hit counts at thresholds 0.9, 1.0, 1.5 and 3.0 are those the
+    # screen gave when it formed log j and its bound at every trusted point
+    def refused(*args):
+        raise AssertionError("equi_fraction formed a j value or bound")
+
+    monkeypatch.setattr(hecke, "log_j_float64", refused)
+    monkeypatch.setattr(hecke, "eval_j", refused)
+    orbit = HeckeOrbit(UpperHalfPoint(0.3, 1.7), n, FAST)
+    for threshold, want in zip((0.9, 1.0, 1.5, 3.0), hits):
+        assert equi_fraction(orbit, threshold).fraction == want / e_n(n)
+
+
 def test_equi_fraction_matches_exact_count_at_orbit_values(monkeypatch, reference_orbit):
     tau = UpperHalfPoint(0.3, 1.7)
     for n in (12, 97):
@@ -257,19 +280,23 @@ def test_screen_stays_within_its_error_bounds():
         UpperHalfPoint(3.7, 0.2),
         UpperHalfPoint(0.25, 0.01),
     ]
+    # the j bounds are those OrbitScreen.nearest forms over the trusted points
     for base in bases:
         for n in (2, 6, 10, 97):
             orbit = HeckeOrbit(base, n, FAST)
             screen = orbit.screen
             assert screen.trusted.all()
+            log_j, log_j_err = log_j_float64(screen.tau, screen.tau_err)
             for i, p in enumerate(orbit.points):
                 assert abs(screen.tau.imag[i] - float(p.tau.im)) <= screen.tau_err[i]
                 with mp.workprec(128):
-                    j_screen = mp.exp(mpc(screen.log_j[i].real, screen.log_j[i].imag))
-                    assert abs(j_screen - p.j) <= mp.exp(screen.log_j_err[i])
+                    j_screen = mp.exp(mpc(log_j[i].real, log_j[i].imag))
+                    assert abs(j_screen - p.j) <= mp.exp(log_j_err[i])
     big = HeckeOrbit(UpperHalfPoint(0.1, 150), 10, FAST).screen
-    assert big.log_j.real.max() > 710  # beyond float64 range as |j|
-    assert np.isfinite(big.log_j_err).all()
+    assert big.trusted.all()
+    log_j, log_j_err = log_j_float64(big.tau, big.tau_err)
+    assert log_j.real.max() > 710  # beyond float64 range as |j|
+    assert np.isfinite(log_j_err).all()
 
 
 def test_points_below_the_moved_im_floor_use_the_exact_tier(reference_orbit):

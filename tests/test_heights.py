@@ -254,9 +254,14 @@ def test_cusp_height_warns_off_integral_j():
     for im in (1.7, 100, 120):
         with pytest.warns(UserWarning, match="not near an integer"):
             cusp_height(UpperHalfPoint(0.3, im), 2, PREC)
-    # j = 5 + 10^-9 is within 10^-6 of 5 but not within the resolution
+    # j = 5 + 10^-9 is within 10^-6 of 5 but not within the resolution, and
+    # the message shows Re j at the run's digits and the drift from 5
     prec = Precision(128)
-    with pytest.warns(UserWarning, match="not near an integer"):
+    drift = (
+        r"of Re 5\.000000001\d{28}, lies \|j - y\| = 1\.0000001e-9 from y = 5, "
+        r"above the resolution 1\.4693679e-38: not near an integer"
+    )
+    with pytest.warns(UserWarning, match=drift):
         cusp_height(tau_from_j(5 + 1e-9, prec), 2, prec)
 
 

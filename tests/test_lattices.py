@@ -325,6 +325,13 @@ def test_counting_bound_holds_on_random_forms():
         counting_bound(5, 0)
 
 
+def test_counting_bound_names_a_negative_n():
+    assert counting_bound(0, 1) == 1.0
+    for n in (-1, -10**6):
+        with pytest.raises(ValueError, match=rf"^n must be nonnegative, got {n}$"):
+            counting_bound(n, 1)
+
+
 def test_dense_fiber_sets_frozen():
     assert dense_fiber_set(I4, 8, 10) == {1, 2, 3, 5, 6, 7, 9, 10}
     assert dense_fiber_set(I4, 24, 10) == set()

@@ -225,6 +225,17 @@ def test_trace_power_recurrence():
         trace_power(1, 5, 0)
 
 
+def test_trace_power_names_a_bad_p():
+    # checked before the Hasse bound, which would blame a_p; at p = 0 the
+    # recurrence would return a value
+    assert trace_power(1, 1, 3) == -2
+    for a_p, p in ((1, -5), (0, 0), (2, -1)):
+        with pytest.raises(ValueError, match=rf"^p must be positive, got {p}$") as info:
+            trace_power(a_p, p, 2)
+        assert not isinstance(info.value, HasseBoundError)
+
+
+
 def test_geom_isogenous_small():
     r5a = count_points(CurveQ(-1, 0), 5)
     r5b = count_points(CurveQ(0, -1), 5)
