@@ -74,6 +74,14 @@ def _digits(args: argparse.Namespace) -> int:
 _LOG2_10 = math.log(10, 2)
 
 
+@functools.lru_cache(maxsize=4096)
+def _cell_scale(digits: int, top: int) -> tuple[int, int, int]:
+    """_fmt's (frac, places, 10^places) for a value in [2^(top - 1), 2^top)."""
+    frac = max(int((digits + 3) * _LOG2_10) + 10 - top, 0)
+    places = int(frac / _LOG2_10 + 0.5)
+    return frac, places, 10**places
+
+
 def _fmt(value, digits: int) -> str:
     """One mpf cell at the run's digits, as mp.nstr(value, digits,
     strip_zeros=True) prints it, from the raw (sign, man, exp).
@@ -88,11 +96,9 @@ def _fmt(value, digits: int) -> str:
     sign, man, exp, bc = value._mpf_
     if not man or abs(exp + bc) > 3500:
         return mp.nstr(value, digits, strip_zeros=True)
-    bits = int((digits + 3) * _LOG2_10) + 10
-    frac = max(bits - exp - bc, 0)  # man 2^exp in units 2^-frac
-    places = int(frac / _LOG2_10 + 0.5)
+    frac, places, scale = _cell_scale(digits, exp + bc)  # man 2^exp in units 2^-frac
     fixed = man << (exp + frac) if exp + frac >= 0 else man >> -(exp + frac)
-    text = str(fixed * 10**places >> frac)
+    text = str(fixed * scale >> frac)
     point = len(text) - places - 1  # the exponent of the leading digit
     if len(text) > digits and text[digits] in "56789":
         text = str(int(text[:digits]) + 1)

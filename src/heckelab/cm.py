@@ -363,6 +363,8 @@ def density_experiment(
     """
     if d_exp < 1:
         raise ValueError("need D >= 1")
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     out = []
     with mp.workprec(prec.wp):
         zc = mp.mpc(z)

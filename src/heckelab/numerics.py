@@ -3,8 +3,9 @@
 All evaluation routes through one q-series pass, _series: reduction to the
 standard fundamental domain |Re tau| <= 1/2, |tau| >= 1, where
 |q| <= exp(-pi*sqrt(3)) ~ 0.00433 makes the q-expansions converge fast, then
-the E4 sum, the E6 sum and the Euler product in fixed point, truncated at
-the first power of q that rounds to 0, within an a-priori error bound.
+the E4 sum, the E6 sum and D = prod (1 - q^n)^24 = sum tau(n + 1) q^n in
+fixed point, truncated at the first power of q that rounds to 0, within an
+a-priori error bound.
 Values at unreduced points are recovered through the weight-k cocycle
 (c*tau + d)^(-k).
 
@@ -294,15 +295,28 @@ def _float(part: tuple) -> float:
 @lru_cache(maxsize=64)
 def _sigma_tables(n_terms: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Divisor sums sigma_3(n), sigma_5(n) for n = 1..n_terms."""
-    s3 = [0] * (n_terms + 1)
-    s5 = [0] * (n_terms + 1)
+    return _sigma(3, n_terms), _sigma(5, n_terms)
+
+
+def _sigma(k: int, n_terms: int) -> tuple[int, ...]:
+    """sigma_k(n) = sum_(d | n) d^k for n = 1..n_terms."""
+    s = [0] * (n_terms + 1)
     for d in range(1, n_terms + 1):
-        d3 = d * d * d
-        d5 = d3 * d * d
+        dk = d**k
         for m in range(d, n_terms + 1, d):
-            s3[m] += d3
-            s5[m] += d5
-    return tuple(s3[1:]), tuple(s5[1:])
+            s[m] += dk
+    return tuple(s[1:])
+
+
+@lru_cache(maxsize=64)
+def _delta_coefficients(n_terms: int) -> tuple[int, ...]:
+    """Ramanujan's tau(n + 1), n = 1..n_terms: D = prod (1 - q^n)^24 =
+    1 + sum a(n) q^n.  As log D = -24 sum sigma_1(k) q^k / k,
+    n a(n) = -24 sum_(k=1..n) sigma_1(k) a(n - k), an exact division."""
+    s1, a = _sigma(1, n_terms), [1]
+    for n in range(1, n_terms + 1):
+        a.append(-24 * sum(map(mul, s1[:n], reversed(a))) // n)
+    return tuple(a[1:])
 
 
 # -- the q-series in fixed point ---------------------------------------------
@@ -339,7 +353,7 @@ class _KernelTables(NamedTuple):
     terms: int  # T, the cap on the powers of q kept
     s3: tuple  # sigma_3(n), n = 1 .. terms
     s5: tuple  # sigma_5(n), n = 1 .. terms
-    pentagonal: tuple  # (n, (-1)^k) for the exponents n <= terms of prod (1 - q^n)
+    delta: tuple  # tau(n + 1), n = 1 .. terms: D = prod (1 - q^n)^24 past its 1
     two_pi_12: tuple  # (2 pi)^12 as a raw mpf at wp + 16 bits
     twelve_log_two_pi: tuple  # 12 log 2 pi as a raw mpf at wp + 16 bits
     # _nome's tables, in units 2^-p
@@ -357,19 +371,17 @@ class _KernelTables(NamedTuple):
 @lru_cache(maxsize=16)
 def _kernel_tables(prec: Precision) -> _KernelTables:
     """The tables of _series at prec, about 140 KB at 128 bits, read once
-    per pass: W and the cap T, the divisor sums and the (exponent, sign)
-    pairs of Euler's prod (1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) +
-    q^(k(3k+1)/2)) up to T, _delta's (2 pi)^12, formed at wp + 16 bits
-    (wp = bits + _GUARD) so that its roundings stay under the last bit,
-    log_petersson_norm_delta's 12 log 2 pi at wp + 16 bits, and _nome's
+    per pass: W and the cap T, the divisor sums and D's coefficients
+    (_delta_coefficients) up to T, _delta's (2 pi)^12 and
+    log_petersson_norm_delta's 12 log 2 pi at wp + 16 bits (wp = bits +
+    _GUARD), so that their roundings stay under the last bit, and _nome's
     tables at p = W + 24.
 
-    W is wp plus the bits of 2^24 (S3 + T) + 2^9 S5, S_k the sum of
-    sigma_k(n) up to T, as _series derives it.  T is the least T from
-    ceil((bits ln 2 + 64) / (pi sqrt 3)), which the error bound needs (it
-    is 19 or more), with |q|^(T-1) 2^W <= 114 at Im tau' = sqrt(3)/2, where
-    |q| = e^(-pi sqrt 3) is largest: then q^T rounds to 0 on the whole
-    domain (_series).  Up to 3,164 bits the first T already meets it."""
+    W is wp plus the bits of the bound that _series derives.  T is the
+    least T from ceil((bits ln 2 + 64) / (pi sqrt 3)), which the error bound
+    needs (it is 19 or more), with |q|^(T-1) 2^W <= 114 at Im tau' =
+    sqrt(3)/2, where |q| = e^(-pi sqrt 3) is largest: then q^T rounds to 0
+    on the whole domain (_series).  Up to 3,133 bits the first T meets it."""
     wp = prec.wp
     two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(wp + 16), 1), 12, wp + 16)
     with mp.workprec(wp + 16):
@@ -377,18 +389,14 @@ def _kernel_tables(prec: Precision) -> _KernelTables:
     terms = math.ceil((prec.bits * _LN2 + 64.0) / _LOG_INV_Q_MIN)
     while True:
         s3, s5 = _sigma_tables(terms)
-        w = wp + (2**24 * (sum(s3) + terms) + 2**9 * sum(s5)).bit_length()
+        delta = _delta_coefficients(terms)
+        bound = 2**24 * sum(s3) + 2**9 * sum(s5) + 2 * sum(map(abs, delta))
+        w = wp + (bound + 3 * (terms + 1) ** 6).bit_length()
         if w * _LN2 - (terms - 1) * _LOG_INV_Q_MIN <= _LOG_LAST_POWER:
             break
         terms += 1
-    pentagonal = tuple(
-        (n, (-1) ** k)
-        for k in range(1, terms + 1)
-        for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
-        if n <= terms
-    )
     return _KernelTables(
-        w, terms, s3, s5, pentagonal, two_pi_12, twelve_log_two_pi,
+        w, terms, s3, s5, delta, two_pi_12, twelve_log_two_pi,
         *_nome_tables(w + _TABLE_BITS),
     )
 
@@ -511,55 +519,57 @@ def _nome(reduced: UpperHalfPoint, t: _KernelTables):
     return r, u, (qx, qy)
 
 
-def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=False):
+def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, delta=False):
     """The one q-series pass behind every evaluator, in fixed point.
 
     Reduces tau and forms q = r u at the reduced point tau' by _nome:
     r = e^(-2 pi Im tau') and u = e^(2 pi i Re tau') from tables at
-    W + 24 bits.  Then the series asked for: E4 = 1 + 240 sum sigma_3(n) q^n,
-    E6 = 1 - 504 sum sigma_5(n) q^n and prod (1 - q^n), a signed sum of the
-    powers at the pentagonal exponents.  The powers q^n come by repeated
-    multiplication, and the sums keep those before the first that rounds
-    to 0, which comes within the cap T of _kernel_tables.  Returns (reduced,
-    witness, tables, r, u, E4, E6, prod): the _kernel_tables of prec, r as
-    _nome gives it, the rest in fixed point or None if not asked for.  At a
-    point that carries a pass at prec (_attach_pass), this is that pass,
-    which holds all three series, and no pass is made.
+    W + 24 bits.  Then the series asked for, each one integer dot product
+    of its cached coefficients with the kept powers: E4 = 1 + 240 sum
+    sigma_3(n) q^n, E6 = 1 - 504 sum sigma_5(n) q^n and D =
+    prod (1 - q^n)^24 = 1 + sum tau(n + 1) q^n.  The powers q^n come by
+    repeated multiplication, and the sums keep those before the first that
+    rounds to 0, which comes within the cap T of _kernel_tables.  Returns
+    (reduced, witness, tables, r, u, E4, E6, D): the _kernel_tables of
+    prec, r as _nome gives it, the rest in fixed point or None if not asked
+    for.  At a point that carries a pass at prec (_attach_pass), this is
+    that pass, which holds all three series, and no pass is made.
 
     Error bound, in units 2^-W.  r is within 2^-(W + 20) relative, and q
-    and u within 1/2 + 2^-20 units: the table entries, their products, the
-    Taylor cut below 2^-24 and the rounding of f leave 6 units 2^-(W + 24)
-    (_nome).  Each power is within 1 unit (|q| <= 0.0044 damps what
-    q^(n-1) carries).  So the kept terms leave the E4 sum within 240 S3,
-    the E6 sum within 504 S5 and the product within T, with
-    S_k = sum_(n<=T) sigma_k(n) >= T^(k+1) / (k + 1).
+    and u within 1/2 + 2^-20 units (_nome).  Each power is within 1 unit
+    (|q| <= 0.0044 damps what q^(n-1) carries) and the sums are exact, so
+    the kept terms leave the E4 sum within 240 S3, the E6 sum within 504 S5
+    and D within S_tau, with S_k = sum_(n<=T) sigma_k(n) >= T^(k+1) / (k + 1)
+    and S_tau = sum_(n<=T) |tau(n + 1)|.
 
     The dropped terms.  When q^z rounds to 0 (2 <= z <= T), both parts of
     the product of the kept q^(z-1), within 1 unit, and q, within 0.71,
-    lie in [-1/2, 1/2): |q|^z < 0.72 units.  With sigma_k(n) <= zeta(k) n^k and
-    |q|^n <= 0.72 |q|^(n-z), the terms from z on add at most 215 T^3 to the
-    E4 sum, 390 T^5 to the E6 sum and 0.73 to the product.  Such a z comes
-    at every precision.  Were q^2 .. q^(T-1) all kept, the product of
-    q^(T-1) and q would be at most (|q|^(T-1) 2^W + 1)(|q| 2^W + 0.71)
-    2^-W units, and _kernel_tables makes |q|^(T-1) 2^W <= 114 at the
-    corner, |q| = e^(-pi sqrt 3) < 0.0043335.  A reduced Im tau' lies at
-    most 2^-(wp - 8) below sqrt(3)/2, and the rule is decided in float64:
-    both raise the 114 by under 2^-20 relative, and (114 (1 + 2^-20) + 1)
-    (0.0043335 + 2^-80) < 0.4984, so both parts of q^T round to 0.  A loop
-    that keeps T powers all the same raises PrecisionOverflowError.
+    lie in [-1/2, 1/2): |q|^z < 0.72 units.  With sigma_k(n) <= zeta(k) n^k,
+    Deligne's |tau(n)| <= d(n) n^(11/2) <= 2 n^6 and |q|^n <= 0.72 |q|^(n-z),
+    the terms from z on add at most 215 T^3 to the E4 sum, 390 T^5 to the
+    E6 sum and 1.48 (T + 1)^6 to D.  Such a z comes at every precision.
+    Were q^2 .. q^(T-1) all kept, the product of q^(T-1) and q would be at
+    most (|q|^(T-1) 2^W + 1)(|q| 2^W + 0.71) 2^-W units, and _kernel_tables
+    makes |q|^(T-1) 2^W <= 114 at the corner, |q| = e^(-pi sqrt 3) <
+    0.0043335.  A reduced Im tau' lies at most 2^-(wp - 8) below sqrt(3)/2,
+    and the rule is decided in float64: both raise the 114 by under 2^-20
+    relative, and (114 (1 + 2^-20) + 1)(0.0043335 + 2^-80) < 0.4984, so
+    both parts of q^T round to 0.  A loop that keeps T powers all the same
+    raises PrecisionOverflowError.
 
-    So E4 is within e = 240 S3 + 215 T^3 and the E6 sum within
-    504 S5 + 390 T^5.  As |E4| <= 2.1 and 0.89 <= |prod|^24 <= 1.12,
-    E4^3 conj(u) is within 14 e + 11 and prod^24 within 27 T + 39, so their
-    quotient is within 16 e + 320 T + 470 <= 4600 (S3 + T), as T >= 19 gives
-    215 T^3 <= 46 S3.  j = E4^3 conj(u) / (prod^24 r), rounded once at wp,
-    with 1/r <= |j| + 2100 <= 2101 max(1, |j|) and 2101 * 4600 < 2^24.
-    W is wp = bits + _GUARD plus the bits of 2^24 (S3 + T) + 2^9 S5, and
-    390 T^5 is below 2^24 T^4 / 4 for T <= 10,000 and below 8 S5 from
-    T = 293 on.  So E4, E6, prod^24 and j are within 2^-wp, j relative to
-    max(1, |j|).  After the mpmath steps each
-    evaluator lies within 2^-(bits + 24) max(|v|, |c tau + d|^-k) of the
-    value v of its formulas at tau', k its weight (0 for j, norms).
+    So E4 is within e = 240 S3 + 215 T^3 <= 286 S3 (T >= 19), the E6 sum
+    within 504 S5 + 390 T^5 and D within e_D = S_tau + 1.48 (T + 1)^6.  As
+    |E4| <= 2.1 and 0.89 <= |D| <= 1.12, E4^3 conj(u) is within 14 e + 11.
+    In j = E4^3 conj(u) / (D r), rounded once at wp, 1/r <= |j| + 2100 <=
+    2101 max(1, |j|): the numerator adds 2101 (14 e + 11) / 0.89 <
+    (2^24 - 2^22) S3 units of max(1, |j|), D adds |j| e_D / 0.89 and r
+    2^-(W + 19) |j|; u D, Delta's part, is within e_D + 2.  W is wp =
+    bits + _GUARD plus the bits of 2^24 S3 + 2^9 S5 + 2 S_tau + 3 (T + 1)^6,
+    which holds 2 e_D, and 390 T^5 is below 2^24 T^4 / 4 for T <= 10,000
+    and below 8 S5 from T = 293 on.  So E4, E6, D, u D and j are within
+    2^-wp, j relative to max(1, |j|).  After the mpmath steps each evaluator
+    lies within 2^-(bits + 24) max(|v|, |c tau + d|^-k) of the value v of
+    its formulas at tau', k its weight (0 for j, norms).
     """
     if tau._pass is not None and tau._pass[0] == prec:
         return tau._pass[1]
@@ -579,15 +589,14 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, euler=Fals
     else:
         raise PrecisionOverflowError(f"no power of q up to q^{t.terms} rounds to 0")
     one = 1 << w
-    e4_val = e6_val = prod = None
+    e4_val = e6_val = disc = None
     if e4:
         e4_val = one + 240 * sum(map(mul, s3, xs)), 240 * sum(map(mul, s3, ys))
     if e6:
         e6_val = one - 504 * sum(map(mul, s5, xs)), -504 * sum(map(mul, s5, ys))
-    if euler:
-        kept = [(sign, n - 1) for n, sign in t.pentagonal if n <= len(xs)]
-        prod = one + sum(k * xs[i] for k, i in kept), sum(k * ys[i] for k, i in kept)
-    return reduced, witness, t, r, u, e4_val, e6_val, prod
+    if delta:
+        disc = one + sum(map(mul, t.delta, xs)), sum(map(mul, t.delta, ys))
+    return reduced, witness, t, r, u, e4_val, e6_val, disc
 
 
 def _cocycle(tau: UpperHalfPoint, witness: ModularMatrix, weight: int) -> mpc:
@@ -616,9 +625,8 @@ def eval_e6(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
 _MAX_POWER_IM = 2**20
 
 
-def _prod24(reduced: UpperHalfPoint, prod: tuple[int, int], w: int) -> tuple[int, int]:
-    """prod^24 in fixed point, by four squarings and one product;
-    PrecisionOverflowError above the reduced Im tau = _MAX_POWER_IM."""
+def _check_im_cap(reduced: UpperHalfPoint) -> None:
+    """PrecisionOverflowError above the reduced Im tau = _MAX_POWER_IM."""
     _, man, exp, bc = reduced.im._mpf_
     # Im tau' in [2^(exp + bc - 1), 2^(exp + bc)) above 2^20, or +inf
     if exp + bc > 21 or (exp + bc == 21 and man != 1) or not man:
@@ -626,18 +634,15 @@ def _prod24(reduced: UpperHalfPoint, prod: tuple[int, int], w: int) -> tuple[int
             f"reduced Im tau = {mp.nstr(reduced.im, 8)} is above the cap 2^20 = "
             f"{_MAX_POWER_IM}: its rounding, times 2 pi, would reach the last bits"
         )
-    p2 = _fmul(*prod, *prod, w)
-    p4 = _fmul(*p2, *p2, w)
-    p8 = _fmul(*p4, *p4, w)
-    return _fmul(*_fmul(*p8, *p8, w), *p8, w)
 
 
-def _delta(reduced: UpperHalfPoint, t: _KernelTables, r, u, prod, prec: Precision):
-    """(2 pi)^12 r (u prod^24) at the reduced point, a raw mpc rounded at
+def _delta(reduced: UpperHalfPoint, t: _KernelTables, r, u, disc, prec: Precision):
+    """(2 pi)^12 r (u D) at the reduced point, a raw mpc rounded at
     wp = bits + _GUARD, with r a pair (m, e) worth m 2^e and (2 pi)^12 from
-    the tables t."""
+    the tables t; raises above the Im cap."""
+    _check_im_cap(reduced)
     wp, w = prec.wp, t.w
-    x, y = _to_mpc(_fmul(*u, *_prod24(reduced, prod, w), w), w)
+    x, y = _to_mpc(_fmul(*u, *disc, w), w)
     scale = mpf_mul(from_man_exp(*r), t.two_pi_12, wp + 10)
     return mpf_mul(x, scale, wp, round_nearest), mpf_mul(y, scale, wp, round_nearest)
 
@@ -645,16 +650,17 @@ def _delta(reduced: UpperHalfPoint, t: _KernelTables, r, u, prod, prec: Precisio
 def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular discriminant (2 pi)^12 q prod (1 - q^n)^24 at tau."""
     with mp.workprec(prec.wp):
-        reduced, witness, t, r, u, _, _, prod = _series(tau, prec, euler=True)
-        return mp.make_mpc(_delta(reduced, t, r, u, prod, prec)) * _cocycle(tau, witness, 12)
+        reduced, witness, t, r, u, _, _, disc = _series(tau, prec, delta=True)
+        return mp.make_mpc(_delta(reduced, t, r, u, disc, prec)) * _cocycle(tau, witness, 12)
 
 
-def _j(reduced: UpperHalfPoint, t: _KernelTables, r, u, e4, prod) -> tuple:
-    """(a, b, den, exp) with j = E4^3 conj(u) / (prod^24 r) = (a + b i)
-    2^exp / den exactly, from the parts of _series, r = m 2^e: each part of
-    j is one integer quotient (_quotient), rounded once."""
+def _j(reduced: UpperHalfPoint, t: _KernelTables, r, u, e4, disc) -> tuple:
+    """(a, b, den, exp) with j = E4^3 conj(u) / (D r) = (a + b i) 2^exp / den
+    exactly, from the parts of _series, r = m 2^e: each part of j is one
+    integer quotient (_quotient), rounded once.  Raises above the Im cap."""
+    _check_im_cap(reduced)
     w = t.w
-    dx, dy = _prod24(reduced, prod, w)
+    dx, dy = disc
     nx, ny = _fmul(*_fmul(*_fmul(*e4, *e4, w), *e4, w), u[0], -u[1], w)
     # j = n conj(d) / (|d|^2 m 2^e)
     rm, rexp = r
@@ -664,21 +670,21 @@ def _j(reduced: UpperHalfPoint, t: _KernelTables, r, u, e4, prod) -> tuple:
 def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular j-invariant 1728 E4^3 / (E4^3 - E6^2).
 
-    Through E4^3 - E6^2 = 1728 q prod (1 - q^n)^24: j = E4^3 conj(u) /
-    (prod^24 r), r = |q| (_j), keeps full relative precision at large
-    Im tau, where the literal subtraction would cancel to noise.  At rho,
-    where E4 vanishes to working precision, E4^3 rounds to 0 and so does j.
+    Through E4^3 - E6^2 = 1728 q D, D = prod (1 - q^n)^24: j = E4^3 conj(u)
+    / (D r), r = |q| (_j), keeps full relative precision at large Im tau,
+    where the literal subtraction would cancel to noise.  At rho, where E4
+    vanishes to working precision, E4^3 rounds to 0 and so does j.
     """
-    reduced, _, t, r, u, e4, _, prod = _series(tau, prec, e4=True, euler=True)
-    a, b, den, exp = _j(reduced, t, r, u, e4, prod)
+    reduced, _, t, r, u, e4, _, disc = _series(tau, prec, e4=True, delta=True)
+    a, b, den, exp = _j(reduced, t, r, u, e4, disc)
     return mp.make_mpc((_quotient(a, den, prec.wp, exp), _quotient(b, den, prec.wp, exp)))
 
 
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """SL2(Z)-invariant norm |Delta(tau)| * (Im tau)^6."""
     with mp.workprec(prec.wp):
-        reduced, _, t, r, u, _, _, prod = _series(tau, prec, euler=True)
-        return abs(mp.make_mpc(_delta(reduced, t, r, u, prod, prec))) * reduced.im**6
+        reduced, _, t, r, u, _, _, disc = _series(tau, prec, delta=True)
+        return abs(mp.make_mpc(_delta(reduced, t, r, u, disc, prec))) * reduced.im**6
 
 
 def log_petersson_norm_delta(
@@ -690,13 +696,13 @@ def log_petersson_norm_delta(
     and the sum rounded to it once: near a zero of log || Delta || (Im tau'
     about 5.1) terms some 30 in size cancel."""
     wp = prec.wp
-    reduced, _, t, _, _, _, _, prod = _series(tau, prec, euler=True)
+    reduced, _, t, _, _, _, _, disc = _series(tau, prec, delta=True)
     with mp.workprec(wp + 16):
         # log|q| = -2 pi Im(tau'), assembled in logs so 10000i stays finite
         total = (
             mp.make_mpf(t.twelve_log_two_pi)
             - 2 * mp.pi * reduced.im
-            + 24 * mp.log(abs(mp.make_mpc(_to_mpc(prod, t.w))))
+            + mp.log(abs(mp.make_mpc(_to_mpc(disc, t.w))))
             + 6 * mp.log(reduced.im)
         )
     return mp.make_mpf(mpf_pos(total._mpf_, wp, round_nearest))
@@ -738,8 +744,8 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
         def f(x):  # |j| - |y|, increasing: j has the sign of y on its arc
             # inside the domain: its reduction is the identity
             tau = UpperHalfPoint(x, mp.sqrt(1 - x * x)) if re is None else UpperHalfPoint(re, x)
-            reduced, _, t, r, u, e4, e6, prod = _attach_pass(tau, prec)
-            a, _, den, exp = _j(reduced, t, r, u, e4, prod)  # j is real on the arc
+            reduced, _, t, r, u, e4, e6, disc = _attach_pass(tau, prec)
+            a, _, den, exp = _j(reduced, t, r, u, e4, disc)  # j is real on the arc
             j = abs(mp.make_mpf(_quotient(a, den, wp, exp)))
             # d|j| / dx = |j| Re(d log j / dtau dtau / dx), in float64
             (ax, ay), (bx, by), norm = e6, e4, e4[0] ** 2 + e4[1] ** 2
@@ -756,9 +762,9 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
 
 
 def _attach_pass(tau: UpperHalfPoint, prec: Precision) -> tuple:
-    """One full kernel pass at tau, E4, E6 and the product, kept on tau so
-    that _series hands it back at prec; returns the pass."""
-    series = _series(tau, prec, e4=True, e6=True, euler=True)
+    """One full kernel pass at tau, E4, E6 and D, kept on tau so that
+    _series hands it back at prec; returns the pass."""
+    series = _series(tau, prec, e4=True, e6=True, delta=True)
     object.__setattr__(tau, "_pass", (prec, series))
     return series
 

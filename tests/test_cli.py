@@ -303,9 +303,9 @@ _PINNED_ORBIT_FAMILY = {
     ("orbit", "0.3+1.7i", "97", "--precision-bits", "256"): (
         0, "59a7de6a8c017df5b2c70c88956ad40f87c84f8848a7ff75c3f79134aafb0d50"),
     ("orbit", "0.5+0.5i", "30"): (
-        0, "558487d2366e446cef96089a3be38fb8398d53fe3ec47f900bfad904d6ccdb41"),
+        0, "91c15a63483029c60cdac8d1e17afa83a8d751642a1ff0201587215ec0153fdc"),
     ("orbit", "i", "12"): (
-        0, "a7f6e602705343e11852bbcb1bfb4d0ed86c608da3a0189c4a7326c8f775ea54"),
+        0, "7f305be2073a7659b02d0cee691b1597615409918db3665db748cefd5ffb205b"),
     ("orbit", "0.3+1e-30i", "12"): (
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("orbit", "0.1234567+1.3456i", "293"): (
@@ -647,6 +647,8 @@ def test_error_paths_return_two(capsys, monkeypatch):
         (["height", "1", "2..x"], f"error: {ints}, got '2..x'\n"),
         (["residual", "1", "2", "primes:-3..x"], f"error: {ints}, got 'primes:-3..x'\n"),
         (["equi", "2i", "2,,3", "1.5"], f"error: {ints}, got '2,,3'\n"),
+        (["density", "0.3+1.7i", "0", "4", "0"], "error: need n_max >= 1, got 0\n"),
+        (["density", "0.3+1.7i", "0", "4", "-2"], "error: need n_max >= 1, got -2\n"),
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == message, argv

@@ -6,6 +6,7 @@ import functools
 import importlib
 import itertools
 import math
+import operator
 import pkgutil
 import random
 import re
@@ -695,6 +696,29 @@ def test_powers_stop_within_the_tail_bound_order(bits):
             assert _powers_before_zero(UpperHalfPoint(re, im), t) <= order, (re, im)
 
 
+def _pentagonal(terms: int) -> list[int]:
+    """Euler's prod (1 - q^n) to q^terms, by the pentagonal number theorem:
+    1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2))."""
+    coefficients = [1] + [0] * terms
+    for k in range(1, terms + 1):
+        for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if n <= terms:
+                coefficients[n] = (-1) ** k
+    return coefficients
+
+
+def _shifted_tau(terms: int) -> list[int]:
+    """tau(n + 1), n = 1..terms, from the sparse pentagonal series P by
+    J. C. P. Miller's power recurrence for f = P^24: n f(n) =
+    sum_(i=1..n) (25 i - n) p(i) f(n - i), some sqrt(n) terms each."""
+    pentagonal = [(i, c) for i, c in enumerate(_pentagonal(terms)) if c and i]
+    f = [1]
+    for n in range(1, terms + 1):
+        kept = itertools.takewhile(lambda entry: entry[0] <= n, pentagonal)
+        f.append(sum(c * (25 * i - n) * f[n - i] for i, c in kept) // n)
+    return f[1:]
+
+
 def test_the_cap_reaches_the_first_zero_power_at_every_precision():
     # the rule of _kernel_tables by arithmetic alone, from 53 to 10^5 bits:
     # T is the least T from the former cap with |q|^(T-1) 2^W <= 114 at the
@@ -703,11 +727,14 @@ def test_the_cap_reaches_the_first_zero_power_at_every_precision():
     # (_series); the 2^-20 covers float64 and a corner rounded low
     bits = np.arange(53, 100_001)
     former = np.array([_former_cap(b) for b in bits.tolist()])
-    s3, s5 = numerics._sigma_tables(int(former[-1]) + 16)
-    sums = zip(itertools.accumulate(s3), itertools.accumulate(s5))
-    weight_bits = np.array(
-        [0] + [(2**24 * (a + n) + 2**9 * b).bit_length() for n, (a, b) in enumerate(sums, 1)]
-    )
+    top = int(former[-1]) + 16
+    s3, s5 = numerics._sigma_tables(top)
+    tau = map(abs, _shifted_tau(top))
+    sums = zip(itertools.accumulate(s3), itertools.accumulate(s5), itertools.accumulate(tau))
+    weight_bits = np.array([0] + [
+        (2**24 * a + 2**9 * b + 2 * c + 3 * (n + 1) ** 6).bit_length()
+        for n, (a, b, c) in enumerate(sums, 1)
+    ])
     log2_inv_q = math.pi * math.sqrt(3) / math.log(2)
     terms = former
     while True:
@@ -719,17 +746,45 @@ def test_the_cap_reaches_the_first_zero_power_at_every_precision():
     log2_x = w - (terms - 1) * log2_inv_q  # |q|^(T-1) 2^W at the corner
     assert ((2.0 ** (log2_x + 2.0**-20) + 1) * (0.0043335 + 2.0**-80) < 0.5).all()
     assert (terms >= 19).all() and (terms - former <= 4).all()
-    assert (terms[bits < 3165] == former[bits < 3165]).all()
-    assert terms[bits == 3165] == former[bits == 3165] + 1
+    assert (terms[bits < 3134] == former[bits < 3134]).all()
+    assert terms[bits == 3134] == former[bits == 3134] + 1
     # the kernel's T and W are the rule's, and at rho and 2^-20 above it
     # the first zero power comes within T
-    for b in (53, 1024, 3165, 4096, 4106, 5390):
+    for b in (53, 1024, 3134, 3165, 4096, 4106, 5390):
         prec = Precision(b)
         t = numerics._kernel_tables(prec)
         assert (t.terms, t.w) == (terms[b - 53], w[b - 53]), b
         for tau in _corner(b):
             reduced, _ = reduce_to_fundamental_domain(tau, prec)
             assert _powers_before_zero(reduced, t) < t.terms, (b, tau)
+
+
+def _truncated_product(a: list[int], b: list[int]) -> list[int]:
+    return [sum(map(operator.mul, a[: n + 1], reversed(b[: n + 1]))) for n in range(len(a))]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 1024, 5880])
+def test_delta_coefficients_are_the_24th_power_of_the_pentagonal_series(bits):
+    # prod (1 - q^n)^24 by five truncated products of Euler's series: the
+    # table that D is read from, up to the cap T at bits
+    t = numerics._kernel_tables(Precision(bits))
+    p = _pentagonal(t.terms)
+    p2 = _truncated_product(p, p)
+    p4 = _truncated_product(p2, p2)
+    p8 = _truncated_product(p4, p4)
+    p16 = _truncated_product(p8, p8)
+    assert t.delta == tuple(_truncated_product(p16, p8)[1:])
+
+
+def test_delta_coefficients_are_ramanujans_tau():
+    terms = numerics._kernel_tables(Precision(5880)).terms
+    tau = (1,) + numerics._delta_coefficients(terms)
+    assert tau[:6] == (1, -24, 252, -1472, 4830, -6048)
+    # Ramanujan's congruence tau(n) = sigma_11(n) mod 691
+    for n, value in enumerate(tau, 1):
+        sigma_11 = sum(d**11 for d in range(1, n + 1) if n % d == 0)
+        assert (value - sigma_11) % 691 == 0, n
+    assert list(tau[1:]) == _shifted_tau(terms)
 
 
 def test_quotient_rounds_as_mpf_div():
@@ -958,9 +1013,9 @@ def test_delta_keeps_its_constant_per_precision_bit_for_bit():
         wp = bits + numerics._GUARD
         for tau in points:
             with mp.workprec(wp):
-                reduced, witness, t, r, u, _, _, prod = numerics._series(tau, prec, euler=True)
+                reduced, witness, t, r, u, _, _, disc = numerics._series(tau, prec, delta=True)
                 w = t.w
-                z = numerics._fmul(*u, *numerics._prod24(reduced, prod, w), w)
+                z = numerics._fmul(*u, *disc, w)
                 x, y = numerics._to_mpc(z, w)
                 two_pi_12 = mpf_pow_int(mpf_shift(mpf_pi(wp + 16), 1), 12, wp + 16)
                 scale = mpf_mul(from_man_exp(*r), two_pi_12, wp + 10)
