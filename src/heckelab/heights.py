@@ -156,8 +156,10 @@ def local_arch_sum(
     (_integral_j), the exact test of
     global_identity_residual (_check_coincidence) runs as well, for every
     N: the error of y_tau can keep the orbit point of j = z above the
-    resolution.
+    resolution.  A z that is not finite raises ValueError.
     """
+    if not mp.isfinite(mp.mpc(z)):
+        raise ValueError(f"z must be finite, got {z}")
     orbit = hecke_orbit(y_tau, n, prec)
     with mp.workprec(prec.wp):
         zc = mp.mpc(z)
@@ -250,11 +252,13 @@ def heuristic_integral(
 
     Sampling: x uniform on (-1/2, 1/2); y = (sqrt(3)/2)/u with u uniform,
     i.e. density 1/y^2; accept when x^2 + y^2 >= 1.  j and log ||Delta||
-    read one kernel pass per point (_attach_pass).  Samples whose |z - j|
-    lies below the resolution of z are rejected and counted.
+    read one kernel pass per point (_attach_pass).  Samples with |z - j|
+    below the resolution of z are rejected and counted; z must be finite.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    if not mp.isfinite(mp.mpc(z)):
+        raise ValueError(f"z must be finite, got {z}")
     rng = random.Random(seed)
     with mp.workprec(prec.wp):
         zc = mp.mpc(z)

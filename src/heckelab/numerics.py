@@ -292,12 +292,6 @@ def _float(part: tuple) -> float:
     return -x if sign else x
 
 
-@lru_cache(maxsize=64)
-def _sigma_tables(n_terms: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Divisor sums sigma_3(n), sigma_5(n) for n = 1..n_terms."""
-    return _sigma(3, n_terms), _sigma(5, n_terms)
-
-
 def _sigma(k: int, n_terms: int) -> tuple[int, ...]:
     """sigma_k(n) = sum_(d | n) d^k for n = 1..n_terms."""
     s = [0] * (n_terms + 1)
@@ -308,14 +302,16 @@ def _sigma(k: int, n_terms: int) -> tuple[int, ...]:
     return tuple(s[1:])
 
 
-@lru_cache(maxsize=64)
 def _delta_coefficients(n_terms: int) -> tuple[int, ...]:
-    """Ramanujan's tau(n + 1), n = 1..n_terms: D = prod (1 - q^n)^24 =
-    1 + sum a(n) q^n.  As log D = -24 sum sigma_1(k) q^k / k,
-    n a(n) = -24 sum_(k=1..n) sigma_1(k) a(n - k), an exact division."""
-    s1, a = _sigma(1, n_terms), [1]
+    """Ramanujan's tau(n + 1), n = 1..n_terms: D = prod (1 - q^n)^24 = 1 +
+    sum a(n) q^n is the 24th power of Euler's 1 + sum e(i) q^i, e(i) = (-1)^k
+    at i = k(3k -+ 1)/2, so by J. C. P. Miller's power recurrence n a(n) =
+    sum_(i<=n) (25 i - n) e(i) a(n - i), an exact division of ~1.6 sqrt(n) terms."""
+    pentagonal = [(k * (3 * k + s) // 2, (-1) ** k)
+                  for k in range(1, isqrt(n_terms) + 2) for s in (-1, 1)]
+    a = [1]
     for n in range(1, n_terms + 1):
-        a.append(-24 * sum(map(mul, s1[:n], reversed(a))) // n)
+        a.append(sum(e * (25 * i - n) * a[n - i] for i, e in pentagonal if i <= n) // n)
     return tuple(a[1:])
 
 
@@ -371,8 +367,8 @@ class _KernelTables(NamedTuple):
 @lru_cache(maxsize=16)
 def _kernel_tables(prec: Precision) -> _KernelTables:
     """The tables of _series at prec, about 140 KB at 128 bits, read once
-    per pass: W and the cap T, the divisor sums and D's coefficients
-    (_delta_coefficients) up to T, _delta's (2 pi)^12 and
+    per pass: W and the cap T, sigma_3, sigma_5 (_sigma) and D's
+    coefficients (_delta_coefficients) up to T, _delta's (2 pi)^12 and
     log_petersson_norm_delta's 12 log 2 pi at wp + 16 bits (wp = bits +
     _GUARD), so that their roundings stay under the last bit, and _nome's
     tables at p = W + 24.
@@ -388,8 +384,7 @@ def _kernel_tables(prec: Precision) -> _KernelTables:
         twelve_log_two_pi = (12 * mp.log(2 * mp.pi))._mpf_
     terms = math.ceil((prec.bits * _LN2 + 64.0) / _LOG_INV_Q_MIN)
     while True:
-        s3, s5 = _sigma_tables(terms)
-        delta = _delta_coefficients(terms)
+        s3, s5, delta = _sigma(3, terms), _sigma(5, terms), _delta_coefficients(terms)
         bound = 2**24 * sum(s3) + 2**9 * sum(s5) + 2 * sum(map(abs, delta))
         w = wp + (bound + 3 * (terms + 1) ** 6).bit_length()
         if w * _LN2 - (terms - 1) * _LOG_INV_Q_MIN <= _LOG_LAST_POWER:
@@ -519,21 +514,21 @@ def _nome(reduced: UpperHalfPoint, t: _KernelTables):
     return r, u, (qx, qy)
 
 
-def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, delta=False):
+def _series(tau: UpperHalfPoint, prec: Precision, e6=False):
     """The one q-series pass behind every evaluator, in fixed point.
 
     Reduces tau and forms q = r u at the reduced point tau' by _nome:
     r = e^(-2 pi Im tau') and u = e^(2 pi i Re tau') from tables at
-    W + 24 bits.  Then the series asked for, each one integer dot product
-    of its cached coefficients with the kept powers: E4 = 1 + 240 sum
-    sigma_3(n) q^n, E6 = 1 - 504 sum sigma_5(n) q^n and D =
-    prod (1 - q^n)^24 = 1 + sum tau(n + 1) q^n.  The powers q^n come by
-    repeated multiplication, and the sums keep those before the first that
-    rounds to 0, which comes within the cap T of _kernel_tables.  Returns
-    (reduced, witness, tables, r, u, E4, E6, D): the _kernel_tables of
-    prec, r as _nome gives it, the rest in fixed point or None if not asked
-    for.  At a point that carries a pass at prec (_attach_pass), this is
-    that pass, which holds all three series, and no pass is made.
+    W + 24 bits.  Then E4 = 1 + 240 sum sigma_3(n) q^n, D =
+    prod (1 - q^n)^24 = 1 + sum tau(n + 1) q^n and, with e6, E6 = 1 - 504
+    sum sigma_5(n) q^n, each one integer dot product of its cached
+    coefficients with the kept powers.  The powers q^n come by repeated
+    multiplication, and the sums keep those before the first that rounds to
+    0, which comes within the cap T of _kernel_tables.  Returns (reduced,
+    witness, tables, r, u, E4, E6, D): the _kernel_tables of prec, r as
+    _nome gives it, the rest in fixed point, E6 None without e6.  At a point
+    that carries a pass at prec (_attach_pass), this is that pass, which
+    holds all three series, and no pass is made.
 
     Error bound, in units 2^-W.  r is within 2^-(W + 20) relative, and q
     and u within 1/2 + 2^-20 units (_nome).  Each power is within 1 unit
@@ -589,13 +584,11 @@ def _series(tau: UpperHalfPoint, prec: Precision, e4=False, e6=False, delta=Fals
     else:
         raise PrecisionOverflowError(f"no power of q up to q^{t.terms} rounds to 0")
     one = 1 << w
-    e4_val = e6_val = disc = None
-    if e4:
-        e4_val = one + 240 * sum(map(mul, s3, xs)), 240 * sum(map(mul, s3, ys))
+    e4_val = one + 240 * sum(map(mul, s3, xs)), 240 * sum(map(mul, s3, ys))
+    disc = one + sum(map(mul, t.delta, xs)), sum(map(mul, t.delta, ys))
+    e6_val = None
     if e6:
         e6_val = one - 504 * sum(map(mul, s5, xs)), -504 * sum(map(mul, s5, ys))
-    if delta:
-        disc = one + sum(map(mul, t.delta, xs)), sum(map(mul, t.delta, ys))
     return reduced, witness, t, r, u, e4_val, e6_val, disc
 
 
@@ -608,7 +601,7 @@ def _cocycle(tau: UpperHalfPoint, witness: ModularMatrix, weight: int) -> mpc:
 def eval_e4(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E4(tau) = 1 + 240 sum sigma_3(n) q^n."""
     with mp.workprec(prec.wp):
-        _, witness, t, _, _, val, _, _ = _series(tau, prec, e4=True)
+        _, witness, t, _, _, val, _, _ = _series(tau, prec)
         return mp.make_mpc(_to_mpc(val, t.w)) * _cocycle(tau, witness, 4)
 
 
@@ -650,7 +643,7 @@ def _delta(reduced: UpperHalfPoint, t: _KernelTables, r, u, disc, prec: Precisio
 def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular discriminant (2 pi)^12 q prod (1 - q^n)^24 at tau."""
     with mp.workprec(prec.wp):
-        reduced, witness, t, r, u, _, _, disc = _series(tau, prec, delta=True)
+        reduced, witness, t, r, u, _, _, disc = _series(tau, prec)
         return mp.make_mpc(_delta(reduced, t, r, u, disc, prec)) * _cocycle(tau, witness, 12)
 
 
@@ -675,7 +668,7 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     where the literal subtraction would cancel to noise.  At rho, where E4
     vanishes to working precision, E4^3 rounds to 0 and so does j.
     """
-    reduced, _, t, r, u, e4, _, disc = _series(tau, prec, e4=True, delta=True)
+    reduced, _, t, r, u, e4, _, disc = _series(tau, prec)
     a, b, den, exp = _j(reduced, t, r, u, e4, disc)
     return mp.make_mpc((_quotient(a, den, prec.wp, exp), _quotient(b, den, prec.wp, exp)))
 
@@ -683,7 +676,7 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """SL2(Z)-invariant norm |Delta(tau)| * (Im tau)^6."""
     with mp.workprec(prec.wp):
-        reduced, _, t, r, u, _, _, disc = _series(tau, prec, delta=True)
+        reduced, _, t, r, u, _, _, disc = _series(tau, prec)
         return abs(mp.make_mpc(_delta(reduced, t, r, u, disc, prec))) * reduced.im**6
 
 
@@ -696,7 +689,7 @@ def log_petersson_norm_delta(
     and the sum rounded to it once: near a zero of log || Delta || (Im tau'
     about 5.1) terms some 30 in size cancel."""
     wp = prec.wp
-    reduced, _, t, _, _, _, _, disc = _series(tau, prec, delta=True)
+    reduced, _, t, _, _, _, _, disc = _series(tau, prec)
     with mp.workprec(wp + 16):
         # log|q| = -2 pi Im(tau'), assembled in logs so 10000i stays finite
         total = (
@@ -739,7 +732,7 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
             return UpperHalfPoint(mpf(0), mpf(1))
         if abs(y) <= err:
             return UpperHalfPoint(mpf(-1) / 2, mp.sqrt(3) / 2)
-        lo, hi, re = _arc(y)
+        lo, hi, re, log_y = _arc(y)
 
         def f(x):  # |j| - |y|, increasing: j has the sign of y on its arc
             # inside the domain: its reduction is the identity
@@ -754,7 +747,7 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
             return j - abs(y), j * (-2j * math.pi * e6_e4 * dtau).real, tau
 
         # twice the bisections that exhaust the bracket at wp
-        _, accepted = _newton(f, mpf(_seed(y, lo, hi, re)), lo, hi, 2 * (wp + 8),
+        _, accepted = _newton(f, mpf(_seed(y, lo, hi, re, log_y)), lo, hi, 2 * (wp + 8),
                               lambda x, value, slope: abs(value) <= err)
         if accepted is None:
             raise InversionError(f"no point with |j - y| <= {mp.nstr(err, 5)} at y = {y}")
@@ -764,24 +757,25 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
 def _attach_pass(tau: UpperHalfPoint, prec: Precision) -> tuple:
     """One full kernel pass at tau, E4, E6 and D, kept on tau so that
     _series hands it back at prec; returns the pass."""
-    series = _series(tau, prec, e4=True, e6=True, delta=True)
+    series = _series(tau, prec, e6=True)
     object.__setattr__(tau, "_pass", (prec, series))
     return series
 
 
 def _arc(y) -> tuple:
-    """(lo, hi, re): the arc x in [lo, hi] that holds the root of j = y,
-    along which |j| increases.  tau = re + x i, or x + sqrt(1 - x^2) i on
-    the unit arc, where re is None.
+    """(lo, hi, re, log_y): the arc x in [lo, hi] that holds the root of
+    j = y, along which |j| increases, and log|y| in float64.  tau = re + x i,
+    or x + sqrt(1 - x^2) i on the unit arc, where re is None.
 
     The ends bracket the root: j(x i) >= e^(2 pi x) + 744 and
     |j(1/2 + x i)| >= e^(2 pi x) - 744, as the q-expansion's terms fall
     by half or more, so hi = max(2, (log|y| + 1) / (2 pi)) gives
     |j| >= max(e^(4 pi), e |y|) - 744 > |y|."""
+    log_y = float(mp.log(abs(y)))
     if 0 <= y < 1728:
-        return mpf(-1) / 2, mpf(0), None
-    hi = mpf(max(2.0, (float(mp.log(abs(y))) + 1) / (2 * math.pi)))
-    return (mpf(1), hi, mpf(0)) if y > 0 else (mp.sqrt(3) / 2, hi, mpf(1) / 2)
+        return mpf(-1) / 2, mpf(0), None, log_y
+    hi = mpf(max(2.0, (log_y + 1) / (2 * math.pi)))
+    return (mpf(1), hi, mpf(0), log_y) if y > 0 else (mp.sqrt(3) / 2, hi, mpf(1) / 2, log_y)
 
 
 def _newton(f, x, lo, hi, steps: int, close):
@@ -814,13 +808,13 @@ _SEED_STEPS = 64
 _SEED_TOL = 2.0**-46
 
 
-def _seed(y, lo, hi, re) -> float:
-    """x with |j| = |y| on the arc (lo, hi, re) of _arc, in float64: _newton
-    on log|j| - log|y|, d log j / dtau = -2 pi i E6 / E4, until a step is
-    below _SEED_TOL max(1, |x|), from the middle of the unit arc or off it
-    from the root of |1/q + 744| = |y|.  At rho float64 E4 is about 7e-16,
-    not 0, so its log stays finite."""
-    log_y, lo, hi = float(mp.log(abs(y))), float(lo), float(hi)
+def _seed(y, lo, hi, re, log_y) -> float:
+    """x with |j| = |y| on the arc (lo, hi, re, log_y) of _arc, in float64:
+    _newton on log|j| - log|y| (_float_series), d log j / dtau = -2 pi i E6 / E4,
+    until a step is below _SEED_TOL max(1, |x|), from the middle of the unit
+    arc or off it from the root of |1/q + 744| = |y|.  At rho float64 E4 is
+    about 7e-16, not 0, so its log stays finite."""
+    lo, hi = float(lo), float(hi)
     x = (lo + hi) / 2
     if re is not None:
         re, x = float(re), math.log(abs(float(y) - 744)) / (2 * math.pi)
@@ -831,8 +825,8 @@ def _seed(y, lo, hi, re) -> float:
             tau, dtau = complex(x, im), complex(1, -x / im)
         else:
             tau, dtau = complex(re, x), 1j
-        e4, e6, prod = _float_series(cmath.exp(2j * math.pi * tau))
-        log_j = 3 * math.log(abs(e4)) - 24 * math.log(abs(prod)) + 2 * math.pi * tau.imag
+        e4, e6, disc = _float_series(cmath.exp(2j * math.pi * tau))
+        log_j = 3 * math.log(abs(e4)) - math.log(abs(disc)) + 2 * math.pi * tau.imag
         return log_j - log_y, (-2j * math.pi * e6 / e4 * dtau).real
 
     return _newton(f, x, lo, hi, _SEED_STEPS,
@@ -846,11 +840,14 @@ def _seed(y, lo, hi, re) -> float:
 # comes with an error bound; a decision the bound cannot settle goes back to
 # the multiprecision functions above.
 
-# 504 sigma_5(11) |q|^11 < 1e-18 on the fundamental domain
+# 504 sigma_5(11) |q|^11 < 1e-18 and |tau(12)| |q|^11 < 4e-21 on the domain
 _SCREEN_TERMS = 10
+_SCREEN_COEFFICIENTS = (
+    _sigma(3, _SCREEN_TERMS), _sigma(5, _SCREEN_TERMS), _delta_coefficients(_SCREEN_TERMS)
+)
 # points with Im 2^-32 (the lowest the orbit screen reduces) take under 20
 _SCREEN_MAX_STEPS = 64
-# Absolute error of the float64 E4 and E6 sums on the fundamental domain:
+# Absolute error of the float64 E4, E6 and D sums on the fundamental domain:
 # the sums stay below 2.2 in size and their rounding is below 2^-48.
 _SCREEN_SERIES_ERR = 2.0**-46
 
@@ -890,18 +887,16 @@ def reduce_witness_float64(w: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _float_series(q):
-    """(E4, E6, prod (1 - q^n)) at q in float64, to _SCREEN_TERMS terms, by
-    arithmetic operators alone: q is a complex or a complex128 array."""
-    s3, s5 = _sigma_tables(_SCREEN_TERMS)
-    acc4 = acc6 = 0.0
+    """(E4, E6, D) at q in float64 from _SCREEN_COEFFICIENTS, the kernel's
+    sigma_3(n), sigma_5(n) and tau(n + 1) to n = _SCREEN_TERMS, by arithmetic
+    operators alone: q is a complex or a complex128 array."""
+    s3, s5, tau = _SCREEN_COEFFICIENTS
+    acc4 = acc6 = acc_d = 0.0
     for n in range(_SCREEN_TERMS - 1, -1, -1):
         acc4 = (acc4 + s3[n]) * q
         acc6 = (acc6 + s5[n]) * q
-    prod = qn = 1.0
-    for _ in range(_SCREEN_TERMS):
-        qn = qn * q
-        prod = prod * (1.0 - qn)
-    return 1.0 + 240.0 * acc4, 1.0 - 504.0 * acc6, prod
+        acc_d = (acc_d + tau[n]) * q
+    return 1.0 + 240.0 * acc4, 1.0 - 504.0 * acc6, 1.0 + acc_d
 
 
 def log_j_float64(
@@ -912,8 +907,8 @@ def log_j_float64(
     tau_err, float64 rounding included.
 
     The log form keeps Im tau in the thousands finite:
-    log j = 3 log E4 - 2 pi i tau - 24 sum log(1 - q^n).  With
-    eta = q prod (1 - q^n)^24, the bound is twice the sum of three
+    log j = 3 log E4 - 2 pi i tau - log D, D = prod (1 - q^n)^24 from
+    _float_series.  With eta = q D, the bound is twice the sum of three
     first-order terms: rounding, 2^-44 (1 + Im tau) |j|; the error of the
     E4 sum, 3 * 2^-46 |E4|^2 / |eta|; and the position,
     |dj/dtau| tau_err = 2 pi |E6| |E4|^2 / |eta| tau_err.  |E4| and |E6| are
@@ -922,11 +917,11 @@ def log_j_float64(
     """
     x, y = tau.real, tau.imag
     two_pi = 2.0 * math.pi
-    e4, e6, prod = _float_series(np.exp(two_pi * (1j * x - y)))
-    log_prod = np.log(prod)
+    e4, e6, disc = _float_series(np.exp(two_pi * (1j * x - y)))
+    log_disc = np.log(disc)
     with np.errstate(divide="ignore"):
-        log_j = 3.0 * np.log(e4) - 24.0 * log_prod + two_pi * (y - 1j * x)
-        log_eta = 24.0 * log_prod.real - two_pi * y
+        log_j = 3.0 * np.log(e4) - log_disc + two_pi * (y - 1j * x)
+        log_eta = log_disc.real - two_pi * y
         log_e4_sq = 2.0 * np.log(np.abs(e4) + _SCREEN_SERIES_ERR + 8.0 * tau_err)
         e6_hi = np.abs(e6) + _SCREEN_SERIES_ERR + 20.0 * tau_err
         rounding = log_j.real + np.log(2.0**-44 * (1.0 + y))

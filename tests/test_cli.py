@@ -649,6 +649,8 @@ def test_error_paths_return_two(capsys, monkeypatch):
         (["equi", "2i", "2,,3", "1.5"], f"error: {ints}, got '2,,3'\n"),
         (["density", "0.3+1.7i", "0", "4", "0"], "error: need n_max >= 1, got 0\n"),
         (["density", "0.3+1.7i", "0", "4", "-2"], "error: need n_max >= 1, got -2\n"),
+        (["integral", "inf", "3"], "error: z must be finite, got (+inf + 0.0j)\n"),
+        (["integral", "nan", "3"], "error: z must be finite, got (nan + 0.0j)\n"),
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == message, argv

@@ -1,9 +1,10 @@
+import logging
 import math
 import random
 
 import numpy as np
 import pytest
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
 from heckelab import hecke
 from heckelab.hecke import (
@@ -113,6 +114,16 @@ def test_orbit_points_are_reduced_and_complete():
 def test_orbit_symmetry():
     assert orbit_symmetry_check(UpperHalfPoint(0.13, 1.21), 2, FAST)
     assert orbit_symmetry_check(UpperHalfPoint(-0.31, 0.95), 3, FAST)
+
+
+def test_orbit_symmetry_reports_the_points_whose_return_orbit_misses_tau(monkeypatch, caplog):
+    # a negative resolution admits no |j - j(tau)|: each of the three
+    # points of T_2 * tau fails, and each is logged
+    monkeypatch.setattr(Precision, "resolution", lambda self, x: mpf(-1))
+    with caplog.at_level(logging.DEBUG, logger=hecke.log.name):
+        assert not orbit_symmetry_check(UpperHalfPoint(0.13, 1.21), 2, FAST)
+    failures = [r for r in caplog.records if r.getMessage().startswith("symmetry failure")]
+    assert len(failures) == 3
 
 
 @pytest.mark.parametrize("bits", [1100, 2048])

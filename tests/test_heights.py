@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -465,6 +466,41 @@ def test_heuristic_integral_determinism():
     assert spread < 8 * (a.std_error + c.std_error)
     with pytest.raises(ValueError):
         heuristic_integral(12345, 1, PREC)
+
+
+def test_heuristic_integral_counts_its_rejected_samples_and_ends_its_budget(monkeypatch):
+    # j patched to z at the first three samples: they are rejected and
+    # counted, and ten more are drawn; j = z at every sample exhausts the
+    # budget of 1000 draws per sample
+    calls = []
+
+    def j_at_z_first(tau, prec):
+        calls.append(tau)
+        return mpf(12345) if len(calls) <= 3 else eval_j(tau, prec)
+
+    monkeypatch.setattr(heights, "eval_j", j_at_z_first)
+    got = heuristic_integral(12345, 10, PREC, seed=7)
+    assert (got.samples, got.rejected, len(calls)) == (10, 3, 13)
+    monkeypatch.setattr(heights, "eval_j", lambda tau, prec: mpf(12345))
+    monkeypatch.setattr(heights, "_attach_pass", lambda tau, prec: None)
+    with pytest.raises(CoincidenceError, match="^rejection loop exhausted its budget$"):
+        heuristic_integral(12345, 2, PREC)
+
+
+def test_a_z_that_is_not_finite_is_refused_before_any_orbit_or_sample(monkeypatch):
+    tau = tau_from_j(1, PREC)
+
+    def refused(*args):
+        raise AssertionError("no orbit or sample for a z that is not finite")
+
+    monkeypatch.setattr(heights, "hecke_orbit", refused)
+    monkeypatch.setattr(heights, "_attach_pass", refused)
+    for z in (mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf), complex(math.inf, 0), math.nan):
+        message = f"^z must be finite, got {re.escape(str(z))}$"
+        with pytest.raises(ValueError, match=message):
+            local_arch_sum(tau, z, 2, PREC)
+        with pytest.raises(ValueError, match=message):
+            heuristic_integral(z, 10, PREC)
 
 
 def _two_pass_integral(z, samples: int, prec: Precision, seed: int):

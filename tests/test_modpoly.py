@@ -190,6 +190,27 @@ def test_generator_rewrites_the_tables(ell):
     assert modpoly.table_text(modpoly.generate(ell)) == stored
 
 
+def test_coefficients_name_an_n_with_no_table():
+    for ell in (1, 4, 37):
+        with pytest.raises(ValueError, match=f"^no stored modular polynomial for N = {ell}$"):
+            modpoly.coefficients(ell)
+
+
+def test_interpolation_refuses_a_divided_difference_that_is_not_an_integer():
+    # y^2 at y = 0, 1, 2 interpolates; 0, 1, 3 has second difference 1/2
+    assert modpoly._interpolate([0, 1, 4]) == [0, 0, 1]
+    with pytest.raises(ArithmeticError, match="^divided difference 1/2 is not an integer$"):
+        modpoly._interpolate([0, 1, 3])
+
+
+def test_generate_refuses_a_table_that_is_not_symmetric(monkeypatch):
+    # Phi_2(X, y) stood in for by the constant y: the Y coefficient of
+    # X^0 is 1 and the X coefficient of Y^0 is 0
+    monkeypatch.setattr(modpoly, "_orbit_polynomial", lambda y, n: (y, 0, 0, 0))
+    with pytest.raises(ArithmeticError, match=r"^Phi_2 is not symmetric at X\^1 Y\^0$"):
+        modpoly.generate(2)
+
+
 def test_tables_ship_as_package_data_and_load_on_first_use():
     data = resources.files("heckelab").joinpath("data")
     assert sorted(p.name for p in data.iterdir() if p.name.endswith(".txt")) == sorted(

@@ -249,6 +249,9 @@ def test_reduction_of_points_that_are_not_finite(exact_reduction):
         for point, rep in zip(HeckeOrbit(tau, 6, PREC).points, coset_reps(6)):
             want, _ = exact_reduction(tau, PREC, (rep.alpha, rep.beta, 0, rep.delta))
             assert (point.tau.re, point.tau.im) == (want.re, mp.inf)
+    # a start with C != 0 would send Im = +inf to the real line
+    with pytest.raises(ValueError, match=r"^a start with C != 0 sends Im tau = \+inf"):
+        reduce_to_fundamental_domain(UpperHalfPoint(mpf("0.3"), mp.inf), PREC, (0, -1, 1, 0))
 
 
 def test_tau_from_j_round_trips():
@@ -467,6 +470,39 @@ def test_float_series_agrees_on_a_complex_and_an_array():
             assert abs(one - many[0]) <= 2.0**-50 * abs(one), tau
 
 
+def _closed_domain_points() -> list[UpperHalfPoint]:
+    """Seeded points of the closed fundamental domain: the corner rho, i and
+    rho + 1, points on the unit arc and on Re tau = +-1/2, and inside up
+    to Im 40."""
+    rng = random.Random(45)
+    with mp.workprec(PREC.wp):
+        rho = mp.expjpi(mpf(2) / 3)
+        points = [UpperHalfPoint(x, rho.imag) for x in (rho.real, -rho.real)]
+        points.append(UpperHalfPoint(0, 1))
+        for _ in range(8):
+            z = mp.expjpi(mpf(rng.uniform(1 / 3, 2 / 3)))
+            points.append(UpperHalfPoint(z.real, z.imag))
+            points.append(UpperHalfPoint(rng.choice((-0.5, 0.5)), rng.uniform(0.87, 3.0)))
+    return points + [UpperHalfPoint(rng.uniform(-0.5, 0.5), rng.uniform(1, 40)) for _ in range(24)]
+
+
+def test_float_series_reads_d_off_the_tau_table_next_to_the_kernel():
+    # the float64 D is 1 + sum_(n<=10) tau(n + 1) q^n, with tau(2..11) as
+    # Ramanujan tabulated it, and E4, E6 and D lie within _SCREEN_SERIES_ERR
+    # of the fixed-point pass at the same reduced point
+    tau_2_11 = (-24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612)
+    for tau in _closed_domain_points():
+        reduced, _, t, _, _, e4, e6, disc = numerics._series(tau, PREC, e6=True)
+        q = cmath.exp(2j * math.pi * complex(float(reduced.re), float(reduced.im)))
+        got = numerics._float_series(q)
+        with mp.workprec(160):
+            want = 1 + mp.fsum(c * mpc(q) ** n for n, c in enumerate(tau_2_11, 1))
+        assert abs(got[2] - complex(want)) <= 2.0**-50, tau
+        for value, fixed in zip(got, (e4, e6, disc)):
+            kernel = complex(mp.make_mpc(numerics._to_mpc(fixed, t.w)))
+            assert abs(value - kernel) <= numerics._SCREEN_SERIES_ERR, (tau, value, kernel)
+
+
 def test_newton_keeps_to_its_bracket():
     # a start outside the bracket takes its middle, and the accepted value
     # comes back with its x; with no slope to step on the bisections end
@@ -509,6 +545,15 @@ def test_float_seed_lies_next_to_the_root():
         assert abs(x - root) <= 2.0**-40 * max(1.0, abs(root)), y
 
 
+def _sigma_one(terms: int) -> list[int]:
+    """sigma_1(n) at n = 0..terms, 0 at n = 0, by its own sieve."""
+    s1 = [0] * (terms + 1)
+    for d in range(1, terms + 1):
+        for m in range(d, terms + 1, d):
+            s1[m] += d
+    return s1
+
+
 def _reference(tau: UpperHalfPoint, prec: Precision) -> dict:
     """The formulas of the six evaluators at the point tau' that the
     reduction at prec gives, in mpc arithmetic at 2 bits + 64, each with
@@ -524,14 +569,11 @@ def _reference(tau: UpperHalfPoint, prec: Precision) -> dict:
         pw = [q]
         for _ in range(terms - 1):
             pw.append(pw[-1] * q)
-        s3, s5 = numerics._sigma_tables(terms)
+        s3, s5 = numerics._sigma(3, terms), numerics._sigma(5, terms)
         e4, e6 = 1 + 240 * mp.fdot(s3, pw), 1 - 504 * mp.fdot(s5, pw)
         # log prod (1 - q^n) = -sum_n sigma_1(n) q^n / n
-        s1 = [0] * (len(pw) + 1)
-        for d in range(1, len(pw) + 1):
-            for m in range(d, len(pw) + 1, d):
-                s1[m] += d
-        log_prod = -mp.fdot([mpf(s1[n]) / n for n in range(1, len(pw) + 1)], pw)
+        s1 = _sigma_one(terms)
+        log_prod = -mp.fdot([mpf(s1[n]) / n for n in range(1, terms + 1)], pw)
         prod24 = mp.exp(24 * log_prod)
         delta = (2 * mp.pi) ** 12 * q * prod24
 
@@ -707,16 +749,14 @@ def _pentagonal(terms: int) -> list[int]:
     return coefficients
 
 
-def _shifted_tau(terms: int) -> list[int]:
-    """tau(n + 1), n = 1..terms, from the sparse pentagonal series P by
-    J. C. P. Miller's power recurrence for f = P^24: n f(n) =
-    sum_(i=1..n) (25 i - n) p(i) f(n - i), some sqrt(n) terms each."""
-    pentagonal = [(i, c) for i, c in enumerate(_pentagonal(terms)) if c and i]
-    f = [1]
+def _sigma_one_tau(terms: int) -> list[int]:
+    """tau(n + 1), n = 1..terms, from log prod (1 - q^n)^24 =
+    -24 sum sigma_1(k) q^k / k: n a(n) = -24 sum_(k=1..n) sigma_1(k)
+    a(n - k), O(terms^2)."""
+    s1, a = _sigma_one(terms), [1]
     for n in range(1, terms + 1):
-        kept = itertools.takewhile(lambda entry: entry[0] <= n, pentagonal)
-        f.append(sum(c * (25 * i - n) * f[n - i] for i, c in kept) // n)
-    return f[1:]
+        a.append(-24 * sum(s1[k] * a[n - k] for k in range(1, n + 1)) // n)
+    return a[1:]
 
 
 def test_the_cap_reaches_the_first_zero_power_at_every_precision():
@@ -728,8 +768,8 @@ def test_the_cap_reaches_the_first_zero_power_at_every_precision():
     bits = np.arange(53, 100_001)
     former = np.array([_former_cap(b) for b in bits.tolist()])
     top = int(former[-1]) + 16
-    s3, s5 = numerics._sigma_tables(top)
-    tau = map(abs, _shifted_tau(top))
+    s3, s5 = numerics._sigma(3, top), numerics._sigma(5, top)
+    tau = map(abs, numerics._delta_coefficients(top))
     sums = zip(itertools.accumulate(s3), itertools.accumulate(s5), itertools.accumulate(tau))
     weight_bits = np.array([0] + [
         (2**24 * a + 2**9 * b + 2 * c + 3 * (n + 1) ** 6).bit_length()
@@ -784,7 +824,11 @@ def test_delta_coefficients_are_ramanujans_tau():
     for n, value in enumerate(tau, 1):
         sigma_11 = sum(d**11 for d in range(1, n + 1) if n % d == 0)
         assert (value - sigma_11) % 691 == 0, n
-    assert list(tau[1:]) == _shifted_tau(terms)
+    # every table up to T + 1 (763 at 5880 bits), each with its own list of
+    # pentagonal numbers, against the sigma_1 recurrence
+    want = tuple(_sigma_one_tau(terms + 1))
+    for n_terms in range(1, terms + 2):
+        assert numerics._delta_coefficients(n_terms) == want[:n_terms], n_terms
 
 
 def test_quotient_rounds_as_mpf_div():
@@ -1013,7 +1057,7 @@ def test_delta_keeps_its_constant_per_precision_bit_for_bit():
         wp = bits + numerics._GUARD
         for tau in points:
             with mp.workprec(wp):
-                reduced, witness, t, r, u, _, _, disc = numerics._series(tau, prec, delta=True)
+                reduced, witness, t, r, u, _, _, disc = numerics._series(tau, prec)
                 w = t.w
                 z = numerics._fmul(*u, *disc, w)
                 x, y = numerics._to_mpc(z, w)
