@@ -10,10 +10,7 @@ non-CM point lands within N^-D of a fixed target.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple, Sequence
 
 from mpmath import mp, mpf
@@ -33,11 +30,6 @@ logger = logging.getLogger(__name__)
 
 class ScalarMatrixError(ValueError):
     """A homothety has no isolated fixed point in H."""
-
-
-class DisplacementBoundError(ArithmeticError):
-    """|tau - tau0| exceeded K1 sqrt(N) |tau - f(tau)|, which the exact
-    identity forbids; indicates a numerical breakdown."""
 
 
 class DegenerateSetError(ValueError):
@@ -125,105 +117,6 @@ def condition_p_lemma_check(p: int, n_max: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-parallel compact box in H with exact rational corners."""
-
-    re_min: Fraction
-    re_max: Fraction
-    im_min: Fraction
-    im_max: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("re_min", "re_max", "im_min", "im_max"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if self.im_min <= 0:
-            raise ValueError("box must have Im bounded away from 0")
-        if self.re_min > self.re_max or self.im_min > self.im_max:
-            raise ValueError("empty box")
-
-    def samples(self, divisions: int = 2) -> list[tuple[Fraction, Fraction]]:
-        """(divisions+1)^2 rational grid points, corners included."""
-        if divisions < 1:
-            raise ValueError("divisions must be >= 1")
-        res = {
-            self.re_min + Fraction(k, divisions) * (self.re_max - self.re_min)
-            for k in range(divisions + 1)
-        }
-        ims = {
-            self.im_min + Fraction(k, divisions) * (self.im_max - self.im_min)
-            for k in range(divisions + 1)
-        }
-        return [(x, y) for x in sorted(res) for y in sorted(ims)]
-
-
-def _matrices_into_box(box: Box, n: int, x: Fraction, y: Fraction):
-    """All integral (a,b;c,d), det n, sending x + iy into the box.
-
-    Exact: Im and Re of the image are rationals, so box membership and the
-    transformation identity Im f(tau) = n Im(tau)/|c tau + d|^2 are decided
-    without rounding.
-    """
-    cap = Fraction(n) * y / box.im_min  # |c tau + d|^2 <= cap
-    c_hi = isqrt(math.floor(cap / (y * y)))
-    for c in range(-c_hi, c_hi + 1):
-        rem = cap - c * c * y * y  # bound on (cx + d)^2, >= 0 as c <= c_hi
-        # pad: cx + d is not integral, so the truncated root can cut off
-        # a valid d; the exact modsq test below discards the overshoot
-        root = isqrt(math.floor(rem)) + 1
-        d_lo = math.ceil(-root - c * x)
-        d_hi = math.floor(root - c * x)
-        for d in range(d_lo, d_hi + 1):
-            modsq = (c * x + d) ** 2 + (c * y) ** 2
-            if modsq == 0 or modsq > cap:
-                continue
-            im_f = Fraction(n) * y / modsq
-            if im_f < box.im_min or im_f > box.im_max:
-                continue
-            if c == 0:
-                if d == 0 or n % d:
-                    continue
-                a = n // d
-                # Re f = (a x + b)/d
-                lo, hi = box.re_min * d - a * x, box.re_max * d - a * x
-                if d < 0:
-                    lo, hi = hi, lo
-                for b in range(math.ceil(lo), math.floor(hi) + 1):
-                    yield a, b, c, d
-            else:
-                # Re f = a/c - (n/c) * Re(1/(c tau + d)), affine in a
-                shift = Fraction(n) * (c * x + d) / modsq
-                lo, hi = box.re_min * c + shift, box.re_max * c + shift
-                if c < 0:
-                    lo, hi = hi, lo
-                for a in range(math.ceil(lo), math.floor(hi) + 1):
-                    if (a * d - n) % c:
-                        continue
-                    yield a, (a * d - n) // c, c, d
-
-
-def coefficient_bound_check(box: Box, n: int, divisions: int = 2) -> float:
-    """Observed K0 = max(|a|,|b|,|c|,|d|)/sqrt(n) over all integral
-    determinant-n matrices carrying a sample of the box back into the box.
-
-    _matrices_into_box builds each matrix with det n (a = n/d, or
-    b = (ad - n)/c exactly), and Im f(tau) |c tau + d|^2 = n Im tau is an
-    identity, so no matrix is checked again.  Refining the sample grid
-    (larger divisions) can only add matrices, so K0 is monotone in it and
-    stabilizes once the grid is fine enough.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    found: set[tuple[int, int, int, int]] = set()
-    for x, y in box.samples(divisions):
-        found.update(_matrices_into_box(box, n, x, y))
-    if not found:
-        return 0.0
-    return max(
-        max(abs(a), abs(b), abs(c), abs(d)) for a, b, c, d in found
-    ) / math.sqrt(n)
-
-
 def fixed_point(
     matrix: ModularMatrix, prec: Precision = DEFAULT_PRECISION
 ) -> CmPoint | None:
@@ -305,42 +198,6 @@ def min_separation_constant(
         return float(best)
 
 
-def near_cm_finder(
-    tau: UpperHalfPoint,
-    coset_image: UpperHalfPoint,
-    matrix: ModularMatrix,
-    prec: Precision = DEFAULT_PRECISION,
-) -> CmPoint | None:
-    """Recover the fixed point near tau from a small displacement tau - f(tau).
-
-    Returns the elliptic fixed point after verifying
-    |tau - tau0| <= K1 sqrt(N) |tau - f(tau)| with
-    K1 = |c tau + d| / (|c| (Im tau + Im tau0) sqrt(N)); None for
-    non-elliptic matrices.
-    """
-    point = fixed_point(matrix, prec)  # raises on homothety
-    if point is None:
-        return None
-    n = matrix.det()
-    with mp.workprec(prec.wp):
-        z = tau.to_mpc()
-        displacement = abs(z - coset_image.to_mpc())
-        offset = abs(z - point.tau0.to_mpc())
-        if displacement == 0 and offset == 0:
-            return point
-        k1 = abs(matrix.c * z + matrix.d) / (
-            abs(matrix.c) * (tau.im + point.tau0.im) * mp.sqrt(n)
-        )
-        bound = k1 * mp.sqrt(n) * displacement
-        slack = 1 + mpf(2) ** (-(prec.bits // 2))
-        if offset > bound * slack:
-            raise DisplacementBoundError(
-                f"|tau - tau0| = {mp.nstr(offset, 8)} exceeds "
-                f"K1 sqrt(N) |tau - f(tau)| = {mp.nstr(bound, 8)}"
-            )
-    return point
-
-
 class DensityPoint(NamedTuple):
     n: int
     # an mpf at working precision: it may lie beyond the float64 range
@@ -381,6 +238,8 @@ def density_fraction(points: Sequence[DensityPoint], d_exp: int) -> float:
     """|{N <= n_max : best_distance <= N^-D}| / n_max.  Each distance is
     compared exactly, its mantissa and exponent against N^-D in integers,
     so neither side can underflow; a nan or infinite distance is no hit."""
+    if d_exp < 1:
+        raise ValueError("need D >= 1")
     if not points:
         raise ValueError("empty experiment")
     hits = 0
@@ -388,6 +247,6 @@ def density_fraction(points: Sequence[DensityPoint], d_exp: int) -> float:
         d = p.best_distance if isinstance(p.best_distance, mpf) else mpf(p.best_distance)
         if mp.isfinite(d):
             sign, man, exp, _ = d._mpf_  # d = (-1)^sign man 2^exp
-            left, right = man * p.n ** max(d_exp, 0), p.n ** max(-d_exp, 0)
-            hits += bool(sign) or (left << exp <= right if exp >= 0 else left <= right << -exp)
+            left = man * p.n**d_exp  # d <= N^-D  <=>  man 2^exp N^D <= 1
+            hits += bool(sign) or (left << exp <= 1 if exp >= 0 else left <= 1 << -exp)
     return hits / len(points)

@@ -287,13 +287,3 @@ def equi_fraction(orbit: HeckeOrbit, im_threshold) -> EquiStat:
     )
     prediction = min(1.0, 3.0 / (math.pi * y0)) if y0 else 1.0
     return EquiStat(hits / len(orbit.points), prediction)
-
-
-def close_point_count(orbit: HeckeOrbit, z, eta) -> int:
-    """Number of orbit j-values within eta of z (multiplicity counted),
-    with z, eta and the distances at the orbit's working precision."""
-    with mp.workprec(orbit.prec.wp):
-        zc, eta = mpc(z), mpf(eta)
-        if not eta > 0:
-            raise ValueError("eta must be positive")
-        return sum(1 for p in orbit.points if abs(p.j - zc) <= eta)

@@ -28,7 +28,7 @@ non-integral divided difference or an asymmetric result raises
 ArithmeticError.  Regenerate every table (about 9 s on a 2-vCPU Xeon,
 Python 3.11, mpmath on its Python backend) with
 
-    PYTHONPATH=src python -m heckelab.modpoly
+    PYTHONPATH=src python -c "from heckelab.modpoly import main; main()"
 """
 
 from __future__ import annotations
@@ -260,6 +260,3 @@ def main() -> None:
         (data / _file_name(ell)).write_text(table_text(generate(ell)))
         print(f"wrote {_file_name(ell)}")
 
-
-if __name__ == "__main__":
-    main()

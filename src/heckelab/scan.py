@@ -739,13 +739,3 @@ def _coincidences(matches: list[int], p_max: int) -> CoincidenceStat:
     obs_half = sum(p <= half for p in matches)
     scale = obs_half / s_half if obs_half and s_half else 1.0
     return CoincidenceStat(observed=len(matches), heuristic=scale * s_full)
-
-
-def coincidence_statistic(
-    left: CurveQ, right: CurveQ, p_max: int
-) -> CoincidenceStat:
-    """observed = #{good p <= p_max : a_p agrees}; heuristic = c sum 1/sqrt(p)
-    over all primes 5 <= p <= p_max, with c calibrated on the first half of
-    the range."""
-    p, k, _, _ = _hit_table(left, right, 5, p_max)
-    return _coincidences(p[k == 1].tolist(), p_max)

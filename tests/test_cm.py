@@ -1,7 +1,6 @@
 import logging
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,13 +8,10 @@ from mpmath import mp
 
 from heckelab import cm
 from heckelab.cm import (
-    Box,
     CmPoint,
     DegenerateSetError,
     DensityPoint,
-    DisplacementBoundError,
     ScalarMatrixError,
-    coefficient_bound_check,
     condition_p,
     condition_p_lemma_check,
     density_experiment,
@@ -23,7 +19,6 @@ from heckelab.cm import (
     enumerate_cm_points,
     fixed_point,
     min_separation_constant,
-    near_cm_finder,
     order_index,
 )
 from heckelab.hecke import HeckeOrbit, e_n
@@ -309,101 +304,6 @@ def test_min_separation_frozen():
         min_separation_constant(twice, 1.0, PREC)
 
 
-def test_near_cm_finder():
-    mat = ModularMatrix(0, -2, 1, 0)
-    center = fixed_point(mat, PREC).tau0
-    found = near_cm_finder(center, center, mat, PREC)
-    assert found is not None and found.fundamental_disc == -8
-
-    with mp.workprec(160):
-        tau = UpperHalfPoint(center.re + mp.mpf("1e-6"), center.im)
-        image = mat.apply(tau, PREC)
-    recovered = near_cm_finder(tau, image, mat, PREC)
-    assert recovered is not None
-    assert abs(recovered.tau0.to_mpc() - center.to_mpc()) < 1e-20
-
-    assert near_cm_finder(center, center, ModularMatrix(1, 1, 0, 1), PREC) is None
-    far = UpperHalfPoint(0.3, 1.7)
-    with pytest.raises(DisplacementBoundError):
-        near_cm_finder(far, far, mat, PREC)  # zero displacement, far from tau0
-
-
-def test_box_and_samples():
-    box = Box(Fraction(-1, 2), Fraction(1, 2), 1, 2)
-    grid = box.samples(2)
-    assert len(grid) == 9
-    assert all(isinstance(x, Fraction) and isinstance(y, Fraction) for x, y in grid)
-    assert (Fraction(0), Fraction(3, 2)) in grid
-    line = Box(0, 0, 1, 2)
-    assert len(line.samples(3)) == 4  # degenerate width collapses
-    with pytest.raises(ValueError):
-        Box(0, 0, 0, 1)
-    with pytest.raises(ValueError):
-        Box(1, 0, 1, 2)
-    with pytest.raises(ValueError):
-        box.samples(0)
-
-
-def test_coefficient_bound_frozen():
-    box = Box(Fraction(-1, 2), Fraction(1, 2), 1, 2)
-    k0 = coefficient_bound_check(box, 6)
-    assert k0 == pytest.approx(5 / math.sqrt(6), rel=1e-12)
-    # the grid refinement has stabilized already at the corners
-    for divisions in (1, 3, 5):
-        assert coefficient_bound_check(box, 6, divisions) == k0
-    small = Box(Fraction(-1, 10), Fraction(1, 10), Fraction(9, 10), Fraction(11, 10))
-    assert coefficient_bound_check(small, 1) == 1.0
-    assert coefficient_bound_check(Box(0, 0, 100, 101), 2) == 0.0
-    with pytest.raises(ValueError):
-        coefficient_bound_check(box, 0)
-
-
-def _brute_matrices_into_box(box, n, x, y):
-    """Every integral (a, b; c, d) of det n whose image of x + iy lies in
-    the box, over entry ranges that the box bounds: Im f = n y/|c tau + d|^2
-    >= im_min bounds c and d; the inverse matrix gives
-    |a - c f|^2 = n Im f / y, which bounds a; and b = d Re f - a x when
-    c = 0."""
-    cap = n * y / box.im_min
-    r_max = max(abs(box.re_min), abs(box.re_max))
-    c_hi = math.isqrt(math.floor(cap / (y * y))) + 1
-    d_hi = math.isqrt(math.floor(cap)) + 2 + c_hi * math.ceil(abs(x))
-    a_hi = math.isqrt(math.floor(n * box.im_max / y)) + 2 + c_hi * math.ceil(r_max)
-    b_hi = d_hi * math.ceil(r_max) + a_hi * math.ceil(abs(x)) + 1
-    out = set()
-    for a in range(-a_hi, a_hi + 1):
-        for c in range(-c_hi, c_hi + 1):
-            for d in range(-d_hi, d_hi + 1):
-                if c:
-                    bs = [(a * d - n) // c] if (a * d - n) % c == 0 else []
-                else:
-                    bs = range(-b_hi, b_hi + 1) if a * d == n else []
-                for b in bs:
-                    assert a * d - b * c == n
-                    modsq = (c * x + d) ** 2 + (c * y) ** 2
-                    re_f = ((a * x + b) * (c * x + d) + a * c * y * y) / modsq
-                    im_f = n * y / modsq
-                    if box.re_min <= re_f <= box.re_max and box.im_min <= im_f <= box.im_max:
-                        out.add((a, b, c, d))
-    return out
-
-
-def test_matrices_into_box_equals_the_brute_force():
-    boxes = [
-        Box(Fraction(-1, 2), Fraction(1, 2), 1, 2),
-        Box(Fraction(-1, 3), Fraction(7, 10), Fraction(1, 2), Fraction(5, 4)),
-    ]
-    found = 0
-    for box in boxes:
-        for n in range(1, 7):
-            for x, y in box.samples(2):
-                got = list(cm._matrices_into_box(box, n, x, y))
-                assert len(got) == len(set(got))
-                assert set(got) == _brute_matrices_into_box(box, n, x, y), (box, n, x, y)
-                found += len(got)
-    assert found > 100
-
-
 def _eager_nearest(screen, z):
     # the nearest-point rule on log j and its bound formed at every trusted
     # point up front, as NaN-filled arrays over the whole orbit
@@ -438,6 +338,8 @@ def test_density_experiment_small():
         density_experiment(base, 0, 0, 3, FAST)
     with pytest.raises(ValueError):
         density_fraction([], 4)
+    with pytest.raises(ValueError):
+        density_fraction(points, 0)
     # the screen's nearest points equal those of bounds formed up front
     rng = random.Random(43)
     bases = [UpperHalfPoint(rng.uniform(-3, 3), rng.uniform(0.05, 4)) for _ in range(3)]

@@ -9,7 +9,6 @@ from mpmath import mp, mpc, mpf
 from heckelab import hecke
 from heckelab.hecke import (
     HeckeOrbit,
-    close_point_count,
     coset_reps,
     e_n,
     equi_fraction,
@@ -143,27 +142,6 @@ def test_equi_fraction_edges():
     assert high.prediction == pytest.approx(3 / (math.pi * 1e6))
     with pytest.raises(ValueError):
         equi_fraction(orbit, 0)
-
-
-def test_close_point_count():
-    orbit = hecke_orbit(UpperHalfPoint(0, 2), 2, PREC)
-    assert close_point_count(orbit, 1728, 1e-6) == 1  # j(i) is 2-isogenous
-    assert close_point_count(orbit, 1728, 1e12) == 3
-    assert close_point_count(orbit, -5e8, 1.0) == 0
-    with pytest.raises(ValueError):
-        close_point_count(orbit, 0, 0)
-
-
-def test_close_point_count_works_at_the_orbits_precision():
-    # j(i) = 1728 lies on T_2 i; at 53 bits z would round to 1728 itself
-    orbit = hecke_orbit(UpperHalfPoint(0, 1), 2, PREC)
-    with mp.workprec(PREC.bits):
-        z = mp.mpf(1728) + mp.mpf(10) ** -20
-        eta = mp.mpf(10) ** -25
-    assert close_point_count(orbit, z, eta) == 0
-    assert close_point_count(orbit, z, 2 * 10.0**-20) == 1
-    # an eta below the float64 range is positive all the same
-    assert close_point_count(orbit, -5e8, mp.mpf("1e-400")) == 0
 
 
 def test_equi_fraction_compares_the_exact_im():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -24,7 +25,6 @@ from heckelab.scan import (
     Supersingular,
     TraceRecord,
     cm_field_hits,
-    coincidence_statistic,
     count_points,
     geom_isogenous,
     scan_pair,
@@ -370,37 +370,37 @@ def test_supersingular_primes_frozen_window():
     assert ss == [17, 179]
 
 
-def test_coincidence_statistic():
-    stat = coincidence_statistic(CurveQ(-1, 0), CurveQ(0, -1), 200)
-    assert stat.observed == 11
-    assert stat.heuristic == pytest.approx(8.457164232373442, rel=1e-12)
+def _scan_summary(capsys, left: str, right: str, p_max: int) -> dict:
+    """The trailer of `heckelab scan left right 5 p_max` in JSON lines."""
+    assert main(["scan", left, right, "5", str(p_max), "--format", "jsonl"]) == 0
+    return json.loads(capsys.readouterr().out.splitlines()[-1])["_summary"]
+
+
+def test_coincidence_statistic(capsys):
+    stat = _scan_summary(capsys, "-1,0", "0,-1", 200)
+    assert stat["coincidences"] == 11
+    assert stat["heuristic"] == pytest.approx(8.457164232373442, rel=1e-12)
     # a curve against itself matches at every good prime
-    self_stat = coincidence_statistic(CurveQ(-1, 0), CurveQ(-1, 0), 100)
-    assert self_stat.observed == len([p for p in primes_up_to(100) if p >= 5])
-    with pytest.raises(ValueError):
-        coincidence_statistic(CurveQ(-1, 0), CurveQ(0, -1), 4)
-    # a float p_max reaches the sieve, which rejects it, also after a scan
-    # to the same integer p_max
-    for p_max in (100.0, 200.0):
-        with pytest.raises(TypeError):
-            coincidence_statistic(CurveQ(-1, 0), CurveQ(0, -1), p_max)
-    # observed is read off the k = 1 hits of scan_pair; it must equal the
+    self_stat = _scan_summary(capsys, "-1,0", "-1,0", 100)
+    assert self_stat["coincidences"] == len([p for p in primes_up_to(100) if p >= 5])
+    # the count is read off the k = 1 hits of the scan; it must equal the
     # count of good primes where a_p agrees, for twist, sextic-twist,
     # rational and generic pairs, some with bad primes
     pairs = [
-        (CurveQ(3, -7), CurveQ(27, -189)),
-        (CurveQ(0, 1), CurveQ(0, -2)),
-        (CurveQ(Fraction(1, 3), Fraction(-5, 7)), CurveQ(Fraction(2, 9), Fraction(7, 4))),
-        (CurveQ(1, 1), CurveQ(-1, 1)),
+        ("3,-7", "27,-189"),
+        ("0,1", "0,-2"),
+        ("1/3,-5/7", "2/9,7/4"),
+        ("1,1", "-1,1"),
     ]
     for left, right in pairs:
+        curves = [CurveQ(*(Fraction(c) for c in text.split(","))) for text in (left, right)]
         agree = 0
         for p in primes_up_to(800)[2:]:
             try:
-                agree += count_points(left, p).a_p == count_points(right, p).a_p
+                agree += count_points(curves[0], p).a_p == count_points(curves[1], p).a_p
             except BadReductionError:
                 continue
-        assert coincidence_statistic(left, right, 800).observed == agree, (left, right)
+        assert _scan_summary(capsys, left, right, 800)["coincidences"] == agree, (left, right)
 
 
 def _loop_statistic(matches, p_max):
