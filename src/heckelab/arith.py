@@ -51,7 +51,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Bounded: most of the a_p^2 - 4p that scan factors are never asked for again.
+# Bounded: the N of divisors and prime_divisors (the triples of T_N, e_n) and
+# of heights._coset_weights recur, while split_discriminant, for CM points
+# and the classification a scan record reads on demand, meets many once.
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, exponent), ...), p ascending."""

@@ -49,7 +49,13 @@ from .heights import (
     local_arch_sum,
     phi_value,
 )
-from .lattices import GramForm, _value_counts, counting_bound, represented_values
+from .lattices import (
+    GramForm,
+    _value_counts,
+    counting_bound,
+    lagrange_reduce,
+    represented_values,
+)
 from .numerics import ModularMatrix, Precision, UpperHalfPoint, eval_j, tau_from_j
 from .scan import (
     BadReductionError,
@@ -436,11 +442,13 @@ def _latcount(args: argparse.Namespace) -> tuple:
     if args.n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {args.n_max}")
     form = _parse_gram(args.gram)
+    if form.rank == 2:
+        # Lagrange reduction is unimodular: the counts and the disc are the
+        # form's own, and a skewed form sweeps a box of its reduced size
+        form = lagrange_reduce(form)
     counts = _value_counts(form, args.n_max)
     trailer = None
     if form.rank == 2:
-        # Lagrange reduction is unimodular, so the values represented are
-        # the nonzero counts of the form itself
         trailer = {
             "represented": int(np.count_nonzero(counts[1:])),
             "bound": counting_bound(args.n_max, form.disc),

@@ -99,6 +99,8 @@ def lagrange_reduce(form: GramForm) -> GramForm:
     if form.rank != 2:
         raise ValueError("lagrange_reduce applies to rank-2 forms")
     a, b, c = form.gram[0][0], form.gram[0][1], form.gram[1][1]
+    if 2 * abs(b) <= a <= c:
+        return form
     while True:
         if c < a:
             a, c = c, a

@@ -3,9 +3,10 @@
 All evaluation routes through one q-series pass, _series: reduction to the
 standard fundamental domain |Re tau| <= 1/2, |tau| >= 1, where
 |q| <= exp(-pi*sqrt(3)) ~ 0.00433 makes the q-expansions converge fast, then
-the E4 sum, the E6 sum and D = prod (1 - q^n)^24 = sum tau(n + 1) q^n in
-fixed point, truncated at the first power of q that rounds to 0, within an
-a-priori error bound.
+the E4 sum and D = prod (1 - q^n)^24 = sum tau(n + 1) q^n in fixed point,
+truncated at the first power of q that rounds to 0, within an a-priori
+error bound.  The pass keeps those powers of q, and the E6 sum is read off
+them where it is wanted (_e6).
 Values at unreduced points are recovered through the weight-k cocycle
 (c*tau + d)^(-k).
 
@@ -514,21 +515,21 @@ def _nome(reduced: UpperHalfPoint, t: _KernelTables):
     return r, u, (qx, qy)
 
 
-def _series(tau: UpperHalfPoint, prec: Precision, e6=False):
+def _series(tau: UpperHalfPoint, prec: Precision):
     """The one q-series pass behind every evaluator, in fixed point.
 
     Reduces tau and forms q = r u at the reduced point tau' by _nome:
     r = e^(-2 pi Im tau') and u = e^(2 pi i Re tau') from tables at
-    W + 24 bits.  Then E4 = 1 + 240 sum sigma_3(n) q^n, D =
-    prod (1 - q^n)^24 = 1 + sum tau(n + 1) q^n and, with e6, E6 = 1 - 504
-    sum sigma_5(n) q^n, each one integer dot product of its cached
-    coefficients with the kept powers.  The powers q^n come by repeated
-    multiplication, and the sums keep those before the first that rounds to
-    0, which comes within the cap T of _kernel_tables.  Returns (reduced,
-    witness, tables, r, u, E4, E6, D): the _kernel_tables of prec, r as
-    _nome gives it, the rest in fixed point, E6 None without e6.  At a point
-    that carries a pass at prec (_attach_pass), this is that pass, which
-    holds all three series, and no pass is made.
+    W + 24 bits.  Then E4 = 1 + 240 sum sigma_3(n) q^n and D =
+    prod (1 - q^n)^24 = 1 + sum tau(n + 1) q^n, each one integer dot
+    product of its cached coefficients with the kept powers; E6 is read off
+    the same powers where it is wanted (_e6).  The powers q^n come by
+    repeated multiplication, and the sums keep those before the first that
+    rounds to 0, which comes within the cap T of _kernel_tables.  Returns
+    (reduced, witness, tables, r, u, E4, powers, D): the _kernel_tables of
+    prec, r as _nome gives it, powers the lists (Re q^n, Im q^n) of the kept
+    powers, the rest in fixed point.  At a point that carries a pass at
+    prec (_attach_pass), this is that pass, and no pass is made.
 
     Error bound, in units 2^-W.  r is within 2^-(W + 20) relative, and q
     and u within 1/2 + 2^-20 units (_nome).  Each power is within 1 unit
@@ -570,7 +571,7 @@ def _series(tau: UpperHalfPoint, prec: Precision, e6=False):
         return tau._pass[1]
     reduced, witness = reduce_to_fundamental_domain(tau, prec)
     t = _kernel_tables(prec)
-    w, s3, s5 = t.w, t.s3, t.s5
+    w, s3 = t.w, t.s3
     r, u, (qx, qy) = _nome(reduced, t)
     x, y = qx, qy
     half = 1 << (w - 1)
@@ -586,10 +587,14 @@ def _series(tau: UpperHalfPoint, prec: Precision, e6=False):
     one = 1 << w
     e4_val = one + 240 * sum(map(mul, s3, xs)), 240 * sum(map(mul, s3, ys))
     disc = one + sum(map(mul, t.delta, xs)), sum(map(mul, t.delta, ys))
-    e6_val = None
-    if e6:
-        e6_val = one - 504 * sum(map(mul, s5, xs)), -504 * sum(map(mul, s5, ys))
-    return reduced, witness, t, r, u, e4_val, e6_val, disc
+    return reduced, witness, t, r, u, e4_val, (xs, ys), disc
+
+
+def _e6(series: tuple) -> tuple[int, int]:
+    """E6 = 1 - 504 sum sigma_5(n) q^n in fixed point, from the powers of q
+    that the pass series of _series kept."""
+    t, (xs, ys) = series[2], series[6]
+    return (1 << t.w) - 504 * sum(map(mul, t.s5, xs)), -504 * sum(map(mul, t.s5, ys))
 
 
 def _cocycle(tau: UpperHalfPoint, witness: ModularMatrix, weight: int) -> mpc:
@@ -608,8 +613,9 @@ def eval_e4(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
 def eval_e6(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Eisenstein series E6(tau) = 1 - 504 sum sigma_5(n) q^n."""
     with mp.workprec(prec.wp):
-        _, witness, t, _, _, _, val, _ = _series(tau, prec, e6=True)
-        return mp.make_mpc(_to_mpc(val, t.w)) * _cocycle(tau, witness, 6)
+        series = _series(tau, prec)
+        _, witness, t = series[:3]
+        return mp.make_mpc(_to_mpc(_e6(series), t.w)) * _cocycle(tau, witness, 6)
 
 
 # Cap on the reduced Im tau' for j, Delta and the Petersson norm: 2 pi times
@@ -629,10 +635,11 @@ def _check_im_cap(reduced: UpperHalfPoint) -> None:
         )
 
 
-def _delta(reduced: UpperHalfPoint, t: _KernelTables, r, u, disc, prec: Precision):
-    """(2 pi)^12 r (u D) at the reduced point, a raw mpc rounded at
-    wp = bits + _GUARD, with r a pair (m, e) worth m 2^e and (2 pi)^12 from
-    the tables t; raises above the Im cap."""
+def _delta(series: tuple, prec: Precision):
+    """(2 pi)^12 r (u D) at the reduced point of the pass series of _series,
+    a raw mpc rounded at wp = bits + _GUARD, with r a pair (m, e) worth
+    m 2^e and (2 pi)^12 from its tables; raises above the Im cap."""
+    reduced, _, t, r, u, _, _, disc = series
     _check_im_cap(reduced)
     wp, w = prec.wp, t.w
     x, y = _to_mpc(_fmul(*u, *disc, w), w)
@@ -643,14 +650,15 @@ def _delta(reduced: UpperHalfPoint, t: _KernelTables, r, u, disc, prec: Precisio
 def eval_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     """Modular discriminant (2 pi)^12 q prod (1 - q^n)^24 at tau."""
     with mp.workprec(prec.wp):
-        reduced, witness, t, r, u, _, _, disc = _series(tau, prec)
-        return mp.make_mpc(_delta(reduced, t, r, u, disc, prec)) * _cocycle(tau, witness, 12)
+        series = _series(tau, prec)
+        return mp.make_mpc(_delta(series, prec)) * _cocycle(tau, series[1], 12)
 
 
-def _j(reduced: UpperHalfPoint, t: _KernelTables, r, u, e4, disc) -> tuple:
+def _j(series: tuple) -> tuple:
     """(a, b, den, exp) with j = E4^3 conj(u) / (D r) = (a + b i) 2^exp / den
-    exactly, from the parts of _series, r = m 2^e: each part of j is one
-    integer quotient (_quotient), rounded once.  Raises above the Im cap."""
+    exactly, from the pass series of _series, r = m 2^e: each part of j is
+    one integer quotient (_quotient), rounded once.  Raises above the Im cap."""
+    reduced, _, t, r, u, e4, _, disc = series
     _check_im_cap(reduced)
     w = t.w
     dx, dy = disc
@@ -668,16 +676,15 @@ def eval_j(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpc:
     where the literal subtraction would cancel to noise.  At rho, where E4
     vanishes to working precision, E4^3 rounds to 0 and so does j.
     """
-    reduced, _, t, r, u, e4, _, disc = _series(tau, prec)
-    a, b, den, exp = _j(reduced, t, r, u, e4, disc)
+    a, b, den, exp = _j(_series(tau, prec))
     return mp.make_mpc((_quotient(a, den, prec.wp, exp), _quotient(b, den, prec.wp, exp)))
 
 
 def petersson_norm_delta(tau: UpperHalfPoint, prec: Precision = DEFAULT_PRECISION) -> mpf:
     """SL2(Z)-invariant norm |Delta(tau)| * (Im tau)^6."""
     with mp.workprec(prec.wp):
-        reduced, _, t, r, u, _, _, disc = _series(tau, prec)
-        return abs(mp.make_mpc(_delta(reduced, t, r, u, disc, prec))) * reduced.im**6
+        series = _series(tau, prec)
+        return abs(mp.make_mpc(_delta(series, prec))) * series[0].im**6
 
 
 def log_petersson_norm_delta(
@@ -737,11 +744,12 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
         def f(x):  # |j| - |y|, increasing: j has the sign of y on its arc
             # inside the domain: its reduction is the identity
             tau = UpperHalfPoint(x, mp.sqrt(1 - x * x)) if re is None else UpperHalfPoint(re, x)
-            reduced, _, t, r, u, e4, e6, disc = _attach_pass(tau, prec)
-            a, _, den, exp = _j(reduced, t, r, u, e4, disc)  # j is real on the arc
+            series = _attach_pass(tau, prec)
+            a, _, den, exp = _j(series)  # j is real on the arc
             j = abs(mp.make_mpf(_quotient(a, den, wp, exp)))
             # d|j| / dx = |j| Re(d log j / dtau dtau / dx), in float64
-            (ax, ay), (bx, by), norm = e6, e4, e4[0] ** 2 + e4[1] ** 2
+            e4 = series[5]
+            (ax, ay), (bx, by), norm = _e6(series), e4, e4[0] ** 2 + e4[1] ** 2
             e6_e4 = complex((ax * bx + ay * by) / norm, (ay * bx - ax * by) / norm)
             dtau = 1j if re is not None else complex(1, -_float(x._mpf_) / _float(tau.im._mpf_))
             return j - abs(y), j * (-2j * math.pi * e6_e4 * dtau).real, tau
@@ -755,9 +763,9 @@ def tau_from_j(j_target, prec: Precision = DEFAULT_PRECISION) -> UpperHalfPoint:
 
 
 def _attach_pass(tau: UpperHalfPoint, prec: Precision) -> tuple:
-    """One full kernel pass at tau, E4, E6 and D, kept on tau so that
-    _series hands it back at prec; returns the pass."""
-    series = _series(tau, prec, e6=True)
+    """One kernel pass at tau, kept on tau so that _series hands it back at
+    prec; returns the pass."""
+    series = _series(tau, prec)
     object.__setattr__(tau, "_pass", (prec, series))
     return series
 

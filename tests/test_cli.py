@@ -209,7 +209,7 @@ def test_latcount_counts(capsys):
 
 # Output of the per-triple sweep and the dict-per-row writer that the
 # blocked sweep and the bulk writer replaced; 10,7,5 is not Lagrange-reduced,
-# so its trailer counts the values of an unreduced form.
+# and the command counts it through its reduced form x^2 + y^2.
 _PINNED_LATCOUNT = {
     ("latcount", "1,0,1", "30"): (
         "n,fiber_count\n1,4\n2,4\n3,0\n4,4\n5,8\n6,0\n7,0\n8,4\n9,4\n10,8\n11,0\n"
@@ -456,6 +456,16 @@ def test_latcount_rejects_a_sweep_beyond_int64(capsys):
     near_one = "1000000000000000001/1000000000000000000"
     assert main(["latcount", f"{near_one},0,{near_one}", "20"]) == 2
     assert ">= 2^63" in capsys.readouterr().err
+
+
+def test_latcount_sweeps_a_skewed_form_through_its_reduced_form(capsys):
+    # one Lagrange step takes 1,10^9,10^18+1 to x^2 + y^2, whose sweep fits
+    # int64; the unreduced box would reach 4 10^20
+    assert main(["latcount", "1,1000000000,1000000000000000001", "100"]) == 0
+    skewed = capsys.readouterr()
+    assert main(["latcount", "1,0,1", "100"]) == 0
+    assert (skewed.out, skewed.err) == (capsys.readouterr().out, "")
+
 
 def test_latcount_rejects_a_negative_n_max(capsys):
     for args in (["5,2,7", "-1"], ["5,2,7", "-3"], ["1,0,0,0,1,0,0,1,1/2,1", "-1"]):

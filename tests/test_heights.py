@@ -538,6 +538,18 @@ def test_heuristic_integral_makes_one_kernel_pass_per_sample(monkeypatch, bits):
         assert got == _two_pass_integral(z, 40, prec, seed), (z, seed)
 
 
+def test_heuristic_integral_forms_no_e6(monkeypatch):
+    # its samples read j and log ||Delta|| off the pass; E6 is formed only
+    # where it is read (eval_e6, tau_from_j), so a raising _e6 goes unseen
+    want = heuristic_integral(12345, 40, PREC, seed=7)
+
+    def refused(series):
+        raise AssertionError("heuristic_integral formed E6")
+
+    monkeypatch.setattr(numerics, "_e6", refused)
+    assert heuristic_integral(12345, 40, PREC, seed=7) == want
+
+
 # (y, z, N, bits): Phi_N(z, y) = 0, and the orbit point of j = z moves
 # faster than j(tau_y) itself, so a base point whose j is within the
 # resolution of y can keep that orbit point above the resolution, and the

@@ -230,7 +230,7 @@ def test_tables_ship_as_package_data_and_load_on_first_use():
         "print(' '.join(p.rsplit('/', 1)[-1] for p in tables()))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-B", "-c", probe],  # -B: no __pycache__ in the source tree
         capture_output=True,
         text=True,
         check=True,

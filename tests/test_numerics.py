@@ -492,7 +492,9 @@ def test_float_series_reads_d_off_the_tau_table_next_to_the_kernel():
     # of the fixed-point pass at the same reduced point
     tau_2_11 = (-24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612)
     for tau in _closed_domain_points():
-        reduced, _, t, _, _, e4, e6, disc = numerics._series(tau, PREC, e6=True)
+        series = numerics._series(tau, PREC)
+        reduced, _, t, _, _, e4, _, disc = series
+        e6 = numerics._e6(series)
         q = cmath.exp(2j * math.pi * complex(float(reduced.re), float(reduced.im)))
         got = numerics._float_series(q)
         with mp.workprec(160):
