@@ -53,7 +53,6 @@ from .lattices import (
     GramForm,
     _value_counts,
     counting_bound,
-    lagrange_reduce,
     represented_values,
 )
 from .numerics import ModularMatrix, Precision, UpperHalfPoint, eval_j, tau_from_j
@@ -442,10 +441,6 @@ def _latcount(args: argparse.Namespace) -> tuple:
     if args.n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {args.n_max}")
     form = _parse_gram(args.gram)
-    if form.rank == 2:
-        # Lagrange reduction is unimodular: the counts and the disc are the
-        # form's own, and a skewed form sweeps a box of its reduced size
-        form = lagrange_reduce(form)
     counts = _value_counts(form, args.n_max)
     trailer = None
     if form.rank == 2:
@@ -731,6 +726,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

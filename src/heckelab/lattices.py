@@ -6,6 +6,12 @@ enumeration inside a rigorous box, never from an asymptotic.  The
 discriminant convention is the Gram determinant q(e)q(f) - q(e,f)^2; the
 classical binary-form discriminant b^2 - 4ac equals -4 times it and is not
 used internally.
+
+Every count sweeps the pairwise Lagrange-reduced form: steps e_j -> e_j -
+t e_i, t the integer nearest q(e_i, e_j)/q(e_i), are taken until
+|q(e_i, e_j)| <= q(e_i)/2 for every pair.  Each step lowers q(e_j) in a
+discrete set of values, so the steps end, and each is unimodular, so the
+counts are the form's own.
 """
 
 from __future__ import annotations
@@ -95,22 +101,38 @@ class GramForm:
 
 
 def lagrange_reduce(form: GramForm) -> GramForm:
-    """Classical rank-2 reduction: q(e) <= q(f) and 2|q(e,f)| <= q(e)."""
-    if form.rank != 2:
-        raise ValueError("lagrange_reduce applies to rank-2 forms")
-    a, b, c = form.gram[0][0], form.gram[0][1], form.gram[1][1]
-    if 2 * abs(b) <= a <= c:
+    """The pairwise Lagrange-reduced form: |q(e_i, e_j)| <= q(e_i)/2 for all
+    i != j, and q(e_1) <= ... <= q(e_r).
+
+    While some pair has 2|q(e_i, e_j)| > q(e_i), the step e_j -> e_j - t e_i,
+    t the integer nearest q(e_i, e_j)/q(e_i), is taken; then the basis is
+    ordered by q(e_i).  Each step lowers q(e_j), and the Gram entries stay in
+    the discrete set (1/m)Z, m the lcm of their denominators, so the steps
+    end.  The steps are unimodular: every value and the disc stay the form's
+    own.  At rank 2 this is 2|b| <= a <= c.  It is not LLL: at rank 4 a form
+    skewed only through a combination of three vectors stays skewed.  A form
+    that no step or reordering moves is returned as it is.
+    """
+    rank = form.rank
+    g = [list(row) for row in form.gram]
+    moved = False
+    stepped = True
+    while stepped:
+        stepped = False
+        for i in range(rank):
+            for j in range(rank):
+                if i == j or 2 * abs(g[i][j]) <= g[i][i]:
+                    continue
+                t = round(g[i][j] / g[i][i])
+                # e_j -> e_j - t e_i: row j, then column j
+                g[j] = [x - t * y for x, y in zip(g[j], g[i])]
+                for row in g:
+                    row[j] -= t * row[i]
+                stepped = moved = True
+    order = sorted(range(rank), key=lambda k: g[k][k])
+    if not moved and order == list(range(rank)):
         return form
-    while True:
-        if c < a:
-            a, c = c, a
-        t = round(b / a)
-        if t:
-            # f -> f - t e
-            c = c - 2 * t * b + t * t * a
-            b = b - t * a
-        if 2 * abs(b) <= a <= c:
-            return GramForm(((a, b), (b, c)))
+    return GramForm(tuple(tuple(g[r][c] for c in order) for r in order))
 
 
 def counting_bound(n: int, disc) -> float:
@@ -202,6 +224,16 @@ def _fibre_meets(
 def _value_counts(form: GramForm, n: int) -> np.ndarray:
     """counts[N] = #{v : q(v) = N} for 0 <= N <= n, by exact enumeration.
 
+    The sweep runs over the box of the pairwise-reduced form: reduction is
+    unimodular, so the counts are the form's own, and a skewed form sweeps
+    the small box of its reduced form.
+    """
+    return _sweep(lagrange_reduce(form), n)
+
+
+def _sweep(form: GramForm, n: int) -> np.ndarray:
+    """The counts of _value_counts, swept over the box of the form as given.
+
     One vectorized pass over the rigorous box.  The form is scaled by the
     least s that makes its coefficients integers (s q = sum_{i <= j} c_ij
     x_i x_j, c_ij = 2 s g_ij off the diagonal), so s = 1 for every form with
@@ -265,7 +297,7 @@ def represented_values(form: GramForm, n: int) -> set[int]:
         raise ValueError("represented_values applies to rank-2 forms")
     if n <= 0:
         return set()
-    counts = _value_counts(lagrange_reduce(form), n)
+    counts = _value_counts(form, n)
     return {int(v) for v in np.nonzero(counts[1:])[0] + 1}
 
 

@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
+from heckelab import cli
 from heckelab.arith import TooLargeToAllocateError, primes_up_to
 from heckelab.cli import (
     COMMANDS,
@@ -54,6 +55,22 @@ def test_self_tests_pass(cmd, capsys):
     assert main([cmd, "--self-test"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_a_failing_self_test_prints_fail_and_exits_one(monkeypatch, capsys):
+    # the (1728, 287496, 10) residual returns instead of raising
+    residual = cli.global_identity_residual
+
+    def returning(y, z, n, prec):
+        if (y, z, n) == (1728, 287496, 10):
+            return 0.0
+        return residual(y, z, n, prec)
+
+    monkeypatch.setattr(cli, "global_identity_residual", returning)
+    assert main(["residual", "--self-test"]) == 1
+    out = capsys.readouterr().out
+    assert "residual self-test: FAIL (1728, 287496, 10) raises CoincidenceError" in out
+    assert out.count("PASS") == 2
 
 
 @pytest.mark.parametrize("cmd", SUBCOMMANDS)
@@ -460,11 +477,17 @@ def test_latcount_rejects_a_sweep_beyond_int64(capsys):
 
 def test_latcount_sweeps_a_skewed_form_through_its_reduced_form(capsys):
     # one Lagrange step takes 1,10^9,10^18+1 to x^2 + y^2, whose sweep fits
-    # int64; the unreduced box would reach 4 10^20
-    assert main(["latcount", "1,1000000000,1000000000000000001", "100"]) == 0
-    skewed = capsys.readouterr()
-    assert main(["latcount", "1,0,1", "100"]) == 0
-    assert (skewed.out, skewed.err) == (capsys.readouterr().out, "")
+    # int64; the unreduced box would reach 4 10^20.  The rank-4 form is
+    # x^2 + y^2 + z^2 + w^2 after the same step, and its box would reach
+    # 3.8 10^19
+    for skewed_gram, reduced_gram, n_max in (
+        ("1,1000000000,1000000000000000001", "1,0,1", "100"),
+        ("1,1000000000,0,0,1000000000000000001,0,0,1,0,1", "1,0,0,0,1,0,0,1,0,1", "10"),
+    ):
+        assert main(["latcount", skewed_gram, n_max]) == 0
+        skewed = capsys.readouterr()
+        assert main(["latcount", reduced_gram, n_max]) == 0
+        assert (skewed.out, skewed.err) == (capsys.readouterr().out, "")
 
 
 def test_latcount_rejects_a_negative_n_max(capsys):

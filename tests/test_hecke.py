@@ -110,6 +110,12 @@ def test_orbit_points_are_reduced_and_complete():
     assert abs(single.j - eval_j(tau, FAST)) < 1e-20
 
 
+def test_orbit_point_repr_names_its_coset_and_tau():
+    point = hecke_orbit(UpperHalfPoint(0.13, 1.21), 2, FAST).points[1]
+    assert repr(point) == f"OrbitPoint(coset={point.coset!r}, tau={point.tau!r})"
+    assert "CosetTriple(" in repr(point) and "UpperHalfPoint(" in repr(point)
+
+
 def test_orbit_symmetry():
     assert orbit_symmetry_check(UpperHalfPoint(0.13, 1.21), 2, FAST)
     assert orbit_symmetry_check(UpperHalfPoint(-0.31, 0.95), 3, FAST)

@@ -29,13 +29,14 @@ I4 = GramForm.from_rows(
 
 def _conjugate(form, u):
     # G -> U^T G U; U integral with det +-1 keeps the lattice
+    rank = len(u)
     rows = []
-    for i in range(2):
+    for i in range(rank):
         row = []
-        for j in range(2):
+        for j in range(rank):
             total = Fraction(0)
-            for k in range(2):
-                for l in range(2):
+            for k in range(rank):
+                for l in range(rank):
                     total += u[k][i] * form.gram[k][l] * u[l][j]
             row.append(total)
         rows.append(tuple(row))
@@ -52,6 +53,17 @@ def _random_unimodular(rng, steps=6):
             u = [u[0], [u[1][0] + t * u[0][0], u[1][1] + t * u[0][1]]]
     if rng.random() < 0.5:
         u = [u[1], u[0]]
+    return u
+
+
+def _random_unimodular_rank4(rng, steps=12):
+    # row steps e_j -> e_j + t e_i, then a shuffle of the rows
+    u = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(steps):
+        i, j = rng.sample(range(4), 2)
+        t = rng.choice((-3, -2, -1, 1, 2, 3))
+        u[j] = [x + t * y for x, y in zip(u[j], u[i])]
+    rng.shuffle(u)
     return u
 
 
@@ -231,7 +243,7 @@ def test_value_counts_drop_the_rows_that_miss_the_ellipsoid(monkeypatch):
         for block_points in blocks:
             monkeypatch.setattr(lattices, "_BLOCK_POINTS", block_points)
             kept.clear()
-            assert np.array_equal(lattices._value_counts(form, n), want), (form.gram, n)
+            assert np.array_equal(lattices._sweep(form, n), want), (form.gram, n)
             assert sum(kept) == rows, (form.gram, n, block_points)
 
 
@@ -283,8 +295,30 @@ def test_lagrange_reduce_normalizes():
         assert 2 * abs(b) <= a <= c
         assert red.disc == moved.disc == base.disc
         assert represented_values(red, 40) == represented_values(moved, 40)
-    with pytest.raises(ValueError):
-        lagrange_reduce(I4)
+    assert lagrange_reduce(I4) is I4
+
+
+def test_rank4_conjugates_reduce_and_sweep_as_their_shape():
+    rng = random.Random(71)
+    for rows in _RANK4_SHAPES:
+        shape = GramForm.from_rows(rows)
+        assert lagrange_reduce(shape) is shape
+        want = lattices._sweep(shape, 30)
+        for _ in range(6):
+            moved = _conjugate(shape, _random_unimodular_rank4(rng))
+            red = lagrange_reduce(moved)
+            g = red.gram
+            for i in range(4):
+                for j in range(4):
+                    if i != j:
+                        assert 2 * abs(g[i][j]) <= g[i][i], (moved.gram, red.gram)
+            assert [g[i][i] for i in range(4)] == sorted(g[i][i] for i in range(4))
+            assert red.disc == moved.disc == shape.disc
+            assert np.array_equal(lattices._value_counts(moved, 30), want), moved.gram
+    # the last conjugate is skewed: its own box is far larger than its shape's
+    assert max(lattices._coordinate_bounds(moved, 30)) > 5 * max(
+        lattices._coordinate_bounds(shape, 30)
+    )
 
 
 def test_represented_values_against_brute_force():

@@ -232,6 +232,13 @@ def test_reducing_a_reduced_point_gives_it_back(bits):
         assert identity.is_identity(), (tau, start)
 
 
+def test_reduction_that_runs_out_of_steps_raises(monkeypatch):
+    # 0.3 + 0.01i needs an inversion after its first translation
+    monkeypatch.setattr(numerics, "_MAX_REDUCTION_STEPS", 1)
+    with pytest.raises(ArithmeticError, match="did not terminate"):
+        reduce_to_fundamental_domain(UpperHalfPoint(0.3, 0.01), PREC)
+
+
 def test_reduction_of_points_that_are_not_finite(exact_reduction):
     for x in (mp.inf, -mp.inf, mp.nan):
         tau = UpperHalfPoint(x, 1)
