@@ -191,6 +191,9 @@ def test_value_counts_match_the_per_triple_loop(monkeypatch):
                 got = lattices._value_counts(form, n)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, want), (form.gram, n, block_points)
+                # the form's own box, as the loop sweeps it
+                own = lattices._sweep(form, n)
+                assert np.array_equal(own, want), (form.gram, n, block_points)
         for n in (-1, -2):
             assert lattices._value_counts(form, n).shape == (0,)
             assert _loop_value_counts(form, n).shape == (0,)
@@ -258,12 +261,17 @@ def test_value_counts_reject_values_beyond_int64():
         with pytest.raises(SweepOverflowError):
             lattices._value_counts(near_identity(d), 20)
     inside = near_identity(2**58 - 2)
-    assert np.array_equal(lattices._value_counts(inside, 20), _loop_value_counts(inside, 20))
-    # entries near 2^62 whose box is the origin alone: no term reaches int64
+    assert np.array_equal(lattices._sweep(inside, 20), _loop_value_counts(inside, 20))
+    # entries near 2^62 whose box is the origin alone: the terms of a bound-0
+    # coordinate drop out, so the coefficient 2^63 never meets int64.  The
+    # form is not reduced, so _sweep keeps it as given.
     big, off = 2**62 + 2**40, 2**62
     point_box = GramForm.from_rows(((big, off), (off, big)))
     assert lattices._coordinate_bounds(point_box, 3) == [0, 0]
-    assert np.array_equal(lattices._value_counts(point_box, 3), _loop_value_counts(point_box, 3))
+    assert lattices._integer_coefficients(point_box)[1][0][1] == 2**63
+    want = _loop_value_counts(point_box, 3)
+    assert np.array_equal(lattices._sweep(point_box, 3), want)
+    assert np.array_equal(lattices._value_counts(point_box, 3), want)
 
 
 def test_gram_validation():
